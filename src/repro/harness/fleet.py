@@ -347,6 +347,7 @@ def serve_cell(cell: Dict[str, Any]) -> Dict[str, Any]:
     report = run_load(client, stream, telemetry=telemetry)
     if plan is not None:
         telemetry.absorb_fault_plan(fs.name, plan)
+    telemetry.ledger.absorb_counters(backend.index_counters())
     telemetry.finalize(ctx.clock.elapsed)
     return {
         "fs": name,

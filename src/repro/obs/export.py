@@ -116,9 +116,10 @@ def openmetrics_lines(frame: Mapping[str, object]) -> List[str]:
 
     *frame* is a (possibly merged) payload from
     :mod:`repro.obs.telemetry`.  Families, in order: the per-(fs, op)
-    latency histograms, operation/error counters, fault outcomes, the
-    per-(fs, SLO-class) evaluation gauges, and the degraded-mode
-    aggregates.  Ends with ``# EOF`` per the OpenMetrics framing.
+    latency histograms, operation/error counters, fault outcomes, any
+    absorbed registry counters (cache health), the per-(fs, SLO-class)
+    evaluation gauges, and the degraded-mode aggregates.  Ends with
+    ``# EOF`` per the OpenMetrics framing.
     """
     from .slo import DEFAULT_SLOS
     from .telemetry import evaluate_frame, frame_of
@@ -168,6 +169,11 @@ def openmetrics_lines(frame: Mapping[str, object]) -> List[str]:
                     f"slo_fault_outcomes_total"
                     f"{_om_labels((('fs', fs), ('kind', kind), ('outcome', outcome)))}"
                     f" {n}")
+
+    for name, by_labels in ledger.counters().items():
+        lines.append(f"# TYPE {name} counter")
+        for labels, n in by_labels.items():
+            lines.append(f"{name}{labels} {n}")
 
     results = evaluate_frame(frame, slos=DEFAULT_SLOS)
     lines.append("# TYPE slo_latency_ns gauge")

@@ -70,6 +70,9 @@ METRIC_NAMES: FrozenSet[str] = frozenset({
     "serve_requests_total",
     "serve_rejected_total",
     "serve_queue_depth",
+    "serve_index_hits_total",
+    "serve_index_walks_total",
+    "serve_index_invalidations_total",
     # snapshot cache health (repro.harness.setup)
     "snapshot_load_failures",
     # snapshot archive / corpus builder (repro.harness.fleet)

@@ -16,8 +16,9 @@ same frame, same report, byte for byte.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Optional, Tuple
+from typing import Dict, Iterable, List, Mapping, Optional, Tuple
 
+from .metrics import Counter, format_series
 from .sketch import SketchBank
 from .timeline import DegradedTimeline
 
@@ -77,13 +78,16 @@ class ErrorLedger:
     ``surfaced`` counts the calls that raised an
     :class:`~repro.errors.FSError` to the caller, keyed further by errno
     name.  Fault-plan outcomes (injected/masked/surfaced per kind) are
-    absorbed per FS so reports can show what the stack swallowed.
+    absorbed per FS so reports can show what the stack swallowed, and
+    registry counters absorbed at harvest (cache health) ride along as
+    ``name -> rendered labels -> count``.
     """
 
     def __init__(self) -> None:
         self._ops: Dict[Tuple[str, str], int] = {}
         self._surfaced: Dict[Tuple[str, str], Dict[str, int]] = {}
         self._faults: Dict[str, Dict[str, Dict[str, int]]] = {}
+        self._counters: Dict[str, Dict[str, int]] = {}
 
     # -- recording ----------------------------------------------------------
 
@@ -105,7 +109,23 @@ class ErrorLedger:
             by_outcome = store.setdefault(kind, {})
             by_outcome[outcome] = by_outcome.get(outcome, 0) + int(n)
 
+    def absorb_counters(self, series: Iterable[Counter]) -> None:
+        """Fold registry counter handles (e.g. a serve backend's
+        ``index_counters()``) in under their exposition labels."""
+        for counter in series:
+            self._count(counter.name, format_series("", counter.labels),
+                        int(counter.value))
+
+    def _count(self, name: str, labels: str, n: int) -> None:
+        by_labels = self._counters.setdefault(name, {})
+        by_labels[labels] = by_labels.get(labels, 0) + n
+
     # -- queries ------------------------------------------------------------
+
+    def counters(self) -> Dict[str, Dict[str, int]]:
+        """Absorbed counters, families and label sets sorted."""
+        return {name: dict(sorted(by.items()))
+                for name, by in sorted(self._counters.items())}
 
     def ops(self, fs: str, op: Optional[str] = None) -> int:
         if op is not None:
@@ -149,10 +169,13 @@ class ErrorLedger:
                 for outcome in sorted(other._faults[fs][kind]):
                     by_outcome[outcome] = by_outcome.get(outcome, 0) \
                         + other._faults[fs][kind][outcome]
+        for name, by_labels in other.counters().items():
+            for labels, n in by_labels.items():
+                self._count(name, labels, n)
         return self
 
     def to_payload(self) -> Dict[str, object]:
-        return {
+        payload: Dict[str, object] = {
             "ops": {f"{f}\x1f{o}": n
                     for (f, o), n in sorted(self._ops.items())},
             "surfaced": {f"{f}\x1f{o}": dict(sorted(by.items()))
@@ -161,6 +184,11 @@ class ErrorLedger:
                             for kind, by in sorted(kinds.items())}
                        for fs, kinds in sorted(self._faults.items())},
         }
+        # absent rather than empty, so frames without absorbed counters
+        # (``repro slo``) keep their bytes
+        if self._counters:
+            payload["counters"] = self.counters()
+        return payload
 
     @classmethod
     def from_payload(cls, payload: Mapping[str, object]) -> "ErrorLedger":
@@ -176,6 +204,9 @@ class ErrorLedger:
             ledger._faults[fs] = {kind: {o: int(v)
                                          for o, v in dict(by).items()}
                                   for kind, by in dict(kinds).items()}
+        for name, by in dict(payload.get("counters", {})).items():
+            for labels, n in dict(by).items():
+                ledger._count(name, labels, int(n))
         return ledger
 
 

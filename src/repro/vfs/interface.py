@@ -10,6 +10,7 @@ and accumulating its cost, and charges the syscall crossing cost up front
 
 from __future__ import annotations
 
+import functools
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
@@ -141,6 +142,15 @@ TELEMETRY_OPS = {
 }
 
 
+def _bumps_namespace_epoch(lifecycle_verb):
+    """Wrap a ``mkfs``/``mount`` override so it starts a new epoch."""
+    @functools.wraps(lifecycle_verb)
+    def wrapper(self, *args, **kwargs):
+        self.namespace_epoch += 1
+        return lifecycle_verb(self, *args, **kwargs)
+    return wrapper
+
+
 class FileSystem(ABC):
     """Abstract simulated PM file system.
 
@@ -153,6 +163,17 @@ class FileSystem(ABC):
     name: str = "abstract"
     #: does this FS provide data (not just metadata) consistency by default?
     data_consistent: bool = False
+    #: bumped by every ``mkfs``/``mount`` (never per op): the whole
+    #: namespace may have been replaced, so user-space caches of it
+    #: (the serve backend's id index) compare epochs and start over
+    namespace_epoch: int = 0
+
+    def __init_subclass__(cls, **kwargs) -> None:
+        super().__init_subclass__(**kwargs)
+        for verb in ("mkfs", "mount"):
+            if verb in cls.__dict__:
+                setattr(cls, verb,
+                        _bumps_namespace_epoch(cls.__dict__[verb]))
 
     def __init__(self, device: PMDevice, num_cpus: int) -> None:
         self.device = device
@@ -321,11 +342,14 @@ class FileSystem(ABC):
     @abstractmethod
     def getattr_ino(self, ino: int) -> StatResult: ...
 
-    def exists(self, path: str) -> bool:
+    def exists(self, path: str, ctx: Optional[SimContext] = None) -> bool:
+        """Does *path* resolve?  With *ctx* the probe is charged as the
+        ``getattr`` syscall it is; without one it is free (workload
+        setup helpers)."""
         try:
-            self.getattr(path)
+            self.getattr(path, ctx)
             return True
-        except Exception:
+        except FSError:
             return False
 
     # -- data ops ---------------------------------------------------------------------

@@ -13,6 +13,13 @@ Four suites, matching the layer's four claims:
   byte-identical (simulated ns, object bytes, metrics) to replaying the
   same stream against direct backends, and admission-control rejections
   are deterministic and leave no backend trace.
+* **Index vs walk** — ``FSObjStorage`` answers list / exists / the put
+  dedup probe from a DRAM id index; a seeded sweep over all nine FS
+  models proves every warm answer equals a fresh storage's cold walk of
+  the same tree after every request — clean, under the serve fault
+  campaign and an EROFS degrade, across ``mkfs`` and a crash-remount
+  under a live storage, and on a restored image that already holds
+  ``/srv`` — and pins what a warm answer is charged.
 * **Faults** — a seeded fault campaign against a served WineFS burns
   the service error budget and degrades the mount but never crashes the
   server; masked vs surfaced outcomes land in the ledger and the
@@ -54,6 +61,8 @@ FS_NAMES = sorted(SPECS_BY_NAME)
 
 #: differential sweep width; the CI smoke job narrows it via env
 DIFF_SEEDS = range(int(os.environ.get("REPRO_SERVE_SEEDS", "100")))
+#: index-vs-walk sweep width per FS model: 20, or wider via the same env
+INDEX_SEEDS = range(max(20, int(os.environ.get("REPRO_SERVE_SEEDS", "0"))))
 
 
 def make_fs_storage(name: str, size: int = SERVE_SIZE,
@@ -485,6 +494,312 @@ class TestFactory:
         assert storage.get("t00", oid) == b"via config"
 
 
+# -- the id index against the tree it caches ----------------------------------
+
+def _walk_storage(live: FSObjStorage) -> FSObjStorage:
+    """A cold storage over the same tree (own metric label, so its
+    walks are not counted as the live storage's)."""
+    return FSObjStorage(live.fs, live.ctx, label="walk")
+
+
+def _assert_warm_answers_match_tree(live, tenants, seen) -> None:
+    """Every tenant the live storage holds an index for must answer
+    exactly as a fresh storage's walk of the tree does.  Cold tenants
+    are left cold: they answer from the tree by construction, and
+    warming them here would hide the cold paths from the stream."""
+    walk = _walk_storage(live)
+    for tenant in tenants:
+        if tenant not in live._index:
+            continue
+        truth = walk.list_objects(tenant)
+        assert live.list_objects(tenant) == truth
+        present = set(truth)
+        for obj_id in seen[tenant]:
+            assert live.exists(tenant, obj_id) == (obj_id in present)
+
+
+def _drive_checked(live, stream, tenants, seen, hooks=None) -> None:
+    """Replay *stream*, comparing index and tree after every request;
+    ``hooks[i]`` runs before request *i*."""
+    for i, req in enumerate(stream):
+        if hooks and i in hooks:
+            hooks[i]()
+        if req.obj_id:
+            seen[req.tenant].add(req.obj_id)
+        _apply_direct(live, req)
+        _assert_warm_answers_match_tree(live, tenants, seen)
+
+
+def _assert_public_answers_match_tree(live, tenants, seen) -> None:
+    """The closing check, through the public verbs only (this one may
+    warm tenants): lists, probes and bytes all agree with a cold walk."""
+    for tenant in tenants:
+        truth = _walk_storage(live).list_objects(tenant)
+        assert live.list_objects(tenant) == truth
+        for obj_id in seen[tenant]:
+            assert live.exists(tenant, obj_id) == (obj_id in truth)
+    assert dump_objects(live, tenants) \
+        == dump_objects(_walk_storage(live), tenants)
+
+
+def _index_case(seed: int, ops: int = 40):
+    spec = LoadSpec(seed=seed, tenants=3, ops=ops, max_size=16 * KIB)
+    tenants = [f"t{i:02d}" for i in range(spec.tenants)]
+    return generate_stream(spec), tenants, {t: set() for t in tenants}
+
+
+def _index_series(storage: FSObjStorage):
+    """``{(family, reason-or-None): value}`` of the index-health series."""
+    return {(c.name, dict(c.labels).get("reason")): c.value
+            for c in storage.index_counters()}
+
+
+@pytest.mark.parametrize("seed", INDEX_SEEDS)
+@pytest.mark.parametrize("name", FS_NAMES)
+def test_index_matches_walk(name, seed):
+    live = make_fs_storage(name)
+    stream, tenants, seen = _index_case(seed)
+    _drive_checked(live, stream, tenants, seen)
+    _assert_public_answers_match_tree(live, tenants, seen)
+    # a clean stream on a tree the service built itself never walks
+    series = _index_series(live)
+    assert series["serve_index_walks_total", None] == 0
+    assert series["serve_index_hits_total", None] > 0
+    assert not any(value for (_family, reason), value in series.items()
+                   if reason)
+    assert len(live._known_dirs) <= 1 + len(tenants) * 257
+
+
+@pytest.mark.parametrize("seed", INDEX_SEEDS)
+@pytest.mark.parametrize("name", FS_NAMES)
+def test_index_matches_walk_under_faults(name, seed):
+    """Killed puts (injected ENOSPC / write errors) and an EROFS degrade
+    two thirds in: whatever the failed verbs left in the tree, warm
+    answers never disagree with it."""
+    live = make_fs_storage(name)
+    fs = live.fs
+    plan = serve_campaign_plan(seed)
+    if hasattr(fs, "attach_fault_plan"):
+        fs.attach_fault_plan(plan)
+    else:
+        fs.device.set_fault_plan(plan)
+    stream, tenants, seen = _index_case(seed, ops=60)
+    _drive_checked(live, stream, tenants, seen, hooks={
+        40: lambda: fs.remount_read_only("test degrade", live.ctx)})
+    assert fs.read_only
+    _assert_public_answers_match_tree(live, tenants, seen)
+    series = _index_series(live)
+    assert series["serve_index_invalidations_total", "read_only"] == 1
+
+
+def _crash_remount(live: FSObjStorage, name: str) -> None:
+    """WineFS recovers from the PM image alone, so it remounts onto a
+    brand-new FS object (no unmount: a crash).  The other models keep
+    their namespace in the object, so they cycle unmount/mount on it."""
+    if name.startswith("WineFS"):
+        fs2 = SPECS_BY_NAME[name].build(live.fs.device, SERVE_CPUS,
+                                        track_data=True)
+        fs2.mount(live.ctx)
+        live.fs = fs2
+    else:
+        live.fs.unmount(live.ctx)
+        live.fs.mount(live.ctx)
+
+
+@pytest.mark.parametrize("seed", INDEX_SEEDS)
+@pytest.mark.parametrize("name", FS_NAMES)
+def test_index_follows_namespace_replacement(name, seed):
+    """``mkfs`` under a live storage empties the tree; a crash-remount
+    swaps the FS object (or its mount) out from under it.  Neither may
+    leave a stale id behind."""
+    live = make_fs_storage(name)
+    stream, tenants, seen = _index_case(seed, ops=60)
+    _drive_checked(live, stream, tenants, seen, hooks={
+        20: lambda: live.fs.mkfs(live.ctx),
+        40: lambda: _crash_remount(live, name)})
+    _assert_public_answers_match_tree(live, tenants, seen)
+    series = _index_series(live)
+    assert series["serve_index_invalidations_total", "epoch"] == 2
+
+
+@pytest.mark.parametrize("name", FS_NAMES)
+def test_mkfs_under_live_storage_forgets_every_id(name):
+    live = make_fs_storage(name)
+    obj_id = live.put("t", b"gone after mkfs")
+    assert live.list_objects("t") == [obj_id]
+    live.fs.mkfs(live.ctx)
+    assert live.list_objects("t") == []
+    assert not live.exists("t", obj_id)
+    assert live.put("t", b"gone after mkfs") == obj_id    # dirs re-made
+    assert live.get("t", obj_id) == b"gone after mkfs"
+
+
+@pytest.mark.parametrize("name", FS_NAMES)
+def test_restored_image_with_srv_walks_once(name, tmp_path, monkeypatch):
+    """A restored image that already holds ``/srv`` is foreign state:
+    the first list of a tenant walks, the second is a hit."""
+    monkeypatch.setenv("REPRO_SNAPSHOT_DIR", str(tmp_path))
+    origin = make_fs_storage(name)
+    stream, tenants, seen = _index_case(5)
+    run_load(origin, stream)
+    key = snapshot_store.cache_key({"test": "srv-image", "fs": name})
+    assert snapshot_store.save(key, {"fs": origin.fs, "ctx": origin.ctx})
+    root, status = snapshot_store.load_ex(key)
+    assert status == "hit"
+
+    restored = FSObjStorage(root["fs"], root["ctx"], label=name)
+    registry = root["ctx"].counters.registry
+    before = registry.value("serve_index_walks_total", backend=name)
+    syscalls = root["ctx"].counters.syscalls
+    first = restored.list_objects("t00")
+    assert first == origin.list_objects("t00") and first
+    assert registry.value("serve_index_walks_total",
+                          backend=name) == before + 1
+    assert root["ctx"].counters.syscalls > syscalls + len(first)
+    syscalls = root["ctx"].counters.syscalls
+    assert restored.list_objects("t00") == first
+    assert registry.value("serve_index_walks_total",
+                          backend=name) == before + 1
+    assert root["ctx"].counters.syscalls == syscalls
+    # and the restored tree keeps serving: probes, puts, deletes
+    _drive_checked(restored, generate_stream(
+        LoadSpec(seed=6, tenants=3, ops=30, max_size=16 * KIB)),
+        tenants, seen)
+    _assert_public_answers_match_tree(restored, tenants, seen)
+
+
+def test_warm_list_charge_is_pinned():
+    """A warm list of N ids costs one DRAM load plus 64 B per id at DRAM
+    streaming bandwidth — no syscall, no other charge."""
+    live = make_fs_storage("WineFS")
+    n = 37
+    for i in range(n):
+        live.put("t", bytes([i]) * 100)
+    machine = live.fs.machine
+    before, syscalls = live.sim_ns(), live.ctx.counters.syscalls
+    assert len(live.list_objects("t")) == n
+    assert live.sim_ns() == before + (
+        machine.dram_load_ns + n * 64 / machine.dram_read_bw * 1e9)
+    before = live.sim_ns()
+    assert live.exists("t", "0" * 64) is False
+    assert live.sim_ns() == before + machine.dram_load_ns
+    assert live.ctx.counters.syscalls == syscalls
+
+
+def test_cold_probe_pays_a_getattr():
+    """``FileSystem.exists`` charges nothing without a context and one
+    ``getattr`` syscall with one; a cold serve probe passes its own."""
+    live = make_fs_storage("ext4-DAX")
+    obj_id = live.put("t", b"probe me")
+    path = live._object_path("t", obj_id)
+    fs, ctx = live.fs, live.ctx
+    before, syscalls = ctx.now, ctx.counters.syscalls
+    assert fs.exists(path) and not fs.exists(path + "x")
+    assert (ctx.now, ctx.counters.syscalls) == (before, syscalls)
+    assert fs.exists(path, ctx)
+    assert ctx.counters.syscalls == syscalls + 1
+    assert ctx.now >= before + fs.machine.syscall_ns
+
+    cold = _walk_storage(live)
+    before, syscalls = ctx.now, ctx.counters.syscalls
+    assert cold.exists("t", obj_id)
+    assert cold.put("t", b"probe me") == obj_id          # dedup probe
+    assert ctx.counters.syscalls == syscalls + 2
+    assert ctx.now >= before + 2 * fs.machine.syscall_ns
+
+
+def test_fs_exists_swallows_fs_errors_only(monkeypatch):
+    live = make_fs_storage("NOVA")
+
+    def boom(path, ctx=None):
+        raise RuntimeError("not an FSError")
+    monkeypatch.setattr(live.fs, "getattr", boom)
+    with pytest.raises(RuntimeError):
+        live.fs.exists("/srv")
+
+
+@pytest.mark.parametrize("name", FS_NAMES)
+def test_delete_leaves_nothing_behind(name):
+    """200 objects put and deleted return the inode count, the used
+    blocks and every bucket listing to where they started (the object's
+    own ``<id[2:34]>`` directory goes with it)."""
+    live = make_fs_storage(name)
+    fs, ctx = live.fs, live.ctx
+
+    def cycle(payloads):
+        ids = [live.put("t", data) for data in payloads]
+        for obj_id in ids:
+            live.delete("t", obj_id)
+        return {obj_id[:2] for obj_id in ids}
+
+    def used():
+        stats = fs.statfs()
+        return stats.total_blocks - stats.free_blocks, stats.files
+
+    # a first cycle creates the shared levels, which stay
+    buckets = cycle([b"warm-%d" % i for i in range(200)])
+    start = used()
+    # then 200 *other* objects into the same buckets, and out again
+    payloads, i = [], 0
+    while len(payloads) < 200:
+        data = b"leak-%d" % i
+        if compute_obj_id(data)[:2] in buckets:
+            payloads.append(data)
+        i += 1
+    assert cycle(payloads) <= buckets
+    assert used() == start
+    for bucket in sorted(buckets):
+        assert fs.readdir(f"/srv/t/{bucket}", ctx) == []
+    assert live.list_objects("t") == []
+    assert _walk_storage(live).list_objects("t") == []
+
+
+def test_put_makes_shared_directories_once():
+    """Shared levels come from the known-directory set: over 60 puts
+    ``mkdir`` runs once per shared directory plus once per object, and
+    never raises ``EEXIST`` after paying for the syscall."""
+    live = make_fs_storage("WineFS")
+    made, real_mkdir = [], live.fs.mkdir
+
+    def recording_mkdir(path, ctx):
+        made.append(path)
+        return real_mkdir(path, ctx)
+    live.fs.mkdir = recording_mkdir
+    ids = [live.put("t", b"object-%d" % i) for i in range(60)]
+    buckets = {obj_id[:2] for obj_id in ids}
+    assert len(made) == len(set(made)) == 2 + len(buckets) + len(ids)
+    assert len(live._known_dirs) == 2 + len(buckets)
+
+
+def test_clean_load_reports_index_health(tmp_path):
+    """The index series ride the ``--openmetrics`` frame: a clean 400-op
+    load shows hits, no invalidation and at most one walk per tenant."""
+    from repro.harness.fleet import run_serve_campaign, serve_matrix
+    from repro.obs.export import openmetrics_lines
+
+    tenants = 4
+    cells = serve_matrix(["NOVA", "WineFS"], [1], size_gib=0.0625,
+                         num_cpus=2, ops=400, tenants=tenants)
+    report = run_serve_campaign(cells)
+    assert not report["cells"][0]["load"]["errors"]
+    counters = report["frame"]["errors"]["counters"]
+    assert set(counters) == {"serve_index_hits_total",
+                             "serve_index_walks_total",
+                             "serve_index_invalidations_total"}
+    assert all(n == 0 for n in
+               counters["serve_index_invalidations_total"].values())
+    assert {labels.count("reason=") for labels in
+            counters["serve_index_invalidations_total"]} == {1}
+    for labels, walks in counters["serve_index_walks_total"].items():
+        assert walks <= tenants, labels
+    assert all(n > 0 for n in counters["serve_index_hits_total"].values())
+    lines = openmetrics_lines(report["frame"])
+    assert 'serve_index_walks_total{backend="WineFS"} 0' in lines
+    assert "# TYPE serve_index_invalidations_total counter" in lines
+    assert 'serve_index_invalidations_total{backend="NOVA",' \
+           'reason="read_only"} 0' in lines
+
+
 # -- fault campaign against a served file system ------------------------------
 
 def test_serve_fault_campaign_degrades_but_never_crashes():
@@ -623,7 +938,8 @@ def test_load_ex_classifies_every_failure(tmp_path, monkeypatch):
 
 def test_serve_metric_names_registered():
     assert {"serve_requests_total", "serve_rejected_total",
-            "serve_queue_depth",
+            "serve_queue_depth", "serve_index_hits_total",
+            "serve_index_walks_total", "serve_index_invalidations_total",
             "snapshot_load_failures"} <= METRIC_NAMES
 
 
