@@ -16,10 +16,6 @@ Rules:
   same run, so no baseline file is involved).
 * The run and floor ``scale`` must match — wall times (and therefore
   speedups) at different work multipliers are not comparable.
-* ``fleet_scaling`` is gated only when the run's
-  ``work.scaling_meaningful`` annotation is true (multi-CPU host):
-  process-pool scaling on a single-CPU runner measures scheduler
-  overhead, not the simulator.
 
 Usage::
 
@@ -80,12 +76,6 @@ def check(doc: dict, floors_doc: dict) -> int:
         if measured is None:
             print(f"  {name:15s} -- not in this run, skipped")
             continue
-        if name == "fleet_scaling":
-            work = doc["benches"].get(name, {}).get("work", {})
-            if not work.get("scaling_meaningful", False):
-                print(f"  {name:15s} -- single-CPU host "
-                      f"(host_cpus={work.get('host_cpus')}), not gated")
-                continue
         needed = floor * (1.0 - tolerance)
         verdict = "ok" if measured >= needed else "REGRESSION"
         print(f"  {name:15s} {measured:6.2f}x  (floor {floor:.2f}x, "

@@ -22,9 +22,6 @@ Benches:
                          (journal commit path).
 * ``snapshot_restore`` — cold age-and-save vs warm restore of the same
                          aged WineFS image through the snapshot store.
-* ``fleet_scaling``    — a fixed (fs, pattern, seed) matrix at
-                         ``--jobs 1`` vs ``--jobs 4`` through the fleet
-                         runner (reports are verified identical).
 * ``slo_campaign``     — the ``repro slo`` fault campaign with telemetry
                          attached (sketches, ledger, timeline), serial vs
                          ``--jobs 2`` (reports verified identical).
@@ -57,8 +54,6 @@ _ROOT = os.path.dirname(os.path.dirname(_HERE))
 sys.path.insert(0, os.path.join(_ROOT, "src"))
 
 from repro.harness import aged_fs, fresh_fs, run_fleet         # noqa: E402
-from repro.harness.fleet import (bench_matrix,                 # noqa: E402
-                                 run_bench_matrix)
 from repro.params import KIB, MIB                              # noqa: E402
 from repro.structures.stats import LatencyRecorder             # noqa: E402
 from repro.workloads import mmap_rw_benchmark                  # noqa: E402
@@ -240,42 +235,13 @@ def bench_snapshot_restore(scale: float) -> dict:
     }
 
 
-def bench_fleet_scaling(scale: float) -> dict:
-    """A fixed cell matrix serially vs across 4 worker processes."""
-    seeds = list(range(1, max(3, int(8 * scale)) + 1))
-    # cells must dwarf pool startup (~50ms) for scaling to be visible
-    file_mib = max(8, int(32 * scale))
-    cells = bench_matrix(["WineFS", "PMFS"], ["rand-read"], seeds,
-                         size_gib=0.25, num_cpus=4, file_mib=file_mib)
-    t0 = time.perf_counter()
-    serial_report = run_bench_matrix(cells, jobs=1)
-    serial = time.perf_counter() - t0
-    t0 = time.perf_counter()
-    parallel_report = run_bench_matrix(cells, jobs=4)
-    parallel = time.perf_counter() - t0
-    host_cpus = os.cpu_count() or 1
-    return {
-        "wall_s": parallel,
-        "work": {"cells": len(cells), "jobs": 4, "serial_s": serial,
-                 "scaling_x": round(serial / parallel, 2) if parallel
-                 else 0.0,
-                 # scaling_x can only exceed 1 with host_cpus > 1; the
-                 # correctness claim is reports_identical, always.  The
-                 # floor gate (check_floors.py) skips this bench when
-                 # scaling_meaningful is False.
-                 "host_cpus": host_cpus,
-                 "scaling_meaningful": host_cpus >= 2,
-                 "reports_identical": serial_report == parallel_report},
-    }
-
-
 def bench_slo_campaign(scale: float) -> dict:
     """The ``repro slo`` fault campaign: telemetry-attached op mix,
     crash + degraded phase + heal, sketch merge and report evaluation.
 
     Measures the observability tax end-to-end (wrapped VFS entry
     points, per-op sketch records, ledger updates) and verifies the
-    jobs-2 report is byte-identical to serial, like ``fleet_scaling``.
+    jobs-2 report is byte-identical to serial.
     """
     from repro.harness.fleet import run_slo_campaign, slo_matrix
 
@@ -305,7 +271,6 @@ BENCHES = {
     "mmap_rand": bench_mmap_rand,
     "journal_storm": bench_journal_storm,
     "snapshot_restore": bench_snapshot_restore,
-    "fleet_scaling": bench_fleet_scaling,
     "slo_campaign": bench_slo_campaign,
 }
 

@@ -10,7 +10,7 @@ the paper lists in §3.2:
 * hybrid data atomicity in strict mode: data journaling for
   hugepage-aligned extents (layout preserved), copy-on-write into fresh
   holes for everything else;
-* DRAM indexes (RB-tree directory indexes, from BaseFS);
+* DRAM indexes (directory indexes charged as RB-trees, from BaseFS);
 * aligned-hugepage allocation inside the page-fault handler, which is what
   makes ftruncate-style applications (LMDB) get hugepages on WineFS;
 * reactive rewriting, alignment xattrs with directory inheritance;

@@ -15,24 +15,23 @@ Two toggles select an engine:
 * this module's flag switches between the array-backed and the
   per-object reference *state* structures.
 
-The equivalence and property-differential suites flip both and compare
-clocks, counters, and statfs byte-for-byte; that comparison is the
-safety argument for every structure swap.  Production code never reads
-this flag on a hot path: it is consulted once per structure
-*construction* (``FreePool(...)``, ``PageTable(...)`` dispatch in
-``__new__``).
+The flag starts ``False`` and nothing outside the tests sets it: the
+equivalence and property-differential suites flip both toggles (this one
+through :func:`reference_state_scope`) and compare clocks, counters, and
+statfs byte-for-byte; that comparison is the safety argument for every
+structure swap.  Production code never reads this flag on a hot path:
+it is consulted once per structure *construction* (``FreePool(...)``,
+``PageTable(...)`` dispatch in ``__new__``).
 """
 
 from __future__ import annotations
 
-import os
 from contextlib import contextmanager
 from typing import Iterator
 
 #: True -> new FreePool/PageTable instances use the per-object reference
-#: implementations.  Seeded from the environment so CI can run the whole
-#: suite against the reference engine without code changes.
-_reference_state = os.environ.get("REPRO_REFERENCE_STATE", "") not in ("", "0")
+#: implementations.  Only tests set it, through :func:`reference_state_scope`.
+_reference_state = False
 
 
 def reference_state() -> bool:

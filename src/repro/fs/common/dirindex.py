@@ -4,9 +4,10 @@ The paper distinguishes file systems by how they look up directory entries:
 WineFS and NOVA keep DRAM red-black-tree indexes (§3.5: "WineFS uses
 red-black trees for traversing directory entries"), while PMFS "does
 sequential scanning of directory entries ... causing significant
-slowdowns".  Both variants store the same mapping; they differ in the
-lookup cost charged to the simulated clock, which is what limits PMFS on
-metadata-heavy workloads like varmail (§5.5).
+slowdowns".  Both variants store the same name -> inode dict; they differ
+only in the lookup cost charged to the simulated clock (tree depth vs
+entries scanned, each a function of the entry count), which is what
+limits PMFS on metadata-heavy workloads like varmail (§5.5).
 """
 
 from __future__ import annotations
@@ -17,7 +18,6 @@ from typing import Dict, Iterator, List, Optional
 
 from ...clock import SimContext
 from ...params import MachineParams
-from ...structures.rbtree import RBTree
 
 #: cost of probing one directory entry during a linear PM scan
 _SCAN_ENTRY_NS = 60.0
@@ -69,30 +69,23 @@ class DirIndex(ABC):
 class RBDirIndex(DirIndex):
     """DRAM red-black-tree index (WineFS, NOVA, ext4 htree stand-in).
 
-    Lookup cost is O(log n) tree-node visits in DRAM.  We maintain a real
-    RB-tree over hashed names to keep the height honest.
+    The tree is a cost model, not a structure: nothing observes its shape,
+    so the mapping is the base class's dict and a lookup is charged the
+    O(log n) node visits a balanced tree over the current entry count
+    would cost in DRAM.
     """
 
     def __init__(self) -> None:
         super().__init__()
-        self._tree = RBTree()
-        # depth is a pure function of the tree size; cache it so lookups
-        # skip the log2 while the directory's entry count is unchanged
+        # depth is a pure function of the entry count; cache it so lookups
+        # skip the log2 while the directory's size is unchanged
         self._depth_for_size = -1
         self._depth = 1
-
-    @staticmethod
-    def _hash(name: str) -> int:
-        # FNV-1a, 64-bit: deterministic across runs (unlike hash())
-        h = 0xcbf29ce484222325
-        for ch in name.encode():
-            h = ((h ^ ch) * 0x100000001b3) & 0xFFFFFFFFFFFFFFFF
-        return h
 
     def _charge_lookup(self, ctx: Optional[SimContext]) -> None:
         if ctx is None:
             return
-        n = self._tree._size    # len() without the __len__ dispatch
+        n = len(self._entries)
         if n != self._depth_for_size:
             self._depth_for_size = n
             self._depth = max(1, int(math.log2(n + 1)) + 1)
@@ -103,23 +96,12 @@ class RBDirIndex(DirIndex):
         # _charge_lookup + dict probe flattened into one frame (path
         # resolution calls this once per component)
         if ctx is not None:
-            n = self._tree._size
+            n = len(self._entries)
             if n != self._depth_for_size:
                 self._depth_for_size = n
                 self._depth = max(1, int(math.log2(n + 1)) + 1)
             ctx.clock._cpu_ns[ctx.cpu] += self._depth * _TREE_NODE_NS
         return self._entries.get(name)
-
-    def insert(self, name: str, ino: int, ctx: Optional[SimContext] = None) -> None:
-        super().insert(name, ino, ctx)
-        self._tree.insert(self._hash(name), name)
-
-    def remove(self, name: str, ctx: Optional[SimContext] = None) -> int:
-        ino = super().remove(name, ctx)
-        key = self._hash(name)
-        if key in self._tree:
-            self._tree.remove(key)
-        return ino
 
     @property
     def dram_bytes(self) -> int:

@@ -1,9 +1,9 @@
 """Free-space pools.
 
 A :class:`FreePool` tracks the free extents of one region of the partition
-(the kernel structure WineFS keeps in an rbtree, §3.6), merging eagerly on
-free.  Auxiliary size/run indexes keep allocation O(log n) under aging
-churn:
+(kernel WineFS keeps them in a red-black tree, §3.6; here sorted arrays
+give the same ordered contents), merging eagerly on free.  Auxiliary
+size/run indexes keep allocation O(log n) under aging churn:
 
 * a run index over extents that contain whole aligned 2MB ranges (for
   aligned allocation and the Fig 3 fragmentation metric);
@@ -342,9 +342,8 @@ class ReferenceFreePool(FreePool):
             raise SimulationError("pool exceeds size-index address range")
         self.range_start = start
         self.range_end = start + length
-        # ordered maps (kernel WineFS uses rbtrees; nothing here observes
-        # the structure's shape, so the array-backed map's identical
-        # ordered semantics at lower constant cost are a free swap)
+        # ordered maps (kernel WineFS uses red-black trees; nothing here
+        # observes the structure's shape, only its ordered contents)
         self._tree = SortedMap()          # start block -> length
         self._with_runs = SortedMap()     # start block -> run count (>= 1)
         self._by_size = SortedMap()       # (length, start) key -> None

@@ -358,6 +358,18 @@ def serve_cell(cell: Dict[str, Any]) -> Dict[str, Any]:
     }
 
 
+def _slo_result_rows(merged: Dict[str, Any]) -> List[Dict[str, Any]]:
+    """Evaluate every SLO over a merged frame: one report row each."""
+    from ..obs import evaluate_frame
+
+    return [{"fs": r.fs, "slo": r.spec.name, "ops": r.ops,
+             "surfaced": r.surfaced, "p50_ns": r.p50_ns,
+             "p99_ns": r.p99_ns, "p999_ns": r.p999_ns,
+             "budget_burn": r.budget_burn,
+             "objectives": list(r.objective_lines), "ok": r.ok}
+            for r in evaluate_frame(merged)]
+
+
 def run_serve_campaign(cells: Sequence[Dict[str, Any]],
                        jobs: int = 1) -> Dict[str, Any]:
     """Run the serve matrix and evaluate SLOs over the merged frame.
@@ -366,11 +378,10 @@ def run_serve_campaign(cells: Sequence[Dict[str, Any]],
     sorted-cell-key order, so the report (and its OpenMetrics
     exposition) is byte-identical for any *jobs* value.
     """
-    from ..obs import evaluate_frame, merge_frames
+    from ..obs import merge_frames
 
     results = run_fleet(serve_cell, cells, jobs=jobs)
     merged = merge_frames([r["frame"] for r in results])
-    evaluated = evaluate_frame(merged)
     totals = merge_numeric(
         {"requests": r["load"]["requests"], "rejected": r["load"]["rejected"],
          "bytes_put": r["load"]["bytes_put"],
@@ -382,13 +393,7 @@ def run_serve_campaign(cells: Sequence[Dict[str, Any]],
                    "admission": r["admission"]} for r in results],
         "totals": totals,
         "frame": merged,
-        "results": [
-            {"fs": r.fs, "slo": r.spec.name, "ops": r.ops,
-             "surfaced": r.surfaced, "p50_ns": r.p50_ns,
-             "p99_ns": r.p99_ns, "p999_ns": r.p999_ns,
-             "budget_burn": r.budget_burn,
-             "objectives": list(r.objective_lines), "ok": r.ok}
-            for r in evaluated],
+        "results": _slo_result_rows(merged),
     }
 
 
@@ -534,11 +539,10 @@ def run_slo_campaign(cells: Sequence[Dict[str, Any]],
     Frames come back in input (sorted-cell-key) order and merge in that
     order, so the report is byte-identical for any *jobs* value.
     """
-    from ..obs import evaluate_frame, frame_of, merge_frames
+    from ..obs import frame_of, merge_frames
 
     frames = run_fleet(slo_cell, cells, jobs=jobs)
     merged = merge_frames(frames)
-    results = evaluate_frame(merged)
     _bank, _ledger, timeline = frame_of(merged)
     availability = {
         fs: {"degradations": timeline.degradations(fs),
@@ -549,12 +553,6 @@ def run_slo_campaign(cells: Sequence[Dict[str, Any]],
         "schema": SLO_REPORT_SCHEMA,
         "cells": [{"fs": c["fs"], "seed": c["seed"]} for c in cells],
         "frame": merged,
-        "results": [
-            {"fs": r.fs, "slo": r.spec.name, "ops": r.ops,
-             "surfaced": r.surfaced, "p50_ns": r.p50_ns,
-             "p99_ns": r.p99_ns, "p999_ns": r.p999_ns,
-             "budget_burn": r.budget_burn,
-             "objectives": list(r.objective_lines), "ok": r.ok}
-            for r in results],
+        "results": _slo_result_rows(merged),
         "availability": availability,
     }

@@ -314,8 +314,8 @@ class MappedRegion:
         key_page = m.virt_page if m.huge else virt_page
         hit = self.tlb.access(self.region_id, key_page, m.huge)
         if hit:
+            # a hit costs nothing here: it is folded into load latency
             ctx.counters.tlb_hits += 1
-            ctx.charge(self.machine.tlb_hit_ns)
         else:
             ctx.counters.tlb_misses += 1
             ctx.charge(self.machine.page_walk_ns)
@@ -379,26 +379,10 @@ class MappedRegion:
                          ctx: SimContext) -> None:
         """TLB accounting for *n* consecutive base pages, bit-identical to
         n per-event touches."""
-        machine = self.machine
-        if machine.tlb_hit_ns != 0.0:
-            # hit charges interleave with miss charges page by page;
-            # batching would regroup float adds, so replicate per-event
-            for page in range(start_page, start_page + n):
-                hit = self.tlb.access(self.region_id, page, False)
-                if hit:
-                    ctx.counters.tlb_hits += 1
-                    ctx.charge(machine.tlb_hit_ns)
-                else:
-                    ctx.counters.tlb_misses += 1
-                    ctx.charge(machine.page_walk_ns)
-                    if self.cache is not None:
-                        self.cache.pollute()
-            return
         hits, misses = self.tlb.access_run(self.region_id, start_page, n,
                                            False)
         counters = ctx.counters
         if hits:
-            # tlb_hit_ns is 0.0: the per-event charge(0.0) is a no-op
             counters._tlb_hits.value += hits
         if misses:
             counters._tlb_misses.value += misses
@@ -406,7 +390,7 @@ class MappedRegion:
             cpu_ns = ctx.clock._cpu_ns
             cpu = ctx.cpu
             v = cpu_ns[cpu]
-            walk_ns = machine.page_walk_ns
+            walk_ns = self.machine.page_walk_ns
             for _ in range(misses):
                 v += walk_ns
             cpu_ns[cpu] = v
@@ -419,7 +403,6 @@ class MappedRegion:
         hit = self.tlb.access(self.region_id, key_page, True)
         if hit:
             ctx.counters.tlb_hits += 1
-            ctx.charge(self.machine.tlb_hit_ns)
         else:
             ctx.counters.tlb_misses += 1
             ctx.charge(self.machine.page_walk_ns)
@@ -495,8 +478,7 @@ class MappedRegion:
         machine = self.machine
         first = offset // BASE_PAGE
         last = (offset + size - 1) // BASE_PAGE
-        if (self.batch and machine.tlb_hit_ns == 0.0
-                and last - first < 8 and not ctx.trace.enabled):
+        if self.batch and last - first < 8 and not ctx.trace.enabled:
             # small-read fast path (the mmap_rand profile: 1-2 touched
             # pages per op).  Applies only when every touched page is
             # already base-mapped: then translate_range would yield the
@@ -600,7 +582,6 @@ class MappedRegion:
         before = v = cpu_ns[cpu]
         if self.tlb.access(self.region_id, key_page, huge):
             counters._tlb_hits.value += 1
-            v += machine.tlb_hit_ns
         else:
             counters._tlb_misses.value += 1
             v += machine.page_walk_ns

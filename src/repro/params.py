@@ -73,7 +73,7 @@ class MachineParams:
                                           # zeroes the page inside the fault
 
     # -- TLB / page walk -----------------------------------------------------
-    tlb_hit_ns: float = 0.0               # folded into load latency
+    # (a TLB hit is free: its latency is folded into the load latency)
     page_walk_ns: float = 120.0           # 4-level walk out of caches
     tlb_4k_entries: int = 1536            # L2 STLB reach for 4KB entries
     tlb_2m_entries: int = 1024            # shared entries usable by 2MB pages

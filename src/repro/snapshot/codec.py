@@ -127,8 +127,8 @@ _VINT_BOUND = 1 << 62
 
 _F64 = struct.Struct("<d")
 
-# graphs nest through dataclass attributes and RB-tree children; depth is
-# bounded (tree height ~2 log n) but comfortably exceeds the default limit
+# graphs nest through object attributes and containers, one encoder frame
+# pair per level; headroom for depths the default limit would cut short
 _RECURSION_LIMIT = 50_000
 
 
@@ -202,7 +202,6 @@ _MODULE_WHITELIST = (
     "repro.structures.extents",
     "repro.structures.runstore",
     "repro.structures.sortedmap",
-    "repro.structures.rbtree",
     "repro.structures.stats",
     "repro.fs.common.base",
     "repro.fs.common.inode",

@@ -50,8 +50,9 @@ __all__ = ["FORMAT_VERSION", "LOAD_STATUSES", "cache_key", "snapshot_dir",
 
 #: bump whenever the codec stream or the simulated state layout changes;
 #: old files are then ignored (and eventually overwritten), never misread
-#: (3: codec v2 columnar stream became the default encoding)
-FORMAT_VERSION = 3
+#: (3: codec v2 columnar stream became the default encoding; 4: directory
+#: indexes stopped carrying a red-black tree beside their dict)
+FORMAT_VERSION = 4
 
 _MAGIC = b"REPROSNP"
 _HEAD = struct.Struct("<HI")   # version, meta_len

@@ -1,19 +1,17 @@
 """Core data structures shared by the simulated file systems.
 
-* :mod:`repro.structures.rbtree` — a red-black tree mirroring the Linux
-  kernel's ``rb_tree`` that WineFS reuses for its unaligned-extent pool and
-  directory indexes (paper §3.6).
 * :mod:`repro.structures.extents` — extent arithmetic (split/merge/alignment).
+* :mod:`repro.structures.runstore` — the free-space pools' sorted run arrays.
+* :mod:`repro.structures.sortedmap` — the ordered int-keyed map behind the
+  reference (test-oracle) free pool.
 * :mod:`repro.structures.stats` — percentile/CDF helpers for the latency
   figures.
 """
 
-from .rbtree import RBTree
 from .extents import Extent, ExtentList, align_down, align_up, is_aligned_extent
 from .stats import LatencyRecorder, Summary, percentile
 
 __all__ = [
-    "RBTree",
     "Extent",
     "ExtentList",
     "align_down",

@@ -1,15 +1,13 @@
 """A sorted int-keyed map over parallel arrays.
 
-Drop-in replacement for the :class:`~repro.structures.rbtree.RBTree` API
-subset the free-space pools use.  The pools hold at most a few thousand
-runs, and at that size C-implemented ``bisect``/``list`` operations (one
-binary search plus one memmove) are several times faster than Python-level
-tree rebalancing, while exposing identical ordered-map semantics: unique
-keys, ascending iteration, floor/ceiling queries, replace-on-insert.
-
-The RB-tree stays the honest structure for the directory indexes, whose
-*lookup depth* is charged to the simulated clock; nothing observes a free
-pool's internal shape, only its ordered contents.
+The ordered map behind :class:`~repro.fs.common.freespace.ReferenceFreePool`,
+the per-object free pool the equivalence suites compare the array engine
+against.  The pools hold at most a few thousand runs, and at that size
+C-implemented ``bisect``/``list`` operations (one binary search plus one
+memmove) beat Python-level tree rebalancing, with the ordered-map semantics
+the kernel's red-black trees give WineFS: unique keys, ascending iteration,
+floor/ceiling queries, replace-on-insert.  Nothing observes a free pool's
+internal shape, only its ordered contents.
 """
 
 from __future__ import annotations

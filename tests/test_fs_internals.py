@@ -1,6 +1,12 @@
 """Lower-level file-system internals: directory indexes, inode tables,
 open-file handles, and the WineFS journal region mechanics."""
 
+import dataclasses
+import json
+import math
+import os
+import random
+
 import pytest
 
 from repro.clock import make_context
@@ -14,6 +20,7 @@ from repro.fs.common.inode import Inode, InodeTable
 from repro.params import MIB
 from repro.pm.device import PMDevice
 from repro.core.filesystem import WineFS
+from repro.harness import SPECS_BY_NAME, fresh_fs
 
 
 class TestDirIndexes:
@@ -42,6 +49,29 @@ class TestDirIndexes:
         small.lookup("one", ctx2)
         assert log_cost < 20 * ctx2.now   # logarithmic, not linear
 
+    def test_rb_index_charge_is_closed_form_of_entry_count(self):
+        """Every insert/lookup/remove charges max(1, int(log2(n+1))+1)
+        node visits, n being the entry count *before* the mutation."""
+        def expect(n):
+            return max(1, int(math.log2(n + 1)) + 1) * 18.0
+
+        def charged(op, *args):
+            ctx = make_context(1)
+            op(*args, ctx)
+            return ctx.now
+
+        idx = RBDirIndex()
+        for n in range(301):
+            assert charged(idx.lookup, "absent") == expect(n)
+            assert charged(idx.insert, f"e{n}", n) == expect(n)
+        # re-inserting an existing name replaces it: the count stays put
+        assert charged(idx.insert, "e7", 7000) == expect(301)
+        assert len(idx) == 301 and idx.lookup("e7") == 7000
+        for n in range(301, 0, -1):
+            assert charged(idx.lookup, f"e{n - 1}") == expect(n)
+            assert charged(idx.remove, f"e{n - 1}") == expect(n)
+        assert charged(idx.lookup, "e0") == expect(0)
+
     def test_linear_index_charges_linear_cost(self):
         big = LinearDirIndex()
         for i in range(1000):
@@ -60,6 +90,87 @@ class TestDirIndexes:
         idx.insert("x", 1)
         assert idx.dram_bytes == 64
         assert LinearDirIndex().dram_bytes == 0   # PMFS keeps no index
+
+
+_DIRINDEX_GOLDEN = os.path.join(os.path.dirname(__file__), "data",
+                                "dirindex_golden.json")
+
+
+def _dirindex_namespace_mix(fs_name):
+    """Seeded create/mkdir/rename/unlink mix whose directories grow and
+    shrink across the 2^k - 1 depth boundaries of the directory-index
+    cost model; returns what the committed golden records.
+
+    The golden was recorded at the parent of the commit that removed the
+    shadow red-black tree from ``RBDirIndex``, so it pins the charges the
+    tree's size used to produce.  Regenerate (only when the cost model
+    intentionally changes) with ``json.dump({n: _dirindex_namespace_mix(n)
+    for n in sorted(SPECS_BY_NAME)}, open(_DIRINDEX_GOLDEN, "w"), indent=1,
+    sort_keys=True)``.
+    """
+    rng = random.Random(0xD1E)
+    fs, ctx = fresh_fs(fs_name, size_gib=0.25, num_cpus=4)
+    fs.mkdir("/grow", ctx)
+    fs.mkdir("/side", ctx)
+    live = []
+    # grow one directory past 255 entries, probing present and absent
+    # names as it crosses each boundary
+    for i in range(300):
+        path = f"/grow/f{i:03d}"
+        fs.create(path, ctx)
+        live.append(path)
+        fs.getattr(rng.choice(live), ctx)
+        assert not fs.exists(f"/grow/absent{i}", ctx)
+        if i % 37 == 0:
+            fs.mkdir(f"/grow/d{i:03d}", ctx)
+            fs.create(f"/grow/d{i:03d}/leaf", ctx)
+    # an existing name entered again: straight at the index (entry count
+    # unchanged), by unlink + create, and by rename onto a live name
+    grow = fs._dirs[fs.getattr("/grow").ino]
+    grow.insert("f007", grow.lookup("f007", ctx), ctx)
+    fs.unlink("/grow/f008", ctx)
+    fs.create("/grow/f008", ctx)
+    fs.rename("/grow/f009", "/grow/f010", ctx)
+    live.remove("/grow/f009")
+    # seeded mix biased towards shrinking, across both directories
+    serial = 0
+    while len(live) > 40:
+        roll = rng.random()
+        if roll < 0.55:
+            fs.unlink(live.pop(rng.randrange(len(live))), ctx)
+        elif roll < 0.80:
+            old = live.pop(rng.randrange(len(live)))
+            new = f"/{rng.choice(('grow', 'side'))}/r{serial:04d}"
+            fs.rename(old, new, ctx)
+            live.append(new)
+        elif roll < 0.90:
+            path = f"/side/c{serial:04d}"
+            fs.create(path, ctx)
+            live.append(path)
+        else:
+            fs.mkdir(f"/side/m{serial:04d}", ctx)
+            fs.rmdir(f"/side/m{serial:04d}", ctx)
+        fs.readdir("/side", ctx.on_cpu(serial % 4))
+        serial += 1
+    # empty both directories entirely, then remove what can be removed
+    for path in live:
+        fs.unlink(path, ctx)
+    for i in range(0, 300, 37):
+        fs.unlink(f"/grow/d{i:03d}/leaf", ctx)
+        fs.rmdir(f"/grow/d{i:03d}", ctx)
+    assert fs.readdir("/grow", ctx) == [] and fs.readdir("/side", ctx) == []
+    fs.rmdir("/grow", ctx)
+    fs.create("/side/last", ctx)
+    return {"clock": repr(ctx.clock.snapshot()),
+            "counters": ctx.counters.as_dict(),
+            "statfs": dataclasses.asdict(fs.statfs())}
+
+
+@pytest.mark.parametrize("fs_name", sorted(SPECS_BY_NAME))
+def test_dirindex_namespace_mix_matches_golden(fs_name):
+    with open(_DIRINDEX_GOLDEN) as fh:
+        golden = json.load(fh)
+    assert _dirindex_namespace_mix(fs_name) == golden[fs_name]
 
 
 class TestInodeTable:

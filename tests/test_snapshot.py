@@ -350,10 +350,11 @@ class TestStore:
         # invalidate, even against accidental CRC collisions
         key, path = self._saved("version")
         blob = bytearray(open(path, "rb").read())
-        blob[8] = store.FORMAT_VERSION + 1
-        blob[9] = 0
-        open(path, "wb").write(bytes(blob))
-        assert store.load(key) is None
+        # a file from before the last bump, and one from a newer build
+        for version in (store.FORMAT_VERSION - 1, store.FORMAT_VERSION + 1):
+            blob[8:10] = version.to_bytes(2, "little")
+            open(path, "wb").write(bytes(blob))
+            assert store.load_ex(key) == (None, "stale")
 
     def test_cache_key_sensitivity(self):
         base = {"kind": "aged_fs", "fs": "WineFS", "seed": 7, "churn": 10.0}
@@ -484,6 +485,11 @@ class TestAgedSnapshotCache:
     @pytest.mark.parametrize("fs_name", ["WineFS", "NOVA", "ext4-DAX"])
     def test_restore_bit_identical(self, snap_dir, fs_name):
         fs_cold, ctx_cold = aged_fs(fs_name, **_AGE_KW)   # ages + saves
+        # directory indexes are plain dicts: no tree rides in the image
+        (snap,) = snap_dir.glob("*.snap")
+        blob = snap.read_bytes()
+        assert b"repro.fs.common.dirindex:" in blob
+        assert b"repro.structures.rbtree:" not in blob
         reaged = _replay(fs_cold, ctx_cold)
         fs_warm, ctx_warm = aged_fs(fs_name, **_AGE_KW)   # restores
         _assert_bit_identical(_replay(fs_warm, ctx_warm), reaged)
