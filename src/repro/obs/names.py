@@ -73,6 +73,7 @@ METRIC_NAMES: FrozenSet[str] = frozenset({
     "serve_index_hits_total",
     "serve_index_walks_total",
     "serve_index_invalidations_total",
+    "serve_shard_events_total",
     # snapshot cache health (repro.harness.setup)
     "snapshot_load_failures",
     # snapshot archive / corpus builder (repro.harness.fleet)

@@ -1,40 +1,60 @@
 """Concrete object-storage backends: simulated-FS-backed and in-memory.
 
-:class:`FSObjStorage` lays objects out on any simulated file system as
-``/srv/<tenant>/<id[:2]>/<id[2:34]>/<id[34:]>`` — SWH-style pathslicing.
-The two-hex-character fan-out keeps top-level entry counts bounded under
-the small-object workload (billions of mostly-tiny objects in the real
-archive; the directory index here is the same structure the aging
-profiles stress), and the remaining slices keep every path component
-within the strictest on-PM name limit of the evaluated file systems
-(WineFS packs names into its 128-byte inode slot, ``MAX_NAME = 36``).
-The full object id is reconstructed from the slice components on list,
-so nothing is lost to the split.
+:class:`FSObjStorage` packs each tenant's objects into **shards**: files
+``/srv/<tenant>/<seq:08d>`` of one hugepage (``HUGE_PAGE``; an object
+that does not fit gets a shard rounded up to the next multiple), each
+created, fallocated, fsynced and memory-mapped once.  WineFS exists so
+that an application can reach its data with loads and stores through
+hugepage mappings instead of kernel crossings (paper §1-2; SplitFS and
+the Winery shard format argue the same for small objects), so after a
+shard is mapped a ``put``, ``get`` or ``delete`` costs no syscall and no
+namespace operation.  This is per-tenant packing only: there is no
+global ``signature2shard`` index and no cross-tenant dedup.
 
-That limit gives every object its own ``<id[2:34]>`` directory, so
-listing a tenant from the tree is ``1 + buckets + objects`` ``readdir``
-syscalls — and on PM the kernel crossings, not the media, are the cost
-(WineFS §2.1; SplitFS makes the same argument).  The backend therefore
-keeps a per-tenant **id index** in DRAM and answers the metadata-only
-work — ``list_objects``, ``exists`` and ``put``'s dedup probe — from it.
-The index is a pure cache; the tree stays the source of truth:
+A shard is a log of records ``state u64 | length u64 | raw id 32 B |
+payload``, padded to 8 bytes:
 
-* a tenant turns *warm* by the tree walk on its first ``list_objects``
-  (restored, aged or foreign images), or for free when this storage
-  itself creates the tenant directory (born empty);
-* ``put``/``delete`` write through: the tree first, then the index;
-* a tenant's index is dropped — the next list walks again — when any
-  ``FSError`` escapes the FS calls of a mutating verb; every tenant's is
-  dropped when the mount turns read-only or ``FileSystem.
-  namespace_epoch`` moves (``mkfs``/``mount``) or ``fs`` is rebound;
-* a warm answer costs no syscall; it is charged one DRAM load plus
-  64 bytes per returned id at DRAM streaming bandwidth
-  (``MachineParams.dram_load_ns`` / ``dram_read_bw``).
+* ``put`` writes everything but the state word through the mapping
+  (non-temporal stores + fence: durable when ``MappedRegion.write``
+  returns), then **commits** with one aligned 8-byte store of
+  ``state = live``.  State 0 ends a shard's log, so a body without its
+  commit word is invisible and the next put overwrites it.  The FS
+  models charge zero-on-allocate but recycle block contents, so state 0
+  is stored, not assumed: the body write also clears the *next*
+  record's state word, and a shard is created as ``new``, its word 0
+  cleared, and only then renamed to its number — a crash in between
+  leaves a name no scan reads and the next rotation replaces.
+* ``get`` is one mapped read at the indexed offset; ``delete`` is one
+  8-byte store of ``state = dead``.
+* Space: a sealed (non-active) shard with no live record is unmapped and
+  unlinked; one whose dead bytes exceed half its size has its live
+  records re-put into the active shard first.  The rule is applied to a
+  sealed shard when a delete hits it and when a rotation seals it —
+  never by a scan, so a verb that only reads never writes.  A crash
+  between the re-puts and the unlink leaves ids live twice: the newest
+  record of an id decides, the stale copies count as dead, and the
+  emptied shard goes at the tenant's next rotation.  A record whose
+  payload the media will not give back (``EIO``) is left where it is
+  and keeps its shard; deleting it still works.  Behind a header the
+  media will not give back a scan finds nothing more in that shard.
 
-A cold tenant's probes and every data-moving verb map to plain VFS
-calls on the wrapped file system, charged exactly as a local application
-would be, and an attached SLO telemetry frame sees those VFS ops too.
-The storage assumes it is the only writer under ``/srv`` within an epoch.
+The per-tenant DRAM **index** maps id -> (shard, offset, length).  It is
+a pure cache of the shards and has one cold path, the **scan** of a
+tenant's record headers on its first verb of any kind (fresh, restored,
+aged and foreign images alike; names that are not eight digits are
+ignored).  A tenant's index, shard handles and mappings are forgotten —
+the next verb scans again — when any ``FSError`` escapes a mutating
+verb; every tenant's when the mount turns read-only or ``FileSystem.
+namespace_epoch`` moves (``mkfs``/``mount``) or ``fs`` is rebound: they
+point at dead inodes.  Mapped stores never reach the file system's own
+write guard, so ``put``/``delete`` raise ``EROFS`` themselves on a
+read-only mount, before any store.  Every warm answer is charged one
+DRAM load, plus 64 bytes per returned id at DRAM streaming bandwidth
+(``MachineParams.dram_load_ns`` / ``dram_read_bw``).  All mappings share
+one TLB (one serving core), so a file system that hands out unaligned
+extents pays for its 4 KiB mappings here exactly as in the mmap
+benchmarks.  The storage assumes it is the only writer under ``/srv``
+within an epoch.
 
 :class:`MemoryObjStorage` is the reference implementation: a dict with a
 trivial deterministic cost model.  The conformance suite runs it first —
@@ -43,12 +63,17 @@ if a behavioural test fails on it, the test (not a backend) is wrong.
 
 from __future__ import annotations
 
-from bisect import bisect_left, insort
-from typing import Dict, List, Optional, Set
+import re
+from struct import Struct
+from typing import Dict, List, Optional, Tuple
 
 from ..clock import SimContext
-from ..errors import ExistsError, FSError, NotEmptyError, NotFoundError
+from ..errors import (ExistsError, FSError, MediaError, NotFoundError,
+                      ReadOnlyError)
+from ..mmu.mmap_region import MappedRegion
+from ..mmu.tlb import TLB
 from ..obs.metrics import Counter
+from ..params import HUGE_PAGE
 from ..vfs.interface import FileSystem
 from .interface import OBJ_ID_LEN, ObjStorage, check_obj_id, check_tenant
 
@@ -60,28 +85,60 @@ SERVE_ROOT = "/srv"
 
 #: why warm indexes were dropped (``serve_index_invalidations_total``)
 _INVALIDATION_REASONS = ("error", "epoch", "read_only")
+#: what happened to a shard (``serve_shard_events_total``)
+_SHARD_EVENTS = ("rotate", "compact", "unlink")
+
+#: record header: state word, payload length, raw SHA-256
+_HEADER = Struct("<QQ32s")
+_FREE, _LIVE, _DEAD = range(3)
+_WORD = [state.to_bytes(8, "little") for state in (_FREE, _LIVE, _DEAD)]
+_SHARD_NAME = re.compile(r"[0-9]{8}$")
 
 
-def _find(ids: List[str], obj_id: str) -> int:
-    """Position of *obj_id* in the sorted *ids*, or -1."""
-    at = bisect_left(ids, obj_id)
-    return at if at < len(ids) and ids[at] == obj_id else -1
+def _record_size(length: int) -> int:
+    """Header plus payload, padded so every state word is 8-aligned."""
+    return _HEADER.size + (length + 7 & ~7)
+
+
+class _Shard:
+    """One mapped shard file and its log accounting."""
+
+    __slots__ = ("path", "region", "size", "tail", "live", "dead")
+
+    def __init__(self, path: str, region: MappedRegion) -> None:
+        self.path = path        # /srv/<tenant>/<seq:08d>
+        self.region = region
+        self.size = region.length
+        self.tail = 0           # where the next record goes
+        self.live = 0           # live records
+        self.dead = 0           # bytes of dead records
+
+
+#: where a live object is: (shard, record offset, payload length)
+_Location = Tuple[_Shard, int, int]
+
+
+class _Tenant:
+    """A warm tenant: its index and its shards, the active one last."""
+
+    __slots__ = ("where", "shards")
+
+    def __init__(self) -> None:
+        self.where: Dict[str, _Location] = {}
+        self.shards: List[_Shard] = []
 
 
 class FSObjStorage(ObjStorage):
-    """Objects stored as files on one simulated file system."""
+    """Objects packed into mapped shard files on one simulated FS."""
 
     def __init__(self, fs: FileSystem, ctx: SimContext,
                  label: Optional[str] = None) -> None:
         self.fs = fs
         self.ctx = ctx
         self.name = label if label is not None else fs.name
-        #: tenant -> sorted live ids; a tenant is present only while warm
-        self._index: Dict[str, List[str]] = {}
-        #: ``/srv``, ``/srv/<tenant>`` and ``/srv/<tenant>/<id[:2]>``
-        #: directories known to exist — at most 1 + tenants * 257 paths,
-        #: never one per object
-        self._known_dirs: Set[str] = set()
+        #: a tenant is present only while warm
+        self._tenants: Dict[str, _Tenant] = {}
+        self._tlb = TLB(fs.machine.tlb_4k_entries, fs.machine.tlb_2m_entries)
         #: the mount the caches describe, and whether it had degraded
         self._mount = (fs, fs.namespace_epoch)
         self._read_only = fs.read_only
@@ -94,54 +151,20 @@ class FSObjStorage(ObjStorage):
             reason: registry.counter("serve_index_invalidations_total",
                                      backend=self.name, reason=reason)
             for reason in _INVALIDATION_REASONS}
+        self._events = {
+            event: registry.counter("serve_shard_events_total",
+                                    backend=self.name, event=event)
+            for event in _SHARD_EVENTS}
 
-    # -- path layout --------------------------------------------------------
+    # -- the index and its one cold path ------------------------------------
 
-    #: pathslicing bounds: ``id[:2] / id[2:_MID] / id[_MID:]``; every
-    #: component stays within WineFS's 36-byte inode-slot name limit
-    _MID = 34
-
-    @staticmethod
-    def _tenant_dir(tenant: str) -> str:
-        return f"{SERVE_ROOT}/{tenant}"
-
-    @classmethod
-    def _middle_dir(cls, tenant: str, obj_id: str) -> str:
-        return (f"{cls._tenant_dir(tenant)}/{obj_id[:2]}"
-                f"/{obj_id[2:cls._MID]}")
-
-    @classmethod
-    def _object_path(cls, tenant: str, obj_id: str) -> str:
-        return f"{cls._middle_dir(tenant, obj_id)}/{obj_id[cls._MID:]}"
-
-    def _ensure_dirs(self, tenant: str, obj_id: str) -> None:
-        tenant_dir = self._tenant_dir(tenant)
-        bucket_dir = f"{tenant_dir}/{obj_id[:2]}"
-        known = self._known_dirs
-        for path in (SERVE_ROOT, tenant_dir, bucket_dir):
-            if path in known:
-                continue
-            try:
-                self.fs.mkdir(path, self.ctx)
-                if path == tenant_dir:
-                    # born empty under our hands: warm for free
-                    self._index[tenant] = []
-            except ExistsError:
-                pass
-            known.add(path)
-        try:
-            self.fs.mkdir(self._middle_dir(tenant, obj_id), self.ctx)
-        except ExistsError:
-            pass          # left behind by a put that died after its mkdir
-
-    # -- the id index -------------------------------------------------------
-
-    def _warm_ids(self, tenant: str) -> Optional[List[str]]:
-        """*tenant*'s index if it can be trusted, else ``None``.
+    def _tenant(self, tenant: str, mutating: bool = False) -> _Tenant:
+        """*tenant*'s warm state, scanning its shards if it is cold.
 
         Every verb comes through here first, so this is also where a
         replaced namespace (``mkfs``/``mount``, or ``fs`` rebound to a
-        remounted object) or a read-only remount empties the caches.
+        remounted object) or a read-only remount empties the caches, and
+        where a mutating verb fails closed on a read-only mount.
         """
         fs = self.fs
         if self._mount != (fs, fs.namespace_epoch):
@@ -151,20 +174,78 @@ class FSObjStorage(ObjStorage):
         elif fs.read_only and not self._read_only:
             self._drop_all("read_only")
             self._read_only = True
-        return self._index.get(tenant)
+        if mutating and fs.read_only:
+            raise ReadOnlyError(
+                f"{fs.name} is read-only: {fs.degraded_reason}")
+        state = self._tenants.get(tenant)
+        if state is None:
+            state = self._tenants[tenant] = self._scan(tenant)
+        return state
+
+    def _scan(self, tenant: str) -> _Tenant:
+        """Rebuild *tenant* from its shards' record headers.
+
+        The newest record of an id decides: an older live copy is what a
+        compaction that died before its unlink left behind.
+        """
+        self._walks.value += 1
+        fs, ctx = self.fs, self.ctx
+        state = _Tenant()
+        tenant_dir = f"{SERVE_ROOT}/{tenant}"
+        try:
+            names = fs.readdir(tenant_dir, ctx)
+        except NotFoundError:
+            return state
+        for name in sorted(filter(_SHARD_NAME.match, names)):
+            path = f"{tenant_dir}/{name}"
+            f = fs.open(path, ctx)
+            shard = _Shard(path, f.mmap(ctx, tlb=self._tlb))
+            f.close()
+            state.shards.append(shard)
+            read, offset = shard.region.read, 0
+            while offset + _HEADER.size <= shard.size:
+                try:
+                    word, length, raw = _HEADER.unpack(
+                        read(offset, _HEADER.size, ctx))
+                except MediaError:
+                    offset = shard.size     # what follows is lost: no room
+                    break
+                end = offset + _record_size(length)
+                if word not in (_LIVE, _DEAD) or end > shard.size:
+                    break                   # state 0 ends the log
+                self._retire(state, raw.hex())
+                if word == _DEAD:
+                    shard.dead += end - offset
+                else:
+                    state.where[raw.hex()] = (shard, offset, length)
+                    shard.live += 1
+                offset = end
+            shard.tail = offset
+        return state
+
+    @staticmethod
+    def _retire(state: _Tenant, obj_id: str) -> None:
+        """Take *obj_id* out of the index: its record is dead weight."""
+        location = state.where.pop(obj_id, None)
+        if location is not None:
+            shard, _offset, length = location
+            shard.live -= 1
+            shard.dead += _record_size(length)
 
     def _drop_all(self, reason: str) -> None:
-        if self._index:
+        if self._tenants:
             self._invalidations[reason].value += 1
-        self._index.clear()
-        self._known_dirs.clear()
+        self._tenants.clear()
+        self._tlb.flush()
 
     def _drop(self, tenant: str) -> None:
         """An ``FSError`` escaped a mutating verb: whatever it left in
-        the tree, the next list of *tenant* finds it by walking."""
-        if self._index.pop(tenant, None) is not None:
+        the shards, the next verb on *tenant* finds it by scanning."""
+        state = self._tenants.pop(tenant, None)
+        if state is not None:
             self._invalidations["error"].value += 1
-        self._known_dirs.clear()
+            for shard in state.shards:
+                shard.region.unmap()
 
     def _charge_warm(self, returned_ids: int = 0) -> None:
         """One DRAM load, plus streaming the ids handed back."""
@@ -174,97 +255,148 @@ class FSObjStorage(ObjStorage):
                         * 1e9)
         self._hits.value += 1
 
-    def _probe(self, tenant: str, obj_id: str) -> bool:
-        """Is the object there?  From the index when warm, else one
-        ``getattr`` on the tree."""
-        ids = self._warm_ids(tenant)
-        if ids is None:
-            return self.fs.exists(self._object_path(tenant, obj_id),
-                                  self.ctx)
-        self._charge_warm()
-        return _find(ids, obj_id) >= 0
+    # -- the shard log ------------------------------------------------------
+
+    def _rotate(self, tenant: str, shards: List[_Shard], need: int) -> None:
+        """Create, size, map and sync — once — the shard that becomes
+        active, big enough for a record of *need* bytes.  It gets its
+        name last, when its empty log is durable: a crash before that
+        leaves ``new``, which no scan reads and the next rotation
+        replaces."""
+        fs, ctx = self.fs, self.ctx
+        tenant_dir = f"{SERVE_ROOT}/{tenant}"
+        if shards:
+            seq = int(shards[-1].path.rpartition("/")[2]) + 1
+        else:
+            seq = 0
+            for path in (SERVE_ROOT, tenant_dir):
+                try:
+                    fs.mkdir(path, ctx)
+                except ExistsError:
+                    pass
+        path, unnamed = f"{tenant_dir}/{seq:08d}", f"{tenant_dir}/new"
+        try:
+            f = fs.create(unnamed, ctx)
+        except ExistsError:
+            fs.unlink(unnamed, ctx)
+            f = fs.create(unnamed, ctx)
+        f.fallocate(0, -(-need // HUGE_PAGE) * HUGE_PAGE, ctx)
+        shard = _Shard(path, f.mmap(ctx, tlb=self._tlb))
+        shard.region.write(0, _WORD[_FREE], ctx)
+        f.fsync(ctx)
+        f.close()
+        fs.rename(unnamed, path, ctx)
+        shards.append(shard)
+        self._events["rotate"].value += 1
+
+    def _append(self, tenant: str, state: _Tenant, obj_id: str,
+                data: bytes) -> None:
+        """Write one record into the active shard and commit it."""
+        ctx, shards = self.ctx, state.shards
+        need = _record_size(len(data))
+        rotated = not shards or shards[-1].tail + need > shards[-1].size
+        if rotated:
+            self._rotate(tenant, shards, need)
+        shard = shards[-1]
+        offset = shard.tail
+        # everything after the state word, then the word that ends the
+        # log after this record (unless the record ends the shard)
+        shard.region.write(offset + 8, b"".join((
+            _HEADER.pack(_FREE, len(data), bytes.fromhex(obj_id))[8:],
+            data, bytes(need - _HEADER.size - len(data)),
+            _WORD[_FREE] if offset + need < shard.size else b"")), ctx)
+        shard.region.write(offset, _WORD[_LIVE], ctx)   # the commit
+        shard.tail = offset + need
+        shard.live += 1
+        state.where[obj_id] = (shard, offset, len(data))
+        if rotated:
+            # the shard just sealed, and any a crash left empty
+            for sealed in [s for s in shards[:-1]
+                           if s is shards[-2] or not s.live]:
+                self._reclaim(tenant, state, sealed)
+
+    def _reclaim(self, tenant: str, state: _Tenant, shard: _Shard) -> None:
+        """The one space rule, for a sealed shard: gone when nothing in
+        it is live, compacted away when over half of it is dead.  A
+        record whose payload cannot be read stays, and keeps the shard.
+        """
+        if shard.live and shard.dead * 2 <= shard.size:
+            return
+        if shard.live:
+            self._events["compact"].value += 1
+            moving = sorted((offset, length, obj_id) for obj_id,
+                            (home, offset, length) in state.where.items()
+                            if home is shard)
+            for offset, length, obj_id in moving:
+                try:
+                    data = shard.region.read(offset + _HEADER.size, length,
+                                             self.ctx)
+                except MediaError:
+                    continue
+                self._append(tenant, state, obj_id, data)
+                shard.live -= 1
+            if shard.live:
+                return
+        shard.region.unmap()
+        state.shards.remove(shard)
+        self.fs.unlink(shard.path, self.ctx)
+        self._events["unlink"].value += 1
 
     # -- verbs --------------------------------------------------------------
+
+    def _locate(self, tenant: str, obj_id: str,
+                mutating: bool = False) -> Tuple[_Tenant, _Location]:
+        check_tenant(tenant)
+        check_obj_id(obj_id)
+        state = self._tenant(tenant, mutating)
+        self._charge_warm()
+        location = state.where.get(obj_id)
+        if location is None:
+            raise NotFoundError(f"no object {obj_id[:16]}... for "
+                                f"tenant {tenant}")
+        return state, location
 
     def put(self, tenant: str, data: bytes,
             obj_id: Optional[str] = None) -> str:
         computed = self._resolve_put(tenant, data, obj_id)
-        if self._probe(tenant, computed):
-            return computed
-        try:
-            self._ensure_dirs(tenant, computed)
-            f = self.fs.write_file(self._object_path(tenant, computed),
-                                   bytes(data), self.ctx)
-            f.close()
-        except FSError:
-            self._drop(tenant)
-            raise
-        ids = self._index.get(tenant)
-        if ids is not None:
-            insort(ids, computed)
+        state = self._tenant(tenant, mutating=True)
+        self._charge_warm()
+        if computed not in state.where:
+            try:
+                self._append(tenant, state, computed, bytes(data))
+            except FSError:
+                self._drop(tenant)
+                raise
         return computed
 
     def get(self, tenant: str, obj_id: str) -> bytes:
-        check_tenant(tenant)
-        check_obj_id(obj_id)
-        return self.fs.read_file(self._object_path(tenant, obj_id),
-                                 self.ctx)
+        _state, (shard, offset, length) = self._locate(tenant, obj_id)
+        return shard.region.read(offset + _HEADER.size, length, self.ctx)
 
     def exists(self, tenant: str, obj_id: str) -> bool:
         check_tenant(tenant)
         check_obj_id(obj_id)
-        return self._probe(tenant, obj_id)
+        state = self._tenant(tenant)
+        self._charge_warm()
+        return obj_id in state.where
 
     def delete(self, tenant: str, obj_id: str) -> None:
-        check_tenant(tenant)
-        check_obj_id(obj_id)
-        ids = self._warm_ids(tenant)
+        state, (shard, offset, _length) = self._locate(tenant, obj_id,
+                                                       mutating=True)
         try:
-            self.fs.unlink(self._object_path(tenant, obj_id), self.ctx)
-            try:
-                # the object's own directory goes with it
-                self.fs.rmdir(self._middle_dir(tenant, obj_id), self.ctx)
-            except (NotEmptyError, NotFoundError):
-                pass
+            shard.region.write(offset, _WORD[_DEAD], self.ctx)
+            self._retire(state, obj_id)
+            if shard is not state.shards[-1]:
+                self._reclaim(tenant, state, shard)
         except FSError:
             self._drop(tenant)
             raise
-        if ids is not None:
-            at = _find(ids, obj_id)
-            if at >= 0:
-                del ids[at]
 
     def list_objects(self, tenant: str) -> List[str]:
         check_tenant(tenant)
-        ids = self._warm_ids(tenant)
-        if ids is not None:
-            self._charge_warm(len(ids))
-            return list(ids)
-        # cold: walk the tree, and keep what it says
-        self._walks.value += 1
-        tenant_dir = self._tenant_dir(tenant)
-        try:
-            buckets = self.fs.readdir(tenant_dir, self.ctx)
-        except NotFoundError:
-            return []
-        ids = []
-        for bucket in sorted(buckets):
-            bucket_dir = f"{tenant_dir}/{bucket}"
-            try:
-                middles = self.fs.readdir(bucket_dir, self.ctx)
-            except NotFoundError:
-                continue
-            for middle in sorted(middles):
-                try:
-                    tails = self.fs.readdir(f"{bucket_dir}/{middle}",
-                                            self.ctx)
-                except NotFoundError:
-                    continue
-                ids.extend(f"{bucket}{middle}{tail}"
-                           for tail in sorted(tails))
-        ids.sort()      # a no-op unless foreign names broke the slicing
-        self._index[tenant] = ids
-        return list(ids)
+        ids = sorted(self._tenant(tenant).where)
+        self._charge_warm(len(ids))
+        return ids
 
     # -- accounting ---------------------------------------------------------
 
@@ -272,8 +404,10 @@ class FSObjStorage(ObjStorage):
         return self.ctx.now
 
     def index_counters(self) -> List[Counter]:
-        """The index-health series, for a telemetry frame to absorb."""
-        return [self._hits, self._walks, *self._invalidations.values()]
+        """The index-health and shard-event series, for a telemetry
+        frame to absorb."""
+        return [self._hits, self._walks, *self._invalidations.values(),
+                *self._events.values()]
 
     def attach_telemetry(self, telemetry) -> None:
         self.fs.attach_telemetry(telemetry)

@@ -342,12 +342,10 @@ class FileSystem(ABC):
     @abstractmethod
     def getattr_ino(self, ino: int) -> StatResult: ...
 
-    def exists(self, path: str, ctx: Optional[SimContext] = None) -> bool:
-        """Does *path* resolve?  With *ctx* the probe is charged as the
-        ``getattr`` syscall it is; without one it is free (workload
-        setup helpers)."""
+    def exists(self, path: str) -> bool:
+        """Does *path* resolve?  Uncharged (workload setup helpers)."""
         try:
-            self.getattr(path, ctx)
+            self.getattr(path)
             return True
         except FSError:
             return False

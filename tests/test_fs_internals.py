@@ -14,7 +14,8 @@ from repro.core.journal import (ENTRY_BYTES, JournalEntry, JournalManager,
                                 MAX_TXN_ENTRIES, TYPE_COMMIT, TYPE_DATA,
                                 TYPE_START)
 from repro.core.layout import Layout
-from repro.errors import BadFileError, CorruptionError, FSError
+from repro.errors import (BadFileError, CorruptionError, FSError,
+                          NotFoundError)
 from repro.fs.common.dirindex import LinearDirIndex, RBDirIndex
 from repro.fs.common.inode import Inode, InodeTable
 from repro.params import MIB
@@ -120,7 +121,8 @@ def _dirindex_namespace_mix(fs_name):
         fs.create(path, ctx)
         live.append(path)
         fs.getattr(rng.choice(live), ctx)
-        assert not fs.exists(f"/grow/absent{i}", ctx)
+        with pytest.raises(NotFoundError):
+            fs.getattr(f"/grow/absent{i}", ctx)
         if i % 37 == 0:
             fs.mkdir(f"/grow/d{i:03d}", ctx)
             fs.create(f"/grow/d{i:03d}/leaf", ctx)

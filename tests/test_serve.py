@@ -1,6 +1,6 @@
 """The ``repro.serve`` service layer: conformance, differential, faults.
 
-Four suites, matching the layer's four claims:
+Five suites, matching the layer's five claims:
 
 * **Conformance** — :class:`ObjStorageConformance` is one behavioural
   mixin run against every backend the factory can build: the in-memory
@@ -13,13 +13,17 @@ Four suites, matching the layer's four claims:
   byte-identical (simulated ns, object bytes, metrics) to replaying the
   same stream against direct backends, and admission-control rejections
   are deterministic and leave no backend trace.
-* **Index vs walk** — ``FSObjStorage`` answers list / exists / the put
-  dedup probe from a DRAM id index; a seeded sweep over all nine FS
-  models proves every warm answer equals a fresh storage's cold walk of
-  the same tree after every request — clean, under the serve fault
-  campaign and an EROFS degrade, across ``mkfs`` and a crash-remount
-  under a live storage, and on a restored image that already holds
-  ``/srv`` — and pins what a warm answer is charged.
+* **Index vs scan** — ``FSObjStorage`` packs objects into mapped shard
+  files and answers every verb from a DRAM index; a seeded sweep over
+  all nine FS models proves every warm answer (ids, probes, bytes)
+  equals a fresh storage's cold scan of the same shards after every
+  request — clean, under the serve fault campaign, a killed rotation
+  and an EROFS degrade, across ``mkfs`` and a crash-remount under a
+  live storage, and on a restored image that already holds shards —
+  and pins the commit protocol (a body without its commit word is
+  invisible and overwritten; at every fence of a put or delete a crash
+  image recovers to whole, acknowledged objects), the space rule, and
+  what a warm answer is charged.
 * **Faults** — a seeded fault campaign against a served WineFS burns
   the service error budget and degrades the mount but never crashes the
   server; masked vs surfaced outcomes land in the ledger and the
@@ -34,18 +38,22 @@ from __future__ import annotations
 
 import json
 import os
+import random
 import zlib
 
 import pytest
 
 from repro.clock import make_context
 from repro.errors import (BusyError, FSError, InvalidArgumentError,
-                          NotFoundError)
-from repro.faults import crash_plan, serve_campaign_plan
+                          MediaError, NoSpaceError, NotFoundError,
+                          ReadOnlyError)
+from repro.faults import (FaultPlan, FaultSpec, crash_plan,
+                          serve_campaign_plan)
 from repro.harness.setup import SPECS_BY_NAME, fresh_fs
 from repro.obs import Telemetry, evaluate_frame, frame_of
 from repro.obs.names import METRIC_NAMES
-from repro.params import KIB, MIB
+from repro.mmu.mmap_region import MappedRegion
+from repro.params import HUGE_PAGE, KIB, MIB
 from repro.pm.device import PMDevice
 from repro.serve import (FSObjStorage, LoadSpec, MemoryObjStorage,
                          ObjStorageMultiplexer, ObjStorageServer, RPCError,
@@ -494,32 +502,36 @@ class TestFactory:
         assert storage.get("t00", oid) == b"via config"
 
 
-# -- the id index against the tree it caches ----------------------------------
+# -- the id index against the shards it caches --------------------------------
 
-def _walk_storage(live: FSObjStorage) -> FSObjStorage:
-    """A cold storage over the same tree (own metric label, so its
-    walks are not counted as the live storage's)."""
-    return FSObjStorage(live.fs, live.ctx, label="walk")
+def _scan_storage(live: FSObjStorage) -> FSObjStorage:
+    """A cold storage over the same shards (own metric label, so its
+    scans are not counted as the live storage's)."""
+    return FSObjStorage(live.fs, live.ctx, label="scan")
 
 
-def _assert_warm_answers_match_tree(live, tenants, seen) -> None:
+def _assert_index_matches_scan(live, tenants, seen) -> None:
     """Every tenant the live storage holds an index for must answer
-    exactly as a fresh storage's walk of the tree does.  Cold tenants
-    are left cold: they answer from the tree by construction, and
-    warming them here would hide the cold paths from the stream."""
-    walk = _walk_storage(live)
+    exactly as a fresh storage's cold scan of the shards does: same ids,
+    same probes, same bytes.  Cold tenants are left cold — warming them
+    here would hide from the stream every verb that meets a cold tenant."""
+    scan = _scan_storage(live)
     for tenant in tenants:
-        if tenant not in live._index:
+        if tenant not in live._tenants:
             continue
-        truth = walk.list_objects(tenant)
+        truth = scan.list_objects(tenant)
         assert live.list_objects(tenant) == truth
         present = set(truth)
         for obj_id in seen[tenant]:
             assert live.exists(tenant, obj_id) == (obj_id in present)
+        for obj_id in truth:
+            data = live.get(tenant, obj_id)
+            assert compute_obj_id(data) == obj_id
+            assert scan.get(tenant, obj_id) == data
 
 
 def _drive_checked(live, stream, tenants, seen, hooks=None) -> None:
-    """Replay *stream*, comparing index and tree after every request;
+    """Replay *stream*, comparing index and shards after every request;
     ``hooks[i]`` runs before request *i*."""
     for i, req in enumerate(stream):
         if hooks and i in hooks:
@@ -527,19 +539,19 @@ def _drive_checked(live, stream, tenants, seen, hooks=None) -> None:
         if req.obj_id:
             seen[req.tenant].add(req.obj_id)
         _apply_direct(live, req)
-        _assert_warm_answers_match_tree(live, tenants, seen)
+        _assert_index_matches_scan(live, tenants, seen)
 
 
-def _assert_public_answers_match_tree(live, tenants, seen) -> None:
-    """The closing check, through the public verbs only (this one may
-    warm tenants): lists, probes and bytes all agree with a cold walk."""
+def _assert_public_answers_match_scan(live, tenants, seen) -> None:
+    """The closing check, through the public verbs only (this one warms
+    every tenant): lists, probes and bytes all agree with a cold scan."""
     for tenant in tenants:
-        truth = _walk_storage(live).list_objects(tenant)
+        truth = _scan_storage(live).list_objects(tenant)
         assert live.list_objects(tenant) == truth
         for obj_id in seen[tenant]:
             assert live.exists(tenant, obj_id) == (obj_id in truth)
     assert dump_objects(live, tenants) \
-        == dump_objects(_walk_storage(live), tenants)
+        == dump_objects(_scan_storage(live), tenants)
 
 
 def _index_case(seed: int, ops: int = 40):
@@ -549,8 +561,10 @@ def _index_case(seed: int, ops: int = 40):
 
 
 def _index_series(storage: FSObjStorage):
-    """``{(family, reason-or-None): value}`` of the index-health series."""
-    return {(c.name, dict(c.labels).get("reason")): c.value
+    """``{(family, reason-or-event-or-None): value}`` of the index-health
+    and shard-event series."""
+    return {(c.name, dict(c.labels).get("reason")
+             or dict(c.labels).get("event")): c.value
             for c in storage.index_counters()}
 
 
@@ -560,22 +574,24 @@ def test_index_matches_walk(name, seed):
     live = make_fs_storage(name)
     stream, tenants, seen = _index_case(seed)
     _drive_checked(live, stream, tenants, seen)
-    _assert_public_answers_match_tree(live, tenants, seen)
-    # a clean stream on a tree the service built itself never walks
+    _assert_public_answers_match_scan(live, tenants, seen)
+    # a clean stream scans each tenant once, on its first verb
     series = _index_series(live)
-    assert series["serve_index_walks_total", None] == 0
+    assert series["serve_index_walks_total", None] == len(tenants)
     assert series["serve_index_hits_total", None] > 0
-    assert not any(value for (_family, reason), value in series.items()
-                   if reason)
-    assert len(live._known_dirs) <= 1 + len(tenants) * 257
+    assert not any(series["serve_index_invalidations_total", reason]
+                   for reason in ("error", "epoch", "read_only"))
+    assert series["serve_shard_events_total", "rotate"] == sum(
+        len(state.shards) for state in live._tenants.values())
 
 
 @pytest.mark.parametrize("seed", INDEX_SEEDS)
 @pytest.mark.parametrize("name", FS_NAMES)
 def test_index_matches_walk_under_faults(name, seed):
-    """Killed puts (injected ENOSPC / write errors) and an EROFS degrade
-    two thirds in: whatever the failed verbs left in the tree, warm
-    answers never disagree with it."""
+    """Killed puts (a rotation that dies on its ``fallocate``, the serve
+    fault campaign) and an EROFS degrade two thirds in: whatever the
+    failed verbs left in the shards, warm answers never disagree with
+    them, and a degraded mount refuses every put and delete."""
     live = make_fs_storage(name)
     fs = live.fs
     plan = serve_campaign_plan(seed)
@@ -584,12 +600,31 @@ def test_index_matches_walk_under_faults(name, seed):
     else:
         fs.device.set_fault_plan(plan)
     stream, tenants, seen = _index_case(seed, ops=60)
+
+    def kill_next_fallocate():
+        def dies(ino, offset, size, ctx):
+            del fs.fallocate            # one shot: back to the class's
+            raise NoSpaceError("injected: rotation dies on fallocate")
+        fs.fallocate = dies
+
     _drive_checked(live, stream, tenants, seen, hooks={
+        0: kill_next_fallocate,
         40: lambda: fs.remount_read_only("test degrade", live.ctx)})
     assert fs.read_only
-    _assert_public_answers_match_tree(live, tenants, seen)
+    _assert_public_answers_match_scan(live, tenants, seen)
     series = _index_series(live)
     assert series["serve_index_invalidations_total", "read_only"] == 1
+    assert series["serve_index_invalidations_total", "error"] >= 1
+    objects = dump_objects(live, tenants)
+    stored = live.ctx.counters.pm_bytes_written
+    with pytest.raises(ReadOnlyError):
+        live.put(tenants[0], b"refused on a degraded mount")
+    for tenant in tenants:
+        for obj_id in objects[tenant]:
+            with pytest.raises(ReadOnlyError):
+                live.delete(tenant, obj_id)
+    assert live.ctx.counters.pm_bytes_written == stored
+    assert dump_objects(live, tenants) == objects
 
 
 def _crash_remount(live: FSObjStorage, name: str) -> None:
@@ -609,15 +644,16 @@ def _crash_remount(live: FSObjStorage, name: str) -> None:
 @pytest.mark.parametrize("seed", INDEX_SEEDS)
 @pytest.mark.parametrize("name", FS_NAMES)
 def test_index_follows_namespace_replacement(name, seed):
-    """``mkfs`` under a live storage empties the tree; a crash-remount
-    swaps the FS object (or its mount) out from under it.  Neither may
-    leave a stale id behind."""
+    """``mkfs`` under a live storage empties the namespace (and hands
+    the old shards' blocks, records and all, to the new ones); a
+    crash-remount swaps the FS object (or its mount) out from under it.
+    Neither may leave a stale id, handle or mapping behind."""
     live = make_fs_storage(name)
     stream, tenants, seen = _index_case(seed, ops=60)
     _drive_checked(live, stream, tenants, seen, hooks={
         20: lambda: live.fs.mkfs(live.ctx),
         40: lambda: _crash_remount(live, name)})
-    _assert_public_answers_match_tree(live, tenants, seen)
+    _assert_public_answers_match_scan(live, tenants, seen)
     series = _index_series(live)
     assert series["serve_index_invalidations_total", "epoch"] == 2
 
@@ -626,18 +662,22 @@ def test_index_follows_namespace_replacement(name, seed):
 def test_mkfs_under_live_storage_forgets_every_id(name):
     live = make_fs_storage(name)
     obj_id = live.put("t", b"gone after mkfs")
-    assert live.list_objects("t") == [obj_id]
+    other = live.put("t", b"never put again")
+    assert live.list_objects("t") == sorted([obj_id, other])
     live.fs.mkfs(live.ctx)
     assert live.list_objects("t") == []
     assert not live.exists("t", obj_id)
-    assert live.put("t", b"gone after mkfs") == obj_id    # dirs re-made
+    # the new shard lands on the old one's blocks: its log must end
+    # after the one new record, not run on into the old records
+    assert live.put("t", b"gone after mkfs") == obj_id
     assert live.get("t", obj_id) == b"gone after mkfs"
+    assert _scan_storage(live).list_objects("t") == [obj_id]
 
 
 @pytest.mark.parametrize("name", FS_NAMES)
 def test_restored_image_with_srv_walks_once(name, tmp_path, monkeypatch):
-    """A restored image that already holds ``/srv`` is foreign state:
-    the first list of a tenant walks, the second is a hit."""
+    """A restored image that already holds shards is foreign state: the
+    first verb on a tenant scans, and everything after is a hit."""
     monkeypatch.setenv("REPRO_SNAPSHOT_DIR", str(tmp_path))
     origin = make_fs_storage(name)
     stream, tenants, seen = _index_case(5)
@@ -648,33 +688,38 @@ def test_restored_image_with_srv_walks_once(name, tmp_path, monkeypatch):
     assert status == "hit"
 
     restored = FSObjStorage(root["fs"], root["ctx"], label=name)
-    registry = root["ctx"].counters.registry
+    registry, counters = root["ctx"].counters.registry, root["ctx"].counters
     before = registry.value("serve_index_walks_total", backend=name)
-    syscalls = root["ctx"].counters.syscalls
-    first = restored.list_objects("t00")
-    assert first == origin.list_objects("t00") and first
+    syscalls = counters.syscalls
+    expected = origin.list_objects("t00")
+    assert expected and restored.exists("t00", expected[0])
     assert registry.value("serve_index_walks_total",
                           backend=name) == before + 1
-    assert root["ctx"].counters.syscalls > syscalls + len(first)
-    syscalls = root["ctx"].counters.syscalls
-    assert restored.list_objects("t00") == first
+    # readdir, then open + mmap per shard
+    shards = len(restored._tenants["t00"].shards)
+    assert counters.syscalls == syscalls + 1 + 2 * shards
+    syscalls = counters.syscalls
+    assert restored.list_objects("t00") == expected
+    assert all(compute_obj_id(restored.get("t00", obj_id)) == obj_id
+               for obj_id in expected)
     assert registry.value("serve_index_walks_total",
                           backend=name) == before + 1
-    assert root["ctx"].counters.syscalls == syscalls
-    # and the restored tree keeps serving: probes, puts, deletes
+    assert counters.syscalls == syscalls
+    # and the restored shards keep serving: probes, puts, deletes
     _drive_checked(restored, generate_stream(
         LoadSpec(seed=6, tenants=3, ops=30, max_size=16 * KIB)),
         tenants, seen)
-    _assert_public_answers_match_tree(restored, tenants, seen)
+    _assert_public_answers_match_scan(restored, tenants, seen)
 
 
 def test_warm_list_charge_is_pinned():
     """A warm list of N ids costs one DRAM load plus 64 B per id at DRAM
-    streaming bandwidth — no syscall, no other charge."""
+    streaming bandwidth, a warm probe one DRAM load — no syscall, no
+    other charge; and once a shard is mapped a put, get or delete
+    crosses into the kernel zero times."""
     live = make_fs_storage("WineFS")
     n = 37
-    for i in range(n):
-        live.put("t", bytes([i]) * 100)
+    ids = [live.put("t", bytes([i]) * 100) for i in range(n)]
     machine = live.fs.machine
     before, syscalls = live.sim_ns(), live.ctx.counters.syscalls
     assert len(live.list_objects("t")) == n
@@ -683,29 +728,10 @@ def test_warm_list_charge_is_pinned():
     before = live.sim_ns()
     assert live.exists("t", "0" * 64) is False
     assert live.sim_ns() == before + machine.dram_load_ns
+    live.put("t", b"one more record")
+    assert live.get("t", ids[3]) == bytes([3]) * 100
+    live.delete("t", ids[4])
     assert live.ctx.counters.syscalls == syscalls
-
-
-def test_cold_probe_pays_a_getattr():
-    """``FileSystem.exists`` charges nothing without a context and one
-    ``getattr`` syscall with one; a cold serve probe passes its own."""
-    live = make_fs_storage("ext4-DAX")
-    obj_id = live.put("t", b"probe me")
-    path = live._object_path("t", obj_id)
-    fs, ctx = live.fs, live.ctx
-    before, syscalls = ctx.now, ctx.counters.syscalls
-    assert fs.exists(path) and not fs.exists(path + "x")
-    assert (ctx.now, ctx.counters.syscalls) == (before, syscalls)
-    assert fs.exists(path, ctx)
-    assert ctx.counters.syscalls == syscalls + 1
-    assert ctx.now >= before + fs.machine.syscall_ns
-
-    cold = _walk_storage(live)
-    before, syscalls = ctx.now, ctx.counters.syscalls
-    assert cold.exists("t", obj_id)
-    assert cold.put("t", b"probe me") == obj_id          # dedup probe
-    assert ctx.counters.syscalls == syscalls + 2
-    assert ctx.now >= before + 2 * fs.machine.syscall_ns
 
 
 def test_fs_exists_swallows_fs_errors_only(monkeypatch):
@@ -718,62 +744,287 @@ def test_fs_exists_swallows_fs_errors_only(monkeypatch):
         live.fs.exists("/srv")
 
 
+def _used(fs):
+    stats = fs.statfs()
+    return stats.total_blocks - stats.free_blocks, stats.files
+
+
 @pytest.mark.parametrize("name", FS_NAMES)
 def test_delete_leaves_nothing_behind(name):
-    """200 objects put and deleted return the inode count, the used
-    blocks and every bucket listing to where they started (the object's
-    own ``<id[2:34]>`` directory goes with it)."""
+    """The reclamation rule, from the outside: 200 objects put and
+    deleted return used blocks and the inode count to within the one
+    active shard of where an empty service stood; with a random half
+    deleted, space in use is at most twice the live bytes plus that one
+    shard."""
     live = make_fs_storage(name)
-    fs, ctx = live.fs, live.ctx
+    fs = live.fs
+    block = fs.statfs().block_size
+    live.delete("t", live.put("t", b"makes /srv/t and its first shard"))
+    empty_blocks, empty_files = _used(fs)
 
-    def cycle(payloads):
-        ids = [live.put("t", data) for data in payloads]
-        for obj_id in ids:
+    payloads = [b"%04d" % i * (8 * KIB) for i in range(200)]    # 32 KiB
+    ids = [live.put("t", data) for data in payloads]
+    assert len(live._tenants["t"].shards) > 2
+    for obj_id in ids:
+        live.delete("t", obj_id)
+    blocks, files = _used(fs)
+    assert files == empty_files
+    assert blocks == empty_blocks
+    assert fs.readdir("/srv/t", live.ctx) \
+        == [live._tenants["t"].shards[-1].path.rpartition("/")[2]]
+    assert _scan_storage(live).list_objects("t") == []
+
+    ids = [live.put("t", data) for data in payloads]
+    rng = random.Random(name)
+    doomed = set(rng.sample(ids, len(ids) // 2))
+    for obj_id in ids:
+        if obj_id in doomed:
             live.delete("t", obj_id)
-        return {obj_id[:2] for obj_id in ids}
-
-    def used():
-        stats = fs.statfs()
-        return stats.total_blocks - stats.free_blocks, stats.files
-
-    # a first cycle creates the shared levels, which stay
-    buckets = cycle([b"warm-%d" % i for i in range(200)])
-    start = used()
-    # then 200 *other* objects into the same buckets, and out again
-    payloads, i = [], 0
-    while len(payloads) < 200:
-        data = b"leak-%d" % i
-        if compute_obj_id(data)[:2] in buckets:
-            payloads.append(data)
-        i += 1
-    assert cycle(payloads) <= buckets
-    assert used() == start
-    for bucket in sorted(buckets):
-        assert fs.readdir(f"/srv/t/{bucket}", ctx) == []
-    assert live.list_objects("t") == []
-    assert _walk_storage(live).list_objects("t") == []
+    live_bytes = sum(len(data) for data, obj_id in zip(payloads, ids)
+                     if obj_id not in doomed)
+    # the empty service held exactly one (active) shard
+    in_shards = (_used(fs)[0] - empty_blocks) * block + HUGE_PAGE
+    assert live_bytes < in_shards <= 2 * live_bytes + HUGE_PAGE
+    assert _index_series(live)["serve_shard_events_total", "compact"] >= 1
+    survivors = sorted(set(ids) - doomed)
+    assert live.list_objects("t") == survivors
+    assert dump_objects(_scan_storage(live), ["t"]) \
+        == {"t": {obj_id: data for data, obj_id in zip(payloads, ids)
+                  if obj_id not in doomed}}
 
 
-def test_put_makes_shared_directories_once():
-    """Shared levels come from the known-directory set: over 60 puts
-    ``mkdir`` runs once per shared directory plus once per object, and
-    never raises ``EEXIST`` after paying for the syscall."""
+def test_shard_emptied_while_active_goes_when_sealed():
+    """Deletes never reclaim the active shard; the rotation that seals
+    it applies the rule."""
+    live = make_fs_storage("PMFS")
+    ids = [live.put("t", bytes([i]) * (600 * KIB)) for i in range(3)]
+    for obj_id in ids:
+        live.delete("t", obj_id)
+    assert live.fs.readdir("/srv/t", live.ctx) == ["00000000"]
+    last = live.put("t", b"\xff" * (600 * KIB))           # does not fit
+    assert live.fs.readdir("/srv/t", live.ctx) == ["00000001"]
+    assert _scan_storage(live).list_objects("t") == [last]
+    series = _index_series(live)
+    assert series["serve_shard_events_total", "unlink"] == 1
+    assert series["serve_shard_events_total", "compact"] == 0
+
+
+def test_oversized_object_gets_its_own_rounded_shard():
     live = make_fs_storage("WineFS")
-    made, real_mkdir = [], live.fs.mkdir
+    small = live.put("t", b"in the first shard")
+    big = bytes(range(256)) * (9 * KIB)             # 2.25 MiB
+    obj_id = live.put("t", big)
+    shards = live._tenants["t"].shards
+    assert [shard.size for shard in shards] == [HUGE_PAGE, 2 * HUGE_PAGE]
+    assert live.get("t", obj_id) == big
+    assert _scan_storage(live).get("t", obj_id) == big
+    assert _scan_storage(live).list_objects("t") == sorted([small, obj_id])
 
-    def recording_mkdir(path, ctx):
-        made.append(path)
-        return real_mkdir(path, ctx)
-    live.fs.mkdir = recording_mkdir
-    ids = [live.put("t", b"object-%d" % i) for i in range(60)]
-    buckets = {obj_id[:2] for obj_id in ids}
-    assert len(made) == len(set(made)) == 2 + len(buckets) + len(ids)
-    assert len(live._known_dirs) == 2 + len(buckets)
+
+def test_non_shard_names_are_ignored():
+    live = make_fs_storage("ext4-DAX")
+    obj_id = live.put("t", b"the only object")
+    fs, ctx = live.fs, live.ctx
+    fs.write_file("/srv/t/README", b"not a shard", ctx).close()
+    fs.write_file("/srv/t/0000000x", b"nor this", ctx).close()
+    fs.write_file("/srv/t/123", b"nor this", ctx).close()
+    fs.mkdir("/srv/t/lost+found", ctx)
+    scan = _scan_storage(live)
+    assert scan.list_objects("t") == [obj_id]
+    assert len(scan._tenants["t"].shards) == 1
+    assert scan.put("t", b"a second object")
+    assert sorted(fs.readdir("/srv/t", ctx)) == sorted(
+        ["00000000", "0000000x", "123", "README", "lost+found"])
+
+
+@pytest.mark.parametrize("dies_in", ["fallocate", "fsync", "rename"])
+def test_rotation_that_died_left_no_shard(dies_in):
+    """A shard gets its name last, once its empty log is durable: a
+    rotation that dies earlier leaves ``new``, which no scan reads and
+    the next rotation replaces."""
+    live = make_fs_storage("xfs-DAX")
+    fs = live.fs
+
+    def dies(*_args):
+        delattr(fs, dies_in)                # one shot
+        raise NoSpaceError(f"injected: the rotation's {dies_in} dies")
+    setattr(fs, dies_in, dies)
+    with pytest.raises(NoSpaceError):
+        live.put("t", b"never stored")
+    assert fs.readdir("/srv/t", live.ctx) == ["new"]
+    assert live.list_objects("t") == []
+    assert live._tenants["t"].shards == []
+    obj_id = live.put("t", b"stored by the next rotation")
+    assert fs.readdir("/srv/t", live.ctx) == ["00000000"]
+    assert _scan_storage(live).list_objects("t") == [obj_id]
+
+
+# -- the commit protocol ------------------------------------------------------
+
+def _torn_put(storage, monkeypatch, tenant, data) -> None:
+    """A put of *data* that dies between its body and its commit word."""
+    with monkeypatch.context() as patch:
+        real_write = MappedRegion.write
+
+        def dies_on_commit(self, offset, stored, ctx):
+            if stored == (1).to_bytes(8, "little"):
+                raise MediaError("injected: the commit word never lands")
+            return real_write(self, offset, stored, ctx)
+        patch.setattr(MappedRegion, "write", dies_on_commit)
+        with pytest.raises(MediaError):
+            storage.put(tenant, data)
+
+
+def test_body_without_commit_word_is_invisible_and_overwritten(monkeypatch):
+    """A put that dies between its body and its commit word leaves
+    nothing a scan can see, and the next put reuses its space."""
+    live = make_fs_storage("WineFS")
+    kept = live.put("t", b"committed before the torn put")
+    tail = live._tenants["t"].shards[-1].tail
+    torn = b"torn: " + b"x" * 5000
+    _torn_put(live, monkeypatch, "t", torn)
+    # the body is on the media, the record is not in the log
+    for storage in (live, _scan_storage(live)):
+        assert storage.list_objects("t") == [kept]
+        assert not storage.exists("t", compute_obj_id(torn))
+        assert storage._tenants["t"].shards[-1].tail == tail
+    shard = live._tenants["t"].shards[-1]
+    assert torn in shard.region.read(tail, 8192, live.ctx)
+    after = live.put("t", b"lands where the torn body was")
+    assert live._tenants["t"].where[after][:2] == (shard, tail)
+    assert _scan_storage(live).list_objects("t") == sorted([kept, after])
+    assert live.get("t", after) == b"lands where the torn body was"
+
+
+@pytest.mark.parametrize("name", FS_NAMES)
+def test_first_record_torn_on_recycled_blocks_is_invisible(
+        name, monkeypatch):
+    """After ``mkfs`` a tenant's first shard lands on blocks that still
+    hold the old shard's records; a put that rotates onto them and dies
+    before its commit word must not bring the old first record back."""
+    live = make_fs_storage(name)
+    old = live.put("t", b"the old shard's first record")
+    live.fs.mkfs(live.ctx)
+    _torn_put(live, monkeypatch, "t", b"never committed")
+    assert live.list_objects("t") == []
+    assert not _scan_storage(live).exists("t", old)
+
+
+def test_compaction_dying_before_its_unlink_resurrects_nothing():
+    """Re-puts done, unlink not: the id is live in two shards.  A scan
+    writes nothing; the newest record of an id decides, so the stale
+    copy is dead weight, a later delete of the id survives every later
+    scan, and the emptied shard goes at the tenant's next rotation."""
+    live = make_fs_storage("NOVA")
+    fs = live.fs
+    big_a, big_b, keep, big_d = (bytes([i]) * (900 * KIB) for i in range(4))
+    keep = keep[:100]
+    ids = [live.put("t", data) for data in (big_a, big_b, keep, big_d)]
+    assert len(live._tenants["t"].shards) == 2
+    live.delete("t", ids[0])
+
+    def dies(path, ctx):
+        del fs.unlink
+        raise MediaError("injected: the compaction's unlink dies")
+    fs.unlink = dies
+    with pytest.raises(MediaError):
+        live.delete("t", ids[1])            # compacts `keep`, then dies
+    assert "t" not in live._tenants
+
+    written = live.ctx.counters.pm_bytes_written
+    assert live.list_objects("t") == sorted(ids[2:])        # rescans
+    assert live.ctx.counters.pm_bytes_written == written
+    assert sorted(fs.readdir("/srv/t", live.ctx)) == ["00000000", "00000001"]
+    stale, active = live._tenants["t"].shards
+    assert (stale.live, live._tenants["t"].where[ids[2]][0]) == (0, active)
+    live.delete("t", ids[2])
+    assert live.list_objects("t") == [ids[3]]
+    assert _scan_storage(live).list_objects("t") == [ids[3]]
+    live.put("t", bytes([9]) * (1200 * KIB))                # rotates
+    assert sorted(fs.readdir("/srv/t", live.ctx)) == ["00000001", "00000002"]
+    assert _scan_storage(live).list_objects("t") == live.list_objects("t")
+
+
+def _crash_points(device, verb):
+    """Run *verb* under store capture; yield one crash image per fence
+    it issued — taken the instant before the fence retired, once with
+    none and once with all of that epoch's stores on the media — and
+    one for whatever was never fenced."""
+    device.start_capture()
+    verb()
+    for epoch, seqs in device.end_capture():
+        for surviving in {(), tuple(seqs)}:
+            yield device.capture_crash_image(epoch, surviving)
+    device.drain()
+
+
+def _recovered_objects(image, tenant):
+    """What a cold scan serves from a crash image, SHA-256-checked."""
+    fs = SPECS_BY_NAME["WineFS"].build(image, SERVE_CPUS, track_data=True)
+    ctx = make_context(SERVE_CPUS)
+    fs.mount(ctx)
+    storage = FSObjStorage(fs, ctx)
+    ids = storage.list_objects(tenant)
+    for obj_id in ids:
+        assert compute_obj_id(storage.get(tenant, obj_id)) == obj_id
+    return ids
+
+
+def test_crash_at_every_fence_serves_whole_acknowledged_objects():
+    """Durability at the service, on WineFS with every store tracked:
+    crash before any fence of a put or delete (two rotations, a
+    compaction and its unlink included) and a cold scan of the recovered
+    image lists the acknowledged-live ids, with or without the verb in
+    flight — never a record whose bytes do not hash to its id, never a
+    deleted one back — and, once the verb returned, exactly its outcome."""
+    device = PMDevice(SERVE_SIZE, track_stores=True)
+    fs = SPECS_BY_NAME["WineFS"].build(device, SERVE_CPUS, track_data=True)
+    ctx = make_context(SERVE_CPUS)
+    fs.mkfs(ctx)
+    live = FSObjStorage(fs, ctx)
+    device.drain()
+    rng = random.Random(15)
+    a, b, c, d, e, f = (rng.randbytes(size) for size in
+                        (900 * KIB, 900 * KIB, 60, 900 * KIB, 5000,
+                         1200 * KIB))
+    # a, b, c fill shard 0; d rotates; a and b dying leave sealed shard 0
+    # over half dead, so c is compacted into shard 1 and shard 0 unlinked;
+    # f rotates onto shard 0's blocks, which still hold its old records
+    script = [("put", a), ("put", b), ("put", c), ("put", d),
+              ("delete", a), ("delete", b), ("put", e), ("delete", c),
+              ("put", f)]
+    acknowledged = set()
+    points = 0
+    homes = []
+    for op, data in script:
+        homes.append(live._tenants["t"].shards[-1].region._segments(0, 8)
+                     if live._tenants else None)
+        obj_id = compute_obj_id(data)
+        if op == "put":
+            verb, after = (lambda: live.put("t", data)), \
+                acknowledged | {obj_id}
+        else:
+            verb, after = (lambda: live.delete("t", obj_id)), \
+                acknowledged - {obj_id}
+        for image in _crash_points(device, verb):
+            points += 1
+            assert set(_recovered_objects(image, "t")) \
+                in (acknowledged, after), (op, obj_id)
+        acknowledged = after
+        assert _recovered_objects(device.crash_image(), "t") \
+            == sorted(acknowledged)
+    series = _index_series(live)
+    assert series["serve_shard_events_total", "rotate"] == 3
+    assert series["serve_shard_events_total", "compact"] == 1
+    assert series["serve_shard_events_total", "unlink"] == 1
+    assert live._tenants["t"].shards[-1].region._segments(0, 8) == homes[1]
+    assert points > 60
 
 
 def test_clean_load_reports_index_health(tmp_path):
-    """The index series ride the ``--openmetrics`` frame: a clean 400-op
-    load shows hits, no invalidation and at most one walk per tenant."""
+    """The index and shard series ride the ``--openmetrics`` frame: a
+    clean 400-op load shows hits, no invalidation, at most one scan per
+    tenant and at least one rotation per backend."""
     from repro.harness.fleet import run_serve_campaign, serve_matrix
     from repro.obs.export import openmetrics_lines
 
@@ -785,19 +1036,27 @@ def test_clean_load_reports_index_health(tmp_path):
     counters = report["frame"]["errors"]["counters"]
     assert set(counters) == {"serve_index_hits_total",
                              "serve_index_walks_total",
-                             "serve_index_invalidations_total"}
+                             "serve_index_invalidations_total",
+                             "serve_shard_events_total"}
     assert all(n == 0 for n in
                counters["serve_index_invalidations_total"].values())
     assert {labels.count("reason=") for labels in
             counters["serve_index_invalidations_total"]} == {1}
-    for labels, walks in counters["serve_index_walks_total"].items():
-        assert walks <= tenants, labels
+    for labels, scans in counters["serve_index_walks_total"].items():
+        assert scans <= tenants, labels
     assert all(n > 0 for n in counters["serve_index_hits_total"].values())
+    events = counters["serve_shard_events_total"]
+    assert {labels.count("event=") for labels in events} == {1}
+    assert all(n >= tenants for labels, n in events.items()
+               if 'event="rotate"' in labels)
     lines = openmetrics_lines(report["frame"])
-    assert 'serve_index_walks_total{backend="WineFS"} 0' in lines
+    assert f'serve_index_walks_total{{backend="WineFS"}} {tenants}' in lines
     assert "# TYPE serve_index_invalidations_total counter" in lines
     assert 'serve_index_invalidations_total{backend="NOVA",' \
            'reason="read_only"} 0' in lines
+    assert "# TYPE serve_shard_events_total counter" in lines
+    assert 'serve_shard_events_total{backend="NOVA",event="unlink"} 0' \
+        in lines
 
 
 # -- fault campaign against a served file system ------------------------------
@@ -809,13 +1068,23 @@ def test_serve_fault_campaign_degrades_but_never_crashes():
     closes the degraded interval into an MTTR sample."""
     fs, ctx = fresh_fs("WineFS", size_gib=0.0625, num_cpus=SERVE_CPUS,
                        track_data=True)
-    plan = serve_campaign_plan(3)
+    backend = FSObjStorage(fs, ctx)
+    # The file system sees a tenant's traffic only when a shard is
+    # rotated in, so the campaign's allocator blip (its ninth call) needs
+    # a dozen tenants to be reached, and its failing block write, which
+    # fires on the write(2) path, stays inert.  The masked damage is a
+    # bad line in t00's free shard space, healed by the put that covers it.
+    backend.put("t00", b"maps t00's first shard")
+    shard = backend._tenants["t00"].shards[-1]
+    (free_addr, _run), = shard.region._segments(shard.tail + 256, 64)
+    campaign = serve_campaign_plan(3)
+    plan = FaultPlan(campaign.seed, [*campaign.specs, FaultSpec(
+        "poison", addr=free_addr - free_addr % 64, length=64)])
     fs.attach_fault_plan(plan)
     telemetry = Telemetry(tag="serve-campaign")
-    backend = FSObjStorage(fs, ctx)
     mux = ObjStorageMultiplexer([backend])
     mux.attach_telemetry(telemetry)
-    stream = generate_stream(LoadSpec(seed=3, tenants=4, ops=150))
+    stream = generate_stream(LoadSpec(seed=3, tenants=12, ops=150))
     report = run_load(loopback_client(mux), stream, telemetry=telemetry)
 
     # the campaign surfaced damage into the load, which kept going
@@ -863,6 +1132,105 @@ def test_serve_fault_campaign_degrades_but_never_crashes():
     assert len(service) == 1
     assert service[0].budget_burn > 1.0
     assert not service[0].ok
+
+
+def test_media_error_on_a_mapped_read_is_the_requests_error():
+    """Mapped loads and stores meet the media directly: a poisoned line
+    under one object's payload fails that object's gets with EIO — a
+    response, on the live storage and on a cold scan alike, while every
+    other verb keeps working — and a put whose body covers a poisoned
+    free line heals it."""
+    live = make_fs_storage("WineFS")
+    ids = [live.put("t", bytes([i]) * 200) for i in range(3)]
+    shard, offset, _length = live._tenants["t"].where[ids[1]]
+    (payload_addr, _run), = shard.region._segments(offset + 48, 200)
+    (free_addr, _run), = shard.region._segments(shard.tail + 256, 64)
+    plan = FaultPlan(1, [
+        FaultSpec("poison", addr=payload_addr + 64 - payload_addr % 64,
+                  length=64),
+        FaultSpec("poison", addr=free_addr - free_addr % 64, length=64)])
+    live.fs.attach_fault_plan(plan)
+
+    for storage in (live, _scan_storage(live)):
+        server = ObjStorageServer(storage)
+        meta, _ = decode_frame(server.handle(encode_frame(
+            {"method": "get", "tenant": "t", "obj_id": ids[1]})))
+        assert (meta["ok"], meta["errno"]) == (False, "EIO")
+        assert storage.list_objects("t") == sorted(ids)
+        assert storage.get("t", ids[0]) == bytes([0]) * 200
+        assert storage.get("t", ids[2]) == bytes([2]) * 200
+    assert plan.count("poison", "surfaced") == 2
+    healed = live.put("t", b"covers the poisoned free line " * 40)
+    assert plan.count("poison", "masked") == 1
+    assert live.get("t", healed) == b"covers the poisoned free line " * 40
+    live.delete("t", ids[1])                    # the header is readable
+    assert _scan_storage(live).list_objects("t") \
+        == sorted([ids[0], ids[2], healed])
+
+
+def test_poisoned_payload_in_a_compacting_shard_costs_one_object():
+    """A bad line under a live payload in a sealed, over-half-dead shard:
+    the delete that triggers the compaction succeeds, the unreadable
+    record stays where it is (and keeps its shard), every other object
+    and verb keeps working warm and cold, no scan writes, and deleting
+    the damaged object lets the shard go."""
+    live = make_fs_storage("WineFS")
+    big_a, big_b, big_d = (bytes([i]) * (900 * KIB) for i in range(3))
+    hurt, well = b"\xaa" * 300, b"\xbb" * 300
+    ids = [live.put("t", data) for data in
+           (big_a, big_b, hurt, well, big_d)]         # big_d rotates
+    shard, offset, _length = live._tenants["t"].where[ids[2]]
+    assert shard is live._tenants["t"].shards[0]
+    (addr, _run), = shard.region._segments(offset + 48, 300)
+    plan = FaultPlan(1, [FaultSpec("poison", addr=addr + 64 - addr % 64,
+                                   length=64)])
+    live.fs.attach_fault_plan(plan)
+    live.delete("t", ids[0])
+    live.delete("t", ids[1])                # over half dead: compacts
+    series = _index_series(live)
+    assert series["serve_shard_events_total", "compact"] == 1
+    assert series["serve_shard_events_total", "unlink"] == 0
+    assert series["serve_index_invalidations_total", "error"] == 0
+    assert live._tenants["t"].where[ids[2]][0] is shard
+    assert live._tenants["t"].where[ids[3]][0] is not shard
+
+    written = live.ctx.counters.pm_bytes_written
+    for storage in (live, _scan_storage(live)):
+        assert storage.list_objects("t") == sorted(ids[2:])
+        assert storage.get("t", ids[3]) == well
+        assert storage.get("t", ids[4]) == big_d
+        assert storage.exists("t", ids[2])
+        with pytest.raises(MediaError):
+            storage.get("t", ids[2])
+    assert live.ctx.counters.pm_bytes_written == written
+    cold = _scan_storage(live)
+    assert cold.get("t", cold.put("t", b"a cold put still lands")) \
+        == b"a cold put still lands"
+    cold.delete("t", ids[2])                # the header is readable
+    assert live.fs.readdir("/srv/t", live.ctx) == ["00000001"]
+    assert ids[2] not in _scan_storage(live).list_objects("t")
+
+
+def test_poisoned_header_costs_what_follows_it_in_that_shard():
+    """A scan cannot step over a header it cannot read: the records
+    behind it in that shard are lost to a cold storage and the shard
+    takes no more appends — but the tenant, its other shards and the
+    records in front of the damage keep serving."""
+    live = make_fs_storage("NOVA")
+    # 48 B header + 464 B: every record starts on its own cacheline
+    first, hurt, behind = (live.put("t", bytes([i]) * 464) for i in range(3))
+    shard, offset, _length = live._tenants["t"].where[hurt]
+    (addr, _run), = shard.region._segments(offset, 48)
+    live.fs.device.set_fault_plan(FaultPlan(1, [
+        FaultSpec("poison", addr=addr - addr % 64, length=64)]))
+    assert live.get("t", behind) == bytes([2]) * 464    # warm: indexed
+    cold = _scan_storage(live)
+    assert cold.list_objects("t") == [first]
+    assert cold.get("t", first) == bytes([0]) * 464
+    after = cold.put("t", b"lands in a new shard")
+    assert [s.path[-8:] for s in cold._tenants["t"].shards] \
+        == ["00000000", "00000001"]
+    assert _scan_storage(live).list_objects("t") == sorted([first, after])
 
 
 def test_serve_campaign_cell_is_deterministic():
@@ -940,6 +1308,7 @@ def test_serve_metric_names_registered():
     assert {"serve_requests_total", "serve_rejected_total",
             "serve_queue_depth", "serve_index_hits_total",
             "serve_index_walks_total", "serve_index_invalidations_total",
+            "serve_shard_events_total",
             "snapshot_load_failures"} <= METRIC_NAMES
 
 
