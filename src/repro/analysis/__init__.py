@@ -12,8 +12,7 @@ degraded-write-guard — whose findings carry witness call chains.
 Findings are suppressed inline with ``# repro: allow[rule-id] <why>``,
 or grandfathered in the committed ``baseline.json`` /
 ``baseline_flow.json``; CI fails on anything new.  ``--sarif`` exports
-SARIF 2.1.0; ``--changed`` re-analyzes only the git-dirty strongly-
-connected region of the module graph.
+SARIF 2.1.0.
 
 Public surface:
 
@@ -25,16 +24,15 @@ Public surface:
 * :func:`to_sarif` / :func:`validate_sarif` — SARIF 2.1.0 export
 """
 
-from .engine import (DEFAULT_BASELINE, DEFAULT_CACHE, DEFAULT_FLOW_BASELINE,
-                     DEFAULT_FLOW_CACHE, DEFAULT_TARGET, FileContext,
-                     FileRule, LintResult, ProjectRule, default_rules,
-                     flow_rules, run_lint, update_baseline)
+from .engine import (DEFAULT_BASELINE, DEFAULT_FLOW_BASELINE,
+                     DEFAULT_TARGET, FileContext, FileRule, LintResult,
+                     ProjectRule, default_rules, flow_rules, run_lint,
+                     update_baseline)
 from .findings import Finding
 from .sarif import to_sarif, validate_sarif
 
 __all__ = [
-    "DEFAULT_BASELINE", "DEFAULT_CACHE", "DEFAULT_FLOW_BASELINE",
-    "DEFAULT_FLOW_CACHE", "DEFAULT_TARGET",
+    "DEFAULT_BASELINE", "DEFAULT_FLOW_BASELINE", "DEFAULT_TARGET",
     "FileContext", "FileRule", "Finding", "LintResult", "ProjectRule",
     "default_rules", "flow_rules", "run_lint", "to_sarif",
     "update_baseline", "validate_sarif",

@@ -1,4 +1,4 @@
-"""The lint engine: file walking, suppression, caching, reporting.
+"""The lint engine: file walking, suppression, reporting.
 
 One parse per file; every rule sees the same :class:`FileContext`.
 Rules come in two shapes:
@@ -21,15 +21,6 @@ output is byte-stable for a given tree.
 Severity tiers: ``error`` findings fail the lint, ``warning`` findings
 are reported but never block, ``info`` findings appear only with
 ``--verbose``.
-
-Incremental mode (``--changed``): the cache records each file's module
-name and imported modules, which gives a file-granular over-approximation
-of the call graph (a call edge cannot exist without an import edge or
-living inside one file).  ``--changed`` re-analyzes only the git-dirty
-files plus their strongly-connected region of that graph; every other
-file is served straight from the cache.  Per-file results are a pure
-function of file content, so the findings are byte-identical to a full
-run over the same tree.
 """
 
 from __future__ import annotations
@@ -38,11 +29,9 @@ import ast
 import json
 import os
 import re
-import subprocess
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from .baseline import apply_baseline, load_baseline, write_baseline
-from .cache import LintCache, content_key
 from .findings import Finding, number_occurrences
 
 SUPPRESS_RE = re.compile(r"#\s*repro:\s*allow\[([a-z0-9-]+)\]")
@@ -50,12 +39,10 @@ SUPPRESS_RE = re.compile(r"#\s*repro:\s*allow\[([a-z0-9-]+)\]")
 #: default lint root and baseline location, relative to the repo root
 DEFAULT_TARGET = os.path.join("src", "repro")
 DEFAULT_BASELINE = os.path.join("src", "repro", "analysis", "baseline.json")
-DEFAULT_CACHE = ".repro-lint-cache.json"
-#: the flow rules keep their own baseline and cache: their finding set is
-#: disjoint from the per-file rules and the caches store different facts
+#: the flow rules keep their own baseline: their finding set is disjoint
+#: from the per-file rules
 DEFAULT_FLOW_BASELINE = os.path.join(
     "src", "repro", "analysis", "baseline_flow.json")
-DEFAULT_FLOW_CACHE = ".repro-lint-flow-cache.json"
 
 _SIMPLE_STMTS = (ast.Assign, ast.AugAssign, ast.AnnAssign, ast.Expr,
                  ast.Return, ast.Raise, ast.Assert, ast.Delete)
@@ -77,13 +64,11 @@ class SuppressionIndex:
       not spans; an allow inside an ``if`` cannot bless the whole block).
     """
 
-    def __init__(self, lines: Sequence[str],
-                 tree: Optional[ast.AST] = None):
+    def __init__(self, lines: Sequence[str], tree: ast.AST):
         self.lines = lines
         self.sup = scan_suppressions(lines)
         self.extra: Dict[int, Set[str]] = {}
-        if tree is not None:
-            self._index_tree(tree)
+        self._index_tree(tree)
 
     def _index_tree(self, tree: ast.AST) -> None:
         for node in ast.walk(tree):
@@ -166,18 +151,6 @@ def scan_suppressions(lines: Sequence[str]) -> Dict[int, Set[str]]:
     return out
 
 
-def _suppressed(lines: Sequence[str], sup: Dict[int, Set[str]],
-                rule_id: str, line: int) -> bool:
-    """Line-based subset of :class:`SuppressionIndex` (no AST anchors)."""
-    if rule_id in sup.get(line, ()):
-        return True
-    above = line - 1
-    if rule_id in sup.get(above, ()) and 0 < above <= len(lines) and \
-            lines[above - 1].lstrip().startswith("#"):
-        return True
-    return False
-
-
 def resolve_import_base(module: str, node: ast.ImportFrom) -> str:
     """Absolute module named by a (possibly relative) ``from X import``."""
     if node.level == 0:
@@ -190,23 +163,6 @@ def resolve_import_base(module: str, node: ast.ImportFrom) -> str:
     if node.module:
         base = f"{base}.{node.module}" if base else node.module
     return base
-
-
-def module_imports(tree: ast.AST, module: str) -> List[str]:
-    """Modules this file imports (absolute dotted names, sorted)."""
-    deps: Set[str] = set()
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Import):
-            for alias in node.names:
-                deps.add(alias.name)
-        elif isinstance(node, ast.ImportFrom):
-            base = resolve_import_base(module, node)
-            if base:
-                deps.add(base)
-                for alias in node.names:
-                    deps.add(f"{base}.{alias.name}")
-    deps.discard(module)
-    return sorted(deps)
 
 
 def strongly_connected(edges: Dict[str, Iterable[str]],
@@ -317,15 +273,11 @@ def iter_python_files(targets: Iterable[str]) -> List[str]:
 
 class LintResult:
     def __init__(self, findings: List[Finding], stale: List[str],
-                 files: int, cache_hits: int, errors: List[str],
-                 reanalyzed: Optional[int] = None):
+                 files: int, errors: List[str]):
         self.findings = findings
         self.stale = stale
         self.files = files
-        self.cache_hits = cache_hits
         self.errors = errors
-        self.reanalyzed = (files - cache_hits) if reanalyzed is None \
-            else reanalyzed
 
     @property
     def new_findings(self) -> List[Finding]:
@@ -363,7 +315,6 @@ class LintResult:
     def render_json(self) -> str:
         doc = {
             "files": self.files,
-            "reanalyzed": self.reanalyzed,
             "findings": [f.as_dict() for f in self.findings],
             "new": len(self.new_findings),
             "new_errors": len(self.new_errors),
@@ -376,142 +327,40 @@ class LintResult:
         return json.dumps(doc, indent=2, sort_keys=True)
 
 
-def _git_dirty(root: str) -> Optional[Set[str]]:
-    """Worktree-dirty files as posix relpaths under *root*, or None."""
-    try:
-        top = subprocess.run(
-            ["git", "-C", root, "rev-parse", "--show-toplevel"],
-            capture_output=True, text=True, timeout=30)
-        if top.returncode != 0:
-            return None
-        toplevel = top.stdout.strip()
-        st = subprocess.run(
-            ["git", "-C", root, "status", "--porcelain", "-uall"],
-            capture_output=True, text=True, timeout=60)
-        if st.returncode != 0:
-            return None
-    except (OSError, subprocess.SubprocessError):
-        return None
-    out: Set[str] = set()
-    for line in st.stdout.splitlines():
-        if len(line) < 4:
-            continue
-        p = line[3:]
-        if " -> " in p:
-            p = p.split(" -> ")[-1]
-        p = p.strip().strip('"')
-        rel = os.path.relpath(os.path.join(toplevel, p), root)
-        out.add(rel.replace(os.sep, "/"))
-    return out
-
-
-def _dirty_region(cache: LintCache, dirty: Set[str]) -> Set[str]:
-    """Dirty files + their strongly-connected region of the module graph."""
-    mod_to_rel: Dict[str, str] = {}
-    for rel in cache.relpaths():
-        mod = (cache.entry(rel) or {}).get("module") or ""
-        if mod:
-            mod_to_rel[mod] = rel
-    edges: Dict[str, List[str]] = {}
-    for rel in cache.relpaths():
-        entry = cache.entry(rel) or {}
-        targets = []
-        for dep in entry.get("deps", []):
-            # "pkg.mod.symbol" dep names resolve through their module prefix
-            while dep and dep not in mod_to_rel:
-                dep = dep.rpartition(".")[0]
-            if dep and mod_to_rel[dep] != rel:
-                targets.append(mod_to_rel[dep])
-        edges[rel] = sorted(set(targets))
-    region = set(dirty)
-    for comp in strongly_connected(edges):
-        if any(member in dirty for member in comp):
-            region.update(comp)
-    return region
-
-
 def run_lint(targets: Sequence[str],
              baseline_path: Optional[str] = None,
-             cache_path: Optional[str] = None,
              root: Optional[str] = None,
              rules: Optional[Tuple[List[FileRule], List[ProjectRule]]] = None,
-             changed_only: bool = False,
              ) -> LintResult:
     """Lint *targets* (files or directories) and return the result.
 
     *root* anchors the relative paths used in findings and fingerprints
     (default: the common prefix's CWD), so output is location-independent.
-
-    With *changed_only*, files outside the git-dirty strongly-connected
-    region are served from the cache without so much as a content hash;
-    falls back to a full run when git state is unavailable.
     """
     root = os.path.abspath(root or os.getcwd())
     file_rules, project_rules = rules if rules is not None else default_rules()
-    cache = LintCache(cache_path)
     per_file: List[Finding] = []
     facts: Dict[str, Dict[str, Dict[str, object]]] = {
         r.id: {} for r in project_rules}
     contexts: Dict[str, FileContext] = {}
     errors: List[str] = []
-    reanalyzed = 0
     paths = iter_python_files(targets)
-
-    forced: Optional[Set[str]] = None   # None => --changed inactive
-    if changed_only and cache_path:
-        dirty = _git_dirty(root)
-        if dirty is not None:
-            forced = _dirty_region(cache, dirty)
 
     for path in paths:
         relpath = os.path.relpath(os.path.abspath(path), root)
-        rel = relpath.replace(os.sep, "/")
         try:
-            cached = None
-            raw: Optional[bytes] = None
-            if forced is not None and rel not in forced:
-                cached = cache.entry(rel)
-            if cached is None:
-                with open(path, "rb") as fh:
-                    raw = fh.read()
-                key = content_key(raw)
-                cached = cache.get(rel, key)
-            else:
-                cache.hits += 1
-            entry_facts = (cached.get("facts") or {}) if cached else {}
-            if cached is not None and \
-                    all(r.id in entry_facts for r in project_rules):
-                per_file.extend(LintCache.decode_findings(cached))
-                for rid, rf in entry_facts.items():
-                    if rid in facts:
-                        facts[rid][rel] = rf
-                continue
-            # miss, or cache written under a different rule set
-            if raw is None:
-                with open(path, "rb") as fh:
-                    raw = fh.read()
-                key = content_key(raw)
-            ctx = FileContext(path, relpath, raw.decode("utf-8"))
+            with open(path, "rb") as fh:
+                ctx = FileContext(path, relpath, fh.read().decode("utf-8"))
         except (OSError, SyntaxError, UnicodeDecodeError) as exc:
-            errors.append(f"{rel}: {exc}")
-            reanalyzed += 1
+            errors.append(f"{relpath.replace(os.sep, '/')}: {exc}")
             continue
-        reanalyzed += 1
         contexts[ctx.relpath] = ctx
-        file_findings: List[Finding] = []
         for rule in file_rules:
             for f in rule.run(ctx):
                 if not ctx.is_suppressed(f.rule, f.line):
-                    file_findings.append(f)
-        file_facts: Dict[str, Dict[str, object]] = {}
+                    per_file.append(f)
         for rule in project_rules:
-            rf = rule.collect(ctx)
-            file_facts[rule.id] = rf
-            facts[rule.id][ctx.relpath] = rf
-        per_file.extend(file_findings)
-        cache.put(ctx.relpath, key, file_findings, file_facts,
-                  module=ctx.module,
-                  deps=module_imports(ctx.tree, ctx.module))
+            facts[rule.id][ctx.relpath] = rule.collect(ctx)
 
     project_findings: List[Finding] = []
     for rule in project_rules:
@@ -519,44 +368,21 @@ def run_lint(targets: Sequence[str],
             ctx = contexts.get(f.path)
             if ctx is not None and ctx.is_suppressed(f.rule, f.line):
                 continue
-            if ctx is None and _suppressed_on_disk(root, f, f.rule):
-                continue
             project_findings.append(f)
 
-    cache.save()
     findings = per_file + project_findings
     findings.sort(key=lambda f: (f.path, f.line, f.col, f.rule, f.detail))
     findings = number_occurrences(findings)
 
     baseline = load_baseline(baseline_path) if baseline_path else {}
     findings, stale = apply_baseline(findings, baseline)
-    return LintResult(findings, stale, files=len(paths),
-                      cache_hits=cache.hits, errors=errors,
-                      reanalyzed=reanalyzed)
-
-
-def _suppressed_on_disk(root: str, f: Finding, rule_id: str) -> bool:
-    """Suppression check for findings in cache-hit files (no live ctx)."""
-    path = os.path.join(root, f.path)
-    try:
-        with open(path, encoding="utf-8") as fh:
-            source = fh.read()
-    except OSError:
-        return False
-    lines = source.splitlines()
-    try:
-        tree: Optional[ast.AST] = ast.parse(source)
-    except (SyntaxError, ValueError):
-        tree = None
-    return SuppressionIndex(lines, tree).allowed(rule_id, f.line)
+    return LintResult(findings, stale, files=len(paths), errors=errors)
 
 
 def update_baseline(targets: Sequence[str], baseline_path: str,
                     root: Optional[str] = None,
-                    cache_path: Optional[str] = None,
                     rules: Optional[Tuple[List[FileRule],
                                           List[ProjectRule]]] = None) -> int:
     """Regenerate the baseline from the current findings; returns count."""
-    result = run_lint(targets, baseline_path=None, cache_path=cache_path,
-                      root=root, rules=rules)
+    result = run_lint(targets, baseline_path=None, root=root, rules=rules)
     return write_baseline(baseline_path, result.findings)

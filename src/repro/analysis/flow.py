@@ -1,8 +1,7 @@
 """Project-wide call graph + dataflow facts for interprocedural lint.
 
 This is the layer behind ``repro lint --flow``.  Per file it extracts a
-compact, JSON-serializable IR (so the facts ride in the ``LintCache``
-like any other project-rule fact):
+compact, JSON-serializable IR:
 
 * every function/method with a structural mini-IR of its body — call
   sites, attribute stores, returns/raises, and the if/loop/try/with

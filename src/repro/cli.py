@@ -449,8 +449,7 @@ def cmd_lint(args) -> int:
     import json
     import os
 
-    from .analysis import (DEFAULT_BASELINE, DEFAULT_CACHE,
-                           DEFAULT_FLOW_BASELINE, DEFAULT_FLOW_CACHE,
+    from .analysis import (DEFAULT_BASELINE, DEFAULT_FLOW_BASELINE,
                            DEFAULT_TARGET, flow_rules, run_lint,
                            update_baseline)
 
@@ -458,14 +457,12 @@ def cmd_lint(args) -> int:
     targets = args.paths or [os.path.join(root, DEFAULT_TARGET)]
     default_baseline = DEFAULT_FLOW_BASELINE if args.flow else \
         DEFAULT_BASELINE
-    default_cache = DEFAULT_FLOW_CACHE if args.flow else DEFAULT_CACHE
     rules = flow_rules() if args.flow else None
     baseline = args.baseline
     if baseline is None:
         baseline = os.path.join(root, default_baseline)
     elif baseline == "":
         baseline = None
-    cache = None if args.no_cache else os.path.join(root, default_cache)
 
     if args.emit_registry:
         from .analysis.rules.metric_names import emit_registry
@@ -474,12 +471,12 @@ def cmd_lint(args) -> int:
 
     if args.write_baseline:
         count = update_baseline(targets, baseline_path=baseline,
-                                root=root, cache_path=cache, rules=rules)
+                                root=root, rules=rules)
         print(f"wrote {count} finding(s) to {baseline}")
         return 0
 
-    result = run_lint(targets, baseline_path=baseline, cache_path=cache,
-                      root=root, rules=rules, changed_only=args.changed)
+    result = run_lint(targets, baseline_path=baseline, root=root,
+                      rules=rules)
     if args.sarif:
         from .analysis.sarif import to_sarif, validate_sarif
         doc = to_sarif(result.findings, base_uri=root)
@@ -744,21 +741,15 @@ def build_parser() -> argparse.ArgumentParser:
                         "src/repro/analysis/baseline.json; '' disables)")
     p.add_argument("--write-baseline", action="store_true",
                    help="regenerate the baseline from current findings")
-    p.add_argument("--no-cache", action="store_true",
-                   help="ignore and do not write .repro-lint-cache.json")
     p.add_argument("--emit-registry", action="store_true",
                    help="print every metric/span name referenced at call "
                         "sites (to refresh repro/obs/names.py)")
     p.add_argument("--flow", action="store_true",
                    help="run the interprocedural rules (persist-before-"
                         "commit, lock-order-cycle, degraded-write-guard) "
-                        "with the flow baseline/cache")
+                        "with the flow baseline")
     p.add_argument("--sarif", metavar="PATH", default=None,
                    help="also write a SARIF 2.1.0 report to PATH")
-    p.add_argument("--changed", action="store_true",
-                   help="re-analyze only the git-dirty strongly-connected "
-                        "region of the module graph; everything else is "
-                        "served from the cache (byte-identical findings)")
 
     p = sub.add_parser("trace", help="run a workload with span tracing on "
                                      "and export the trace")

@@ -707,7 +707,6 @@ class _FSMappedRegion(MappedRegion):
         self.track_data = kwargs.pop("track_data")
         self.region_id = _next_region_id[0]
         _next_region_id[0] += 1
-        self._blocks_per_page = 1
         # walk-engine state (MappedRegion.__init__ is bypassed above)
         self._init_walk_state()
         if super_len <= 0:

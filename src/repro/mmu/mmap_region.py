@@ -16,7 +16,7 @@ counted in its :class:`~repro.clock.EventCounters`.
 
 from __future__ import annotations
 
-from typing import Iterator, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 from ..clock import SimContext
 from ..errors import InvalidArgumentError, SimulationError
@@ -86,7 +86,6 @@ class MappedRegion:
         self.track_data = track_data
         self.region_id = _next_region_id[0]
         _next_region_id[0] += 1
-        self._blocks_per_page = BASE_PAGE // block_size if block_size < BASE_PAGE else 1
         self._init_walk_state()
 
     def _init_walk_state(self) -> None:
@@ -144,11 +143,6 @@ class MappedRegion:
         except IndexError:
             return None
         return base_phys if len(runs) == 1 else None
-
-    def _can_map_huge(self, virt_page: int) -> bool:
-        """A 2MB mapping needs virtual & physical 2MB alignment and 512
-        physically contiguous blocks (paper §2.2)."""
-        return self._huge_phys_or_none(virt_page) is not None
 
     def fault(self, virt_page: int, ctx: SimContext) -> bool:
         """Handle a page fault at *virt_page*; returns True if huge.
@@ -324,44 +318,6 @@ class MappedRegion:
                 self.cache.pollute()
         return m
 
-    def translate_range(self, offset: int, size: int,
-                        ctx: SimContext) -> Iterator[Tuple[int, int, Mapping]]:
-        """Resolve [offset, offset+size) into mapping *runs*.
-
-        Yields ``(start_page, npages, mapping)`` in ascending page order:
-        a run is either the touched slice of one 2MB mapping or a span of
-        consecutive 4KB mappings.  Unmapped pages are faulted through the
-        normal fault path at the position they occupy in the range, so a
-        consumer charging TLB costs per yielded run observes the same
-        event order as the per-event walk.  *mapping* is the entry for the
-        run's first page.
-        """
-        self._check_range(offset, size)
-        if size == 0:
-            return
-        pt = self.page_table
-        page = offset // BASE_PAGE
-        last = (offset + size - 1) // BASE_PAGE
-        while page <= last:
-            if pt.generation == self._memo_gen and \
-                    self._memo_lo <= page <= self._memo_hi:
-                # verified base-mapped span: skip the page-table dict
-                run_end = self._memo_hi if self._memo_hi < last else last
-                yield page, run_end - page + 1, pt.lookup(page)
-                page = run_end + 1
-                continue
-            m = self._resolve_page(page, ctx)
-            if m.huge:
-                end = m.virt_page + _PAGES_PER_HUGE
-                span_last = end - 1 if end - 1 < last else last
-                yield page, span_last - page + 1, m
-                page = end
-            else:
-                n = pt.base_run_length(page, last - page + 1)
-                self._memo_note(page, page + n - 1, pt.generation)
-                yield page, n, m
-                page += n
-
     def _memo_note(self, lo: int, hi: int, gen: int) -> None:
         """Record a verified base-mapped span, merging adjacent spans."""
         if gen == self._memo_gen and lo <= self._memo_hi + 1 \
@@ -420,11 +376,12 @@ class MappedRegion:
                 else:
                     page += 1
             return
-        # inlined translate_range: the same runs in the same order, but
-        # mapped pages are resolved by raw-table membership probes
-        # (value-opaque, so both page-table engines branch identically)
-        # without materializing a Mapping per run.  Faults still go
-        # through fault() at the position the page occupies.
+        # batched path: one TLB charge per mapping run (the touched slice
+        # of one 2MB mapping, or a span of consecutive 4KB ones), in the
+        # per-event walk's order.  Mapped pages are resolved by raw-table
+        # membership probes (value-opaque, so both page-table engines
+        # branch identically) without materializing a Mapping per run.
+        # Faults still go through fault() at the position the page occupies.
         pt = self.page_table
         huge_tbl = pt._huge
         base_tbl = pt._base
@@ -481,10 +438,10 @@ class MappedRegion:
         if self.batch and last - first < 8 and not ctx.trace.enabled:
             # small-read fast path (the mmap_rand profile: 1-2 touched
             # pages per op).  Applies only when every touched page is
-            # already base-mapped: then translate_range would yield the
+            # already base-mapped: then _walk_pages would charge the
             # span as ONE base run (base_run_length counts consecutive
             # mapped pages), so one access_run + grouped charges below
-            # replays _walk_pages' float-add sequence exactly.  The adds
+            # replays its float-add sequence exactly.  The adds
             # accumulate on a local with a single clock store; stores
             # don't change float values, so the result is bit-identical.
             base = self.page_table._base

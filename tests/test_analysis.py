@@ -1,7 +1,7 @@
 """Tests for the repro.analysis static-analysis suite.
 
 Each rule gets good/bad fixture snippets; the engine gets suppression,
-baseline, cache, and --json stability coverage; and the tier-1 gate at
+baseline and --json stability coverage; and the tier-1 gate at
 the bottom self-lints ``src/repro`` (the same check CI runs), including
 the two acceptance mutations: weakening a ``persist`` to a bare
 ``store`` in ``repro.core.journal`` and deleting an ``sfence`` in
@@ -450,7 +450,7 @@ def test_registered_spans_match_live_tracer_usage():
 
 
 # ---------------------------------------------------------------------------
-# engine: suppression, baseline, cache, json
+# engine: suppression, baseline, json
 
 
 def test_suppression_on_line_and_line_above(tmp_path):
@@ -593,25 +593,6 @@ def test_fingerprints_survive_line_shifts(tmp_path):
     assert first.findings[0].line != second.findings[0].line
 
 
-def test_cache_roundtrip_preserves_findings(tmp_path):
-    target = tmp_path / "mod.py"
-    target.write_text("import time\nT = time.time()\n")
-    cache_path = str(tmp_path / "cache.json")
-    cold = run_lint([str(target)], cache_path=cache_path,
-                    root=str(tmp_path))
-    warm = run_lint([str(target)], cache_path=cache_path,
-                    root=str(tmp_path))
-    assert warm.cache_hits == 1
-    assert [f.as_dict() for f in warm.findings] == \
-        [f.as_dict() for f in cold.findings]
-
-    target.write_text("import time\nT = time.time()  "
-                      "# repro: allow[determinism] now justified\n")
-    edited = run_lint([str(target)], cache_path=cache_path,
-                      root=str(tmp_path))
-    assert edited.findings == []
-
-
 def test_json_output_is_stable(tmp_path):
     target = tmp_path / "mod.py"
     target.write_text("import time\nT = time.time()\n")
@@ -637,8 +618,7 @@ def test_cli_lint_json(tmp_path, capsys):
     from repro.cli import main
     target = tmp_path / "mod.py"
     target.write_text("import time\nT = time.time()\n")
-    rc = main(["lint", "--json", "--no-cache", "--baseline", "",
-               str(target)])
+    rc = main(["lint", "--json", "--baseline", "", str(target)])
     doc = json.loads(capsys.readouterr().out)
     assert rc == 1
     assert doc["new"] == 1

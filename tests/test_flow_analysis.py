@@ -3,25 +3,18 @@
 Fixtures seed each flow rule with a known bug and assert the witness
 call chain, the call-graph resolution tests pin the dispatch rules the
 checkers depend on (self/super/constructor/toggle-family/import), and
-the engine-level tests cover SARIF export, severity tiers, the
-ruleset-hash cache salt, and ``--changed`` byte-identity.  The
+the engine-level tests cover SARIF export and severity tiers.  The
 acceptance mutation at the bottom re-introduces the SplitFS unguarded
 append fast path against the *real* tree and must be caught.
 """
 
 from __future__ import annotations
 
-import json
 import os
-import shutil
-import subprocess
 import textwrap
-
-import pytest
 
 from repro.analysis import (FileContext, flow_rules, run_lint, to_sarif,
                             update_baseline, validate_sarif)
-from repro.analysis.cache import LintCache, ruleset_hash
 from repro.analysis.engine import iter_python_files
 from repro.analysis.flow import CallGraph, FlowAnalysis, collect_file_facts
 from repro.analysis.rules.flow_guards import DegradedWriteGuard
@@ -541,107 +534,12 @@ def _write_fixture_tree(root):
 def test_warning_findings_do_not_block_exit(tmp_path):
     root = str(tmp_path)
     _write_fixture_tree(root)
-    result = run_lint([root], baseline_path=None, cache_path=None,
-                      root=root, rules=flow_rules())
+    result = run_lint([root], baseline_path=None, root=root,
+                      rules=flow_rules())
     assert [f.severity for f in result.findings] == ["warning"]
     assert result.new_warnings and not result.new_errors
     assert result.exit_code == 0
     assert "warning-level" in result.render_text()
-
-
-def test_ruleset_hash_salts_the_cache(tmp_path):
-    root = str(tmp_path / "tree")
-    _write_fixture_tree(root)
-    cache_path = str(tmp_path / "cache.json")
-    run_lint([root], baseline_path=None, cache_path=cache_path, root=root,
-             rules=flow_rules())
-    warm = run_lint([root], baseline_path=None, cache_path=cache_path,
-                    root=root, rules=flow_rules())
-    assert warm.cache_hits == warm.files
-
-    with open(cache_path) as fh:
-        doc = json.load(fh)
-    assert doc["ruleset"] == ruleset_hash()
-    doc["ruleset"] = "0" * len(doc["ruleset"])   # a rule edit happened
-    with open(cache_path, "w") as fh:
-        json.dump(doc, fh)
-    cold = run_lint([root], baseline_path=None, cache_path=cache_path,
-                    root=root, rules=flow_rules())
-    assert cold.cache_hits == 0
-    assert cold.reanalyzed == cold.files
-
-
-def test_cache_written_for_one_ruleset_misses_for_another(tmp_path):
-    root = str(tmp_path / "tree")
-    _write_fixture_tree(root)
-    cache_path = str(tmp_path / "cache.json")
-    run_lint([root], baseline_path=None, cache_path=cache_path, root=root)
-    # same files, flow rules: the cached entries lack the "flow" facts
-    result = run_lint([root], baseline_path=None, cache_path=cache_path,
-                      root=root, rules=flow_rules())
-    assert result.reanalyzed == result.files
-    assert [f.rule for f in result.findings] == ["lock-discipline"]
-
-
-needs_git = pytest.mark.skipif(shutil.which("git") is None,
-                               reason="git not available")
-
-
-def _git(root, *argv):
-    subprocess.run(["git", "-C", root, "-c", "user.name=t",
-                    "-c", "user.email=t@t", *argv],
-                   check=True, capture_output=True)
-
-
-@needs_git
-def test_changed_mode_is_byte_identical_and_incremental(tmp_path):
-    root = str(tmp_path / "tree")
-    _write_fixture_tree(root)
-    _git(root, "init", "-q")
-    _git(root, "add", "-A")
-    _git(root, "commit", "-q", "-m", "seed")
-    cache_path = str(tmp_path / "cache.json")
-    run_lint([root], baseline_path=None, cache_path=cache_path, root=root,
-             rules=flow_rules())
-
-    # touch one file; only its import-SCC region may be re-analyzed
-    with open(os.path.join(root, "beta.py"), "a") as fh:
-        fh.write("\ndef extra():\n    return 9\n")
-    changed = run_lint([root], baseline_path=None, cache_path=cache_path,
-                       root=root, rules=flow_rules(), changed_only=True)
-    full = run_lint([root], baseline_path=None, cache_path=None, root=root,
-                    rules=flow_rules())
-    assert [f.as_dict() for f in changed.findings] == \
-        [f.as_dict() for f in full.findings]
-    assert changed.reanalyzed == 1           # beta only; alpha is not dirty
-    assert changed.reanalyzed / changed.files < 0.5
-
-
-@needs_git
-def test_changed_mode_expands_to_the_dirty_import_region(tmp_path):
-    root = str(tmp_path / "tree")
-    _write_fixture_tree(root)
-    _git(root, "init", "-q")
-    _git(root, "add", "-A")
-    _git(root, "commit", "-q", "-m", "seed")
-    cache_path = str(tmp_path / "cache.json")
-    run_lint([root], baseline_path=None, cache_path=cache_path, root=root,
-             rules=flow_rules())
-    # alpha/beta form an import cycle -> touching alpha forces both into
-    # the re-check region (they get content-hashed; gamma is not even read)
-    with open(os.path.join(root, "alpha.py"), "w") as fh:
-        fh.write("from beta import run\n\ndef helper(x):\n    return x\n")
-    changed = run_lint([root], baseline_path=None, cache_path=cache_path,
-                       root=root, rules=flow_rules(), changed_only=True)
-    assert changed.reanalyzed == 1           # alpha; beta content unchanged
-
-    from repro.analysis.engine import _dirty_region
-    region = _dirty_region(LintCache(cache_path), {"alpha.py"})
-    assert region == {"alpha.py", "beta.py"}
-    full = run_lint([root], baseline_path=None, cache_path=None, root=root,
-                    rules=flow_rules())
-    assert [f.as_dict() for f in changed.findings] == \
-        [f.as_dict() for f in full.findings]
 
 
 def test_flow_fingerprints_survive_line_drift(tmp_path):
@@ -653,11 +551,11 @@ def test_flow_fingerprints_survive_line_drift(tmp_path):
            "        self._txn.commit(ctx)\n")
     with open(path, "w") as fh:
         fh.write(src)
-    first = run_lint([root], baseline_path=None, cache_path=None, root=root,
+    first = run_lint([root], baseline_path=None, root=root,
                      rules=flow_rules())
     with open(path, "w") as fh:
         fh.write("# a comment pushing everything down\n\n\n" + src)
-    second = run_lint([root], baseline_path=None, cache_path=None, root=root,
+    second = run_lint([root], baseline_path=None, root=root,
                       rules=flow_rules())
     (f1,), (f2,) = first.findings, second.findings
     assert f1.line != f2.line
@@ -675,8 +573,8 @@ def test_flow_baseline_roundtrip(tmp_path):
     baseline = os.path.join(root, "baseline_flow.json")
     assert update_baseline([root], baseline, root=root,
                            rules=flow_rules()) == 1
-    result = run_lint([root], baseline_path=baseline, cache_path=None,
-                      root=root, rules=flow_rules())
+    result = run_lint([root], baseline_path=baseline, root=root,
+                      rules=flow_rules())
     assert result.new_findings == []
     assert result.exit_code == 0
 
@@ -725,7 +623,7 @@ def test_reintroduced_splitfs_fast_path_bug_is_caught():
 
 
 def test_flow_self_lint_is_clean():
-    result = run_lint([SRC_REPRO], baseline_path=None, cache_path=None,
-                      root=REPO_ROOT, rules=flow_rules())
+    result = run_lint([SRC_REPRO], baseline_path=None, root=REPO_ROOT,
+                      rules=flow_rules())
     assert result.errors == []
     assert result.findings == []
