@@ -100,6 +100,8 @@ LOCK_NAMESPACES: Dict[str, str] = {
     "xfs-log": "XFS-DAX on-media log append",
     "jbd2-handle": "ext4-DAX jbd2 running-transaction handle",
     "jbd2-commit": "ext4-DAX jbd2 commit serialization",
+    "serve-spare": "object service: one tenant's successor shard being "
+                   "prepared on the idle core (taken by the rotation)",
 }
 
 

@@ -60,12 +60,30 @@ def campaign_plan(seed: int) -> FaultPlan:
 def serve_campaign_plan(seed: int) -> FaultPlan:
     """Runtime fault mix for one *served* campaign cell.
 
-    Same fault vocabulary as :func:`campaign_plan`, re-placed for the
-    service workload: an object verb expands to a handful of VFS calls,
-    so a few hundred served requests give a few thousand fault-visible
-    ops.  The windows land early enough that even a short load crosses
-    them, and the latency spikes are sized so service-class tail
-    objectives survive while the error ledger records the damage.
+    The service reaches the file system through mapped shards, so what
+    the plan can meet is counted differently from :func:`campaign_plan`:
+    a request is one or two device operations (a get is one load, a put
+    its body and its commit word), and the allocator is called once per
+    prepared shard — twice per tenant while a load warms up (the first
+    rotation on the serving core, then its successor on the idle core),
+    once per rotation after.  Hence:
+
+    * two transient device latency windows, sized so service-class tail
+      objectives survive while the ledger records them: the first opens
+      within 140 device operations, which any load crosses, the second
+      after 400-800, which a load of a few hundred requests reaches;
+    * one allocator ``enospc`` blip, two calls wide, starting anywhere
+      in a four-tenant warm-up (allocator calls 0-7).  Starting on a
+      tenant's first rotation it outlasts the one retry that gives up
+      the other tenants' idle successors, so that put is answered
+      ENOSPC: an error response, and the tenant is rescanned.  Starting
+      on a background prepare it costs that tenant its successor and
+      the next rotation its first attempt — stalls, and no failed verb
+      as long as some tenant holds a successor to give up.
+
+    Nothing under the service takes the ``write(2)`` path, so there is
+    no ``write_error``; a masked fault needs a poisoned line under free
+    shard space, whose address only a caller that has mapped one knows.
     """
     rng = make_rng(seed, salt=1)
     specs = [
@@ -74,8 +92,7 @@ def serve_campaign_plan(seed: int) -> FaultPlan:
                   latency_mult=float(2 + rng.randrange(0, 3))),
         FaultSpec("latency", at_op=400 + rng.randrange(0, 400),
                   count=150, latency_mult=3.0),
-        FaultSpec("enospc", at_op=5 + rng.randrange(0, 20), count=1),
-        FaultSpec("write_error", blocks=(), count=1),
+        FaultSpec("enospc", at_op=rng.randrange(0, 8), count=2),
     ]
     return FaultPlan(seed=seed, specs=specs)
 

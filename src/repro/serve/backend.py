@@ -23,7 +23,16 @@ payload``, padded to 8 bytes:
   is stored, not assumed: the body write also clears the *next*
   record's state word, and a shard is created as ``new``, its word 0
   cleared, and only then renamed to its number — a crash in between
-  leaves a name no scan reads and the next rotation replaces.
+  leaves a name no scan reads and the next prepare replaces.
+* Rotation: a warm tenant keeps one prepared successor — ``new``,
+  created, fallocated, mapped, cleared and fsynced by the machine's last
+  core, idle while one core serves, starting when the put that rotated
+  has committed — so the put that fills a shard pays one rename.  The
+  hand-over is a ``serve-spare:<tenant>`` lock: a rotation that arrives
+  early waits.  Finding no successor ready (cold tenant, oversized
+  record, failed or unfinished prepare, one-CPU machine) is a ``stall``:
+  the rotation runs the same prepare itself, giving up the other
+  tenants' idle successors first if the device is full.
 * ``get`` is one mapped read at the indexed offset; ``delete`` is one
   8-byte store of ``state = dead``.
 * Space: a sealed (non-active) shard with no live record is unmapped and
@@ -51,10 +60,10 @@ write guard, so ``put``/``delete`` raise ``EROFS`` themselves on a
 read-only mount, before any store.  Every warm answer is charged one
 DRAM load, plus 64 bytes per returned id at DRAM streaming bandwidth
 (``MachineParams.dram_load_ns`` / ``dram_read_bw``).  All mappings share
-one TLB (one serving core), so a file system that hands out unaligned
-extents pays for its 4 KiB mappings here exactly as in the mmap
-benchmarks.  The storage assumes it is the only writer under ``/srv``
-within an epoch.
+one TLB (one serving core; a successor arrives faulted in but not in
+it), so a file system that hands out unaligned extents pays for its
+4 KiB mappings here exactly as in the mmap benchmarks.  The storage
+assumes it is the only writer under ``/srv`` within an epoch.
 
 :class:`MemoryObjStorage` is the reference implementation: a dict with a
 trivial deterministic cost model.  The conformance suite runs it first —
@@ -68,8 +77,8 @@ from struct import Struct
 from typing import Dict, List, Optional, Tuple
 
 from ..clock import SimContext
-from ..errors import (ExistsError, FSError, MediaError, NotFoundError,
-                      ReadOnlyError)
+from ..errors import (ExistsError, FSError, MediaError, NoSpaceError,
+                      NotFoundError, ReadOnlyError)
 from ..mmu.mmap_region import MappedRegion
 from ..mmu.tlb import TLB
 from ..obs.metrics import Counter
@@ -85,8 +94,9 @@ SERVE_ROOT = "/srv"
 
 #: why warm indexes were dropped (``serve_index_invalidations_total``)
 _INVALIDATION_REASONS = ("error", "epoch", "read_only")
-#: what happened to a shard (``serve_shard_events_total``)
-_SHARD_EVENTS = ("rotate", "compact", "unlink")
+#: what happened to a shard (``serve_shard_events_total``); a ``stall`` is
+#: a rotation that found no ready successor and waited or prepared its own
+_SHARD_EVENTS = ("rotate", "compact", "unlink", "stall")
 
 #: record header: state word, payload length, raw SHA-256
 _HEADER = Struct("<QQ32s")
@@ -106,7 +116,7 @@ class _Shard:
     __slots__ = ("path", "region", "size", "tail", "live", "dead")
 
     def __init__(self, path: str, region: MappedRegion) -> None:
-        self.path = path        # /srv/<tenant>/<seq:08d>
+        self.path = path        # /srv/<tenant>/<seq:08d>; new until rotated in
         self.region = region
         self.size = region.length
         self.tail = 0           # where the next record goes
@@ -119,13 +129,15 @@ _Location = Tuple[_Shard, int, int]
 
 
 class _Tenant:
-    """A warm tenant: its index and its shards, the active one last."""
+    """A warm tenant: its index, its shards (the active one last) and
+    the prepared successor, still named ``new``, if there is one."""
 
-    __slots__ = ("where", "shards")
+    __slots__ = ("where", "shards", "spare")
 
     def __init__(self) -> None:
         self.where: Dict[str, _Location] = {}
         self.shards: List[_Shard] = []
+        self.spare: Optional[_Shard] = None
 
 
 class FSObjStorage(ObjStorage):
@@ -139,6 +151,11 @@ class FSObjStorage(ObjStorage):
         #: a tenant is present only while warm
         self._tenants: Dict[str, _Tenant] = {}
         self._tlb = TLB(fs.machine.tlb_4k_entries, fs.machine.tlb_2m_entries)
+        #: where successors are prepared: the machine's last core, idle
+        #: while one core serves, and its TLB; None on a one-CPU machine
+        idle = ctx.clock.num_cpus - 1
+        self._idle = None if idle == ctx.cpu else (ctx.on_cpu(idle), TLB(
+            fs.machine.tlb_4k_entries, fs.machine.tlb_2m_entries))
         #: the mount the caches describe, and whether it had degraded
         self._mount = (fs, fs.namespace_epoch)
         self._read_only = fs.read_only
@@ -199,6 +216,9 @@ class FSObjStorage(ObjStorage):
         for name in sorted(filter(_SHARD_NAME.match, names)):
             path = f"{tenant_dir}/{name}"
             f = fs.open(path, ctx)
+            if not fs.getattr_ino(f.ino).size:
+                f.close()
+                continue                    # nothing to map: a foreign name
             shard = _Shard(path, f.mmap(ctx, tlb=self._tlb))
             f.close()
             state.shards.append(shard)
@@ -244,7 +264,7 @@ class FSObjStorage(ObjStorage):
         state = self._tenants.pop(tenant, None)
         if state is not None:
             self._invalidations["error"].value += 1
-            for shard in state.shards:
+            for shard in filter(None, (*state.shards, state.spare)):
                 shard.region.unmap()
 
     def _charge_warm(self, returned_ids: int = 0) -> None:
@@ -257,13 +277,55 @@ class FSObjStorage(ObjStorage):
 
     # -- the shard log ------------------------------------------------------
 
-    def _rotate(self, tenant: str, shards: List[_Shard], need: int) -> None:
-        """Create, size, map and sync — once — the shard that becomes
-        active, big enough for a record of *need* bytes.  It gets its
-        name last, when its empty log is durable: a crash before that
-        leaves ``new``, which no scan reads and the next rotation
-        replaces."""
-        fs, ctx = self.fs, self.ctx
+    def _prepare(self, tenant: str, size: int, ctx: SimContext,
+                 tlb: TLB) -> _Shard:
+        """Create, size, map and sync — once — a shard of *size* bytes
+        under the name ``new``, on *ctx*'s core: the idle one ahead of
+        need, or the serving one inside a stalled rotation."""
+        fs, unnamed = self.fs, f"{SERVE_ROOT}/{tenant}/new"
+        try:
+            f = fs.create(unnamed, ctx)
+        except ExistsError:
+            fs.unlink(unnamed, ctx)
+            f = fs.create(unnamed, ctx)
+        f.fallocate(0, size, ctx)
+        shard = _Shard(unnamed, f.mmap(ctx, tlb=tlb))
+        shard.region.write(0, _WORD[_FREE], ctx)
+        f.fsync(ctx)
+        f.close()
+        return shard
+
+    def _prepare_ahead(self, tenant: str, state: _Tenant) -> None:
+        """Start *tenant*'s next successor on the idle core, no earlier
+        than the serving core's now, under the lock a rotation takes."""
+        if self._idle is None:
+            return
+        idle, tlb = self._idle
+        idle.clock.advance_to(idle.cpu, self.ctx.now)
+        idle.locks.acquire(f"serve-spare:{tenant}", idle.cpu)
+        try:
+            state.spare = self._prepare(tenant, HUGE_PAGE, idle, tlb)
+        except FSError:
+            pass        # no successor: the next rotation prepares its own
+        finally:
+            idle.locks.release(f"serve-spare:{tenant}", idle.cpu)
+
+    def _take_spare(self, tenant: str, state: _Tenant) -> Optional[_Shard]:
+        """*tenant*'s successor and its mapping, once the core preparing
+        it is done: the serving core waits (``lock_wait_ns``)."""
+        ctx = self.ctx
+        ctx.locks.acquire(f"serve-spare:{tenant}", ctx.cpu)
+        ctx.locks.release(f"serve-spare:{tenant}", ctx.cpu)
+        spare, state.spare = state.spare, None
+        if spare is not None:
+            spare.region.tlb = self._tlb
+        return spare
+
+    def _rotate(self, tenant: str, state: _Tenant, need: int) -> None:
+        """Give the shard that becomes active, big enough for a record
+        of *need* bytes, its number — last, when its empty log is
+        durable.  See *Rotation* in the module docstring."""
+        fs, ctx, shards = self.fs, self.ctx, state.shards
         tenant_dir = f"{SERVE_ROOT}/{tenant}"
         if shards:
             seq = int(shards[-1].path.rpartition("/")[2]) + 1
@@ -274,18 +336,28 @@ class FSObjStorage(ObjStorage):
                     fs.mkdir(path, ctx)
                 except ExistsError:
                     pass
-        path, unnamed = f"{tenant_dir}/{seq:08d}", f"{tenant_dir}/new"
-        try:
-            f = fs.create(unnamed, ctx)
-        except ExistsError:
-            fs.unlink(unnamed, ctx)
-            f = fs.create(unnamed, ctx)
-        f.fallocate(0, -(-need // HUGE_PAGE) * HUGE_PAGE, ctx)
-        shard = _Shard(path, f.mmap(ctx, tlb=self._tlb))
-        shard.region.write(0, _WORD[_FREE], ctx)
-        f.fsync(ctx)
-        f.close()
-        fs.rename(unnamed, path, ctx)
+        arrived = ctx.now
+        shard = self._take_spare(tenant, state)
+        if shard is not None and shard.size < need:
+            shard.region.unmap()
+            shard = None
+        if shard is None or ctx.now > arrived:
+            self._events["stall"].value += 1
+        if shard is None:
+            size = -(-need // HUGE_PAGE) * HUGE_PAGE
+            try:
+                shard = self._prepare(tenant, size, ctx, self._tlb)
+            except NoSpaceError:
+                held = [(other, holder) for other, holder
+                        in self._tenants.items() if holder.spare]
+                if not held:
+                    raise
+                for other, holder in held:
+                    self._take_spare(other, holder).region.unmap()
+                    fs.unlink(f"{SERVE_ROOT}/{other}/new", ctx)
+                shard = self._prepare(tenant, size, ctx, self._tlb)
+        shard.path = f"{tenant_dir}/{seq:08d}"
+        fs.rename(f"{tenant_dir}/new", shard.path, ctx)
         shards.append(shard)
         self._events["rotate"].value += 1
 
@@ -296,7 +368,7 @@ class FSObjStorage(ObjStorage):
         need = _record_size(len(data))
         rotated = not shards or shards[-1].tail + need > shards[-1].size
         if rotated:
-            self._rotate(tenant, shards, need)
+            self._rotate(tenant, state, need)
         shard = shards[-1]
         offset = shard.tail
         # everything after the state word, then the word that ends the
@@ -310,6 +382,7 @@ class FSObjStorage(ObjStorage):
         shard.live += 1
         state.where[obj_id] = (shard, offset, len(data))
         if rotated:
+            self._prepare_ahead(tenant, state)
             # the shard just sealed, and any a crash left empty
             for sealed in [s for s in shards[:-1]
                            if s is shards[-2] or not s.live]:

@@ -21,13 +21,18 @@ Five suites, matching the layer's five claims:
   and an EROFS degrade, across ``mkfs`` and a crash-remount under a
   live storage, and on a restored image that already holds shards —
   and pins the commit protocol (a body without its commit word is
-  invisible and overwritten; at every fence of a put or delete a crash
-  image recovers to whole, acknowledged objects), the space rule, and
-  what a warm answer is charged.
+  invisible and overwritten; at every fence of a put, a delete or a
+  background prepare a crash image recovers to whole, acknowledged
+  objects), the successor prepared on the idle core (an early rotation
+  waits to exactly the prepare's end; one CPU reproduces the clocks of
+  the commit before successors existed; idle successors are given up
+  before a put is refused), the space rule, and what a warm answer is
+  charged.
 * **Faults** — a seeded fault campaign against a served WineFS burns
   the service error budget and degrades the mount but never crashes the
   server; masked vs surfaced outcomes land in the ledger and the
-  degraded interval lands on the timeline.
+  degraded interval lands on the timeline; its allocator blip meets, by
+  seed, a first rotation (a refused put) or a background prepare (none).
 * **Snapshots** — an aged backend restored from the snapshot cache
   serves byte-identical results to a freshly re-aged one, and a corrupt
   snapshot falls back to re-aging while counting a
@@ -51,6 +56,7 @@ from repro.faults import (FaultPlan, FaultSpec, crash_plan,
                           serve_campaign_plan)
 from repro.harness.setup import SPECS_BY_NAME, fresh_fs
 from repro.obs import Telemetry, evaluate_frame, frame_of
+from repro.obs.trace import Tracer
 from repro.obs.names import METRIC_NAMES
 from repro.mmu.mmap_region import MappedRegion
 from repro.params import HUGE_PAGE, KIB, MIB
@@ -74,10 +80,10 @@ INDEX_SEEDS = range(max(20, int(os.environ.get("REPRO_SERVE_SEEDS", "0"))))
 
 
 def make_fs_storage(name: str, size: int = SERVE_SIZE,
-                    num_cpus: int = SERVE_CPUS) -> FSObjStorage:
+                    num_cpus: int = SERVE_CPUS, trace=None) -> FSObjStorage:
     device = PMDevice(size)
     fs = SPECS_BY_NAME[name].build(device, num_cpus, track_data=True)
-    ctx = make_context(num_cpus)
+    ctx = make_context(num_cpus, trace=trace)
     fs.mkfs(ctx)
     return FSObjStorage(fs, ctx, label=name)
 
@@ -752,10 +758,10 @@ def _used(fs):
 @pytest.mark.parametrize("name", FS_NAMES)
 def test_delete_leaves_nothing_behind(name):
     """The reclamation rule, from the outside: 200 objects put and
-    deleted return used blocks and the inode count to within the one
-    active shard of where an empty service stood; with a random half
-    deleted, space in use is at most twice the live bytes plus that one
-    shard."""
+    deleted return used blocks and the inode count to where an empty
+    service stood, with its active shard and its prepared successor;
+    with a random half deleted, space in use is at most twice the live
+    bytes plus those two shards."""
     live = make_fs_storage(name)
     fs = live.fs
     block = fs.statfs().block_size
@@ -770,8 +776,8 @@ def test_delete_leaves_nothing_behind(name):
     blocks, files = _used(fs)
     assert files == empty_files
     assert blocks == empty_blocks
-    assert fs.readdir("/srv/t", live.ctx) \
-        == [live._tenants["t"].shards[-1].path.rpartition("/")[2]]
+    assert sorted(fs.readdir("/srv/t", live.ctx)) \
+        == [live._tenants["t"].shards[-1].path.rpartition("/")[2], "new"]
     assert _scan_storage(live).list_objects("t") == []
 
     ids = [live.put("t", data) for data in payloads]
@@ -782,9 +788,9 @@ def test_delete_leaves_nothing_behind(name):
             live.delete("t", obj_id)
     live_bytes = sum(len(data) for data, obj_id in zip(payloads, ids)
                      if obj_id not in doomed)
-    # the empty service held exactly one (active) shard
-    in_shards = (_used(fs)[0] - empty_blocks) * block + HUGE_PAGE
-    assert live_bytes < in_shards <= 2 * live_bytes + HUGE_PAGE
+    # the empty service held the active and the prepared shard
+    in_shards = (_used(fs)[0] - empty_blocks) * block + 2 * HUGE_PAGE
+    assert live_bytes < in_shards <= 2 * live_bytes + 2 * HUGE_PAGE
     assert _index_series(live)["serve_shard_events_total", "compact"] >= 1
     survivors = sorted(set(ids) - doomed)
     assert live.list_objects("t") == survivors
@@ -800,9 +806,11 @@ def test_shard_emptied_while_active_goes_when_sealed():
     ids = [live.put("t", bytes([i]) * (600 * KIB)) for i in range(3)]
     for obj_id in ids:
         live.delete("t", obj_id)
-    assert live.fs.readdir("/srv/t", live.ctx) == ["00000000"]
+    assert sorted(live.fs.readdir("/srv/t", live.ctx)) \
+        == ["00000000", "new"]
     last = live.put("t", b"\xff" * (600 * KIB))           # does not fit
-    assert live.fs.readdir("/srv/t", live.ctx) == ["00000001"]
+    assert sorted(live.fs.readdir("/srv/t", live.ctx)) \
+        == ["00000001", "new"]
     assert _scan_storage(live).list_objects("t") == [last]
     series = _index_series(live)
     assert series["serve_shard_events_total", "unlink"] == 1
@@ -810,8 +818,12 @@ def test_shard_emptied_while_active_goes_when_sealed():
 
 
 def test_oversized_object_gets_its_own_rounded_shard():
+    """A record the prepared 2 MiB successor cannot hold: the successor
+    is given up, the 4 MiB shard is prepared by the rotation itself (a
+    stall), and the idle core prepares the one ``new`` there is."""
     live = make_fs_storage("WineFS")
     small = live.put("t", b"in the first shard")
+    assert live._tenants["t"].spare.size == HUGE_PAGE
     big = bytes(range(256)) * (9 * KIB)             # 2.25 MiB
     obj_id = live.put("t", big)
     shards = live._tenants["t"].shards
@@ -819,6 +831,13 @@ def test_oversized_object_gets_its_own_rounded_shard():
     assert live.get("t", obj_id) == big
     assert _scan_storage(live).get("t", obj_id) == big
     assert _scan_storage(live).list_objects("t") == sorted([small, obj_id])
+    assert sorted(live.fs.readdir("/srv/t", live.ctx)) \
+        == ["00000000", "00000001", "new"]
+    assert live._tenants["t"].spare.size == HUGE_PAGE
+    assert live.fs.getattr("/srv/t/new").blocks * 4 * KIB == HUGE_PAGE
+    series = _index_series(live)
+    assert series["serve_shard_events_total", "rotate"] == 2
+    assert series["serve_shard_events_total", "stall"] == 2
 
 
 def test_non_shard_names_are_ignored():
@@ -834,7 +853,7 @@ def test_non_shard_names_are_ignored():
     assert len(scan._tenants["t"].shards) == 1
     assert scan.put("t", b"a second object")
     assert sorted(fs.readdir("/srv/t", ctx)) == sorted(
-        ["00000000", "0000000x", "123", "README", "lost+found"])
+        ["00000000", "0000000x", "123", "README", "lost+found", "new"])
 
 
 @pytest.mark.parametrize("dies_in", ["fallocate", "fsync", "rename"])
@@ -855,8 +874,243 @@ def test_rotation_that_died_left_no_shard(dies_in):
     assert live.list_objects("t") == []
     assert live._tenants["t"].shards == []
     obj_id = live.put("t", b"stored by the next rotation")
-    assert fs.readdir("/srv/t", live.ctx) == ["00000000"]
+    assert sorted(fs.readdir("/srv/t", live.ctx)) == ["00000000", "new"]
     assert _scan_storage(live).list_objects("t") == [obj_id]
+
+
+# -- the successor prepared on the idle core ----------------------------------
+
+def _fill(live, tenant, count, size=900 * KIB, tag=0):
+    """*count* distinct objects of *size* bytes: two fill a shard."""
+    return [live.put(tenant, bytes([tag + i]) * size) for i in range(count)]
+
+
+def test_rotation_that_outruns_the_prepare_waits_to_exactly_its_end():
+    """Causality between the two cores goes through the lock manager:
+    the prepare starts at the serving core's now, and a rotation that
+    arrives before the idle core is done jumps to exactly that time —
+    a ``lock.wait`` span, ``lock_wait_ns``, and a ``stall``."""
+    live = make_fs_storage("NOVA", trace=Tracer())
+    fs, ctx = live.fs, live.ctx
+    live.put("t", b"\x00" * (900 * KIB))
+    (begun,) = [span.start_ns for span in ctx.trace.spans()
+                if span.name == "vfs.create" and span.cpu == 1]
+    assert begun == ctx.now                  # right after the commit word
+    live.put("t", b"\x01" * (900 * KIB))
+    done = ctx.clock.now(1)
+    arrives = ctx.now + fs.machine.dram_load_ns     # the warm probe
+    assert arrives < done and ctx.counters.lock_wait_ns == 0
+    ctx.trace.clear()
+    live.put("t", b"\x02" * (900 * KIB))            # does not fit
+    waits = [span for span in ctx.trace.spans() if span.name == "lock.wait"
+             and span.attrs["lock"] == "serve-spare:t"]
+    assert [(w.cpu, w.start_ns, w.end_ns) for w in waits] \
+        == [(0, arrives, done)]
+    assert ctx.counters.lock_wait_ns >= done - arrives
+    (renamed,) = [span.start_ns for span in ctx.trace.spans()
+                  if span.name == "vfs.rename"]
+    assert renamed == done
+    assert _index_series(live)["serve_shard_events_total", "stall"] == 2
+    # a rotation that comes late enough waits for nothing
+    ctx.clock.advance_to(0, ctx.clock.now(1))
+    waited = ctx.counters.lock_wait_ns
+    _fill(live, "t", 2, tag=3)
+    assert ctx.counters.lock_wait_ns == waited
+    series = _index_series(live)
+    assert (series["serve_shard_events_total", "rotate"],
+            series["serve_shard_events_total", "stall"]) == (3, 2)
+
+
+#: clock and non-zero counters of :func:`_fixed_stream` on a one-CPU
+#: backend, recorded from the commit before successors existed
+_ONE_CPU_GOLDEN = {
+    "WineFS": ([2943789.707937088], {
+        "page_faults_2m": 10, "tlb_misses": 10, "tlb_hits": 68,
+        "pm_bytes_read": 3686400, "pm_bytes_written": 17130264,
+        "fault_ns": 26000.0, "copy_ns": 1341787.948567317,
+        "journal_ns": 17398.81202110872, "syscalls": 55}),
+    "ext4-DAX": ([3154229.849352326], {
+        "page_faults_2m": 10, "tlb_misses": 10, "tlb_hits": 68,
+        "pm_bytes_read": 3686400, "pm_bytes_written": 17102368,
+        "fault_ns": 1528403.846153846, "copy_ns": 1341787.948567317,
+        "journal_ns": 205095.13005183294, "syscalls": 55}),
+    "NOVA": ([2939211.493076033], {
+        "page_faults_2m": 10, "tlb_misses": 10, "tlb_hits": 68,
+        "pm_bytes_read": 3686400, "pm_bytes_written": 17107488,
+        "fault_ns": 26000.0, "copy_ns": 1341787.948567317,
+        "journal_ns": 4766.797814002412, "syscalls": 55}),
+}
+
+
+def _fixed_stream(storage) -> None:
+    """Two tenants, 600 KiB objects (three to a shard), three of every
+    five deleted, then a record that needs a 4 MiB shard: nine
+    rotations, four compactions, four unlinks."""
+    rng = random.Random(18)
+    ids = []
+    for i in range(20):
+        tenant = "t%d" % (i % 2)
+        ids.append((tenant, storage.put(tenant, rng.randbytes(600 * KIB))))
+        if i % 5 == 4:
+            for tenant, obj_id in ids[i - 4:i - 1]:
+                storage.delete(tenant, obj_id)
+    storage.put("t0", rng.randbytes(2300 * KIB))
+    for tenant, obj_id in ids[-2:]:
+        assert compute_obj_id(storage.get(tenant, obj_id)) == obj_id
+
+
+@pytest.mark.parametrize("name", sorted(_ONE_CPU_GOLDEN))
+def test_one_cpu_backend_prepares_every_shard_as_before(name):
+    """No idle core, no successor: the same code runs every prepare on
+    the serving core, in the parent commit's order at its cost."""
+    live = make_fs_storage(name, num_cpus=1)
+    _fixed_stream(live)
+    counters = live.ctx.counters.as_dict()
+    assert (live.ctx.clock.snapshot(),
+            {key: n for key, n in counters.items() if n}) \
+        == _ONE_CPU_GOLDEN[name]
+    series = _index_series(live)
+    assert [series["serve_shard_events_total", event] for event in
+            ("rotate", "compact", "unlink", "stall")] == [9, 4, 4, 9]
+    assert all(state.spare is None for state in live._tenants.values())
+    assert "new" not in live.fs.readdir("/srv/t0", live.ctx)
+    # the same stream beside an idle core: same objects, and only the
+    # two cold rotations and the oversized record prepare for themselves
+    beside = make_fs_storage(name)
+    _fixed_stream(beside)
+    assert dump_objects(beside, ["t0", "t1"]) \
+        == dump_objects(live, ["t0", "t1"])
+    assert beside.sim_ns() < 0.75 * live.sim_ns()
+    assert beside.ctx.clock.elapsed < 0.8 * live.ctx.clock.elapsed
+
+
+@pytest.mark.parametrize("name", ["NOVA", "WineFS", "ext4-DAX"])
+def test_first_touch_of_a_prepared_shard_is_a_tlb_miss_not_a_fault(name):
+    """The page-table entry the idle core faulted in (zeroing included,
+    on ext4-DAX) is handed over with the mapping; the serving core's
+    TLB has never seen it."""
+    live = make_fs_storage(name, trace=Tracer())
+    ctx = live.ctx
+    _fill(live, "t", 2)
+    ctx.clock.advance_to(0, ctx.clock.now(1))       # the successor is ready
+    ctx.trace.clear()
+    faults, misses = ctx.counters.page_faults, ctx.counters.tlb_misses
+    syscalls = ctx.counters.syscalls
+    _fill(live, "t", 1, tag=2)                      # rotates onto it
+    # the next successor's fault (and its first miss) are the idle core's
+    assert [span.cpu for span in ctx.trace.spans()
+            if span.name == "mmu.fault"] == [1]
+    assert ctx.counters.page_faults == faults + 1
+    assert ctx.counters.tlb_misses == misses + 2
+    assert ctx.counters.page_faults_4k == 0
+    # the serving core's whole rotation is one rename; the idle core's
+    # prepare is create, fallocate, mmap, fsync
+    assert [span.name for span in ctx.trace.spans()
+            if span.name.startswith("vfs.") and span.cpu == 0] \
+        == ["vfs.rename"]
+    assert ctx.counters.syscalls == syscalls + 5
+    assert _index_series(live)["serve_shard_events_total", "stall"] == 1
+
+
+@pytest.mark.parametrize("name", FS_NAMES)
+def test_idle_successors_are_given_up_before_a_put_is_refused(name):
+    """Free space under one shard while three tenants hold idle
+    successors: a fourth tenant's first put meets ENOSPC, the three
+    ``new`` files are unmapped and unlinked, and the retry succeeds."""
+    live = make_fs_storage(name)
+    fs, ctx = live.fs, live.ctx
+    ids = {tenant: live.put(tenant, tenant.encode() * 100)
+           for tenant in ("a", "b", "c")}
+    stats = fs.statfs()
+    fs.create("/ballast", ctx).fallocate(
+        0, stats.free_blocks * stats.block_size - MIB, ctx)
+    fourth = live.put("d", b"a fourth tenant's first put")
+    assert {tenant: sorted(fs.readdir(f"/srv/{tenant}", ctx))
+            for tenant in "abcd"} == {
+        "a": ["00000000"], "b": ["00000000"], "c": ["00000000"],
+        "d": ["00000000", "new"]}
+    assert [live._tenants[tenant].spare is None for tenant in "abcd"] \
+        == [True, True, True, False]
+    assert live.get("d", fourth) == b"a fourth tenant's first put"
+    assert all(live.get(tenant, obj_id) == tenant.encode() * 100
+               for tenant, obj_id in ids.items())
+    assert _index_series(live)[
+        "serve_index_invalidations_total", "error"] == 0
+    # the same again costs the fourth tenant its successor; with nothing
+    # left to give up, a shard more than the device holds is refused,
+    # and that costs the tenant its warm state as before
+    fs.create("/ballast2", ctx).fallocate(
+        0, fs.statfs().free_blocks * stats.block_size - MIB, ctx)
+    _fill(live, "a", 4)
+    assert not any(state.spare for state in live._tenants.values())
+    with pytest.raises(NoSpaceError):
+        _fill(live, "a", 1, tag=4)
+    assert "a" not in live._tenants
+    assert live.get("a", ids["a"]) == b"a" * 100
+    assert len(live.list_objects("a")) == 5
+
+
+def test_background_prepare_killed_by_enospc_fails_no_verb():
+    """An injected allocator ENOSPC under the idle core's prepare: no
+    successor, no error, no invalidation; the next rotation prepares its
+    own shard — and if the allocator still refuses, that put is the one
+    answered ENOSPC, the tenant dropped, nothing acknowledged lost."""
+    live = make_fs_storage("WineFS")
+    # allocator call 0 is the first rotation's, call 1 the successor's
+    plan = FaultPlan(1, [FaultSpec("enospc", at_op=1, count=1),
+                         FaultSpec("enospc", at_op=4, count=2)])
+    live.fs.attach_fault_plan(plan)
+    ids = _fill(live, "t", 2)
+    assert plan.count("enospc", "surfaced") == 1
+    assert live._tenants["t"].spare is None
+    ids += _fill(live, "t", 2, tag=2)               # call 2 (and 3, ahead)
+    series = _index_series(live)
+    assert (series["serve_shard_events_total", "rotate"],
+            series["serve_shard_events_total", "stall"]) == (2, 2)
+    assert series["serve_index_invalidations_total", "error"] == 0
+    assert live._tenants["t"].spare is not None
+    ids += _fill(live, "t", 2, tag=4)               # call 4 fails, ahead
+    assert live._tenants["t"].spare is None
+    assert live.list_objects("t") == sorted(ids)
+    with pytest.raises(NoSpaceError):
+        _fill(live, "t", 1, tag=6)                  # call 5 fails, here
+    assert "t" not in live._tenants
+    assert _index_series(live)[
+        "serve_index_invalidations_total", "error"] == 1
+    ids += _fill(live, "t", 1, tag=6)               # the blip is over
+    for storage in (live, _scan_storage(live)):
+        assert storage.list_objects("t") == sorted(ids)
+    assert sorted(live.fs.readdir("/srv/t", live.ctx)) \
+        == ["00000000", "00000001", "00000002", "00000003", "new"]
+
+
+@pytest.mark.parametrize("name", FS_NAMES)
+def test_zero_length_shard_name_is_skipped_and_replaced(name):
+    """An eight-digit file with nothing in it cannot be mapped: a scan
+    passes over it like any foreign name, and the rotation that reaches
+    its number renames the new shard over it."""
+    live = make_fs_storage(name)
+    ids = _fill(live, "t", 2)
+    live.fs.create("/srv/t/00000001", live.ctx).close()
+    cold = _scan_storage(live)
+    assert cold.list_objects("t") == sorted(ids)
+    assert cold.get("t", ids[0]) == bytes([0]) * (900 * KIB)
+    assert len(cold._tenants["t"].shards) == 1
+    ids += _fill(cold, "t", 1, tag=2)               # rotates to number 1
+    assert live.fs.getattr("/srv/t/00000001").size == HUGE_PAGE
+    scan = _scan_storage(live)
+    assert scan.list_objects("t") == sorted(ids)
+    assert scan.get("t", ids[2]) == bytes([2]) * (900 * KIB)
+    assert [shard.path[-8:] for shard in scan._tenants["t"].shards] \
+        == ["00000000", "00000001"]
+    # and a tenant that holds nothing else
+    live.fs.mkdir("/srv/u", live.ctx)
+    live.fs.create("/srv/u/00000007", live.ctx).close()
+    assert live.list_objects("u") == []
+    first = live.put("u", b"lands in shard 0")
+    assert live.get("u", first) == b"lands in shard 0"
+    assert sorted(live.fs.readdir("/srv/u", live.ctx)) \
+        == ["00000000", "00000007", "new"]
 
 
 # -- the commit protocol ------------------------------------------------------
@@ -934,14 +1188,16 @@ def test_compaction_dying_before_its_unlink_resurrects_nothing():
     written = live.ctx.counters.pm_bytes_written
     assert live.list_objects("t") == sorted(ids[2:])        # rescans
     assert live.ctx.counters.pm_bytes_written == written
-    assert sorted(fs.readdir("/srv/t", live.ctx)) == ["00000000", "00000001"]
+    assert sorted(fs.readdir("/srv/t", live.ctx)) \
+        == ["00000000", "00000001", "new"]
     stale, active = live._tenants["t"].shards
     assert (stale.live, live._tenants["t"].where[ids[2]][0]) == (0, active)
     live.delete("t", ids[2])
     assert live.list_objects("t") == [ids[3]]
     assert _scan_storage(live).list_objects("t") == [ids[3]]
     live.put("t", bytes([9]) * (1200 * KIB))                # rotates
-    assert sorted(fs.readdir("/srv/t", live.ctx)) == ["00000001", "00000002"]
+    assert sorted(fs.readdir("/srv/t", live.ctx)) \
+        == ["00000001", "00000002", "new"]
     assert _scan_storage(live).list_objects("t") == live.list_objects("t")
 
 
@@ -959,24 +1215,32 @@ def _crash_points(device, verb):
 
 
 def _recovered_objects(image, tenant):
-    """What a cold scan serves from a crash image, SHA-256-checked."""
+    """What a cold scan serves from a crash image, SHA-256-checked, and
+    whether the image holds a ``new`` — which the scan must not have
+    opened: it pays one readdir, then open + mmap per numbered shard."""
     fs = SPECS_BY_NAME["WineFS"].build(image, SERVE_CPUS, track_data=True)
     ctx = make_context(SERVE_CPUS)
     fs.mount(ctx)
     storage = FSObjStorage(fs, ctx)
+    syscalls = ctx.counters.syscalls
     ids = storage.list_objects(tenant)
+    shards = storage._tenants[tenant].shards
+    assert all(shard.path[-8:].isdigit() for shard in shards)
+    assert ctx.counters.syscalls == syscalls + 1 + 2 * len(shards)
     for obj_id in ids:
         assert compute_obj_id(storage.get(tenant, obj_id)) == obj_id
-    return ids
+    return ids, fs.exists(f"/srv/{tenant}/new")
 
 
 def test_crash_at_every_fence_serves_whole_acknowledged_objects():
     """Durability at the service, on WineFS with every store tracked:
-    crash before any fence of a put or delete (two rotations, a
-    compaction and its unlink included) and a cold scan of the recovered
-    image lists the acknowledged-live ids, with or without the verb in
-    flight — never a record whose bytes do not hash to its id, never a
-    deleted one back — and, once the verb returned, exactly its outcome."""
+    crash before any fence of a put or delete (five rotations, two
+    compactions and their unlinks, and every background prepare
+    included) and a cold scan of the recovered image lists the
+    acknowledged-live ids, with or without the verb in flight — never a
+    record whose bytes do not hash to its id, never a deleted one back,
+    never reading ``new`` — and, once the verb returned, exactly its
+    outcome, a finished but unpublished successor beside the shards."""
     device = PMDevice(SERVE_SIZE, track_stores=True)
     fs = SPECS_BY_NAME["WineFS"].build(device, SERVE_CPUS, track_data=True)
     ctx = make_context(SERVE_CPUS)
@@ -984,17 +1248,21 @@ def test_crash_at_every_fence_serves_whole_acknowledged_objects():
     live = FSObjStorage(fs, ctx)
     device.drain()
     rng = random.Random(15)
-    a, b, c, d, e, f = (rng.randbytes(size) for size in
-                        (900 * KIB, 900 * KIB, 60, 900 * KIB, 5000,
-                         1200 * KIB))
-    # a, b, c fill shard 0; d rotates; a and b dying leave sealed shard 0
-    # over half dead, so c is compacted into shard 1 and shard 0 unlinked;
-    # f rotates onto shard 0's blocks, which still hold its old records
+    a, b, c, d, e, f, g, h = (rng.randbytes(size) for size in
+                              (900 * KIB, 900 * KIB, 60, 1100 * KIB, 5000,
+                               1200 * KIB, 900 * KIB, 1200 * KIB))
+    # a, b, c fill shard 0; d rotates onto the first prepared successor;
+    # a and b dying leave sealed shard 0 over half dead, so c is
+    # compacted into shard 1 and shard 0 unlinked; f rotates; d dying
+    # compacts e out of shard 1, whose blocks — e's stale live record
+    # among them — the idle core recycles for the successor it prepares
+    # when g rotates; e is deleted in its new home; h rotates onto them
     script = [("put", a), ("put", b), ("put", c), ("put", d),
               ("delete", a), ("delete", b), ("put", e), ("delete", c),
-              ("put", f)]
+              ("put", f), ("delete", d), ("delete", e), ("put", g),
+              ("put", h)]
     acknowledged = set()
-    points = 0
+    points = unpublished = 0
     homes = []
     for op, data in script:
         homes.append(live._tenants["t"].shards[-1].region._segments(0, 8)
@@ -1008,17 +1276,23 @@ def test_crash_at_every_fence_serves_whole_acknowledged_objects():
                 acknowledged - {obj_id}
         for image in _crash_points(device, verb):
             points += 1
-            assert set(_recovered_objects(image, "t")) \
-                in (acknowledged, after), (op, obj_id)
+            ids, has_new = _recovered_objects(image, "t")
+            unpublished += has_new
+            assert set(ids) in (acknowledged, after), (op, obj_id)
         acknowledged = after
+        # between a finished prepare and its publish
         assert _recovered_objects(device.crash_image(), "t") \
-            == sorted(acknowledged)
+            == (sorted(acknowledged), True)
     series = _index_series(live)
-    assert series["serve_shard_events_total", "rotate"] == 3
-    assert series["serve_shard_events_total", "compact"] == 1
-    assert series["serve_shard_events_total", "unlink"] == 1
-    assert live._tenants["t"].shards[-1].region._segments(0, 8) == homes[1]
-    assert points > 60
+    assert series["serve_shard_events_total", "rotate"] == 5
+    assert series["serve_shard_events_total", "compact"] == 2
+    assert series["serve_shard_events_total", "unlink"] == 2
+    # the cold tenant's first rotation, and four that outran the idle
+    # core (such a put is some 70 simulated us, a prepare over 150)
+    assert series["serve_shard_events_total", "stall"] == 5
+    # h's shard sits where shard 1 was, on e's stale record
+    assert live._tenants["t"].shards[-1].region._segments(0, 8) == homes[4]
+    assert points > 150 and points > unpublished > 100
 
 
 def test_clean_load_reports_index_health(tmp_path):
@@ -1049,6 +1323,12 @@ def test_clean_load_reports_index_health(tmp_path):
     assert {labels.count("event=") for labels in events} == {1}
     assert all(n >= tenants for labels, n in events.items()
                if 'event="rotate"' in labels)
+    # a cold tenant's first rotation finds no successor: the fallback
+    # is counted, and never more often than there were rotations
+    for backend in ("NOVA", "WineFS"):
+        stalls = events[f'{{backend="{backend}",event="stall"}}']
+        assert tenants <= stalls \
+            <= events[f'{{backend="{backend}",event="rotate"}}']
     lines = openmetrics_lines(report["frame"])
     assert f'serve_index_walks_total{{backend="WineFS"}} {tenants}' in lines
     assert "# TYPE serve_index_invalidations_total counter" in lines
@@ -1057,39 +1337,52 @@ def test_clean_load_reports_index_health(tmp_path):
     assert "# TYPE serve_shard_events_total counter" in lines
     assert 'serve_shard_events_total{backend="NOVA",event="unlink"} 0' \
         in lines
+    assert f'serve_shard_events_total{{backend="NOVA",event="stall"}} ' \
+           f'{tenants}' in lines
 
 
 # -- fault campaign against a served file system ------------------------------
 
 def test_serve_fault_campaign_degrades_but_never_crashes():
-    """The satellite-2 scenario end to end: a seeded fault plan mid-load
+    """The served campaign end to end: a seeded fault plan mid-load
     burns the service error budget; a post-crash scar degrades the mount
     to read-only (EROFS put *responses*, not server crashes); a heal
     closes the degraded interval into an MTTR sample."""
-    fs, ctx = fresh_fs("WineFS", size_gib=0.0625, num_cpus=SERVE_CPUS,
-                       track_data=True)
-    backend = FSObjStorage(fs, ctx)
-    # The file system sees a tenant's traffic only when a shard is
-    # rotated in, so the campaign's allocator blip (its ninth call) needs
-    # a dozen tenants to be reached, and its failing block write, which
-    # fires on the write(2) path, stays inert.  The masked damage is a
-    # bad line in t00's free shard space, healed by the put that covers it.
-    backend.put("t00", b"maps t00's first shard")
-    shard = backend._tenants["t00"].shards[-1]
-    (free_addr, _run), = shard.region._segments(shard.tail + 256, 64)
+    def fresh():
+        return fresh_fs("WineFS", size_gib=0.0625, num_cpus=SERVE_CPUS,
+                        track_data=True)
+    # The campaign as `serve_cell` runs it: attached to a fresh file
+    # system, four tenants.  At seed 3 its allocator blip opens on the
+    # first tenant's background prepare (no failed verb) and is still
+    # open for the second tenant's first rotation, which has no idle
+    # successor to give up: one ENOSPC response.  The masked damage is a
+    # bad line under free space in the first shard — found on a twin,
+    # since a fresh image places it deterministically — which the first
+    # put's body covers and heals.
+    twin = FSObjStorage(*fresh())
+    twin.put("t00", b"maps the first shard")
+    (free_addr, _run), = twin._tenants["t00"].shards[-1].region._segments(
+        256, 64)
+    fs, ctx = fresh()
     campaign = serve_campaign_plan(3)
     plan = FaultPlan(campaign.seed, [*campaign.specs, FaultSpec(
         "poison", addr=free_addr - free_addr % 64, length=64)])
     fs.attach_fault_plan(plan)
+    backend = FSObjStorage(fs, ctx)
     telemetry = Telemetry(tag="serve-campaign")
     mux = ObjStorageMultiplexer([backend])
     mux.attach_telemetry(telemetry)
-    stream = generate_stream(LoadSpec(seed=3, tenants=12, ops=150))
+    stream = generate_stream(LoadSpec(seed=3, tenants=4, ops=150))
     report = run_load(loopback_client(mux), stream, telemetry=telemetry)
 
     # the campaign surfaced damage into the load, which kept going
     assert report["requests"] == 150
-    assert sum(report["errors"].values()) >= 1
+    # (the refused put, and later verbs on the id it never stored)
+    assert report["errors"] == {"ENOSPC": 1, "ENOENT": 2}
+    assert plan.count("enospc", "surfaced") == 2
+    series = _index_series(backend)
+    assert series["serve_index_invalidations_total", "error"] == 1
+    assert series["serve_shard_events_total", "stall"] >= 5
     telemetry.absorb_fault_plan(fs.name, plan)
     assert telemetry.ledger.fault_total("WineFS", "surfaced") >= 1
     assert telemetry.ledger.fault_total("WineFS", "masked") >= 1
@@ -1132,6 +1425,33 @@ def test_serve_fault_campaign_degrades_but_never_crashes():
     assert len(service) == 1
     assert service[0].budget_burn > 1.0
     assert not service[0].ok
+
+
+def test_serve_campaign_blip_lands_inside_the_warm_up():
+    """The plan's allocator blip is two calls wide and starts within a
+    four-tenant warm-up (calls 0-7: first rotation, then successor, per
+    tenant), so across seeds it is met both ways.  Starting on a first
+    rotation it outlasts the retry that gives up idle successors: an
+    ENOSPC response (two when it starts on the very first, which the
+    refused tenant's next put meets again).  Starting on a background
+    prepare while someone holds a successor to give up: no failed verb.
+    The ledger counts what the allocator raised, either way."""
+    from repro.harness.fleet import serve_cell
+
+    refused = {}
+    for seed in range(12):
+        specs = serve_campaign_plan(seed).specs
+        assert [spec.kind for spec in specs] \
+            == ["latency", "latency", "enospc"]
+        assert specs[-1].at_op in range(8) and specs[-1].count == 2
+        cell = serve_cell({"fs": "WineFS", "seed": seed, "size_gib": 0.0625,
+                           "num_cpus": 2, "ops": 150, "tenants": 4,
+                           "faults": True})
+        assert cell["frame"]["errors"]["faults"]["WineFS"]["enospc"] \
+            == {"injected": 2, "surfaced": 2}
+        refused.setdefault(specs[-1].at_op, set()).add(
+            cell["load"]["errors"].get("ENOSPC", 0))
+    assert refused == {0: {2}, 1: {1}, 2: {1}, 3: {0}, 4: {1}, 6: {1}}
 
 
 def test_media_error_on_a_mapped_read_is_the_requests_error():
@@ -1207,7 +1527,8 @@ def test_poisoned_payload_in_a_compacting_shard_costs_one_object():
     assert cold.get("t", cold.put("t", b"a cold put still lands")) \
         == b"a cold put still lands"
     cold.delete("t", ids[2])                # the header is readable
-    assert live.fs.readdir("/srv/t", live.ctx) == ["00000001"]
+    assert sorted(live.fs.readdir("/srv/t", live.ctx)) \
+        == ["00000001", "new"]
     assert ids[2] not in _scan_storage(live).list_objects("t")
 
 
