@@ -12,7 +12,8 @@ Quick access to the library without writing a script:
 * ``repro serve --load --seeds 1,2`` — seeded multi-tenant object-service
   load over simulated backends (``repro.serve``);
 * ``repro snapshot build --jobs 4`` — archive an aged-image corpus into
-  the sharded snapshot archive (then ``ls``/``scrub``/``gc`` it);
+  the snapshot archive ``aged_fs`` restores from (then ``ls``/``scrub``/
+  ``gc`` it);
 * ``repro scalability --fs WineFS --threads 1,4,16`` — a Fig 10 slice.
 """
 
@@ -343,27 +344,21 @@ def cmd_serve(args) -> int:
 def cmd_snapshot(args) -> int:
     """Build and maintain the sharded aged-image snapshot archive.
 
-    ``build`` fans the (fs × profile × utilization × seed) grid across
-    ``--jobs`` workers and archives every image (byte-identical packs
-    and index for any jobs value); ``ls`` enumerates the index;
+    ``--archive`` defaults to the cache directory ``aged_fs`` restores
+    from.  ``build`` fans the (fs × profile × utilization × seed) grid
+    across ``--jobs`` workers and archives every image (byte-identical
+    packs and index for any jobs value); ``ls`` enumerates the index;
     ``scrub`` re-verifies every record CRC and quarantines damaged
-    packs (exit 1 when it finds any); ``gc`` evicts LRU packs — or,
-    without an archive, LRU ``.snap`` files in ``$REPRO_SNAPSHOT_DIR``
-    — until ``--max-bytes`` holds.
+    packs (exit 1 when it finds any); ``gc`` evicts LRU packs until
+    ``--max-bytes`` holds.
     """
     import json
     import os
 
-    from .snapshot import archive as archive_mod
-    from .snapshot import store as store_mod
+    from .snapshot import Archive, snapshot_dir
 
-    root = args.archive or archive_mod.archive_root()
-
-    def make_archive():
-        if root is None:
-            raise SystemExit("no archive: pass --archive DIR or set "
-                             "$REPRO_SNAPSHOT_ARCHIVE")
-        return archive_mod.Archive(root)
+    root = args.archive or snapshot_dir()
+    archive = Archive(root)  # fails before any aging if the root is unusable
 
     if args.action == "build":
         from .harness.fleet import build_corpus, corpus_matrix
@@ -375,7 +370,6 @@ def cmd_snapshot(args) -> int:
         profiles = sorted(args.profiles.split(","))
         utilizations = sorted(float(u) for u in args.utils.split(","))
         seeds = sorted(int(s) for s in args.seeds.split(","))
-        make_archive()  # fail before aging if the root is unusable
         cells = corpus_matrix(fs_names, profiles, utilizations, seeds,
                               size_gib=args.size_gib, num_cpus=args.cpus,
                               churn_multiple=args.churn,
@@ -401,7 +395,6 @@ def cmd_snapshot(args) -> int:
         return 0
 
     if args.action == "ls":
-        archive = make_archive()
         for key, relpath, offset, length in archive.objects():
             print(f"{key}  {relpath}:{offset}+{length}")
         stats = archive.stats()
@@ -411,7 +404,6 @@ def cmd_snapshot(args) -> int:
         return 0
 
     if args.action == "scrub":
-        archive = make_archive()
         report = archive.scrub()
         print(f"scrubbed {report['files']} file(s), "
               f"{report['objects']} object record(s)")
@@ -422,7 +414,6 @@ def cmd_snapshot(args) -> int:
                   "affected images will re-age on next use")
         return 1 if report["quarantined"] else 0
 
-    # gc: archive packs when an archive is configured, else the flat dir
     max_bytes = args.max_bytes
     if max_bytes is None:
         raw = os.environ.get("REPRO_SNAPSHOT_MAX_BYTES")
@@ -430,17 +421,10 @@ def cmd_snapshot(args) -> int:
             raise SystemExit("gc needs --max-bytes or "
                              "$REPRO_SNAPSHOT_MAX_BYTES")
         max_bytes = int(raw)
-    if root is not None:
-        report = archive_mod.Archive(root).gc(max_bytes)
-        print(f"evicted {len(report['evicted'])} pack(s), freed "
-              f"{report['freed_bytes']:,} bytes "
-              f"({len(report['dropped_keys'])} key(s) dropped)")
-    else:
-        directory = store_mod.snapshot_dir()
-        report = store_mod.evict_lru(directory, max_bytes)
-        print(f"evicted {len(report['evicted'])} snapshot(s) from "
-              f"{directory}, freed {report['freed_bytes']:,} bytes "
-              f"({report['kept_bytes']:,} kept)")
+    report = archive.gc(max_bytes)
+    print(f"evicted {len(report['evicted'])} pack(s), freed "
+          f"{report['freed_bytes']:,} bytes "
+          f"({len(report['dropped_keys'])} key(s) dropped)")
     return 0
 
 
@@ -696,9 +680,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("action", choices=["build", "ls", "scrub", "gc"],
                    help="build: archive an aged-image corpus; ls: list "
                         "objects; scrub: verify CRCs and quarantine "
-                        "damage; gc: evict LRU packs/snapshots")
+                        "damage; gc: evict LRU packs")
     p.add_argument("--archive", metavar="DIR", default=None,
-                   help="archive root (default: $REPRO_SNAPSHOT_ARCHIVE)")
+                   help="archive root (default: $REPRO_SNAPSHOT_DIR, the "
+                        "cache aged_fs restores from)")
     p.add_argument("--jobs", type=_positive_int, default=1,
                    help="worker processes for build (packs and index are "
                         "byte-identical for any value)")

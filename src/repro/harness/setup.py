@@ -199,14 +199,15 @@ def aged_fs(name: str, *, size_gib: float = 1.0, num_cpus: int = 4,
                          seed=seed)
         ager.age(ctx, write_volume=int(churn_multiple * size_gib * GIB))
     _reset_after_setup(fs, ctx)
-    if load_status not in ("hit", "miss"):
-        # the cache had a file for this key but could not serve it; count
-        # the failure (post-reset, so it survives into the run's metrics)
-        ctx.counters.registry.counter("snapshot_load_failures", fs=name,
-                                      reason=load_status).inc()
     if use_cache and fs.device.faults is None:
         snapshot_store.save(key, {"fs": fs, "ctx": ctx}, meta={
             "fs": name, "size_gib": size_gib, "num_cpus": num_cpus,
             "utilization": utilization, "churn_multiple": churn_multiple,
             "profile": profile, "seed": seed, "track_data": track_data})
+    if load_status not in ("hit", "miss"):
+        # the cache had a record for this key but could not serve it; count
+        # the failure post-reset, so it survives into the run's metrics,
+        # and post-save, so it stays out of the image that heals the cache
+        ctx.counters.registry.counter("snapshot_load_failures", fs=name,
+                                      reason=load_status).inc()
     return fs, ctx

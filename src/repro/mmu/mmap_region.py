@@ -582,19 +582,17 @@ class MappedRegion:
 
     def _segments(self, offset: int, size: int) -> List[Tuple[int, int]]:
         """(physical address, length) runs covering [offset, +size)."""
-        out: List[Tuple[int, int]] = []
-        pos = offset
-        end = offset + size
-        while pos < end:
-            block = pos // self.block_size
-            within = pos % self.block_size
-            phys_block = self.extents.physical_block(block)
-            take = min(self.block_size - within, end - pos)
-            out.append((phys_block * self.block_size + within, take))
-            pos += take
-        # merge physically adjacent runs
+        bs = self.block_size
+        first = offset // bs
+        skip = offset - first * bs
         merged: List[Tuple[int, int]] = []
-        for addr, ln in out:
+        for ext in self.extents.slice_logical(
+                first, (offset + size - 1) // bs - first + 1):
+            addr = ext.start * bs + skip
+            ln = min(ext.length * bs - skip, size)
+            size -= ln
+            skip = 0
+            # merge physically adjacent runs
             if merged and merged[-1][0] + merged[-1][1] == addr:
                 merged[-1] = (merged[-1][0], merged[-1][1] + ln)
             else:

@@ -12,11 +12,11 @@ Supported classes:
 * ``fs`` — one simulated file system (any of the nine evaluated
   configurations), mounted fresh or restored from an aged snapshot
   image via :func:`repro.harness.setup.aged_fs` (same cache keys, same
-  bit-identical restore guarantees; with ``$REPRO_SNAPSHOT_ARCHIVE``
-  set the image comes out of the sharded pack archive — e.g. one built
-  by ``repro snapshot build --track-data``; a corrupt or stale snapshot
-  falls back to re-aging and counts a ``snapshot_load_failures``
-  metric);
+  bit-identical restore guarantees; the image comes out of the pack
+  archive under ``$REPRO_SNAPSHOT_DIR`` — e.g. one pre-built there by
+  ``repro snapshot build --track-data``; a corrupt or stale snapshot
+  falls back to re-aging, counts a ``snapshot_load_failures`` metric
+  and is replaced by that run);
 * ``multiplexer`` — a fleet of recursively-built backends behind the
   deterministic tenant router with optional admission control.
 """

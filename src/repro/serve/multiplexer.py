@@ -28,10 +28,10 @@ from __future__ import annotations
 
 import zlib
 from collections import deque
-from typing import Callable, List, Optional, Sequence, TypeVar
+from typing import Callable, Dict, List, Optional, Sequence, Tuple, TypeVar
 
 from ..errors import BusyError, InvalidArgumentError
-from ..obs.metrics import MetricsRegistry
+from ..obs.metrics import Counter, MetricsRegistry
 from .interface import ObjStorage
 
 __all__ = ["ObjStorageMultiplexer"]
@@ -60,6 +60,9 @@ class ObjStorageMultiplexer(ObjStorage):
         self._queues = [deque() for _ in self.backends]
         self._queue_high_water = [0] * len(self.backends)
         self._arrival_ns: Optional[float] = None
+        #: ``serve_requests_total`` handles by (backend index, op): resolving
+        #: one through the registry sorts its labels on every request
+        self._request_counters: Dict[Tuple[int, str], Counter] = {}
 
     # -- routing ------------------------------------------------------------
 
@@ -112,8 +115,12 @@ class ObjStorageMultiplexer(ObjStorage):
         start = backend.sim_ns()
         result = fn(backend)
         self._complete(idx, backend.sim_ns() - start)
-        self.registry.counter("serve_requests_total",
-                              backend=backend.name, op=op).inc()
+        try:
+            counter = self._request_counters[idx, op]
+        except KeyError:
+            counter = self._request_counters[idx, op] = self.registry.counter(
+                "serve_requests_total", backend=backend.name, op=op)
+        counter.value += 1
         return result
 
     # -- verbs --------------------------------------------------------------

@@ -2,33 +2,28 @@
 
 ``codec`` turns a whitelisted object graph into a tagged binary stream
 whose restore is bit-identical (exact floats, preserved dict order and
-shared references); ``store`` wraps it in a content-addressed on-disk
-cache with magic/version/CRC framing so corrupt or stale files fall back
-to re-aging; ``archive`` is the Winery-style sharded pack backend the
-store routes to when ``$REPRO_SNAPSHOT_ARCHIVE`` is set.
-``harness.aged_fs`` is the consumer.
+shared references); ``archive`` is the one on-disk container — a
+Winery-style sharded pack archive with CRC-framed records, an atomically
+published index and fail-closed reads, so corrupt or stale records fall
+back to re-aging; ``store`` is the content-addressed cache over it under
+``$REPRO_SNAPSHOT_DIR``.  ``harness.aged_fs`` is the consumer.
 """
 
-from .archive import Archive, archive_root
-from .codec import (CODEC_VERSIONS, SnapshotDecodeError, SnapshotUnsupported,
-                    decode, encode)
-from .store import (FORMAT_VERSION, cache_key, evict_lru, load, load_ex,
-                    save, snapshot_dir, snapshot_path)
+from .archive import Archive
+from .codec import SnapshotDecodeError, SnapshotUnsupported, decode, encode
+from .store import (FORMAT_VERSION, cache_key, load, load_ex, save,
+                    snapshot_dir)
 
 __all__ = [
     "Archive",
-    "archive_root",
-    "CODEC_VERSIONS",
     "SnapshotDecodeError",
     "SnapshotUnsupported",
     "decode",
     "encode",
     "FORMAT_VERSION",
     "cache_key",
-    "evict_lru",
     "load",
     "load_ex",
     "save",
     "snapshot_dir",
-    "snapshot_path",
 ]

@@ -1,11 +1,13 @@
-"""Winery-style sharded pack archive for aged-image snapshots.
+"""Winery-style sharded pack archive: the one container aged images live in.
 
-The flat store (:mod:`repro.snapshot.store`) keeps one ``<key>.snap``
-file per image — fine for a developer cache, wasteful for a fleet-built
-corpus where hundreds of grid cells share identical payloads (every
-un-ageable PMFS cell, every duplicate parameter point).  This module
-implements the Software Heritage *Winery* object-storage shape on top of
-the same record framing:
+The snapshot cache (:mod:`repro.snapshot.store`) and the fleet corpus
+builder (:func:`repro.harness.fleet.build_corpus`) share this layout and
+differ only in who seals when: the cache seals every image at once into
+a pack of its own, so one image is one evictable file; the builder fills
+one shard in grid order and seals it at ``seal_bytes`` and at the end,
+so a corpus is a few packs and identical payloads (every un-ageable PMFS
+cell, every duplicate parameter point) are stored once.  The shape is
+Software Heritage's *Winery* object storage:
 
 hot write shard
     Each writer appends CRC-framed object records to its own
@@ -24,15 +26,20 @@ index
     ``fcntl`` file lock, so readers always see a complete JSON document
     and concurrent writers serialize their merges.  A ``contents``
     section maps payload digests to the first key that wrote them:
-    later keys with identical payload bytes become *aliases* (index
-    entries sharing the first record's location) and write nothing.
+    later keys with identical payload bytes become *aliases* (entries
+    ``[relpath, offset, length, owner]`` sharing the owner's record) and
+    write nothing.  A record names the key it was written for and is
+    served to that key and its aliases only: an entry that has come to
+    point at other bytes (a shard name re-created after a crash, a pack
+    number reused after an eviction) reads ``corrupt``.  The index is
+    outside input: entries that are malformed, or name anything but this
+    archive's own data files, are ignored.
 
 scrub
     Walks every shard and pack record-by-record, re-verifying each
     record's CRC.  A file with structural damage or a failed CRC is
     moved to ``quarantine/`` and its index entries are dropped, so the
-    next restore of an affected key falls back to re-aging — the same
-    fail-closed contract as the flat store's ``load_ex``.
+    next restore of an affected key falls back to re-aging.
 
 All integrity failures on the read path degrade to the store's statuses
 (``miss`` / ``corrupt`` / ``stale`` / ``decode_error``); nothing in a
@@ -41,10 +48,12 @@ damaged archive can stop a run, only slow it down to cold-aging speed.
 
 from __future__ import annotations
 
+import contextlib
 import fcntl
 import hashlib
 import json
 import os
+import re
 import stat
 import struct
 import tempfile
@@ -53,8 +62,7 @@ from typing import Any, Dict, Iterator, List, Optional, Tuple
 
 from . import codec, store
 
-__all__ = ["Archive", "ARCHIVE_VERSION", "DEFAULT_SEAL_BYTES",
-           "archive_root", "INDEX_SCHEMA"]
+__all__ = ["Archive", "ARCHIVE_VERSION", "DEFAULT_SEAL_BYTES", "INDEX_SCHEMA"]
 
 #: bumped when the pack/record layout changes; packs carry it in their
 #: header so foreign files are quarantined, never misparsed
@@ -73,15 +81,21 @@ _REC_MAGIC = b"ROBJ"
 # record header: magic | store version | key_len | meta_len | payload_len
 _REC_HEAD = struct.Struct("<4sHHIQ")
 _REC_CRC = struct.Struct("<I")
+#: the only files an index entry may name: what this module itself writes
+_DATA_FILE = re.compile(r"(packs/pack-\d+\.pack|shard-[^/\0]+\.write)\Z")
 
 
-def archive_root() -> Optional[str]:
-    """Archive directory from ``$REPRO_SNAPSHOT_ARCHIVE``, or ``None``.
+def _valid_entry(entry: Any) -> bool:
+    """``[relpath, offset >= 0, length > 0]`` (+ owner, for an alias)."""
+    return (isinstance(entry, list) and len(entry) in (3, 4)
+            and all(type(v) is t for v, t in zip(entry, (str, int, int, str)))
+            and _DATA_FILE.match(entry[0]) is not None
+            and entry[1] >= 0 and entry[2] > 0)
 
-    When unset, callers use the flat per-file store; when set, the
-    store's ``save``/``load_ex`` route here instead.
-    """
-    return os.environ.get("REPRO_SNAPSHOT_ARCHIVE") or None
+
+def _owner(key: str, entry: List[Any]) -> str:
+    """The key whose record *entry* points at (itself unless an alias)."""
+    return entry[3] if len(entry) > 3 else key
 
 
 def _frame_record(key: str, meta_blob: bytes, payload: bytes) -> bytes:
@@ -191,13 +205,19 @@ class Archive:
         try:
             with open(self.index_path, "rb") as handle:
                 doc = json.load(handle)
-        except (FileNotFoundError, ValueError, OSError):
-            return {"schema": INDEX_SCHEMA, "objects": {}, "contents": {}}
+        except (ValueError, OSError):
+            doc = None
         if not isinstance(doc, dict) or doc.get("schema") != INDEX_SCHEMA:
-            return {"schema": INDEX_SCHEMA, "objects": {}, "contents": {}}
-        doc.setdefault("objects", {})
-        doc.setdefault("contents", {})
-        return doc
+            doc = {}
+        objects, contents = doc.get("objects"), doc.get("contents")
+        objects = {key: entry for key, entry in objects.items()
+                   if _valid_entry(entry)} if isinstance(objects, dict) else {}
+        # a digest is worth keeping only while the key that stored it lives
+        contents = {digest: key for digest, key in contents.items()
+                    if isinstance(key, str) and key in objects
+                    } if isinstance(contents, dict) else {}
+        return {"schema": INDEX_SCHEMA, "objects": objects,
+                "contents": contents}
 
     def _publish_index(self, doc: Dict[str, Any]) -> None:
         blob = json.dumps(doc, sort_keys=True,
@@ -221,20 +241,25 @@ class Archive:
 
     def put(self, key: str, root_obj: Any,
             meta: Optional[Dict[str, Any]] = None) -> bool:
-        """Encode *root_obj* and store it under *key*.
+        """Encode *root_obj* and store it under *key*, replacing whatever
+        the index held there: the cache's write, where the last writer
+        wins and a damaged image is healed by the run that re-aged it.
 
         Returns False when the graph is unserializable or the directory
-        is unwritable — same soft-failure contract as ``store.save``.
+        is unwritable — snapshotting is an optimization, never a
+        correctness requirement.
         """
         try:
             payload = codec.encode(root_obj)
         except codec.SnapshotUnsupported:
             return False
-        return self.put_payload(key, payload, meta=meta) is not None
+        return self._store(key, payload, meta, replace=True) is not None
 
     def put_payload(self, key: str, payload: bytes,
                     meta: Optional[Dict[str, Any]] = None) -> Optional[str]:
-        """Store already-encoded *payload* bytes under *key*.
+        """Store already-encoded *payload* bytes under *key* unless the
+        index already holds the key (the first writer wins, so re-running
+        a corpus build changes nothing).
 
         The corpus builder encodes in worker processes and archives in
         the parent (in sorted cell order) through this entry point.
@@ -243,38 +268,54 @@ class Archive:
         Returns ``"stored"``, ``"alias"``, or ``"existing"`` on success,
         ``None`` when the directory is unwritable.
         """
+        return self._store(key, payload, meta, replace=False)
+
+    def _store(self, key: str, payload: bytes, meta: Optional[Dict[str, Any]],
+               replace: bool) -> Optional[str]:
         meta_blob = json.dumps(store._canonical(meta or {}), sort_keys=True,
                                separators=(",", ":")).encode("utf-8")
         digest = hashlib.sha256(payload).hexdigest()
         try:
             with _IndexLock(self.root):
                 doc = self._read_index()
-                objects = doc["objects"]
-                if key in objects:
-                    return "existing"
-                alias = doc["contents"].get(digest)
-                if alias is not None and alias in objects:
-                    objects[key] = list(objects[alias])
-                    self._publish_index(doc)
-                    return "alias"
-                record = _frame_record(key, meta_blob, payload)
-                shard = self._path(self.shard_name)
-                with open(shard, "ab") as handle:
-                    if handle.tell() == 0:
-                        handle.write(_pack_header())
-                    offset = handle.tell()
-                    handle.write(record)
-                    handle.flush()
-                    os.fsync(handle.fileno())
-                    size = handle.tell()
-                objects[key] = [self.shard_name, offset, len(record)]
-                doc["contents"][digest] = key
-                if size >= self.seal_bytes:
-                    self._seal_locked(doc)
+                objects, contents = doc["objects"], doc["contents"]
+                old = objects.get(key)
+                if old is not None:
+                    if not replace:
+                        return "existing"
+                    del objects[key]
+                    for stale in [d for d, k in contents.items() if k == key]:
+                        del contents[stale]
+                alias = contents.get(digest)
+                # a replacement is always a fresh record: the one the digest
+                # names may be the very record that just failed this key
+                if alias is not None and old is None:
+                    objects[key] = objects[alias][:3] + [
+                        _owner(alias, objects[alias])]
+                    status = "alias"
+                else:
+                    record = _frame_record(key, meta_blob, payload)
+                    with open(self._path(self.shard_name), "ab") as handle:
+                        if handle.tell() == 0:
+                            handle.write(_pack_header())
+                        offset = handle.tell()
+                        handle.write(record)
+                        handle.flush()
+                        os.fsync(handle.fileno())
+                        size = handle.tell()
+                    objects[key] = [self.shard_name, offset, len(record)]
+                    contents[digest] = key
+                    if size >= self.seal_bytes:
+                        self._seal_locked(doc)
+                    status = "stored"
                 self._publish_index(doc)
+                if old is not None and old[0].startswith("packs/") and all(
+                        entry[0] != old[0] for entry in objects.values()):
+                    with contextlib.suppress(OSError):
+                        os.unlink(self._path(old[0]))  # the pack it orphaned
         except OSError:
             return None
-        return "stored"
+        return status
 
     def _next_pack_name(self) -> str:
         packs_dir = os.path.join(self.root, "packs")
@@ -318,17 +359,26 @@ class Archive:
         entry = self._read_index()["objects"].get(key)
         if entry is None:
             return None, "miss"
+        relpath, offset, length = entry[:3]
+        path = self._path(relpath)
         try:
-            relpath, offset, length = entry
-            with open(self._path(relpath), "rb") as handle:
-                handle.seek(int(offset))
-                blob = handle.read(int(length))
-        except (OSError, TypeError, ValueError):
+            with open(path, "rb") as handle:
+                if offset + length > os.fstat(handle.fileno()).st_size:
+                    return None, "corrupt"
+                handle.seek(offset)
+                blob = handle.read(length)
+        except FileNotFoundError:
+            return None, "miss"  # evicted or replaced under this reader
+        except OSError:
             return None, "corrupt"
+        with contextlib.suppress(OSError):
+            os.utime(path)  # mtime = recency, the order gc evicts in
         parsed = _parse_record(blob, 0)
-        if parsed is None or parsed[4] != len(blob):
+        if parsed is None:
             return None, "corrupt"
-        _key, version, _meta, payload, _end = parsed
+        written_for, version, _meta, payload, end = parsed
+        if end != len(blob) or written_for != _owner(key, entry):
+            return None, "corrupt"
         if version != store.FORMAT_VERSION:
             return None, "stale"
         try:
@@ -343,8 +393,8 @@ class Archive:
         """Yield ``(key, relpath, offset, length)`` in sorted key order."""
         objects = self._read_index()["objects"]
         for key in sorted(objects):
-            relpath, offset, length = objects[key]
-            yield key, relpath, int(offset), int(length)
+            relpath, offset, length = objects[key][:3]
+            yield key, relpath, offset, length
 
     def stats(self) -> Dict[str, Any]:
         doc = self._read_index()
@@ -354,7 +404,7 @@ class Archive:
                 files[name] = os.path.getsize(self._path(name))
             except OSError:
                 continue
-        locations = {tuple(entry) for entry in doc["objects"].values()}
+        locations = {tuple(entry[:3]) for entry in doc["objects"].values()}
         return {
             "objects": len(doc["objects"]),
             "unique_records": len(locations),
@@ -382,12 +432,13 @@ class Archive:
         Returns ``{"files", "objects", "quarantined", "dropped_keys"}``.
         A file is damaged when its header is wrong or any record fails
         to parse/CRC before EOF; damaged files move to ``quarantine/``
-        and every index entry pointing into them (including aliases) is
-        dropped, so affected keys re-age on next use.
+        and every index entry that is not a verified record of its owner
+        (it points into such a file, at no record, or at another key's)
+        is dropped, aliases included, so affected keys re-age on next use.
         """
         with _IndexLock(self.root):
             doc = self._read_index()
-            valid: Dict[str, set] = {}
+            valid: Dict[str, Dict[Tuple[int, int], str]] = {}
             quarantined: List[str] = []
             objects_seen = 0
             for relpath in self._data_files():
@@ -399,14 +450,14 @@ class Archive:
                     quarantined.append(relpath)
                     continue
                 ok = _valid_header(blob)
-                spans = set()
+                spans: Dict[Tuple[int, int], str] = {}
                 offset = _HEADER_LEN
                 while ok and offset < len(blob):
                     parsed = _parse_record(blob, offset)
                     if parsed is None:
                         ok = False
                         break
-                    spans.add((offset, parsed[4] - offset))
+                    spans[offset, parsed[4] - offset] = parsed[0]
                     objects_seen += 1
                     offset = parsed[4]
                 if ok:
@@ -414,7 +465,12 @@ class Archive:
                 else:
                     self._quarantine(relpath)
                     quarantined.append(relpath)
-            dropped = self._drop_invalid_entries(doc, valid)
+            dropped = sorted(
+                key for key, entry in doc["objects"].items()
+                if valid.get(entry[0], {}).get((entry[1], entry[2]))
+                != _owner(key, entry))
+            for key in dropped:
+                del doc["objects"][key]
             self._publish_index(doc)
         return {
             "files": len(valid) + len(quarantined),
@@ -432,21 +488,6 @@ class Archive:
         except OSError:
             pass
         os.replace(self._path(relpath), target)
-
-    @staticmethod
-    def _drop_invalid_entries(doc: Dict[str, Any],
-                              valid: Dict[str, set]) -> List[str]:
-        dropped = []
-        for key, entry in list(doc["objects"].items()):
-            relpath, offset, length = entry
-            if (int(offset), int(length)) not in valid.get(relpath, ()):
-                del doc["objects"][key]
-                dropped.append(key)
-        kept = set(doc["objects"])
-        doc["contents"] = {digest: key
-                           for digest, key in doc["contents"].items()
-                           if key in kept}
-        return sorted(dropped)
 
     def gc(self, max_bytes: int) -> Dict[str, Any]:
         """Evict sealed packs, least-recently-modified first, until the
@@ -488,10 +529,6 @@ class Archive:
                     if entry[0] in gone:
                         del doc["objects"][key]
                         dropped.append(key)
-                kept = set(doc["objects"])
-                doc["contents"] = {digest: key
-                                   for digest, key in doc["contents"].items()
-                                   if key in kept}
                 self._publish_index(doc)
         return {"evicted": evicted, "freed_bytes": freed,
                 "dropped_keys": sorted(dropped)}

@@ -27,9 +27,9 @@ Identity rules (what makes restore bit-identical, not just equal):
   accumulation replays identically.  Sets are encoded in sorted order to
   keep the stream deterministic.
 
-Format v2 (the default) adds a *columnar fast path* on top of the v1
-tagged stream.  Homogeneous containers are encoded in bulk instead of
-tag-by-tag:
+Format v2, the only one :func:`encode` writes, is a *columnar fast path*
+on top of the v1 tagged stream.  Homogeneous containers are encoded in
+bulk instead of tag-by-tag:
 
 - lists/tuples whose elements are all plain ints in int64 range become
   one struct-packed ``<q`` vector (``_T_INTLIST`` / ``_T_INTTUPLE``);
@@ -49,8 +49,9 @@ Every v2 bulk form is an opportunistic rewrite of a v1 form with the
 exact same memoization position (bulk elements are scalars, which are
 never memoized), so shared-ref numbering is identical and anything that
 does not qualify falls back to the v1 tagged path — fail-closed, same
-``SnapshotUnsupported`` semantics.  ``decode`` understands both formats;
-``encode(root, version=1)`` still produces a pure v1 stream.
+``SnapshotUnsupported`` semantics.  ``decode`` understands both formats:
+a pure v1 stream (plain ``_T_STR`` strings, ``_T_OBJECT`` instances with
+inline attribute names) stays decodable forever.
 """
 
 from __future__ import annotations
@@ -64,8 +65,7 @@ from typing import Any, Callable, Dict, List, Optional, Tuple, Type
 
 from ..errors import SimulationError
 
-__all__ = ["SnapshotUnsupported", "SnapshotDecodeError", "CODEC_VERSIONS",
-           "encode", "decode"]
+__all__ = ["SnapshotUnsupported", "SnapshotDecodeError", "encode", "decode"]
 
 
 class SnapshotUnsupported(SimulationError):
@@ -117,9 +117,6 @@ _T_VINT = b"v"
         _T_BYTEARRAY, _T_ARRAY, _T_LIST, _T_TUPLE, _T_DICT, _T_ODICT,
         _T_SET, _T_FROZENSET, _T_REF, _T_OBJECT, _T_SINGLETON, _T_INTLIST,
         _T_INTTUPLE, _T_INTDICT, _T_ISTR, _T_SREF, _T_OBJECT2, _T_VINT))
-
-#: stream format versions :func:`encode` accepts
-CODEC_VERSIONS = (1, 2)
 
 #: zigzag varints qualify for ints in (-2^62, 2^62): the encoded value
 #: stays within the decoder's 70-bit varint guard with room to spare
@@ -307,7 +304,7 @@ def _singletons() -> List[Any]:
 # -- encoder -----------------------------------------------------------------
 
 class _Encoder:
-    def __init__(self, version: int = 2) -> None:
+    def __init__(self) -> None:
         self.out: List[bytes] = []
         self.memo: Dict[int, int] = {}
         self.memo_next = 0
@@ -316,12 +313,11 @@ class _Encoder:
         self.whitelist = _class_whitelist()
         self.filters = _state_filters()
         self.singleton_ids = {id(obj): i for i, obj in enumerate(_singletons())}
-        self.version = version
         self.strings: Dict[str, int] = {}
         self.shapes: Dict[Tuple[str, ...], int] = {}
 
     def _encode_str(self, value: str) -> None:
-        """v2 string: intern-table back-reference or register-and-emit."""
+        """Intern-table back-reference or register-and-emit."""
         out = self.out
         sref = self.strings.get(value)
         if sref is not None:
@@ -362,7 +358,7 @@ class _Encoder:
             return
         kind = type(obj)
         if kind is int:
-            if self.version >= 2 and -_VINT_BOUND < obj < _VINT_BOUND:
+            if -_VINT_BOUND < obj < _VINT_BOUND:
                 out.append(_T_VINT)
                 # zigzag: obj >> 62 is -1 for negatives, 0 otherwise
                 _write_uvarint(out, (obj << 1) ^ (obj >> 62))
@@ -378,13 +374,7 @@ class _Encoder:
             out.append(_F64.pack(obj))
             return
         if kind is str:
-            if self.version >= 2:
-                self._encode_str(obj)
-                return
-            raw = obj.encode("utf-8")
-            out.append(_T_STR)
-            _write_uvarint(out, len(raw))
-            out.append(raw)
+            self._encode_str(obj)
             return
         if kind is bytes:
             out.append(_T_BYTES)
@@ -402,7 +392,7 @@ class _Encoder:
             _write_uvarint(out, singleton)
             return
         if kind is tuple:
-            if self.version >= 2 and obj:
+            if obj:
                 raw = self._pack_ints(obj)
                 if raw is not None:
                     out.append(_T_INTTUPLE)
@@ -438,7 +428,7 @@ class _Encoder:
             out.append(raw)
             return
         if kind is list:
-            if self.version >= 2 and obj:
+            if obj:
                 raw = self._pack_ints(obj)
                 if raw is not None:
                     out.append(_T_INTLIST)
@@ -451,7 +441,7 @@ class _Encoder:
                 self.encode(item)
             return
         if kind is dict or kind is OrderedDict:
-            if self.version >= 2 and obj and kind is dict:
+            if obj and kind is dict:
                 first_k, first_v = next(iter(obj.items()))
                 if type(first_k) is int and type(first_v) is int:
                     flat: List[int] = []
@@ -488,7 +478,7 @@ class _Encoder:
             raise SnapshotUnsupported(
                 f"object of type {tag} is not snapshot-whitelisted")
         out = self.out
-        out.append(_T_OBJECT2 if self.version >= 2 else _T_OBJECT)
+        out.append(_T_OBJECT2)
         class_id = self.class_ids.get(kind)
         if class_id is None:
             class_id = len(self.class_ids)
@@ -501,29 +491,21 @@ class _Encoder:
             _write_uvarint(out, class_id)
         get_state = self.filters.get(kind, _default_get_state)
         state = get_state(obj)
-        if self.version >= 2:
-            # shape = the attribute-name tuple, registered once per
-            # distinct sequence; instances of a class almost always share
-            # one shape, so per-instance name bytes collapse to one varint
-            shape = tuple(name for name, _ in state)
-            shape_id = self.shapes.get(shape)
-            if shape_id is None:
-                shape_id = len(self.shapes)
-                self.shapes[shape] = shape_id
-                _write_uvarint(out, shape_id)
-                _write_uvarint(out, len(shape))
-                for name in shape:
-                    self._encode_str(name)
-            else:
-                _write_uvarint(out, shape_id)
-            for _name, value in state:
-                self.encode(value)
-            return
-        _write_uvarint(out, len(state))
-        for name, value in state:
-            raw = name.encode("utf-8")
-            _write_uvarint(out, len(raw))
-            out.append(raw)
+        # shape = the attribute-name tuple, registered once per distinct
+        # sequence; instances of a class almost always share one shape, so
+        # per-instance name bytes collapse to one varint
+        shape = tuple(name for name, _ in state)
+        shape_id = self.shapes.get(shape)
+        if shape_id is None:
+            shape_id = len(self.shapes)
+            self.shapes[shape] = shape_id
+            _write_uvarint(out, shape_id)
+            _write_uvarint(out, len(shape))
+            for name in shape:
+                self._encode_str(name)
+        else:
+            _write_uvarint(out, shape_id)
+        for _name, value in state:
             self.encode(value)
 
 
@@ -713,20 +695,13 @@ class _Decoder:
         return obj
 
 
-def encode(root: Any, *, version: int = 2) -> bytes:
-    """Serialize *root* (typically an ``{"fs": ..., "ctx": ...}`` dict).
-
-    *version* selects the stream format: 2 (default) uses the columnar
-    fast path, 1 produces the pure tagged stream.  Both decode with
-    :func:`decode` to the same object graph.
-    """
-    if version not in CODEC_VERSIONS:
-        raise ValueError(f"unknown codec version {version!r}")
+def encode(root: Any) -> bytes:
+    """Serialize *root* (typically an ``{"fs": ..., "ctx": ...}`` dict)."""
     limit = sys.getrecursionlimit()
     if limit < _RECURSION_LIMIT:
         sys.setrecursionlimit(_RECURSION_LIMIT)
     try:
-        enc = _Encoder(version)
+        enc = _Encoder()
         enc.encode(root)
         return b"".join(enc.out)
     finally:
@@ -735,7 +710,8 @@ def encode(root: Any, *, version: int = 2) -> bytes:
 
 
 def decode(data: bytes) -> Any:
-    """Rebuild the object graph serialized by :func:`encode`."""
+    """Rebuild the object graph of a stream :func:`encode` wrote, now (v2)
+    or ever (v1)."""
     limit = sys.getrecursionlimit()
     if limit < _RECURSION_LIMIT:
         sys.setrecursionlimit(_RECURSION_LIMIT)

@@ -31,9 +31,6 @@ def _sandbox_snapshot_cache(tmp_path_factory):
     ``~/.cache/repro`` (tests that need their own dir still override the
     variable per-test)."""
     prior = os.environ.get("REPRO_SNAPSHOT_DIR")
-    # an archive routing left over from the invoking shell would hijack
-    # every store save/load in the suite; tests opt in per-test instead
-    prior_archive = os.environ.pop("REPRO_SNAPSHOT_ARCHIVE", None)
     os.environ["REPRO_SNAPSHOT_DIR"] = str(
         tmp_path_factory.mktemp("snapshot-cache"))
     yield
@@ -41,8 +38,6 @@ def _sandbox_snapshot_cache(tmp_path_factory):
         os.environ.pop("REPRO_SNAPSHOT_DIR", None)
     else:
         os.environ["REPRO_SNAPSHOT_DIR"] = prior
-    if prior_archive is not None:
-        os.environ["REPRO_SNAPSHOT_ARCHIVE"] = prior_archive
 
 
 @pytest.fixture

@@ -67,7 +67,9 @@ from repro.serve import (FSObjStorage, LoadSpec, MemoryObjStorage,
                          dump_objects, encode_frame, generate_stream,
                          get_objstorage, loopback_client, run_load,
                          spawn_pipe_server)
-from repro.snapshot import store as snapshot_store
+from repro.snapshot import Archive, store as snapshot_store
+
+from tests.test_snapshot import flip_middle_byte, rewrite, stored_record
 
 SERVE_SIZE = 64 * MIB
 SERVE_CPUS = 2
@@ -1582,7 +1584,7 @@ def test_snapshot_restored_backend_serves_identical_bytes(
         tmp_path, monkeypatch):
     monkeypatch.setenv("REPRO_SNAPSHOT_DIR", str(tmp_path))
     aged = get_objstorage(**_AGED_KWARGS)            # ages, saves
-    assert len(os.listdir(tmp_path)) == 1
+    assert len(os.listdir(tmp_path / "packs")) == 1
     re_aged = get_objstorage(**_AGED_KWARGS, snapshot=False)
     restored = get_objstorage(**_AGED_KWARGS)        # cache hit
     state = _serve_on(aged)
@@ -1593,10 +1595,8 @@ def test_snapshot_restored_backend_serves_identical_bytes(
 def test_corrupt_snapshot_falls_back_and_is_counted(tmp_path, monkeypatch):
     monkeypatch.setenv("REPRO_SNAPSHOT_DIR", str(tmp_path))
     baseline = _serve_on(get_objstorage(**_AGED_KWARGS))
-    (snap,) = tmp_path.iterdir()
-    blob = bytearray(snap.read_bytes())
-    blob[len(blob) // 2] ^= 0xFF                     # break the CRC
-    snap.write_bytes(bytes(blob))
+    ((_key, relpath, _offset, _length),) = Archive(str(tmp_path)).objects()
+    rewrite(tmp_path / relpath, flip_middle_byte)    # break the CRC
 
     storage = get_objstorage(**_AGED_KWARGS)         # falls back, re-ages
     series = storage.ctx.counters.registry.as_dict()
@@ -1612,17 +1612,20 @@ def test_load_ex_classifies_every_failure(tmp_path, monkeypatch):
     assert (value, status) == ({"v": 1}, "hit")
     assert snapshot_store.load_ex("m" * 64) == (None, "miss")
 
-    path = tmp_path / ("k" * 64 + ".snap")
-    good = path.read_bytes()
-    path.write_bytes(good[:len(good) // 2])          # truncated
+    path, offset, _length = stored_record("k" * 64)
+    good = open(path, "rb").read()
+    rewrite(path, lambda blob: blob[:len(blob) // 2])            # truncated
     assert snapshot_store.load_ex("k" * 64) == (None, "corrupt")
-    stale = bytearray(good)
-    stale[8:10] = (snapshot_store.FORMAT_VERSION + 1).to_bytes(2, "little")
-    path.write_bytes(bytes(stale))                   # future version
+    version = (snapshot_store.FORMAT_VERSION + 1).to_bytes(2, "little")
+    rewrite(path, lambda _blob: good[:offset + 4] + version
+            + good[offset + 6:])                                 # future version
     assert snapshot_store.load_ex("k" * 64) == (None, "stale")
-    path.write_bytes(good)
+    rewrite(path, lambda _blob: good)
     assert snapshot_store.load_ex("k" * 64)[1] == "hit"
     assert snapshot_store.load("k" * 64) == {"v": 1}
+    # a record whose CRC holds around a payload the codec cannot read
+    assert Archive(str(tmp_path)).put_payload("d" * 64, b"\xffnot a stream")
+    assert snapshot_store.load_ex("d" * 64) == (None, "decode_error")
 
 
 def test_serve_metric_names_registered():

@@ -4,8 +4,9 @@ Three layers:
 
 * codec — pickle-free round trips: exact floats, shared references,
   cycles, whitelisting (anything foreign refuses at *encode* time);
-* store — framing: CRC, version and truncation checks all fail closed
-  (``load`` returns ``None``, callers re-age);
+* store — the cache's contract on the pack archive: CRC, version and
+  truncation checks all fail closed (``load`` returns ``None``, callers
+  re-age), a save replaces what its key held, the size cap evicts LRU;
 * ``aged_fs`` integration — a restored image is *bit-identical* to a
   freshly aged one: replaying the same workload on both produces the
   same per-CPU clock floats, counters, metrics and statfs.
@@ -23,7 +24,7 @@ import repro.harness.setup as setup_mod
 from repro.clock import make_context
 from repro.harness import aged_fs
 from repro.params import KIB, MIB
-from repro.snapshot import codec, store
+from repro.snapshot import Archive, codec, store
 from repro.snapshot.codec import SnapshotDecodeError, SnapshotUnsupported
 
 
@@ -187,9 +188,11 @@ _GOLDEN_DIR = os.path.join(os.path.dirname(__file__), "data")
 def _golden_value():
     """The object graph the committed golden blobs encode.
 
-    Regenerate the blobs (only when the format intentionally changes)
-    by re-running the encode below and rewriting
-    ``tests/data/snapshot_golden_v{1,2}.bin``.
+    ``snapshot_golden_v2.bin`` is ``codec.encode`` of this value (rewrite
+    it only when the format intentionally changes);
+    ``snapshot_golden_v1.bin`` was written by the v1 encoder before it was
+    deleted and can never be regenerated — it is the pin that old streams
+    stay decodable.
     """
     from array import array
 
@@ -223,40 +226,51 @@ def _assert_golden_equal(out, expected):
     assert out["shared"][0] is out["shared"][1]
 
 
+def _golden_blob(version):
+    path = os.path.join(_GOLDEN_DIR, f"snapshot_golden_v{version}.bin")
+    with open(path, "rb") as handle:
+        return handle.read()
+
+
+def _v1_int_list(n):
+    """The v1 stream of ``[n]``, framed by hand: ``encode`` writes v2 only,
+    the decoder's v1 int path must keep working."""
+    raw = n.to_bytes((n.bit_length() + 8) // 8 or 1, "little", signed=True)
+    return b"l\x01i" + bytes((len(raw),)) + raw
+
+
+#: stream formats the decoder reads; ``encode`` writes the last
+_VERSIONS = (1, 2)
+
+
 class TestCodecVersions:
-    """Both stream formats decode through the one decoder, forever."""
+    """Both stream formats decode through the one decoder, forever; the
+    one encoder writes v2.  The v1 cases run on the committed golden blob
+    (nothing in the tree can write a v1 stream any more)."""
 
-    @pytest.mark.parametrize("version", codec.CODEC_VERSIONS)
+    @pytest.mark.parametrize("version", _VERSIONS)
     def test_cross_version_roundtrip(self, version):
-        value = _golden_value()
-        _assert_golden_equal(codec.decode(codec.encode(value,
-                                                       version=version)),
-                             value)
+        """A graph read from either format re-encodes and reads back."""
+        value = codec.decode(_golden_blob(version))
+        _assert_golden_equal(codec.decode(codec.encode(value)),
+                             _golden_value())
 
-    @pytest.mark.parametrize("version", codec.CODEC_VERSIONS)
+    @pytest.mark.parametrize("version", _VERSIONS)
     def test_committed_golden_decodes(self, version):
         """Old committed blobs must stay decodable: the decoder may gain
         tags but can never lose them."""
-        path = os.path.join(_GOLDEN_DIR, f"snapshot_golden_v{version}.bin")
-        blob = open(path, "rb").read()
-        _assert_golden_equal(codec.decode(blob), _golden_value())
+        _assert_golden_equal(codec.decode(_golden_blob(version)),
+                             _golden_value())
 
-    def test_unknown_version_rejected(self):
-        with pytest.raises(ValueError):
-            codec.encode([1], version=99)
-
-    @pytest.mark.parametrize("version", codec.CODEC_VERSIONS)
+    @pytest.mark.parametrize("version", _VERSIONS)
     def test_encode_deterministic(self, version):
-        value = _golden_value()
-        assert codec.encode(value, version=version) == \
-            codec.encode(value, version=version)
+        """Whichever format a graph was read from, encoding it gives the
+        committed v2 bytes — the same as encoding the graph built fresh."""
+        value = codec.decode(_golden_blob(version))
+        assert codec.encode(value) == codec.encode(_golden_value()) \
+            == _golden_blob(2)
 
-    def test_versions_differ_on_the_wire(self):
-        value = _golden_value()
-        assert codec.encode(value, version=1) != \
-            codec.encode(value, version=2)
-
-    @pytest.mark.parametrize("version", codec.CODEC_VERSIONS)
+    @pytest.mark.parametrize("version", _VERSIONS)
     @pytest.mark.parametrize("n", [
         0, 1, -1, 63, 64, -64, -65,
         (1 << 62) - 1, 1 << 62, -(1 << 62), -(1 << 62) - 1,
@@ -265,13 +279,14 @@ class TestCodecVersions:
     def test_int_boundaries(self, version, n):
         """Every int round-trips across the varint fast-path boundary
         (|n| < 2**62) and beyond it in both formats."""
-        out = codec.decode(codec.encode([n], version=version))
+        blob = _v1_int_list(n) if version == 1 else codec.encode([n])
+        out = codec.decode(blob)
         assert out == [n] and type(out[0]) is int
 
     def test_v2_interns_repeated_strings(self):
         """v2 emits each unique string once; repeats are table refs, so
         all equal strings decode to the very same object."""
-        out = codec.decode(codec.encode(["spam" * 4] * 6, version=2))
+        out = codec.decode(codec.encode(["spam" * 4] * 6))
         assert all(s is out[0] for s in out)
 
     def test_v2_interning_pays_for_itself(self):
@@ -279,14 +294,14 @@ class TestCodecVersions:
         shrink hard.  (Packed int vectors deliberately trade bytes for
         decode speed, so they are not size-gated.)"""
         value = {"s": ["inode", "extent", "journal"] * 500}
-        assert len(codec.encode(value, version=2)) < \
-            len(codec.encode(value, version=1)) / 2
+        v1_bytes = 12008  # the last v1 encoder's stream of this value
+        assert len(codec.encode(value)) < v1_bytes / 2
 
-    @pytest.mark.parametrize("version", codec.CODEC_VERSIONS)
+    @pytest.mark.parametrize("version", _VERSIONS)
     def test_truncation_rejected_everywhere(self, version):
         """Chopping the stream at any byte fails closed, never crashes
         with a non-codec error or returns a value."""
-        blob = codec.encode(_golden_value(), version=version)
+        blob = _golden_blob(version)
         rng = random.Random(7)
         cuts = {0, 1, len(blob) - 1} | {rng.randrange(len(blob))
                                         for _ in range(40)}
@@ -305,12 +320,46 @@ def snap_dir(tmp_path, monkeypatch):
     return tmp_path
 
 
+def stored_record(key):
+    """``(path, offset, length)`` of the record the cache holds for *key*,
+    found the way a load finds it: through the index."""
+    archive = Archive(store.snapshot_dir())
+    (span,) = [(os.path.join(archive.root, relpath), offset, length)
+               for k, relpath, offset, length in archive.objects() if k == key]
+    return span
+
+
+def rewrite(path, mutate):
+    """Damage a stored file in place; *mutate* maps its bytes to new ones
+    (packs are sealed read-only, so make it writable first)."""
+    os.chmod(path, 0o644)
+    with open(path, "rb") as handle:
+        blob = handle.read()
+    with open(path, "wb") as handle:
+        handle.write(mutate(blob))
+
+
+def flip_middle_byte(blob):
+    middle = len(blob) // 2
+    return blob[:middle] + bytes((blob[middle] ^ 0xFF,)) + blob[middle + 1:]
+
+
+def packs(directory):
+    return sorted((directory / "packs").glob("pack-*.pack"))
+
+
 class TestStore:
     def test_save_load_roundtrip(self, snap_dir):
         key = store.cache_key({"kind": "unit", "n": 1})
         assert store.save(key, {"x": [1.5, "two"]}, meta={"n": 1})
-        assert os.path.exists(store.snapshot_path(key))
+        assert os.path.exists(stored_record(key)[0])
         assert store.load(key) == {"x": [1.5, "two"]}
+        # one image, sealed at once: nothing but the index, its lock and
+        # the image's own read-only pack
+        assert sorted(p.name for p in snap_dir.iterdir()) == \
+            [".lock", "index.json", "packs"]
+        (pack,) = packs(snap_dir)
+        assert not os.stat(pack).st_mode & 0o222
 
     def test_missing_key(self, snap_dir):
         assert store.load("0" * 64) is None
@@ -318,43 +367,53 @@ class TestStore:
     def test_unserializable_graph_not_saved(self, snap_dir):
         key = store.cache_key({"kind": "unit", "n": 2})
         assert store.save(key, {"fn": lambda: 0}) is False
-        assert not os.path.exists(store.snapshot_path(key))
+        assert store.load_ex(key) == (None, "miss")
+        assert packs(snap_dir) == []
+
+    def test_unusable_directory_is_soft(self, tmp_path, monkeypatch):
+        """A cache that cannot be used costs a re-age, never an error."""
+        blocker = tmp_path / "a-file"
+        blocker.write_bytes(b"")
+        monkeypatch.setenv("REPRO_SNAPSHOT_DIR", str(blocker / "cache"))
+        assert store.save("k" * 64, {"v": 1}) is False
+        assert store.load_ex("k" * 64) == (None, "miss")
 
     def _saved(self, what):
         key = store.cache_key({"kind": "unit", "corrupt": what})
         assert store.save(key, {"payload": list(range(32))})
-        return key, store.snapshot_path(key)
+        return key, stored_record(key)
 
     def test_corrupt_payload_rejected(self, snap_dir):
-        key, path = self._saved("flip")
-        blob = bytearray(open(path, "rb").read())
-        blob[len(blob) // 2] ^= 0xFF
-        open(path, "wb").write(bytes(blob))
-        assert store.load(key) is None
+        key, (path, _offset, _length) = self._saved("flip")
+        rewrite(path, flip_middle_byte)
+        assert store.load_ex(key) == (None, "corrupt")
 
     def test_truncated_file_rejected(self, snap_dir):
-        key, path = self._saved("trunc")
-        blob = open(path, "rb").read()
-        open(path, "wb").write(blob[:len(blob) // 2])
-        assert store.load(key) is None
-
-    def test_bad_magic_rejected(self, snap_dir):
-        key, path = self._saved("magic")
-        blob = open(path, "rb").read()
-        open(path, "wb").write(b"NOTSNAPS" + blob[8:])
-        assert store.load(key) is None
+        key, (path, _offset, _length) = self._saved("trunc")
+        rewrite(path, lambda blob: blob[:len(blob) // 2])
+        assert store.load_ex(key) == (None, "corrupt")
 
     def test_stale_version_rejected(self, snap_dir):
-        # the u16 version field sits right after the 8-byte magic and is
-        # deliberately outside the CRC: bumping FORMAT_VERSION must always
-        # invalidate, even against accidental CRC collisions
-        key, path = self._saved("version")
-        blob = bytearray(open(path, "rb").read())
-        # a file from before the last bump, and one from a newer build
+        # the u16 store version sits right after the record's 4-byte magic
+        # and is deliberately outside the CRC: bumping FORMAT_VERSION must
+        # always invalidate, even against accidental CRC collisions
+        key, (path, offset, _length) = self._saved("version")
+        # a record from before the last bump, and one from a newer build
         for version in (store.FORMAT_VERSION - 1, store.FORMAT_VERSION + 1):
-            blob[8:10] = version.to_bytes(2, "little")
-            open(path, "wb").write(bytes(blob))
+            rewrite(path, lambda blob: blob[:offset + 4]
+                    + version.to_bytes(2, "little") + blob[offset + 6:])
             assert store.load_ex(key) == (None, "stale")
+
+    def test_save_replaces_a_damaged_entry(self, snap_dir):
+        """The flat store's ``os.replace`` semantic: whatever a key held,
+        the next save wins — and the pack it orphans is unlinked."""
+        key, (path, _offset, _length) = self._saved("heal")
+        rewrite(path, flip_middle_byte)
+        assert store.load_ex(key) == (None, "corrupt")
+        assert store.save(key, {"payload": "again"})
+        assert store.load_ex(key) == ({"payload": "again"}, "hit")
+        assert not os.path.exists(path)
+        assert len(packs(snap_dir)) == 1
 
     def test_cache_key_sensitivity(self):
         base = {"kind": "aged_fs", "fs": "WineFS", "seed": 7, "churn": 10.0}
@@ -373,43 +432,54 @@ class TestStore:
 
 
 class TestStoreSizeCap:
-    """``$REPRO_SNAPSHOT_MAX_BYTES`` bounds the flat cache, LRU-first."""
+    """``$REPRO_SNAPSHOT_MAX_BYTES`` bounds the cache, LRU-first."""
 
     def _fill(self, count=4, payload=4096):
         keys = []
         for i in range(count):
             key = store.cache_key({"kind": "cap", "n": i})
-            assert store.save(key, {"blob": b"x" * payload})
-            os.utime(store.snapshot_path(key), (i, i))  # oldest = lowest n
+            assert store.save(key, {"blob": bytes([i]) * payload})
+            os.utime(stored_record(key)[0], (i, i))  # oldest = lowest n
             keys.append(key)
         return keys
 
-    def test_evict_lru_drops_oldest_first(self, snap_dir):
+    @staticmethod
+    def _size(key):
+        return os.path.getsize(stored_record(key)[0])
+
+    def test_cap_drops_oldest_first(self, snap_dir):
         keys = self._fill()
-        sizes = {k: os.path.getsize(store.snapshot_path(k)) for k in keys}
-        cap = sizes[keys[2]] + sizes[keys[3]]
-        out = store.evict_lru(str(snap_dir), cap)
+        cap = self._size(keys[2]) + self._size(keys[3])
+        out = Archive(str(snap_dir)).gc(cap)
         assert len(out["evicted"]) == 2
-        assert out["kept_bytes"] <= cap
+        assert out["dropped_keys"] == sorted(keys[:2])
+        assert sum(os.path.getsize(p) for p in packs(snap_dir)) <= cap
         assert [store.load(k) is not None for k in keys] == \
             [False, False, True, True]
 
     def test_save_applies_env_cap(self, snap_dir, monkeypatch):
         keys = self._fill(count=2)
-        one = os.path.getsize(store.snapshot_path(keys[0]))
-        monkeypatch.setenv("REPRO_SNAPSHOT_MAX_BYTES", str(int(one * 2.5)))
+        cap = int(self._size(keys[0]) * 2.5)
+        monkeypatch.setenv("REPRO_SNAPSHOT_MAX_BYTES", str(cap))
         key = store.cache_key({"kind": "cap", "n": 99})
         assert store.save(key, {"blob": b"x" * 4096})
         assert store.load(key) is not None          # newest always kept
         assert store.load(keys[0]) is None          # oldest evicted
-        assert len(list(snap_dir.glob("*.snap"))) == 2
+        assert len(packs(snap_dir)) == 2
+        assert sum(os.path.getsize(p) for p in packs(snap_dir)) <= cap
+
+    @pytest.mark.parametrize("raw", ["", "lots", "-1", "1e3"])
+    def test_value_that_is_no_byte_count_is_no_cap(self, snap_dir,
+                                                   monkeypatch, raw):
+        monkeypatch.setenv("REPRO_SNAPSHOT_MAX_BYTES", raw)
+        keys = self._fill(count=2)
+        assert all(store.load(k) is not None for k in keys)
 
     def test_load_refreshes_recency(self, snap_dir):
         keys = self._fill(count=3)
         assert store.load(keys[0]) is not None      # touch the oldest
-        sizes = {k: os.path.getsize(store.snapshot_path(k)) for k in keys}
-        cap = sizes[keys[0]] + sizes[keys[2]]
-        store.evict_lru(str(snap_dir), cap)
+        cap = self._size(keys[0]) + self._size(keys[2])
+        Archive(str(snap_dir)).gc(cap)
         assert store.load(keys[0]) is not None      # survived: recently used
         assert store.load(keys[1]) is None
 
@@ -467,27 +537,30 @@ class TestAgedSnapshotCache:
     def test_warm_call_skips_aging(self, snap_dir, count_aging):
         aged_fs("WineFS", **_AGE_KW)
         assert count_aging.instances == 1
-        assert len(list(snap_dir.glob("*.snap"))) == 1
+        assert len(packs(snap_dir)) == 1
         aged_fs("WineFS", **_AGE_KW)
         assert count_aging.instances == 1  # restored, not re-aged
+        # cold then warm leaves the index, its lock and one sealed pack
+        assert sorted(p.name for p in snap_dir.rglob("*")) == \
+            [".lock", "index.json", "pack-000000.pack", "packs"]
 
     def test_snapshot_env_opt_out(self, snap_dir, count_aging, monkeypatch):
         monkeypatch.setenv("REPRO_SNAPSHOT", "0")
         aged_fs("WineFS", **_AGE_KW)
         aged_fs("WineFS", **_AGE_KW)
         assert count_aging.instances == 2
-        assert list(snap_dir.glob("*.snap")) == []
+        assert list(snap_dir.iterdir()) == []
 
     def test_snapshot_kwarg_opt_out(self, snap_dir, count_aging):
         aged_fs("WineFS", snapshot=False, **_AGE_KW)
-        assert list(snap_dir.glob("*.snap")) == []
+        assert list(snap_dir.iterdir()) == []
 
     @pytest.mark.parametrize("fs_name", ["WineFS", "NOVA", "ext4-DAX"])
     def test_restore_bit_identical(self, snap_dir, fs_name):
         fs_cold, ctx_cold = aged_fs(fs_name, **_AGE_KW)   # ages + saves
         # directory indexes are plain dicts: no tree rides in the image
-        (snap,) = snap_dir.glob("*.snap")
-        blob = snap.read_bytes()
+        (pack,) = packs(snap_dir)
+        blob = pack.read_bytes()
         assert b"repro.fs.common.dirindex:" in blob
         assert b"repro.structures.rbtree:" not in blob
         reaged = _replay(fs_cold, ctx_cold)
@@ -502,18 +575,34 @@ class TestAgedSnapshotCache:
     def test_corrupt_snapshot_falls_back_to_aging(self, snap_dir,
                                                   count_aging):
         aged_fs("WineFS", **_AGE_KW)
-        (snap,) = snap_dir.glob("*.snap")
-        blob = bytearray(snap.read_bytes())
-        blob[len(blob) // 2] ^= 0xFF
-        snap.write_bytes(bytes(blob))
+        (pack,) = packs(snap_dir)
+        rewrite(pack, flip_middle_byte)
         fs, ctx = aged_fs("WineFS", **_AGE_KW)
         assert count_aging.instances == 2  # silently re-aged
         assert ctx.clock.elapsed == 0.0
 
+    def test_run_after_a_corrupt_image_is_a_hit(self, snap_dir, count_aging):
+        """The run that meets a damaged image re-ages, counts it and heals
+        the cache; the run after restores — and no orphaned pack is left."""
+        fs, ctx = aged_fs("WineFS", **_AGE_KW)
+        cold = _replay(fs, ctx)
+        (pack,) = packs(snap_dir)
+        rewrite(pack, flip_middle_byte)
+        fs, ctx = aged_fs("WineFS", **_AGE_KW)
+        assert count_aging.instances == 2
+        assert ctx.counters.registry.value(
+            "snapshot_load_failures", fs="WineFS", reason="corrupt") == 1
+        fs, ctx = aged_fs("WineFS", **_AGE_KW)
+        assert count_aging.instances == 2  # restored
+        assert not ctx.counters.registry.value(
+            "snapshot_load_failures", fs="WineFS", reason="corrupt")
+        _assert_bit_identical(_replay(fs, ctx), cold)
+        assert len(packs(snap_dir)) == 1
+
     def test_distinct_parameters_distinct_snapshots(self, snap_dir):
         aged_fs("WineFS", **_AGE_KW)
         aged_fs("WineFS", **{**_AGE_KW, "seed": 12})
-        assert len(list(snap_dir.glob("*.snap"))) == 2
+        assert len(packs(snap_dir)) == 2
 
     def test_warm_restore_speedup(self, snap_dir):
         kw = dict(size_gib=0.25, num_cpus=4, churn_multiple=2.0, seed=3)

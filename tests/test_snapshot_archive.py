@@ -1,19 +1,23 @@
 """Sharded pack archive: shard/pack lifecycle, integrity, determinism.
 
-Four layers:
+Five layers:
 
 * ``Archive`` — put/load round trips, payload dedup (aliases), seal at
   the byte threshold, immutable packs;
 * failure paths — corrupt or truncated packs and stale index entries
-  all fall back to re-aging (fail-closed, like the flat store), scrub
-  quarantines damaged files and drops their keys, gc evicts sealed
-  packs LRU-first but never a hot shard;
+  all fall back to re-aging (fail-closed), scrub quarantines damaged
+  files and drops their keys, gc evicts sealed packs LRU-first but
+  never a hot shard, a replacing put heals a damaged entry;
+* outside input and crashes — a record is served only to the key it was
+  written for, malformed or hostile index entries are ignored, and a
+  writer killed at any step leaves an archive the next writer converges;
 * concurrency — many writers (one shard each) interleaving under the
   index lock produce one consistent index;
-* corpus builder + ``aged_fs`` routing — the fleet-built archive is
-  byte-identical for any ``--jobs`` value, and a restore out of a
-  sealed pack replays bit-identically to a cold re-age on all nine
-  file systems under both state engines.
+* corpus builder + ``aged_fs`` — the fleet-built archive is
+  byte-identical for any ``--jobs`` value, ``aged_fs`` restores from it
+  when it is the cache directory, and a restore out of a sealed pack
+  replays bit-identically to a cold re-age on all nine file systems
+  under both state engines.
 """
 
 from __future__ import annotations
@@ -24,33 +28,32 @@ import stat
 import threading
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import repro.snapshot.archive as archive_mod
 from repro.engine import reference_state_scope
 from repro.harness import aged_fs, build_corpus, corpus_matrix
 from repro.harness.setup import SPECS_BY_NAME
 from repro.snapshot import Archive, codec, store
-from repro.snapshot.archive import DEFAULT_SEAL_BYTES, archive_root
 
 from tests.test_snapshot import (_assert_bit_identical, _replay,  # noqa: F401
-                                 count_aging)
+                                 count_aging, flip_middle_byte, rewrite)
 
 _AGE_KW = dict(size_gib=0.0625, num_cpus=2, churn_multiple=0.25, seed=5)
 
 
 @pytest.fixture
 def arch_dir(tmp_path, monkeypatch):
-    """A fresh archive root, not yet routed into the store."""
+    """A fresh archive root that is not the snapshot cache's directory."""
     root = tmp_path / "archive"
-    monkeypatch.delenv("REPRO_SNAPSHOT_ARCHIVE", raising=False)
     monkeypatch.delenv("REPRO_SNAPSHOT", raising=False)
     return str(root)
 
 
 @pytest.fixture
-def routed(arch_dir, tmp_path, monkeypatch):
-    """Route the snapshot store through the archive, flat dir isolated."""
-    monkeypatch.setenv("REPRO_SNAPSHOT_ARCHIVE", arch_dir)
-    monkeypatch.setenv("REPRO_SNAPSHOT_DIR", str(tmp_path / "flat"))
+def routed(arch_dir, monkeypatch):
+    """The archive root as the snapshot cache's directory."""
+    monkeypatch.setenv("REPRO_SNAPSHOT_DIR", arch_dir)
     return arch_dir
 
 
@@ -226,6 +229,261 @@ class TestArchiveFailurePaths:
         assert {archive.load_ex(k)[1] for k in keys} == {"hit"}
 
 
+def _pack_names(arch_dir):
+    return sorted(os.listdir(os.path.join(arch_dir, "packs")))
+
+
+class TestReplacingPut:
+    """``put`` is the cache's write: the last writer wins, which is what
+    heals a damaged entry; ``put_payload`` keeps the builder's answer."""
+
+    @pytest.fixture
+    def cache(self, arch_dir):
+        """Sealing at once, as the store does: one image, one pack."""
+        return Archive(arch_dir, seal_bytes=0)
+
+    def test_put_replaces_and_unlinks_the_orphaned_pack(self, cache,
+                                                        arch_dir):
+        assert cache.put("k", {"image": 1})
+        (old_pack,) = _pack_names(arch_dir)
+        rewrite(os.path.join(arch_dir, "packs", old_pack), flip_middle_byte)
+        assert cache.load_ex("k") == (None, "corrupt")
+        assert cache.put_payload("k", codec.encode({"image": 1})) \
+            == "existing"                      # the builder never replaces
+        assert cache.load_ex("k") == (None, "corrupt")
+        assert cache.put("k", {"image": 1})    # same bytes, fresh record
+        assert cache.load_ex("k") == ({"image": 1}, "hit")
+        (new_pack,) = _pack_names(arch_dir)
+        assert new_pack != old_pack
+        assert cache.stats()["objects"] == 1
+        assert cache.scrub()["dropped_keys"] == []
+
+    def test_pack_an_alias_still_needs_is_kept(self, cache):
+        assert cache.put("owner", {"image": 1})
+        assert cache.put_payload("alias", codec.encode({"image": 1})) \
+            == "alias"
+        assert cache.put("owner", {"image": 2})
+        assert cache.load_ex("alias") == ({"image": 1}, "hit")
+        assert cache.load_ex("owner") == ({"image": 2}, "hit")
+        assert cache.stats()["packs"] == 2
+        # the digest of image 1 no longer names "owner": a third key with
+        # those bytes must not be pointed at owner's new record
+        assert cache.put("third", {"image": 1})
+        assert cache.load_ex("third") == ({"image": 1}, "hit")
+
+    def test_alias_of_a_damaged_record_heals(self, cache, arch_dir):
+        """Re-saving an alias must not alias it straight back onto the
+        record that just failed it."""
+        assert cache.put("owner", {"image": 1})
+        assert cache.put("alias", {"image": 1})
+        assert cache.stats()["aliases"] == 1
+        (damaged,) = _pack_names(arch_dir)
+        rewrite(os.path.join(arch_dir, "packs", damaged), flip_middle_byte)
+        for key in ("alias", "owner"):
+            assert cache.load_ex(key) == (None, "corrupt")
+            assert cache.put(key, {"image": 1})
+            assert cache.load_ex(key) == ({"image": 1}, "hit")
+        assert damaged not in _pack_names(arch_dir)  # orphaned, so unlinked
+        assert cache.scrub()["dropped_keys"] == []
+
+    def test_vanished_pack_is_a_miss(self, cache, arch_dir):
+        """A pack evicted or replaced under a reader is a cold cache, not
+        damage: nothing to count, and the next save replaces the entry."""
+        assert cache.put("k", {"image": 1})
+        (pack,) = _pack_names(arch_dir)
+        os.unlink(os.path.join(arch_dir, "packs", pack))
+        assert cache.load_ex("k") == (None, "miss")
+        assert cache.put("k", {"image": 1})
+        assert cache.load_ex("k") == ({"image": 1}, "hit")
+
+
+class _Killed(Exception):
+    """Stands in for a kill: not an OSError, so nothing absorbs it."""
+
+
+def _kill_at(monkeypatch, step):
+    """Make the next write die at *step* of ``_store`` / ``seal``."""
+    def die(*_args, **_kwargs):
+        raise _Killed(step)
+
+    if step == "append":      # the record is in the shard; nothing else is
+        monkeypatch.setattr(Archive, "_seal_locked", die)
+    elif step == "rename":    # the shard is a pack the index has not heard of
+        monkeypatch.setattr(Archive, "_publish_index", die)
+    else:                     # the new index is written but not renamed in
+        real = os.replace
+
+        def replace(src, dst):
+            if str(dst).endswith("index.json"):
+                die()
+            return real(src, dst)
+        monkeypatch.setattr(archive_mod.os, "replace", replace)
+
+
+def _assert_converges(archive, images):
+    """Every key is a hit with its own image or a non-hit the next save
+    replaces; scrub copes, and has nothing left to drop the second time."""
+    for key, image in images.items():
+        value, status = archive.load_ex(key)
+        assert (value, status) == (image, "hit") or \
+            (value is None and status in store.LOAD_STATUSES[1:]), key
+    archive.scrub()
+    again = archive.scrub()
+    assert again["dropped_keys"] == [] and again["quarantined"] == []
+    for key, image in images.items():
+        if archive.load_ex(key)[1] != "hit":
+            assert archive.put(key, image)
+        assert archive.load_ex(key) == (image, "hit"), key
+    assert not [n for n in os.listdir(archive.root) if n.startswith(".index-")]
+
+
+class TestCrashConvergence:
+    """Kill a writer at each step; the next writer — same shard token, so
+    it re-creates the dead one's file names — must converge."""
+
+    _IMAGES = {f"k{i}": {"image": i} for i in (1, 2, 3)}
+
+    def test_record_served_only_to_its_key(self, arch_dir, monkeypatch):
+        """The reproduction: a seal dies between its rename and its index
+        publish, the next ``build`` writer re-creates the shard name, and
+        k1's stale entry lands exactly on k3's record."""
+        first = Archive(arch_dir, shard_token="build")
+        assert first.put("k1", {"image": 1})
+        with monkeypatch.context() as patch:
+            _kill_at(patch, "rename")
+            with pytest.raises(_Killed):
+                first.seal()
+        second = Archive(arch_dir, shard_token="build")
+        assert second.put("k3", {"image": 3})
+        assert second.load_ex("k3") == ({"image": 3}, "hit")
+        assert second.load_ex("k1") == (None, "corrupt")
+        report = second.scrub()
+        assert report["dropped_keys"] == ["k1"]
+        assert report["quarantined"] == []
+        assert second.load_ex("k1") == (None, "miss")
+
+    @pytest.mark.parametrize("step", ["append", "rename", "publish"])
+    def test_killed_cache_save_converges(self, arch_dir, monkeypatch, step):
+        def writer():
+            return Archive(arch_dir, seal_bytes=0, shard_token="t")
+
+        assert writer().put("k1", self._IMAGES["k1"])
+        with monkeypatch.context() as patch:
+            _kill_at(patch, step)
+            with pytest.raises(_Killed):
+                writer().put("k2", self._IMAGES["k2"])
+        assert writer().put("k3", self._IMAGES["k3"])
+        _assert_converges(writer(), self._IMAGES)
+
+    @pytest.mark.parametrize("step", ["rename", "publish"])
+    def test_killed_build_seal_converges(self, arch_dir, monkeypatch, step):
+        def writer():
+            return Archive(arch_dir, shard_token="build")
+
+        first = writer()
+        assert first.put("k1", self._IMAGES["k1"])
+        assert first.put("k2", self._IMAGES["k2"])
+        with monkeypatch.context() as patch:
+            _kill_at(patch, step)
+            with pytest.raises(_Killed):
+                first.seal()
+        second = writer()
+        assert second.put("k3", self._IMAGES["k3"])
+        second.seal()
+        _assert_converges(writer(), self._IMAGES)
+
+
+_MALFORMED_ENTRIES = {
+    "nan-offset": ["shard-t.write", "NaN", 5],
+    "too-short": [1, 2],
+    "string": "str",
+    "null": None,
+    "escapes-root": ["../../../etc/passwd", 0, 10],
+}
+
+# index entries near enough to the real shape to get past a careless check
+_ENTRY_FIELDS = st.one_of(
+    st.sampled_from(["shard-x.write", "packs/pack-000000.pack", "../x",
+                     "/etc/passwd", "packs/../../x", "shard-\x00.write"]),
+    st.integers(-3, 1 << 70), st.booleans(), st.none(), st.text(max_size=3))
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text()
+    | st.lists(_ENTRY_FIELDS, min_size=2, max_size=5),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(max_size=4), inner, max_size=4),
+    max_leaves=10)
+
+
+class TestHostileIndex:
+    """``index.json`` is outside input: the repair tool has to survive
+    whatever it finds there."""
+
+    def _with_entry(self, arch_dir, entry):
+        archive = Archive(arch_dir)
+        assert archive.put("good", {"v": 1})
+        archive.seal()
+        doc = json.load(open(archive.index_path))
+        doc["objects"]["bad"] = entry
+        json.dump(doc, open(archive.index_path, "w"))
+        return archive
+
+    @pytest.mark.parametrize("name", sorted(_MALFORMED_ENTRIES))
+    def test_malformed_entry_is_ignored(self, arch_dir, name):
+        archive = self._with_entry(arch_dir, _MALFORMED_ENTRIES[name])
+        assert archive.load_ex("bad") == (None, "miss")  # never followed
+        assert not archive.contains("bad")
+        assert [key for key, *_ in archive.objects()] == ["good"]
+        assert archive.stats()["objects"] == 1
+        assert archive.gc(1 << 40)["dropped_keys"] == []
+        report = archive.scrub()
+        assert report["dropped_keys"] == [] and report["quarantined"] == []
+        assert archive.load_ex("good") == ({"v": 1}, "hit")
+        assert archive.put("bad", {"v": 2})              # and replaceable
+        assert archive.load_ex("bad") == ({"v": 2}, "hit")
+
+    @pytest.mark.parametrize("name", sorted(_MALFORMED_ENTRIES))
+    def test_cli_survives_malformed_entry(self, arch_dir, name, capsys):
+        from repro.cli import main
+
+        self._with_entry(arch_dir, _MALFORMED_ENTRIES[name])
+        for action in ("ls", "scrub", "gc"):
+            assert main(["snapshot", action, "--archive", arch_dir,
+                         "--max-bytes", str(1 << 40)]) == 0
+        out = capsys.readouterr().out
+        assert "1 object(s)" in out and "quarantined" not in out
+
+    @settings(max_examples=60, deadline=None)
+    @given(objects=_JSON, contents=_JSON, blob=st.binary(max_size=200))
+    def test_arbitrary_index_and_record_bytes(self, tmp_path_factory,
+                                              objects, contents, blob):
+        """Arbitrary JSON where the index sections go and arbitrary bytes
+        where records go: every method answers, none raises."""
+        parsed = archive_mod._parse_record(blob, 0)
+        assert parsed is None or len(parsed) == 5
+        root = str(tmp_path_factory.mktemp("hostile"))
+        archive = Archive(root)
+        assert archive.put("good", {"v": 1})
+        with open(os.path.join(root, "shard-x.write"), "wb") as handle:
+            handle.write(archive_mod._pack_header() + blob)
+        with open(archive.index_path, "w") as handle:
+            json.dump({"schema": archive_mod.INDEX_SCHEMA,
+                       "objects": objects, "contents": contents}, handle)
+        keys = list(objects) if isinstance(objects, dict) else []
+        for key in keys + ["absent"]:
+            value, status = archive.load_ex(key)
+            assert status in store.LOAD_STATUSES and value is None
+        assert all(type(offset) is int and type(length) is int
+                   for _key, _rel, offset, length in archive.objects())
+        assert archive.stats()["objects"] <= len(keys)
+        assert archive.put_payload("p", codec.encode({"v": 2})) in (
+            "stored", "alias", "existing")
+        assert archive.put("new", {"v": 3})
+        assert archive.load_ex("new") == ({"v": 3}, "hit")
+        archive.gc(0)
+        archive.scrub()
+        assert archive.scrub()["dropped_keys"] == []
+
+
 class TestConcurrentWriters:
     def test_many_writers_one_consistent_index(self, arch_dir):
         """Each thread owns a shard; index merges serialize on the file
@@ -324,42 +582,23 @@ class TestCorpusBuilder:
 
 
 class TestArchiveRoutedStore:
-    def test_save_routes_to_archive(self, routed, tmp_path):
-        key = store.cache_key({"kind": "routed", "n": 1})
-        assert store.save(key, {"v": [1, 2]})
-        assert not list((tmp_path / "flat").glob("*.snap"))
-        assert Archive(routed).contains(key)
-        assert store.load_ex(key) == ({"v": [1, 2]}, "hit")
-
     def test_aged_fs_round_trips_through_archive(self, routed, count_aging):
         aged_fs("WineFS", **_AGE_KW)
         assert count_aging.instances == 1
         aged_fs("WineFS", **_AGE_KW)
-        assert count_aging.instances == 1  # warm restore from the shard
-        assert Archive(routed).stats()["objects"] == 1
+        assert count_aging.instances == 1  # warm restore from its pack
+        stats = Archive(routed).stats()
+        assert (stats["objects"], stats["packs"], stats["shards"]) == (1, 1, 0)
 
     def test_corrupt_archive_falls_back_to_aging(self, routed, count_aging):
         aged_fs("WineFS", **_AGE_KW)
         archive = Archive(routed)
-        archive.seal()
         (pack_rel,) = {rel for _k, rel, *_ in archive.objects()}
-        pack = os.path.join(routed, pack_rel)
-        os.chmod(pack, 0o644)
-        blob = bytearray(open(pack, "rb").read())
-        blob[len(blob) // 2] ^= 0xFF
-        open(pack, "wb").write(bytes(blob))
+        rewrite(os.path.join(routed, pack_rel), flip_middle_byte)
         fs, ctx = aged_fs("WineFS", **_AGE_KW)
         assert count_aging.instances == 2  # re-aged, run not stopped
         assert ctx.counters.registry.value(
             "snapshot_load_failures", fs="WineFS", reason="corrupt") == 1
-
-    def test_archive_root_env(self, monkeypatch):
-        monkeypatch.delenv("REPRO_SNAPSHOT_ARCHIVE", raising=False)
-        assert archive_root() is None
-        monkeypatch.setenv("REPRO_SNAPSHOT_ARCHIVE", "")
-        assert archive_root() is None
-        monkeypatch.setenv("REPRO_SNAPSHOT_ARCHIVE", "/some/root")
-        assert archive_root() == "/some/root"
 
 
 @pytest.mark.parametrize("engine", ["array", "reference"])
@@ -372,10 +611,10 @@ def test_pack_restore_bit_identical(fs_name, engine, routed, tmp_path):
     def run():
         fs_cold, ctx_cold = aged_fs(fs_name, **_AGE_KW)  # ages + archives
         reaged = _replay(fs_cold, ctx_cold)
-        Archive(routed).seal()  # warm path must come from a pack
+        stats = Archive(routed).stats()  # warm path must come from a pack
+        assert (stats["packs"], stats["shards"]) == (1, 0)
         fs_warm, ctx_warm = aged_fs(fs_name, **_AGE_KW)
         _assert_bit_identical(_replay(fs_warm, ctx_warm), reaged)
-        assert Archive(routed).stats()["packs"] == 1
 
     if engine == "reference":
         with reference_state_scope():
