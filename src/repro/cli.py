@@ -24,9 +24,12 @@ import sys
 from typing import List, Optional
 
 from .aging import PROFILES, Geriatrix, fragmentation_report
-from .harness import SPECS_BY_NAME, Table, aged_fs, fresh_fs
+from .harness import CAMPAIGNS, SPECS_BY_NAME, Table, aged_fs, fresh_fs
 from .params import GIB, MIB
 from .workloads import mmap_rw_benchmark, run_scalability
+
+
+_PATTERNS = ("seq-write", "rand-write", "seq-read", "rand-read")
 
 
 def _add_common(p: argparse.ArgumentParser) -> None:
@@ -46,34 +49,47 @@ def _dump_metrics(args, counters) -> None:
         write_metrics_json(args.metrics_out, counters.registry)
 
 
+def _campaign_cells(name: str, args) -> List[dict]:
+    """The campaign's matrix from parsed flags: every list flag's and
+    every parameter flag's ``dest`` is the axis / parameter it sets."""
+    campaign = CAMPAIGNS[name]
+    flags = vars(args)
+    return campaign.matrix(*(flags[axis] for axis in campaign.axes),
+                           **{key: flags[key] for key in campaign.defaults
+                              if key in flags})
+
+
+def _emit_report(args, report) -> bool:
+    """Write ``--out`` / ``--openmetrics``; true when neither took
+    stdout, which is then free for the human-readable table."""
+    import json
+
+    openmetrics = getattr(args, "openmetrics", None)
+    if args.out:
+        blob = json.dumps(report, sort_keys=True, indent=2) + "\n"
+        if args.out == "-":
+            sys.stdout.write(blob)
+        else:
+            with open(args.out, "w") as handle:
+                handle.write(blob)
+            print(f"wrote {args.out} ({len(report['cells'])} cells, "
+                  f"jobs={args.jobs})")
+    if openmetrics:
+        from .obs import write_openmetrics
+        write_openmetrics(openmetrics, report["frame"])
+        if openmetrics != "-":
+            print(f"wrote {openmetrics} (OpenMetrics)")
+    return args.out != "-" and openmetrics != "-"
+
+
 def cmd_bench(args) -> int:
     """Deterministic (fs, pattern, seed) matrix over the fleet runner.
 
     The JSON report contains only simulated quantities and is sorted by
     cell key, so it is byte-identical for any ``--jobs`` value.
     """
-    import json
-
-    from .harness.fleet import bench_matrix, run_bench_matrix
-
-    fs_names = sorted(args.bench_fs.split(","))
-    for name in fs_names:
-        if name not in SPECS_BY_NAME:
-            raise SystemExit(f"unknown file system {name!r}")
-    seeds = sorted(int(s) for s in args.seeds.split(","))
-    patterns = sorted(args.patterns.split(","))
-    cells = bench_matrix(fs_names, patterns, seeds,
-                         size_gib=args.size_gib, num_cpus=args.cpus,
-                         aged=args.aged)
-    report = run_bench_matrix(cells, jobs=args.jobs)
-    blob = json.dumps(report, sort_keys=True, indent=2) + "\n"
-    if args.out == "-":
-        sys.stdout.write(blob)
-    else:
-        with open(args.out, "w") as handle:
-            handle.write(blob)
-        cell_count = len(report["cells"])
-        print(f"wrote {args.out} ({cell_count} cells, jobs={args.jobs})")
+    cells = _campaign_cells("bench", args)
+    _emit_report(args, CAMPAIGNS["bench"].run(cells, jobs=args.jobs))
     return 0
 
 
@@ -230,36 +246,13 @@ def cmd_slo(args) -> int:
     merged in sorted-cell-key order, so it is byte-identical for any
     ``--jobs`` value — that is what the CI ``slo-smoke`` step diffs.
     """
-    import json
-
-    from .harness.fleet import run_slo_campaign, slo_matrix
     from .harness.report import availability_table, slo_table
 
-    fs_names = sorted(args.slo_fs.split(","))
-    for name in fs_names:
-        if name not in SPECS_BY_NAME:
-            raise SystemExit(f"unknown file system {name!r}")
-    seeds = sorted(int(s) for s in args.seeds.split(","))
-    cells = slo_matrix(fs_names, seeds, size_gib=args.size_gib,
-                       num_cpus=args.cpus, ops=args.ops)
-    report = run_slo_campaign(cells, jobs=args.jobs)
-    if args.out:
-        blob = json.dumps(report, sort_keys=True, indent=2) + "\n"
-        if args.out == "-":
-            sys.stdout.write(blob)
-        else:
-            with open(args.out, "w") as handle:
-                handle.write(blob)
-            print(f"wrote {args.out} ({len(report['cells'])} cells, "
-                  f"jobs={args.jobs})")
-    if args.openmetrics:
-        from .obs import write_openmetrics
-        write_openmetrics(args.openmetrics, report["frame"])
-        if args.openmetrics != "-":
-            print(f"wrote {args.openmetrics} (OpenMetrics)")
-    if args.out != "-" and args.openmetrics != "-":
-        title = (f"SLO report ({len(report['cells'])} cells, "
-                 f"seeds={','.join(str(s) for s in seeds)})")
+    cells = _campaign_cells("slo", args)
+    report = CAMPAIGNS["slo"].run(cells, jobs=args.jobs)
+    if _emit_report(args, report):
+        title = (f"SLO report ({len(cells)} cells, "
+                 f"seeds={','.join(str(s) for s in args.seed)})")
         print(slo_table(report["results"], title=title).render())
         if report["availability"]:
             print()
@@ -271,7 +264,7 @@ def cmd_serve(args) -> int:
     """The ``repro.serve`` object service from the command line.
 
     Without ``--load``: stand up one storage from the flags, serve a few
-    demonstration objects through the RPC loopback, and print what
+    demonstration objects through the multiplexer, and print what
     happened — a smoke test of the whole stack.
 
     With ``--load``: run the seeded multi-tenant load matrix through the
@@ -280,30 +273,20 @@ def cmd_serve(args) -> int:
     so both are byte-identical for any ``--jobs`` value and across
     repeated runs with the same seeds.
     """
-    import json
-
-    from .harness.fleet import run_serve_campaign, serve_matrix
     from .harness.report import slo_table
 
-    fs_names = sorted(args.serve_fs.split(","))
-    for name in fs_names:
-        if name not in SPECS_BY_NAME:
-            raise SystemExit(f"unknown file system {name!r}")
-
     if not args.load:
-        from .serve import LoadSpec, generate_stream, get_objstorage, \
-            loopback_client, run_load
+        from .serve import LoadSpec, generate_stream, get_objstorage, run_load
         backends = [{"cls": "fs", "fs": name, "size_gib": args.size_gib,
-                     "num_cpus": args.cpus, "aged": args.aged}
-                    for name in fs_names]
+                     "num_cpus": args.num_cpus, "aged": args.aged}
+                    for name in args.fs]
         storage = get_objstorage(cls="multiplexer", backends=backends,
                                  queue_cap=args.queue_cap)
-        client = loopback_client(storage)
-        stream = generate_stream(LoadSpec(seed=args.seeds_list[0],
+        stream = generate_stream(LoadSpec(seed=args.seed[0],
                                           tenants=args.tenants, ops=50))
-        report = run_load(client, stream)
+        report = run_load(storage, stream)
         print(f"served {report['requests']} requests across "
-              f"{args.tenants} tenant(s) on {len(fs_names)} backend(s): "
+              f"{args.tenants} tenant(s) on {len(args.fs)} backend(s): "
               f"{report['ops']}")
         print(f"moved {report['bytes_put']} bytes in / "
               f"{report['bytes_got']} bytes out; "
@@ -311,28 +294,11 @@ def cmd_serve(args) -> int:
               f"errors {report['errors'] or 'none'}")
         return 0
 
-    cells = serve_matrix(fs_names, args.seeds_list, size_gib=args.size_gib,
-                         num_cpus=args.cpus, ops=args.ops,
-                         tenants=args.tenants, queue_cap=args.queue_cap,
-                         aged=args.aged, faults=args.faults)
-    report = run_serve_campaign(cells, jobs=args.jobs)
-    if args.out:
-        blob = json.dumps(report, sort_keys=True, indent=2) + "\n"
-        if args.out == "-":
-            sys.stdout.write(blob)
-        else:
-            with open(args.out, "w") as handle:
-                handle.write(blob)
-            print(f"wrote {args.out} ({len(report['cells'])} cells, "
-                  f"jobs={args.jobs})")
-    if args.openmetrics:
-        from .obs import write_openmetrics
-        write_openmetrics(args.openmetrics, report["frame"])
-        if args.openmetrics != "-":
-            print(f"wrote {args.openmetrics} (OpenMetrics)")
-    if args.out != "-" and args.openmetrics != "-":
+    cells = _campaign_cells("serve", args)
+    report = CAMPAIGNS["serve"].run(cells, jobs=args.jobs)
+    if _emit_report(args, report):
         totals = report["totals"]
-        title = (f"serve report ({len(report['cells'])} cells, "
+        title = (f"serve report ({len(cells)} cells, "
                  f"{totals['requests']} requests, "
                  f"{totals['rejected']} rejected)")
         service_rows = [r for r in report["results"]
@@ -352,7 +318,6 @@ def cmd_snapshot(args) -> int:
     packs (exit 1 when it finds any); ``gc`` evicts LRU packs until
     ``--max-bytes`` holds.
     """
-    import json
     import os
 
     from .snapshot import Archive, snapshot_dir
@@ -361,34 +326,13 @@ def cmd_snapshot(args) -> int:
     archive = Archive(root)  # fails before any aging if the root is unusable
 
     if args.action == "build":
-        from .harness.fleet import build_corpus, corpus_matrix
-
-        fs_names = sorted(args.snap_fs.split(","))
-        for name in fs_names:
-            if name not in SPECS_BY_NAME:
-                raise SystemExit(f"unknown file system {name!r}")
-        profiles = sorted(args.profiles.split(","))
-        utilizations = sorted(float(u) for u in args.utils.split(","))
-        seeds = sorted(int(s) for s in args.seeds.split(","))
-        cells = corpus_matrix(fs_names, profiles, utilizations, seeds,
-                              size_gib=args.size_gib, num_cpus=args.cpus,
-                              churn_multiple=args.churn,
-                              track_data=args.track_data)
-        seal = (None if args.seal_mib is None
-                else int(args.seal_mib * MIB))
-        report = build_corpus(cells, root, jobs=args.jobs, seal_bytes=seal)
-        if args.out:
-            blob = json.dumps(report, sort_keys=True, indent=2) + "\n"
-            if args.out == "-":
-                sys.stdout.write(blob)
-            else:
-                with open(args.out, "w") as handle:
-                    handle.write(blob)
-                print(f"wrote {args.out} ({len(report['cells'])} cells, "
-                      f"jobs={args.jobs})")
-        if args.out != "-":
+        cells = _campaign_cells("snapshot", args)
+        seal = None if args.seal_mib is None else int(args.seal_mib * MIB)
+        report = CAMPAIGNS["snapshot"].run(cells, jobs=args.jobs, root=root,
+                                           seal_bytes=seal)
+        if _emit_report(args, report):
             stats = report["archive"]
-            print(f"archived {len(report['cells'])} cells -> "
+            print(f"archived {len(cells)} cells -> "
                   f"{stats['objects']} objects "
                   f"({stats['aliases']} deduped) in {stats['packs']} "
                   f"pack(s), {stats['bytes']:,} bytes")
@@ -538,11 +482,51 @@ def _parse_threads(value: str) -> List[int]:
     return [int(x) for x in value.split(",") if x]
 
 
-def _parse_seeds(value: str) -> List[int]:
-    seeds = sorted(int(x) for x in value.split(",") if x)
-    if not seeds:
-        raise argparse.ArgumentTypeError("need at least one seed")
-    return seeds
+#: campaign axis -> (its list flag, item type, accepts)
+_AXIS_FLAGS = {
+    "fs": ("--fs", str, SPECS_BY_NAME.__contains__),
+    "pattern": ("--patterns", str, _PATTERNS.__contains__),
+    "profile": ("--profiles", str, PROFILES.__contains__),
+    "utilization": ("--utils", float, lambda u: 0.0 < u < 1.0),
+    "seed": ("--seeds", int, lambda seed: True),
+}
+
+
+def _list_flag(axis: str):
+    """``argparse`` type of the list flag filling *axis*: the sorted,
+    de-duplicated items; anything else is a usage error (``argparse``
+    turns the ``ValueError`` into one) before anything runs."""
+    _flag, cast, accepts = _AXIS_FLAGS[axis]
+
+    def comma_list(value: str) -> list:
+        items = {cast(x) for x in value.split(",") if x}
+        if not items or not all(map(accepts, items)):
+            raise ValueError(value)
+        return sorted(items)
+    return comma_list
+
+
+def _add_campaign(sub, name: str, blurb: str, out: Optional[str] = None,
+                  **axis_defaults: str) -> argparse.ArgumentParser:
+    """The subparser of one registered campaign: ``--jobs``, one list
+    flag per axis (``dest`` is the axis), ``--size-gib`` / ``--cpus``
+    with the defaults of ``CAMPAIGNS[name]``, and ``--out``."""
+    campaign = CAMPAIGNS[name]
+    p = sub.add_parser(name, help=blurb)
+    p.add_argument("--jobs", type=_positive_int, default=1,
+                   help="worker processes (reports, OpenMetrics, packs and "
+                        "index are byte-identical for any value)")
+    for axis in campaign.axes:
+        p.add_argument(_AXIS_FLAGS[axis][0], dest=axis, metavar="LIST",
+                       type=_list_flag(axis), default=axis_defaults[axis],
+                       help=f"comma-separated {axis} values")
+    p.add_argument("--size-gib", type=float,
+                   default=campaign.defaults["size_gib"])
+    p.add_argument("--cpus", dest="num_cpus", type=int,
+                   default=campaign.defaults["num_cpus"])
+    p.add_argument("--out", metavar="PATH", default=out,
+                   help="write the JSON report ('-' for stdout)")
+    return p
 
 
 def _positive_int(value: str) -> int:
@@ -575,9 +559,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--aged", action="store_true")
     p.add_argument("--util", type=float, default=0.75)
     p.add_argument("--churn", type=float, default=8.0)
-    p.add_argument("--pattern", default="seq-write",
-                   choices=["seq-write", "rand-write", "seq-read",
-                            "rand-read"])
+    p.add_argument("--pattern", default="seq-write", choices=_PATTERNS)
 
     p = sub.add_parser("crash-test", help="run the CrashMonkey/ACE "
                                           "catalogue on WineFS")
@@ -604,79 +586,48 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.add_argument("--threads", type=_parse_threads, default=[1, 4, 16])
 
-    p = sub.add_parser("bench", help="run a deterministic benchmark matrix "
-                                     "across worker processes")
-    p.add_argument("--jobs", type=_positive_int, default=1,
-                   help="worker processes (results are byte-identical "
-                        "for any value)")
-    p.add_argument("--fs", dest="bench_fs", default="WineFS,ext4-DAX",
-                   help="comma-separated file systems")
-    p.add_argument("--patterns", default="seq-read,rand-read",
-                   help="comma-separated mmap I/O patterns")
-    p.add_argument("--seeds", default="1,2",
-                   help="comma-separated workload seeds")
-    p.add_argument("--size-gib", type=float, default=0.25)
-    p.add_argument("--cpus", type=int, default=4)
+    p = _add_campaign(sub, "bench", "run a deterministic benchmark matrix "
+                      "across worker processes", out="-",
+                      fs="WineFS,ext4-DAX", pattern="seq-read,rand-read",
+                      seed="1,2")
     p.add_argument("--aged", action="store_true",
                    help="age each cell's file system first (snapshot-"
                         "cached)")
-    p.add_argument("--out", metavar="PATH", default="-",
-                   help="report path ('-' for stdout)")
 
-    p = sub.add_parser("slo", help="run a seeded fault campaign with "
-                                   "telemetry on and report per-FS SLOs "
-                                   "(latency quantiles, error budgets, "
-                                   "degraded-mode time)")
-    p.add_argument("--jobs", type=_positive_int, default=1,
-                   help="worker processes (the report is byte-identical "
-                        "for any value)")
-    p.add_argument("--fs", dest="slo_fs", default="WineFS,ext4-DAX",
-                   help="comma-separated file systems")
-    p.add_argument("--seeds", default="1,2",
-                   help="comma-separated campaign seeds")
-    p.add_argument("--ops", type=_positive_int, default=160,
-                   help="operations per campaign phase")
-    p.add_argument("--size-gib", type=float, default=0.25)
-    p.add_argument("--cpus", type=int, default=2)
-    p.add_argument("--out", metavar="PATH", default=None,
-                   help="write the JSON SLO report ('-' for stdout)")
-    p.add_argument("--openmetrics", metavar="PATH", default=None,
-                   help="write the merged frame as OpenMetrics text "
-                        "('-' for stdout)")
+    slo = _add_campaign(sub, "slo", "run a seeded fault campaign with "
+                        "telemetry on and report per-FS SLOs (latency "
+                        "quantiles, error budgets, degraded-mode time)",
+                        fs="WineFS,ext4-DAX", seed="1,2")
+    slo.add_argument("--ops", type=_positive_int,
+                     default=CAMPAIGNS["slo"].defaults["ops"],
+                     help="operations per campaign phase")
 
-    p = sub.add_parser("serve", help="serve a multi-tenant object "
-                                     "workload (put/get/exists/delete/"
-                                     "list) over simulated FS backends")
-    p.add_argument("--load", action="store_true",
-                   help="run the seeded load matrix instead of the "
-                        "demo smoke run")
-    p.add_argument("--jobs", type=_positive_int, default=1,
-                   help="worker processes (the report is byte-identical "
-                        "for any value)")
-    p.add_argument("--fs", dest="serve_fs", default="WineFS",
-                   help="comma-separated backend file systems")
-    p.add_argument("--seeds", dest="seeds_list", type=_parse_seeds,
-                   default=[1], help="comma-separated load seeds")
-    p.add_argument("--ops", type=_positive_int, default=300,
-                   help="requests per load cell")
-    p.add_argument("--tenants", type=_positive_int, default=4)
-    p.add_argument("--queue-cap", type=int, default=0,
-                   help="per-backend admission queue depth "
-                        "(0 disables admission control)")
-    p.add_argument("--aged", action="store_true",
-                   help="serve from aged images (snapshot-cached)")
-    p.add_argument("--faults", action="store_true",
-                   help="run the seeded serve fault campaign mid-load")
-    p.add_argument("--size-gib", type=float, default=0.0625)
-    p.add_argument("--cpus", type=int, default=2)
-    p.add_argument("--out", metavar="PATH", default=None,
-                   help="write the JSON serve report ('-' for stdout)")
-    p.add_argument("--openmetrics", metavar="PATH", default=None,
-                   help="write the merged frame as OpenMetrics text "
-                        "('-' for stdout)")
+    serve = _add_campaign(sub, "serve", "serve a multi-tenant object "
+                          "workload (put/get/exists/delete/list) over "
+                          "simulated FS backends", fs="WineFS", seed="1")
+    defaults = CAMPAIGNS["serve"].defaults
+    serve.add_argument("--load", action="store_true",
+                       help="run the seeded load matrix instead of the "
+                            "demo smoke run")
+    serve.add_argument("--ops", type=_positive_int, default=defaults["ops"],
+                       help="requests per load cell")
+    serve.add_argument("--tenants", type=_positive_int,
+                       default=defaults["tenants"])
+    serve.add_argument("--queue-cap", type=int, default=defaults["queue_cap"],
+                       help="per-backend admission queue depth "
+                            "(0 disables admission control)")
+    serve.add_argument("--aged", action="store_true",
+                       help="serve from aged images (snapshot-cached)")
+    serve.add_argument("--faults", action="store_true",
+                       help="run the seeded serve fault campaign mid-load")
+    for p in (slo, serve):
+        p.add_argument("--openmetrics", metavar="PATH", default=None,
+                       help="write the merged frame as OpenMetrics text "
+                            "('-' for stdout)")
 
-    p = sub.add_parser("snapshot", help="build and maintain the sharded "
-                                        "aged-image snapshot archive")
+    p = _add_campaign(sub, "snapshot", "build and maintain the sharded "
+                      "aged-image snapshot archive", fs="WineFS",
+                      profile="agrawal", utilization="0.75", seed="7")
     p.add_argument("action", choices=["build", "ls", "scrub", "gc"],
                    help="build: archive an aged-image corpus; ls: list "
                         "objects; scrub: verify CRCs and quarantine "
@@ -684,21 +635,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--archive", metavar="DIR", default=None,
                    help="archive root (default: $REPRO_SNAPSHOT_DIR, the "
                         "cache aged_fs restores from)")
-    p.add_argument("--jobs", type=_positive_int, default=1,
-                   help="worker processes for build (packs and index are "
-                        "byte-identical for any value)")
-    p.add_argument("--fs", dest="snap_fs", default="WineFS",
-                   help="comma-separated file systems to build")
-    p.add_argument("--profiles", default="agrawal",
-                   help="comma-separated aging profiles "
-                        "(agrawal, wang-hpc)")
-    p.add_argument("--utils", default="0.75",
-                   help="comma-separated target utilizations")
-    p.add_argument("--seeds", default="7",
-                   help="comma-separated aging seeds")
-    p.add_argument("--size-gib", type=float, default=0.25)
-    p.add_argument("--cpus", type=int, default=2)
-    p.add_argument("--churn", type=float, default=1.0,
+    p.add_argument("--churn", dest="churn_multiple", type=float,
+                   default=CAMPAIGNS["snapshot"].defaults["churn_multiple"],
                    help="churn volume as a multiple of partition size")
     p.add_argument("--track-data", action="store_true",
                    help="archive images that keep file contents (what "
@@ -708,8 +646,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-bytes", type=int, default=None,
                    help="gc target size (default: "
                         "$REPRO_SNAPSHOT_MAX_BYTES)")
-    p.add_argument("--out", metavar="PATH", default=None,
-                   help="write the JSON build report ('-' for stdout)")
 
     p = sub.add_parser("lint", help="run the repro.analysis static-"
                                     "analysis suite over src/repro")
@@ -741,9 +677,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("workload", choices=["mmap", "posix", "scalability"],
                    help="which workload to trace")
     _add_common(p)
-    p.add_argument("--pattern", default="seq-write",
-                   choices=["seq-write", "rand-write", "seq-read",
-                            "rand-read"],
+    p.add_argument("--pattern", default="seq-write", choices=_PATTERNS,
                    help="I/O pattern for mmap/posix workloads")
     p.add_argument("--trace-out", metavar="PATH", default="trace.json",
                    help="output file (default: trace.json)")
@@ -773,7 +707,11 @@ COMMANDS = {
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    if getattr(args, "out", None) == getattr(args, "openmetrics", "") == "-":
+        parser.error("--out - and --openmetrics - would interleave two "
+                     "documents on stdout; send one of them to a file")
     return COMMANDS[args.command](args)
 
 

@@ -7,7 +7,8 @@ experiments and prints figure/table-shaped text output.
   (aged images snapshot-cached under ``$REPRO_SNAPSHOT_DIR``), the
   strict/relaxed comparison groups of §5.1.
 * :mod:`repro.harness.fleet` — process-pool runner for independent
-  (fs, scenario, seed) cells with deterministic merge order.
+  (fs, scenario, seed) cells with deterministic merge order, and the
+  ``Campaign`` registry behind ``repro bench|slo|serve|snapshot``.
 * :mod:`repro.harness.report` — fixed-width tables and ASCII series
   (each bench prints "the same rows/series the paper reports").
 """
@@ -15,19 +16,15 @@ experiments and prints figure/table-shaped text output.
 from .setup import (FSSpec, ALL_SPECS, SPECS_BY_NAME,
                     METADATA_GROUP, DATA_GROUP,
                     make_fs, aged_fs, aged_cache_key, fresh_fs)
-from .fleet import (run_fleet, merge_numeric, bench_cell, bench_matrix,
-                    run_bench_matrix, slo_cell, slo_matrix,
-                    run_slo_campaign, corpus_cell, corpus_matrix,
-                    build_corpus)
+from .fleet import (CAMPAIGNS, Campaign, run_fleet, merge_numeric,
+                    bench_cell, slo_cell, serve_cell, corpus_cell)
 from .report import (Table, format_series, format_cdf,
                      phase_breakdown_table, slo_table, availability_table)
 
 __all__ = ["FSSpec", "ALL_SPECS", "SPECS_BY_NAME",
            "METADATA_GROUP", "DATA_GROUP",
            "make_fs", "aged_fs", "aged_cache_key", "fresh_fs",
-           "run_fleet", "merge_numeric", "bench_cell", "bench_matrix",
-           "run_bench_matrix",
-           "slo_cell", "slo_matrix", "run_slo_campaign",
-           "corpus_cell", "corpus_matrix", "build_corpus",
+           "CAMPAIGNS", "Campaign", "run_fleet", "merge_numeric",
+           "bench_cell", "slo_cell", "serve_cell", "corpus_cell",
            "Table", "format_series", "format_cdf",
            "phase_breakdown_table", "slo_table", "availability_table"]

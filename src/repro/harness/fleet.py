@@ -6,8 +6,8 @@ simulated machine, so cells share no state and can run anywhere.  The
 determinism rules that keep a parallel run byte-identical to a serial
 one:
 
-* the caller materializes and orders the cell list up front — the cell
-  key, not worker scheduling, defines the merge order;
+* :meth:`Campaign.matrix` materializes and orders the cell list up front
+  — the cell key, not worker scheduling, defines the merge order;
 * results come back indexed by input position (``Executor.map``), so
   completion order is invisible;
 * merged reports contain only simulated quantities (ns, counts, bytes).
@@ -17,24 +17,24 @@ one:
 
 ``jobs <= 1`` runs inline in this process — same code path, no pool —
 which is also what keeps the fleet usable under coverage and debuggers.
+
+:class:`Campaign` owns that contract once; :data:`CAMPAIGNS` registers
+the four matrices the CLI runs (bench / slo / serve / snapshot).
 """
 
 from __future__ import annotations
 
-from typing import (Any, Callable, Dict, Iterable, List, Optional, Sequence,
-                    Tuple)
+from dataclasses import dataclass
+from itertools import product
+from typing import (Any, Callable, Dict, Iterable, List, Mapping, Optional,
+                    Sequence, Tuple)
 
+from ..aging import PROFILES
 from ..params import KIB, MIB
-from .setup import ALL_SPECS, SPECS_BY_NAME, aged_fs, fresh_fs
+from .setup import SPECS_BY_NAME, aged_fs, fresh_fs
 
-__all__ = ["run_fleet", "merge_numeric", "bench_cell", "bench_matrix",
-           "run_bench_matrix", "DEFAULT_BENCH_PATTERNS",
-           "slo_cell", "slo_matrix", "run_slo_campaign",
-           "SLO_REPORT_SCHEMA",
-           "serve_cell", "serve_matrix", "run_serve_campaign",
-           "SERVE_REPORT_SCHEMA",
-           "corpus_cell", "corpus_matrix", "build_corpus",
-           "CORPUS_REPORT_SCHEMA"]
+__all__ = ["run_fleet", "merge_numeric", "Campaign", "CAMPAIGNS",
+           "bench_cell", "slo_cell", "serve_cell", "corpus_cell"]
 
 
 def run_fleet(fn: Callable[[Any], Any], cells: Sequence[Any],
@@ -74,24 +74,53 @@ def merge_numeric(results: Iterable[Dict[str, Any]]) -> Dict[str, Any]:
     return merged
 
 
+#: axes whose values name something; checked before any worker starts
+_AXIS_DOMAINS = {"fs": SPECS_BY_NAME, "profile": PROFILES}
+
+
+@dataclass(frozen=True)
+class Campaign:
+    """One matrix of independent cells and the report merged from it.
+
+    *axes* name the cell key, in sort order; *defaults* are the
+    parameters every cell shares, written here and nowhere else (the CLI
+    reads its flag defaults off this dict).  *cell* runs one cell in a
+    worker (picklable module-level function, plain data in and out);
+    *report* runs in the parent over ``(cells, results)`` in cell order,
+    so whatever it merges or writes is byte-identical for any *jobs*.
+    """
+
+    schema: str
+    axes: Tuple[str, ...]
+    defaults: Mapping[str, Any]
+    cell: Callable[[Dict[str, Any]], Any]
+    report: Callable[..., Dict[str, Any]]
+
+    def matrix(self, *axis_values: Iterable[Any],
+               **params: Any) -> List[Dict[str, Any]]:
+        """Cross product of the sorted axes — hence already in cell-key
+        order — over ``defaults`` overridden by *params*."""
+        unknown = sorted(set(params) - set(self.defaults))
+        if unknown or len(axis_values) != len(self.axes):
+            raise TypeError(f"matrix{self.axes} takes "
+                            f"{sorted(self.defaults)}, not {unknown}")
+        axes = [sorted(values) for values in axis_values]
+        for axis, values in zip(self.axes, axes):
+            for value in values:
+                if value not in _AXIS_DOMAINS.get(axis, values):
+                    raise ValueError(f"unknown {axis} {value!r}")
+        return [{**dict(zip(self.axes, key)), **self.defaults, **params}
+                for key in product(*axes)]
+
+    def run(self, cells: Sequence[Dict[str, Any]], jobs: int = 1,
+            **report_args: Any) -> Dict[str, Any]:
+        """Run *cells*, merge in the parent; same bytes for any *jobs*."""
+        results = run_fleet(self.cell, cells, jobs=jobs)
+        return {"schema": self.schema,
+                **self.report(cells, results, **report_args)}
+
+
 # -- the `repro bench` matrix ------------------------------------------------
-
-DEFAULT_BENCH_PATTERNS = ("seq-read", "rand-read", "seq-write", "rand-write")
-
-
-def bench_matrix(fs_names: Sequence[str], patterns: Sequence[str],
-                 seeds: Sequence[int], *, size_gib: float = 0.25,
-                 num_cpus: int = 4, file_mib: int = 16, io_kib: int = 4,
-                 aged: bool = False) -> List[Dict[str, Any]]:
-    """The sorted (fs, pattern, seed) cell list — the canonical order
-    every merge follows."""
-    cells = [{"fs": fs, "pattern": pattern, "seed": seed,
-              "size_gib": size_gib, "num_cpus": num_cpus,
-              "file_mib": file_mib, "io_kib": io_kib, "aged": aged}
-             for fs in fs_names for pattern in patterns for seed in seeds]
-    cells.sort(key=lambda c: (c["fs"], c["pattern"], c["seed"]))
-    return cells
-
 
 def bench_cell(cell: Dict[str, Any]) -> Dict[str, Any]:
     """Run one benchmark cell on its own simulated machine.
@@ -123,34 +152,17 @@ def bench_cell(cell: Dict[str, Any]) -> Dict[str, Any]:
     }
 
 
-def run_bench_matrix(cells: Sequence[Dict[str, Any]],
-                     jobs: int = 1) -> Dict[str, Any]:
-    """Run the matrix and build the report; byte-identical for any *jobs*."""
-    results = run_fleet(bench_cell, cells, jobs=jobs)
+def _bench_report(cells: Sequence[Dict[str, Any]],
+                  results: List[Dict[str, Any]]) -> Dict[str, Any]:
     totals = merge_numeric(
         {"bytes_moved": r["bytes_moved"], "elapsed_ns": r["elapsed_ns"],
          "tlb_misses": r["tlb_misses"],
          "page_faults": r["page_faults_4k"] + r["page_faults_2m"]}
         for r in results)
-    return {"schema": "repro.bench/1", "cells": results, "totals": totals}
+    return {"cells": results, "totals": totals}
 
 
 # -- the `repro slo` fault campaign ------------------------------------------
-
-SLO_REPORT_SCHEMA = "repro.slo-report/1"
-
-
-def slo_matrix(fs_names: Sequence[str], seeds: Sequence[int], *,
-               size_gib: float = 0.25, num_cpus: int = 2,
-               ops: int = 160) -> List[Dict[str, Any]]:
-    """The sorted (fs, seed) campaign cell list — the canonical merge
-    order, exactly like :func:`bench_matrix`."""
-    cells = [{"fs": fs, "seed": seed, "size_gib": size_gib,
-              "num_cpus": num_cpus, "ops": ops}
-             for fs in fs_names for seed in seeds]
-    cells.sort(key=lambda c: (c["fs"], c["seed"]))
-    return cells
-
 
 def _drive_op_mix(fs, ctx, rng, count: int, prefix: str) -> None:
     """A seeded VFS op mix (creates/reads/overwrites/renames/unlinks/
@@ -241,7 +253,6 @@ def slo_cell(cell: Dict[str, Any]) -> Dict[str, Any]:
 
     Everything is deterministic in the cell key, so the frame is too.
     """
-    from ..clock import make_context
     from ..faults import campaign_plan, crash_plan
     from ..obs import Telemetry
     from ..rng import make_rng
@@ -286,32 +297,46 @@ def slo_cell(cell: Dict[str, Any]) -> Dict[str, Any]:
     return telemetry.as_payload()
 
 
+def _slo_result_rows(merged: Dict[str, Any]) -> List[Dict[str, Any]]:
+    """Evaluate every SLO over a merged frame: one report row each."""
+    from ..obs import evaluate_frame
+
+    return [{"fs": r.fs, "slo": r.spec.name, "ops": r.ops,
+             "surfaced": r.surfaced, "p50_ns": r.p50_ns,
+             "p99_ns": r.p99_ns, "p999_ns": r.p999_ns,
+             "budget_burn": r.budget_burn,
+             "objectives": list(r.objective_lines), "ok": r.ok}
+            for r in evaluate_frame(merged)]
+
+
+def _slo_report(cells: Sequence[Dict[str, Any]],
+                frames: List[Dict[str, Any]]) -> Dict[str, Any]:
+    """SLOs and availability over the frames merged in cell order."""
+    from ..obs import frame_of, merge_frames
+
+    merged = merge_frames(frames)
+    _bank, _ledger, timeline = frame_of(merged)
+    availability = {
+        fs: {"degradations": timeline.degradations(fs),
+             "degraded_ns": timeline.degraded_ns(fs),
+             "mttr_ns": timeline.mttr_ns(fs)}
+        for fs in timeline.fs_names()}
+    return {
+        "cells": [{"fs": c["fs"], "seed": c["seed"]} for c in cells],
+        "frame": merged,
+        "results": _slo_result_rows(merged),
+        "availability": availability,
+    }
+
+
 # -- the `repro serve` load campaign -----------------------------------------
-
-SERVE_REPORT_SCHEMA = "repro.serve-report/1"
-
-
-def serve_matrix(fs_names: Sequence[str], seeds: Sequence[int], *,
-                 size_gib: float = 0.0625, num_cpus: int = 2,
-                 ops: int = 300, tenants: int = 4, queue_cap: int = 0,
-                 aged: bool = False,
-                 faults: bool = False) -> List[Dict[str, Any]]:
-    """The sorted (fs, seed) serve cell list — the canonical merge order."""
-    cells = [{"fs": fs, "seed": seed, "size_gib": size_gib,
-              "num_cpus": num_cpus, "ops": ops, "tenants": tenants,
-              "queue_cap": queue_cap, "aged": aged, "faults": faults}
-             for fs in fs_names for seed in seeds]
-    cells.sort(key=lambda c: (c["fs"], c["seed"]))
-    return cells
-
 
 def serve_cell(cell: Dict[str, Any]) -> Dict[str, Any]:
     """Serve one seeded multi-tenant load against one FS backend.
 
     The cell stands up the full service stack on its own simulated
-    machine — FS backend, multiplexer (admission control when
-    ``queue_cap > 0``), RPC loopback client — and replays the seeded
-    stream through the *client*, so every measured op crosses the codec.
+    machine — FS backend behind the multiplexer (admission control when
+    ``queue_cap > 0``) — and replays the seeded stream through it.
     With ``faults`` set, :func:`repro.faults.serve_campaign_plan` runs
     against the backend mid-load; surfaced errors burn the ``service``
     SLO budget but never abort the load.  Returns the telemetry frame,
@@ -320,7 +345,7 @@ def serve_cell(cell: Dict[str, Any]) -> Dict[str, Any]:
     from ..faults import serve_campaign_plan
     from ..obs import Telemetry
     from ..serve import (FSObjStorage, LoadSpec, ObjStorageMultiplexer,
-                         generate_stream, loopback_client, run_load)
+                         generate_stream, run_load)
 
     name = cell["fs"]
     seed = cell["seed"]
@@ -341,10 +366,9 @@ def serve_cell(cell: Dict[str, Any]) -> Dict[str, Any]:
     mux = ObjStorageMultiplexer([backend],
                                 queue_cap=cell.get("queue_cap", 0))
     mux.attach_telemetry(telemetry)
-    client = loopback_client(mux, label=f"serve/{name}")
     stream = generate_stream(LoadSpec(seed=seed, tenants=cell["tenants"],
                                       ops=cell["ops"]))
-    report = run_load(client, stream, telemetry=telemetry)
+    report = run_load(mux, stream, telemetry=telemetry)
     if plan is not None:
         telemetry.absorb_fault_plan(fs.name, plan)
     telemetry.ledger.absorb_counters(backend.index_counters())
@@ -358,29 +382,12 @@ def serve_cell(cell: Dict[str, Any]) -> Dict[str, Any]:
     }
 
 
-def _slo_result_rows(merged: Dict[str, Any]) -> List[Dict[str, Any]]:
-    """Evaluate every SLO over a merged frame: one report row each."""
-    from ..obs import evaluate_frame
-
-    return [{"fs": r.fs, "slo": r.spec.name, "ops": r.ops,
-             "surfaced": r.surfaced, "p50_ns": r.p50_ns,
-             "p99_ns": r.p99_ns, "p999_ns": r.p999_ns,
-             "budget_burn": r.budget_burn,
-             "objectives": list(r.objective_lines), "ok": r.ok}
-            for r in evaluate_frame(merged)]
-
-
-def run_serve_campaign(cells: Sequence[Dict[str, Any]],
-                       jobs: int = 1) -> Dict[str, Any]:
-    """Run the serve matrix and evaluate SLOs over the merged frame.
-
-    Same merge discipline as :func:`run_slo_campaign`: frames merge in
-    sorted-cell-key order, so the report (and its OpenMetrics
-    exposition) is byte-identical for any *jobs* value.
-    """
+def _serve_report(cells: Sequence[Dict[str, Any]],
+                  results: List[Dict[str, Any]]) -> Dict[str, Any]:
+    """Per-cell load reports plus SLOs over the merged frame (frames
+    merge in cell order, like :func:`_slo_report`)."""
     from ..obs import merge_frames
 
-    results = run_fleet(serve_cell, cells, jobs=jobs)
     merged = merge_frames([r["frame"] for r in results])
     totals = merge_numeric(
         {"requests": r["load"]["requests"], "rejected": r["load"]["rejected"],
@@ -388,7 +395,6 @@ def run_serve_campaign(cells: Sequence[Dict[str, Any]],
          "bytes_got": r["load"]["bytes_got"]}
         for r in results)
     return {
-        "schema": SERVE_REPORT_SCHEMA,
         "cells": [{"fs": r["fs"], "seed": r["seed"], "load": r["load"],
                    "admission": r["admission"]} for r in results],
         "totals": totals,
@@ -398,35 +404,6 @@ def run_serve_campaign(cells: Sequence[Dict[str, Any]],
 
 
 # -- the `repro snapshot build` corpus ---------------------------------------
-
-CORPUS_REPORT_SCHEMA = "repro.snapshot-corpus/1"
-
-
-def corpus_matrix(fs_names: Sequence[str], profiles: Sequence[str],
-                  utilizations: Sequence[float], seeds: Sequence[int], *,
-                  size_gib: float = 0.25, num_cpus: int = 2,
-                  churn_multiple: float = 1.0,
-                  track_data: bool = False) -> List[Dict[str, Any]]:
-    """The sorted (fs × profile × utilization × seed) grid — the
-    canonical archive-write order, like every other fleet matrix.
-
-    Profiles are carried by *name* (``repro.aging.PROFILES``) so cells
-    stay plain picklable data.
-    """
-    from ..aging import PROFILES
-
-    for profile in profiles:
-        if profile not in PROFILES:
-            raise ValueError(f"unknown aging profile {profile!r}")
-    cells = [{"fs": fs, "profile": profile, "utilization": utilization,
-              "seed": seed, "size_gib": size_gib, "num_cpus": num_cpus,
-              "churn_multiple": churn_multiple, "track_data": track_data}
-             for fs in fs_names for profile in profiles
-             for utilization in utilizations for seed in seeds]
-    cells.sort(key=lambda c: (c["fs"], c["profile"], c["utilization"],
-                              c["seed"]))
-    return cells
-
 
 def corpus_cell(cell: Dict[str, Any]) -> Dict[str, Any]:
     """Age one grid cell and encode its image; the parent archives it.
@@ -444,7 +421,6 @@ def corpus_cell(cell: Dict[str, Any]) -> Dict[str, Any]:
     if aged in a fresh process, which is what makes the archive's
     contents (and dedup) independent of worker scheduling.
     """
-    from ..aging import PROFILES
     from ..fs.common.inode import _GENERATION
     from ..snapshot import codec
     from .setup import aged_cache_key
@@ -481,23 +457,21 @@ def corpus_cell(cell: Dict[str, Any]) -> Dict[str, Any]:
     }
 
 
-def build_corpus(cells: Sequence[Dict[str, Any]], root: str,
-                 jobs: int = 1, *,
-                 seal_bytes: Optional[int] = None) -> Dict[str, Any]:
-    """Fan the corpus grid across *jobs* and archive every aged image.
+def _corpus_report(cells: Sequence[Dict[str, Any]],
+                   results: List[Dict[str, Any]], root: str,
+                   seal_bytes: Optional[int] = None) -> Dict[str, Any]:
+    """Archive every aged image under *root*.
 
-    Deterministic by construction: workers only compute, the parent
-    writes to a single ``build`` shard in sorted cell order and seals it
-    at the end, so index and pack contents are byte-identical for any
-    *jobs* value.  The report carries per-cell outcomes plus the
-    archive's dedup stats — identical payloads (every un-ageable PMFS
-    cell across profiles/utilizations/seeds) are stored once and
-    aliased.
+    Deterministic by construction: workers only computed, the parent
+    writes to a single ``build`` shard in cell order and seals it at the
+    end, so index and pack contents are byte-identical for any *jobs*
+    value.  The report carries per-cell outcomes plus the archive's
+    dedup stats — identical payloads (every un-ageable PMFS cell across
+    profiles/utilizations/seeds) are stored once and aliased.
     """
     from ..obs.metrics import MetricsRegistry
     from ..snapshot.archive import DEFAULT_SEAL_BYTES, Archive
 
-    results = run_fleet(corpus_cell, cells, jobs=jobs)
     archive = Archive(root, shard_token="build",
                       seal_bytes=(DEFAULT_SEAL_BYTES if seal_bytes is None
                                   else seal_bytes))
@@ -525,34 +499,30 @@ def build_corpus(cells: Sequence[Dict[str, Any]], root: str,
         })
     archive.seal()
     return {
-        "schema": CORPUS_REPORT_SCHEMA,
         "cells": report_cells,
         "archive": archive.stats(),
         "metrics": registry.as_dict(),
     }
 
 
-def run_slo_campaign(cells: Sequence[Dict[str, Any]],
-                     jobs: int = 1) -> Dict[str, Any]:
-    """Run the campaign and evaluate SLOs over the merged frame.
-
-    Frames come back in input (sorted-cell-key) order and merge in that
-    order, so the report is byte-identical for any *jobs* value.
-    """
-    from ..obs import frame_of, merge_frames
-
-    frames = run_fleet(slo_cell, cells, jobs=jobs)
-    merged = merge_frames(frames)
-    _bank, _ledger, timeline = frame_of(merged)
-    availability = {
-        fs: {"degradations": timeline.degradations(fs),
-             "degraded_ns": timeline.degraded_ns(fs),
-             "mttr_ns": timeline.mttr_ns(fs)}
-        for fs in timeline.fs_names()}
-    return {
-        "schema": SLO_REPORT_SCHEMA,
-        "cells": [{"fs": c["fs"], "seed": c["seed"]} for c in cells],
-        "frame": merged,
-        "results": _slo_result_rows(merged),
-        "availability": availability,
-    }
+CAMPAIGNS: Dict[str, Campaign] = {
+    "bench": Campaign(
+        "repro.bench/1", ("fs", "pattern", "seed"),
+        {"size_gib": 0.25, "num_cpus": 4, "file_mib": 16, "io_kib": 4,
+         "aged": False},
+        bench_cell, _bench_report),
+    "slo": Campaign(
+        "repro.slo-report/1", ("fs", "seed"),
+        {"size_gib": 0.25, "num_cpus": 2, "ops": 160},
+        slo_cell, _slo_report),
+    "serve": Campaign(
+        "repro.serve-report/1", ("fs", "seed"),
+        {"size_gib": 0.0625, "num_cpus": 2, "ops": 300, "tenants": 4,
+         "queue_cap": 0, "aged": False, "faults": False},
+        serve_cell, _serve_report),
+    "snapshot": Campaign(
+        "repro.snapshot-corpus/1", ("fs", "profile", "utilization", "seed"),
+        {"size_gib": 0.25, "num_cpus": 2, "churn_multiple": 1.0,
+         "track_data": False},
+        corpus_cell, _corpus_report),
+}

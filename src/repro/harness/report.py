@@ -103,7 +103,7 @@ def speedup(results: Dict[str, float], over: str) -> Dict[str, float]:
 
 def slo_table(rows: Sequence[Dict], title: str = "SLO report") -> Table:
     """Per-(fs, SLO class) table from a campaign report's ``results``
-    rows (:func:`repro.harness.fleet.run_slo_campaign`).
+    rows (``repro.harness.fleet.CAMPAIGNS["slo"].run``).
 
     The objectives column is multi-line — one "bound: OK|VIOLATED" line
     per set objective — which is exactly what :meth:`Table.render`'s

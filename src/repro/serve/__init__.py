@@ -6,8 +6,8 @@ what does a WineFS-class file system buy an actual storage service?  It
 stacks an SWH-style content-addressed object interface (put / get /
 exists / delete / list) on any simulated FS model, routes per-tenant
 namespaces across a fleet through a deterministic multiplexer with
-loss-based admission control, and exposes the whole thing through an
-in-process RPC pair and the ``repro serve`` CLI.
+loss-based admission control, and exposes the whole thing through the
+``repro serve`` CLI.
 
 Everything stays a pure function of seeds: streams come from
 :func:`~repro.serve.loadgen.generate_stream`, routing is content-hashed,
@@ -19,21 +19,15 @@ from .backend import SERVE_ROOT, FSObjStorage, MemoryObjStorage
 from .factory import get_objstorage
 from .interface import (OBJ_ID_LEN, ObjStorage, check_obj_id, check_tenant,
                         compute_obj_id)
-from .loadgen import (LOAD_REPORT_SCHEMA, LoadSpec, Request, dump_objects,
-                      generate_stream, object_size, run_load)
+from .loadgen import (LoadSpec, Request, dump_objects, generate_stream,
+                      object_size, run_load)
 from .multiplexer import ObjStorageMultiplexer
-from .rpc import (ObjStorageServer, RemoteObjStorage, RPCError, decode_frame,
-                  encode_frame, loopback_client, serve_connection,
-                  spawn_pipe_server)
 
 __all__ = [
     "OBJ_ID_LEN", "ObjStorage", "check_obj_id", "check_tenant",
     "compute_obj_id",
     "SERVE_ROOT", "FSObjStorage", "MemoryObjStorage",
     "ObjStorageMultiplexer", "get_objstorage",
-    "ObjStorageServer", "RemoteObjStorage", "RPCError",
-    "encode_frame", "decode_frame", "loopback_client",
-    "serve_connection", "spawn_pipe_server",
-    "LOAD_REPORT_SCHEMA", "LoadSpec", "Request", "object_size",
+    "LoadSpec", "Request", "object_size",
     "generate_stream", "run_load", "dump_objects",
 ]

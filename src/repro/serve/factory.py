@@ -3,8 +3,7 @@
 ``get_objstorage`` mirrors the swh-objstorage factory idiom: one entry
 point that turns a JSON-able config into a live storage, recursing for
 composite classes.  Because configs are plain data they cross process
-boundaries — the RPC helper spawns a server child with nothing but a
-config dict, and fleet cells carry their whole fleet as configs.
+boundaries — fleet cells carry their whole fleet as configs.
 
 Supported classes:
 

@@ -4,8 +4,8 @@
 swh-objstorage-style service: content-addressed objects (the object id
 is the hex SHA-256 of the bytes) in per-tenant namespaces, with a small
 put/get/exists/delete/list verb set.  Every concrete storage — the
-in-memory reference, the FS-backed backend, the multiplexer that routes
-tenants across a fleet, and the RPC client — implements
+in-memory reference, the FS-backed backend and the multiplexer that
+routes tenants across a fleet — implements
 :class:`ObjStorage`, and the conformance suite in ``tests/test_serve.py``
 runs the same behavioural checks against all of them.
 

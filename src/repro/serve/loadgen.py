@@ -30,9 +30,7 @@ from ..rng import make_rng
 from .interface import ObjStorage, compute_obj_id
 
 __all__ = ["LoadSpec", "Request", "object_size", "generate_stream",
-           "run_load", "dump_objects", "LOAD_REPORT_SCHEMA"]
-
-LOAD_REPORT_SCHEMA = "repro.serve-load/1"
+           "run_load", "dump_objects"]
 
 #: salt separating the serve stream from other users of the same seed
 _STREAM_SALT = 23
@@ -159,7 +157,7 @@ def run_load(storage: ObjStorage, stream: List[Request],
             telemetry.record_op("serve", req.op,
                                 storage.sim_ns() - start_ns)
     return {
-        "schema": LOAD_REPORT_SCHEMA,
+        "schema": "repro.serve-load/1",
         "requests": len(stream),
         "ops": dict(sorted(ops.items())),
         "errors": dict(sorted(errors.items())),

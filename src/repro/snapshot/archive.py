@@ -1,7 +1,7 @@
 """Winery-style sharded pack archive: the one container aged images live in.
 
 The snapshot cache (:mod:`repro.snapshot.store`) and the fleet corpus
-builder (:func:`repro.harness.fleet.build_corpus`) share this layout and
+builder (``repro.harness.fleet.CAMPAIGNS["snapshot"]``) share this layout and
 differ only in who seals when: the cache seals every image at once into
 a pack of its own, so one image is one evictable file; the builder fills
 one shard in grid order and seals it at ``seal_bytes`` and at the end,

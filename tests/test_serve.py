@@ -4,9 +4,8 @@ Five suites, matching the layer's five claims:
 
 * **Conformance** — :class:`ObjStorageConformance` is one behavioural
   mixin run against every backend the factory can build: the in-memory
-  reference, all nine simulated file systems, the multiplexer, and the
-  RPC loopback (codec round-trip on every call).  A storage passes the
-  suite or it is not an ObjStorage.
+  reference, all nine simulated file systems and the multiplexer.  A
+  storage passes the suite or it is not an ObjStorage.
 * **Differential** — a seeded sweep (100 seeds by default; override
   with ``REPRO_SERVE_SEEDS``) proving the multiplexer adds nothing: a
   multi-tenant stream routed through it leaves every backend
@@ -29,8 +28,8 @@ Five suites, matching the layer's five claims:
   before a put is refused), the space rule, and what a warm answer is
   charged.
 * **Faults** — a seeded fault campaign against a served WineFS burns
-  the service error budget and degrades the mount but never crashes the
-  server; masked vs surfaced outcomes land in the ledger and the
+  the service error budget and degrades the mount but never aborts the
+  load; masked vs surfaced outcomes land in the ledger and the
   degraded interval lands on the timeline; its allocator blip meets, by
   seed, a first rotation (a refused put) or a background prepare (none).
 * **Snapshots** — an aged backend restored from the snapshot cache
@@ -44,9 +43,12 @@ from __future__ import annotations
 import json
 import os
 import random
+import struct
 import zlib
+from datetime import timedelta
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from repro.clock import make_context
 from repro.errors import (BusyError, FSError, InvalidArgumentError,
@@ -62,11 +64,9 @@ from repro.mmu.mmap_region import MappedRegion
 from repro.params import HUGE_PAGE, KIB, MIB
 from repro.pm.device import PMDevice
 from repro.serve import (FSObjStorage, LoadSpec, MemoryObjStorage,
-                         ObjStorageMultiplexer, ObjStorageServer, RPCError,
-                         RemoteObjStorage, compute_obj_id, decode_frame,
-                         dump_objects, encode_frame, generate_stream,
-                         get_objstorage, loopback_client, run_load,
-                         spawn_pipe_server)
+                         ObjStorage, ObjStorageMultiplexer, compute_obj_id,
+                         dump_objects, generate_stream, get_objstorage,
+                         run_load)
 from repro.snapshot import Archive, store as snapshot_store
 
 from tests.test_snapshot import flip_middle_byte, rewrite, stored_record
@@ -221,21 +221,6 @@ class TestMultiplexerConformance(ObjStorageConformance):
             [make_fs_storage("WineFS"), MemoryObjStorage()])
 
 
-class TestLoopbackRPCConformance(ObjStorageConformance):
-    """The contract with every call crossing the RPC codec."""
-
-    def make_storage(self):
-        return loopback_client(make_fs_storage("WineFS"))
-
-
-class TestLoopbackMultiplexerConformance(ObjStorageConformance):
-    """Codec + multiplexer + FS backend: the full serving stack."""
-
-    def make_storage(self):
-        return loopback_client(ObjStorageMultiplexer(
-            [make_fs_storage("ext4-DAX"), MemoryObjStorage()]))
-
-
 # -- multiplexer routing and admission ---------------------------------------
 
 class TestRouting:
@@ -333,7 +318,7 @@ def test_multiplexer_matches_direct_backends(seed):
 
     mux_backends = [make_fs_storage(name_a), make_fs_storage(name_b)]
     mux = ObjStorageMultiplexer(mux_backends)
-    report = run_load(loopback_client(mux), stream)
+    report = run_load(mux, stream)
     assert report["rejected"] == 0
 
     direct = [make_fs_storage(name_a), make_fs_storage(name_b)]
@@ -364,7 +349,7 @@ def test_rejection_ordering_deterministic():
     def saturated_run():
         backends = [make_fs_storage("WineFS"), make_fs_storage("NOVA")]
         mux = ObjStorageMultiplexer(backends, queue_cap=2)
-        report = run_load(loopback_client(mux), stream)
+        report = run_load(mux, stream)
         return backends, mux, report
 
     backends_1, _mux_1, report_1 = saturated_run()
@@ -421,70 +406,41 @@ class TestLoadgen:
         assert arrivals[0] > 0
 
 
-# -- RPC codec, server, process boundary -------------------------------------
+class _FailingStorage(ObjStorage):
+    """Every verb raises the next ``FSError`` subclass in turn."""
 
-class TestRPC:
-    def test_frame_roundtrip(self):
-        meta = {"method": "put", "tenant": "t00", "obj_id": "ab" * 32}
-        payload = b"\x00\x01\xfe\xff" * 100
-        assert decode_frame(encode_frame(meta, payload)) == (meta, payload)
+    name = "failing"
+    _ERRORS = (NotFoundError, ReadOnlyError, NoSpaceError, MediaError,
+               BusyError, InvalidArgumentError)
 
-    @pytest.mark.parametrize("blob", [
-        b"", b"JUNK", b"ROBJ", b"ROBJ" + b"\x00" * 4,
-        encode_frame({"method": "get"})[:-1],
-        encode_frame({"method": "get"}) + b"extra",
-    ])
-    def test_malformed_frames_raise(self, blob):
-        with pytest.raises(RPCError):
-            decode_frame(blob)
+    def __init__(self):
+        self.calls = 0
 
-    def test_server_never_raises(self):
-        server = ObjStorageServer(MemoryObjStorage())
-        for request in (b"garbage", encode_frame({"method": "nope"}),
-                        encode_frame({"method": "get", "tenant": "t00"})):
-            meta, _payload = decode_frame(server.handle(request))
-            assert meta["ok"] is False
-            assert meta["errno"] == "EINVAL"
+    def _fail(self, *_args, **_kwargs):
+        self.calls += 1
+        raise self._ERRORS[(self.calls - 1) % len(self._ERRORS)]("injected")
 
-    def test_errors_cross_the_wire_typed(self):
-        client = loopback_client(MemoryObjStorage())
-        with pytest.raises(NotFoundError):
-            client.get("t00", compute_obj_id(b"absent"))
-        with pytest.raises(InvalidArgumentError):
-            client.put("t00", b"data", obj_id=compute_obj_id(b"liar"))
+    put = get = exists = delete = list_objects = _fail
 
-    def test_get_payload_is_byte_exact(self):
-        client = loopback_client(MemoryObjStorage())
-        data = bytes(range(256)) * 64
-        oid = client.put("t00", data)
-        assert client.get("t00", oid) == data
+    def sim_ns(self):
+        return 0.0
 
-    def test_sim_ns_and_advance_cross_the_wire(self):
-        storage = MemoryObjStorage()
-        mux = ObjStorageMultiplexer([storage], queue_cap=4)
-        client = loopback_client(mux)
-        client.advance(123.0)
-        client.put("t00", b"timed")
-        assert client.sim_ns() == storage.sim_ns()
 
-    def test_pipe_server_across_process_boundary(self):
-        client, process, conn = spawn_pipe_server({"cls": "memory"})
-        try:
-            data = b"over the process boundary"
-            oid = client.put("t00", data)
-            assert client.get("t00", oid) == data
-            assert client.exists("t00", oid)
-            assert client.list_objects("t00") == [oid]
-            client.delete("t00", oid)
-            with pytest.raises(NotFoundError):
-                client.get("t00", oid)
-        finally:
-            conn.send_bytes(b"")
-            process.join(timeout=10)
-            if process.is_alive():
-                process.terminate()
-            conn.close()
-        assert process.exitcode == 0
+def test_load_over_a_storage_that_only_fails_completes_and_counts():
+    """Degraded, never down — where the property lives: ``run_load``
+    turns every ``FSError`` (admission rejections included) into a
+    counted error and keeps going."""
+    storage = _FailingStorage()
+    stream = generate_stream(LoadSpec(seed=9, tenants=2, ops=60))
+    telemetry = Telemetry(tag="failing")
+    report = run_load(storage, stream, telemetry=telemetry)
+    assert storage.calls == report["requests"] == 60
+    assert report["errors"] == {"EAGAIN": 10, "EINVAL": 10, "EIO": 10,
+                                "ENOENT": 10, "ENOSPC": 10, "EROFS": 10}
+    assert sum(report["errors"].values()) == 60
+    assert report["rejections"] == [r.index for r in stream][4::6]
+    assert report["bytes_put"] == report["bytes_got"] == 0
+    assert telemetry.ledger.surfaced("serve") == 60
 
 
 # -- factory ------------------------------------------------------------------
@@ -1301,13 +1257,14 @@ def test_clean_load_reports_index_health(tmp_path):
     """The index and shard series ride the ``--openmetrics`` frame: a
     clean 400-op load shows hits, no invalidation, at most one scan per
     tenant and at least one rotation per backend."""
-    from repro.harness.fleet import run_serve_campaign, serve_matrix
+    from repro.harness.fleet import CAMPAIGNS
     from repro.obs.export import openmetrics_lines
 
     tenants = 4
-    cells = serve_matrix(["NOVA", "WineFS"], [1], size_gib=0.0625,
-                         num_cpus=2, ops=400, tenants=tenants)
-    report = run_serve_campaign(cells)
+    cells = CAMPAIGNS["serve"].matrix(["NOVA", "WineFS"], [1],
+                                      size_gib=0.0625, num_cpus=2, ops=400,
+                                      tenants=tenants)
+    report = CAMPAIGNS["serve"].run(cells)
     assert not report["cells"][0]["load"]["errors"]
     counters = report["frame"]["errors"]["counters"]
     assert set(counters) == {"serve_index_hits_total",
@@ -1348,7 +1305,7 @@ def test_clean_load_reports_index_health(tmp_path):
 def test_serve_fault_campaign_degrades_but_never_crashes():
     """The served campaign end to end: a seeded fault plan mid-load
     burns the service error budget; a post-crash scar degrades the mount
-    to read-only (EROFS put *responses*, not server crashes); a heal
+    to read-only (puts raise EROFS, reads keep working); a heal
     closes the degraded interval into an MTTR sample."""
     def fresh():
         return fresh_fs("WineFS", size_gib=0.0625, num_cpus=SERVE_CPUS,
@@ -1375,7 +1332,7 @@ def test_serve_fault_campaign_degrades_but_never_crashes():
     mux = ObjStorageMultiplexer([backend])
     mux.attach_telemetry(telemetry)
     stream = generate_stream(LoadSpec(seed=3, tenants=4, ops=150))
-    report = run_load(loopback_client(mux), stream, telemetry=telemetry)
+    report = run_load(mux, stream, telemetry=telemetry)
 
     # the campaign surfaced damage into the load, which kept going
     assert report["requests"] == 150
@@ -1398,18 +1355,13 @@ def test_serve_fault_campaign_degrades_but_never_crashes():
     fs2.mount(ctx)
     assert fs2.read_only
 
-    # the degraded mount serves reads and answers writes with EROFS
-    # error responses — the server never raises
-    degraded = ObjStorageServer(FSObjStorage(fs2, ctx))
-    meta, _ = decode_frame(degraded.handle(
-        encode_frame({"method": "put", "tenant": "t00"}, b"rejected")))
-    assert meta == {"ok": False, "errno": "EROFS",
-                    "error": meta["error"]}
+    # the degraded mount serves reads and refuses writes with EROFS
+    degraded = FSObjStorage(fs2, ctx)
+    with pytest.raises(ReadOnlyError):
+        degraded.put("t00", b"rejected")
     survivor_ids = FSObjStorage(fs2, ctx).list_objects("t00")
     assert survivor_ids, "post-crash namespace should not be empty"
-    meta, payload = decode_frame(degraded.handle(encode_frame(
-        {"method": "get", "tenant": "t00", "obj_id": survivor_ids[0]})))
-    assert meta["ok"] and payload
+    assert degraded.get("t00", survivor_ids[0])
 
     # heal: a re-format closes the degraded interval into an MTTR sample
     fs2.mkfs(ctx)
@@ -1459,7 +1411,7 @@ def test_serve_campaign_blip_lands_inside_the_warm_up():
 def test_media_error_on_a_mapped_read_is_the_requests_error():
     """Mapped loads and stores meet the media directly: a poisoned line
     under one object's payload fails that object's gets with EIO — a
-    response, on the live storage and on a cold scan alike, while every
+    typed error, on the live storage and on a cold scan alike, while every
     other verb keeps working — and a put whose body covers a poisoned
     free line heals it."""
     live = make_fs_storage("WineFS")
@@ -1474,10 +1426,8 @@ def test_media_error_on_a_mapped_read_is_the_requests_error():
     live.fs.attach_fault_plan(plan)
 
     for storage in (live, _scan_storage(live)):
-        server = ObjStorageServer(storage)
-        meta, _ = decode_frame(server.handle(encode_frame(
-            {"method": "get", "tenant": "t", "obj_id": ids[1]})))
-        assert (meta["ok"], meta["errno"]) == (False, "EIO")
+        with pytest.raises(MediaError):
+            storage.get("t", ids[1])
         assert storage.list_objects("t") == sorted(ids)
         assert storage.get("t", ids[0]) == bytes([0]) * 200
         assert storage.get("t", ids[2]) == bytes([2]) * 200
@@ -1554,6 +1504,72 @@ def test_poisoned_header_costs_what_follows_it_in_that_shard():
     assert [s.path[-8:] for s in cold._tenants["t"].shards] \
         == ["00000000", "00000001"]
     assert _scan_storage(live).list_objects("t") == sorted([first, after])
+
+
+_U64 = st.integers(0, 2 ** 64 - 1)
+
+
+@settings(max_examples=120, deadline=timedelta(seconds=5))
+@given(overwrites=st.lists(st.tuples(
+    st.integers(0, 5),                                  # which record
+    st.one_of(st.sampled_from([0, 1, 2]), _U64),        # its state word
+    st.one_of(_U64, st.integers(0, 4096),               # its length: any,
+              st.tuples(st.just("end"),                 # small, or within
+                        st.integers(-64, 64)))),        # 64 B of shard end
+    min_size=1, max_size=6))
+@example(overwrites=[(5, 1, ("end", 0))])       # fills the shard: valid
+@example(overwrites=[(5, 1, ("end", 1))])       # one byte over: ends the log
+@example(overwrites=[(0, 2 ** 64 - 1, 2 ** 64 - 1)])
+@example(overwrites=[(2, 1, 0), (4, 2, 8)])     # the walk lands mid-payload
+def test_hostile_record_headers_end_the_log_and_harm_nothing_else(overwrites):
+    """Shard record headers are the input a cold scan trusts: whatever
+    state words and lengths (to 2^64-1, or straddling the shard end) sit
+    in them, every verb answers — in bounded time, with a value or a
+    typed ``FSError`` — exactly what a walk of the file's bytes up to the
+    first invalid header holds, and the next put lands and survives."""
+    live = make_fs_storage("WineFS")
+    ids = [live.put("t", bytes([i]) * (200 + 40 * i)) for i in range(6)]
+    (shard,) = live._tenants["t"].shards
+    for record, word, length in overwrites:
+        _shard, offset, _length = live._tenants["t"].where[ids[record]]
+        if isinstance(length, tuple):
+            length = shard.size - offset - 48 + length[1]
+        shard.region.write(offset, struct.pack("<QQ", word, length),
+                           live.ctx)
+
+    # the reference: the file's bytes through the read path, walked here
+    blob = live.fs.read_file(shard.path, live.ctx)
+    expected, offset = {}, 0
+    while offset + 48 <= len(blob):
+        word, length, raw = struct.unpack_from("<QQ32s", blob, offset)
+        end = offset + 48 + (length + 7 & ~7)
+        if word not in (1, 2) or end > len(blob):
+            break
+        expected.pop(raw.hex(), None)
+        if word == 1:
+            expected[raw.hex()] = blob[offset + 48:offset + 48 + length]
+        offset = end
+
+    cold = _scan_storage(live)
+    assert cold.list_objects("t") == sorted(expected)
+    for obj_id, data in expected.items():
+        assert cold.exists("t", obj_id)
+        assert cold.get("t", obj_id) == data
+    for obj_id in set(ids) - set(expected):     # behind the damage: gone
+        assert not cold.exists("t", obj_id)
+        with pytest.raises(NotFoundError):
+            cold.get("t", obj_id)
+        with pytest.raises(NotFoundError):
+            cold.delete("t", obj_id)
+    if expected:
+        cold.delete("t", min(expected))
+        assert cold.list_objects("t") == sorted(expected)[1:]
+    fresh = b"lands after the damage " * 9
+    fresh_id = cold.put("t", fresh)
+    assert cold.get("t", fresh_id) == fresh
+    again = _scan_storage(live)
+    assert again.get("t", fresh_id) == fresh
+    assert again.list_objects("t") == cold.list_objects("t")
 
 
 def test_serve_campaign_cell_is_deterministic():

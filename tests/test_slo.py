@@ -25,7 +25,7 @@ from repro.clock import make_context
 from repro.core.filesystem import WineFS
 from repro.errors import ObservabilityError, ReadOnlyError
 from repro.faults import campaign_plan, crash_plan
-from repro.harness.fleet import run_slo_campaign, slo_cell, slo_matrix
+from repro.harness.fleet import CAMPAIGNS, slo_cell
 from repro.harness.report import availability_table, slo_table
 from repro.obs import (DEFAULT_SLOS, DegradedTimeline, ErrorLedger,
                        LatencySketch, SketchBank, Telemetry, evaluate_frame,
@@ -325,8 +325,8 @@ class TestEvaluate:
 # -- campaign / fleet determinism --------------------------------------------
 
 def _tiny_cells():
-    return slo_matrix(["WineFS", "ext4-DAX"], [3], size_gib=0.125,
-                      num_cpus=2, ops=40)
+    return CAMPAIGNS["slo"].matrix(["WineFS", "ext4-DAX"], [3],
+                                   size_gib=0.125, num_cpus=2, ops=40)
 
 
 class TestCampaign:
@@ -355,15 +355,15 @@ class TestCampaign:
 
     def test_jobs_1_and_2_reports_are_byte_identical(self):
         cells = _tiny_cells()
-        serial = run_slo_campaign(cells, jobs=1)
-        fleet = run_slo_campaign(cells, jobs=2)
+        serial = CAMPAIGNS["slo"].run(cells, jobs=1)
+        fleet = CAMPAIGNS["slo"].run(cells, jobs=2)
         assert json.dumps(serial, sort_keys=True) == \
             json.dumps(fleet, sort_keys=True)
         assert openmetrics_exposition(serial["frame"]) == \
             openmetrics_exposition(fleet["frame"])
 
     def test_report_has_quantiles_and_degraded_seconds(self):
-        report = run_slo_campaign(_tiny_cells(), jobs=1)
+        report = CAMPAIGNS["slo"].run(_tiny_cells(), jobs=1)
         assert report["schema"] == "repro.slo-report/1"
         rows = report["results"]
         assert any(r["fs"] == "WineFS" and r["p999_ns"] > 0 for r in rows)

@@ -32,7 +32,7 @@ from hypothesis import given, settings, strategies as st
 
 import repro.snapshot.archive as archive_mod
 from repro.engine import reference_state_scope
-from repro.harness import aged_fs, build_corpus, corpus_matrix
+from repro.harness import CAMPAIGNS, aged_fs
 from repro.harness.setup import SPECS_BY_NAME
 from repro.snapshot import Archive, codec, store
 
@@ -521,27 +521,29 @@ class TestConcurrentWriters:
         assert reader.scrub()["dropped_keys"] == []
 
 
+_CORPUS = CAMPAIGNS["snapshot"]
+
+
 class TestCorpusBuilder:
-    _GRID = dict(fs_names=["PMFS", "WineFS"],
-                 profiles=["agrawal", "wang-hpc"],
-                 utilizations=[0.5], seeds=[3])
+    # fs × profile × utilization × seed
+    _GRID = (["PMFS", "WineFS"], ["agrawal", "wang-hpc"], [0.5], [3])
 
     def test_matrix_sorted_and_validated(self):
-        cells = corpus_matrix(**self._GRID, size_gib=0.0625,
-                              churn_multiple=0.25)
+        cells = _CORPUS.matrix(*self._GRID, size_gib=0.0625,
+                               churn_multiple=0.25)
         assert [
             (c["fs"], c["profile"]) for c in cells] == [
             ("PMFS", "agrawal"), ("PMFS", "wang-hpc"),
             ("WineFS", "agrawal"), ("WineFS", "wang-hpc")]
         with pytest.raises(Exception):
-            corpus_matrix(["WineFS"], ["no-such-profile"], [0.5], [1])
+            _CORPUS.matrix(["WineFS"], ["no-such-profile"], [0.5], [1])
 
     def test_build_deduplicates_unageable_cells(self, arch_dir):
         """PMFS is returned clean for every profile, so its images are
         byte-identical across profiles — the archive must store one."""
-        cells = corpus_matrix(**self._GRID, size_gib=0.0625,
-                              churn_multiple=0.25)
-        report = build_corpus(cells, arch_dir)
+        cells = _CORPUS.matrix(*self._GRID, size_gib=0.0625,
+                               churn_multiple=0.25)
+        report = _CORPUS.run(cells, root=arch_dir)
         by_cell = {(c["fs"], c["profile"]): c["status"]
                    for c in report["cells"]}
         assert by_cell[("PMFS", "agrawal")] == "stored"
@@ -553,12 +555,12 @@ class TestCorpusBuilder:
     def test_jobs_do_not_change_bytes(self, tmp_path):
         """The whole point: fan-out is an implementation detail.  Same
         grid, any ``--jobs`` → byte-identical packs, index and report."""
-        cells = corpus_matrix(["WineFS"], ["agrawal", "wang-hpc"], [0.5],
-                              [3], size_gib=0.0625, churn_multiple=0.25)
+        cells = _CORPUS.matrix(["WineFS"], ["agrawal", "wang-hpc"], [0.5],
+                               [3], size_gib=0.0625, churn_multiple=0.25)
         roots, reports = [], []
         for jobs in (1, 2):
             root = str(tmp_path / f"jobs{jobs}")
-            reports.append(build_corpus(list(cells), root, jobs=jobs))
+            reports.append(_CORPUS.run(list(cells), jobs=jobs, root=root))
             roots.append(root)
         assert reports[0] == reports[1]
         read = lambda r, rel: open(os.path.join(r, rel), "rb").read()
@@ -572,9 +574,9 @@ class TestCorpusBuilder:
     def test_corpus_restores_through_aged_fs(self, routed, count_aging):
         """An image built by the corpus builder lands on exactly the key
         a later ``aged_fs`` call looks up — restore, not re-age."""
-        cells = corpus_matrix(["WineFS"], ["agrawal"], [0.5], [5],
-                              size_gib=0.0625, churn_multiple=0.25)
-        build_corpus(cells, routed)
+        cells = _CORPUS.matrix(["WineFS"], ["agrawal"], [0.5], [5],
+                               size_gib=0.0625, churn_multiple=0.25)
+        _CORPUS.run(cells, root=routed)
         built = count_aging.instances  # jobs=1 ages in-process
         fs, ctx = aged_fs("WineFS", utilization=0.5, **_AGE_KW)
         assert count_aging.instances == built  # restored, not re-aged
