@@ -14,9 +14,10 @@ Findings are suppressed by ``# repro: allow[rule-id] <why>`` on the
 flagged line or a comment-only line directly above (stacked allow
 comments all apply; an allow above a decorator covers the decorated
 ``def``; a trailing allow anywhere inside one multi-line statement
-covers the whole statement).  Findings are baselined via the committed
-``baseline.json`` and reported in a deterministic order so ``--json``
-output is byte-stable for a given tree.
+covers the whole statement).  That comment is the only way to accept a
+finding; there is no baseline file.  Findings are reported in a
+deterministic order so ``--json`` output is byte-stable for a given
+tree.
 
 Severity tiers: ``error`` findings fail the lint, ``warning`` findings
 are reported but never block, ``info`` findings appear only with
@@ -31,18 +32,12 @@ import os
 import re
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
-from .baseline import apply_baseline, load_baseline, write_baseline
-from .findings import Finding, number_occurrences
+from .findings import Finding
 
 SUPPRESS_RE = re.compile(r"#\s*repro:\s*allow\[([a-z0-9-]+)\]")
 
-#: default lint root and baseline location, relative to the repo root
+#: default lint root, relative to the repo root
 DEFAULT_TARGET = os.path.join("src", "repro")
-DEFAULT_BASELINE = os.path.join("src", "repro", "analysis", "baseline.json")
-#: the flow rules keep their own baseline: their finding set is disjoint
-#: from the per-file rules
-DEFAULT_FLOW_BASELINE = os.path.join(
-    "src", "repro", "analysis", "baseline_flow.json")
 
 _SIMPLE_STMTS = (ast.Assign, ast.AugAssign, ast.AnnAssign, ast.Expr,
                  ast.Return, ast.Raise, ast.Assert, ast.Delete)
@@ -239,6 +234,8 @@ class ProjectRule:
 
 
 def default_rules() -> Tuple[List[FileRule], List[ProjectRule]]:
+    """Every rule ``repro lint`` runs: four per-file, three project-wide."""
+    from .flow import FlowAnalysis
     from .rules.array_state import ArrayStateRule
     from .rules.determinism import DeterminismRule
     from .rules.locks import LockDisciplineRule
@@ -247,13 +244,7 @@ def default_rules() -> Tuple[List[FileRule], List[ProjectRule]]:
     from .rules.snapshot import SnapshotWhitelistRule
     return ([DeterminismRule(), PersistenceOrderingRule(),
              LockDisciplineRule(), ArrayStateRule()],
-            [SnapshotWhitelistRule(), MetricNamesRule()])
-
-
-def flow_rules() -> Tuple[List[FileRule], List[ProjectRule]]:
-    """The interprocedural rule set behind ``repro lint --flow``."""
-    from .flow import FlowAnalysis
-    return ([], [FlowAnalysis()])
+            [SnapshotWhitelistRule(), MetricNamesRule(), FlowAnalysis()])
 
 
 def iter_python_files(targets: Iterable[str]) -> List[str]:
@@ -272,24 +263,19 @@ def iter_python_files(targets: Iterable[str]) -> List[str]:
 
 
 class LintResult:
-    def __init__(self, findings: List[Finding], stale: List[str],
-                 files: int, errors: List[str]):
+    def __init__(self, findings: List[Finding], files: int,
+                 errors: List[str]):
         self.findings = findings
-        self.stale = stale
         self.files = files
         self.errors = errors
 
     @property
-    def new_findings(self) -> List[Finding]:
-        return [f for f in self.findings if not f.baselined]
-
-    @property
     def new_errors(self) -> List[Finding]:
-        return [f for f in self.new_findings if f.severity == "error"]
+        return [f for f in self.findings if f.severity == "error"]
 
     @property
     def new_warnings(self) -> List[Finding]:
-        return [f for f in self.new_findings if f.severity == "warning"]
+        return [f for f in self.findings if f.severity == "warning"]
 
     @property
     def exit_code(self) -> int:
@@ -297,18 +283,12 @@ class LintResult:
 
     def render_text(self, verbose: bool = False) -> str:
         lines = [f.render() for f in self.findings
-                 if (verbose or not f.baselined)
-                 and (verbose or f.severity != "info")]
+                 if verbose or f.severity != "info"]
         lines.extend(f"lint error: {e}" for e in self.errors)
-        n = len(self.new_findings)
-        b = len(self.findings) - n
-        tail = (f"{self.files} files checked: {n} finding(s)"
-                + (f", {b} baselined" if b else ""))
+        tail = f"{self.files} files checked: {len(self.findings)} finding(s)"
         w = len(self.new_warnings)
         if w:
             tail += f" ({w} warning-level)"
-        if self.stale:
-            tail += f", {len(self.stale)} stale baseline entrie(s)"
         lines.append(tail)
         return "\n".join(lines)
 
@@ -316,11 +296,9 @@ class LintResult:
         doc = {
             "files": self.files,
             "findings": [f.as_dict() for f in self.findings],
-            "new": len(self.new_findings),
+            "new": len(self.findings),
             "new_errors": len(self.new_errors),
             "new_warnings": len(self.new_warnings),
-            "baselined": len(self.findings) - len(self.new_findings),
-            "stale_baseline": self.stale,
             "errors": self.errors,
             "exit_code": self.exit_code,
         }
@@ -328,14 +306,14 @@ class LintResult:
 
 
 def run_lint(targets: Sequence[str],
-             baseline_path: Optional[str] = None,
              root: Optional[str] = None,
              rules: Optional[Tuple[List[FileRule], List[ProjectRule]]] = None,
              ) -> LintResult:
     """Lint *targets* (files or directories) and return the result.
 
-    *root* anchors the relative paths used in findings and fingerprints
-    (default: the common prefix's CWD), so output is location-independent.
+    *root* anchors the relative paths used in findings (default: the
+    CWD), so output is location-independent.  *rules* selects a subset
+    (default: :func:`default_rules`, every rule in one pass).
     """
     root = os.path.abspath(root or os.getcwd())
     file_rules, project_rules = rules if rules is not None else default_rules()
@@ -372,17 +350,4 @@ def run_lint(targets: Sequence[str],
 
     findings = per_file + project_findings
     findings.sort(key=lambda f: (f.path, f.line, f.col, f.rule, f.detail))
-    findings = number_occurrences(findings)
-
-    baseline = load_baseline(baseline_path) if baseline_path else {}
-    findings, stale = apply_baseline(findings, baseline)
-    return LintResult(findings, stale, files=len(paths), errors=errors)
-
-
-def update_baseline(targets: Sequence[str], baseline_path: str,
-                    root: Optional[str] = None,
-                    rules: Optional[Tuple[List[FileRule],
-                                          List[ProjectRule]]] = None) -> int:
-    """Regenerate the baseline from the current findings; returns count."""
-    result = run_lint(targets, baseline_path=None, root=root, rules=rules)
-    return write_baseline(baseline_path, result.findings)
+    return LintResult(findings, files=len(paths), errors=errors)

@@ -1,11 +1,8 @@
-"""Finding records and fingerprints for the lint engine.
+"""Finding records for the lint engine.
 
-A finding pins a rule violation to ``path:line:col`` for the human, and
-to a *line-independent* fingerprint for the baseline: the fingerprint
-hashes (rule, path, enclosing qualname, detail slug, occurrence index)
-so grandfathered findings survive unrelated edits that only shift line
-numbers, while a second identical violation in the same function is a
-new finding.
+A finding pins a rule violation to ``path:line:col``, names the
+enclosing function (``qualname``) and carries a stable ``detail`` slug
+(API name, receiver, field) that orders otherwise-equal findings.
 
 Findings carry a severity tier:
 
@@ -15,21 +12,14 @@ Findings carry a severity tier:
 
 Interprocedural findings additionally carry a *witness* call chain:
 ``(label, path, line)`` hops from the defect's origin to the point the
-invariant breaks (store site → … → commit site).  The witness is for
-the human and the SARIF export; it never feeds the fingerprint, so a
-baseline entry survives refactors that merely reroute the chain.
+invariant breaks (store site → … → commit site); ``--json`` carries it
+whole.
 """
 
 from __future__ import annotations
 
-import hashlib
-from dataclasses import dataclass, field, replace
-from typing import Dict, List, Tuple
-
-SEVERITIES = ("error", "warning", "info")
-
-#: ``severity`` -> SARIF 2.1.0 ``level``
-SARIF_LEVELS = {"error": "error", "warning": "warning", "info": "note"}
+from dataclasses import dataclass, field
+from typing import Dict, Tuple
 
 
 @dataclass(frozen=True)
@@ -42,17 +32,9 @@ class Finding:
     hint: str = ""
     qualname: str = ""   # enclosing Class.method / function, "" = module
     detail: str = ""     # stable slug (API name, receiver, field, ...)
-    occurrence: int = 0  # disambiguates identical (qualname, detail) hits
     severity: str = "error"
     #: interprocedural witness chain: (label, path, line) hops
     witness: Tuple[Tuple[str, str, int], ...] = field(default=())
-    baselined: bool = False
-
-    @property
-    def fingerprint(self) -> str:
-        raw = "|".join([self.rule, self.path.replace("\\", "/"),
-                        self.qualname, self.detail, str(self.occurrence)])
-        return hashlib.sha1(raw.encode()).hexdigest()[:16]
 
     def render(self) -> str:
         head = f"{self.path}:{self.line}:{self.col}: [{self.rule}] "
@@ -61,8 +43,6 @@ class Finding:
         out = head + self.message
         if self.hint:
             out += f"  (hint: {self.hint})"
-        if self.baselined:
-            out += "  [baselined]"
         for label, path, line in self.witness:
             out += f"\n    via {label} ({path}:{line})"
         return out
@@ -72,23 +52,6 @@ class Finding:
             "rule": self.rule, "path": self.path, "line": self.line,
             "col": self.col, "message": self.message, "hint": self.hint,
             "qualname": self.qualname, "detail": self.detail,
-            "occurrence": self.occurrence, "severity": self.severity,
+            "severity": self.severity,
             "witness": [list(hop) for hop in self.witness],
-            "fingerprint": self.fingerprint, "baselined": self.baselined,
         }
-
-
-def number_occurrences(findings: List[Finding]) -> List[Finding]:
-    """Assign occurrence indexes to otherwise-identical findings.
-
-    Input order (source order within a file) determines the index, so the
-    numbering is deterministic for a given tree state.
-    """
-    seen: Dict[str, int] = {}
-    out: List[Finding] = []
-    for f in findings:
-        key = "|".join([f.rule, f.path, f.qualname, f.detail])
-        n = seen.get(key, 0)
-        seen[key] = n + 1
-        out.append(replace(f, occurrence=n) if n else f)
-    return out

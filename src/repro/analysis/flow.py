@@ -1,7 +1,7 @@
 """Project-wide call graph + dataflow facts for interprocedural lint.
 
-This is the layer behind ``repro lint --flow``.  Per file it extracts a
-compact, JSON-serializable IR:
+This is the interprocedural layer of ``repro lint``.  Per file it
+extracts a compact, JSON-serializable IR:
 
 * every function/method with a structural mini-IR of its body — call
   sites, attribute stores, returns/raises, and the if/loop/try/with
@@ -583,8 +583,7 @@ class FlowAnalysis(ProjectRule):
 
     One fact-collection pass feeds all three rules; findings carry the
     individual rule ids (``persist-before-commit``, ``lock-order-cycle``,
-    ``degraded-write-guard``) so suppressions and baselines stay
-    per-rule.
+    ``degraded-write-guard``) so suppressions stay per-rule.
     """
 
     id = "flow"

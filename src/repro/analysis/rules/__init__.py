@@ -1,8 +1,7 @@
 """The nine codebase-specific lint rules.
 
 Shared AST helpers live here; each rule is one module.  Rule ids are
-the stable public names used by ``# repro: allow[<id>]`` suppressions
-and the committed baselines:
+the stable public names used by ``# repro: allow[<id>]`` suppressions:
 
 =====================  =====================================================
 ``determinism``        wall-clock reads, global ``random.*``, ``os.urandom``,
@@ -19,8 +18,8 @@ and the committed baselines:
                        sanctioned kernel modules
 =====================  =====================================================
 
-Interprocedural rules (``repro lint --flow``; modules ``flow_*``, run
-through :class:`repro.analysis.flow.FlowAnalysis`):
+Interprocedural rules (modules ``flow_*``, run through
+:class:`repro.analysis.flow.FlowAnalysis`):
 
 =========================  =================================================
 ``persist-before-commit``  a PM store must reach persist()/clwb+sfence on

@@ -70,7 +70,6 @@ class ArrayStateRule(FileRule):
             return []
         quals = None
         findings: List[Finding] = []
-        occurrences: Dict[Tuple[str, str], int] = {}
 
         def flag(node: ast.AST, attr: str, how: str) -> None:
             nonlocal quals
@@ -79,9 +78,6 @@ class ArrayStateRule(FileRule):
             if quals is None:
                 quals = enclosing_qualnames(ctx.tree)
             qual = quals.get(id(node), "")
-            key = (qual, attr)
-            occ = occurrences.get(key, 0)
-            occurrences[key] = occ + 1
             owners = ", ".join(_SANCTIONED[attr])
             findings.append(Finding(
                 rule=self.id, path=ctx.relpath, line=node.lineno,
@@ -91,7 +87,7 @@ class ArrayStateRule(FileRule):
                 hint=f"mutate '{attr}' only via its kernel API (owners: "
                      f"{owners}), or extend _SANCTIONED alongside an "
                      f"audited kernel",
-                qualname=qual, detail=attr, occurrence=occ))
+                qualname=qual, detail=attr))
 
         for node in ast.walk(ctx.tree):
             if isinstance(node, (ast.Assign, ast.AugAssign)):

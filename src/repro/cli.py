@@ -168,7 +168,7 @@ def cmd_faults(args) -> int:
     """Run a canned WineFS workload under a fault plan and report it."""
     from .clock import make_context
     from .core.filesystem import WineFS
-    from .errors import FSError
+    from .errors import FSError, InvalidArgumentError
     from .faults import FaultPlan, FaultSpec
     from .obs import fault_report
     from .params import BLOCK_SIZE
@@ -184,8 +184,14 @@ def cmd_faults(args) -> int:
     extents = list(fs.file_extents(fs.getattr("/victim").ino))
 
     if args.plan:
-        with open(args.plan, encoding="utf-8") as fh:
-            plan = FaultPlan.from_json(fh.read())
+        try:
+            with open(args.plan, "rb") as fh:
+                plan = FaultPlan.from_json(fh.read())
+            plan.attach(device)  # rejects poison outside this device
+        except (OSError, InvalidArgumentError) as exc:
+            print(f"repro faults: --plan {args.plan}: {exc}",
+                  file=sys.stderr)
+            return 2
     else:
         kinds = [k.strip() for k in args.kinds.split(",") if k.strip()]
         specs = []
@@ -377,43 +383,17 @@ def cmd_lint(args) -> int:
     import json
     import os
 
-    from .analysis import (DEFAULT_BASELINE, DEFAULT_FLOW_BASELINE,
-                           DEFAULT_TARGET, flow_rules, run_lint,
-                           update_baseline)
+    from .analysis import DEFAULT_TARGET, run_lint
 
     root = os.getcwd()
     targets = args.paths or [os.path.join(root, DEFAULT_TARGET)]
-    default_baseline = DEFAULT_FLOW_BASELINE if args.flow else \
-        DEFAULT_BASELINE
-    rules = flow_rules() if args.flow else None
-    baseline = args.baseline
-    if baseline is None:
-        baseline = os.path.join(root, default_baseline)
-    elif baseline == "":
-        baseline = None
 
     if args.emit_registry:
         from .analysis.rules.metric_names import emit_registry
         print(json.dumps(emit_registry(targets, root=root), indent=2))
         return 0
 
-    if args.write_baseline:
-        count = update_baseline(targets, baseline_path=baseline,
-                                root=root, rules=rules)
-        print(f"wrote {count} finding(s) to {baseline}")
-        return 0
-
-    result = run_lint(targets, baseline_path=baseline, root=root,
-                      rules=rules)
-    if args.sarif:
-        from .analysis.sarif import to_sarif, validate_sarif
-        doc = to_sarif(result.findings, base_uri=root)
-        problems = validate_sarif(doc)
-        if problems:  # never ship an invalid artifact silently
-            print("\n".join(f"sarif: {p}" for p in problems))
-            return 2
-        with open(args.sarif, "w", encoding="utf-8") as fh:
-            json.dump(doc, fh, indent=2, sort_keys=True)
+    result = run_lint(targets, root=root)
     if args.json:
         print(result.render_json())
     else:
@@ -656,21 +636,10 @@ def build_parser() -> argparse.ArgumentParser:
                    help="machine-readable output (byte-stable for a "
                         "given tree)")
     p.add_argument("--verbose", action="store_true",
-                   help="also print baselined findings")
-    p.add_argument("--baseline", metavar="PATH", default=None,
-                   help="baseline file (default: "
-                        "src/repro/analysis/baseline.json; '' disables)")
-    p.add_argument("--write-baseline", action="store_true",
-                   help="regenerate the baseline from current findings")
+                   help="also print info-severity findings")
     p.add_argument("--emit-registry", action="store_true",
                    help="print every metric/span name referenced at call "
                         "sites (to refresh repro/obs/names.py)")
-    p.add_argument("--flow", action="store_true",
-                   help="run the interprocedural rules (persist-before-"
-                        "commit, lock-order-cycle, degraded-write-guard) "
-                        "with the flow baseline")
-    p.add_argument("--sarif", metavar="PATH", default=None,
-                   help="also write a SARIF 2.1.0 report to PATH")
 
     p = sub.add_parser("trace", help="run a workload with span tracing on "
                                      "and export the trace")

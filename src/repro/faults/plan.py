@@ -10,7 +10,8 @@ seeded RNG (``repro.rng.make_rng``) owned by the plan.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass
+import sys
+from dataclasses import asdict, dataclass, fields
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from ..errors import InvalidArgumentError, MediaError
@@ -24,6 +25,10 @@ MAX_WRITE_RETRIES = 3
 
 #: outcome labels used in counts / metrics
 OUTCOMES = ("injected", "masked", "surfaced")
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)
@@ -53,14 +58,26 @@ class FaultSpec:
     blocks: Tuple[int, ...] = ()
 
     def __post_init__(self) -> None:
+        # specs arrive from plan files (``repro faults --plan``): every
+        # field is type-checked here so a bad one is an EINVAL, never a
+        # TypeError deep inside a device hook
         if self.kind not in FAULT_KINDS:
             raise InvalidArgumentError(f"unknown fault kind {self.kind!r}")
+        for name in ("addr", "length", "at_op", "count"):
+            if not _is_int(getattr(self, name)):
+                raise InvalidArgumentError(f"{name} must be an integer")
         if self.kind == "poison" and (self.addr < 0 or self.length <= 0):
             raise InvalidArgumentError("poison needs addr >= 0, length > 0")
         if self.at_op < 0 or self.count < 0:
             raise InvalidArgumentError("at_op/count must be non-negative")
-        if self.latency_mult < 1.0:
-            raise InvalidArgumentError("latency_mult must be >= 1.0")
+        mult = self.latency_mult
+        if not isinstance(mult, (int, float)) or isinstance(mult, bool) \
+                or not 1.0 <= mult <= sys.float_info.max:
+            raise InvalidArgumentError(
+                "latency_mult must be a finite number >= 1.0")
+        if not isinstance(self.blocks, (list, tuple)) \
+                or not all(_is_int(b) for b in self.blocks):
+            raise InvalidArgumentError("blocks must be a list of integers")
         object.__setattr__(self, "blocks", tuple(self.blocks))
 
 
@@ -97,11 +114,7 @@ class FaultPlan:
         self._write_errors: List[FaultSpec] = []
         self._we_fired: List[int] = []
         for spec in self.specs:
-            if spec.kind == "poison":
-                first = spec.addr // CACHELINE
-                last = (spec.addr + spec.length - 1) // CACHELINE
-                self._poisoned.update(range(first, last + 1))
-            elif spec.kind == "torn_store":
+            if spec.kind == "torn_store":
                 self._torn_at[spec.at_op] = spec
             elif spec.kind == "latency":
                 self._latency.append(spec)
@@ -110,9 +123,6 @@ class FaultPlan:
             elif spec.kind == "write_error":
                 self._write_errors.append(spec)
                 self._we_fired.append(0)
-        if self._poisoned:
-            self._pmin = min(self._poisoned)
-            self._pmax = max(self._poisoned)
 
     # -- activity -------------------------------------------------------------
 
@@ -123,10 +133,28 @@ class FaultPlan:
 
     def attach(self, device) -> None:
         """Bind to *device* (gives the hooks the machine cost model) and
-        account the pre-poisoned lines."""
+        poison the planned lines.
+
+        Poison ranges expand to per-line entries here, on the first
+        attach, and must lie inside the device: what a range costs is
+        bounded by the device, not by the number written in a plan file.
+        """
+        if self._device is None:
+            poison = [s for s in self.specs if s.kind == "poison"]
+            for spec in poison:
+                if spec.addr + spec.length > device.size:
+                    raise InvalidArgumentError(
+                        f"poison range [{spec.addr:#x}, +{spec.length}) "
+                        f"outside device of size {device.size:#x}")
+            for spec in poison:
+                first = spec.addr // CACHELINE
+                last = (spec.addr + spec.length - 1) // CACHELINE
+                self._poisoned.update(range(first, last + 1))
+            if self._poisoned:
+                self._pmin = min(self._poisoned)
+                self._pmax = max(self._poisoned)
+                self.counts[("poison", "injected")] = len(self._poisoned)
         self._device = device
-        if self._poisoned and ("poison", "injected") not in self.counts:
-            self.counts[("poison", "injected")] = len(self._poisoned)
 
     @property
     def poisoned_lines(self) -> Set[int]:
@@ -276,14 +304,34 @@ class FaultPlan:
         }, indent=2, sort_keys=True)
 
     @classmethod
-    def from_json(cls, text: str) -> "FaultPlan":
-        raw = json.loads(text)
+    def from_json(cls, text) -> "FaultPlan":
+        """Parse a plan document (``str`` or UTF-8 ``bytes``).
+
+        Outside input: anything but ``{"seed": int, "specs": [{field:
+        value}]}`` raises :class:`InvalidArgumentError`, nothing else.
+        """
+        try:
+            raw = json.loads(text)
+        except (ValueError, RecursionError) as exc:
+            raise InvalidArgumentError(f"fault plan is not JSON: {exc}")
+        if not isinstance(raw, dict):
+            raise InvalidArgumentError("fault plan must be a JSON object")
+        seed = raw.get("seed", 0)
+        entries = raw.get("specs", [])
+        if not _is_int(seed):
+            raise InvalidArgumentError("seed must be an integer")
+        if not isinstance(entries, list):
+            raise InvalidArgumentError("specs must be a list")
+        known = {f.name for f in fields(FaultSpec)}
         specs = []
-        for entry in raw.get("specs", []):
-            entry = dict(entry)
-            entry["blocks"] = tuple(entry.get("blocks", ()))
+        for entry in entries:
+            if not isinstance(entry, dict) or "kind" not in entry \
+                    or not known.issuperset(entry):
+                raise InvalidArgumentError(
+                    f"a spec must be an object with 'kind' and fields "
+                    f"from {sorted(known)}, got {entry!r:.80}")
             specs.append(FaultSpec(**entry))
-        return cls(seed=int(raw.get("seed", 0)), specs=specs)
+        return cls(seed=seed, specs=specs)
 
     def report_rows(self) -> List[Tuple[str, int, int, int]]:
         """(kind, injected, masked, surfaced) rows for every kind seen."""

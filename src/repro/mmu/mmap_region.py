@@ -435,13 +435,14 @@ class MappedRegion:
         machine = self.machine
         first = offset // BASE_PAGE
         last = (offset + size - 1) // BASE_PAGE
-        if self.batch and last - first < 8 and not ctx.trace.enabled:
+        if self.batch and last - first < 8:
             # small-read fast path (the mmap_rand profile: 1-2 touched
             # pages per op).  Applies only when every touched page is
             # already base-mapped: then _walk_pages would charge the
             # span as ONE base run (base_run_length counts consecutive
             # mapped pages), so one access_run + grouped charges below
-            # replays its float-add sequence exactly.  The adds
+            # replays its float-add sequence exactly (and, like it,
+            # records no span when tracing: nothing faults here).  The adds
             # accumulate on a local with a single clock store; stores
             # don't change float values, so the result is bit-identical.
             base = self.page_table._base

@@ -202,10 +202,10 @@ class PMDevice:
         ``FaultPlan(seed, [])`` leaves every charge bit-identical to a
         device that never heard of faults.
         """
+        if plan is not None:
+            plan.attach(self)  # may reject the plan: install it only after
         self.faults = plan
         self._faults_active = plan is not None and plan.is_active
-        if plan is not None:
-            plan.attach(self)
 
     # -- bounds ------------------------------------------------------------------
 

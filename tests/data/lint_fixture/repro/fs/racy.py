@@ -1,0 +1,60 @@
+"""lock-discipline, lock-order-cycle and degraded-write-guard seeds."""
+from repro.vfs.interface import FileSystem
+
+
+def truncate(self, inode, size, ctx):
+    inode.size = size
+
+
+def truncate_locked(self, inode, size, ctx):
+    ctx.locks.acquire(inode.lock_name, ctx.cpu)
+    try:
+        inode.size = size
+    finally:
+        ctx.locks.release(inode.lock_name, ctx.cpu)
+
+
+def forward(ctx):
+    ctx.locks.acquire("ino:1", ctx.cpu)
+    ctx.locks.acquire("winefs-journal:0", ctx.cpu)
+    ctx.locks.release("winefs-journal:0", ctx.cpu)
+    ctx.locks.release("ino:1", ctx.cpu)
+
+
+def log_append(ctx):
+    ctx.locks.acquire("ino:2", ctx.cpu)
+    ctx.locks.release("ino:2", ctx.cpu)
+
+
+def backward(ctx):
+    ctx.locks.acquire("winefs-journal:0", ctx.cpu)
+    log_append(ctx)
+    ctx.locks.release("winefs-journal:0", ctx.cpu)
+
+
+def relog(ctx, items):
+    for item in items:
+        # repro: allow[lock-order-cycle] suppressed on purpose
+        ctx.locks.acquire(f"xfs-log-item:{item}", ctx.cpu)
+
+
+def unregistered(ctx):
+    ctx.locks.acquire("bogus-family:1", ctx.cpu)
+
+
+class BaseFS(FileSystem):
+    def write(self, ino, offset, data, ctx):
+        self._check_writable()
+        self.device.store(offset, data, ctx)
+        self.device.persist(offset, len(data), ctx)
+        return len(data)
+
+    def write_zeros(self, ino, offset, length, ctx):
+        return self.write(ino, offset, b"0" * length, ctx)
+
+
+class FastFS(BaseFS):
+    def write(self, ino, offset, data, ctx):
+        ctx.locks.acquire(f"ino:{ino}", ctx.cpu)
+        self._check_writable()
+        return len(data)

@@ -1,10 +1,11 @@
 """Tests for the repro.analysis static-analysis suite.
 
-Each rule gets good/bad fixture snippets; the engine gets suppression,
-baseline and --json stability coverage; and the tier-1 gate at
-the bottom self-lints ``src/repro`` (the same check CI runs), including
-the two acceptance mutations: weakening a ``persist`` to a bare
-``store`` in ``repro.core.journal`` and deleting an ``sfence`` in
+Each rule gets good/bad fixture snippets; the engine gets suppression
+and --json stability coverage; the one-pass merge is pinned by a golden
+recorded from the two modes it replaced; and the tier-1 gate at the
+bottom self-lints ``src/repro`` (the same check CI runs), including the
+two acceptance mutations: weakening a ``persist`` to a bare ``store``
+in ``repro.core.journal`` and deleting an ``sfence`` in
 ``repro.core.filesystem`` must both trip ``persistence-ordering``.
 """
 
@@ -16,10 +17,9 @@ import textwrap
 
 import pytest
 
-from repro.analysis import (DEFAULT_TARGET, FileContext, run_lint,
-                            update_baseline)
-from repro.analysis.baseline import load_baseline, write_baseline
+from repro.analysis import FileContext, default_rules, run_lint
 from repro.analysis.engine import derive_module, scan_suppressions
+from repro.analysis.flow import FlowAnalysis
 from repro.analysis.rules.array_state import ArrayStateRule
 from repro.analysis.rules.determinism import DeterminismRule
 from repro.analysis.rules.locks import LockDisciplineRule
@@ -450,7 +450,7 @@ def test_registered_spans_match_live_tracer_usage():
 
 
 # ---------------------------------------------------------------------------
-# engine: suppression, baseline, json
+# engine: suppression, json
 
 
 def test_suppression_on_line_and_line_above(tmp_path):
@@ -550,49 +550,6 @@ def test_suppression_does_not_leak_into_compound_bodies(tmp_path):
     assert [f.rule for f in result.findings] == ["determinism"]
 
 
-def test_baseline_grandfathers_and_reports_stale(tmp_path):
-    target = tmp_path / "mod.py"
-    target.write_text("import time\nT = time.time()\n")
-    baseline_path = str(tmp_path / "baseline.json")
-
-    dirty = run_lint([str(target)], root=str(tmp_path))
-    assert dirty.exit_code == 1
-    write_baseline(baseline_path, dirty.findings)
-
-    grandfathered = run_lint([str(target)], baseline_path=baseline_path,
-                             root=str(tmp_path))
-    assert grandfathered.exit_code == 0
-    assert [f.baselined for f in grandfathered.findings] == [True]
-
-    target.write_text("T = 0\n")
-    fixed = run_lint([str(target)], baseline_path=baseline_path,
-                     root=str(tmp_path))
-    assert fixed.exit_code == 0
-    assert len(fixed.stale) == 1
-
-
-def test_update_baseline_roundtrip(tmp_path):
-    target = tmp_path / "mod.py"
-    target.write_text("import os\nK = os.urandom(2)\n")
-    baseline_path = str(tmp_path / "baseline.json")
-    count = update_baseline([str(target)], baseline_path,
-                            root=str(tmp_path))
-    assert count == 1
-    assert len(load_baseline(baseline_path)) == 1
-
-
-def test_fingerprints_survive_line_shifts(tmp_path):
-    target = tmp_path / "mod.py"
-    target.write_text("import time\ndef f():\n    return time.time()\n")
-    first = run_lint([str(target)], root=str(tmp_path))
-    target.write_text("import time\n\n\n# pushed down\ndef f():\n"
-                      "    return time.time()\n")
-    second = run_lint([str(target)], root=str(tmp_path))
-    assert [f.fingerprint for f in first.findings] == \
-        [f.fingerprint for f in second.findings]
-    assert first.findings[0].line != second.findings[0].line
-
-
 def test_json_output_is_stable(tmp_path):
     target = tmp_path / "mod.py"
     target.write_text("import time\nT = time.time()\n")
@@ -618,31 +575,99 @@ def test_cli_lint_json(tmp_path, capsys):
     from repro.cli import main
     target = tmp_path / "mod.py"
     target.write_text("import time\nT = time.time()\n")
-    rc = main(["lint", "--json", "--baseline", "", str(target)])
+    rc = main(["lint", "--json", str(target)])
     doc = json.loads(capsys.readouterr().out)
     assert rc == 1
     assert doc["new"] == 1
 
 
 # ---------------------------------------------------------------------------
+# one pass over one rule set: the merge of the old `lint` and `lint --flow`
+
+DATA = os.path.join(REPO_ROOT, "tests", "data")
+
+ALL_RULE_IDS = {
+    "determinism", "persistence-ordering", "lock-discipline", "array-kernel",
+    "snapshot-whitelist", "metric-names",
+    "persist-before-commit", "lock-order-cycle", "degraded-write-guard",
+}
+
+
+def finding_tuples(result):
+    return [[f.rule, f.path, f.line, f.col, f.severity, f.detail,
+             [list(hop) for hop in f.witness]] for f in result.findings]
+
+
+def split_rule_sets():
+    """The two rule sets the parent ran as `lint` and `lint --flow`."""
+    file_rules, project_rules = default_rules()
+    flow = [r for r in project_rules if isinstance(r, FlowAnalysis)]
+    rest = [r for r in project_rules if not isinstance(r, FlowAnalysis)]
+    assert len(flow) == 1 and len(rest) == 2 and len(file_rules) == 4
+    return (file_rules, rest), ([], flow)
+
+
+def test_one_pass_equals_the_recorded_union_of_both_old_modes():
+    """``tests/data/lint_fixture`` seeds every rule (and two inline
+    allows, one per old mode); the golden is the parent's ``lint --json
+    --baseline ''`` ∪ ``lint --flow --json --baseline ''`` over it,
+    sorted the way one run sorts."""
+    with open(os.path.join(DATA, "lint_union_golden.json")) as fh:
+        golden = json.load(fh)
+    fixture = os.path.join(DATA, "lint_fixture")
+    result = run_lint([fixture], root=fixture)
+    assert result.errors == []
+    assert finding_tuples(result) == golden["findings"]
+    assert (result.files, result.exit_code) == \
+        (golden["files"], golden["exit_code"])
+    assert {f.rule for f in result.findings} == ALL_RULE_IDS
+
+
+def test_one_pass_equals_the_union_on_the_finding_bearing_trees():
+    """Same property on live trees, whose lines move with every PR: the
+    rule subsets ``run_lint(rules=...)`` still selects, run apart, find
+    exactly what the single pass finds."""
+    targets = [os.path.join(REPO_ROOT, d)
+               for d in ("tests", "benchmarks", "examples")]
+    per_file, flow = split_rule_sets()
+    parts = [run_lint(targets, root=REPO_ROOT, rules=rules)
+             for rules in (per_file, flow)]
+    assert all(part.findings for part in parts)
+    union = sorted((t for part in parts for t in finding_tuples(part)),
+                   key=lambda t: (t[1], t[2], t[3], t[0], t[5]))
+    assert finding_tuples(run_lint(targets, root=REPO_ROOT)) == union
+
+
+# ---------------------------------------------------------------------------
 # tier-1 gate: src/repro self-lints clean, and stays sensitive
 
 
-def run_src_lint(extra_file=None, replace=None):
-    """Lint src/repro, optionally with one file's content overridden."""
-    baseline = os.path.join(SRC_REPRO, "analysis", "baseline.json")
-    targets = [SRC_REPRO]
-    if extra_file is not None:
-        targets = [extra_file]
-    result = run_lint(targets, baseline_path=baseline, root=REPO_ROOT)
-    return result
-
-
 def test_src_repro_lints_clean():
-    result = run_src_lint()
+    """The CI gate: one run, every rule, no finding left unsuppressed."""
+    (file_rules, cross_file), (_none, (flow,)) = split_rule_sets()
+    ran = set()
+
+    def spy(obj, method, rule_id):
+        inner = getattr(obj, method)
+
+        def wrapper(arg):
+            ran.add(rule_id)
+            return inner(arg)
+        setattr(obj, method, wrapper)
+
+    for rule in file_rules:
+        spy(rule, "run", rule.id)
+    for rule in cross_file:
+        spy(rule, "finalize", rule.id)
+    for checker in flow.checkers:
+        spy(checker, "check", checker.id)
+
+    result = run_lint([SRC_REPRO], root=REPO_ROOT,
+                      rules=(file_rules, cross_file + [flow]))
+    assert ran == ALL_RULE_IDS
     assert result.errors == []
-    rendered = "\n".join(f.render() for f in result.new_findings)
-    assert result.new_findings == [], f"new lint findings:\n{rendered}"
+    rendered = "\n".join(f.render() for f in result.findings)
+    assert result.findings == [], f"lint findings:\n{rendered}"
 
 
 def test_acceptance_weakened_persist_in_journal_fails_lint(tmp_path):
@@ -685,6 +710,6 @@ def test_acceptance_dropped_sfence_in_filesystem_fails_lint(tmp_path):
 def test_lint_runtime_budget():
     import time as _time   # repro: allow[determinism] measuring the linter
     start = _time.perf_counter()   # repro: allow[determinism] ditto
-    run_src_lint()
+    run_lint([SRC_REPRO], root=REPO_ROOT)
     elapsed = _time.perf_counter() - start  # repro: allow[determinism]
     assert elapsed < 30.0, f"cold lint took {elapsed:.1f}s (budget 30s)"

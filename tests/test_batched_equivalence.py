@@ -12,6 +12,8 @@ argument for every perf optimisation in the batched engine.
 
 from __future__ import annotations
 
+import hashlib
+import json
 import random
 
 import pytest
@@ -19,6 +21,8 @@ import pytest
 from repro.clock import make_context
 from repro.harness.setup import fresh_fs
 from repro.mmu.mmap_region import MappedRegion
+from repro.obs.export import chrome_trace
+from repro.obs.trace import Tracer
 from repro.params import BASE_PAGE, BLOCKS_PER_HUGEPAGE, DEFAULT_MACHINE, KIB, MIB
 from repro.pm.device import PMDevice
 from repro.structures.extents import Extent, ExtentList
@@ -265,3 +269,39 @@ class TestRandReadFastPath:
                 MappedRegion.batch = True
 
         _assert_identical(scenario(True), scenario(False))
+
+    def test_traced_read_phase_takes_the_fast_path_with_identical_output(self):
+        """Tracing no longer diverts a small read of mapped pages to the
+        general walk.  The goldens are that walk's output: recorded at the
+        commit where ``read`` still tested ``not ctx.trace.enabled``, when
+        all 600 reads of the phase went through ``_walk_pages``."""
+        tracer = Tracer(capacity=65536)
+        fs, ctx = fresh_fs("PMFS", size_gib=0.125, num_cpus=2, trace=tracer)
+        f = fs.create("/rand", ctx)
+        f.append_zeros(4 * MIB, ctx)
+        region = f.mmap(ctx, length=4 * MIB)
+        for off in range(0, 4 * MIB, BASE_PAGE):     # every page faults once
+            region.read(off, 64, ctx)
+        walks = []
+        inner = region._walk_pages
+        region._walk_pages = lambda *a: (walks.append(a), inner(*a))[1]
+        rng = random.Random(17)
+        for _ in range(600):                         # 1-2 mapped pages an op
+            region.read(rng.randrange(0, 4 * MIB - 4096), 4096, ctx)
+        del region._walk_pages
+        region.unmap()
+        f.close()
+
+        def digest(doc):
+            return hashlib.sha256(
+                json.dumps(doc, sort_keys=True).encode()).hexdigest()
+
+        assert walks == []
+        assert (len(tracer), tracer.dropped) == (1027, 0)
+        assert digest(chrome_trace(tracer, ctx.counters.registry)) == \
+            "9ab784ce3c53eca375bb0efcd3f8fbb2" \
+            "876adfa70807597293d8fc8e168ea891"
+        assert repr(ctx.clock.snapshot()) == "[2152788.018380208, 0.0]"
+        assert digest(ctx.counters.as_dict()) == \
+            "f582afd2706eee07ace970d6695c3277" \
+            "3c5f3214181089a779519703bc8c4b3f"

@@ -14,9 +14,11 @@ Three guarantees under test (ISSUE acceptance):
 
 from __future__ import annotations
 
+import json
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.clock import make_context
 from repro.core.filesystem import WineFS
@@ -79,6 +81,90 @@ class TestPlanMechanics:
         device = PMDevice(SIZE, faults=plan)
         assert device.faults is plan
         assert plan.count("poison", "injected") == 4    # 256B = 4 lines
+
+
+# the nine documents `repro faults --plan` used to die on (eight with a
+# traceback, the last by expanding 6e10 poisoned lines)
+HOSTILE_PLANS = {
+    "list": '[]',
+    "null": 'null',
+    "spec-not-object": '{"specs":[5]}',
+    "seed-str": '{"seed":"abc"}',
+    "addr-str": '{"specs":[{"kind":"poison","addr":"0","length":64}]}',
+    "unknown-field":
+        '{"specs":[{"kind":"poison","addr":0,"length":64,"bogus":1}]}',
+    "mult-str": '{"specs":[{"kind":"latency","latency_mult":"x"}]}',
+    "blocks-int": '{"specs":[{"kind":"write_error","blocks":7}]}',
+    "poison-4tb":
+        '{"specs":[{"kind":"poison","addr":0,"length":4000000000000}]}',
+}
+hostile = pytest.mark.parametrize("text", list(HOSTILE_PLANS.values()),
+                                  ids=list(HOSTILE_PLANS))
+
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.text(max_size=8)
+    | st.floats(),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(max_size=8), inner, max_size=4),
+    max_leaves=12)
+_FIELD = st.sampled_from(["kind", "addr", "length", "at_op", "count",
+                          "latency_mult", "blocks", "bogus"])
+_SPEC = st.dictionaries(
+    _FIELD, _JSON | st.sampled_from(FAULT_KINDS)
+    | st.integers(-1, 2 ** 70), max_size=7)
+
+
+def _load_and_attach(text):
+    """The `repro faults --plan` path: parse, then attach to a device."""
+    plan = FaultPlan.from_json(text)
+    PMDevice(MIB).set_fault_plan(plan)
+    return plan
+
+
+class TestHostilePlanJson:
+    """Contract: a typed error or a plan — never another exception — in
+    time and memory bounded by the document and the device."""
+
+    @hostile
+    def test_hostile_document_is_einval(self, text):
+        with pytest.raises(InvalidArgumentError):
+            _load_and_attach(text)
+
+    @hostile
+    def test_cli_exits_2_with_one_line(self, text, tmp_path, capsys):
+        from repro.cli import main
+        path = tmp_path / "plan.json"
+        path.write_text(text)
+        assert main(["faults", "--plan", str(path)]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.count("\n") == 1
+        assert err.startswith("repro faults: --plan ")
+
+    def test_rejected_plan_is_not_installed(self):
+        device = PMDevice(MIB)
+        plan = FaultPlan.from_json(HOSTILE_PLANS["poison-4tb"])
+        with pytest.raises(InvalidArgumentError):
+            device.set_fault_plan(plan)
+        assert device.faults is None and not plan.poisoned_lines
+
+    @settings(max_examples=300, deadline=None)
+    @given(doc=_JSON | st.fixed_dictionaries(
+        {}, optional={"seed": _JSON, "specs": st.lists(_SPEC, max_size=3)}))
+    def test_arbitrary_json(self, doc):
+        try:
+            plan = _load_and_attach(json.dumps(doc))
+        except InvalidArgumentError:
+            return
+        assert len(plan.poisoned_lines) <= MIB // 64
+        assert FaultPlan.from_json(plan.to_json()).specs == plan.specs
+
+    @settings(max_examples=100, deadline=None)
+    @given(blob=st.binary(max_size=64))
+    def test_arbitrary_bytes(self, blob):
+        try:
+            FaultPlan.from_json(blob)
+        except InvalidArgumentError:
+            pass
 
 
 class TestBitIdenticalOff:
