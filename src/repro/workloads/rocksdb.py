@@ -12,7 +12,7 @@ under YCSB (§5.4).  What shapes its I/O on a PM file system:
 
 The model keeps an in-DRAM index (key -> (sst file, offset)) and performs
 the same file operations the engine would; it does not re-implement
-compaction heuristics beyond size-triggered flush and leveled rewrite.
+compaction heuristics beyond size-triggered flush.
 """
 
 from __future__ import annotations
@@ -25,6 +25,9 @@ from ..errors import NotFoundError
 from ..mmu.mmap_region import MappedRegion
 from ..params import KIB, MIB
 from ..vfs.interface import FileSystem
+
+
+_WAL_REC_LEN = 72
 
 
 @dataclass
@@ -54,6 +57,9 @@ class RocksDBModel:
         self._wal_path = f"{dir_path}/wal-0"
         self._wal_region, self._wal_file = self._open_wal(ctx)
         self._wal_fill = 0
+        # built once and shared by every default put (bytes are immutable)
+        self._value = b"v" * value_size
+        self._wal_record = (b"#" if fs.track_data else b"\x00") * _WAL_REC_LEN
         self._memtable: Dict[int, bytes] = {}
         self._memtable_size = 0
         self._ssts: List[_SST] = []
@@ -78,20 +84,20 @@ class RocksDBModel:
     def put(self, key: int, ctx: SimContext,
             value: Optional[bytes] = None) -> None:
         ctx.charge(self.APP_NS_PER_OP)
-        record = value if value is not None else b"v" * self.value_size
+        if value is None:
+            value = self._value
         # WAL append through the mapping (sequential, 64B header+prefix)
-        rec_len = 72
-        if self._wal_fill + rec_len > self._wal_region.length:
-            self._wal_fill = 0   # circular reuse within one memtable epoch
-        self._wal_region.write(
-            self._wal_fill,
-            b"#" * rec_len if self.fs.track_data else b"\x00" * rec_len,
-            ctx)
-        self._wal_fill += rec_len
-        self._memtable[key] = record
-        self._memtable_size += len(record)
+        region, fill = self._wal_region, self._wal_fill
+        if fill + _WAL_REC_LEN > region.length:
+            fill = 0   # circular reuse within one memtable epoch
+        region.write(fill, self._wal_record, ctx)
+        self._wal_fill = fill + _WAL_REC_LEN
+        self._memtable[key] = value
+        self._memtable_size += len(value)
         if self._memtable_size >= self.memtable_bytes:
             self.flush(ctx)
+
+    update = put
 
     def flush(self, ctx: SimContext) -> None:
         """Memtable -> SST: one large file write + mmap for later reads."""
@@ -164,9 +170,6 @@ class RocksDBModel:
                 break
             k += 1
         return found
-
-    def update(self, key: int, ctx: SimContext) -> None:
-        self.put(key, ctx)
 
     def close(self, ctx: SimContext) -> None:
         self.flush(ctx)

@@ -18,15 +18,13 @@ F          50% read / 50% read-modify-write         zipfian
 from __future__ import annotations
 
 import math
-import random
 from dataclasses import dataclass
-from typing import Dict, Optional
+from typing import Dict
 
 from ..clock import SimContext
 from ..errors import NotFoundError
 from ..rng import make_rng
 from ..structures.stats import ops_per_sec
-from ..vfs.interface import FileSystem
 from .rocksdb import RocksDBModel
 
 
@@ -57,21 +55,9 @@ YCSB_WORKLOADS: Dict[str, YCSBWorkload] = {
 }
 
 
-class _ZipfGenerator:
-    """Approximate zipfian sampler over [0, n) (YCSB's theta = 0.99)."""
-
-    def __init__(self, n: int, rng: random.Random, theta: float = 0.99) -> None:
-        self.n = max(1, n)
-        self.rng = rng
-        self.alpha = 1.0 / (1.0 - theta)
-        self.zeta_n = sum(1.0 / (i ** theta) for i in range(1, min(self.n, 1000) + 1))
-        self.theta = theta
-
-    def next(self) -> int:
-        # inverse-CDF approximation; exactness is irrelevant here, skew is
-        u = self.rng.random()
-        value = int(self.n * (u ** self.alpha))
-        return min(self.n - 1, value)
+#: a key is int(n * u ** _ZIPF_ALPHA) for u uniform in [0, 1): an
+#: inverse-CDF approximation of YCSB's theta = 0.99 (skew, not exactness)
+_ZIPF_ALPHA = 1.0 / (1.0 - 0.99)
 
 
 @dataclass
@@ -88,44 +74,58 @@ class YCSBResult:
 
 
 def run_ycsb(db: RocksDBModel, workload: YCSBWorkload, ctx: SimContext, *,
-             record_count: int, op_count: int, seed: int = 0,
-             preloaded: bool = True) -> YCSBResult:
-    """Run one YCSB workload against a (pre-)loaded RocksDB model."""
-    rng = make_rng(seed)
-    zipf = _ZipfGenerator(record_count, rng)
-    next_key = record_count
+             record_count: int, op_count: int, seed: int = 0) -> YCSBResult:
+    """Run one YCSB workload against a (pre-)loaded RocksDB model.
+
+    The random draws and their order are the contract (``r``; then the
+    key, for every op but insert; then scan's length): they fix the key
+    stream and with it every simulated result downstream.
+    """
     faults0 = ctx.counters.page_faults
     start_ns = ctx.now
-
-    def pick_key() -> int:
-        if workload.distribution == "latest":
-            return max(0, next_key - 1 - zipf.next())
-        return zipf.next()
-
-    for i in range(op_count):
-        r = rng.random()
-        if workload.name == "Load":
-            db.put(i, ctx)
-            continue
-        if r < workload.read:
-            try:
-                db.get(pick_key(), ctx)
-            except NotFoundError:
-                pass
-        elif r < workload.read + workload.update:
-            db.update(pick_key(), ctx)
-        elif r < workload.read + workload.update + workload.insert:
-            db.put(next_key, ctx)
-            next_key += 1
-        elif r < workload.read + workload.update + workload.insert + workload.scan:
-            db.scan(pick_key(), rng.randrange(1, 100), ctx)
-        else:   # read-modify-write
-            key = pick_key()
-            try:
-                db.get(key, ctx)
-            except NotFoundError:
-                pass
-            db.update(key, ctx)
+    put = db.put
+    rng = make_rng(seed)
+    if workload.name == "Load":
+        for i in range(op_count):
+            put(i, ctx)
+    else:
+        draw = rng.random
+        get, update = db.get, db.update
+        alpha = _ZIPF_ALPHA
+        n = max(1, record_count)
+        latest = workload.distribution == "latest"
+        read_below = workload.read
+        update_below = workload.read + workload.update
+        insert_below = workload.read + workload.update + workload.insert
+        scan_below = (workload.read + workload.update + workload.insert
+                      + workload.scan)
+        next_key = record_count
+        for _ in range(op_count):
+            r = draw()
+            if update_below <= r < insert_below:
+                put(next_key, ctx)
+                next_key += 1
+                continue
+            key = int(n * draw() ** alpha)
+            if key >= n:
+                key = n - 1
+            if latest:
+                key = max(0, next_key - 1 - key)
+            if r < read_below:
+                try:
+                    get(key, ctx)
+                except NotFoundError:
+                    pass
+            elif r < update_below:
+                update(key, ctx)
+            elif r < scan_below:
+                db.scan(key, rng.randrange(1, 100), ctx)
+            else:   # read-modify-write
+                try:
+                    get(key, ctx)
+                except NotFoundError:
+                    pass
+                update(key, ctx)
     return YCSBResult(fs_name=db.fs.name, workload=workload.name,
                       ops=op_count, elapsed_ns=ctx.now - start_ns,
                       page_faults=ctx.counters.page_faults - faults0)
