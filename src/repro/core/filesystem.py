@@ -36,6 +36,7 @@ from ..pm.device import PMDevice
 from ..structures.extents import Extent, ExtentList
 from ..vfs.interface import OpenFile
 from ..fs.common.base import BaseFS, ROOT_INO
+from ..fs.common.freespace import FreePool
 from ..fs.common.inode import Inode, InodeTable, INODE_BYTES
 from .allocator import AlignmentAwareAllocator
 from .journal import JournalManager, MAX_TXN_ENTRIES
@@ -456,9 +457,8 @@ class WineFS(BaseFS):
                 addr = self._inode_addrs[ino] = self.layout.inode_addr(ino)
             packed = self._packer.pack(inode, new_tuple, 0)
             if txn is not None:
-                txn.log_undo_range_persist(addr, INODE_BYTES, packed, ctx)
-            else:
-                self.device.persist(addr, packed, ctx)
+                txn.log_undo_range(addr, INODE_BYTES, ctx)
+            self.device.persist(addr, packed, ctx)
             return
         assert self.allocator is not None
         extents = new_tuple
@@ -487,9 +487,8 @@ class WineFS(BaseFS):
                 self._indirect_chains[ino] = []
             packed = self._packer.pack(inode, new_tuple, 0)
             if txn is not None:
-                txn.log_undo_range_persist(addr, INODE_BYTES, packed, ctx)
-            else:
-                self.device.persist(addr, packed, ctx)
+                txn.log_undo_range(addr, INODE_BYTES, ctx)
+            self.device.persist(addr, packed, ctx)
             return
         if old_chain is None:
             old_chain = []
@@ -720,7 +719,7 @@ class WineFS(BaseFS):
                         f"{MAX_WRITE_RETRIES} relocation attempts")
                 self._relocate_bad_block(inode, bad, ctx)
                 plan.note("write_error", "masked", ctx, block=bad)
-        self._write_in_place_impl(inode, offset, data, ctx)
+        super()._write_in_place(inode, offset, data, ctx)
 
     def _phys_blocks_in(self, inode: Inode, first: int,
                         nblocks: int) -> Iterator[int]:
@@ -745,11 +744,8 @@ class WineFS(BaseFS):
                    + self.machine.persist_ns(self.block_size))
         ctx.counters.pm_bytes_written += self.block_size
         if self.track_data:
-            old = self.device.load(bad * self.block_size, self.block_size)
-            self.device.store(new_ext.start * self.block_size, old)
-            self.device.clwb(new_ext.start * self.block_size,
-                             self.block_size)
-            self.device.sfence()
+            self._store_extents([new_ext], self.device.load(
+                bad * self.block_size, self.block_size))
         with self._meta_txn(ctx, entries=4, ino=inode.ino):
             inode.extents.replace_logical(logical, [new_ext])
             self._persist_inode(inode, ctx)
@@ -761,42 +757,6 @@ class WineFS(BaseFS):
                 return logical + (phys - ext.start)
             logical += ext.length
         raise FSError(f"block {phys} not mapped by inode {inode.ino}")
-
-    def _write_in_place_impl(self, inode: Inode, offset: int, data: bytes,
-                             ctx: SimContext) -> None:
-        ns = self.machine.persist_ns(len(data))
-        ctx.charge(ns)
-        ctx.counters.pm_bytes_written += len(data)
-        if self.track_data:
-            if not self.device.track_stores:
-                # one store per physical run; block-granular records are
-                # only needed when the device is capturing store history
-                first = offset // self.block_size
-                last = (offset + len(data) - 1) // self.block_size
-                within = offset % self.block_size
-                pos = 0
-                for ext in inode.extents.slice_logical(first,
-                                                       last - first + 1):
-                    take = min(ext.length * self.block_size - within,
-                               len(data) - pos)
-                    addr = ext.start * self.block_size + within
-                    self.device.store(addr, data[pos:pos + take])
-                    self.device.clwb(addr, take)
-                    pos += take
-                    within = 0
-                self.device.sfence()
-                return
-            pos = 0
-            while pos < len(data):
-                block = (offset + pos) // self.block_size
-                within = (offset + pos) % self.block_size
-                take = min(self.block_size - within, len(data) - pos)
-                phys = inode.extents.physical_block(block)
-                self.device.store(phys * self.block_size + within,
-                                  data[pos:pos + take])
-                self.device.clwb(phys * self.block_size + within, take)
-                pos += take
-            self.device.sfence()
 
     def _write_cow(self, inode: Inode, offset: int, data: bytes,
                    ctx: SimContext) -> None:
@@ -824,16 +784,9 @@ class WineFS(BaseFS):
                    self.machine.persist_ns(copy_bytes))
         ctx.counters.pm_bytes_written += copy_bytes
         if self.track_data:
-            old = bytearray(self.read_blocks_raw(inode, first, nblocks))
+            old = bytearray(self._read_blocks(inode, first, nblocks))
             old[head_pad:head_pad + len(data)] = data
-            pos = 0
-            for ext in new_extents:
-                take = ext.length * self.block_size
-                self.device.store(ext.start * self.block_size,
-                                  bytes(old[pos:pos + take]))
-                self.device.clwb(ext.start * self.block_size, take)
-                pos += take
-            self.device.sfence()
+            self._store_extents(new_extents, old)
         with self._meta_txn(ctx, entries=4, ino=inode.ino):
             old_extents = inode.extents.replace_logical(first, new_extents)
             self._persist_inode(inode, ctx)
@@ -869,19 +822,6 @@ class WineFS(BaseFS):
                     f"{MAX_WRITE_RETRIES} relocation attempts")
             plan.note("write_error", "masked", ctx, block=bad)
         raise AssertionError("unreachable")
-
-    def read_blocks_raw(self, inode: Inode, first_block: int,
-                        nblocks: int) -> bytes:
-        chunks = []
-        for ext in inode.extents.slice_logical(first_block, nblocks):
-            chunks.append(self.device.load(ext.start * self.block_size,
-                                           ext.length * self.block_size))
-        return b"".join(chunks)
-
-    def _fsync_impl(self, inode: Inode, ctx: SimContext) -> None:
-        # every WineFS operation is synchronous (§3.3); fsync is a no-op
-        # beyond the syscall crossing already charged
-        return
 
     # ------------------------------------------------------- mmap & xattrs
 
@@ -938,10 +878,5 @@ class WineFS(BaseFS):
 
     # ------------------------------------------------------- metrics
 
-    def _free_pools(self):
-        return self.allocator.pools if self.allocator is not None else None
-
-    def _free_extent_iter(self) -> Iterator[Extent]:
-        assert self.allocator is not None
-        for pool in self.allocator.pools:
-            yield from pool.extents()
+    def _free_pools(self) -> List[FreePool]:
+        return self.allocator.pools if self.allocator is not None else []

@@ -122,69 +122,51 @@ class PerCPUJournal:
         return self.base + (slot % self.capacity) * ENTRY_BYTES
 
     def append(self, entry: JournalEntry, ctx: SimContext) -> None:
-        addr = self._slot_addr(self.head)
-        wrapped = (self.head % self.capacity) == 0 and self.head > 0
-        if wrapped:
-            self.wraparound += 1
-        if self.device.track_stores:
-            entry = JournalEntry(entry.etype, self.wraparound, entry.txn_id,
-                                 entry.addr, entry.undo)
-            self.device.persist(addr, entry.pack(), ctx)
-        else:
+        if not self.device.track_stores:
             # fast devices cannot produce crash images, so the journal
             # bytes are unobservable: charge the persist without writing
-            ctx.charge(self._entry_persist_ns)
-            ctx.counters.pm_bytes_written += ENTRY_BYTES
+            self.append_run(1, ctx)
+            return
+        addr = self._slot_addr(self.head)
+        if (self.head % self.capacity) == 0 and self.head > 0:
+            self.wraparound += 1
+        entry = JournalEntry(entry.etype, self.wraparound, entry.txn_id,
+                             entry.addr, entry.undo)
+        self.device.persist(addr, entry.pack(), ctx)
         ctx.counters.journal_ns += self._entry_persist_ns
         self.head += 1
 
-    def append_blank(self, ctx: SimContext) -> None:
-        """Advance the journal by one entry, charging exactly what
-        :meth:`append` charges on an untracked (fast) device.
-
-        Only valid in fast mode: the entry bytes are unobservable there,
-        so no :class:`JournalEntry` needs to exist at all.
-        """
-        if (self.head % self.capacity) == 0 and self.head > 0:
-            self.wraparound += 1
-        pns = self._entry_persist_ns
-        # inlined ctx.charge / counter-property writes: pns >= 0 and each
-        # is a single add on the same cell, so values are bit-identical
-        ctx.clock._cpu_ns[ctx.cpu] += pns
-        counters = ctx.counters
-        counters._pm_bytes_written.value += ENTRY_BYTES
-        counters._journal_ns.value += pns
-        self.head += 1
-
     def append_run(self, n: int, ctx: SimContext) -> None:
-        """*n* blank entries; bit-identical charges to n fast-mode
-        :meth:`append` calls (clock and journal_ns adds stay per-entry
-        because float addition does not regroup)."""
+        """Advance the journal by *n* blank entries: the one place the
+        cost of an entry whose bytes nobody can observe is charged.
+
+        Only valid on an untracked (fast) device, where it charges
+        exactly what *n* :meth:`append` calls would (clock and journal_ns
+        adds stay per-entry because float addition does not regroup).
+        """
         if n <= 0:
             return
         head = self.head
         cap = self.capacity
+        pns = self._entry_persist_ns
+        # inlined charge_repeat/add_repeat: same one-at-a-time adds on
+        # locals (pns >= 0, n > 0), so the float results are bit-identical
+        cell = ctx.clock._cpu_ns
+        cpu = ctx.cpu
+        counters = ctx.counters
+        jcell = counters._journal_ns
+        v = cell[cpu]
+        jv = jcell.value
         for _ in range(n):
             if head % cap == 0 and head > 0:
                 self.wraparound += 1
             head += 1
+            v += pns
+            jv += pns
         self.head = head
-        pns = self._entry_persist_ns
-        # inlined charge_repeat/add_repeat: same one-at-a-time adds on a
-        # local (pns >= 0, n > 0), so the float results are bit-identical
-        cell = ctx.clock._cpu_ns
-        cpu = ctx.cpu
-        v = cell[cpu]
-        for _ in range(n):
-            v += pns
         cell[cpu] = v
-        counters = ctx.counters
+        jcell.value = jv
         counters._pm_bytes_written.value += ENTRY_BYTES * n
-        jcell = counters._journal_ns
-        v = jcell.value
-        for _ in range(n):
-            v += pns
-        jcell.value = v
 
     def reclaim_committed(self) -> None:
         """All operations are immediately durable -> reclaim everything."""
@@ -276,79 +258,6 @@ class _Transaction:
             self._append(TYPE_DATA, addr + pos, old[pos:pos + take], ctx)
             pos += take
 
-    def log_undo_range_persist(self, addr: int, length: int, data,
-                               ctx: SimContext) -> None:
-        """:meth:`log_undo_range` + ``device.persist(addr, data)`` folded
-        into one charge kernel.
-
-        The inode-slot rewrite does both on every metadata update; on a
-        fast (untracked, unfaulted) device all their charges land on the
-        same clock cell back-to-back, so the fold makes the identical
-        float adds in the identical order on one local — bit-identical
-        ``sim_ns``, one call instead of five.  Tracked or faulted devices
-        take the reference two-call path (undo images / fault hooks need
-        the real store pipeline).
-        """
-        journal = self.journal
-        device = journal.device
-        if device.track_stores or device._faults_active or ctx is None:
-            self.log_undo_range(addr, length, ctx)
-            device.persist(addr, data, ctx)
-            return
-        n = 0
-        if addr not in self._logged:
-            self._logged.add(addr)
-            if self.committed:
-                raise FSError("transaction already committed")
-            n = (length + UNDO_BYTES - 1) // UNDO_BYTES
-            self.entries_used += n
-            head = journal.head
-            cap = journal.capacity
-            for _ in range(n):
-                if head % cap == 0 and head > 0:
-                    journal.wraparound += 1
-                head += 1
-            journal.head = head
-        dlen = len(data)
-        if dlen < 0 or addr < 0 or addr + dlen > device.size:
-            device._check(addr, dlen)    # raises with the full message
-        if dlen:
-            if type(data) is Zeros:
-                device._store.write_zeros(addr, dlen)
-            else:
-                device._store.write(addr, data)
-            device.bytes_written += dlen
-        # charges: n blank journal entries, then store+clwb+sfence — the
-        # same adds in the same order as append_run + persist would make,
-        # accumulated on a local
-        machine = device.machine
-        counters = ctx.counters
-        cpu = ctx.cpu
-        cell = ctx.clock._cpu_ns
-        v = cell[cpu]
-        if n:
-            pns = journal._entry_persist_ns
-            for _ in range(n):
-                v += pns
-            counters._pm_bytes_written.value += ENTRY_BYTES * n
-            jcell = counters._journal_ns
-            jv = jcell.value
-            for _ in range(n):
-                jv += pns
-            jcell.value = jv
-        if dlen:
-            # inlined machine.pm_write_ns (identical float ops)
-            ns = dlen / machine.pm_write_bw * 1e9
-            if device.topology is not None \
-                    and device.topology.is_remote(cpu, addr):
-                ns *= machine.remote_numa_write_mult
-            v += ns
-            counters._pm_bytes_written.value += dlen
-            v += ((addr + dlen - 1) // CACHELINE
-                  - addr // CACHELINE + 1) * machine.clwb_ns
-        v += machine.sfence_ns
-        cell[cpu] = v
-
     def _append_blank(self, n: int, ctx: SimContext) -> None:
         if n <= 0:
             return
@@ -381,15 +290,7 @@ class _Transaction:
             journal.append(
                 JournalEntry(TYPE_COMMIT, 0, self.txn_id, 0, b""), ctx)
         else:
-            # inlined journal.append_blank (identical charges)
-            if (journal.head % journal.capacity) == 0 and journal.head > 0:
-                journal.wraparound += 1
-            pns = journal._entry_persist_ns
-            ctx.clock._cpu_ns[ctx.cpu] += pns
-            counters = ctx.counters
-            counters._pm_bytes_written.value += ENTRY_BYTES
-            counters._journal_ns.value += pns
-            journal.head += 1
+            journal.append_run(1, ctx)
         self.committed = True
         # inlined reclaim_committed: synchronous ops reclaim immediately
         journal.tail = journal.head
@@ -426,15 +327,7 @@ class JournalManager:
         if self.device.track_stores:
             journal.append(JournalEntry(TYPE_START, 0, txn_id, 0, b""), ctx)
         else:
-            # inlined journal.append_blank (identical charges)
-            if (journal.head % journal.capacity) == 0 and journal.head > 0:
-                journal.wraparound += 1
-            pns = journal._entry_persist_ns
-            ctx.clock._cpu_ns[ctx.cpu] += pns
-            counters = ctx.counters
-            counters._pm_bytes_written.value += ENTRY_BYTES
-            counters._journal_ns.value += pns
-            journal.head += 1
+            journal.append_run(1, ctx)
         return _Transaction(self, journal, txn_id)
 
     # -- recovery ------------------------------------------------------------------

@@ -1,7 +1,11 @@
 """Baseline PM file systems the paper compares WineFS against.
 
 Each baseline is re-implemented at the allocator/journal/log level so the
-design property the paper credits or blames is real, not hard-coded:
+design property the paper credits or blames is real, not hard-coded.  A
+module here states only that policy (where the data area starts, how many
+pools, what one pick carves, what a metadata transaction / fsync / data
+write costs); the loops under it live once in
+:mod:`repro.fs.common.base`:
 
 * :mod:`repro.fs.ext4dax` — mballoc-style contiguity-first allocator,
   JBD2-like batched redo journal with stop-the-world commit on fsync.

@@ -1,35 +1,43 @@
-"""BaseFS: the namespace and data-path skeleton shared by all seven
-simulated file systems.
+"""BaseFS: the namespace, data-path and free-space mechanics shared by
+all nine simulated file systems.
 
-Subclasses specialize the hooks that the paper identifies as the decisive
-design choices:
+Subclasses state only the *policy* the paper tells the designs apart by:
 
-* ``_alloc`` / ``_free`` — the block allocator (alignment-aware vs
-  contiguity-first vs log-structured);
+* ``_metadata_blocks`` / ``_num_pools`` / ``_pool_order`` / ``_pick`` /
+  ``alloc_ns`` — the block allocator (where the data area starts, how
+  many pools it is carved into, which pool a request tries first, what
+  one pick carves: contiguity-first, aligned-preferred, next-fit, ...);
 * ``_meta_txn`` — metadata crash-consistency machinery (per-CPU undo
   journal, global JBD2 batch, per-inode log append, ...), including which
   lock it serializes on (this is what Fig 10's scalability measures);
-* ``_write_data`` — data atomicity (in-place, journaled, CoW, log-append);
-* ``_fsync_impl`` — what fsync costs (nothing for synchronous designs,
-  a stop-the-world journal flush for JBD2);
+* ``_write_data`` — data atomicity (in-place, journaled, CoW, log-append)
+  and what it charges;
+* ``_fsync_impl`` / ``unmount`` — what fsync costs (nothing for
+  synchronous designs, a stop-the-world journal flush for JBD2);
 * ``alloc_for_fault`` — what backing a page fault gets for on-demand
   (ftruncate-extended) mappings: WineFS hands out an aligned hugepage,
   everyone else a 4KB block (this drives the LMDB result, §5.4).
 
-The base class owns: path resolution, directory indexes, open handles,
-read path, mmap plumbing, statfs and fragmentation metrics.
+The base class owns the mechanics under those policies, once: the pool
+carve, the allocation loop with its largest-run fallback, the free to
+the owning pool, the durable store of file bytes (``_store_data`` /
+``_store_extents``: the only callers of ``device.store`` / ``clwb`` /
+``sfence`` for file data), path resolution, directory indexes, the read
+path, mmap plumbing, statfs and fragmentation metrics; and
+:class:`RunningLogFS` owns the running transaction of the batching
+journals (JBD2, the xfs log).
 """
 
 from __future__ import annotations
 
-from contextlib import contextmanager
-from typing import Callable, Dict, Iterator, List, Optional
+from contextlib import nullcontext
+from typing import Callable, ContextManager, Dict, Iterator, List, Optional
 
 from ...clock import SimContext
 from ...errors import (
-    ExistsError, FSError, InvalidArgumentError, IsADirectoryError_,
-    NoSpaceError, NotADirectoryError_, NotEmptyError, NotFoundError,
-    NotEmptyError, NotMountedError,
+    CorruptionError, ExistsError, FSError, InvalidArgumentError,
+    IsADirectoryError_, NoSpaceError, NotADirectoryError_, NotEmptyError,
+    NotFoundError, NotMountedError,
 )
 from ...mmu.cache import CacheModel
 from ...mmu.mmap_region import MappedRegion, _next_region_id
@@ -42,9 +50,14 @@ from ...structures.extents import Extent, ExtentList
 from ...vfs.interface import FileSystem, FSStats, OpenFile, StatResult
 from ...vfs.path import basename_of, normalize_path, parent_of, split_path
 from .dirindex import DirIndex, RBDirIndex
+from .freespace import FreePool
 from .inode import Inode, InodeTable, INODE_BYTES
 
 ROOT_INO = 1
+
+#: what ``_meta_txn`` returns when all of a design's transaction work
+#: happens on entry (nothing to commit or release when the scope ends)
+ENTRY_ONLY_TXN = nullcontext()
 
 
 class BaseFS(FileSystem):
@@ -56,6 +69,8 @@ class BaseFS(FileSystem):
     fault_zero_fill = False
     #: move real bytes (tests) or cost-only (large benches)?
     track_data = True
+    #: free-list / tree search charged once per allocation request
+    alloc_ns = 0.0
 
     def __init__(self, device: PMDevice, num_cpus: int = 4,
                  track_data: Optional[bool] = None) -> None:
@@ -70,7 +85,8 @@ class BaseFS(FileSystem):
         self._itable = InodeTable(first_ino=ROOT_INO,
                                   capacity=max(1024, self.total_blocks // 8))
         self._dirs: Dict[int, DirIndex] = {}
-        self._free_blocks = 0    # maintained by subclasses via _account_*
+        #: free-space pools of the data area, in address order
+        self._pools: List[FreePool] = []
 
     # ------------------------------------------------------------------ hooks
 
@@ -78,29 +94,36 @@ class BaseFS(FileSystem):
         """Blocks reserved at the start of the partition for FS metadata."""
         return 1024  # 4MB: superblock, inode table, journal; subclasses refine
 
-    def _alloc(self, nblocks: int, ctx: SimContext, *,
-               goal: Optional[int] = None,
-               want_aligned: bool = False) -> List[Extent]:
-        """Allocate *nblocks*; raises NoSpaceError when full."""
+    def _num_pools(self) -> int:
+        """How many free-space pools the data area is carved into."""
+        return 1
+
+    def _pool_order(self, ctx: SimContext,
+                    goal: Optional[int]) -> List[FreePool]:
+        """The order one request tries the pools in."""
+        return self._pools
+
+    def _pick(self, pools: List[FreePool], remaining: int,
+              goal: Optional[int], nblocks: int) -> Optional[Extent]:
+        """Carve up to *remaining* blocks of an *nblocks* request from
+        *pools* by this design's placement rule; None when no free run
+        satisfies the rule."""
         raise NotImplementedError
 
-    def _free(self, extents: List[Extent], ctx: SimContext) -> None:
-        raise NotImplementedError
-
-    @contextmanager
     def _meta_txn(self, ctx: SimContext, entries: int,
-                  ino: Optional[int] = None) -> Iterator[None]:
+                  ino: Optional[int] = None) -> ContextManager:
         """Metadata transaction: charge journaling costs and locking."""
         raise NotImplementedError
-        yield  # pragma: no cover
 
     def _write_data(self, inode: Inode, offset: int, data: bytes,
                     ctx: SimContext) -> None:
-        """Move *data* into allocated blocks per the FS's atomicity policy."""
-        raise NotImplementedError
+        """Move *data* into allocated blocks per the FS's atomicity policy
+        (the default: in place, as every DAX design without data
+        consistency does)."""
+        self._write_in_place(inode, offset, data, ctx)
 
     def _fsync_impl(self, inode: Inode, ctx: SimContext) -> None:
-        raise NotImplementedError
+        """Synchronous designs have nothing left to do at fsync."""
 
     def alloc_for_fault(self, inode: Inode, logical_block: int,
                         ctx: SimContext) -> None:
@@ -132,7 +155,15 @@ class BaseFS(FileSystem):
         self.mounted = True
 
     def _init_allocator(self) -> None:
-        raise NotImplementedError
+        """Carve the data area, in address order, into ``_num_pools()``
+        equal pools; the last one also takes the remainder."""
+        n = self._num_pools()
+        data_blocks = self.total_blocks - self.meta_blocks
+        per_pool = data_blocks // n
+        self._pools = [
+            FreePool(self.meta_blocks + i * per_pool,
+                     per_pool if i < n - 1 else data_blocks - i * per_pool)
+            for i in range(n)]
 
     def mount(self, ctx: SimContext) -> None:
         self._check_device_formatted()
@@ -146,6 +177,63 @@ class BaseFS(FileSystem):
         self._check_mounted()
         self.device.drain()
         self.mounted = False
+
+    # --------------------------------------------------------------- free space
+
+    def _alloc(self, nblocks: int, ctx: SimContext, *,
+               goal: Optional[int] = None,
+               want_aligned: bool = False) -> List[Extent]:
+        """Allocate *nblocks*: one ``_pick`` per extent, each continuing
+        at the end of the last; raises NoSpaceError when full."""
+        ctx.charge(self.alloc_ns)
+        pools = self._pool_order(ctx, goal)
+        out: List[Extent] = []
+        remaining = nblocks
+        while remaining > 0:
+            ext = self._pick(pools, remaining, goal, nblocks)
+            if ext is None:
+                # fragmented: no run fits, take the largest one there is
+                ext = self._take_largest_run(pools, remaining)
+                if ext is None:
+                    self._free(out, ctx)
+                    raise NoSpaceError(f"{self.name}: no free blocks")
+            out.append(ext)
+            remaining -= ext.length
+            goal = ext.start + ext.length
+        return out
+
+    def _take_largest_run(self, pools: List[FreePool],
+                          remaining: int) -> Optional[Extent]:
+        """The largest free run of any pool (ties: first in *pools*),
+        or as much of it as *remaining*; None when nothing is free."""
+        largest = 0
+        for pool in pools:
+            run = pool.largest()
+            if run > largest:
+                largest, owner = run, pool
+        if largest == 0:
+            return None
+        return owner.alloc_first_fit(min(largest, remaining))
+
+    def _free(self, extents: List[Extent], ctx: SimContext) -> None:
+        """Return each extent to the pool owning its address range,
+        split where it crosses into the next pool's range."""
+        pools = self._pools
+        for ext in extents:
+            start = ext.start
+            end = start + ext.length
+            while start < end:
+                for pool in pools:
+                    if pool.range_start <= start < pool.range_end:
+                        break
+                else:
+                    raise CorruptionError(
+                        f"{self.name}: free of block range "
+                        f"[{start}, {end}) that no pool owns")
+                stop = end if end <= pool.range_end else pool.range_end
+                pool.insert(ext if stop - start == ext.length
+                            else Extent(start, stop - start))
+                start = stop
 
     # --------------------------------------------------------------- resolution
 
@@ -431,6 +519,67 @@ class BaseFS(FileSystem):
         for ext in self._alloc(short, ctx, goal=goal, want_aligned=want_aligned):
             inode.extents.append(ext)
 
+    def _write_in_place(self, inode: Inode, offset: int, data: bytes,
+                        ctx: SimContext) -> None:
+        """A DAX write straight into the file's blocks: one persist of
+        the payload, nothing journaled or copied."""
+        nbytes = len(data)
+        ctx.charge(self.machine.persist_ns(nbytes))
+        ctx.counters.pm_bytes_written += nbytes
+        if self.track_data:
+            self._store_data(inode, offset, data)
+
+    def _store_data(self, inode: Inode, offset: int, data: bytes) -> None:
+        """Make *data* durable at byte *offset* of *inode*'s blocks.
+
+        One store per physical run — cut at block boundaries when the
+        device logs stores, so crash states tear at the granularity the
+        crash explorer enumerates — each written back, then the one
+        ``sfence`` that lets the write be acknowledged.  Costs are the
+        caller's: this moves bytes only.
+        """
+        device = self.device
+        bs = self.block_size
+        per_block = device.track_stores
+        nbytes = len(data)
+        first = offset // bs
+        within = offset % bs
+        pos = 0
+        for ext in inode.extents.slice_logical(
+                first, (offset + nbytes - 1) // bs - first + 1):
+            addr = ext.start * bs + within
+            run_end = pos + min(ext.length * bs - within, nbytes - pos)
+            while pos < run_end:
+                take = min(bs - addr % bs, run_end - pos) if per_block \
+                    else run_end - pos
+                device.store(addr, data[pos:pos + take])
+                device.clwb(addr, take)
+                pos += take
+                addr += take
+            within = 0
+        device.sfence()
+
+    def _store_extents(self, extents: List[Extent], data: bytes) -> None:
+        """Fill freshly allocated *extents* with *data*, durably (the
+        copy half of copy-on-write: no reader can see these blocks until
+        the extent map swings over to them)."""
+        bs = self.block_size
+        pos = 0
+        for ext in extents:
+            take = ext.length * bs
+            self.device.store(ext.start * bs, bytes(data[pos:pos + take]))
+            self.device.clwb(ext.start * bs, take)
+            pos += take
+        self.device.sfence()
+
+    def _read_blocks(self, inode: Inode, first_block: int,
+                     nblocks: int) -> bytes:
+        """Raw content of *nblocks* logical blocks (no charge)."""
+        return b"".join([
+            self.device.load(ext.start * self.block_size,
+                             ext.length * self.block_size)
+            for ext in inode.extents.slice_logical(first_block, nblocks)])
+
     def read(self, ino: int, offset: int, size: int, ctx: SimContext) -> bytes:
         self._check_mounted()
         if ctx.trace.enabled:
@@ -612,17 +761,15 @@ class BaseFS(FileSystem):
             raise NotFoundError(f"ino {ino}")
         return inode.extents
 
+    def _free_pools(self) -> List[FreePool]:
+        """The pools holding this FS's free space (statfs, fragmentation
+        metrics); empty before mkfs."""
+        return self._pools
+
     def _free_extent_iter(self) -> Iterator[Extent]:
-        """All free extents (for fragmentation metrics); subclass-provided."""
-        raise NotImplementedError
-
-    def _free_pools(self):
-        """The FreePool objects backing this FS (for O(1) statfs).
-
-        Subclasses with FreePool-based allocators override; the default
-        falls back to iterating free extents.
-        """
-        return None
+        """All free extents (for fragmentation metrics)."""
+        for pool in self._free_pools():
+            yield from pool.extents()
 
     def utilization(self) -> float:
         """``statfs().utilization`` without building the stats record.
@@ -631,45 +778,77 @@ class BaseFS(FileSystem):
         polls this every step.  Same int sum and float divide as the
         statfs property, so decisions branching on it are unchanged.
         """
-        pools = self._free_pools()
-        if pools is None:
-            return self.statfs().utilization
         free = 0
-        for p in pools:
+        for p in self._free_pools():
             free += p.free_blocks
         return 1.0 - free / (self.total_blocks - self.meta_blocks)
 
     def statfs(self) -> FSStats:
         pools = self._free_pools()
-        if pools is not None:
-            free = sum(p.free_blocks for p in pools)
-            aligned_hugepages = sum(p.aligned_hugepages() for p in pools)
-            aligned_blocks = aligned_hugepages * BLOCKS_PER_HUGEPAGE
-            return FSStats(
-                total_blocks=self.total_blocks - self.meta_blocks,
-                free_blocks=free,
-                block_size=self.block_size,
-                files=len(self._itable),
-                free_aligned_hugepages=aligned_hugepages,
-                free_space_aligned_fraction=(aligned_blocks / free)
-                if free else 1.0,
-            )
-        free = 0
-        aligned_hugepages = 0
-        aligned_blocks = 0
-        for ext in self._free_extent_iter():
-            free += ext.length
-            runs = ext.hugepage_runs()
-            aligned_hugepages += runs
-            aligned_blocks += runs * BLOCKS_PER_HUGEPAGE
+        free = sum(p.free_blocks for p in pools)
+        aligned_hugepages = sum(p.aligned_hugepages() for p in pools)
+        aligned_blocks = aligned_hugepages * BLOCKS_PER_HUGEPAGE
         return FSStats(
             total_blocks=self.total_blocks - self.meta_blocks,
             free_blocks=free,
             block_size=self.block_size,
             files=len(self._itable),
             free_aligned_hugepages=aligned_hugepages,
-            free_space_aligned_fraction=(aligned_blocks / free) if free else 1.0,
+            free_space_aligned_fraction=(aligned_blocks / free)
+            if free else 1.0,
         )
+
+
+class RunningLogFS(BaseFS):
+    """A design that batches metadata in a running transaction (JBD2, the
+    xfs log); the subclass names the two locks and the two constants.
+
+    Metadata updates *join* the in-DRAM running transaction under a
+    briefly held lock; ``fsync`` and unmount *force* it out as one
+    stop-the-world commit.  The commit path is one serial resource, so
+    concurrent fsyncs queue behind each other — the Fig 10 scalability
+    ceiling of ext4-DAX, SplitFS and xfs-DAX.
+    """
+
+    #: lock and DRAM cost of joining the running transaction
+    join_lock: str
+    join_ns: float
+    #: lock of the commit path, and bytes journaled per joined entry
+    force_lock: str
+    entry_bytes: int
+
+    def __init__(self, device: PMDevice, num_cpus: int = 4,
+                 track_data: Optional[bool] = None) -> None:
+        super().__init__(device, num_cpus, track_data=track_data)
+        self._log_pending = 0
+        self.log_forces = 0
+
+    def _meta_txn(self, ctx: SimContext, entries: int,
+                  ino: Optional[int] = None) -> ContextManager:
+        ctx.locks.atomic(self.join_lock, ctx.cpu, self.join_ns)
+        self._log_pending += entries
+        return ENTRY_ONLY_TXN
+
+    def _force_log(self, ctx: SimContext) -> None:
+        machine = self.machine
+        if self._log_pending:
+            nbytes = self._log_pending * self.entry_bytes \
+                + BLOCK_SIZE   # descriptor + commit blocks
+            ns = machine.jbd2_commit_ns + machine.persist_ns(nbytes)
+            ctx.locks.atomic(self.force_lock, ctx.cpu, ns)
+            ctx.counters.journal_ns += ns
+            self._log_pending = 0
+            self.log_forces += 1
+        else:
+            ctx.locks.atomic(self.force_lock, ctx.cpu,
+                             machine.jbd2_commit_ns / 4)
+
+    def _fsync_impl(self, inode: Inode, ctx: SimContext) -> None:
+        self._force_log(ctx)
+
+    def unmount(self, ctx: SimContext) -> None:
+        self._force_log(ctx)
+        super().unmount(ctx)
 
 
 class _FSMappedRegion(MappedRegion):

@@ -18,145 +18,35 @@ ext4-DAX zeroes freshly allocated pages inside the page-fault handler
 
 from __future__ import annotations
 
-from contextlib import contextmanager
-from typing import Iterator, List, Optional
+from typing import List, Optional
 
-from ..clock import SimContext
-from ..errors import NoSpaceError
-from ..params import BLOCK_SIZE
-from ..pm.device import PMDevice
-from ..structures.extents import Extent
-from .common.base import BaseFS
+from ..params import BLOCKS_PER_HUGEPAGE
+from ..structures.extents import Extent, align_up
+from .common.base import RunningLogFS
 from .common.freespace import FreePool
-from .common.inode import Inode
-
-#: cost of adding one handle to the running JBD2 transaction (DRAM)
-_JBD2_HANDLE_NS = 180.0
-#: bytes journaled per metadata handle at commit time
-_JBD2_BYTES_PER_HANDLE = 256
 
 
-class Ext4DAX(BaseFS):
+class Ext4DAX(RunningLogFS):
     name = "ext4-DAX"
     data_consistent = False
     fault_zero_fill = True
-
-    def __init__(self, device: PMDevice, num_cpus: int = 4,
-                 track_data: Optional[bool] = None) -> None:
-        super().__init__(device, num_cpus, track_data=track_data)
-        self._pool: Optional[FreePool] = None
-        self._pending_handles = 0
-        self.jbd2_commits = 0
+    alloc_ns = 80.0   # mballoc search
+    # JBD2: adding a handle to the running transaction costs 180 ns of
+    # DRAM work; a commit journals 256 B per handle
+    join_lock, join_ns = "jbd2-handle", 180.0
+    force_lock, entry_bytes = "jbd2-commit", 256
 
     def _metadata_blocks(self) -> int:
         # superblock, group descriptors, bitmaps, inode tables, JBD2 area;
         # rounded so the data area starts hugepage-aligned (as mkfs.ext4
         # does with flex_bg on a 2MB-aligned partition)
-        from ..structures.extents import align_up
         return align_up(4096)
 
-    def _init_allocator(self) -> None:
-        self._pool = FreePool(self.meta_blocks,
-                              self.total_blocks - self.meta_blocks)
-
-    # -- allocation: contiguity-first goal allocation ---------------------------------
-
-    def _alloc(self, nblocks: int, ctx: SimContext, *,
-               goal: Optional[int] = None,
-               want_aligned: bool = False) -> List[Extent]:
-        assert self._pool is not None
-        ctx.charge(80.0)   # mballoc search
-        out: List[Extent] = []
-        remaining = nblocks
-        cur_goal = goal
-        from ..params import BLOCKS_PER_HUGEPAGE
-        while remaining > 0:
-            if remaining >= BLOCKS_PER_HUGEPAGE:
-                # mballoc normalizes large requests and aligns them to
-                # their size boundary when the chosen run allows
-                ext = self._pool.alloc_first_fit_aligned_pref(
-                    remaining, goal=cur_goal)
-            else:
-                ext = self._pool.alloc_first_fit(remaining, goal=cur_goal)
-            if ext is None:
-                # fragmented: take the largest run available
-                largest = self._pool.largest()
-                if largest == 0:
-                    self._free(out, ctx)
-                    raise NoSpaceError("ext4: no free blocks")
-                ext = self._pool.alloc_first_fit(min(largest, remaining))
-                assert ext is not None
-            out.append(ext)
-            remaining -= ext.length
-            cur_goal = ext.end
-        return out
-
-    def _free(self, extents: List[Extent], ctx: SimContext) -> None:
-        assert self._pool is not None
-        for ext in extents:
-            self._pool.insert(ext)
-
-    # -- JBD2 ---------------------------------------------------------------------------
-
-    @contextmanager
-    def _meta_txn(self, ctx: SimContext, entries: int,
-                  ino: Optional[int] = None) -> Iterator[None]:
-        # joining the running transaction serializes briefly
-        ctx.locks.atomic("jbd2-handle", ctx.cpu, _JBD2_HANDLE_NS)
-        self._pending_handles += entries
-        yield
-
-    def _commit_jbd2(self, ctx: SimContext) -> None:
-        """Stop-the-world journal flush: the commit path is one serial
-        resource, so concurrent fsyncs queue behind each other — the
-        Fig 10 scalability ceiling of ext4-DAX."""
-        if self._pending_handles:
-            nbytes = self._pending_handles * _JBD2_BYTES_PER_HANDLE \
-                + BLOCK_SIZE   # descriptor + commit blocks
-            ns = self.machine.jbd2_commit_ns + self.machine.persist_ns(nbytes)
-            ctx.locks.atomic("jbd2-commit", ctx.cpu, ns)
-            ctx.counters.journal_ns += ns
-            self._pending_handles = 0
-            self.jbd2_commits += 1
-        else:
-            ctx.locks.atomic("jbd2-commit", ctx.cpu,
-                             self.machine.jbd2_commit_ns / 4)
-
-    # -- data path: in-place DAX writes ---------------------------------------------------
-
-    def _write_data(self, inode: Inode, offset: int, data: bytes,
-                    ctx: SimContext) -> None:
-        ns = self.machine.persist_ns(len(data))
-        ctx.charge(ns)
-        ctx.counters.pm_bytes_written += len(data)
-        if self.track_data:
-            self._store_blocks(inode, offset, data)
-
-    def _store_blocks(self, inode: Inode, offset: int, data: bytes) -> None:
-        pos = 0
-        while pos < len(data):
-            block = (offset + pos) // self.block_size
-            within = (offset + pos) % self.block_size
-            take = min(self.block_size - within, len(data) - pos)
-            phys = inode.extents.physical_block(block)
-            addr = phys * self.block_size + within
-            self.device.store(addr, data[pos:pos + take])
-            self.device.clwb(addr, take)
-            pos += take
-        self.device.sfence()
-
-    def _fsync_impl(self, inode: Inode, ctx: SimContext) -> None:
-        self._commit_jbd2(ctx)
-
-    def unmount(self, ctx: SimContext) -> None:
-        self._commit_jbd2(ctx)
-        super().unmount(ctx)
-
-    # -- metrics --------------------------------------------------------------------------
-
-    def _free_pools(self):
-        return [self._pool] if self._pool is not None else None
-
-    def _free_extent_iter(self) -> Iterator[Extent]:
-        assert self._pool is not None
-        yield from self._pool.extents()
+    # contiguity-first goal allocation
+    def _pick(self, pools: List[FreePool], remaining: int,
+              goal: Optional[int], nblocks: int) -> Optional[Extent]:
+        if remaining >= BLOCKS_PER_HUGEPAGE:
+            # mballoc normalizes large requests and aligns them to
+            # their size boundary when the chosen run allows
+            return pools[0].alloc_first_fit_aligned_pref(remaining, goal=goal)
+        return pools[0].alloc_first_fit(remaining, goal=goal)

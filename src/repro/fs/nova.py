@@ -23,15 +23,13 @@ The properties the paper's comparisons depend on:
 
 from __future__ import annotations
 
-from contextlib import contextmanager
-from typing import Iterator, List, Optional
+from typing import ContextManager, List, Optional
 
 from ..clock import SimContext
-from ..errors import NoSpaceError
 from ..params import BLOCKS_PER_HUGEPAGE
 from ..pm.device import PMDevice
-from ..structures.extents import Extent
-from .common.base import BaseFS
+from ..structures.extents import Extent, align_up
+from .common.base import ENTRY_ONLY_TXN, BaseFS
 from .common.freespace import FreePool
 from .common.inode import Inode
 
@@ -47,6 +45,7 @@ class NovaFS(BaseFS):
     NOVA) or "relaxed" (metadata consistency only, NOVA-relaxed in §5.1)."""
 
     fault_zero_fill = False
+    alloc_ns = 70.0
 
     def __init__(self, device: PMDevice, num_cpus: int = 4,
                  mode: str = "strict",
@@ -55,84 +54,46 @@ class NovaFS(BaseFS):
         self.mode = mode
         self.name = "NOVA" if mode == "strict" else "NOVA-relaxed"
         self.data_consistent = (mode == "strict")
-        self._pools: List[FreePool] = []
         self._log_pages: dict = {}          # ino -> List[Extent]
         self._log_entries_used: dict = {}   # ino -> entries in last page
         self._pre_write_blocks: dict = {}   # ino -> blocks before extension
         self.log_pages_allocated = 0
 
     def _metadata_blocks(self) -> int:
-        from ..structures.extents import align_up
         return align_up(2048)   # superblock + inode tables + recovery area
 
+    def _num_pools(self) -> int:
+        return self.num_cpus   # per-CPU free lists
+
     def _init_allocator(self) -> None:
-        data_blocks = self.total_blocks - self.meta_blocks
-        per_cpu = data_blocks // self.num_cpus
-        self._pools = []
-        for cpu in range(self.num_cpus):
-            start = self.meta_blocks + cpu * per_cpu
-            length = per_cpu if cpu < self.num_cpus - 1 else \
-                data_blocks - (self.num_cpus - 1) * per_cpu
-            self._pools.append(FreePool(start, length))
+        super()._init_allocator()
         self._log_pages = {}
         self._log_entries_used = {}
 
     # -- allocation -----------------------------------------------------------------
 
-    def _alloc(self, nblocks: int, ctx: SimContext, *,
-               goal: Optional[int] = None,
-               want_aligned: bool = False) -> List[Extent]:
-        ctx.charge(70.0)
+    def _pool_order(self, ctx: SimContext,
+                    goal: Optional[int]) -> List[FreePool]:
+        # the calling CPU's own free list first
         home = ctx.cpu % self.num_cpus
-        out: List[Extent] = []
-        remaining = nblocks
+        return [self._pools[home]] + self._pools[:home] \
+            + self._pools[home + 1:]
+
+    def _pick(self, pools: List[FreePool], remaining: int,
+              goal: Optional[int], nblocks: int) -> Optional[Extent]:
         # NOVA only aims for alignment on exact 2MB-multiple requests
-        exact_multiple = nblocks % BLOCKS_PER_HUGEPAGE == 0
-        while remaining > 0:
-            ext = None
-            if exact_multiple and remaining >= BLOCKS_PER_HUGEPAGE:
-                for pool in self._pool_order(home):
-                    ext = pool.alloc_aligned_hugepage()
-                    if ext is not None:
-                        break
-            if ext is None:
-                # NOVA allocates per-CPU with a rotating cursor (next-fit)
-                for pool in self._pool_order(home):
-                    ext = pool.alloc_next_fit(remaining)
-                    if ext is not None:
-                        break
-            if ext is None:
-                largest = max((p.largest() for p in self._pools), default=0)
-                if largest == 0:
-                    self._free(out, ctx)
-                    raise NoSpaceError("NOVA: no free blocks")
-                for pool in self._pool_order(home):
-                    if pool.largest() >= largest:
-                        ext = pool.alloc_first_fit(largest)
-                        break
-                assert ext is not None
-            out.append(ext)
-            remaining -= ext.length
-        return out
-
-    def _pool_order(self, home: int) -> List[FreePool]:
-        return [self._pools[home]] + [p for i, p in enumerate(self._pools)
-                                      if i != home]
-
-    def _free(self, extents: List[Extent], ctx: SimContext) -> None:
-        for ext in extents:
-            self._free_one(ext)
-
-    def _free_one(self, extent: Extent) -> None:
-        # return to the pool owning the address range
-        for pool in self._pools:
-            if pool.range_start <= extent.start < pool.range_end:
-                end = min(extent.end, pool.range_end)
-                pool.insert(Extent(extent.start, end - extent.start))
-                if extent.end > end:
-                    self._free_one(Extent(end, extent.end - end))
-                return
-        raise NoSpaceError(f"free of unknown block range {extent}")
+        if nblocks % BLOCKS_PER_HUGEPAGE == 0 \
+                and remaining >= BLOCKS_PER_HUGEPAGE:
+            for pool in pools:
+                ext = pool.alloc_aligned_hugepage()
+                if ext is not None:
+                    return ext
+        # NOVA allocates per-CPU with a rotating cursor (next-fit)
+        for pool in pools:
+            ext = pool.alloc_next_fit(remaining)
+            if ext is not None:
+                return ext
+        return None
 
     # -- per-inode log ------------------------------------------------------------------
 
@@ -161,13 +122,12 @@ class NovaFS(BaseFS):
         ctx.counters.journal_ns += ns
         ctx.counters.pm_bytes_written += 8
 
-    @contextmanager
     def _meta_txn(self, ctx: SimContext, entries: int,
-                  ino: Optional[int] = None) -> Iterator[None]:
+                  ino: Optional[int] = None) -> ContextManager:
         log_ino = ino if ino is not None else 0
         for _ in range(max(1, entries // 2)):
             self._append_log_entry(log_ino, ctx)
-        yield
+        return ENTRY_ONLY_TXN
 
     def _alloc_inode(self, is_dir: bool, ctx: SimContext) -> Inode:
         inode = super()._alloc_inode(is_dir, ctx)
@@ -176,9 +136,7 @@ class NovaFS(BaseFS):
         return inode
 
     def _free_inode(self, inode: Inode, ctx=None) -> None:
-        pages = self._log_pages.pop(inode.ino, [])
-        for page in pages:
-            self._free_one(page)
+        self._free(self._log_pages.pop(inode.ino, []), ctx)
         self._log_entries_used.pop(inode.ino, None)
         super()._free_inode(inode, ctx)
 
@@ -215,14 +173,7 @@ class NovaFS(BaseFS):
                 old = bytearray(self._read_blocks(inode, cow_first, nblocks))
                 seg = data[:cow_end_byte - offset]
                 old[head_pad:head_pad + len(seg)] = seg
-                pos = 0
-                for ext in new_extents:
-                    take = ext.length * self.block_size
-                    addr = ext.start * self.block_size
-                    self.device.store(addr, bytes(old[pos:pos + take]))
-                    self.device.clwb(addr, take)
-                    pos += take
-                self.device.sfence()
+                self._store_extents(new_extents, old)
             old_extents = inode.extents.replace_logical(cow_first, new_extents)
             self._append_log_entry(inode.ino, ctx)
             self._invalidate_log_entry(inode.ino, ctx)
@@ -236,31 +187,6 @@ class NovaFS(BaseFS):
             self._write_in_place(inode, offset + written, tail, ctx)
             self._append_log_entry(inode.ino, ctx)
 
-    def _write_in_place(self, inode: Inode, offset: int, data: bytes,
-                        ctx: SimContext) -> None:
-        ctx.charge(self.machine.persist_ns(len(data)))
-        ctx.counters.pm_bytes_written += len(data)
-        if self.track_data:
-            pos = 0
-            while pos < len(data):
-                block = (offset + pos) // self.block_size
-                within = (offset + pos) % self.block_size
-                take = min(self.block_size - within, len(data) - pos)
-                phys = inode.extents.physical_block(block)
-                addr = phys * self.block_size + within
-                self.device.store(addr, data[pos:pos + take])
-                self.device.clwb(addr, take)
-                pos += take
-            self.device.sfence()
-
-    def _read_blocks(self, inode: Inode, first_block: int,
-                     nblocks: int) -> bytes:
-        chunks = []
-        for ext in inode.extents.slice_logical(first_block, nblocks):
-            chunks.append(self.device.load(ext.start * self.block_size,
-                                           ext.length * self.block_size))
-        return b"".join(chunks)
-
     def write(self, ino: int, offset: int, data: bytes, ctx: SimContext) -> int:
         self._check_mounted()
         self._check_writable()
@@ -272,13 +198,3 @@ class NovaFS(BaseFS):
             return super().write(ino, offset, data, ctx)
         finally:
             self._pre_write_blocks.pop(ino, None)
-
-    def _fsync_impl(self, inode: Inode, ctx: SimContext) -> None:
-        return   # all NOVA operations are synchronous
-
-    def _free_pools(self):
-        return self._pools or None
-
-    def _free_extent_iter(self) -> Iterator[Extent]:
-        for pool in self._pools:
-            yield from pool.extents()

@@ -21,13 +21,10 @@ from contextlib import contextmanager
 from typing import Iterator, List, Optional
 
 from ..clock import SimContext
-from ..errors import NoSpaceError
-from ..pm.device import PMDevice
 from ..structures.extents import Extent
 from .common.base import BaseFS
 from .common.dirindex import LinearDirIndex
 from .common.freespace import FreePool
-from .common.inode import Inode
 
 _JOURNAL_ENTRY_BYTES = 64
 
@@ -37,45 +34,16 @@ class PMFS(BaseFS):
     data_consistent = False
     fault_zero_fill = False
     dir_index_cls = LinearDirIndex
-
-    def __init__(self, device: PMDevice, num_cpus: int = 4,
-                 track_data: Optional[bool] = None) -> None:
-        super().__init__(device, num_cpus, track_data=track_data)
-        self._pool: Optional[FreePool] = None
+    alloc_ns = 60.0
 
     def _metadata_blocks(self) -> int:
         # deliberately NOT rounded to a hugepage boundary: PMFS's data area
         # starts misaligned, so no allocation is ever hugepage-aligned
         return 2049
 
-    def _init_allocator(self) -> None:
-        self._pool = FreePool(self.meta_blocks,
-                              self.total_blocks - self.meta_blocks)
-
-    def _alloc(self, nblocks: int, ctx: SimContext, *,
-               goal: Optional[int] = None,
-               want_aligned: bool = False) -> List[Extent]:
-        assert self._pool is not None
-        ctx.charge(60.0)
-        out: List[Extent] = []
-        remaining = nblocks
-        while remaining > 0:
-            ext = self._pool.alloc_first_fit(remaining)
-            if ext is None:
-                largest = self._pool.largest()
-                if largest == 0:
-                    self._free(out, ctx)
-                    raise NoSpaceError("PMFS: no free blocks")
-                ext = self._pool.alloc_first_fit(min(largest, remaining))
-                assert ext is not None
-            out.append(ext)
-            remaining -= ext.length
-        return out
-
-    def _free(self, extents: List[Extent], ctx: SimContext) -> None:
-        assert self._pool is not None
-        for ext in extents:
-            self._pool.insert(ext)
+    def _pick(self, pools: List[FreePool], remaining: int,
+              goal: Optional[int], nblocks: int) -> Optional[Extent]:
+        return pools[0].alloc_first_fit(remaining)
 
     @contextmanager
     def _meta_txn(self, ctx: SimContext, entries: int,
@@ -92,30 +60,3 @@ class PMFS(BaseFS):
             yield
         finally:
             ctx.charge(self.machine.persist_ns(_JOURNAL_ENTRY_BYTES))
-
-    def _write_data(self, inode: Inode, offset: int, data: bytes,
-                    ctx: SimContext) -> None:
-        ctx.charge(self.machine.persist_ns(len(data)))
-        ctx.counters.pm_bytes_written += len(data)
-        if self.track_data:
-            pos = 0
-            while pos < len(data):
-                block = (offset + pos) // self.block_size
-                within = (offset + pos) % self.block_size
-                take = min(self.block_size - within, len(data) - pos)
-                phys = inode.extents.physical_block(block)
-                addr = phys * self.block_size + within
-                self.device.store(addr, data[pos:pos + take])
-                self.device.clwb(addr, take)
-                pos += take
-            self.device.sfence()
-
-    def _fsync_impl(self, inode: Inode, ctx: SimContext) -> None:
-        return   # PMFS metadata is synchronous; data is already flushed
-
-    def _free_pools(self):
-        return [self._pool] if self._pool is not None else None
-
-    def _free_extent_iter(self) -> Iterator[Extent]:
-        assert self._pool is not None
-        yield from self._pool.extents()

@@ -67,4 +67,4 @@ class SplitFS(Ext4DAX):
             with self._meta_txn(ctx, entries=4, ino=inode.ino):
                 self._persist_inode(inode, ctx)
             self.relinks += 1
-        self._commit_jbd2(ctx)
+        self._force_log(ctx)

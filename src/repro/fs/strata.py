@@ -20,15 +20,13 @@ What matters for the paper's comparisons:
 
 from __future__ import annotations
 
-from contextlib import contextmanager
-from typing import Dict, Iterator, List, Optional
+from typing import ContextManager, Dict, List, Optional
 
 from ..clock import SimContext
-from ..errors import NoSpaceError
 from ..params import MIB
 from ..pm.device import PMDevice
 from ..structures.extents import Extent
-from .common.base import BaseFS
+from .common.base import ENTRY_ONLY_TXN, BaseFS
 from .common.freespace import FreePool
 from .common.inode import Inode
 
@@ -41,11 +39,11 @@ class StrataFS(BaseFS):
     name = "Strata"
     data_consistent = True
     fault_zero_fill = False
+    alloc_ns = 70.0
 
     def __init__(self, device: PMDevice, num_cpus: int = 4,
                  track_data: Optional[bool] = None) -> None:
         super().__init__(device, num_cpus, track_data=track_data)
-        self._pool: Optional[FreePool] = None
         self._log_bytes: Dict[int, int] = {}   # per-CPU private log fill
         self.digests = 0
         self.digested_bytes = 0
@@ -54,43 +52,17 @@ class StrataFS(BaseFS):
         # superblock + per-process log regions (16MB each for 4 CPUs)
         return 2048 + self.num_cpus * 4096
 
-    def _init_allocator(self) -> None:
-        self._pool = FreePool(self.meta_blocks,
-                              self.total_blocks - self.meta_blocks)
+    def _pick(self, pools: List[FreePool], remaining: int,
+              goal: Optional[int], nblocks: int) -> Optional[Extent]:
+        return pools[0].alloc_first_fit(remaining)
 
-    def _alloc(self, nblocks: int, ctx: SimContext, *,
-               goal: Optional[int] = None,
-               want_aligned: bool = False) -> List[Extent]:
-        assert self._pool is not None
-        ctx.charge(70.0)
-        out: List[Extent] = []
-        remaining = nblocks
-        while remaining > 0:
-            ext = self._pool.alloc_first_fit(remaining)
-            if ext is None:
-                largest = self._pool.largest()
-                if largest == 0:
-                    self._free(out, ctx)
-                    raise NoSpaceError("Strata: no free blocks")
-                ext = self._pool.alloc_first_fit(min(largest, remaining))
-                assert ext is not None
-            out.append(ext)
-            remaining -= ext.length
-        return out
-
-    def _free(self, extents: List[Extent], ctx: SimContext) -> None:
-        assert self._pool is not None
-        for ext in extents:
-            self._pool.insert(ext)
-
-    @contextmanager
     def _meta_txn(self, ctx: SimContext, entries: int,
-                  ino: Optional[int] = None) -> Iterator[None]:
+                  ino: Optional[int] = None) -> ContextManager:
         # metadata goes to the private log: sequential 64B entries
         ns = self.machine.persist_ns(entries * _LOG_ENTRY_BYTES)
         ctx.charge(ns)
         ctx.counters.journal_ns += ns
-        yield
+        return ENTRY_ONLY_TXN
 
     def _write_data(self, inode: Inode, offset: int, data: bytes,
                     ctx: SimContext) -> None:
@@ -105,17 +77,7 @@ class StrataFS(BaseFS):
         # 2. write-through to the shared area so reads/mmaps see it (the
         # digestion copy; charged when the log fills)
         if self.track_data:
-            pos = 0
-            while pos < len(data):
-                block = (offset + pos) // self.block_size
-                within = (offset + pos) % self.block_size
-                take = min(self.block_size - within, len(data) - pos)
-                phys = inode.extents.physical_block(block)
-                addr = phys * self.block_size + within
-                self.device.store(addr, data[pos:pos + take])
-                self.device.clwb(addr, take)
-                pos += take
-            self.device.sfence()
+            self._store_data(inode, offset, data)
         if self._log_bytes[cpu] >= _DIGEST_THRESHOLD:
             self._digest(cpu, ctx)
 
@@ -133,17 +95,9 @@ class StrataFS(BaseFS):
         self.digests += 1
         self.digested_bytes += nbytes
 
-    def _fsync_impl(self, inode: Inode, ctx: SimContext) -> None:
-        return   # the private log is already durable
-
     def unmount(self, ctx: SimContext) -> None:
+        # the private logs are durable already (fsync is free); what is
+        # left is making them visible in the shared area
         for cpu in list(self._log_bytes):
             self._digest(cpu, ctx)
         super().unmount(ctx)
-
-    def _free_pools(self):
-        return [self._pool] if self._pool is not None else None
-
-    def _free_extent_iter(self) -> Iterator[Extent]:
-        assert self._pool is not None
-        yield from self._pool.extents()

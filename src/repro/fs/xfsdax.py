@@ -14,33 +14,21 @@ scalability as they use a stop-the-world approach on fsync()").
 
 from __future__ import annotations
 
-from contextlib import contextmanager
-from typing import Iterator, List, Optional
+from typing import List, Optional
 
 from ..clock import SimContext
-from ..errors import NoSpaceError
-from ..params import BLOCK_SIZE
-from ..pm.device import PMDevice
 from ..structures.extents import Extent
-from .common.base import BaseFS
+from .common.base import RunningLogFS
 from .common.freespace import FreePool
-from .common.inode import Inode
-
-_LOG_ITEM_NS = 160.0
-_LOG_BYTES_PER_ITEM = 256
 
 
-class XfsDAX(BaseFS):
+class XfsDAX(RunningLogFS):
     name = "xfs-DAX"
     data_consistent = False
     fault_zero_fill = True
-
-    def __init__(self, device: PMDevice, num_cpus: int = 4,
-                 track_data: Optional[bool] = None) -> None:
-        super().__init__(device, num_cpus, track_data=track_data)
-        self._pools: List[FreePool] = []
-        self._pending_items = 0
-        self.log_forces = 0
+    alloc_ns = 90.0   # btree lookups in the by-size tree
+    join_lock, join_ns = "xfs-log-item", 160.0
+    force_lock, entry_bytes = "xfs-log", 256
 
     def _metadata_blocks(self) -> int:
         # AG headers land at an odd offset: the data area starts unaligned,
@@ -48,112 +36,27 @@ class XfsDAX(BaseFS):
         # it hands out is ever hugepage-mappable (footnote 1)
         return 4097
 
-    def _init_allocator(self) -> None:
-        # four allocation groups, carved sequentially
-        data_blocks = self.total_blocks - self.meta_blocks
-        groups = 4
-        per_ag = data_blocks // groups
-        self._pools = []
-        for ag in range(groups):
-            start = self.meta_blocks + ag * per_ag
-            length = per_ag if ag < groups - 1 else \
-                data_blocks - (groups - 1) * per_ag
-            self._pools.append(FreePool(start, length))
+    def _num_pools(self) -> int:
+        return 4   # allocation groups
 
-    def _alloc(self, nblocks: int, ctx: SimContext, *,
-               goal: Optional[int] = None,
-               want_aligned: bool = False) -> List[Extent]:
-        ctx.charge(90.0)   # btree lookups in the by-size tree
-        out: List[Extent] = []
-        remaining = nblocks
-        cur_goal = goal
-        pools = self._pools_for_goal(cur_goal)
-        while remaining > 0:
-            ext = None
-            for pool in pools:
-                ext = pool.alloc_first_fit(remaining, goal=cur_goal)
-                if ext is not None:
-                    break
-            if ext is None:
-                largest = max((p.largest() for p in self._pools), default=0)
-                if largest == 0:
-                    self._free(out, ctx)
-                    raise NoSpaceError("xfs: no free blocks")
-                for pool in self._pools:
-                    if pool.largest() >= largest:
-                        ext = pool.alloc_first_fit(min(largest, remaining))
-                        break
-                assert ext is not None
-            out.append(ext)
-            remaining -= ext.length
-            cur_goal = ext.end
-        return out
-
-    def _pools_for_goal(self, goal: Optional[int]) -> List[FreePool]:
-        if goal is None:
-            return self._pools
-        for i, pool in enumerate(self._pools):
-            if pool.range_start <= goal < pool.range_end:
-                return [pool] + [p for j, p in enumerate(self._pools)
-                                 if j != i]
+    def _pool_order(self, ctx: SimContext,
+                    goal: Optional[int]) -> List[FreePool]:
+        # the AG holding the goal first, the others in AG order
+        if goal is not None:
+            for i, pool in enumerate(self._pools):
+                if pool.range_start <= goal < pool.range_end:
+                    return [pool] + self._pools[:i] + self._pools[i + 1:]
         return self._pools
 
-    def _free(self, extents: List[Extent], ctx: SimContext) -> None:
-        for ext in extents:
-            for pool in self._pools:
-                if pool.range_start <= ext.start < pool.range_end:
-                    end = min(ext.end, pool.range_end)
-                    pool.insert(Extent(ext.start, end - ext.start))
-                    if ext.end > end:
-                        self._free([Extent(end, ext.end - end)], ctx)
-                    break
+    def _pick(self, pools: List[FreePool], remaining: int,
+              goal: Optional[int], nblocks: int) -> Optional[Extent]:
+        for pool in pools:
+            ext = pool.alloc_first_fit(remaining, goal=goal)
+            if ext is not None:
+                return ext
+        return None
 
-    @contextmanager
-    def _meta_txn(self, ctx: SimContext, entries: int,
-                  ino: Optional[int] = None) -> Iterator[None]:
-        ctx.locks.atomic("xfs-log-item", ctx.cpu, _LOG_ITEM_NS)
-        self._pending_items += entries
-        yield
-
-    def _force_log(self, ctx: SimContext) -> None:
-        if self._pending_items:
-            nbytes = self._pending_items * _LOG_BYTES_PER_ITEM + BLOCK_SIZE
-            ns = self.machine.jbd2_commit_ns + self.machine.persist_ns(nbytes)
-            ctx.locks.atomic("xfs-log", ctx.cpu, ns)
-            ctx.counters.journal_ns += ns
-            self._pending_items = 0
-            self.log_forces += 1
-        else:
-            ctx.locks.atomic("xfs-log", ctx.cpu,
-                             self.machine.jbd2_commit_ns / 4)
-
-    def _write_data(self, inode: Inode, offset: int, data: bytes,
-                    ctx: SimContext) -> None:
-        ctx.charge(self.machine.persist_ns(len(data)))
-        ctx.counters.pm_bytes_written += len(data)
-        if self.track_data:
-            pos = 0
-            while pos < len(data):
-                block = (offset + pos) // self.block_size
-                within = (offset + pos) % self.block_size
-                take = min(self.block_size - within, len(data) - pos)
-                phys = inode.extents.physical_block(block)
-                addr = phys * self.block_size + within
-                self.device.store(addr, data[pos:pos + take])
-                self.device.clwb(addr, take)
-                pos += take
-            self.device.sfence()
-
-    def _fsync_impl(self, inode: Inode, ctx: SimContext) -> None:
-        self._force_log(ctx)
-
-    def unmount(self, ctx: SimContext) -> None:
-        self._force_log(ctx)
-        super().unmount(ctx)
-
-    def _free_pools(self):
-        return self._pools or None
-
-    def _free_extent_iter(self) -> Iterator[Extent]:
-        for pool in self._pools:
-            yield from pool.extents()
+    def _take_largest_run(self, pools: List[FreePool],
+                          remaining: int) -> Optional[Extent]:
+        # the by-size tree has no notion of a goal: AG order breaks ties
+        return super()._take_largest_run(self._pools, remaining)

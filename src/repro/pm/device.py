@@ -21,7 +21,7 @@ the :class:`~repro.params.MachineParams` ratios.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
 
 from ..clock import SimContext
 from ..errors import PMError
@@ -162,11 +162,10 @@ class PMDevice:
         self.machine = machine
         self.topology = topology
         self._store = _SparsePages(size)
-        self.track_stores = track_stores
         # without store tracking there is no crash-state enumeration, so
-        # dirty-line bookkeeping is pure overhead: every store is treated
-        # as immediately durable and only costs are charged
-        self._fast = not track_stores
+        # the store log is pure overhead: every store is treated as
+        # immediately durable and only costs are charged
+        self.track_stores = track_stores
         # store log as parallel columns (SoA): seqs ascend in append
         # order, flags[i] is 1 once a clwb covered store i's lines.
         # Fenced records never live in the log — sfence folds them into
@@ -177,8 +176,6 @@ class PMDevice:
         self._log_data: List[bytes] = []
         self._log_flushed = bytearray()
         self._seq = 0
-        # lines stored but not yet flushed
-        self._dirty_lines: Set[int] = set()
         # durable image, maintained only when tracking stores
         self._durable: Optional[_SparsePages] = _SparsePages(size) if track_stores else None
         self.bytes_written = 0
@@ -257,11 +254,11 @@ class PMDevice:
             if not len(data):
                 return      # fully torn: nothing reached even the cache
         if type(data) is Zeros:
-            if self._fast:
-                self._store.write_zeros(addr, len(data))
-            else:
+            if self.track_stores:
                 data = bytes(data)
                 self._store.write(addr, data)
+            else:
+                self._store.write_zeros(addr, len(data))
         else:
             self._store.write(addr, data)
         self.bytes_written += len(data)
@@ -269,21 +266,17 @@ class PMDevice:
             remote = self._is_remote(ctx, addr)
             ctx.charge(self.machine.pm_write_ns(len(data), remote))
             ctx.counters.pm_bytes_written += len(data)
-        if self._fast:
+        if not self.track_stores:
             return
-        first = addr // CACHELINE
-        last = (addr + len(data) - 1) // CACHELINE
-        self._dirty_lines.update(range(first, last + 1))
-        if self.track_stores:
-            raw = bytes(data)
-            self._log_seqs.append(self._seq)
-            self._log_addrs.append(addr)
-            self._log_data.append(raw)
-            self._log_flushed.append(0)
-            if self._capturing:
-                self._capture_records[self._seq] = (addr, raw)
-                self._capture_epoch_of[self._seq] = None
-            self._seq += 1
+        raw = bytes(data)
+        self._log_seqs.append(self._seq)
+        self._log_addrs.append(addr)
+        self._log_data.append(raw)
+        self._log_flushed.append(0)
+        if self._capturing:
+            self._capture_records[self._seq] = (addr, raw)
+            self._capture_epoch_of[self._seq] = None
+        self._seq += 1
 
     def clwb(self, addr: int, length: int, ctx: Optional[SimContext] = None) -> None:
         """Issue write-backs for every cacheline in [addr, addr+length)."""
@@ -292,64 +285,60 @@ class PMDevice:
             return
         first = addr // CACHELINE
         last = (addr + length - 1) // CACHELINE
-        lines = range(first, last + 1)
         if ctx is not None:
-            ctx.charge(len(lines) * self.machine.clwb_ns)
-        if self._fast:
+            ctx.charge((last - first + 1) * self.machine.clwb_ns)
+        if not self.track_stores:
             return
-        self._dirty_lines.difference_update(lines)
-        if self.track_stores:
-            # flag flip in place on the flush column — no record rebuild
-            addrs = self._log_addrs
-            data = self._log_data
-            flushed = self._log_flushed
-            for i in range(len(addrs)):
-                if not flushed[i]:
-                    rfirst = addrs[i] // CACHELINE
-                    rlast = (addrs[i] + len(data[i]) - 1) // CACHELINE
-                    if rfirst <= last and first <= rlast:
-                        flushed[i] = 1
+        # flag flip in place on the flush column — no record rebuild
+        addrs = self._log_addrs
+        data = self._log_data
+        flushed = self._log_flushed
+        for i in range(len(addrs)):
+            if not flushed[i]:
+                rfirst = addrs[i] // CACHELINE
+                rlast = (addrs[i] + len(data[i]) - 1) // CACHELINE
+                if rfirst <= last and first <= rlast:
+                    flushed[i] = 1
 
     def sfence(self, ctx: Optional[SimContext] = None) -> None:
         """Order flushed lines: everything clwb'ed so far becomes durable."""
         if ctx is not None:
             ctx.charge(self.machine.sfence_ns)
-        if self._fast:
+        if not self.track_stores:
             return
-        if self.track_stores:
-            seqs = self._log_seqs
-            addrs = self._log_addrs
-            data = self._log_data
-            flushed = self._log_flushed
-            durable = self._durable
-            assert durable is not None
-            fenced_any = False
-            w = 0
-            for i in range(len(seqs)):
-                if flushed[i]:
-                    # fenced: fold into the durable image and drop
-                    durable.write(addrs[i], data[i])
-                    if self._capturing and seqs[i] in self._capture_epoch_of:
-                        self._capture_epoch_of[seqs[i]] = self._capture_epoch
-                        fenced_any = True
-                else:
-                    if w != i:
-                        seqs[w] = seqs[i]
-                        addrs[w] = addrs[i]
-                        data[w] = data[i]
-                        flushed[w] = flushed[i]
-                    w += 1
-            if w != len(seqs):
-                del seqs[w:], addrs[w:], data[w:], flushed[w:]
-            if self._capturing and fenced_any:
-                self._capture_epoch += 1
+        seqs = self._log_seqs
+        addrs = self._log_addrs
+        data = self._log_data
+        flushed = self._log_flushed
+        durable = self._durable
+        assert durable is not None
+        fenced_any = False
+        w = 0
+        for i in range(len(seqs)):
+            if flushed[i]:
+                # fenced: fold into the durable image and drop
+                durable.write(addrs[i], data[i])
+                if self._capturing and seqs[i] in self._capture_epoch_of:
+                    self._capture_epoch_of[seqs[i]] = self._capture_epoch
+                    fenced_any = True
+            else:
+                if w != i:
+                    seqs[w] = seqs[i]
+                    addrs[w] = addrs[i]
+                    data[w] = data[i]
+                    flushed[w] = flushed[i]
+                w += 1
+        if w != len(seqs):
+            del seqs[w:], addrs[w:], data[w:], flushed[w:]
+        if self._capturing and fenced_any:
+            self._capture_epoch += 1
 
     def persist(self, addr: int, data: bytes, ctx: Optional[SimContext] = None) -> None:
         """store + clwb + sfence in one call (the common durable-write path)."""
-        if self._fast and not self._faults_active:
+        if not (self.track_stores or self._faults_active):
             # one pass, same three charges in the same order as the calls
             # below would make them — just without their per-call dispatch
-            # and line-set bookkeeping (skipped in fast mode anyway)
+            # (there is no store log to keep on an untracked device)
             length = len(data)
             if length < 0 or addr < 0 or addr + length > self.size:
                 self._check(addr, length)   # raises with the full message
@@ -500,7 +489,6 @@ class PMDevice:
         out._log_data = list(self._log_data)
         out._log_flushed = bytearray(self._log_flushed)
         out._seq = self._seq
-        out._dirty_lines = set(self._dirty_lines)
         if self._durable is not None:
             out._durable = self._durable.clone()
         out.bytes_written = self.bytes_written
@@ -509,12 +497,14 @@ class PMDevice:
 
     def drain(self) -> None:
         """Flush + fence everything dirty (clean unmount / power-safe)."""
-        if self._fast:
+        if not self.track_stores:
             return
-        # flush at page granularity over all dirty lines
-        lines = sorted(self._dirty_lines)
-        for line in lines:
-            self.clwb(line * CACHELINE, CACHELINE)
+        # unflushed records are exactly the stores with dirty lines left;
+        # a clwb only flips flags, so the columns keep their length
+        for addr, data, flushed in zip(self._log_addrs, self._log_data,
+                                       self._log_flushed):
+            if not flushed:
+                self.clwb(addr, len(data))
         self.sfence()
 
     def bind_metrics(self, registry, **labels) -> None:

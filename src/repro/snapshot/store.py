@@ -33,8 +33,14 @@ __all__ = ["FORMAT_VERSION", "LOAD_STATUSES", "cache_key", "snapshot_dir",
 #: bump whenever the codec stream or the simulated state layout changes;
 #: old records are then ignored (and replaced by the next save), never
 #: misread (3: codec v2 columnar stream became the default encoding; 4:
-#: directory indexes stopped carrying a red-black tree beside their dict)
-FORMAT_VERSION = 4
+#: directory indexes stopped carrying a red-black tree beside their dict;
+#: 5: persisted attributes renamed or dropped when the FS mechanics moved
+#: into BaseFS — every baseline's pools are ``_pools`` (was ``_pool`` on
+#: three), ext4 / SplitFS / xfs keep their running transaction in
+#: ``_log_pending`` / ``log_forces`` (were ``_pending_handles`` /
+#: ``jbd2_commits`` and ``_pending_items``), ``BaseFS._free_blocks`` and
+#: ``PMDevice._fast`` / ``_dirty_lines`` are gone)
+FORMAT_VERSION = 5
 
 #: every status ``load_ex`` can report.  ``hit`` carries a value; the
 #: rest carry ``None``.  ``miss`` (no entry) is the healthy cold-cache

@@ -689,21 +689,20 @@ def test_acceptance_weakened_persist_in_journal_fails_lint(tmp_path):
 
 
 def test_acceptance_dropped_sfence_in_filesystem_fails_lint(tmp_path):
-    path = os.path.join(SRC_REPRO, "core", "filesystem.py")
+    path = os.path.join(SRC_REPRO, "fs", "common", "base.py")
     lines = open(path).read().splitlines(keepends=True)
-    # drop the sfence that seals the extent-data write loop (the one
-    # directly before an early return, so the unflushed path is live)
+    # drop the sfence that seals the extent-data write loop of the one
+    # routine every model stores file bytes through (``_store_data``)
     victims = [i for i, ln in enumerate(lines)
-               if ln.strip() == "self.device.sfence()"
-               and i + 1 < len(lines) and lines[i + 1].strip() == "return"]
-    assert victims, "expected a sfence-then-return pair in filesystem.py"
+               if ln.strip() == "device.sfence()"]
+    assert len(victims) == 1, "expected the one sfence ending _store_data"
     mutated = "".join(ln for i, ln in enumerate(lines) if i != victims[0])
-    pkg = tmp_path / "repro" / "core"
+    pkg = tmp_path / "repro" / "fs" / "common"
     pkg.mkdir(parents=True)
-    (tmp_path / "repro" / "__init__.py").write_text("")
-    (pkg / "__init__.py").write_text("")
-    (pkg / "filesystem.py").write_text(mutated)
-    result = run_lint([str(pkg / "filesystem.py")], root=str(tmp_path))
+    for init in (tmp_path / "repro", tmp_path / "repro" / "fs", pkg):
+        (init / "__init__.py").write_text("")
+    (pkg / "base.py").write_text(mutated)
+    result = run_lint([str(pkg / "base.py")], root=str(tmp_path))
     assert any(f.rule == "persistence-ordering" for f in result.findings)
 
 

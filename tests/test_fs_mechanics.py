@@ -1,0 +1,153 @@
+"""The mechanics ``fs/common/base.py`` owns once for every model: the
+durable store of file bytes, the pool carve, the free to the owning pool
+and the allocation loop's largest-run fallback."""
+
+import random
+
+import pytest
+
+from repro.clock import make_context
+from repro.errors import CorruptionError, FSError, NoSpaceError
+from repro.harness import ALL_SPECS, SPECS_BY_NAME
+from repro.params import BLOCK_SIZE as B, HUGE_PAGE, MIB
+from repro.pm.device import PMDevice
+from repro.structures.extents import Extent
+
+SIZE = 256 * MIB
+ALL = [spec.name for spec in ALL_SPECS]
+#: the models whose pools BaseFS carves (WineFS brings its own allocator)
+BASE_POOLS = ["ext4-DAX", "xfs-DAX", "PMFS", "SplitFS", "Strata", "NOVA",
+              "NOVA-relaxed"]
+
+
+def _fs(name, *, track_stores=False, size=SIZE, num_cpus=4):
+    device = PMDevice(size, track_stores=track_stores)
+    fs = SPECS_BY_NAME[name].build(device, num_cpus, track_data=True)
+    ctx = make_context(num_cpus)
+    fs.mkfs(ctx)
+    return fs, ctx
+
+
+def _unfenced_file_data(fs, ino):
+    """In-flight store records that overlap a data block of *ino*."""
+    extents = list(fs.file_extents(ino))
+    out = []
+    for rec in fs.device.in_flight_stores():
+        first = rec.addr // B
+        last = (rec.addr + len(rec.data) - 1) // B
+        if any(ext.start <= last and first < ext.start + ext.length
+               for ext in extents):
+            out.append(rec)
+    return out
+
+
+@pytest.mark.parametrize("name", ALL)
+def test_acknowledged_write_is_fenced(name):
+    """Once ``write`` / ``write_zeros`` returns, no store to the file's
+    data blocks is still waiting for a fence — whatever path the model
+    took (in place, data journal, copy-on-write, staged append)."""
+    fs, ctx = _fs(name, track_stores=True)
+    rng = random.Random(24)
+    big = fs.create("/big", ctx)
+    small = fs.create("/small", ctx.on_cpu(1))
+    steps = [
+        (big, 0, rng.randbytes(HUGE_PAGE + 3 * B)),    # aligned extent
+        (big, 5 * B + 9, rng.randbytes(2 * B)),        # overwrite inside it
+        (small, 0, rng.randbytes(4 * B + 100)),        # append into holes
+        (small, B - 50, rng.randbytes(B + 100)),       # unaligned overwrite
+        (small, 4 * B, rng.randbytes(2 * B)),          # straddles EOF
+        (small, 9 * B, rng.randbytes(10)),             # past EOF
+    ]
+    for handle, offset, data in steps:
+        handle.pwrite(offset, data, ctx)
+        assert _unfenced_file_data(fs, handle.ino) == []
+        assert handle.pread(offset, len(data), ctx) == data
+    small.pwrite_zeros(2 * B + 1, 3 * B, ctx)
+    assert _unfenced_file_data(fs, small.ino) == []
+    assert small.pread(2 * B + 1, 3 * B, ctx) == bytes(3 * B)
+    # and it reached the media: the crash image holds every byte
+    image = fs.device.crash_image()
+    for handle in (big, small):
+        size = fs.getattr_ino(handle.ino).size
+        want = handle.pread(0, size, ctx)
+        blocks = [b for ext in fs.file_extents(handle.ino)
+                  for b in range(ext.start, ext.start + ext.length)]
+        got = b"".join(image.load(b * B, B) for b in blocks)[:size]
+        assert got == want
+
+
+@pytest.mark.parametrize("name", BASE_POOLS)
+def test_pools_tile_the_data_area(name):
+    """The carve leaves no block of the data area outside a pool, the
+    remainder of an uneven split included."""
+    fs, _ = _fs(name, size=SIZE + 5 * B)
+    pools = fs._pools
+    assert len(pools) == fs._num_pools()
+    assert pools[0].range_start == fs.meta_blocks
+    for left, right in zip(pools, pools[1:]):
+        assert left.range_end == right.range_start
+    assert pools[-1].range_end == fs.total_blocks
+    assert sum(p.free_blocks for p in pools) == \
+        fs.total_blocks - fs.meta_blocks == fs.statfs().free_blocks
+    # every pool but the last has the same size
+    assert len({p.range_end - p.range_start for p in pools[:-1]}) <= 1
+
+
+@pytest.mark.parametrize("name", ["xfs-DAX", "NOVA"])
+def test_freed_extent_returns_to_the_pool_owning_its_range(name):
+    fs, ctx = _fs(name)
+    before = [p.free_blocks for p in fs._pools]
+    # one extent inside pool 2, one lying across the 1 | 2 boundary
+    boundary = fs._pools[2].range_start
+    inside = fs._pools[2].alloc_exact(boundary + 64, 32)
+    left = fs._pools[1].alloc_exact(boundary - 8, 8)
+    right = fs._pools[2].alloc_exact(boundary, 24)
+    assert None not in (inside, left, right)
+    fs._free([inside, Extent(boundary - 8, 32)], ctx)
+    assert [p.free_blocks for p in fs._pools] == before
+    for pool in fs._pools:
+        pool.check_invariants()
+
+
+@pytest.mark.parametrize("name", BASE_POOLS)
+def test_free_of_a_range_no_pool_owns_is_a_typed_error(name):
+    """xfs-DAX used to drop such an extent silently (its ``for`` had no
+    ``else``) while NOVA raised: one shared free, one behaviour."""
+    fs, ctx = _fs(name)
+    free_before = fs.statfs().free_blocks
+    with pytest.raises(CorruptionError) as err:
+        fs._free([Extent(fs.total_blocks + 8, 4)], ctx)
+    assert isinstance(err.value, FSError)
+    assert "no pool owns" in str(err.value)
+    with pytest.raises(CorruptionError):
+        fs._free([Extent(fs.meta_blocks - 2, 1)], ctx)     # metadata area
+    assert fs.statfs().free_blocks == free_before
+
+
+@pytest.mark.parametrize("name", BASE_POOLS)
+def test_fragmented_request_is_pieced_from_the_largest_runs(name):
+    """No run fits the request: the loop takes the largest run there is,
+    again and again; when nothing is left it gives everything back."""
+    fs, ctx = _fs(name, size=64 * MIB, num_cpus=2)
+    # leave only isolated free runs of 1..6 blocks
+    held = []
+    for pool in fs._pools:
+        cursor, n = pool.range_start, 0
+        while cursor + 8 <= pool.range_end:
+            held.append(pool.alloc_exact(cursor, 8 - (n % 6 + 1)))
+            cursor += 8
+            n += 1
+        if cursor < pool.range_end:
+            held.append(pool.alloc_exact(cursor, pool.range_end - cursor))
+    free = fs.statfs().free_blocks
+    assert max(p.largest() for p in fs._pools) == 6
+    got = fs._alloc(40, ctx)
+    assert sum(e.length for e in got) == 40
+    assert all(e.length <= 6 for e in got)
+    assert got[0].length == 6           # largest first
+    assert fs.statfs().free_blocks == free - 40
+    with pytest.raises(NoSpaceError):
+        fs._alloc(free, ctx)            # more than is left
+    assert fs.statfs().free_blocks == free - 40   # the partial grab came back
+    fs._free(got, ctx)
+    assert fs.statfs().free_blocks == free

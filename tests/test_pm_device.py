@@ -113,6 +113,27 @@ class TestPersistence:
         assert dev.in_flight_stores() == []
         assert dev.crash_image().load(0, 200) == b"x" * 200
 
+    def test_crash_image_after_drain_equals_the_volatile_image(self):
+        """drain() writes back exactly the records no clwb has covered:
+        whatever state a store was left in, it is durable afterwards."""
+        dev = PMDevice(1 * MIB, track_stores=True)
+        dev.persist(0, b"f" * 100)                  # already fenced
+        dev.store(4096, b"u" * 300)                 # never flushed
+        dev.store(8192, b"p" * 300)                 # partly flushed: one of
+        dev.clwb(8192, 64)                          # its five lines
+        dev.store(12288, b"w" * 70)                 # flushed, never fenced
+        dev.clwb(12288, 70)
+        dev.store(4096 + 64, b"o" * 64)             # overlaps an older store
+        assert len(dev.in_flight_stores()) == 4
+        assert dev.crash_image().load(4096, 300) == bytes(300)
+        dev.drain()
+        assert dev.in_flight_stores() == []
+        assert dev.crash_image().load(0, 16384) == dev.load(0, 16384)
+        assert dev.load(4096, 300) == b"u" * 64 + b"o" * 64 + b"u" * 172
+        # and a later store starts from a clean log
+        dev.store(0, b"z")
+        assert [r.addr for r in dev.in_flight_stores()] == [0]
+
     def test_clone_independent(self):
         dev = PMDevice(1 * MIB)
         dev.store(0, b"one")

@@ -2,7 +2,7 @@
 
 The structure-of-arrays kernels (``RunStore``-backed free pools, flat
 page tables, SoA device store log, the flat slot-vector clock, the
-slot-buffer inode packer, and the fused journal/persist charge kernels)
+slot-buffer inode packer, and the fused persist charge kernel)
 must reproduce the per-object reference engine's simulated time
 *bit-for-bit*.  Every test here runs one deterministic scenario twice —
 once under the default array engine, once under
@@ -10,9 +10,8 @@ once under the default array engine, once under
 ``repr``, so ULP drift fails), counters, registry, op outcomes and
 statfs.
 
-Also here: the RunStore invariant property sweep, the inode-packer
-differential against :func:`repro.core.layout.pack_inode`, and the
-fold-parity check for the fused ``log_undo_range_persist`` kernel.
+Also here: the RunStore invariant property sweep and the inode-packer
+differential against :func:`repro.core.layout.pack_inode`.
 """
 
 from __future__ import annotations
@@ -312,39 +311,3 @@ def test_inode_packer_matches_pack_inode():
         want = pack_inode(rec, indirect[ino])
         assert len(got) == INODE_SLOT_BYTES
         assert got == want, f"step {step} ino {ino}"
-
-
-# ---------------------------------------------------------------------------
-# fused journal/persist kernel fold-parity
-
-
-def test_log_undo_range_persist_fold_parity(monkeypatch):
-    """The fused undo-log + persist kernel must charge exactly what the
-    two-call sequence charges.  Runs one journal-heavy scenario with the
-    fused kernel forcibly replaced by its fallback and compares clocks."""
-    from repro.core.journal import _Transaction
-
-    def run(fold: bool):
-        if not fold:
-            def fallback(self, addr, length, data, ctx):
-                self.log_undo_range(addr, length, ctx)
-                self.journal.device.persist(addr, data, ctx)
-            monkeypatch.setattr(_Transaction, "log_undo_range_persist",
-                                fallback)
-        fs, ctx = fresh_fs("WineFS", size_gib=0.125, num_cpus=2)
-        for i in range(40):
-            f = fs.create(f"/fold{i}", ctx)
-            f.append(b"\x5a" * (4 * KIB), ctx)
-            f.fsync(ctx)
-            f.close()
-            if i % 3 == 0:
-                fs.unlink(f"/fold{i}", ctx)
-        out = (ctx.clock.snapshot(), ctx.counters.as_dict(), fs.statfs())
-        monkeypatch.undo()
-        return out
-
-    fused, unfused = run(True), run(False)
-    for a, b in zip(fused[0], unfused[0]):
-        assert repr(a) == repr(b)
-    assert fused[1] == unfused[1]
-    assert fused[2] == unfused[2]
