@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from typing import List, Optional
 
 from ..clock import SimContext
-from ..errors import NoSpaceError
+from ..errors import FSError, NoSpaceError
 from ..params import MIB
 from ..rng import make_rng
 from ..vfs.interface import FileSystem
@@ -244,7 +244,8 @@ class Geriatrix:
             offset = self.rng.randrange(0, max(1, size - length))
             try:
                 f = self.fs.open(path, ctx)
-            except Exception:
+            except FSError:
+                written += length   # skipped, but progress: never spins
                 continue
             f.pwrite_zeros(offset, length, ctx)
             f.close()

@@ -14,6 +14,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, List, Set
 
 from ..clock import SimContext
+from ..errors import NoSpaceError
 from ..params import BLOCKS_PER_HUGEPAGE
 
 if TYPE_CHECKING:
@@ -66,10 +67,12 @@ class RewriteQueue:
         if inode.extents.mappable_hugepages() * BLOCKS_PER_HUGEPAGE >= \
                 nblocks - nblocks % BLOCKS_PER_HUGEPAGE:
             return False                      # already fully mappable
+        # a degraded mount takes no writes: EROFS before anything moves
+        fs._check_writable()
         # read the file, rewrite with big allocations, atomically swap
         try:
             new_extents = fs.allocator.alloc(nblocks, ctx, want_aligned=True)
-        except Exception:
+        except NoSpaceError:
             return False                      # no aligned space; give up
         # background read of old data + write of new copy
         nbytes = nblocks * fs.block_size

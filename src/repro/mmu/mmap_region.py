@@ -487,19 +487,26 @@ class MappedRegion:
         return self._copy_out(offset, size, ctx)
 
     def write(self, offset: int, data: bytes, ctx: SimContext) -> None:
-        """memcpy into the mapping (non-temporal stores + fence)."""
-        self._check_range(offset, len(data))
-        if not data:
+        """memcpy into the mapping (non-temporal stores + fence).
+
+        *data* may be a tuple of parts, a gathered write: it is charged
+        exactly as one write of the parts joined, and where the range is
+        one physical run each part reaches the device as the caller's own
+        object (see :meth:`_copy_in`).
+        """
+        size = sum(map(len, data)) if type(data) is tuple else len(data)
+        self._check_range(offset, size)
+        if not size:
             return
-        self._walk_pages(offset, len(data), ctx)
-        ns = self.machine.pm_write_ns(len(data)) + self.machine.sfence_ns
+        self._walk_pages(offset, size, ctx)
+        ns = self.machine.pm_write_ns(size) + self.machine.sfence_ns
         # inlined ctx.charge + counter properties (see read())
         ctx.clock._cpu_ns[ctx.cpu] += ns
         counters = ctx.counters
         counters._copy_ns.value += ns
-        counters._pm_bytes_written.value += len(data)
+        counters._pm_bytes_written.value += size
         if self.track_data:
-            self._copy_in(offset, data)
+            self._copy_in(offset, data, size)
 
     def write_zeros(self, offset: int, length: int, ctx: SimContext) -> None:
         """:meth:`write` of *length* zero bytes without materializing a
@@ -606,13 +613,32 @@ class MappedRegion:
             chunks.append(self.device.load(addr, ln))
         return b"".join(chunks)
 
-    def _copy_in(self, offset: int, data: bytes) -> None:
+    def _copy_in(self, offset: int, data: bytes, size: int) -> None:
+        device = self.device
+        segments = self._segments(offset, size)
+        if type(data) is tuple:
+            if len(segments) == 1 and not (device.track_stores
+                                           or device._faults_active):
+                # one physical run: store part by part, so each part
+                # reaches the device as the caller's object, which the
+                # device may reference instead of copying
+                addr, ln = segments[0]
+                for part in data:
+                    device.store(addr, part)
+                    addr += len(part)
+                device.clwb(segments[0][0], ln)
+                device.sfence()
+                return
+            # several runs, or a device that logs stores for crash states
+            # or draws from a fault plan per store: the joined bytes, one
+            # store per run, exactly as for the same write unsplit
+            data = b"".join(data)
         pos = 0
-        for addr, ln in self._segments(offset, len(data)):
-            self.device.store(addr, data[pos:pos + ln])
-            self.device.clwb(addr, ln)
+        for addr, ln in segments:
+            device.store(addr, data[pos:pos + ln])
+            device.clwb(addr, ln)
             pos += ln
-        self.device.sfence()
+        device.sfence()
 
     # -- metrics -------------------------------------------------------------------------
 

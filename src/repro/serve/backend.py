@@ -372,11 +372,13 @@ class FSObjStorage(ObjStorage):
         shard = shards[-1]
         offset = shard.tail
         # everything after the state word, then the word that ends the
-        # log after this record (unless the record ends the shard)
-        shard.region.write(offset + 8, b"".join((
+        # log after this record (unless the record ends the shard), as
+        # one gathered write: the payload reaches PM as the client's own
+        # object, so the device can hold it by reference
+        shard.region.write(offset + 8, (
             _HEADER.pack(_FREE, len(data), bytes.fromhex(obj_id))[8:],
-            data, bytes(need - _HEADER.size - len(data)),
-            _WORD[_FREE] if offset + need < shard.size else b"")), ctx)
+            data, bytes(need - _HEADER.size - len(data))
+            + (_WORD[_FREE] if offset + need < shard.size else b"")), ctx)
         shard.region.write(offset, _WORD[_LIVE], ctx)   # the commit
         shard.tail = offset + need
         shard.live += 1

@@ -129,14 +129,14 @@ _F64 = struct.Struct("<d")
 _RECURSION_LIMIT = 50_000
 
 
-def _write_uvarint(out: List[bytes], value: int) -> None:
+def _write_uvarint(out: bytearray, value: int) -> None:
     while True:
         byte = value & 0x7F
         value >>= 7
         if value:
-            out.append(bytes((byte | 0x80,)))
+            out.append(byte | 0x80)
         else:
-            out.append(bytes((byte,)))
+            out.append(byte)
             return
 
 
@@ -288,10 +288,29 @@ def _gauge_state(gauge: Any) -> List[Tuple[str, Any]]:
     return _default_get_state(gauge)
 
 
+def _sparse_pages_state(store: Any) -> List[Tuple[str, Any]]:
+    """A page that references a written ``bytes`` object (a read-only
+    view) encodes as the bytearray it stands for, and the alias registry
+    is left out: the stream is the one the same store would give had it
+    copied every write."""
+    state: List[Tuple[str, Any]] = []
+    for name, value in store.__dict__.items():
+        if name == "_alias":
+            continue
+        if name == "_pages" and store._alias is not None:
+            value = {page_no: bytearray(page)
+                     if type(page) is memoryview else page
+                     for page_no, page in value.items()}
+        state.append((name, value))
+    return state
+
+
 def _state_filters() -> Dict[type, Callable[[Any], List[Tuple[str, Any]]]]:
     from ..obs.metrics import Gauge, MetricsRegistry
+    from ..pm.device import _SparsePages
 
-    return {MetricsRegistry: _metrics_registry_state, Gauge: _gauge_state}
+    return {MetricsRegistry: _metrics_registry_state, Gauge: _gauge_state,
+            _SparsePages: _sparse_pages_state}
 
 
 def _singletons() -> List[Any]:
@@ -305,13 +324,16 @@ def _singletons() -> List[Any]:
 
 class _Encoder:
     def __init__(self) -> None:
-        self.out: List[bytes] = []
+        #: the stream, built in place: joining per-node pieces costs a
+        #: buffer export per piece, far more than the stream itself
+        self.out = bytearray()
         self.memo: Dict[int, int] = {}
         self.memo_next = 0
         self.in_progress: set = set()
         self.class_ids: Dict[type, int] = {}
         self.whitelist = _class_whitelist()
         self.filters = _state_filters()
+        self.alive: List[Any] = []
         self.singleton_ids = {id(obj): i for i, obj in enumerate(_singletons())}
         self.strings: Dict[str, int] = {}
         self.shapes: Dict[Tuple[str, ...], int] = {}
@@ -321,14 +343,14 @@ class _Encoder:
         out = self.out
         sref = self.strings.get(value)
         if sref is not None:
-            out.append(_T_SREF)
+            out += _T_SREF
             _write_uvarint(out, sref)
             return
         self.strings[value] = len(self.strings)
         raw = value.encode("utf-8")
-        out.append(_T_ISTR)
+        out += _T_ISTR
         _write_uvarint(out, len(raw))
-        out.append(raw)
+        out += raw
 
     @staticmethod
     def _pack_ints(values: Any) -> Optional[bytes]:
@@ -348,62 +370,62 @@ class _Encoder:
     def encode(self, obj: Any) -> None:
         out = self.out
         if obj is None:
-            out.append(_T_NONE)
+            out += _T_NONE
             return
         if obj is True:
-            out.append(_T_TRUE)
+            out += _T_TRUE
             return
         if obj is False:
-            out.append(_T_FALSE)
+            out += _T_FALSE
             return
         kind = type(obj)
         if kind is int:
             if -_VINT_BOUND < obj < _VINT_BOUND:
-                out.append(_T_VINT)
+                out += _T_VINT
                 # zigzag: obj >> 62 is -1 for negatives, 0 otherwise
                 _write_uvarint(out, (obj << 1) ^ (obj >> 62))
                 return
-            out.append(_T_INT)
+            out += _T_INT
             raw = obj.to_bytes((obj.bit_length() + 8) // 8 or 1,
                                "little", signed=True)
             _write_uvarint(out, len(raw))
-            out.append(raw)
+            out += raw
             return
         if kind is float:
-            out.append(_T_FLOAT)
-            out.append(_F64.pack(obj))
+            out += _T_FLOAT
+            out += _F64.pack(obj)
             return
         if kind is str:
             self._encode_str(obj)
             return
         if kind is bytes:
-            out.append(_T_BYTES)
+            out += _T_BYTES
             _write_uvarint(out, len(obj))
-            out.append(obj)
+            out += obj
             return
         ref = self.memo.get(id(obj))
         if ref is not None:
-            out.append(_T_REF)
+            out += _T_REF
             _write_uvarint(out, ref)
             return
         singleton = self.singleton_ids.get(id(obj))
         if singleton is not None:
-            out.append(_T_SINGLETON)
+            out += _T_SINGLETON
             _write_uvarint(out, singleton)
             return
         if kind is tuple:
             if obj:
                 raw = self._pack_ints(obj)
                 if raw is not None:
-                    out.append(_T_INTTUPLE)
+                    out += _T_INTTUPLE
                     _write_uvarint(out, len(obj))
-                    out.append(raw)
+                    out += raw
                     self._memoize(obj)  # same post-order slot as _T_TUPLE
                     return
             if id(obj) in self.in_progress:
                 raise SnapshotUnsupported("reference cycle through a tuple")
             self.in_progress.add(id(obj))
-            out.append(_T_TUPLE)
+            out += _T_TUPLE
             _write_uvarint(out, len(obj))
             for item in obj:
                 self.encode(item)
@@ -412,30 +434,30 @@ class _Encoder:
             return
         self._memoize(obj)  # pre-order: decoder registers a placeholder
         if kind is bytearray:
-            out.append(_T_BYTEARRAY)
+            out += _T_BYTEARRAY
             _write_uvarint(out, len(obj))
-            out.append(bytes(obj))
+            out += obj
             return
         if kind is array:
             # typecode + machine bytes: exact for the int codes, and for
             # 'd'/'f' the IEEE-754 bytes round-trip bit-identically
-            out.append(_T_ARRAY)
+            out += _T_ARRAY
             code = obj.typecode.encode("ascii")
             _write_uvarint(out, len(code))
-            out.append(code)
+            out += code
             raw = obj.tobytes()
             _write_uvarint(out, len(raw))
-            out.append(raw)
+            out += raw
             return
         if kind is list:
             if obj:
                 raw = self._pack_ints(obj)
                 if raw is not None:
-                    out.append(_T_INTLIST)
+                    out += _T_INTLIST
                     _write_uvarint(out, len(obj))
-                    out.append(raw)
+                    out += raw
                     return
-            out.append(_T_LIST)
+            out += _T_LIST
             _write_uvarint(out, len(obj))
             for item in obj:
                 self.encode(item)
@@ -450,18 +472,18 @@ class _Encoder:
                         flat.append(value)
                     raw = self._pack_ints(flat)
                     if raw is not None:
-                        out.append(_T_INTDICT)
+                        out += _T_INTDICT
                         _write_uvarint(out, len(obj))
-                        out.append(raw)
+                        out += raw
                         return
-            out.append(_T_DICT if kind is dict else _T_ODICT)
+            out += _T_DICT if kind is dict else _T_ODICT
             _write_uvarint(out, len(obj))
             for key, value in obj.items():
                 self.encode(key)
                 self.encode(value)
             return
         if kind is set or kind is frozenset:
-            out.append(_T_SET if kind is set else _T_FROZENSET)
+            out += _T_SET if kind is set else _T_FROZENSET
             _write_uvarint(out, len(obj))
             try:
                 items = sorted(obj)
@@ -478,7 +500,7 @@ class _Encoder:
             raise SnapshotUnsupported(
                 f"object of type {tag} is not snapshot-whitelisted")
         out = self.out
-        out.append(_T_OBJECT2)
+        out += _T_OBJECT2
         class_id = self.class_ids.get(kind)
         if class_id is None:
             class_id = len(self.class_ids)
@@ -486,11 +508,18 @@ class _Encoder:
             _write_uvarint(out, class_id)
             raw = tag.encode("utf-8")
             _write_uvarint(out, len(raw))
-            out.append(raw)
+            out += raw
         else:
             _write_uvarint(out, class_id)
-        get_state = self.filters.get(kind, _default_get_state)
-        state = get_state(obj)
+        get_state = self.filters.get(kind)
+        if get_state is None:
+            state = _default_get_state(obj)
+        else:
+            state = get_state(obj)
+            # a filter may build containers no one else holds: keep them
+            # alive to the end of the stream, or a later object could be
+            # allocated at a memoized id and encode as a reference to them
+            self.alive.append(state)
         # shape = the attribute-name tuple, registered once per distinct
         # sequence; instances of a class almost always share one shape, so
         # per-instance name bytes collapse to one varint
@@ -703,7 +732,7 @@ def encode(root: Any) -> bytes:
     try:
         enc = _Encoder()
         enc.encode(root)
-        return b"".join(enc.out)
+        return bytes(enc.out)
     finally:
         if limit < _RECURSION_LIMIT:
             sys.setrecursionlimit(limit)

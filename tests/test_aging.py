@@ -7,9 +7,11 @@ import pytest
 from repro.aging import (AGRAWAL, WANG_HPC, AgingProfile, Geriatrix,
                          fragmentation_report, uniform_profile)
 from repro.aging.fragmentation import file_mappability
+from repro.aging.geriatrix import AgingResult
 from repro.aging.profiles import LARGE_FILE_THRESHOLD
 from repro.clock import make_context
 from repro.core.filesystem import WineFS
+from repro.errors import NotFoundError
 from repro.fs import Ext4DAX, NovaFS
 from repro.params import GIB, KIB, MIB
 from repro.pm.device import PMDevice
@@ -101,6 +103,29 @@ class TestGeriatrix:
         for path in g._files[:20]:
             st = fs.getattr(path)
             assert st.size == g._sizes[path]
+
+    def test_overwrite_skips_unopenable_files_and_still_ends(self,
+                                                             monkeypatch):
+        """An update pass whose every pick fails to open counts each skip
+        as progress (no spin); an error that is not an FSError is a bug
+        and escapes."""
+        fs, ctx = _fs()
+        g = Geriatrix(fs, AGRAWAL, target_utilization=0.3, seed=5)
+        g.fill(ctx)
+        free = fs.statfs().free_blocks
+
+        def refused(path, ctx=None):
+            raise NotFoundError(path)
+        monkeypatch.setattr(fs, "open", refused)
+        budget = 64 * MIB
+        assert g._overwrite_some(ctx, AgingResult(), budget) >= budget
+        assert fs.statfs().free_blocks == free
+
+        def broken(path, ctx=None):
+            raise RuntimeError("a bug, not a refusal")
+        monkeypatch.setattr(fs, "open", broken)
+        with pytest.raises(RuntimeError):
+            g._overwrite_some(ctx, AgingResult(), budget)
 
     def test_interleaving_produces_multi_extent_files(self):
         fs, ctx = _fs()

@@ -4,6 +4,7 @@ import pytest
 
 from repro.clock import make_context
 from repro.errors import InvalidArgumentError, SimulationError
+from repro.faults import FaultPlan, FaultSpec
 from repro.mmu.cache import CacheModel
 from repro.mmu.mmap_region import MappedRegion
 from repro.mmu.page_table import PageTable
@@ -198,3 +199,80 @@ class TestMappedRegion:
         region.prefault(ctx)
         lat = region.read_element(64, ctx)
         assert lat > 0
+
+
+def _logging(dev):
+    """Record every device store as (addr, bytes) in call order."""
+    log = []
+    store = dev.store
+
+    def logged(addr, data, ctx=None):
+        log.append((addr, bytes(data)))
+        return store(addr, data, ctx)
+    dev.store = logged
+    return log
+
+
+class TestGatheredWrite:
+    """``MappedRegion.write`` of a tuple of parts: charged as the joined
+    write; parts reach an untracked device as the caller's objects."""
+
+    HEAD = b"h" * 40
+    BODY = bytes(i % 251 for i in range(3 * BASE_PAGE + 123))
+    TAIL = bytes(5) + b"trailer!"
+    OFFSET = 2 * BASE_PAGE + 8
+
+    def _write(self, extents, gathered, track_stores=False, faults=False):
+        dev = PMDevice(64 * MIB, track_stores=track_stores)
+        if faults:
+            dev.set_fault_plan(FaultPlan(7, [FaultSpec(
+                "latency", at_op=0, count=2, latency_mult=3.0)]))
+        region = MappedRegion(dev, DEFAULT_MACHINE, ExtentList(
+            [Extent(s, n) for s, n in extents]), 2 * MIB, 4096)
+        log = _logging(dev)
+        ctx = make_context(1)
+        parts = (self.HEAD, self.BODY, self.TAIL)
+        region.write(self.OFFSET, parts if gathered else b"".join(parts),
+                     ctx)
+        return dev, region, ctx, log
+
+    def _same_charges(self, a, b):
+        (_, _, ctx_a, _), (_, _, ctx_b, _) = a, b
+        assert repr(ctx_a.clock.snapshot()) == repr(ctx_b.clock.snapshot())
+        assert ctx_a.counters.as_dict() == ctx_b.counters.as_dict()
+
+    @pytest.mark.parametrize("extents", [[(0, BLOCKS_PER_HUGEPAGE)],
+                                         [(0, 3), (700, 509)]],
+                             ids=["one-run", "two-runs"])
+    def test_tracked_device_sees_the_joined_write(self, extents):
+        joined = self._write(extents, False, track_stores=True)
+        gathered = self._write(extents, True, track_stores=True)
+        self._same_charges(joined, gathered)
+        assert gathered[3] == joined[3]             # the same store log
+        assert gathered[0].in_flight_stores() == []
+        assert gathered[0].crash_image().load(0, 4 * MIB) \
+            == joined[0].crash_image().load(0, 4 * MIB)
+
+    def test_fault_plan_sees_the_joined_write(self):
+        joined = self._write([(0, BLOCKS_PER_HUGEPAGE)], False, faults=True)
+        gathered = self._write([(0, BLOCKS_PER_HUGEPAGE)], True, faults=True)
+        self._same_charges(joined, gathered)
+        assert gathered[3] == joined[3]
+        assert gathered[0].faults.device_ops == joined[0].faults.device_ops
+
+    @pytest.mark.parametrize("extents", [[(0, BLOCKS_PER_HUGEPAGE)],
+                                         [(0, 3), (700, 509)]],
+                             ids=["one-run", "two-runs"])
+    def test_untracked_device_holds_the_callers_payload(self, extents):
+        joined = self._write(extents, False)
+        dev, region, ctx, log = self._write(extents, True)
+        self._same_charges(joined, (dev, region, ctx, log))
+        start = self.OFFSET + len(self.HEAD)
+        got = region.read(start, len(self.BODY), ctx)
+        assert got == self.BODY
+        whole = self.HEAD + self.BODY + self.TAIL
+        assert region.read(self.OFFSET, len(whole), ctx) == whole
+        # one physical run: the parts are stored as given, so the payload
+        # pages reference the caller's object and read back as it
+        assert (got is self.BODY) == (len(extents) == 1)
+        assert (len(log) == 3) == (len(extents) == 1)

@@ -4,7 +4,7 @@ import pytest
 
 from repro.clock import make_context
 from repro.errors import PMError
-from repro.params import CACHELINE, MIB
+from repro.params import BASE_PAGE, CACHELINE, MIB
 from repro.pm.device import PMDevice
 from repro.pm.numa import NumaTopology
 
@@ -140,6 +140,147 @@ class TestPersistence:
         clone = dev.clone()
         dev.store(0, b"two")
         assert clone.load(0, 3) == b"one"
+
+
+def _payload(pages: int, at: int = 0) -> bytes:
+    """Distinct bytes (no 256-byte period lines up with a page), one
+    object per call."""
+    return bytes((i * 7 + at) % 251 for i in range(pages * BASE_PAGE))
+
+
+class TestPayloadAliasing:
+    """Pages a ``bytes`` write covers in full reference the writer's
+    object; a read of exactly that object's span returns it."""
+
+    ADDR = 3 * BASE_PAGE + 100          # a partial head and tail page
+
+    def test_mutated_bytearray_source_never_changes_pm(self):
+        dev = PMDevice(1 * MIB)
+        for addr in (0, self.ADDR):
+            source = bytearray(_payload(3))
+            dev.store(addr, source)
+            dev.persist(addr + 8 * BASE_PAGE, source)
+            dev.store(addr + 16 * BASE_PAGE, source[:BASE_PAGE])
+            kept = bytes(source)
+            source[:] = bytes(len(source))
+            assert dev.load(addr, len(kept)) == kept
+            assert dev.load(addr + 8 * BASE_PAGE, len(kept)) == kept
+            assert dev.load(addr + 16 * BASE_PAGE, BASE_PAGE) \
+                == kept[:BASE_PAGE]
+
+    def test_partial_overwrite_of_a_view_page_copies_it(self):
+        dev = PMDevice(1 * MIB)
+        data = _payload(4)
+        kept = bytes(bytearray(data))
+        dev.store(self.ADDR, data)
+        assert dev.materialized_bytes == 5 * BASE_PAGE
+        inside = self.ADDR + 2 * BASE_PAGE + 10    # a full page of data
+        dev.store(inside, b"XYZ")
+        assert data == kept                        # the source is untouched
+        expect = bytearray(kept)
+        expect[2 * BASE_PAGE + 10:2 * BASE_PAGE + 13] = b"XYZ"
+        got = dev.load(self.ADDR, len(data))
+        assert got == expect and got is not data
+        assert dev.materialized_bytes == 5 * BASE_PAGE
+
+    def test_zero_copy_read_only_while_every_page_carries_the_object(self):
+        # a one-page write, an aligned write, and one with a partial head
+        # and tail page, each then disturbed by one byte in one page
+        for addr, pages, offset in (
+                (BASE_PAGE, 1, 100),
+                (BASE_PAGE, 3, BASE_PAGE + 7),          # a middle page
+                (self.ADDR, 3, 5000),                   # a full page
+                (self.ADDR, 3, 0),                      # the head page
+                (self.ADDR, 3, 3 * BASE_PAGE - 1)):     # the tail page
+            dev = PMDevice(1 * MIB)
+            data = _payload(pages, at=offset)
+            dev.store(addr, data)
+            assert dev.load(addr, len(data)) is data
+            assert dev.load(addr, len(data) - 1) == data[:-1]
+            assert dev.load(addr + 1, len(data) - 1) == data[1:]
+            # the same bytes written by someone else are not the object
+            other = dev.clone()
+            other.store(addr, bytearray(data))
+            assert other.load(addr, len(data)) is not data
+            dev.store(addr + offset, bytes([data[offset] ^ 0xFF]))
+            got = dev.load(addr, len(data))
+            assert got is not data
+            assert got[offset] == data[offset] ^ 0xFF
+            assert got[:offset] == data[:offset]
+            assert got[offset + 1:] == data[offset + 1:]
+
+    def test_an_object_rewritten_elsewhere_is_not_returned_at_either_span(
+            self):
+        dev = PMDevice(1 * MIB)
+        data = _payload(4)
+        dev.store(0, data)
+        dev.store(2 * BASE_PAGE, data)          # overlaps its own first copy
+        assert dev.load(2 * BASE_PAGE, len(data)) is data
+        got = dev.load(0, len(data))
+        assert got is not data
+        assert got == data[:2 * BASE_PAGE] + data[:2 * BASE_PAGE]
+
+    def test_last_page_cache_dropped_when_a_view_replaces_its_page(self):
+        dev = PMDevice(1 * MIB)
+        dev.store(2 * BASE_PAGE + 5, b"a")        # caches page 2
+        data = _payload(3)
+        dev.store(BASE_PAGE, data)                # page 2 becomes a view
+        dev.store(2 * BASE_PAGE + 5, b"b")        # copies it, not the cache
+        got = dev.load(BASE_PAGE, len(data))
+        assert got[BASE_PAGE + 5] == ord("b")
+        assert got[:BASE_PAGE + 5] == data[:BASE_PAGE + 5]
+        assert got[BASE_PAGE + 6:] == data[BASE_PAGE + 6:]
+
+    def test_write_zeros_over_view_pages(self):
+        dev = PMDevice(1 * MIB)
+        data = _payload(4)
+        dev.store(self.ADDR, data)                # pages 3..7, 4..6 views
+        assert dev.materialized_bytes == 5 * BASE_PAGE
+        dev.write_zeros(5 * BASE_PAGE, BASE_PAGE)  # a whole view page goes
+        assert dev.materialized_bytes == 4 * BASE_PAGE
+        dev.write_zeros(4 * BASE_PAGE + 10, 20)    # part of one is copied
+        assert dev.materialized_bytes == 4 * BASE_PAGE
+        expect = bytearray(data)
+        start = 4 * BASE_PAGE - self.ADDR
+        expect[start + BASE_PAGE:start + 2 * BASE_PAGE] = bytes(BASE_PAGE)
+        expect[start + 10:start + 30] = bytes(20)
+        assert dev.load(self.ADDR, len(data)) == expect
+        assert data == _payload(4)
+
+    def test_clone_and_crash_image_over_view_pages(self):
+        dev = PMDevice(1 * MIB, track_stores=True)
+        durable, pending = _payload(3, at=1), _payload(2, at=2)
+        dev.persist(self.ADDR, durable)
+        dev.store(self.ADDR + 4 * BASE_PAGE, pending)
+        clone = dev.clone()
+        dev.store(self.ADDR + BASE_PAGE, b"later")
+        assert clone.load(self.ADDR, len(durable)) == durable
+        image = dev.crash_image()
+        assert image.load(self.ADDR, len(durable)) == durable
+        assert image.load(self.ADDR + 4 * BASE_PAGE, len(pending)) \
+            == bytes(len(pending))
+        (seq,) = [r.seq for r in dev.in_flight_stores()
+                  if r.data is pending]
+        image = dev.crash_image([seq])
+        assert image.load(self.ADDR + 4 * BASE_PAGE, len(pending)) \
+            == pending
+        image.store(self.ADDR + 4 * BASE_PAGE + BASE_PAGE, b"!")
+        assert pending == _payload(2, at=2)
+
+    def test_snapshot_encodes_view_pages_as_the_copies_they_replace(self):
+        from repro.snapshot.codec import decode, encode
+
+        data = _payload(3)
+        aliased, copied = PMDevice(1 * MIB), PMDevice(1 * MIB)
+        aliased.store(self.ADDR, data)
+        copied.store(self.ADDR, bytearray(data))
+        assert aliased.load(self.ADDR, len(data)) is data
+        assert copied.load(self.ADDR, len(data)) is not data
+        blob = encode(aliased)
+        assert blob == encode(copied)
+        restored = decode(blob)
+        assert restored.load(self.ADDR, len(data)) == data
+        restored.store(self.ADDR + BASE_PAGE, b"restored pages are mutable")
 
 
 class TestEpochCapture:

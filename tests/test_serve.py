@@ -1159,6 +1159,31 @@ def test_compaction_dying_before_its_unlink_resurrects_nothing():
     assert _scan_storage(live).list_objects("t") == live.list_objects("t")
 
 
+def test_get_returns_the_put_object_on_a_hugepage_mapped_shard():
+    """A payload is held by reference: on a shard mapped with 2 MiB
+    pages ``get`` hands back the very object ``put`` was given — after
+    the put, after compaction moved it, and in a dump — while a copy the
+    client mutates afterwards never reaches PM."""
+    live = make_fs_storage("WineFS")
+    keep = bytes(range(256)) * (2 * KIB)                      # 512 KiB
+    source = bytearray(b"\x07" * (600 * KIB))
+    doomed = [bytes([i]) * (600 * KIB) for i in range(2)]
+    ids = [live.put("t", data) for data in (*doomed, keep, source)]
+    source[:] = bytes(len(source))                 # the client reuses it
+    assert live.get("t", ids[2]) is keep
+    assert live.get("t", ids[3]) == b"\x07" * (600 * KIB)
+    (sealed, active) = live._tenants["t"].shards
+    assert active.region.page_table.mapped_pages_2m >= 1
+    for obj_id in ids[:2]:
+        live.delete("t", obj_id)                   # the second compacts
+    assert _index_series(live)["serve_shard_events_total", "compact"] == 1
+    assert live._tenants["t"].where[ids[2]][0] is active
+    assert sealed not in live._tenants["t"].shards
+    assert live.get("t", ids[2]) is keep
+    assert dump_objects(live, ["t"])["t"][ids[2]] is keep
+    assert _scan_storage(live).get("t", ids[2]) is keep
+
+
 def _crash_points(device, verb):
     """Run *verb* under store capture; yield one crash image per fence
     it issued — taken the instant before the fence retired, once with

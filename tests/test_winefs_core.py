@@ -6,7 +6,7 @@ from repro.clock import make_context
 from repro.core.allocator import AlignmentAwareAllocator
 from repro.core.filesystem import WineFS, XATTR_ALIGNED
 from repro.core.layout import Layout, pack_inode, unpack_inode, InodeRecord
-from repro.errors import NoSpaceError, NotFoundError
+from repro.errors import NoSpaceError, NotFoundError, ReadOnlyError
 from repro.params import BLOCKS_PER_HUGEPAGE, KIB, MIB
 from repro.pm.device import PMDevice
 from repro.structures.extents import Extent
@@ -231,6 +231,47 @@ class TestReactiveRewrite:
         f.mmap(ctx).unmap()
         winefs.unlink("/frag", ctx)
         assert winefs.rewrite_queue.run_pending(ctx) == 0
+
+    @staticmethod
+    def _queued_fragmented(winefs, ctx):
+        f = winefs.create("/frag", ctx)
+        g = winefs.create("/i", ctx)
+        for _ in range(80):
+            f.append(b"x" * 64 * KIB, ctx)
+            g.append(b"y" * 64 * KIB, ctx)
+        f.mmap(ctx).unmap()
+        assert len(winefs.rewrite_queue) == 1
+        return f
+
+    def test_no_space_gives_up_and_any_other_error_escapes(
+            self, winefs, ctx, monkeypatch):
+        f = self._queued_fragmented(winefs, ctx)
+        before = list(winefs.file_extents(f.ino))
+
+        def full(*_args, **_kwargs):
+            raise NoSpaceError("no aligned space")
+        monkeypatch.setattr(winefs.allocator, "alloc", full)
+        assert winefs.rewrite_queue.run_pending(ctx) == 0
+        assert list(winefs.file_extents(f.ino)) == before
+
+        def broken(*_args, **_kwargs):
+            raise RuntimeError("a bug, not a full device")
+        monkeypatch.setattr(winefs.allocator, "alloc", broken)
+        winefs.rewrite_queue.note_fragmented(f.ino)
+        with pytest.raises(RuntimeError):
+            winefs.rewrite_queue.run_pending(ctx)
+
+    def test_read_only_mount_rewrites_nothing(self, winefs, ctx):
+        f = self._queued_fragmented(winefs, ctx)
+        before = list(winefs.file_extents(f.ino))
+        free = winefs.statfs().free_blocks
+        written = winefs.device.bytes_written
+        winefs.remount_read_only("injected corruption", ctx)
+        with pytest.raises(ReadOnlyError):
+            winefs.rewrite_queue.run_pending(ctx)
+        assert winefs.device.bytes_written == written
+        assert winefs.statfs().free_blocks == free
+        assert list(winefs.file_extents(f.ino)) == before
 
 
 class TestLayoutSerialization:
