@@ -12,13 +12,11 @@ extracts a compact, JSON-serializable IR:
 ``CallGraph`` then stitches the facts together: ``self.method`` calls
 resolve through an approximate MRO over the project's own class table,
 and *virtually* — a call to ``self.m`` in class ``C`` also targets every
-override of ``m`` in subclasses of ``C``.  That is what makes the
-engine-toggle dispatch pairs (``FreePool``/``ReferenceFreePool``,
-array vs reference page tables) analyze as one family: the reference
-kernels subclass the array ones, so both implementations are reachable
-from every call site.  Constructor calls resolve the same way
-(``FreePool(...)`` targets the ``__init__`` of the class and of every
-subclass the toggle could substitute).
+override of ``m`` in subclasses of ``C``, so a base class and its
+overrides analyze as one family: every implementation is reachable from
+every call site, and a property holds for the family only if every
+member upholds it.  Constructor calls resolve the same way
+(``C(...)`` targets the ``__init__`` of ``C`` and of every subclass).
 
 Receivers we cannot type (``self._helper.foo()``) resolve to nothing;
 the three flow rules (``persist-before-commit``, ``lock-order-cycle``,
@@ -450,7 +448,7 @@ class CallGraph:
         return None
 
     def virtual_targets(self, key: ClassKey, name: str) -> List[str]:
-        """MRO target plus every subclass override (the toggle family)."""
+        """MRO target plus every subclass override (the family)."""
         out: Set[str] = set()
         base = self.resolve_method(key, name)
         if base is not None:

@@ -12,7 +12,7 @@ through an audited kernel function.
 A ``+=``/``[...] =``/``.append(...)`` against one of these attributes
 from an unsanctioned module bypasses those kernels: it may keep tests
 green (the columns still *read* fine) while silently breaking
-bit-identity with the reference engine or corrupting a derived index
+bit-identity with the reference oracles or corrupting a derived index
 that only an aged workload consults.  This rule flags any mutation of a
 watched attribute outside the modules sanctioned to own it.
 
@@ -119,8 +119,8 @@ class ArrayStateRule(FileRule):
         stores whose value chain names the attribute; a bare attribute
         store only counts when the chain *passes through* a watched
         name (``pool._rs.free_blocks = 0``) — rebinding the attribute
-        itself (``self._rs = RunStore()``) is construction, which the
-        engine toggle must stay free to do.
+        itself (``self._rs = RunStore()``) is construction, which every
+        constructor must stay free to do.
         """
         if isinstance(target, ast.Subscript):
             chain = dotted(target.value) or ""

@@ -16,6 +16,7 @@ from typing import TYPE_CHECKING, List, Set
 from ..clock import SimContext
 from ..errors import NoSpaceError
 from ..params import BLOCKS_PER_HUGEPAGE
+from ..structures.extents import ExtentList
 
 if TYPE_CHECKING:
     from .filesystem import WineFS
@@ -80,22 +81,11 @@ class RewriteQueue:
         ctx.counters.pm_bytes_read += nbytes
         ctx.counters.pm_bytes_written += nbytes
         if fs.track_data:
-            data = bytearray()
-            for ext in inode.extents:
-                data += fs.device.load(ext.start * fs.block_size,
-                                       ext.length * fs.block_size)
-            pos = 0
-            for ext in new_extents:
-                chunk = bytes(data[pos:pos + ext.length * fs.block_size])
-                fs.device.store(ext.start * fs.block_size, chunk)
-                fs.device.clwb(ext.start * fs.block_size, len(chunk))
-                pos += ext.length * fs.block_size
-            fs.device.sfence()
+            fs._store_extents(new_extents, fs._read_blocks(inode, 0, nblocks))
         # §3.6: "A journal transaction is used to atomically delete the old
         # file and point the directory entry to the new file."
         txn = fs.journal.begin(ctx, entries_hint=4)
         old = list(inode.extents)
-        from ..structures.extents import ExtentList
         inode.extents = ExtentList(new_extents)
         inode.aligned_hint = True
         fs._persist_inode_record(inode, ctx, txn)

@@ -41,7 +41,7 @@ from ...errors import (
 )
 from ...mmu.cache import CacheModel
 from ...mmu.mmap_region import MappedRegion, _next_region_id
-from ...mmu.page_table import make_page_table
+from ...mmu.page_table import PageTable
 from ...mmu.tlb import TLB
 from ...params import BASE_PAGE, BLOCK_SIZE, BLOCKS_PER_HUGEPAGE, HUGE_PAGE
 from ...pm.device import PMDevice
@@ -876,7 +876,7 @@ class _FSMappedRegion(MappedRegion):
         self.extents = extents
         self.length = super_len
         self.block_size = block_size
-        self.page_table = make_page_table()
+        self.page_table = PageTable()
         tlb = kwargs.pop("tlb")
         cache = kwargs.pop("cache")
         self.tlb = tlb if tlb is not None else TLB(machine.tlb_4k_entries,

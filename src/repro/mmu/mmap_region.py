@@ -25,7 +25,7 @@ from ..pm.device import PMDevice
 from ..pm.zeros import Zeros, zero_bytes
 from ..structures.extents import ExtentList, Extent
 from .cache import CacheModel
-from .page_table import Mapping, PageTable, make_page_table
+from .page_table import Mapping, PageTable
 from .tlb import TLB
 
 _PAGES_PER_HUGE = HUGE_PAGE // BASE_PAGE
@@ -78,7 +78,7 @@ class MappedRegion:
         self.extents = extents
         self.length = length
         self.block_size = block_size
-        self.page_table = make_page_table()
+        self.page_table = PageTable()
         self.tlb = tlb if tlb is not None else TLB(machine.tlb_4k_entries,
                                                    machine.tlb_2m_entries)
         self.cache = cache

@@ -7,21 +7,12 @@ only when the backing extent is physically hugepage-aligned and contiguous,
 per paper §2.2 ("Even a single byte offset from alignment forces the
 operating system to fall back to base pages").
 
-Two storage engines share the API:
-
-- :class:`PageTable` (default) keeps flat ``int -> int`` tables — virtual
-  page number to physical byte address — and materializes a
-  :class:`Mapping` record only at the :meth:`~PageTable.lookup` /
-  ``install_*`` boundary.  The mmap walk fast paths probe the raw int
-  tables directly, so the hot loop never boxes a translation.
-- :class:`ReferencePageTable` stores one :class:`Mapping` object per
-  entry, the per-object layout the flat engine replaced.
-
-Both engines expose identical facts (huge?, physical address, coverage),
-so every simulated cost derived from them is bit-identical; the
-equivalence suite constructs file systems under
-:func:`repro.engine.reference_state_scope` to prove it.
-:func:`make_page_table` picks the engine for new regions.
+:class:`PageTable` keeps flat ``int -> int`` tables — virtual page number
+to physical byte address — and materializes a :class:`Mapping` record only
+at the :meth:`~PageTable.lookup` / ``install_*`` boundary.  The mmap walk
+fast paths probe the raw int tables directly, so the hot loop never boxes
+a translation.  The one-``Mapping``-per-entry table it replaced lives on
+in ``tests/oracles/`` as the oracle the equivalence suites hold it to.
 """
 
 from __future__ import annotations
@@ -29,7 +20,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Optional
 
-from .. import engine as _engine
 from ..errors import SimulationError
 from ..params import BASE_PAGE, HUGE_PAGE
 
@@ -50,7 +40,7 @@ class Mapping:
 
 
 class PageTable:
-    """Per-region page table (flat-int engine).
+    """Per-region page table (flat int tables).
 
     Keyed by 4KB virtual page number.  A huge mapping occupies a single PMD
     entry; we index it by its 2MB-range index and keep a secondary count map
@@ -230,74 +220,3 @@ class PageTable:
             raise SimulationError("total_pages must be positive")
         covered = len(self._huge) * (HUGE_PAGE // BASE_PAGE)
         return covered / total_pages
-
-
-class ReferencePageTable(PageTable):
-    """Per-object engine: one boxed :class:`Mapping` per installed entry.
-
-    The membership helpers (``covered``, run probes, counts) are inherited
-    — they only test key presence, which both layouts share.  Fast paths
-    that probe the raw tables must treat values as opaque (None-check
-    only); :class:`~repro.mmu.mmap_region.MappedRegion` does.
-    """
-
-    __slots__ = ()
-
-    def lookup(self, virt_page: int) -> Optional[Mapping]:
-        m = self._huge.get(virt_page // _PAGES_PER_HUGE)
-        if m is not None:
-            return m
-        return self._base.get(virt_page)
-
-    def install_base(self, virt_page: int, phys_addr: int) -> Mapping:
-        self._check_base(virt_page, phys_addr)
-        m = Mapping(virt_page, phys_addr, huge=False)
-        self._base[virt_page] = m
-        idx = virt_page // _PAGES_PER_HUGE
-        self._base_in_huge[idx] = self._base_in_huge.get(idx, 0) + 1
-        self.installed_4k += 1
-        return m
-
-    def install_base_fast(self, virt_page: int, phys_addr: int) -> None:
-        # the reference layout stores the Mapping either way
-        self.install_base(virt_page, phys_addr)
-
-    def install_huge(self, virt_page: int, phys_addr: int) -> Mapping:
-        idx = self._check_huge(virt_page, phys_addr)
-        m = Mapping(virt_page, phys_addr, huge=True)
-        self._huge[idx] = m
-        self.installed_2m += 1
-        return m
-
-    def install_base_run(self, first: int, count: int,
-                         phys0: int) -> Mapping:
-        if phys0 % BASE_PAGE:
-            raise SimulationError("physical address not page-aligned")
-        base = self._base
-        m = None
-        phys = phys0
-        for vp in range(first, first + count):
-            base[vp] = m = Mapping(vp, phys, huge=False)
-            phys += BASE_PAGE
-        idx = first // _PAGES_PER_HUGE
-        self._base_in_huge[idx] = self._base_in_huge.get(idx, 0) + count
-        self.installed_4k += count
-        assert m is not None
-        return m
-
-    def translate(self, virt_addr: int) -> int:
-        virt_page = virt_addr // BASE_PAGE
-        m = self.lookup(virt_page)
-        if m is None:
-            raise SimulationError(f"address {virt_addr:#x} not mapped")
-        if m.huge:
-            base_virt = m.virt_page * BASE_PAGE
-            return m.phys_addr + (virt_addr - base_virt)
-        return m.phys_addr + (virt_addr % BASE_PAGE)
-
-
-def make_page_table() -> PageTable:
-    """Engine-selected page table for a new mapping."""
-    if _engine.reference_state():
-        return ReferencePageTable()
-    return PageTable()

@@ -198,7 +198,6 @@ _MODULE_WHITELIST = (
     "repro.core.numa_policy",
     "repro.structures.extents",
     "repro.structures.runstore",
-    "repro.structures.sortedmap",
     "repro.structures.stats",
     "repro.fs.common.base",
     "repro.fs.common.inode",

@@ -2,8 +2,6 @@
 
 * :mod:`repro.structures.extents` — extent arithmetic (split/merge/alignment).
 * :mod:`repro.structures.runstore` — the free-space pools' sorted run arrays.
-* :mod:`repro.structures.sortedmap` — the ordered int-keyed map behind the
-  reference (test-oracle) free pool.
 * :mod:`repro.structures.stats` — percentile/CDF helpers for the latency
   figures.
 """

@@ -1,7 +1,8 @@
 """Array-backed free-run store: the SoA kernel behind :class:`FreePool`.
 
-The per-object engine keeps a free pool's state in four ordered maps
-(start tree, run index, two size indexes), so every carve or merge pays
+The per-object pool this replaced (now the test oracle in
+``tests/oracles/``) keeps a free pool's state in four ordered maps (start
+tree, run index, two size indexes), so every carve or merge pays
 del+insert against each of them — eight parallel lists of boxed pairs.
 This store keeps one copy of the truth as flat parallel columns, sorted
 by extent start::
@@ -18,9 +19,9 @@ Split and merge are binary-search + in-place column writes: carving the
 front of a run is ``starts[i] += take; lens[i] -= take`` plus a pair of
 size-key swaps — no tree node churn, no memmove of the columns.  The
 derived indexes are canonical functions of the extent set, so any query
-against them returns exactly what the per-object engine's maps return:
+against them returns exactly what the per-object pool's maps return:
 that is what keeps allocation *decisions* (and therefore ``sim_ns``)
-bit-identical between engines.
+bit-identical between the two.
 
 Aggregates (``free_blocks``, ``total_runs``) are maintained
 incrementally; ``statfs()`` reads them without walking anything.

@@ -47,6 +47,17 @@ class TestPageTable:
         with pytest.raises(SimulationError):
             pt.install_huge(0, HUGE_PAGE)
 
+    @pytest.mark.parametrize("count", [1, 3])
+    def test_base_run_covers_its_hugepage_range(self, count):
+        pt = PageTable()
+        last = pt.install_base_run(PPH + 5, count, 7 * BASE_PAGE)
+        assert (last.virt_page, last.phys_addr) == \
+            (PPH + 4 + count, (6 + count) * BASE_PAGE)
+        assert pt.covered(PPH) and not pt.covered(0)
+        # even a one-page run keeps a huge mapping off its range
+        with pytest.raises(SimulationError):
+            pt.install_huge(PPH, HUGE_PAGE)
+
     def test_translate_unmapped_raises(self):
         with pytest.raises(SimulationError):
             PageTable().translate(0)

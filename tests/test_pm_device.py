@@ -134,6 +134,21 @@ class TestPersistence:
         dev.store(0, b"z")
         assert [r.addr for r in dev.in_flight_stores()] == [0]
 
+    def test_fence_moves_an_unflushed_record_down_the_log_whole(self):
+        """sfence folds the flushed records and compacts the columns: a
+        record behind a folded one keeps its own seq, address and bytes."""
+        dev = PMDevice(1 * MIB, track_stores=True)
+        dev.store(0, b"f" * 64)                     # seq 0: flushed, fenced
+        dev.store(4096, b"u" * 64)                  # seq 1: stays in flight
+        dev.clwb(0, 64)
+        dev.sfence()
+        (rec,) = dev.in_flight_stores()
+        assert (rec.seq, rec.addr, rec.data) == (1, 4096, b"u" * 64)
+        assert dev.crash_image([1]).load(4096, 64) == b"u" * 64
+        dev.clwb(4096, 64)
+        dev.sfence()
+        assert dev.crash_image().load(0, 8192) == dev.load(0, 8192)
+
     def test_clone_independent(self):
         dev = PMDevice(1 * MIB)
         dev.store(0, b"one")

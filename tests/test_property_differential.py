@@ -20,6 +20,7 @@ from __future__ import annotations
 import os
 import random
 import zlib
+from contextlib import nullcontext
 
 import pytest
 
@@ -30,6 +31,7 @@ from repro.errors import FSError
 from repro.mmu.mmap_region import MappedRegion
 from repro.params import BLOCK_SIZE, KIB, MIB
 from repro.pm.device import PMDevice
+from tests.oracles import assert_reference_built, reference_structures
 
 SEEDS = int(os.environ.get("REPRO_PROPERTY_SEEDS", "200"))
 CHUNK = 25
@@ -115,24 +117,29 @@ def _mmap_phase(fs, ctx, rng, outcomes):
                                                              ctx)))
     outcomes.append(("mm", "pages", region.unmap()))
     f.close()
+    return region
 
 
-def _run_sequence(batch: bool, seed: int):
+def _run_sequence(batch: bool, seed: int, reference: bool = False):
     MappedRegion.batch = batch
     try:
-        device = PMDevice(64 * MIB, track_stores=True)
-        fs = WineFS(device, num_cpus=2, track_data=True)
-        ctx = make_context(2)
-        fs.mkfs(ctx)
-        rng = random.Random(seed)
-        outcomes = []
-        _apply_random_ops(fs, ctx, rng, outcomes)
-        _mmap_phase(fs, ctx, rng, outcomes)
-        pre = capture_state(fs)
-        fs.unmount(ctx)
-        fs2 = WineFS(device, num_cpus=2, track_data=True)
-        fs2.mount(make_context(2))
-        post = capture_state(fs2)
+        with reference_structures() if reference else nullcontext():
+            device = PMDevice(64 * MIB, track_stores=True)
+            fs = WineFS(device, num_cpus=2, track_data=True)
+            ctx = make_context(2)
+            fs.mkfs(ctx)
+            rng = random.Random(seed)
+            outcomes = []
+            _apply_random_ops(fs, ctx, rng, outcomes)
+            region = _mmap_phase(fs, ctx, rng, outcomes)
+            pre = capture_state(fs)
+            fs.unmount(ctx)
+            fs2 = WineFS(device, num_cpus=2, track_data=True)
+            fs2.mount(make_context(2))
+            post = capture_state(fs2)
+        if reference:
+            assert_reference_built(fs, [region])
+            assert_reference_built(fs2)
         return (ctx.clock.snapshot(), ctx.counters.as_dict(),
                 ctx.counters.registry.as_dict(), outcomes, pre, post)
     finally:
@@ -172,17 +179,14 @@ STATE_SEEDS = range(0, 32)
 @pytest.mark.parametrize("seeds", [STATE_SEEDS],
                          ids=lambda r: f"seeds{r.start}-{r.stop - 1}")
 def test_array_state_vs_reference_state(seeds):
-    """Same sweep, but crossing the *state* engine toggle: the
-    structure-of-arrays kernels (flat page table, run-store free pool,
-    SoA store log, clock array) against the per-object reference
-    structures.  Dense model/fault coverage lives in
-    test_state_engine_equivalence.py; this is the random-syscall angle."""
-    from repro.engine import reference_state_scope
-
+    """Same sweep, but crossing the *state* structures: the flat page
+    table and run-store free pool against the per-object oracles of
+    :func:`tests.oracles.reference_structures`.  Dense model/fault
+    coverage lives in test_state_engine_equivalence.py; this is the
+    random-syscall angle."""
     for seed in seeds:
         fast = _run_sequence(True, seed)
-        with reference_state_scope():
-            ref = _run_sequence(True, seed)
+        ref = _run_sequence(True, seed, reference=True)
         for a, b in zip(fast[0], ref[0]):
             assert repr(a) == repr(b), f"seed {seed}: clock diverged"
         assert fast[1:] == ref[1:], f"seed {seed}: state engines diverged"

@@ -26,6 +26,7 @@ from repro.harness import aged_fs
 from repro.params import KIB, MIB
 from repro.snapshot import Archive, codec, store
 from repro.snapshot.codec import SnapshotDecodeError, SnapshotUnsupported
+from tests.oracles import ReferenceFreePool
 
 
 # -- codec -------------------------------------------------------------------
@@ -97,6 +98,10 @@ class TestCodec:
 
         with pytest.raises(SnapshotUnsupported):
             codec.encode(NotOurs())
+        # a test oracle subclasses a whitelisted class, yet never enters
+        # the archive
+        with pytest.raises(SnapshotUnsupported):
+            codec.encode(ReferenceFreePool(0, 1024))
 
     def test_rng_unsupported(self):
         with pytest.raises(SnapshotUnsupported):

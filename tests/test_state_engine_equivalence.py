@@ -5,10 +5,11 @@ page tables, SoA device store log, the flat slot-vector clock, the
 slot-buffer inode packer, and the fused persist charge kernel)
 must reproduce the per-object reference engine's simulated time
 *bit-for-bit*.  Every test here runs one deterministic scenario twice —
-once under the default array engine, once under
-:func:`repro.engine.reference_state_scope` — and compares clocks (by
-``repr``, so ULP drift fails), counters, registry, op outcomes and
-statfs.
+once on the array structures ``src/`` builds, once under
+:func:`tests.oracles.reference_structures` (every free pool and page
+table built from the per-object oracles, which the run then checks) —
+and compares clocks (by ``repr``, so ULP drift fails), counters,
+registry, op outcomes and statfs.
 
 Also here: the RunStore invariant property sweep and the inode-packer
 differential against :func:`repro.core.layout.pack_inode`.
@@ -23,14 +24,15 @@ import pytest
 
 from repro.core.layout import (INODE_SLOT_BYTES, InodePacker, InodeRecord,
                                pack_inode)
-from repro.engine import reference_state_scope
 from repro.errors import FSError
 from repro.faults import FaultPlan, FaultSpec
-from repro.fs.common.freespace import FreePool, ReferenceFreePool
+from repro.fs.common.freespace import FreePool
 from repro.harness import SPECS_BY_NAME, fresh_fs
 from repro.params import BLOCK_SIZE, BLOCKS_PER_HUGEPAGE, KIB, MIB
 from repro.structures.extents import Extent
 from repro.structures.runstore import RunStore, runs_in
+from tests.oracles import (ReferenceFreePool, assert_reference_built,
+                           reference_structures)
 
 ALL_MODELS = sorted(SPECS_BY_NAME)
 
@@ -109,6 +111,7 @@ def _mmap_ops(fs, ctx, rng, outcomes):
                              region.read_element(off & ~7, ctx)))
     outcomes.append(("mm", "pages", region.unmap()))
     f.close()
+    return region
 
 
 def _run_model(fs_name: str, seed: int, reference: bool, plan=None):
@@ -125,14 +128,16 @@ def _run_model(fs_name: str, seed: int, reference: bool, plan=None):
         rng = random.Random(seed)
         outcomes = []
         _seeded_ops(fs, ctx, rng, outcomes)
-        _mmap_ops(fs, ctx, rng, outcomes)
+        region = _mmap_ops(fs, ctx, rng, outcomes)
         stats = fs.statfs()
-        return (ctx.clock.snapshot(), ctx.counters.as_dict(),
-                ctx.counters.registry.as_dict(), outcomes, stats)
-    if reference:
-        with reference_state_scope():
-            return build()
-    return build()
+        return fs, region, (ctx.clock.snapshot(), ctx.counters.as_dict(),
+                            ctx.counters.registry.as_dict(), outcomes, stats)
+    if not reference:
+        return build()[2]
+    with reference_structures():
+        fs, region, result = build()
+    assert_reference_built(fs, [region])
+    return result
 
 
 def _assert_engines_identical(fast, ref, label=""):
@@ -248,12 +253,7 @@ def test_freepool_engines_agree_on_random_alloc_free():
         pool.check_invariants()
         return decisions
 
-    array_pool = FreePool(0, total)
-    with reference_state_scope():
-        ref_pool = FreePool(0, total)
-    assert type(array_pool) is FreePool
-    assert type(ref_pool) is ReferenceFreePool
-    assert drive(array_pool) == drive(ref_pool)
+    assert drive(FreePool(0, total)) == drive(ReferenceFreePool(0, total))
 
 
 # ---------------------------------------------------------------------------

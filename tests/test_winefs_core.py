@@ -243,6 +243,19 @@ class TestReactiveRewrite:
         assert len(winefs.rewrite_queue) == 1
         return f
 
+    def test_rewritten_copy_is_durable_when_run_pending_returns(
+            self, winefs_tracked, ctx):
+        fs = winefs_tracked
+        f = self._queued_fragmented(fs, ctx)
+        content = fs.read_file("/frag", ctx)
+        assert fs.rewrite_queue.run_pending(ctx) == 1
+        # the journal swap points the inode at the new extents, so their
+        # copy must already be on the media, not only in the cache
+        image = fs.device.crash_image()
+        bs = fs.block_size
+        assert b"".join(image.load(ext.start * bs, ext.length * bs)
+                        for ext in fs.file_extents(f.ino)) == content
+
     def test_no_space_gives_up_and_any_other_error_escapes(
             self, winefs, ctx, monkeypatch):
         f = self._queued_fragmented(winefs, ctx)
