@@ -139,7 +139,7 @@ class LockManager:
     def __init__(self, clock: Optional[SimClock] = None) -> None:
         self._clock = clock
         self._free_at: Dict[str, float] = {}
-        self._holder: Dict[str, Optional[int]] = {}
+        self._holder: Dict[str, int] = {}
         self._atomic_next: Dict[str, float] = {}
         self.contended_waits = 0
         self.acquisitions = 0
@@ -201,7 +201,10 @@ class LockManager:
         self.acquisitions += 1
 
     def release(self, name: str, cpu: int) -> None:
-        self._holder[name] = None
+        # _holder keeps only locks that are held
+        holder = self._holder
+        if name in holder:
+            del holder[name]
         # the lock becomes free at the releasing CPU's current time
         clock = self._clock
         if clock is None:
@@ -210,6 +213,19 @@ class LockManager:
 
     def holding(self, name: str) -> Optional[int]:
         return self._holder.get(name)
+
+    def forget(self, name: str) -> None:
+        """Drop the free time of a lock no one will take again.
+
+        File systems call this when they free an inode: inode lock names
+        carry the inode's generation, which is never reused, so the entry
+        could only ever answer "free since t" to nobody.  Forgetting it
+        keeps the table as large as the live inodes, not as every inode
+        ever locked, and moves no simulated wait.
+        """
+        free_at = self._free_at
+        if name in free_at:
+            del free_at[name]
 
     def atomic(self, name: str, cpu: int, hold_ns: float) -> None:
         """A brief serializing operation (atomic instruction, short

@@ -159,10 +159,9 @@ class WineFS(BaseFS):
         self._serialized_extents: Dict[int, tuple] = {}
         self._packer = InodePacker()
         # ino -> PM slot address; a pure function of the (fixed) layout,
-        # so never invalidated.  A plain dict probe beats the lru_cache
-        # wrapper on layout.inode_addr, which re-hashes the frozen
-        # dataclass on every call — measurable at one persist per
-        # metadata update
+        # so never invalidated, and bounded by the inode numbers in use
+        # (they are recycled).  A dict probe beats the layout.inode_addr
+        # call at one persist per metadata update
         self._inode_addrs: Dict[int, int] = {}
 
     # ------------------------------------------------------------- lifecycle
@@ -428,6 +427,8 @@ class WineFS(BaseFS):
             assert self.allocator is not None
             self.allocator.free(Extent(block, 1))
         self._itable.free(inode.ino)
+        if ctx is not None and inode.lock_name is not None:
+            ctx.locks.forget(inode.lock_name)
 
     def _persist_inode(self, inode: Inode, ctx: SimContext) -> None:
         stack = self._txn_stack.get(ctx.cpu)

@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import List, Optional, Tuple
 
 from ..errors import CorruptionError, FSError
@@ -76,10 +75,6 @@ class Layout:
     def journal_blocks(self) -> int:
         return JOURNAL_BLOCKS_PER_CPU
 
-    def inode_table_start(self, cpu: int) -> int:
-        return 1 + self.num_cpus * JOURNAL_BLOCKS_PER_CPU \
-            + cpu * INODE_TABLE_BLOCKS_PER_CPU
-
     @property
     def inodes_per_cpu(self) -> int:
         return INODES_PER_CPU
@@ -113,21 +108,18 @@ class Layout:
     def cpu_of_ino(self, ino: int) -> int:
         return (ino - 1) // INODES_PER_CPU
 
-    def slot_of_ino(self, ino: int) -> int:
-        return (ino - 1) % INODES_PER_CPU
-
     def first_ino(self, cpu: int) -> int:
         return cpu * INODES_PER_CPU + 1
 
-    @lru_cache(maxsize=65536)
     def inode_addr(self, ino: int) -> int:
-        # pure function of (layout, ino); Layout is a frozen dataclass,
-        # so memoizing on (self, ino) is safe
-        cpu = self.cpu_of_ino(ino)
+        """PM byte address of *ino*'s slot: its CPU's inode table follows
+        the superblock, every CPU's journal and the lower CPUs' tables."""
+        cpu = (ino - 1) // INODES_PER_CPU
         if cpu >= self.num_cpus:
             raise FSError(f"ino {ino} outside inode tables")
-        table = self.inode_table_start(cpu) * BLOCK_SIZE
-        return table + self.slot_of_ino(ino) * INODE_SLOT_BYTES
+        return ((1 + self.num_cpus * JOURNAL_BLOCKS_PER_CPU
+                 + cpu * INODE_TABLE_BLOCKS_PER_CPU) * BLOCK_SIZE
+                + (ino - 1) % INODES_PER_CPU * INODE_SLOT_BYTES)
 
 
 # -- superblock ---------------------------------------------------------------------
@@ -167,9 +159,12 @@ class InodeRecord:
     extents: List[Extent]
 
     def to_inode(self):
-        from ..fs.common.inode import Inode
+        from ..fs.common.inode import _GENERATION, Inode
+        # a recovered inode is a new live object: a fresh generation
+        # keeps its lock name apart from every inode freed before
         inode = Inode(ino=self.ino, is_dir=self.is_dir, size=self.size,
-                      nlink=self.nlink, extents=ExtentList(self.extents))
+                      nlink=self.nlink, extents=ExtentList(self.extents),
+                      gen=_GENERATION.take())
         inode.aligned_hint = self.aligned_hint
         return inode
 

@@ -75,6 +75,12 @@ class RewriteQueue:
             new_extents = fs.allocator.alloc(nblocks, ctx, want_aligned=True)
         except NoSpaceError:
             return False                      # no aligned space; give up
+        new = ExtentList(new_extents)
+        if new.mappable_hugepages() <= inode.extents.mappable_hugepages():
+            # no aligned extent was left: the allocation fell through to
+            # holes and would map no more hugepages than the file has now
+            fs.allocator.free_all(new_extents, ctx)
+            return False
         # background read of old data + write of new copy
         nbytes = nblocks * fs.block_size
         ctx.charge(fs.machine.pm_read_ns(nbytes) + fs.machine.pm_write_ns(nbytes))
@@ -86,7 +92,7 @@ class RewriteQueue:
         # file and point the directory entry to the new file."
         txn = fs.journal.begin(ctx, entries_hint=4)
         old = list(inode.extents)
-        inode.extents = ExtentList(new_extents)
+        inode.extents = new
         inode.aligned_hint = True
         fs._persist_inode_record(inode, ctx, txn)
         txn.commit(ctx)

@@ -31,7 +31,8 @@ journals (JBD2, the xfs log).
 from __future__ import annotations
 
 from contextlib import nullcontext
-from typing import Callable, ContextManager, Dict, Iterator, List, Optional
+from typing import (Callable, ContextManager, Dict, Iterator, List, Optional,
+                    Tuple)
 
 from ...clock import SimContext
 from ...errors import (
@@ -48,7 +49,7 @@ from ...pm.device import PMDevice
 from ...pm.zeros import Zeros, zero_bytes
 from ...structures.extents import Extent, ExtentList
 from ...vfs.interface import FileSystem, FSStats, OpenFile, StatResult
-from ...vfs.path import basename_of, normalize_path, parent_of, split_path
+from ...vfs.path import normalize_path, split_path
 from .dirindex import DirIndex, RBDirIndex
 from .freespace import FreePool
 from .inode import Inode, InodeTable, INODE_BYTES
@@ -237,8 +238,12 @@ class BaseFS(FileSystem):
 
     # --------------------------------------------------------------- resolution
 
-    def _resolve(self, path: str, ctx: Optional[SimContext]) -> Inode:
-        parts = split_path(path)
+    def _resolve(self, path: str, ctx: Optional[SimContext],
+                 parts: Optional[List[str]] = None) -> Inode:
+        """The inode at *path*, walked from the root through *parts*
+        (default: every component of *path*)."""
+        if parts is None:
+            parts = split_path(path)
         inode = self._itable.get(ROOT_INO)
         assert inode is not None
         for part in parts:
@@ -253,17 +258,30 @@ class BaseFS(FileSystem):
             inode = nxt
         return inode
 
-    def _resolve_parent(self, path: str, ctx: Optional[SimContext]) -> Inode:
-        parent = self._resolve(parent_of(path), ctx)
+    def _resolve_parent(self, path: str, ctx: Optional[SimContext]
+                        ) -> Tuple[str, Inode, str]:
+        """Split *path* once: its canonical form, the directory that
+        holds it, and its name in that directory."""
+        path = normalize_path(path)
+        cut = path.rfind("/")
+        name = path[cut + 1:]
+        if not name:
+            raise InvalidArgumentError("root has no parent")
+        where = path[:cut] or "/"
+        parent = self._resolve(where, ctx,
+                               path[1:cut].split("/") if cut else [])
         if not parent.is_dir:
-            raise NotADirectoryError_(parent_of(path))
-        return parent
+            raise NotADirectoryError_(where)
+        return path, parent, name
 
     def _alloc_inode(self, is_dir: bool, ctx: SimContext) -> Inode:
         return self._itable.allocate(is_dir=is_dir, owner_cpu=ctx.cpu)
 
     def _free_inode(self, inode: Inode, ctx=None) -> None:
         self._itable.free(inode.ino)
+        # the lock name dies with its generation (see LockManager.forget)
+        if ctx is not None and inode.lock_name is not None:
+            ctx.locks.forget(inode.lock_name)
 
     def _persist_inode(self, inode: Inode, ctx: SimContext) -> None:
         ctx.charge(self.machine.persist_ns(INODE_BYTES))
@@ -293,9 +311,7 @@ class BaseFS(FileSystem):
 
     def _create_impl(self, path: str, ctx: SimContext) -> OpenFile:
         self._syscall(ctx)
-        path = normalize_path(path)
-        parent = self._resolve_parent(path, ctx)
-        name = basename_of(path)
+        path, parent, name = self._resolve_parent(path, ctx)
         pdir = self._dirs[parent.ino]
         lock = self._ino_lock(parent.ino)
         ctx.locks.acquire(lock, ctx.cpu)
@@ -342,9 +358,7 @@ class BaseFS(FileSystem):
 
     def _unlink_impl(self, path: str, ctx: SimContext) -> None:
         self._syscall(ctx)
-        path = normalize_path(path)
-        parent = self._resolve_parent(path, ctx)
-        name = basename_of(path)
+        path, parent, name = self._resolve_parent(path, ctx)
         pdir = self._dirs[parent.ino]
         lock = self._ino_lock(parent.ino)
         ctx.locks.acquire(lock, ctx.cpu)
@@ -371,9 +385,7 @@ class BaseFS(FileSystem):
         self._check_writable()
         with ctx.trace.span(ctx, "vfs.mkdir", fs=self.name, path=path):
             self._syscall(ctx)
-            path = normalize_path(path)
-            parent = self._resolve_parent(path, ctx)
-            name = basename_of(path)
+            path, parent, name = self._resolve_parent(path, ctx)
             pdir = self._dirs[parent.ino]
             ctx.locks.acquire(self._ino_lock(parent.ino), ctx.cpu)
             try:
@@ -394,9 +406,7 @@ class BaseFS(FileSystem):
         self._check_writable()
         with ctx.trace.span(ctx, "vfs.rmdir", fs=self.name, path=path):
             self._syscall(ctx)
-            path = normalize_path(path)
-            parent = self._resolve_parent(path, ctx)
-            name = basename_of(path)
+            path, parent, name = self._resolve_parent(path, ctx)
             pdir = self._dirs[parent.ino]
             ctx.locks.acquire(self._ino_lock(parent.ino), ctx.cpu)
             try:
@@ -422,10 +432,8 @@ class BaseFS(FileSystem):
         self._check_writable()
         with ctx.trace.span(ctx, "vfs.rename", fs=self.name, path=old):
             self._syscall(ctx)
-            old, new = normalize_path(old), normalize_path(new)
-            src_parent = self._resolve_parent(old, ctx)
-            dst_parent = self._resolve_parent(new, ctx)
-            src_name, dst_name = basename_of(old), basename_of(new)
+            old, src_parent, src_name = self._resolve_parent(old, ctx)
+            new, dst_parent, dst_name = self._resolve_parent(new, ctx)
             # deterministic lock order to avoid simulated deadlock accounting
             lock_inos = sorted({src_parent.ino, dst_parent.ino})
             for li in lock_inos:

@@ -3,19 +3,27 @@
 Paths are absolute, ``/``-separated, with no ``.``/``..`` resolution (the
 workloads never generate them).  Component names may not contain ``/`` or
 be empty.
+
+Nothing here is memoized: a path the aging loop builds is used about
+three times and then never again, so a process-wide cache would mostly
+hold dead names.  A path that is already canonical costs a few substring
+tests and comes back as the same object.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
-from typing import List, Tuple
+from typing import List
 
 from ..errors import InvalidArgumentError
 
 
-@lru_cache(maxsize=8192)
 def normalize_path(path: str) -> str:
     """Canonical form: leading '/', no trailing '/', no empty components."""
+    # canonical already: no empty component (no '//', no trailing '/'
+    # unless root) and no component that could be '.' or '..'
+    if (path[:1] == "/" and "//" not in path and "/." not in path
+            and (path[-1] != "/" or path == "/")):
+        return path
     if not path or not path.startswith("/"):
         raise InvalidArgumentError(f"path must be absolute: {path!r}")
     parts = [p for p in path.split("/") if p]
@@ -25,30 +33,24 @@ def normalize_path(path: str) -> str:
     return "/" + "/".join(parts)
 
 
-@lru_cache(maxsize=8192)
-def _split_cached(path: str) -> Tuple[str, ...]:
-    return tuple(p for p in normalize_path(path).split("/") if p)
-
-
 def split_path(path: str) -> List[str]:
     """Components of a normalized path; [] for the root."""
-    return list(_split_cached(path))
+    path = normalize_path(path)
+    return path[1:].split("/") if path != "/" else []
 
 
-@lru_cache(maxsize=8192)
 def parent_of(path: str) -> str:
-    parts = _split_cached(path)
-    if not parts:
+    path = normalize_path(path)
+    if path == "/":
         raise InvalidArgumentError("root has no parent")
-    return "/" + "/".join(parts[:-1])
+    return path[:path.rfind("/")] or "/"
 
 
-@lru_cache(maxsize=8192)
 def basename_of(path: str) -> str:
-    parts = _split_cached(path)
-    if not parts:
+    path = normalize_path(path)
+    if path == "/":
         raise InvalidArgumentError("root has no name")
-    return parts[-1]
+    return path[path.rfind("/") + 1:]
 
 
 def join(parent: str, name: str) -> str:

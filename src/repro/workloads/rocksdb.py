@@ -12,13 +12,17 @@ under YCSB (§5.4).  What shapes its I/O on a PM file system:
 
 The model keeps an in-DRAM index (key -> (sst file, offset)) and performs
 the same file operations the engine would; it does not re-implement
-compaction heuristics beyond size-triggered flush.
+compaction heuristics beyond size-triggered flush.  Keys are YCSB record
+numbers (non-negative ints, dense, inserts extend the range), so the
+index is one packed ``array('q')`` indexed by key rather than a dict of
+tuples: 8 bytes a key instead of ~170.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from array import array
+from dataclasses import dataclass
+from typing import Dict, List, Optional
 
 from ..clock import SimContext
 from ..errors import NotFoundError
@@ -28,6 +32,8 @@ from ..vfs.interface import FileSystem
 
 
 _WAL_REC_LEN = 72
+#: one absent index entry; ``_ABSENT * n`` grows the index by n
+_ABSENT = array("q", [-1])
 
 
 @dataclass
@@ -46,6 +52,9 @@ class RocksDBModel:
                  memtable_bytes: int = 8 * MIB,
                  sst_bytes: int = 32 * MIB,
                  dir_path: str = "/rocksdb") -> None:
+        if sst_bytes >= 1 << 32:
+            raise ValueError(f"sst_bytes must fit an index entry's 32-bit "
+                             f"offset: {sst_bytes}")
         self.fs = fs
         self.value_size = value_size
         self.memtable_bytes = memtable_bytes
@@ -63,7 +72,9 @@ class RocksDBModel:
         self._memtable: Dict[int, bytes] = {}
         self._memtable_size = 0
         self._ssts: List[_SST] = []
-        self._index: Dict[int, Tuple[int, int]] = {}   # key -> (sst idx, off)
+        # key -> sst_idx << 32 | offset, -1 where absent; as long as the
+        # largest flushed key + 1
+        self._index = array("q")
         self._sst_fill = 0
         self._cur_sst: Optional[_SST] = None
         self.flushes = 0
@@ -83,6 +94,8 @@ class RocksDBModel:
 
     def put(self, key: int, ctx: SimContext,
             value: Optional[bytes] = None) -> None:
+        if key < 0:
+            raise ValueError(f"keys are record numbers, not {key}")
         ctx.charge(self.APP_NS_PER_OP)
         if value is None:
             value = self._value
@@ -104,11 +117,16 @@ class RocksDBModel:
         if not self._memtable:
             return
         sst = self._ensure_sst(ctx)
-        for key, record in sorted(self._memtable.items()):
+        records = sorted(self._memtable.items())
+        index = self._index
+        grow = records[-1][0] + 1 - len(index)
+        if grow > 0:
+            index.extend(_ABSENT * grow)
+        for key, record in records:
             if self._sst_fill + len(record) > self.sst_bytes:
                 sst = self._rotate_sst(ctx)
             sst.region.write(self._sst_fill, record, ctx)
-            self._index[key] = (len(self._ssts) - 1, self._sst_fill)
+            index[key] = (len(self._ssts) - 1) << 32 | self._sst_fill
             self._sst_fill += len(record)
         self._memtable.clear()
         self._memtable_size = 0
@@ -150,13 +168,16 @@ class RocksDBModel:
         if record is not None:
             ctx.charge(180.0)   # skiplist probe in DRAM
             return record
-        loc = self._index.get(key)
-        if loc is None:
+        try:
+            # a negative key must not wrap to the end of the array
+            loc = self._index[key] if key >= 0 else -1
+        except IndexError:      # past the largest flushed key
+            loc = -1
+        if loc < 0:
             raise NotFoundError(f"key {key}")
-        sst_idx, offset = loc
-        sst = self._ssts[sst_idx]
+        sst = self._ssts[loc >> 32]
         assert sst.region is not None
-        return sst.region.read(offset, self.value_size, ctx)
+        return sst.region.read(loc & 0xFFFFFFFF, self.value_size, ctx)
 
     def scan(self, key: int, count: int, ctx: SimContext) -> int:
         """Range scan (YCSB E): sequential reads from the containing SST."""

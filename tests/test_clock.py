@@ -91,6 +91,22 @@ class TestLockManager:
         assert locks.holding("L") == 1
         locks.release("L", 1)
         assert locks.holding("L") is None
+        assert locks._holder == {}      # released locks leave no entry
+
+    def test_forget_drops_only_the_freed_name(self):
+        clock = SimClock(2)
+        locks = LockManager(clock)
+        for name in ("ino:7g1", "ino:8g2"):
+            locks.acquire(name, 0)
+            clock.charge(0, 100.0)
+            locks.release(name, 0)
+        locks.forget("ino:7g1")
+        locks.forget("ino:7g1")         # idempotent
+        locks.forget("never-taken")
+        assert list(locks._free_at) == ["ino:8g2"]
+        locks.acquire("ino:8g2", 1)     # the live lock still makes cpu 1 wait
+        assert clock.now(1) == 200.0
+        assert locks.contended_waits == 1
 
     def test_atomic_uncontended_charges_hold(self):
         clock = SimClock(2)

@@ -256,6 +256,29 @@ class TestReactiveRewrite:
         assert b"".join(image.load(ext.start * bs, ext.length * bs)
                         for ext in fs.file_extents(f.ino)) == content
 
+    def test_rewrite_without_aligned_space_swaps_nothing(self, winefs, ctx):
+        f = self._queued_fragmented(winefs, ctx)
+        # take every aligned hugepage, then give half of each back: the
+        # free space is holes only, and plenty of them
+        hogs = []
+        while winefs.allocator.free_aligned_hugepages():
+            hog = winefs.create(f"/hog{len(hogs)}", ctx)
+            hog.fallocate(0, 2 * MIB, ctx)
+            hogs.append(hog)
+        for hog in hogs:
+            hog.ftruncate(MIB, ctx)
+        nblocks = winefs.file_extents(f.ino).total_blocks
+        assert winefs.allocator.free_aligned_hugepages() == 0
+        assert winefs.statfs().free_blocks >= nblocks
+        before = list(winefs.file_extents(f.ino))
+        free = winefs.statfs().free_blocks
+        written = ctx.counters.pm_bytes_written
+        assert winefs.rewrite_queue.run_pending(ctx) == 0
+        assert winefs.rewrite_queue.rewrites_done == 0
+        assert list(winefs.file_extents(f.ino)) == before
+        assert winefs.statfs().free_blocks == free       # holes given back
+        assert ctx.counters.pm_bytes_written == written  # no copy charged
+
     def test_no_space_gives_up_and_any_other_error_escapes(
             self, winefs, ctx, monkeypatch):
         f = self._queued_fragmented(winefs, ctx)
