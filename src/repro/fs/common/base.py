@@ -41,8 +41,7 @@ from ...errors import (
     NotFoundError, NotMountedError,
 )
 from ...mmu.cache import CacheModel
-from ...mmu.mmap_region import MappedRegion, _next_region_id
-from ...mmu.page_table import PageTable
+from ...mmu.mmap_region import MappedRegion
 from ...mmu.tlb import TLB
 from ...params import BASE_PAGE, BLOCK_SIZE, BLOCKS_PER_HUGEPAGE, HUGE_PAGE
 from ...pm.device import PMDevice
@@ -872,32 +871,10 @@ class _FSMappedRegion(MappedRegion):
         self._fs = fs
         self._inode = inode
         self._fault_ctx: Optional[SimContext] = None
-        # bypass the extents-cover-length check: sparse mappings are legal
-        extents = inode.extents
-        super_len = kwargs.pop("length")
-        device = kwargs.pop("device")
-        machine = kwargs.pop("machine")
-        block_size = kwargs.pop("block_size")
-        # initialize parent with a permissive length
-        self.device = device
-        self.machine = machine
-        self.extents = extents
-        self.length = super_len
-        self.block_size = block_size
-        self.page_table = PageTable()
-        tlb = kwargs.pop("tlb")
-        cache = kwargs.pop("cache")
-        self.tlb = tlb if tlb is not None else TLB(machine.tlb_4k_entries,
-                                                   machine.tlb_2m_entries)
-        self.cache = cache
-        self.fault_zero_fill = kwargs.pop("fault_zero_fill")
-        self.track_data = kwargs.pop("track_data")
-        self.region_id = _next_region_id[0]
-        _next_region_id[0] += 1
-        # walk-engine state (MappedRegion.__init__ is bypassed above)
-        self._init_walk_state()
-        if super_len <= 0:
-            raise InvalidArgumentError("mmap length must be positive")
+        super().__init__(extents=inode.extents, **kwargs)
+
+    def _check_extents_cover(self) -> None:
+        """Sparse mappings are legal: the fault handler allocates holes."""
 
     def _page_unwritten(self, virt_page: int) -> bool:
         return virt_page * BASE_PAGE >= self._inode.written_hwm

@@ -12,9 +12,9 @@ hinge on:
   access latency ~10x (§2.4, Fig 4).
 """
 
-from .page_table import PageTable, Mapping
+from .page_table import PageTable
 from .tlb import TLB
 from .cache import CacheModel
 from .mmap_region import MappedRegion
 
-__all__ = ["PageTable", "Mapping", "TLB", "CacheModel", "MappedRegion"]
+__all__ = ["PageTable", "TLB", "CacheModel", "MappedRegion"]

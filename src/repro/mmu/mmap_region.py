@@ -25,7 +25,7 @@ from ..pm.device import PMDevice
 from ..pm.zeros import Zeros, zero_bytes
 from ..structures.extents import ExtentList, Extent
 from .cache import CacheModel
-from .page_table import Mapping, PageTable
+from .page_table import PageTable
 from .tlb import TLB
 
 _PAGES_PER_HUGE = HUGE_PAGE // BASE_PAGE
@@ -57,27 +57,18 @@ class MappedRegion:
         when False only costs and counters are produced (large benches).
     """
 
-    #: class-wide switch between the batched walk engine (charge costs per
-    #: mapping *run*) and the per-event reference walk (one TLB event per
-    #: page).  Both produce bit-identical simulated time and counters; the
-    #: equivalence suite flips this to prove it.
-    batch = True
-
     def __init__(self, device: PMDevice, machine: MachineParams,
                  extents: ExtentList, length: int, block_size: int,
                  tlb: Optional[TLB] = None, cache: Optional[CacheModel] = None,
                  fault_zero_fill: bool = False, track_data: bool = True) -> None:
         if length <= 0:
             raise InvalidArgumentError("mmap length must be positive")
-        if extents.total_blocks * block_size < length:
-            raise InvalidArgumentError(
-                f"extents cover {extents.total_blocks * block_size} bytes, "
-                f"cannot map {length}")
         self.device = device
         self.machine = machine
         self.extents = extents
         self.length = length
         self.block_size = block_size
+        self._check_extents_cover()
         self.page_table = PageTable()
         self.tlb = tlb if tlb is not None else TLB(machine.tlb_4k_entries,
                                                    machine.tlb_2m_entries)
@@ -86,18 +77,6 @@ class MappedRegion:
         self.track_data = track_data
         self.region_id = _next_region_id[0]
         _next_region_id[0] += 1
-        self._init_walk_state()
-
-    def _init_walk_state(self) -> None:
-        """Walk-engine state shared by every constructor path.
-
-        ``_FSMappedRegion.__init__`` bypasses ``MappedRegion.__init__``
-        (sparse mappings fail its extents-cover-length check), so this
-        must stay a separate call both constructors make.
-        """
-        #: mapping installed by the most recent _handle_fault (saves the
-        #: fault-then-lookup round trip on the walk path)
-        self._last_fault: Optional[Mapping] = None
         #: last-run memo: [_memo_lo, _memo_hi] is a span of pages verified
         #: base-mapped while the page table was at generation _memo_gen;
         #: sequential access inside it skips the page-table dict entirely
@@ -107,11 +86,17 @@ class MappedRegion:
         #: per-fault charge for a zero-filling fault, precomputed: the sum
         #: is the same float every fault, so hoisting it out of
         #: _handle_fault changes nothing bit-wise
-        machine = self.machine
         self._fault_base_zero_ns = machine.fault_base_ns \
             + machine.pm_write_ns(BASE_PAGE) * machine.fault_zero_page_mult
         self._fault_huge_zero_ns = machine.fault_huge_ns \
             + machine.pm_write_ns(HUGE_PAGE) * machine.fault_zero_page_mult
+
+    def _check_extents_cover(self) -> None:
+        """Refuse a mapping longer than the extents backing it."""
+        covered = self.extents.total_blocks * self.block_size
+        if covered < self.length:
+            raise InvalidArgumentError(
+                f"extents cover {covered} bytes, cannot map {self.length}")
 
     # -- fault handling -----------------------------------------------------------
 
@@ -172,8 +157,7 @@ class MappedRegion:
         # per unique page in every aged/rand workload
         counters = ctx.counters
         if huge_phys is not None:
-            self._last_fault = self.page_table.install_huge(huge_base,
-                                                            huge_phys)
+            self.page_table.install_huge(huge_base, huge_phys)
             if self.fault_zero_fill and self._page_unwritten(huge_base):
                 ns = self._fault_huge_zero_ns
             else:
@@ -183,10 +167,7 @@ class MappedRegion:
             counters._fault_ns.value += ns
             return True
         phys = self._phys_of_virt_page(virt_page)
-        # no-Mapping install: _resolve_page re-looks the entry up via its
-        # None fallback on the paths that need the object
-        self.page_table.install_base_fast(virt_page, phys)
-        self._last_fault = None
+        self.page_table.install_base(virt_page, phys)
         if self.fault_zero_fill and self._page_unwritten(virt_page):
             ns = self._fault_base_zero_ns
         else:
@@ -251,24 +232,25 @@ class MappedRegion:
         # block_size == BASE_PAGE on this path, so logical blocks and
         # pages coincide; install one run per physically contiguous extent
         page = start
-        m = None
         for run in self.extents.slice_logical(start, n):
-            m = pt.install_base_run(page, run.length, run.start * BASE_PAGE)
+            pt.install_base_run(page, run.length, run.start * BASE_PAGE)
             page += run.length
-        self._last_fault = m
         return start + n
 
     def prefault(self, ctx: SimContext) -> None:
         """Touch every page once (MAP_POPULATE / application warm-up)."""
         page = 0
         total_pages = (self.length + BASE_PAGE - 1) // BASE_PAGE
-        lookup = self.page_table.lookup
-        can_batch = (self.batch and not ctx.trace.enabled
-                     and self.block_size == BASE_PAGE)
+        huge_tbl = self.page_table._huge
+        base_tbl = self.page_table._base
+        can_batch = not ctx.trace.enabled and self.block_size == BASE_PAGE
         while page < total_pages:
-            m = lookup(page)
-            if m is not None:
-                page += m.span_pages
+            # mapped pages are skipped by raw-table membership probes
+            if page // _PAGES_PER_HUGE in huge_tbl:
+                page += _PAGES_PER_HUGE
+                continue
+            if page in base_tbl:
+                page += 1
                 continue
             if self.fault(page, ctx):
                 page += _PAGES_PER_HUGE
@@ -285,38 +267,6 @@ class MappedRegion:
                 page = self._prefault_base_run(page, last, ctx)
 
     # -- TLB/walk accounting ----------------------------------------------------------
-
-    def _resolve_page(self, virt_page: int, ctx: SimContext) -> Mapping:
-        """Mapping covering *virt_page*, faulting it in if absent."""
-        m = self.page_table.lookup(virt_page)
-        if m is None:
-            self._last_fault = None
-            self.fault(virt_page, ctx)
-            m = self._last_fault
-            if m is None:
-                # a fault override that bypassed _handle_fault
-                m = self.page_table.lookup(virt_page)
-                assert m is not None
-        return m
-
-    def _touch_translation(self, virt_page: int, ctx: SimContext) -> Mapping:
-        """One per-event page touch: fault if needed + one TLB access.
-
-        Returns the mapping so callers never look the page up again.
-        """
-        m = self._resolve_page(virt_page, ctx)
-        key_page = m.virt_page if m.huge else virt_page
-        hit = self.tlb.access(self.region_id, key_page, m.huge)
-        if hit:
-            # a hit costs nothing here: it is folded into load latency
-            ctx.counters.tlb_hits += 1
-        else:
-            ctx.counters.tlb_misses += 1
-            ctx.charge(self.machine.page_walk_ns)
-            if self.cache is not None and not m.huge:
-                # a 4-level walk caches PTE lines, evicting hot data (Fig 4)
-                self.cache.pollute()
-        return m
 
     def _memo_note(self, lo: int, hi: int, gen: int) -> None:
         """Record a verified base-mapped span, merging adjacent spans."""
@@ -364,24 +314,12 @@ class MappedRegion:
             ctx.charge(self.machine.page_walk_ns)
 
     def _walk_pages(self, offset: int, size: int, ctx: SimContext) -> None:
-        if not self.batch:
-            # per-event reference path
-            first = offset // BASE_PAGE
-            last = (offset + size - 1) // BASE_PAGE
-            page = first
-            while page <= last:
-                m = self._touch_translation(page, ctx)
-                if m.huge:
-                    page = m.virt_page + _PAGES_PER_HUGE
-                else:
-                    page += 1
-            return
-        # batched path: one TLB charge per mapping run (the touched slice
-        # of one 2MB mapping, or a span of consecutive 4KB ones), in the
-        # per-event walk's order.  Mapped pages are resolved by raw-table
-        # membership probes (value-opaque, so both page-table engines
-        # branch identically) without materializing a Mapping per run.
-        # Faults still go through fault() at the position the page occupies.
+        # one TLB charge per mapping run (the touched slice of one 2MB
+        # mapping, or a span of consecutive 4KB ones), in the order of the
+        # per-event reference walk (tests/oracles/walk.py).  Mapped pages
+        # are resolved by raw-table membership probes (value-opaque, so
+        # both page-table engines branch identically).  Faults still go
+        # through fault() at the position the page occupies.
         pt = self.page_table
         huge_tbl = pt._huge
         base_tbl = pt._base
@@ -405,11 +343,9 @@ class MappedRegion:
                 self._charge_base_run(page, n, ctx)
                 page += n
                 continue
-            # both table probes missed, so lookup() would return None:
-            # fault directly instead of via _resolve_page and derive the
-            # huge-case key page arithmetically (install_huge pins the
-            # mapping to the 2MB-aligned base) rather than from the
-            # materialized Mapping
+            # both table probes missed: fault, and derive the huge-case
+            # key page arithmetically (install_huge pins the mapping to
+            # the 2MB-aligned base)
             if self.fault(page, ctx):
                 hb = page - page % _PAGES_PER_HUGE
                 self._charge_tlb_huge(hb, ctx)
@@ -435,7 +371,7 @@ class MappedRegion:
         machine = self.machine
         first = offset // BASE_PAGE
         last = (offset + size - 1) // BASE_PAGE
-        if self.batch and last - first < 8:
+        if last - first < 8:
             # small-read fast path (the mmap_rand profile: 1-2 touched
             # pages per op).  Applies only when every touched page is
             # already base-mapped: then _walk_pages would charge the
@@ -521,30 +457,27 @@ class MappedRegion:
 
         Returns the access latency in ns (also charged to the context).
         """
-        if not self.batch:
-            return self._read_element_ref(offset, ctx)
         if offset < 0 or offset + 1 > self.length:
             self._check_range(offset, 1)
         page = offset // BASE_PAGE
         pt = self.page_table
-        # raw-table probes treat values as opaque: key presence alone
-        # decides, so both page-table engines take the same branch
-        huge = page // _PAGES_PER_HUGE in pt._huge
-        if huge:
-            key_page = page - page % _PAGES_PER_HUGE
-        elif page in pt._base:
-            key_page = page
-        else:
-            # fault path: take the reference walk
-            return self._read_element_ref(offset, ctx)
-        # inlined _touch_translation + charges: same events, same float
-        # adds, minus the call/property dispatch.  The clock writes are
-        # deferred onto a local, which keeps the add sequence identical.
         machine = self.machine
         counters = ctx.counters
         cpu_ns = ctx.clock._cpu_ns
         cpu = ctx.cpu
-        before = v = cpu_ns[cpu]
+        # the latency includes the fault, if the probe takes one
+        before = cpu_ns[cpu]
+        # raw-table probes treat values as opaque: key presence alone
+        # decides, so both page-table engines take the same branch
+        huge = page // _PAGES_PER_HUGE in pt._huge
+        if not huge and page not in pt._base:
+            huge = self.fault(page, ctx)
+        key_page = page - page % _PAGES_PER_HUGE if huge else page
+        # the per-event walk's TLB touch and charges, inlined: same events,
+        # same float adds, minus the call/property dispatch.  The clock
+        # writes are deferred onto a local, which keeps the add sequence
+        # identical.
+        v = cpu_ns[cpu]
         if self.tlb.access(self.region_id, key_page, huge):
             counters._tlb_hits.value += 1
         else:
@@ -566,25 +499,6 @@ class MappedRegion:
         v += lat
         cpu_ns[cpu] = v
         return v - before
-
-    def _read_element_ref(self, offset: int, ctx: SimContext) -> float:
-        """Per-event reference for :meth:`read_element` (also the fault
-        path of the batched version)."""
-        self._check_range(offset, 1)
-        before = ctx.now
-        self._touch_translation(offset // BASE_PAGE, ctx)
-        if self.cache is not None:
-            hit = self.cache.access_hot_line()
-            lat = self.cache.access_latency_ns(hit)
-            if hit:
-                ctx.counters.llc_hits += 1
-            else:
-                ctx.counters.llc_misses += 1
-        else:
-            lat = self.machine.pm_load_ns
-            ctx.counters.llc_misses += 1
-        ctx.charge(lat)
-        return ctx.now - before
 
     # -- raw data movement helpers ----------------------------------------------------
 

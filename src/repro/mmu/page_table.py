@@ -8,35 +8,21 @@ per paper §2.2 ("Even a single byte offset from alignment forces the
 operating system to fall back to base pages").
 
 :class:`PageTable` keeps flat ``int -> int`` tables — virtual page number
-to physical byte address — and materializes a :class:`Mapping` record only
-at the :meth:`~PageTable.lookup` / ``install_*`` boundary.  The mmap walk
-fast paths probe the raw int tables directly, so the hot loop never boxes
-a translation.  The one-``Mapping``-per-entry table it replaced lives on
-in ``tests/oracles/`` as the oracle the equivalence suites hold it to.
+to physical byte address — and never boxes a translation: the installs
+return nothing and the mmap walk probes the raw tables directly.  The
+one-``Mapping``-per-entry table it replaced, and the ``lookup`` that
+materializes a ``Mapping``, live on in ``tests/oracles/`` as the oracles
+the equivalence suites hold it to.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, Optional
+from typing import Dict
 
 from ..errors import SimulationError
 from ..params import BASE_PAGE, HUGE_PAGE
 
 _PAGES_PER_HUGE = HUGE_PAGE // BASE_PAGE
-
-
-@dataclass(frozen=True)
-class Mapping:
-    """One installed translation."""
-
-    virt_page: int        # virtual page number in units of BASE_PAGE
-    phys_addr: int        # physical PM byte address of the mapping start
-    huge: bool            # True for a 2MB mapping
-
-    @property
-    def span_pages(self) -> int:
-        return HUGE_PAGE // BASE_PAGE if self.huge else 1
 
 
 class PageTable:
@@ -67,16 +53,6 @@ class PageTable:
     def _huge_index(virt_page: int) -> int:
         return virt_page // _PAGES_PER_HUGE
 
-    def lookup(self, virt_page: int) -> Optional[Mapping]:
-        idx = virt_page // _PAGES_PER_HUGE
-        phys = self._huge.get(idx)
-        if phys is not None:
-            return Mapping(idx * _PAGES_PER_HUGE, phys, huge=True)
-        phys = self._base.get(virt_page)
-        if phys is None:
-            return None
-        return Mapping(virt_page, phys, huge=False)
-
     def is_mapped(self, virt_page: int) -> bool:
         return (virt_page // _PAGES_PER_HUGE in self._huge
                 or virt_page in self._base)
@@ -90,18 +66,7 @@ class PageTable:
         if phys_addr % BASE_PAGE:
             raise SimulationError("physical address not page-aligned")
 
-    def install_base(self, virt_page: int, phys_addr: int) -> Mapping:
-        self._check_base(virt_page, phys_addr)
-        self._base[virt_page] = phys_addr
-        idx = virt_page // _PAGES_PER_HUGE
-        self._base_in_huge[idx] = self._base_in_huge.get(idx, 0) + 1
-        self.installed_4k += 1
-        return Mapping(virt_page, phys_addr, huge=False)
-
-    def install_base_fast(self, virt_page: int, phys_addr: int) -> None:
-        """:meth:`install_base` without materializing the ``Mapping``
-        return (the hot fault path; callers that need the object re-look
-        it up)."""
+    def install_base(self, virt_page: int, phys_addr: int) -> None:
         self._check_base(virt_page, phys_addr)
         self._base[virt_page] = phys_addr
         idx = virt_page // _PAGES_PER_HUGE
@@ -125,11 +90,10 @@ class PageTable:
                                           "inside prospective huge range")
         return idx
 
-    def install_huge(self, virt_page: int, phys_addr: int) -> Mapping:
+    def install_huge(self, virt_page: int, phys_addr: int) -> None:
         idx = self._check_huge(virt_page, phys_addr)
         self._huge[idx] = phys_addr
         self.installed_2m += 1
-        return Mapping(virt_page, phys_addr, huge=True)
 
     def base_unmapped_run(self, virt_page: int, max_pages: int) -> int:
         """Consecutive pages from *virt_page* with no base mapping.
@@ -142,12 +106,11 @@ class PageTable:
             n += 1
         return n
 
-    def install_base_run(self, first: int, count: int,
-                         phys0: int) -> Mapping:
+    def install_base_run(self, first: int, count: int, phys0: int) -> None:
         """install_base for *count* consecutive pages inside ONE 2MB range,
         physically contiguous from *phys0*.  The caller guarantees the
         pages are unmapped and the range holds no huge mapping; alignment
-        is still checked.  Returns the last mapping installed.
+        is still checked.
         """
         if phys0 % BASE_PAGE:
             raise SimulationError("physical address not page-aligned")
@@ -159,8 +122,6 @@ class PageTable:
         idx = first // _PAGES_PER_HUGE
         self._base_in_huge[idx] = self._base_in_huge.get(idx, 0) + count
         self.installed_4k += count
-        assert count > 0
-        return Mapping(first + count - 1, phys - BASE_PAGE, huge=False)
 
     def unmap_all(self) -> None:
         self._base.clear()

@@ -383,7 +383,7 @@ class Archive:
             return None, "stale"
         try:
             return codec.decode(payload), "hit"
-        except (codec.SnapshotDecodeError, struct.error, ValueError):
+        except codec.SnapshotDecodeError:
             return None, "decode_error"
 
     def contains(self, key: str) -> bool:

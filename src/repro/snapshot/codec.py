@@ -27,17 +27,17 @@ Identity rules (what makes restore bit-identical, not just equal):
   accumulation replays identically.  Sets are encoded in sorted order to
   keep the stream deterministic.
 
-Format v2, the only one :func:`encode` writes, is a *columnar fast path*
-on top of the v1 tagged stream.  Homogeneous containers are encoded in
-bulk instead of tag-by-tag:
+Format v2, the one :func:`encode` writes and :func:`decode` reads, is a
+*columnar fast path* on top of the scalar tagged forms.  Homogeneous
+containers are encoded in bulk instead of tag-by-tag:
 
 - lists/tuples whose elements are all plain ints in int64 range become
   one struct-packed ``<q`` vector (``_T_INTLIST`` / ``_T_INTTUPLE``);
 - flat ``int -> int`` dicts (page tables, run columns) become one packed
   key/value vector (``_T_INTDICT``), decode order preserved;
 - scattered ints (instance attributes, mixed containers) become a
-  zigzag varint (``_T_VINT``) instead of the length-prefixed v1 form —
-  they are the single most common node in an aged image;
+  zigzag varint (``_T_VINT``) instead of the length-prefixed ``_T_INT``
+  form — they are the single most common node in an aged image;
 - strings are interned: the first occurrence registers into a stream
   string table (``_T_ISTR``), repeats are a varint back-reference
   (``_T_SREF``) — path, name, and lock-key strings repeat heavily;
@@ -45,13 +45,18 @@ bulk instead of tag-by-tag:
   is registered once (``_T_OBJECT2``), so the ~5 repeated names per
   instance collapse to a single shape id.
 
-Every v2 bulk form is an opportunistic rewrite of a v1 form with the
+Every bulk form is an opportunistic rewrite of a tagged form with the
 exact same memoization position (bulk elements are scalars, which are
 never memoized), so shared-ref numbering is identical and anything that
-does not qualify falls back to the v1 tagged path — fail-closed, same
-``SnapshotUnsupported`` semantics.  ``decode`` understands both formats:
-a pure v1 stream (plain ``_T_STR`` strings, ``_T_OBJECT`` instances with
-inline attribute names) stays decodable forever.
+does not qualify falls back to the tagged path — fail-closed, same
+``SnapshotUnsupported`` semantics.
+
+The stream is outside input, so :func:`decode` fails closed: whatever is
+wrong with a stream raises :class:`SnapshotDecodeError`.  That includes
+a v1 stream (plain ``s`` strings, ``o`` instances with inline attribute
+names), whose decode branches are gone: every store key has carried a
+``FORMAT_VERSION`` of 3 or more since v2 became the default, so a cache
+record holding one reads ``stale`` before it is decoded.
 """
 
 from __future__ import annotations
@@ -83,7 +88,6 @@ _T_TRUE = b"T"
 _T_FALSE = b"F"
 _T_INT = b"i"
 _T_FLOAT = b"d"
-_T_STR = b"s"
 _T_BYTES = b"b"
 _T_BYTEARRAY = b"y"
 _T_ARRAY = b"a"
@@ -94,7 +98,6 @@ _T_ODICT = b"O"
 _T_SET = b"S"
 _T_FROZENSET = b"Z"
 _T_REF = b"r"
-_T_OBJECT = b"o"
 _T_SINGLETON = b"G"
 
 # -- v2 columnar tags (see module docstring) --
@@ -108,15 +111,15 @@ _T_VINT = b"v"
 
 # integer tag values for the decoder: comparing small ints beats slicing
 # a one-byte ``bytes`` per node on the decode hot path
-(_B_NONE, _B_TRUE, _B_FALSE, _B_INT, _B_FLOAT, _B_STR, _B_BYTES,
- _B_BYTEARRAY, _B_ARRAY, _B_LIST, _B_TUPLE, _B_DICT, _B_ODICT, _B_SET,
- _B_FROZENSET, _B_REF, _B_OBJECT, _B_SINGLETON, _B_INTLIST, _B_INTTUPLE,
- _B_INTDICT, _B_ISTR, _B_SREF, _B_OBJECT2, _B_VINT) = (
+(_B_NONE, _B_TRUE, _B_FALSE, _B_INT, _B_FLOAT, _B_BYTES, _B_BYTEARRAY,
+ _B_ARRAY, _B_LIST, _B_TUPLE, _B_DICT, _B_ODICT, _B_SET, _B_FROZENSET,
+ _B_REF, _B_SINGLETON, _B_INTLIST, _B_INTTUPLE, _B_INTDICT, _B_ISTR,
+ _B_SREF, _B_OBJECT2, _B_VINT) = (
     tag[0] for tag in (
-        _T_NONE, _T_TRUE, _T_FALSE, _T_INT, _T_FLOAT, _T_STR, _T_BYTES,
-        _T_BYTEARRAY, _T_ARRAY, _T_LIST, _T_TUPLE, _T_DICT, _T_ODICT,
-        _T_SET, _T_FROZENSET, _T_REF, _T_OBJECT, _T_SINGLETON, _T_INTLIST,
-        _T_INTTUPLE, _T_INTDICT, _T_ISTR, _T_SREF, _T_OBJECT2, _T_VINT))
+        _T_NONE, _T_TRUE, _T_FALSE, _T_INT, _T_FLOAT, _T_BYTES, _T_BYTEARRAY,
+        _T_ARRAY, _T_LIST, _T_TUPLE, _T_DICT, _T_ODICT, _T_SET,
+        _T_FROZENSET, _T_REF, _T_SINGLETON, _T_INTLIST, _T_INTTUPLE,
+        _T_INTDICT, _T_ISTR, _T_SREF, _T_OBJECT2, _T_VINT))
 
 #: zigzag varints qualify for ints in (-2^62, 2^62): the encoded value
 #: stays within the decoder's 70-bit varint guard with room to spare
@@ -634,8 +637,6 @@ class _Decoder:
             return int.from_bytes(raw, "little", signed=True)
         if tag == _B_FLOAT:
             return _F64.unpack(r.take(8))[0]
-        if tag == _B_STR:
-            return r.take(r.uvarint()).decode("utf-8")
         if tag == _B_BYTES:
             return r.take(r.uvarint())
         if tag == _B_SINGLETON:
@@ -644,12 +645,7 @@ class _Decoder:
                 raise SnapshotDecodeError(f"unknown singleton {index}")
             return self.singletons[index]
         if tag == _B_ARRAY:
-            code = r.take(r.uvarint()).decode("ascii")
-            try:
-                arr = array(code)
-            except ValueError as exc:
-                raise SnapshotDecodeError(
-                    f"bad array typecode {code!r}") from exc
+            arr = array(r.take(r.uvarint()).decode("ascii"))
             arr.frombytes(r.take(r.uvarint()))
             self.memo.append(arr)
             return arr
@@ -667,8 +663,6 @@ class _Decoder:
             frozen = frozenset(self.decode() for _ in range(count))
             self.memo[placeholder] = frozen
             return frozen
-        if tag == _B_OBJECT:
-            return self._decode_instance()
         raise SnapshotDecodeError(f"unknown tag {bytes((tag,))!r}")
 
     def _decode_class(self) -> type:
@@ -685,17 +679,6 @@ class _Decoder:
         if class_id < len(self.classes):
             return self.classes[class_id]
         raise SnapshotDecodeError(f"bad class id {class_id}")
-
-    def _decode_instance(self) -> Any:
-        r = self.reader
-        cls = self._decode_class()
-        obj = cls.__new__(cls)
-        self.memo.append(obj)
-        setter = object.__setattr__  # works for __slots__ and frozen classes
-        for _ in range(r.uvarint()):
-            name = r.take(r.uvarint()).decode("utf-8")
-            setter(obj, name, self.decode())
-        return obj
 
     def _decode_instance_v2(self) -> Any:
         r = self.reader
@@ -716,7 +699,7 @@ class _Decoder:
             shape = self.shapes[shape_id]
         else:
             raise SnapshotDecodeError(f"bad shape id {shape_id}")
-        setter = object.__setattr__
+        setter = object.__setattr__  # works for __slots__ and frozen classes
         decode = self.decode
         for name in shape:
             setter(obj, name, decode())
@@ -738,14 +721,21 @@ def encode(root: Any) -> bytes:
 
 
 def decode(data: bytes) -> Any:
-    """Rebuild the object graph of a stream :func:`encode` wrote, now (v2)
-    or ever (v1)."""
+    """Rebuild the object graph of a stream :func:`encode` wrote; any
+    other stream raises :class:`SnapshotDecodeError`."""
     limit = sys.getrecursionlimit()
     if limit < _RECURSION_LIMIT:
         sys.setrecursionlimit(_RECURSION_LIMIT)
     try:
         dec = _Decoder(data)
-        root = dec.decode()
+        try:
+            root = dec.decode()
+        except (TypeError, ValueError, AttributeError, RecursionError) as exc:
+            # an unhashable set member or dict key, bad UTF-8, an array
+            # typecode or length that does not fit, an attribute a slotted
+            # class lacks, nesting deeper than the recursion limit
+            raise SnapshotDecodeError(
+                f"malformed snapshot stream: {exc!r}") from exc
         if dec.reader.pos != len(dec.reader.data):
             raise SnapshotDecodeError("trailing bytes after snapshot root")
         return root

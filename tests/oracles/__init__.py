@@ -1,22 +1,27 @@
-"""Test oracles: the per-object structures the array-backed core replaced.
+"""Test oracles: what the production core replaced, kept as references.
 
-``src/`` keeps one copy of each hot structure — the ``RunStore``-backed
-:class:`~repro.fs.common.freespace.FreePool` and the flat-int
-:class:`~repro.mmu.page_table.PageTable`.  The per-object originals live
+``src/`` keeps one copy of each hot structure and one MMU walk — the
+``RunStore``-backed :class:`~repro.fs.common.freespace.FreePool`, the
+flat-int :class:`~repro.mmu.page_table.PageTable` and the run-batched
+walk of :class:`~repro.mmu.mmap_region.MappedRegion`.  The originals live
 here, verbatim, as the oracles the equivalence suites compare them
 against:
 
 * :class:`~tests.oracles.freepool.ReferenceFreePool` over four
   :class:`~tests.oracles.sortedmap.SortedMap`\\ s;
 * :class:`~tests.oracles.page_table.ReferencePageTable`, one boxed
-  ``Mapping`` per entry.
+  :class:`~tests.oracles.page_table.Mapping` per entry;
+* :mod:`tests.oracles.walk`, the per-event walk: one TLB event per
+  touched page.
 
-:func:`reference_structures` swaps them in for a whole scenario by
-patching the module globals that construct free pools and page tables;
-nothing in ``src/`` knows they exist.  :func:`assert_reference_built`
-checks that a scenario really ran on them, so a construction site the
-patch misses fails loudly instead of comparing the array structures with
-themselves.
+:func:`reference_structures` swaps the structures in for a whole scenario
+by patching the module globals that construct free pools and page
+tables, and :func:`reference_walk` patches the per-event walk onto
+``MappedRegion``; nothing in ``src/`` knows they exist.
+:func:`assert_reference_built` and :func:`assert_reference_walk` check
+that a scenario really ran on them, so a construction site or a walk
+entry point a patch misses fails loudly instead of comparing production
+with itself.
 """
 
 from __future__ import annotations
@@ -31,16 +36,16 @@ import repro.mmu.mmap_region
 
 from .freepool import ReferenceFreePool
 from .page_table import ReferencePageTable
+from .walk import assert_reference_walk, reference_walk
 
 __all__ = ["ReferenceFreePool", "ReferencePageTable", "assert_reference_built",
-           "reference_structures"]
+           "assert_reference_walk", "reference_structures", "reference_walk"]
 
 #: every module global that constructs a free pool or a page table
 _PATCHES = (
     (repro.core.allocator, "FreePool", ReferenceFreePool),
     (repro.fs.common.base, "FreePool", ReferenceFreePool),
     (repro.mmu.mmap_region, "PageTable", ReferencePageTable),
-    (repro.fs.common.base, "PageTable", ReferencePageTable),
 )
 
 

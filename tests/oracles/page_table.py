@@ -1,21 +1,36 @@
 """The per-object page table: the oracle the flat-int table is held to.
 
-:class:`ReferencePageTable` stores one boxed
-:class:`~repro.mmu.page_table.Mapping` per installed entry — the layout
-the flat ``int -> int`` :class:`~repro.mmu.page_table.PageTable`
-replaced.  Both expose identical facts (huge?, physical address,
-coverage), so every simulated cost derived from them is bit-identical;
+:class:`ReferencePageTable` stores one boxed :class:`Mapping` per
+installed entry — the layout the flat ``int -> int``
+:class:`~repro.mmu.page_table.PageTable` replaced.  Both expose identical
+facts (huge?, physical address, coverage), so every simulated cost
+derived from them is bit-identical;
 :func:`tests.oracles.reference_structures` builds every region's table
-from this class to prove it.
+from this class to prove it.  :class:`Mapping` is also the record the
+per-event walk of :mod:`tests.oracles.walk` resolves pages to.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from typing import Optional
 
 from repro.errors import SimulationError
-from repro.mmu.page_table import _PAGES_PER_HUGE, Mapping, PageTable
+from repro.mmu.page_table import _PAGES_PER_HUGE, PageTable
 from repro.params import BASE_PAGE
+
+
+@dataclass(frozen=True)
+class Mapping:
+    """One installed translation."""
+
+    virt_page: int        # virtual page number in units of BASE_PAGE
+    phys_addr: int        # physical PM byte address of the mapping start
+    huge: bool            # True for a 2MB mapping
+
+    @property
+    def span_pages(self) -> int:
+        return _PAGES_PER_HUGE if self.huge else 1
 
 
 class ReferencePageTable(PageTable):
@@ -35,41 +50,29 @@ class ReferencePageTable(PageTable):
             return m
         return self._base.get(virt_page)
 
-    def install_base(self, virt_page: int, phys_addr: int) -> Mapping:
+    def install_base(self, virt_page: int, phys_addr: int) -> None:
         self._check_base(virt_page, phys_addr)
-        m = Mapping(virt_page, phys_addr, huge=False)
-        self._base[virt_page] = m
+        self._base[virt_page] = Mapping(virt_page, phys_addr, huge=False)
         idx = virt_page // _PAGES_PER_HUGE
         self._base_in_huge[idx] = self._base_in_huge.get(idx, 0) + 1
         self.installed_4k += 1
-        return m
 
-    def install_base_fast(self, virt_page: int, phys_addr: int) -> None:
-        # the reference layout stores the Mapping either way
-        self.install_base(virt_page, phys_addr)
-
-    def install_huge(self, virt_page: int, phys_addr: int) -> Mapping:
+    def install_huge(self, virt_page: int, phys_addr: int) -> None:
         idx = self._check_huge(virt_page, phys_addr)
-        m = Mapping(virt_page, phys_addr, huge=True)
-        self._huge[idx] = m
+        self._huge[idx] = Mapping(virt_page, phys_addr, huge=True)
         self.installed_2m += 1
-        return m
 
-    def install_base_run(self, first: int, count: int,
-                         phys0: int) -> Mapping:
+    def install_base_run(self, first: int, count: int, phys0: int) -> None:
         if phys0 % BASE_PAGE:
             raise SimulationError("physical address not page-aligned")
         base = self._base
-        m = None
         phys = phys0
         for vp in range(first, first + count):
-            base[vp] = m = Mapping(vp, phys, huge=False)
+            base[vp] = Mapping(vp, phys, huge=False)
             phys += BASE_PAGE
         idx = first // _PAGES_PER_HUGE
         self._base_in_huge[idx] = self._base_in_huge.get(idx, 0) + count
         self.installed_4k += count
-        assert m is not None
-        return m
 
     def translate(self, virt_addr: int) -> int:
         virt_page = virt_addr // BASE_PAGE

@@ -1,10 +1,14 @@
-"""Batched fast path vs per-event reference path: bit-identical results.
+"""Batched walk vs the per-event reference walk: bit-identical results.
 
-The batched walk engine (``MappedRegion.batch = True``, the default) must
-produce *exactly* the same simulated time — bit-identical floats, not
-approximately equal — and the same observability counters as the per-event
-reference path.  These tests run identical scenarios under both engines
-and compare clock snapshots, counter dicts and the metrics registry.
+Production carries one MMU walk, which charges TLB events per mapping
+*run*.  The per-event walk it replaced lives in ``tests/oracles/walk.py``,
+and :func:`tests.oracles.reference_walk` patches it onto ``MappedRegion``
+for a block.  The two must produce *exactly* the same simulated time —
+bit-identical floats, not approximately equal — and the same
+observability counters.  These tests run identical scenarios on both
+walks and compare clock snapshots, counter dicts and the metrics
+registry.  Every scenario drives each walk entry point, and every
+reference run ends in :func:`tests.oracles.assert_reference_walk`.
 
 CI treats a skip of this module as a failure: equivalence is the safety
 argument for every perf optimisation in the batched engine.
@@ -15,6 +19,7 @@ from __future__ import annotations
 import hashlib
 import json
 import random
+from contextlib import contextmanager
 
 import pytest
 
@@ -26,14 +31,33 @@ from repro.obs.trace import Tracer
 from repro.params import BASE_PAGE, BLOCKS_PER_HUGEPAGE, DEFAULT_MACHINE, KIB, MIB
 from repro.pm.device import PMDevice
 from repro.structures.extents import Extent, ExtentList
+from tests.oracles import assert_reference_walk, reference_walk
 
 
-def _run_region_scenario(batch: bool, seed: int, *, extent_layout,
+@contextmanager
+def _walk(reference: bool):
+    """The per-event walk when *reference* (checked on exit to have taken
+    every entry point), else the production walk."""
+    if not reference:
+        yield
+        return
+    with reference_walk() as calls:
+        yield
+    assert_reference_walk(calls)
+
+
+def _read_element_and_prefault(region, ctx, out):
+    """The entry points a read-only scenario does not reach by itself:
+    one dependent load, then a prefault of whatever is still unmapped."""
+    out.append(region.read_element(0, ctx))
+    region.prefault(ctx)
+
+
+def _run_region_scenario(reference: bool, seed: int, *, extent_layout,
                          track_data: bool, zero_fill: bool,
                          length: int = 4 * MIB):
     """One deterministic mixed workload against a raw MappedRegion."""
-    MappedRegion.batch = batch
-    try:
+    with _walk(reference):
         dev = PMDevice(64 * MIB)
         extents = ExtentList([Extent(s, n) for s, n in extent_layout])
         region = MappedRegion(dev, DEFAULT_MACHINE, extents, length, 4096,
@@ -59,21 +83,23 @@ def _run_region_scenario(batch: bool, seed: int, *, extent_layout,
             else:
                 region.write_zeros(off, 4096, ctx)
         # a big strided read sweep (exercises the run memo)
-        for off in range(0, length - 64 * KIB, 256 * KIB):
+        sweep = range(0, length - 64 * KIB, 256 * KIB)
+        for off in sweep:
             reads.append(region.read(off, 64 * KIB, ctx))
         region.prefault(ctx)
         pages = region.unmap()
-        return (ctx.clock.snapshot(), ctx.counters.as_dict(),
-                ctx.counters.registry.as_dict(), reads, pages)
-    finally:
-        MappedRegion.batch = True
+        # the region touched again after munmap, last span first: every
+        # page faults anew, so no run the walk remembered may count
+        for off in reversed(sweep):
+            reads.append(region.read(off, 64 * KIB, ctx))
+    return (ctx.clock.snapshot(), ctx.counters.as_dict(),
+            ctx.counters.registry.as_dict(), reads, pages)
 
 
-def _run_fs_scenario(batch: bool, seed: int, fs_name: str, *,
+def _run_fs_scenario(reference: bool, seed: int, fs_name: str, *,
                      track_data: bool):
     """File-system level workload: files, mmap, journal, truncate."""
-    MappedRegion.batch = batch
-    try:
+    with _walk(reference):
         fs, ctx = fresh_fs(fs_name, size_gib=0.125, num_cpus=2,
                            track_data=track_data)
         rng = random.Random(seed)
@@ -114,17 +140,14 @@ def _run_fs_scenario(batch: bool, seed: int, fs_name: str, *,
         region2.unmap()
         reads.append(fs.read(f.ino, 0, 2 * MIB, ctx))
         f.close()
-        return (ctx.clock.snapshot(), ctx.counters.as_dict(),
-                ctx.counters.registry.as_dict(), reads)
-    finally:
-        MappedRegion.batch = True
+    return (ctx.clock.snapshot(), ctx.counters.as_dict(),
+            ctx.counters.registry.as_dict(), reads)
 
 
-def _run_rand_read_scenario(batch: bool, seed: int, *, prefault: bool,
+def _run_rand_read_scenario(reference: bool, seed: int, *, prefault: bool,
                             track_data: bool = False):
     """Byte-granular random small reads: the ``mmap_rand`` hot-loop shape."""
-    MappedRegion.batch = batch
-    try:
+    with _walk(reference):
         dev = PMDevice(64 * MIB)
         length = 4 * MIB
         region = MappedRegion(dev, DEFAULT_MACHINE,
@@ -139,11 +162,10 @@ def _run_rand_read_scenario(batch: bool, seed: int, *, prefault: bool,
         for _ in range(600):
             off = rng.randrange(0, length - 4096)
             reads.append(region.read(off, 4096, ctx))
+        _read_element_and_prefault(region, ctx, reads)
         region.unmap()
-        return (ctx.clock.snapshot(), ctx.counters.as_dict(),
-                ctx.counters.registry.as_dict(), reads)
-    finally:
-        MappedRegion.batch = True
+    return (ctx.clock.snapshot(), ctx.counters.as_dict(),
+            ctx.counters.registry.as_dict(), reads)
 
 
 def _assert_identical(fast, ref):
@@ -169,28 +191,27 @@ class TestRegionEquivalence:
     @pytest.mark.parametrize("layout", [ALIGNED, MISALIGNED, MIXED],
                              ids=["aligned", "misaligned", "mixed"])
     def test_untracked(self, seed, layout):
-        fast = _run_region_scenario(True, seed, extent_layout=layout,
+        fast = _run_region_scenario(False, seed, extent_layout=layout,
                                     track_data=False, zero_fill=False)
-        ref = _run_region_scenario(False, seed, extent_layout=layout,
+        ref = _run_region_scenario(True, seed, extent_layout=layout,
                                    track_data=False, zero_fill=False)
         _assert_identical(fast, ref)
         assert fast[4] == ref[4]  # unmapped page count
 
     @pytest.mark.parametrize("seed", [2, 11])
     def test_tracked_data_and_zero_fill(self, seed):
-        fast = _run_region_scenario(True, seed, extent_layout=MIXED,
+        fast = _run_region_scenario(False, seed, extent_layout=MIXED,
                                     track_data=True, zero_fill=True,
                                     length=4 * MIB)
-        ref = _run_region_scenario(False, seed, extent_layout=MIXED,
+        ref = _run_region_scenario(True, seed, extent_layout=MIXED,
                                    track_data=True, zero_fill=True,
                                    length=4 * MIB)
         _assert_identical(fast, ref)
 
     def test_sub_page_and_boundary_ops(self):
         """Accesses that straddle exactly one page / one hugepage edge."""
-        def scenario(batch):
-            MappedRegion.batch = batch
-            try:
+        def scenario(reference):
+            with _walk(reference):
                 dev = PMDevice(32 * MIB)
                 region = MappedRegion(
                     dev, DEFAULT_MACHINE,
@@ -204,11 +225,10 @@ class TestRegionEquivalence:
                     out.append(region.read(off, 16, ctx))
                     region.write(off, b"\x55" * 16, ctx)
                 out.append(region.read(hp - BASE_PAGE, 2 * BASE_PAGE, ctx))
-                return ctx.clock.snapshot(), ctx.counters.as_dict(), out
-            finally:
-                MappedRegion.batch = True
+                _read_element_and_prefault(region, ctx, out)
+            return ctx.clock.snapshot(), ctx.counters.as_dict(), out
 
-        fast, ref = scenario(True), scenario(False)
+        fast, ref = scenario(False), scenario(True)
         assert fast[0] == ref[0]
         assert fast[1] == ref[1]
         assert fast[2] == ref[2]
@@ -218,40 +238,39 @@ class TestFilesystemEquivalence:
     @pytest.mark.parametrize("fs_name", ["WineFS", "PMFS"])
     @pytest.mark.parametrize("seed", [3, 13])
     def test_untracked(self, fs_name, seed):
-        fast = _run_fs_scenario(True, seed, fs_name, track_data=False)
-        ref = _run_fs_scenario(False, seed, fs_name, track_data=False)
+        fast = _run_fs_scenario(False, seed, fs_name, track_data=False)
+        ref = _run_fs_scenario(True, seed, fs_name, track_data=False)
         _assert_identical(fast, ref)
 
     def test_tracked(self):
-        fast = _run_fs_scenario(True, 5, "WineFS", track_data=True)
-        ref = _run_fs_scenario(False, 5, "WineFS", track_data=True)
+        fast = _run_fs_scenario(False, 5, "WineFS", track_data=True)
+        ref = _run_fs_scenario(True, 5, "WineFS", track_data=True)
         _assert_identical(fast, ref)
 
 
 class TestRandReadFastPath:
     """The small-read fast path (all pages base-mapped, short span) and
     its fall-through (cold pages still faulting) must both match the
-    reference engine bit-for-bit."""
+    reference walk bit-for-bit."""
 
     @pytest.mark.parametrize("seed", [4, 9])
     @pytest.mark.parametrize("prefault", [False, True], ids=["cold", "warm"])
     def test_region(self, seed, prefault):
-        fast = _run_rand_read_scenario(True, seed, prefault=prefault)
-        ref = _run_rand_read_scenario(False, seed, prefault=prefault)
+        fast = _run_rand_read_scenario(False, seed, prefault=prefault)
+        ref = _run_rand_read_scenario(True, seed, prefault=prefault)
         _assert_identical(fast, ref)
 
     def test_region_tracked(self):
-        fast = _run_rand_read_scenario(True, 6, prefault=True,
+        fast = _run_rand_read_scenario(False, 6, prefault=True,
                                        track_data=True)
-        ref = _run_rand_read_scenario(False, 6, prefault=True,
+        ref = _run_rand_read_scenario(True, 6, prefault=True,
                                       track_data=True)
         _assert_identical(fast, ref)
 
     @pytest.mark.parametrize("fs_name", ["PMFS", "WineFS"])
     def test_fs_mmap_rand(self, fs_name):
-        def scenario(batch):
-            MappedRegion.batch = batch
-            try:
+        def scenario(reference):
+            with _walk(reference):
                 fs, ctx = fresh_fs(fs_name, size_gib=0.125, num_cpus=2)
                 f = fs.create("/rand", ctx)
                 f.append_zeros(8 * MIB, ctx)
@@ -261,14 +280,13 @@ class TestRandReadFastPath:
                 for _ in range(400):
                     off = rng.randrange(0, 8 * MIB - 4096)
                     reads.append(region.read(off, 4096, ctx))
+                _read_element_and_prefault(region, ctx, reads)
                 region.unmap()
                 f.close()
-                return (ctx.clock.snapshot(), ctx.counters.as_dict(),
-                        ctx.counters.registry.as_dict(), reads)
-            finally:
-                MappedRegion.batch = True
+            return (ctx.clock.snapshot(), ctx.counters.as_dict(),
+                    ctx.counters.registry.as_dict(), reads)
 
-        _assert_identical(scenario(True), scenario(False))
+        _assert_identical(scenario(False), scenario(True))
 
     def test_traced_read_phase_takes_the_fast_path_with_identical_output(self):
         """Tracing no longer diverts a small read of mapped pages to the

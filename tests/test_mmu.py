@@ -50,9 +50,10 @@ class TestPageTable:
     @pytest.mark.parametrize("count", [1, 3])
     def test_base_run_covers_its_hugepage_range(self, count):
         pt = PageTable()
-        last = pt.install_base_run(PPH + 5, count, 7 * BASE_PAGE)
-        assert (last.virt_page, last.phys_addr) == \
-            (PPH + 4 + count, (6 + count) * BASE_PAGE)
+        pt.install_base_run(PPH + 5, count, 7 * BASE_PAGE)
+        last = PPH + 4 + count
+        assert pt.translate(last * BASE_PAGE) == (6 + count) * BASE_PAGE
+        assert not pt.is_mapped(last + 1)
         assert pt.covered(PPH) and not pt.covered(0)
         # even a one-page run keeps a huge mapping off its range
         with pytest.raises(SimulationError):

@@ -1,9 +1,10 @@
-"""Property-based differential testing: random syscall sequences, two engines.
+"""Property-based differential testing: random syscall sequences, two walks.
 
 Each seed drives one randomized syscall sequence (creates, writes, renames,
 truncates, unlinks, fallocates, plus an mmap phase) executed twice — once
-under the batched walk engine (``MappedRegion.batch = True``) and once
-under the per-event reference path — and the two runs must agree on
+on the production (batched) MMU walk and once under
+:func:`tests.oracles.reference_walk`, the per-event walk — and the two
+runs must agree on
 
 * per-CPU clocks (bit-identical floats, compared by ``repr``),
 * event counters and the metrics registry,
@@ -20,7 +21,7 @@ from __future__ import annotations
 import os
 import random
 import zlib
-from contextlib import nullcontext
+from contextlib import ExitStack
 
 import pytest
 
@@ -28,10 +29,10 @@ from repro.clock import make_context
 from repro.core.filesystem import WineFS
 from repro.crashmon.checker import capture_state
 from repro.errors import FSError
-from repro.mmu.mmap_region import MappedRegion
 from repro.params import BLOCK_SIZE, KIB, MIB
 from repro.pm.device import PMDevice
-from tests.oracles import assert_reference_built, reference_structures
+from tests.oracles import (assert_reference_built, assert_reference_walk,
+                           reference_structures, reference_walk)
 
 SEEDS = int(os.environ.get("REPRO_PROPERTY_SEEDS", "200"))
 CHUNK = 25
@@ -115,35 +116,45 @@ def _mmap_phase(fs, ctx, rng, outcomes):
         else:
             outcomes.append(("mm", step, region.read_element(off & ~7,
                                                              ctx)))
+    # every walk entry point at least once, whatever the seed drew
+    outcomes.append(("mm", "probe", zlib.crc32(region.read(0, 4096, ctx)),
+                     region.read_element(0, ctx)))
+    region.prefault(ctx)
     outcomes.append(("mm", "pages", region.unmap()))
     f.close()
     return region
 
 
-def _run_sequence(batch: bool, seed: int, reference: bool = False):
-    MappedRegion.batch = batch
-    try:
-        with reference_structures() if reference else nullcontext():
-            device = PMDevice(64 * MIB, track_stores=True)
-            fs = WineFS(device, num_cpus=2, track_data=True)
-            ctx = make_context(2)
-            fs.mkfs(ctx)
-            rng = random.Random(seed)
-            outcomes = []
-            _apply_random_ops(fs, ctx, rng, outcomes)
-            region = _mmap_phase(fs, ctx, rng, outcomes)
-            pre = capture_state(fs)
-            fs.unmount(ctx)
-            fs2 = WineFS(device, num_cpus=2, track_data=True)
-            fs2.mount(make_context(2))
-            post = capture_state(fs2)
-        if reference:
-            assert_reference_built(fs, [region])
-            assert_reference_built(fs2)
-        return (ctx.clock.snapshot(), ctx.counters.as_dict(),
-                ctx.counters.registry.as_dict(), outcomes, pre, post)
-    finally:
-        MappedRegion.batch = True
+def _run_sequence(seed: int, walk_oracle: bool = False,
+                  state_oracle: bool = False):
+    """One seeded sequence on the production walk and state structures,
+    or with the per-event walk and/or the per-object structures of
+    ``tests.oracles`` standing in."""
+    with ExitStack() as stack:
+        if walk_oracle:
+            calls = stack.enter_context(reference_walk())
+        if state_oracle:
+            stack.enter_context(reference_structures())
+        device = PMDevice(64 * MIB, track_stores=True)
+        fs = WineFS(device, num_cpus=2, track_data=True)
+        ctx = make_context(2)
+        fs.mkfs(ctx)
+        rng = random.Random(seed)
+        outcomes = []
+        _apply_random_ops(fs, ctx, rng, outcomes)
+        region = _mmap_phase(fs, ctx, rng, outcomes)
+        pre = capture_state(fs)
+        fs.unmount(ctx)
+        fs2 = WineFS(device, num_cpus=2, track_data=True)
+        fs2.mount(make_context(2))
+        post = capture_state(fs2)
+    if walk_oracle:
+        assert_reference_walk(calls)
+    if state_oracle:
+        assert_reference_built(fs, [region])
+        assert_reference_built(fs2)
+    return (ctx.clock.snapshot(), ctx.counters.as_dict(),
+            ctx.counters.registry.as_dict(), outcomes, pre, post)
 
 
 def _chunks():
@@ -155,22 +166,22 @@ def _chunks():
                          ids=lambda r: f"seeds{r.start}-{r.stop - 1}")
 def test_batched_vs_reference(seeds):
     for seed in seeds:
-        fast = _run_sequence(True, seed)
-        ref = _run_sequence(False, seed)
+        fast = _run_sequence(seed)
+        ref = _run_sequence(seed, walk_oracle=True)
         for a, b in zip(fast[0], ref[0]):
             assert repr(a) == repr(b), f"seed {seed}: clock diverged"
         assert fast[1] == ref[1], f"seed {seed}: counters diverged"
         assert fast[2] == ref[2], f"seed {seed}: registry diverged"
         assert fast[3] == ref[3], f"seed {seed}: outcomes diverged"
         assert fast[4] == ref[4], f"seed {seed}: namespace diverged"
-        # and within each engine, remount must recover the exact state
+        # and within each walk, remount must recover the exact state
         assert fast[4] == fast[5], f"seed {seed}: remount lost state"
         assert ref[4] == ref[5], f"seed {seed}: remount lost state (ref)"
 
 
 def test_sequence_is_deterministic():
-    """Same seed, same engine: byte-for-byte identical runs."""
-    assert _run_sequence(True, 99) == _run_sequence(True, 99)
+    """Same seed, same walk: byte-for-byte identical runs."""
+    assert _run_sequence(99) == _run_sequence(99)
 
 
 STATE_SEEDS = range(0, 32)
@@ -185,8 +196,8 @@ def test_array_state_vs_reference_state(seeds):
     coverage lives in test_state_engine_equivalence.py; this is the
     random-syscall angle."""
     for seed in seeds:
-        fast = _run_sequence(True, seed)
-        ref = _run_sequence(True, seed, reference=True)
+        fast = _run_sequence(seed)
+        ref = _run_sequence(seed, state_oracle=True)
         for a, b in zip(fast[0], ref[0]):
             assert repr(a) == repr(b), f"seed {seed}: clock diverged"
         assert fast[1:] == ref[1:], f"seed {seed}: state engines diverged"

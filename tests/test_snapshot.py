@@ -196,8 +196,8 @@ def _golden_value():
     ``snapshot_golden_v2.bin`` is ``codec.encode`` of this value (rewrite
     it only when the format intentionally changes);
     ``snapshot_golden_v1.bin`` was written by the v1 encoder before it was
-    deleted and can never be regenerated — it is the pin that old streams
-    stay decodable.
+    deleted and can never be regenerated; the v1 decode branches are gone
+    too, so it now pins that a v1 stream fails closed.
     """
     from array import array
 
@@ -238,42 +238,50 @@ def _golden_blob(version):
 
 
 def _v1_int_list(n):
-    """The v1 stream of ``[n]``, framed by hand: ``encode`` writes v2 only,
-    the decoder's v1 int path must keep working."""
+    """The v1 stream of ``[n]``, framed by hand: ``l`` and ``i`` are v2
+    tags too (``encode`` writes ``i`` for ints past the varint range), so
+    the decoder must keep reading it."""
     raw = n.to_bytes((n.bit_length() + 8) // 8 or 1, "little", signed=True)
     return b"l\x01i" + bytes((len(raw),)) + raw
 
 
-#: stream formats the decoder reads; ``encode`` writes the last
+#: stream formats committed blobs were written in
 _VERSIONS = (1, 2)
+#: the one format ``decode`` reads and ``encode`` writes
+_DECODED = (2,)
 
 
 class TestCodecVersions:
-    """Both stream formats decode through the one decoder, forever; the
-    one encoder writes v2.  The v1 cases run on the committed golden blob
-    (nothing in the tree can write a v1 stream any more)."""
+    """One stream format: the encoder writes v2 and the decoder reads it.
+    The committed v1 blob (nothing in the tree can write a v1 stream any
+    more) must fail closed."""
 
-    @pytest.mark.parametrize("version", _VERSIONS)
+    @pytest.mark.parametrize("version", _DECODED)
     def test_cross_version_roundtrip(self, version):
-        """A graph read from either format re-encodes and reads back."""
+        """A graph read from the committed blob re-encodes and reads back."""
         value = codec.decode(_golden_blob(version))
         _assert_golden_equal(codec.decode(codec.encode(value)),
                              _golden_value())
 
-    @pytest.mark.parametrize("version", _VERSIONS)
+    @pytest.mark.parametrize("version", _DECODED)
     def test_committed_golden_decodes(self, version):
-        """Old committed blobs must stay decodable: the decoder may gain
-        tags but can never lose them."""
+        """The committed blob decodes to the graph it was written from."""
         _assert_golden_equal(codec.decode(_golden_blob(version)),
                              _golden_value())
 
-    @pytest.mark.parametrize("version", _VERSIONS)
+    @pytest.mark.parametrize("version", _DECODED)
     def test_encode_deterministic(self, version):
-        """Whichever format a graph was read from, encoding it gives the
-        committed v2 bytes — the same as encoding the graph built fresh."""
+        """A graph read from the committed blob encodes to its bytes — the
+        same as encoding the graph built fresh."""
         value = codec.decode(_golden_blob(version))
         assert codec.encode(value) == codec.encode(_golden_value()) \
             == _golden_blob(2)
+
+    def test_v1_stream_fails_closed(self):
+        """The v1-only tags (``s`` strings, ``o`` instances) are gone: the
+        committed v1 blob is rejected with the typed error."""
+        with pytest.raises(SnapshotDecodeError, match="unknown tag"):
+            codec.decode(_golden_blob(1))
 
     @pytest.mark.parametrize("version", _VERSIONS)
     @pytest.mark.parametrize("n", [
@@ -313,6 +321,36 @@ class TestCodecVersions:
         for cut in cuts:
             with pytest.raises(SnapshotDecodeError):
                 codec.decode(blob[:cut])
+
+
+def _undeclared_slot_stream():
+    """A v2 instance of a slotted whitelisted class that names an
+    attribute the class has no slot for."""
+    tag = b"repro.mmu.page_table:PageTable"
+    return (b"P\x00" + bytes((len(tag),)) + tag   # class 0, first use
+            + b"\x00\x01I\x02zz"                  # shape 0 = ("zz",)
+            + b"N")                               # zz = None
+
+
+#: streams whose decode used to escape as an untyped exception
+_HOSTILE = {
+    "unhashable-set-member": b"S\x01l\x00",
+    "unhashable-dict-key": b"D\x01l\x00N",
+    "unhashable-frozenset-member": b"Z\x01l\x00",
+    "nesting-past-the-recursion-limit": b"l\x01" * 60000 + b"N",
+    "array-bytes-not-a-multiple-of-the-item-size": b"a\x01q\x03abc",
+    "bad-utf8-interned-string": b"I\x01\xff",
+    "bad-utf8-under-the-deleted-v1-string-tag": b"s\x01\xff",
+    "attribute-a-slotted-class-lacks": _undeclared_slot_stream(),
+}
+
+
+@pytest.mark.parametrize("blob", list(_HOSTILE.values()), ids=list(_HOSTILE))
+def test_every_decode_failure_is_a_snapshot_decode_error(blob):
+    """The stream is outside input: whatever is wrong with it, ``decode``
+    raises the one typed error the cache turns into a re-age."""
+    with pytest.raises(SnapshotDecodeError):
+        codec.decode(blob)
 
 
 # -- store -------------------------------------------------------------------

@@ -168,6 +168,16 @@ class TestArchiveFailurePaths:
             value, status = archive.load_ex(key)
             assert value is None and status != "hit"
 
+    @pytest.mark.parametrize(
+        "payload", [b"S\x01l\x00", b"l\x01" * 60000 + b"N"],
+        ids=["unhashable-set-member", "nesting-past-the-recursion-limit"])
+    def test_undecodable_record_reads_decode_error(self, arch_dir, payload):
+        """A CRC-valid record whose payload does not decode fails closed
+        (the caller re-ages) instead of raising out of ``load_ex``."""
+        archive = Archive(arch_dir)
+        assert archive.put_payload("ab" * 32, payload) == "stored"
+        assert archive.load_ex("ab" * 32) == (None, "decode_error")
+
     def test_scrub_clean_archive(self, arch_dir):
         archive, keys, _pack = self._sealed(arch_dir)
         report = archive.scrub()
