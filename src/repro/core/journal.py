@@ -69,6 +69,9 @@ class JournalEntry:
 
     @staticmethod
     def unpack(raw: bytes) -> Optional["JournalEntry"]:
+        if len(raw) != ENTRY_BYTES:
+            raise CorruptionError(
+                f"journal entry of {len(raw)} bytes, not {ENTRY_BYTES}")
         etype, _pad, undo_len, wrap, crc, txn_id, addr = _HEAD.unpack(
             raw[:_HEAD.size])
         if etype == TYPE_NONE:

@@ -3,10 +3,10 @@
 Design
 ------
 The device is a byte-addressable address space backed by a *sparse* store
-(dict of 4KB-page buffers): aging benches churn hundreds of gigabytes of
+(dict of 4KB pages): aging benches churn hundreds of gigabytes of
 allocator metadata without ever materializing data pages, while correctness
-tests read back exactly what they wrote.  Pages a ``bytes`` write covers in
-full reference the writer's immutable object instead of copying it, and a
+tests read back exactly what they wrote.  A ``bytes`` write of any length
+is held as a reference to the writer's immutable object, not copied, and a
 read of exactly that object's span returns the object itself, so a mapped
 application's payloads exist once on the host (see :class:`_SparsePages`).
 
@@ -24,13 +24,16 @@ the :class:`~repro.params.MachineParams` ratios.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple, Union
 
 from ..clock import SimContext
 from ..errors import PMError
 from ..params import CACHELINE, BASE_PAGE, DEFAULT_MACHINE, MachineParams
 from .numa import NumaTopology
 from .zeros import Zeros
+
+#: a page of the sparse store: materialized, or a tuple of segments
+Page = Union[bytearray, tuple]
 
 
 @dataclass(frozen=True)
@@ -44,143 +47,214 @@ class StoreRecord:
     fenced: bool = False    # an sfence has made it durable
 
 
+#: a page that would hold more segments than this is materialized: at
+#: about 150 host bytes a segment (its tuple and ints), sixteen still
+#: cost less than a 4 KiB buffer, and they bound the scan each write
+#: into the page makes
+_MAX_SEGMENTS = 16
+
+
+def _materialize(page: tuple) -> bytearray:
+    """The bytes a segment page stands for, as a new page buffer."""
+    out = bytearray(BASE_PAGE)
+    for off, obj, obj_off, n in page:
+        out[off:off + n] = obj[obj_off:obj_off + n]
+    return out
+
+
+def _punch(page: tuple, start: int, end: int) -> Page:
+    """The segments of *page* with [start, end) cut out of them;
+    materialized if that splits them into more than
+    :data:`_MAX_SEGMENTS`."""
+    out = ()
+    count = 0
+    for seg in page:
+        off, obj, obj_off, n = seg
+        if off + n <= start or off >= end:
+            out += (seg,)
+            count += 1
+            continue
+        if off < start:
+            out += ((off, obj, obj_off, start - off),)
+            count += 1
+        if off + n > end:
+            out += ((end, obj, obj_off + end - off, off + n - end),)
+            count += 1
+    if count > _MAX_SEGMENTS:
+        return _materialize(out)
+    return out
+
+
 class _SparsePages:
     """Sparse byte store over the PM address space.
 
-    A page is a ``bytearray``, or — for a page a ``bytes`` write covers in
-    full — a read-only ``memoryview`` of the writer's own object: an
-    immutable payload is referenced, not copied.  A partial write or
-    zeroing into such a *view page* copies it first (copy-on-write).  Only
-    ``bytes`` is aliased; a ``bytearray`` source may change after the
-    store returns, so it is always copied.
-    """
+    A page is absent (it reads as zeros), *materialized* — a
+    ``bytearray`` — or a *segment page*: an immutable tuple of
+    ``(off, obj, obj_off, n)`` segments, each saying that the page's
+    bytes [off, off+n) are ``obj[obj_off:obj_off+n]`` of a ``bytes``
+    object a write stored.  Bytes no segment covers read as zero.
 
-    #: page number -> the device address at which the object a view page
-    #: slices was written; meaningful only while that page is a view.
-    #: Created by the first aliasing write and never serialized: the
-    #: snapshot codec encodes view pages as the bytearrays they stand for.
-    _alias: Optional[Dict[int, int]] = None
+    - A ``bytes`` write into an absent or a segment page adds a segment
+      and punches its range out of the segments it overlaps: an
+      immutable payload is referenced, at any length, never copied.
+    - A ``bytes`` write into a materialized page copies into it, except
+      that a page the write covers in full becomes a one-segment page.
+    - Any other source (a ``bytearray``, a buffer view, ``Zeros``) may
+      change after the store returns: it materializes the page and is
+      copied.
+    - A partial zeroing punches segments; a full-page zeroing drops the
+      page.  A page that would hold more than :data:`_MAX_SEGMENTS`
+      segments is materialized.
+
+    A read of exactly the span one object was written to returns that
+    object while every page still holds all of it.
+    """
 
     def __init__(self, size: int) -> None:
         self._size = size
-        self._pages: Dict[int, bytearray] = {}
-        # last page touched by a single-page write (inode slots and dir
-        # entries hammer the same page): skips the dict probe on a hit.
-        # Never a view page, so it is dropped when a view replaces it.
+        self._pages: Dict[int, Page] = {}
+        # last page touched by a page-confined write that does not cover
+        # it in full as ``bytes`` (inode slots and dir entries hammer the
+        # same page): skips the dict probe on a hit.  ``_last_page`` is
+        # always the object ``_pages[_last_no]`` holds.  Both are in the
+        # snapshot stream, so when they move is part of the format.
         self._last_no = -1
-        self._last_page: Optional[bytearray] = None
+        self._last_page: Optional[Page] = None
 
     def read(self, addr: int, length: int) -> bytes:
         pages = self._pages
-        if self._alias is not None and length >= BASE_PAGE:
-            whole = self._aliased(addr, length)
-            if whole is not None:
-                return whole
-        first = addr // BASE_PAGE
-        last = (addr + length - 1) // BASE_PAGE
-        for page_no in range(first, last + 1):
-            if page_no in pages:
+        page_no, off = divmod(addr, BASE_PAGE)
+        page = pages.get(page_no)
+        if type(page) is tuple:
+            # the span one object was written to: that object, if every
+            # page still holds its bytes where the write put them
+            for seg_off, obj, obj_off, n in page:
+                if seg_off != off:
+                    continue
+                if obj_off == 0 and len(obj) == length:
+                    pos, reach, later = n, off + n, page_no
+                    while pos < length and reach == BASE_PAGE:
+                        later += 1
+                        reach = 0
+                        following = pages.get(later)
+                        if type(following) is tuple:
+                            for seg in following:
+                                if seg[0] == 0:
+                                    if seg[1] is obj and seg[2] == pos:
+                                        pos += seg[3]
+                                        reach = seg[3]
+                                    break
+                    if pos == length:
+                        return obj
                 break
-        else:
-            # nothing in range ever written: absent pages read as zeros
-            return bytes(length)
         out = bytearray(length)
         pos = 0
-        while pos < length:
-            page_no, off = divmod(addr + pos, BASE_PAGE)
-            take = min(BASE_PAGE - off, length - pos)
-            page = pages.get(page_no)
-            if page is not None:
+        while True:
+            take = BASE_PAGE - off
+            if take > length - pos:
+                take = length - pos
+            if type(page) is bytearray:
                 out[pos:pos + take] = page[off:off + take]
+            elif page is not None:
+                end = off + take
+                for seg_off, obj, obj_off, n in page:
+                    lo = off if off > seg_off else seg_off
+                    hi = seg_off + n
+                    if hi > end:
+                        hi = end
+                    if lo < hi:
+                        out[pos + lo - off:pos + hi - off] = \
+                            obj[obj_off + lo - seg_off:obj_off + hi - seg_off]
             pos += take
-        return bytes(out)
-
-    def _aliased(self, addr: int, length: int) -> Optional[bytes]:
-        """The ``bytes`` object a write stored at exactly [addr,
-        addr+length), if the span still holds it: every full page still
-        references it, and the partial head and tail pages still equal
-        it.  None otherwise."""
-        pages, alias = self._pages, self._alias
-        end = addr + length
-        first = -(-addr // BASE_PAGE)       # first full page
-        stop = end // BASE_PAGE             # one past the last full page
-        view = pages.get(first)
-        if type(view) is not memoryview or alias.get(first) != addr:
-            return None
-        obj = view.obj
-        if len(obj) != length:
-            return None
-        for page_no in range(first + 1, stop):
-            view = pages.get(page_no)
-            if type(view) is not memoryview or view.obj is not obj \
-                    or alias[page_no] != addr:
-                return None
-        head = first * BASE_PAGE - addr
-        if head:
-            page = pages.get(first - 1)
-            if page is None or page[BASE_PAGE - head:] != obj[:head]:
-                return None
-        tail = end - stop * BASE_PAGE
-        if tail:
-            page = pages.get(stop)
-            if page is None or page[:tail] != obj[length - tail:]:
-                return None
-        return obj
+            if pos >= length:
+                return bytes(out)
+            page_no += 1
+            off = 0
+            page = pages.get(page_no)
 
     def write(self, addr: int, data: bytes) -> None:
         length = len(data)
         page_no, off = divmod(addr, BASE_PAGE)
-        if off + length <= BASE_PAGE \
-                and (length < BASE_PAGE or type(data) is not bytes):
-            # common case: the write stays inside one page (inode slots,
-            # journal entries, indirect blocks are all page-confined)
+        immutable = type(data) is bytes
+        # a write inside one page that does not cover it in full as
+        # ``bytes`` goes through the single-page cache
+        confined = off + length <= BASE_PAGE \
+            and (length < BASE_PAGE or not immutable)
+        if confined:
             if page_no == self._last_no:
                 page = self._last_page
             else:
                 page = self._pages.get(page_no)
-                if page is None:
-                    page = bytearray(BASE_PAGE)
-                    self._pages[page_no] = page
-                elif type(page) is memoryview:
-                    page = self._pages[page_no] = bytearray(page)  # CoW
+            if type(page) is bytearray:
+                # common case: inode slots, journal entries and indirect
+                # blocks are page-confined writes into materialized pages
+                page[off:off + length] = data
                 self._last_no = page_no
                 self._last_page = page
-            page[off:off + length] = data
-            return
+                return
         pages = self._pages
-        view = alias = None
-        if type(data) is bytes and length >= BASE_PAGE:
-            view = memoryview(data)
-            alias = self._alias
-            if alias is None:
-                alias = self._alias = {}
         pos = 0
-        while pos < length:
+        while True:
             take = BASE_PAGE - off
             if take > length - pos:
                 take = length - pos
-            if take == BASE_PAGE and view is not None:
-                pages[page_no] = view[pos:pos + BASE_PAGE]
-                alias[page_no] = addr
+            if take == BASE_PAGE and immutable:
+                pages[page_no] = ((0, data, pos, BASE_PAGE),)
                 if page_no == self._last_no:
                     self._last_no = -1
                     self._last_page = None
             else:
-                page = pages.get(page_no)
-                if page is None:
-                    page = pages[page_no] = bytearray(BASE_PAGE)
-                elif type(page) is memoryview:
-                    page = pages[page_no] = bytearray(page)        # CoW
-                page[off:off + take] = data[pos:pos + take]
+                if not confined:
+                    page = pages.get(page_no)
+                if type(page) is bytearray:
+                    page[off:off + take] = data[pos:pos + take]
+                else:
+                    if not immutable:
+                        page = bytearray(BASE_PAGE) if page is None \
+                            else _materialize(page)
+                        page[off:off + take] = data[pos:pos + take]
+                    elif page is None:
+                        page = ((off, data, pos, take),)
+                    else:
+                        # the new segment, then _punch(page, off, end)
+                        # inlined: this runs on every payload write
+                        end = off + take
+                        segs = ((off, data, pos, take),)
+                        count = 1
+                        for seg in page:
+                            seg_off, obj, obj_off, n = seg
+                            if seg_off + n <= off or seg_off >= end:
+                                segs += (seg,)
+                                count += 1
+                                continue
+                            if seg_off < off:
+                                segs += ((seg_off, obj, obj_off,
+                                          off - seg_off),)
+                                count += 1
+                            if seg_off + n > end:
+                                segs += ((end, obj, obj_off + end - seg_off,
+                                          seg_off + n - end),)
+                                count += 1
+                        page = segs if count <= _MAX_SEGMENTS \
+                            else _materialize(segs)
+                    pages[page_no] = page
+                    if page_no == self._last_no:
+                        self._last_page = page
             pos += take
+            if pos >= length:
+                break
             page_no += 1
             off = 0
+        if confined:
+            self._last_no = page_no
+            self._last_page = page
 
     def write_zeros(self, addr: int, length: int) -> None:
         """Zero [addr, addr+length) without materializing a buffer.
 
         Fully covered pages are dropped (absent pages read as zeros);
-        partial head/tail pages are zeroed in place if materialized.
+        partial head/tail pages are zeroed in place if materialized, and
+        punched if segment pages.
         """
         pages = self._pages
         pos = 0
@@ -194,18 +268,22 @@ class _SparsePages:
                     self._last_page = None
             else:
                 page = pages.get(page_no)
-                if page is not None:
-                    if type(page) is memoryview:
-                        page = pages[page_no] = bytearray(page)    # CoW
+                if type(page) is bytearray:
                     page[off:off + take] = bytes(take)
+                elif page is not None:
+                    page = pages[page_no] = _punch(page, off, off + take)
+                    if page_no == self._last_no:
+                        self._last_page = page
             pos += take
 
     def materialized_bytes(self) -> int:
         return len(self._pages) * BASE_PAGE
 
     def clone(self) -> "_SparsePages":
+        """An independent copy with every page materialized."""
         out = _SparsePages(self._size)
-        out._pages = {k: bytearray(v) for k, v in self._pages.items()}
+        out._pages = {k: bytearray(v) if type(v) is bytearray
+                      else _materialize(v) for k, v in self._pages.items()}
         return out
 
 
@@ -595,5 +673,7 @@ class PMDevice:
 
     @property
     def materialized_bytes(self) -> int:
-        """How much backing memory the sparse store actually uses."""
+        """4 KiB times the pages the sparse store holds, whether a page
+        is a buffer or references the objects written into it; not the
+        host memory the store uses."""
         return self._store.materialized_bytes()

@@ -291,18 +291,19 @@ def _gauge_state(gauge: Any) -> List[Tuple[str, Any]]:
 
 
 def _sparse_pages_state(store: Any) -> List[Tuple[str, Any]]:
-    """A page that references a written ``bytes`` object (a read-only
-    view) encodes as the bytearray it stands for, and the alias registry
-    is left out: the stream is the one the same store would give had it
-    copied every write."""
+    """A segment page encodes as the bytearray it stands for, and the
+    single-page write cache as that same bytearray: the stream is the
+    one the same store would give had it copied every write."""
+    from ..pm.device import _materialize
+
+    pages = {page_no: page if type(page) is bytearray else _materialize(page)
+             for page_no, page in store._pages.items()}
     state: List[Tuple[str, Any]] = []
     for name, value in store.__dict__.items():
-        if name == "_alias":
-            continue
-        if name == "_pages" and store._alias is not None:
-            value = {page_no: bytearray(page)
-                     if type(page) is memoryview else page
-                     for page_no, page in value.items()}
+        if name == "_pages":
+            value = pages
+        elif name == "_last_page" and value is not None:
+            value = pages[store._last_no]
         state.append((name, value))
     return state
 

@@ -12,12 +12,16 @@ against:
 * :class:`~tests.oracles.page_table.ReferencePageTable`, one boxed
   :class:`~tests.oracles.page_table.Mapping` per entry;
 * :mod:`tests.oracles.walk`, the per-event walk: one TLB event per
-  touched page.
+  touched page;
+* :class:`~tests.oracles.sparse_pages.ReferenceSparsePages`, the PM
+  store whose pages were copies or read-only views of whole-page
+  ``bytes`` writes, beside an alias registry.
 
 :func:`reference_structures` swaps the structures in for a whole scenario
 by patching the module globals that construct free pools and page
 tables, and :func:`reference_walk` patches the per-event walk onto
-``MappedRegion``; nothing in ``src/`` knows they exist.
+``MappedRegion``; the PM store's differential drives both stores side by
+side.  Nothing in ``src/`` knows they exist.
 :func:`assert_reference_built` and :func:`assert_reference_walk` check
 that a scenario really ran on them, so a construction site or a walk
 entry point a patch misses fails loudly instead of comparing production
@@ -36,10 +40,12 @@ import repro.mmu.mmap_region
 
 from .freepool import ReferenceFreePool
 from .page_table import ReferencePageTable
+from .sparse_pages import ReferenceSparsePages
 from .walk import assert_reference_walk, reference_walk
 
-__all__ = ["ReferenceFreePool", "ReferencePageTable", "assert_reference_built",
-           "assert_reference_walk", "reference_structures", "reference_walk"]
+__all__ = ["ReferenceFreePool", "ReferencePageTable", "ReferenceSparsePages",
+           "assert_reference_built", "assert_reference_walk",
+           "reference_structures", "reference_walk"]
 
 #: every module global that constructs a free pool or a page table
 _PATCHES = (

@@ -272,6 +272,27 @@ class TestJournalRegion:
     def test_zero_entry_unpacks_none(self):
         assert JournalEntry.unpack(b"\x00" * ENTRY_BYTES) is None
 
+    @pytest.mark.parametrize("raw, expect", [
+        (b"", CorruptionError),
+        (b"\x01" * 10, CorruptionError),
+        (b"\x01" * 27, CorruptionError),
+        (b"\x01" * 28, CorruptionError),
+        (b"\x01" * (ENTRY_BYTES - 1), CorruptionError),
+        (b"\x01" * (ENTRY_BYTES + 1), CorruptionError),
+        (JournalEntry(TYPE_DATA, 1, 7, 0x2000, b"undo").pack(), JournalEntry),
+        (bytes(ENTRY_BYTES), None),
+    ], ids=["0", "10", "27", "28", "63", "65", "valid", "zeros"])
+    def test_unpack_fails_closed_on_any_other_length(self, raw, expect):
+        """A record is exactly one entry long: anything else raises the
+        typed error before a field is read, never ``struct.error``."""
+        if expect is CorruptionError:
+            with pytest.raises(CorruptionError, match="bytes, not"):
+                JournalEntry.unpack(raw)
+        elif expect is None:
+            assert JournalEntry.unpack(raw) is None
+        else:
+            assert JournalEntry.unpack(raw).txn_id == 7
+
     def test_garbage_type_rejected(self):
         raw = bytearray(ENTRY_BYTES)
         raw[0] = 0x7F

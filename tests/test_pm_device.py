@@ -1,12 +1,18 @@
 """PM device tests: data path, persistence semantics, crash images."""
 
+import random
+
 import pytest
 
 from repro.clock import make_context
 from repro.errors import PMError
 from repro.params import BASE_PAGE, CACHELINE, MIB
-from repro.pm.device import PMDevice
+from repro.pm.device import _MAX_SEGMENTS, PMDevice, _SparsePages
 from repro.pm.numa import NumaTopology
+from repro.pm.zeros import Zeros
+from repro.snapshot.codec import encode
+
+from .oracles import ReferenceSparsePages
 
 
 class TestDataPath:
@@ -164,8 +170,10 @@ def _payload(pages: int, at: int = 0) -> bytes:
 
 
 class TestPayloadAliasing:
-    """Pages a ``bytes`` write covers in full reference the writer's
-    object; a read of exactly that object's span returns it."""
+    """A ``bytes`` write of any length is referenced by the pages it
+    lands on (a page it covers in full is a one-segment page, the
+    "view page" of these names); a read of exactly that object's span
+    returns it."""
 
     ADDR = 3 * BASE_PAGE + 100          # a partial head and tail page
 
@@ -296,6 +304,158 @@ class TestPayloadAliasing:
         restored = decode(blob)
         assert restored.load(self.ADDR, len(data)) == data
         restored.store(self.ADDR + BASE_PAGE, b"restored pages are mutable")
+
+    def test_an_object_under_a_page_is_returned_at_its_span(self):
+        for addr in (BASE_PAGE + 40, 2 * BASE_PAGE - 60):   # one page, two
+            dev = PMDevice(1 * MIB)
+            data = bytes(range(100))
+            dev.store(addr, data)
+            assert dev.load(addr, 100) is data
+            assert dev.load(addr, 99) == data[:99]
+            dev.store(addr + 100, b"after")               # next to it
+            dev.store(addr - 5, b"front")
+            assert dev.load(addr, 100) is data
+            dev.store(addr + 50, b"!")                    # inside it
+            got = dev.load(addr, 100)
+            assert got is not data
+            assert got == data[:50] + b"!" + data[51:]
+            dev.store(addr + 50, data[50:51])
+            assert dev.load(addr, 100) == data
+
+    def test_a_mutable_write_beside_an_object_copies_its_page(self):
+        dev = PMDevice(1 * MIB)
+        data = bytes(range(100))
+        dev.store(BASE_PAGE + 40, data)
+        dev.store(BASE_PAGE + 300, bytearray(b"mutable"))
+        assert dev.load(BASE_PAGE + 40, 100) == data
+        assert dev.load(BASE_PAGE + 40, 100) is not data
+        assert dev.load(BASE_PAGE + 300, 7) == b"mutable"
+
+    def test_a_page_past_the_segment_limit_is_materialized(self):
+        dev = PMDevice(1 * MIB)
+        objs = [bytes([i + 1]) * 10 for i in range(_MAX_SEGMENTS + 1)]
+        for i, obj in enumerate(objs[:-1]):
+            dev.store(BASE_PAGE + 20 * i, obj)
+        assert type(dev._store._pages[1]) is tuple
+        dev.store(BASE_PAGE + 20 * _MAX_SEGMENTS, objs[-1])
+        assert type(dev._store._pages[1]) is bytearray
+        assert dev.materialized_bytes == BASE_PAGE
+        for i, obj in enumerate(objs):
+            got = dev.load(BASE_PAGE + 20 * i, 20)
+            assert got == obj + bytes(10)
+
+    def test_a_write_punches_every_segment_it_overlaps(self):
+        # segments that straddle the write's start, sit inside it,
+        # straddle its end, and cover it with both ends left over
+        dev = PMDevice(1 * MIB)
+        parts = [bytes([c]) * 100 for c in b"ABCD"]
+        for i, part in enumerate(parts):
+            dev.store(1000 + 100 * i, part)
+        dev.store(1050, b"x" * 200)               # into A, over B, into C
+        assert dev.load(1000, 400) == (b"A" * 50 + b"x" * 200 + b"C" * 50
+                                       + b"D" * 100)
+        dev.store(1320, b"y" * 10)                # the middle of D
+        dev.write_zeros(1350, 10)
+        assert dev.load(1300, 100) == (b"D" * 20 + b"y" * 10 + b"D" * 20
+                                       + bytes(10) + b"D" * 40)
+        assert dev.load(0, 1000) == bytes(1000)
+        assert dev.load(1400, 100) == bytes(100)
+
+
+def _oracle_stream(ref: ReferenceSparsePages) -> bytes:
+    """The snapshot stream of the view-page store: its view pages as the
+    bytearrays they stand for, without the alias registry."""
+    shell = _SparsePages.__new__(_SparsePages)
+    for name, value in ref.__dict__.items():
+        if name == "_alias":
+            continue
+        if name == "_pages":
+            value = {k: bytearray(v) if type(v) is memoryview else v
+                     for k, v in value.items()}
+        shell.__dict__[name] = value
+    return encode(shell)
+
+
+#: the store the differential runs on: few pages, so writes overlap
+DIFF_PAGES = 12
+
+
+class TestAgainstViewPageOracle:
+    """The segment-page store against the view-page store it replaced
+    (``tests/oracles/sparse_pages.py``), over seeded operation mixes:
+    the same bytes read back, the same pages in the same order, the same
+    ``materialized_bytes`` and the same snapshot stream (which pins the
+    single-page write cache).  A read of exactly the span a ``bytes``
+    object was written to is that object until a write overlaps it, as
+    long as every page it spans is still a segment page."""
+
+    @staticmethod
+    def _span(rng):
+        kind = rng.randrange(5)
+        if kind >= 3:       # small, packed into one page: many segments
+            return rng.randrange(BASE_PAGE // 4), rng.randint(1, 24), True
+        if kind == 0:                                   # sub-page
+            length = rng.randint(1, 300)
+            addr = rng.randrange(DIFF_PAGES * BASE_PAGE - length)
+        elif kind == 1:                                 # page-aligned
+            pages = rng.randint(1, 3)
+            addr = rng.randrange(DIFF_PAGES - pages + 1) * BASE_PAGE
+            length = pages * BASE_PAGE
+        else:                                           # crosses pages
+            length = rng.randint(BASE_PAGE // 2, 3 * BASE_PAGE)
+            addr = rng.randrange(DIFF_PAGES * BASE_PAGE - length)
+        return addr, length, False
+
+    @pytest.mark.parametrize("seed", range(16))
+    def test_seeded_differential(self, seed):
+        rng = random.Random(seed)
+        size = DIFF_PAGES * BASE_PAGE
+        store, ref = _SparsePages(size), ReferenceSparsePages(size)
+        live = []                       # (addr, obj) of intact bytes writes
+        for step in range(300):
+            op = rng.random()
+            addr, length, small = self._span(rng)
+            if op < 0.75:
+                fill = rng.randrange(256)
+                raw = bytes((fill + i) % 256 for i in range(length))
+                kind = "bytes" if small else rng.choice((
+                    "bytes", "bytes", "bytes", "bytearray", "memoryview",
+                    "zeros"))
+                data = {"bytes": raw, "bytearray": bytearray(raw),
+                        "memoryview": memoryview(raw),
+                        "zeros": Zeros(length)}[kind]
+                store.write(addr, data)
+                ref.write(addr, data)
+            elif op < 0.85:
+                store.write_zeros(addr, length)
+                ref.write_zeros(addr, length)
+            elif op < 0.97:
+                assert store.read(addr, length) == ref.read(addr, length)
+                continue
+            else:
+                store, ref = store.clone(), ref.clone()
+                assert all(type(page) is bytearray
+                           for page in store._pages.values())
+                live = []
+                continue
+            live = [(a, obj) for a, obj in live
+                    if a + len(obj) <= addr or a >= addr + length]
+            if op < 0.75 and kind == "bytes":
+                live.append((addr, data))
+            assert list(store._pages) == list(ref._pages), step
+            assert store.materialized_bytes() == ref.materialized_bytes()
+            for a, obj in live:
+                got = store.read(a, len(obj))
+                assert got == ref.read(a, len(obj)) == obj
+                pages = range(a // BASE_PAGE, (a + len(obj) - 1) // BASE_PAGE
+                              + 1)
+                if all(type(store._pages[p]) is tuple for p in pages):
+                    assert got is obj, (step, a, len(obj))
+            if step % 10 == 0:
+                assert encode(store) == _oracle_stream(ref), step
+        for addr in range(0, size, 1000):
+            assert store.read(addr, 1500) == ref.read(addr, 1500)
+        assert encode(store) == _oracle_stream(ref)
 
 
 class TestEpochCapture:

@@ -1184,6 +1184,21 @@ def test_get_returns_the_put_object_on_a_hugepage_mapped_shard():
     assert _scan_storage(live).get("t", ids[2]) is keep
 
 
+def test_get_returns_the_put_object_under_a_page():
+    """Below 4 KiB too: a 100-byte payload on a shard mapped as one
+    physical run is held by reference, and ``get`` returns the very
+    object ``put`` was given, next to other records in the same page."""
+    live = make_fs_storage("WineFS")
+    small = bytes(range(100))
+    before, obj_id, after = (live.put("t", small[:50]), live.put("t", small),
+                             live.put("t", small[::-1]))
+    (shard,) = live._tenants["t"].shards
+    assert len(shard.region._segments(0, shard.size)) == 1
+    assert live.get("t", obj_id) is small
+    assert live.get("t", before) == small[:50]
+    assert live.get("t", after) == small[::-1]
+
+
 def _crash_points(device, verb):
     """Run *verb* under store capture; yield one crash image per fence
     it issued — taken the instant before the fence retired, once with
