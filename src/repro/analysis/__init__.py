@@ -2,12 +2,13 @@
 
 ``repro lint`` parses ``src/repro`` once and runs every rule over the
 ASTs in one pass (see :mod:`repro.analysis.rules`): the per-file rules
-— determinism, persistence-ordering, lock-discipline, array-kernel
-containment — the cross-file snapshot-whitelist drift and metric/span-
-name registry checks, and the interprocedural layer
-(:mod:`repro.analysis.flow`), a project-wide call graph feeding three
-summary-based checkers — persist-before-commit, lock-order-cycle and
-degraded-write-guard — whose findings carry witness call chains.
+— determinism and array-kernel containment — the cross-file
+snapshot-whitelist drift and metric/span-name registry checks, and the
+flow layer (:mod:`repro.analysis.flow`), a project-wide call graph
+whose IR feeds five checkers: the intra-procedural persistence-ordering
+and lock-discipline, and the summary-based persist-before-commit,
+lock-order-cycle and degraded-write-guard, whose findings carry witness
+call chains.
 
 A finding is accepted only by an inline ``# repro: allow[rule-id]
 <why>`` next to the code; any other error-severity finding fails the

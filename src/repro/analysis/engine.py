@@ -4,7 +4,7 @@ One parse per file; every rule sees the same :class:`FileContext`.
 Rules come in two shapes:
 
 * :class:`FileRule` — looks at one file in isolation and returns
-  findings directly (determinism, persistence-ordering, lock-discipline).
+  findings directly (determinism, array-kernel containment).
 * :class:`ProjectRule` — records JSON-serializable *facts* per file,
   then ``finalize()`` crosses file boundaries once every file has been
   seen (snapshot-whitelist drift, metric-name registry resolution, the
@@ -234,16 +234,13 @@ class ProjectRule:
 
 
 def default_rules() -> Tuple[List[FileRule], List[ProjectRule]]:
-    """Every rule ``repro lint`` runs: four per-file, three project-wide."""
+    """Every rule ``repro lint`` runs: two per-file, three project-wide."""
     from .flow import FlowAnalysis
     from .rules.array_state import ArrayStateRule
     from .rules.determinism import DeterminismRule
-    from .rules.locks import LockDisciplineRule
     from .rules.metric_names import MetricNamesRule
-    from .rules.persistence import PersistenceOrderingRule
     from .rules.snapshot import SnapshotWhitelistRule
-    return ([DeterminismRule(), PersistenceOrderingRule(),
-             LockDisciplineRule(), ArrayStateRule()],
+    return ([DeterminismRule(), ArrayStateRule()],
             [SnapshotWhitelistRule(), MetricNamesRule(), FlowAnalysis()])
 
 

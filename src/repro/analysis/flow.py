@@ -19,16 +19,18 @@ member upholds it.  Constructor calls resolve the same way
 (``C(...)`` targets the ``__init__`` of ``C`` and of every subclass).
 
 Receivers we cannot type (``self._helper.foo()``) resolve to nothing;
-the three flow rules (``persist-before-commit``, ``lock-order-cycle``,
-``degraded-write-guard``) are written so an unresolved call is a no-op,
-which biases the analysis toward false negatives instead of noise —
-see DESIGN.md "Static analysis v2" for the policy.
+the three interprocedural rules (``persist-before-commit``,
+``lock-order-cycle``, ``degraded-write-guard``) are written so an
+unresolved call is a no-op, which biases the analysis toward false
+negatives instead of noise — see DESIGN.md "Static analysis v2" for the
+policy.
 """
 
 from __future__ import annotations
 
 import ast
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import (Dict, Iterable, Iterator, List, Optional, Sequence,
+                    Set, Tuple)
 
 from .engine import (FileContext, ProjectRule, resolve_import_base,
                      strongly_connected)
@@ -302,6 +304,22 @@ def collect_file_facts(ctx: FileContext) -> Dict:
     return _Collector(ctx).run()
 
 
+def ir_nodes(block: List) -> Iterator[List]:
+    """Every node of an IR block and of its nested blocks, in source
+    order (a ``with`` node comes before its items and body)."""
+    for node in block:
+        yield node
+        tag = node[0]
+        if tag in (IF, LOOP, WITH):
+            yield from ir_nodes(node[1])
+            yield from ir_nodes(node[2])
+        elif tag == TRY:
+            yield from ir_nodes(node[1])
+            for handler in node[2]:
+                yield from ir_nodes(handler)
+            yield from ir_nodes(node[3])
+
+
 def namespace_of(base_spec: Sequence[str]) -> Optional[str]:
     """Lock namespace named by one base spec, "?" unknown, None for none."""
     kind, val = base_spec[0], base_spec[1]
@@ -520,25 +538,9 @@ class CallGraph:
             return cached
         info = self.functions[fid]
         out: Set[str] = set()
-
-        def walk(block: List) -> None:
-            for node in block:
-                tag = node[0]
-                if tag == CALL:
-                    out.update(self.resolve_call(info, node[3], node[4]))
-                elif tag == IF or tag == LOOP:
-                    walk(node[1])
-                    walk(node[2])
-                elif tag == TRY:
-                    walk(node[1])
-                    for h in node[2]:
-                        walk(h)
-                    walk(node[3])
-                elif tag == WITH:
-                    walk(node[1])
-                    walk(node[2])
-
-        walk(info.body)
+        for node in ir_nodes(info.body):
+            if node[0] == CALL:
+                out.update(self.resolve_call(info, node[3], node[4]))
         out.discard(fid)
         edges = sorted(out)
         self._edges_cache[fid] = edges
@@ -577,10 +579,11 @@ class CallGraph:
 
 
 class FlowAnalysis(ProjectRule):
-    """Umbrella project rule running the interprocedural checkers.
+    """Umbrella project rule running the checkers that walk the IR.
 
-    One fact-collection pass feeds all three rules; findings carry the
-    individual rule ids (``persist-before-commit``, ``lock-order-cycle``,
+    One fact-collection pass feeds all five; findings carry the
+    individual rule ids (``persist-before-commit``,
+    ``persistence-ordering``, ``lock-order-cycle``, ``lock-discipline``,
     ``degraded-write-guard``) so suppressions stay per-rule.
     """
 
@@ -589,9 +592,11 @@ class FlowAnalysis(ProjectRule):
     def __init__(self, checkers: Optional[List] = None):
         if checkers is None:
             from .rules.flow_guards import DegradedWriteGuard
-            from .rules.flow_locks import LockOrderCycle
-            from .rules.flow_persist import PersistBeforeCommit
-            checkers = [PersistBeforeCommit(), LockOrderCycle(),
+            from .rules.flow_locks import LockDiscipline, LockOrderCycle
+            from .rules.flow_persist import (PersistBeforeCommit,
+                                             PersistenceOrdering)
+            checkers = [PersistBeforeCommit(), PersistenceOrdering(),
+                        LockOrderCycle(), LockDiscipline(),
                         DegradedWriteGuard()]
         self.checkers = checkers
 

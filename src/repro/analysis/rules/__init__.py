@@ -1,15 +1,13 @@
 """The nine codebase-specific lint rules.
 
 Shared AST helpers live here; each rule is one module.  Rule ids are
-the stable public names used by ``# repro: allow[<id>]`` suppressions:
+the stable public names used by ``# repro: allow[<id>]`` suppressions.
+
+Pattern rules (one file at a time, or cross-file facts):
 
 =====================  =====================================================
 ``determinism``        wall-clock reads, global ``random.*``, ``os.urandom``,
                        ``id()``-keyed sorts, unordered set iteration
-``persistence-ordering``  ``PMDevice.store`` not followed by clwb+sfence on
-                       every path out of the function
-``lock-discipline``    inode-field mutation outside a lock acquisition;
-                       acquire sites with unregistered lock namespaces
 ``snapshot-whitelist``  persisted-graph module missing from the snapshot
                        codec whitelist
 ``metric-names``       counter/gauge/span names absent from repro.obs.names
@@ -18,14 +16,18 @@ the stable public names used by ``# repro: allow[<id>]`` suppressions:
                        sanctioned kernel modules
 =====================  =====================================================
 
-Interprocedural rules (modules ``flow_*``, run through
+Rules on the flow IR (modules ``flow_*``, run through
 :class:`repro.analysis.flow.FlowAnalysis`):
 
 =========================  =================================================
 ``persist-before-commit``  a PM store must reach persist()/clwb+sfence on
                            every path before a journal commit
+``persistence-ordering``   ``PMDevice.store`` not followed by clwb+sfence on
+                           every path out of the function (calls opaque)
 ``lock-order-cycle``       cycle in the global lock-namespace acquisition
                            order graph (witness call chain attached)
+``lock-discipline``        inode-field mutation outside a lock acquisition;
+                           acquire sites with unregistered lock namespaces
 ``degraded-write-guard``   mutating FileSystem entry point can mutate state
                            before ``_check_writable()``
 =========================  =================================================
@@ -34,7 +36,7 @@ Interprocedural rules (modules ``flow_*``, run through
 from __future__ import annotations
 
 import ast
-from typing import Iterator, List, Optional, Tuple
+from typing import List, Optional
 
 
 def dotted(node: ast.AST) -> Optional[str]:
@@ -47,20 +49,6 @@ def dotted(node: ast.AST) -> Optional[str]:
         parts.append(node.id)
         return ".".join(reversed(parts))
     return None
-
-
-def walk_functions(tree: ast.Module) -> Iterator[Tuple[str, ast.AST]]:
-    """Yield (qualname, node) for every function/method, outermost first."""
-    def visit(node: ast.AST, prefix: str) -> Iterator[Tuple[str, ast.AST]]:
-        for child in ast.iter_child_nodes(node):
-            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                qual = f"{prefix}.{child.name}" if prefix else child.name
-                yield qual, child
-                yield from visit(child, qual)
-            elif isinstance(child, ast.ClassDef):
-                qual = f"{prefix}.{child.name}" if prefix else child.name
-                yield from visit(child, qual)
-    yield from visit(tree, "")
 
 
 def enclosing_qualnames(tree: ast.Module) -> "dict[int, str]":

@@ -34,6 +34,7 @@ from typing import Dict, List, Optional, Set, Tuple
 
 from ..findings import Finding
 from ..flow import ASGN, CALL, IF, LOOP, RAISE, RET, TRY, WITH, CallGraph, FuncInfo
+from .flow_persist import _is_device
 
 Hop = Tuple[str, str, int]
 
@@ -47,18 +48,9 @@ MUTATING_OPS = frozenset({
 _ROOT_CLASS = "FileSystem"
 _ENTRY_MODULE_PREFIXES = ("repro.fs", "repro.core", "repro.vfs")
 _INIT_FNS = {"__init__", "__post_init__", "__new__"}
-_DEVICE_SEGMENTS = ("device", "dev", "pm", "pmem")
 _DEVICE_WRITE_FNS = {"store", "persist", "write_zeros"}
 _CHECK_FNS = {"_check_writable"}
 _MAX_SCC_ITER = 5
-
-
-def _is_device(recv: str) -> bool:
-    for seg in recv.lower().split("."):
-        seg = seg.lstrip("_")
-        if any(d in seg for d in _DEVICE_SEGMENTS):
-            return True
-    return False
 
 
 class Summary:

@@ -1,4 +1,4 @@
-"""lock-order-cycle: the global lock-order graph must stay acyclic.
+"""Lock rules on the flow IR: ``lock-order-cycle`` and ``lock-discipline``.
 
 Deadlock freedom in the simulator rests on a global acquisition order
 between lock *namespaces* (the part of a lock name before the ``:`` —
@@ -21,9 +21,24 @@ edges: unresolvable locking biases to false negatives, not noise.
 reservations, not held locks, so they cannot participate in a deadlock
 cycle.
 
-A separate warning-severity finding flags acquire sites whose namespace
-resolves to a name missing from ``LOCK_NAMESPACES``: a renamed lock
-family must be registered or it silently leaves every discipline check.
+``lock-discipline`` has two halves.  The cycle walk flags, at warning
+severity, acquire sites whose namespace resolves to a name missing from
+``LOCK_NAMESPACES``: a renamed lock family must be registered or it
+silently leaves every discipline check.  :class:`LockDiscipline` flags
+writes to shared inode fields outside any lock acquisition in
+``repro.fs`` / ``repro.vfs``.  The per-inode protocol there is
+``ctx.locks.acquire(inode.lock_name, ctx.cpu)`` ... ``finally:
+ctx.locks.release(...)``, and an unserialised write is a lost update
+waiting for an interleaving to expose it.  The check approximates
+acquire-dominance: a write is protected if *some* acquisition (a
+``*.locks.acquire(...)`` call, or a ``with`` whose context-manager call
+names a lock) sits at an earlier or the same line of the function.
+Functions that run strictly single-threaded (``mkfs``/``mount``/
+``unmount``/``recover*``/constructors) are exempt.  Deliberately
+unlocked sites (fault handlers that piggyback on the caller's VFS-level
+lock) take ``# repro: allow[lock-discipline]`` with a justification
+rather than a new lock: an added acquisition changes LockManager wait
+accounting and perturbs bit-identical simulated timings.
 """
 
 from __future__ import annotations
@@ -31,7 +46,8 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Set, Tuple
 
 from ..findings import Finding
-from ..flow import ASGN, CALL, IF, LOOP, RAISE, RET, TRY, WITH, CallGraph, FuncInfo
+from ..flow import (ASGN, CALL, IF, LOOP, RAISE, RET, TRY, WITH, CallGraph,
+                    FuncInfo, ir_nodes)
 
 Hop = Tuple[str, str, int]
 
@@ -39,6 +55,7 @@ _MAX_SCC_ITER = 5
 
 
 def _registered_namespaces() -> Set[str]:
+    """Lock namespaces from repro.clock's registry (the source of truth)."""
     try:
         from repro.clock import LOCK_NAMESPACES
         return set(LOCK_NAMESPACES)
@@ -173,26 +190,9 @@ class LockOrderCycle:
 
 def _own_acquires(graph: CallGraph, info: FuncInfo) -> Set[str]:
     out: Set[str] = set()
-
-    def walk(block: List) -> None:
-        for node in block:
-            tag = node[0]
-            if tag == CALL:
-                if node[4] == "acquire":
-                    out.update(graph.resolve_lock_namespaces(info, node[5]))
-            elif tag in (IF, LOOP):
-                walk(node[1])
-                walk(node[2])
-            elif tag == TRY:
-                walk(node[1])
-                for h in node[2]:
-                    walk(h)
-                walk(node[3])
-            elif tag == WITH:
-                walk(node[1])
-                walk(node[2])
-
-    walk(info.body)
+    for node in ir_nodes(info.body):
+        if node[0] == CALL and node[4] == "acquire":
+            out.update(graph.resolve_lock_namespaces(info, node[5]))
     return out
 
 
@@ -230,53 +230,17 @@ class _AcquireChains:
         return out
 
     def _direct_site(self, info: FuncInfo, ns: str) -> Optional[int]:
-        found: List[int] = []
-
-        def walk(block: List) -> None:
-            for node in block:
-                tag = node[0]
-                if tag == CALL and node[4] == "acquire":
-                    if ns in self.graph.resolve_lock_namespaces(info, node[5]):
-                        found.append(node[1])
-                elif tag in (IF, LOOP):
-                    walk(node[1])
-                    walk(node[2])
-                elif tag == TRY:
-                    walk(node[1])
-                    for h in node[2]:
-                        walk(h)
-                    walk(node[3])
-                elif tag == WITH:
-                    walk(node[1])
-                    walk(node[2])
-
-        walk(info.body)
-        return found[0] if found else None
+        for node in ir_nodes(info.body):
+            if node[0] == CALL and node[4] == "acquire" and \
+                    ns in self.graph.resolve_lock_namespaces(info, node[5]):
+                return node[1]
+        return None
 
     def _calls_in_order(self, info: FuncInfo) -> List[Tuple[int, str]]:
-        out: List[Tuple[int, str]] = []
-
-        def walk(block: List) -> None:
-            for node in block:
-                tag = node[0]
-                if tag == CALL:
-                    for callee in self.graph.resolve_call(info, node[3],
-                                                          node[4]):
-                        out.append((node[1], callee))
-                elif tag in (IF, LOOP):
-                    walk(node[1])
-                    walk(node[2])
-                elif tag == TRY:
-                    walk(node[1])
-                    for h in node[2]:
-                        walk(h)
-                    walk(node[3])
-                elif tag == WITH:
-                    walk(node[1])
-                    walk(node[2])
-
-        walk(info.body)
-        return out
+        return [(node[1], callee) for node in ir_nodes(info.body)
+                if node[0] == CALL
+                for callee in self.graph.resolve_call(info, node[3],
+                                                      node[4])]
 
 
 class _HeldWalker:
@@ -390,3 +354,66 @@ class _HeldWalker:
                         self.edges.append(
                             _Edge(h, ns, (hop,) + chain, self.info.qual))
         return held
+
+
+#: shared inode fields whose writes must be serialised
+_PROTECTED_FIELDS = {
+    "size", "nlink", "written_hwm", "parent_ino", "aligned_hint",
+    "owner_cpu", "xattrs", "gen",
+}
+_DISCIPLINE_SCOPES = ("repro.fs", "repro.vfs")
+#: functions that run before/after any concurrency exists
+_EXEMPT = {"mkfs", "mount", "unmount", "umount", "__init__",
+           "__post_init__", "__repr__"}
+
+
+def _is_acquire(node: List, known: Set[str]) -> bool:
+    """``x.acquire(...)`` on a lock-named receiver or a registered name."""
+    recv, fn, lockspec = node[3], node[4], node[5]
+    if fn != "acquire" or not recv:
+        return False
+    if "lock" in recv.lower():
+        return True
+    if not lockspec or lockspec[0][0] not in ("lit", "fstr"):
+        return False
+    return lockspec[0][1].split(":", 1)[0] in known
+
+
+class LockDiscipline:
+    id = "lock-discipline"
+
+    def check(self, graph: CallGraph) -> List[Finding]:
+        known = _registered_namespaces()
+        findings: List[Finding] = []
+        for fid in sorted(graph.functions):
+            info = graph.functions[fid]
+            if not info.module.startswith(_DISCIPLINE_SCOPES) or \
+                    info.name in _EXEMPT or \
+                    info.name.startswith(("recover", "_recover", "mkfs",
+                                          "_mkfs")):
+                continue
+            nodes = list(ir_nodes(info.body))
+            acquires = [node[1] for node in nodes
+                        if node[0] == CALL and _is_acquire(node, known)]
+            acquires += [item[1] for node in nodes if node[0] == WITH
+                         for item in node[1]
+                         if "lock" in f"{item[3]}.{item[4]}".lower()]
+            first = min(acquires, default=None)
+            seen: Set[int] = set()
+            for node in nodes:
+                if node[0] != ASGN:
+                    continue
+                line, col, recv, field = node[1], node[2], node[3], node[4]
+                if field not in _PROTECTED_FIELDS or line in seen or \
+                        "inode" not in recv.lower() or \
+                        (first is not None and line >= first):
+                    continue
+                seen.add(line)
+                findings.append(Finding(
+                    rule=self.id, path=info.relpath, line=line, col=col,
+                    message=(f"mutation of {recv}.{field} outside any lock "
+                             "acquisition"),
+                    hint="acquire the inode lock first, or allow-comment "
+                         "with the reason this site is single-threaded",
+                    qualname=info.qual, detail=f"{recv}.{field}"))
+        return findings

@@ -105,13 +105,6 @@ LOCK_NAMESPACES: Dict[str, str] = {
 }
 
 
-def register_lock_namespace(namespace: str, description: str) -> None:
-    """Register a lock-name namespace (idempotent; used by extensions)."""
-    if not namespace or ":" in namespace:
-        raise SimulationError(f"invalid lock namespace: {namespace!r}")
-    LOCK_NAMESPACES.setdefault(namespace, description)
-
-
 def lock_namespace_of(name: str) -> str:
     """Namespace of a concrete lock name (text before the first ``:``)."""
     return name.split(":", 1)[0]

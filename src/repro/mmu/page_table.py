@@ -49,10 +49,6 @@ class PageTable:
         #: generations instead of revalidating against the dicts
         self.generation = 0
 
-    @staticmethod
-    def _huge_index(virt_page: int) -> int:
-        return virt_page // _PAGES_PER_HUGE
-
     def is_mapped(self, virt_page: int) -> bool:
         return (virt_page // _PAGES_PER_HUGE in self._huge
                 or virt_page in self._base)

@@ -53,12 +53,6 @@ class NumaTopology:
             raise SimulationError(f"PM address {addr:#x} out of range")
         return addr // self.bytes_per_node
 
-    def node_addr_range(self, node: int) -> range:
-        if not 0 <= node < self.nodes:
-            raise SimulationError(f"node {node} out of range")
-        start = node * self.bytes_per_node
-        return range(start, start + self.bytes_per_node)
-
     def cpus_of_node(self, node: int) -> List[int]:
         if not 0 <= node < self.nodes:
             raise SimulationError(f"node {node} out of range")

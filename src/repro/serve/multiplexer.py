@@ -70,9 +70,6 @@ class ObjStorageMultiplexer(ObjStorage):
         """The backend index *tenant* maps to (stable across runs)."""
         return zlib.crc32(tenant.encode("utf-8")) % len(self.backends)
 
-    def backend_for(self, tenant: str) -> ObjStorage:
-        return self.backends[self.route(tenant)]
-
     # -- admission ----------------------------------------------------------
 
     def advance(self, arrival_ns: float) -> None:
@@ -154,6 +151,3 @@ class ObjStorageMultiplexer(ObjStorage):
     def attach_telemetry(self, telemetry) -> None:
         for backend in self.backends:
             backend.attach_telemetry(telemetry)
-
-    def queue_high_water(self, idx: int) -> int:
-        return self._queue_high_water[idx]

@@ -41,12 +41,6 @@ class MicrobenchResult:
         return self.fault_ns / self.elapsed_ns if self.elapsed_ns else 0.0
 
 
-def _fresh_counters(ctx: SimContext):
-    from ..clock import EventCounters
-    snap = ctx.counters
-    return snap
-
-
 def mmap_rw_benchmark(fs: FileSystem, ctx: SimContext, *,
                       file_size: int = 256 * MIB,
                       io_size: int = 2 * MIB,

@@ -10,7 +10,9 @@ named test still passes, or is gone: the net has a hole).
 
 Each mutated tree is also linted, and the table printed at the end says
 which ``repro lint`` rule, if any, reports the entry — the evidence for
-keeping or cutting an analyzer rule (ROADMAP items 4c / 7b).
+keeping or cutting an analyzer rule.  An entry's optional ``lint`` field
+pins that column (absent means no rule): a different rule set fails the
+run too.
 
     python tests/run_mutations.py [substring of an entry name ...]
 """
@@ -69,6 +71,8 @@ def main(argv: list) -> int:
                 verdict = "killed" if not survived else \
                     f"SURVIVED {' '.join(survived)}"
                 rules = lint_rules(tree, env)
+                if rules != entry.get("lint", []) and verdict == "killed":
+                    verdict = f"LINT {', '.join(rules) or '-'} != recorded"
                 with open(path, "w", encoding="utf-8") as fh:
                     fh.write(original)
             failed += verdict != "killed"

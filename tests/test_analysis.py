@@ -13,18 +13,19 @@ from __future__ import annotations
 
 import json
 import os
+import shutil
 import textwrap
 
 import pytest
 
 from repro.analysis import FileContext, default_rules, run_lint
 from repro.analysis.engine import derive_module, scan_suppressions
-from repro.analysis.flow import FlowAnalysis
+from repro.analysis.flow import CallGraph, FlowAnalysis, collect_file_facts
 from repro.analysis.rules.array_state import ArrayStateRule
 from repro.analysis.rules.determinism import DeterminismRule
-from repro.analysis.rules.locks import LockDisciplineRule
+from repro.analysis.rules.flow_locks import LockDiscipline
+from repro.analysis.rules.flow_persist import PersistenceOrdering
 from repro.analysis.rules.metric_names import MetricNamesRule
-from repro.analysis.rules.persistence import PersistenceOrderingRule
 from repro.analysis.rules.snapshot import SnapshotWhitelistRule
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -37,7 +38,10 @@ def ctx_for(source: str, module: str = "repro.fixture",
 
 
 def rule_hits(rule, source: str, module: str = "repro.fixture"):
+    """A per-file rule's findings, or a flow checker's over a one-file graph."""
     ctx = ctx_for(source, module=module)
+    if hasattr(rule, "check"):
+        return rule.check(CallGraph({ctx.relpath: collect_file_facts(ctx)}))
     return rule.run(ctx)
 
 
@@ -113,7 +117,7 @@ def test_determinism_flags_set_comprehension_iteration():
 
 
 def test_persistence_flags_store_without_flush():
-    hits = rule_hits(PersistenceOrderingRule(), """
+    hits = rule_hits(PersistenceOrdering(), """
         def write(self, addr, data, ctx):
             self.device.store(addr, data, ctx)
             return len(data)
@@ -123,7 +127,7 @@ def test_persistence_flags_store_without_flush():
 
 
 def test_persistence_flags_clwb_without_sfence():
-    hits = rule_hits(PersistenceOrderingRule(), """
+    hits = rule_hits(PersistenceOrdering(), """
         def write(self, addr, data, ctx):
             self.device.store(addr, data, ctx)
             self.device.clwb(addr, len(data), ctx)
@@ -147,12 +151,12 @@ def test_persistence_accepts_full_sequence_and_persist():
                 self.device.clwb(addr, len(data), ctx)
             self.device.sfence(ctx)
     """
-    assert rule_hits(PersistenceOrderingRule(), source,
+    assert rule_hits(PersistenceOrdering(), source,
                      module="repro.core.fixture") == []
 
 
 def test_persistence_flags_unflushed_branch():
-    hits = rule_hits(PersistenceOrderingRule(), """
+    hits = rule_hits(PersistenceOrdering(), """
         def write(self, addr, data, ctx, flush):
             self.device.store(addr, data, ctx)
             if flush:
@@ -168,13 +172,13 @@ def test_persistence_ignores_raise_paths_and_other_modules():
             self.device.store(addr, data, ctx)
             raise IOError("torn")
     """
-    assert rule_hits(PersistenceOrderingRule(), crash,
+    assert rule_hits(PersistenceOrdering(), crash,
                      module="repro.core.fixture") == []
     unflushed = """
         def write(self, addr, data, ctx):
             self.device.store(addr, data, ctx)
     """
-    assert rule_hits(PersistenceOrderingRule(), unflushed,
+    assert rule_hits(PersistenceOrdering(), unflushed,
                      module="repro.mmu.fixture") == []
 
 
@@ -183,7 +187,7 @@ def test_persistence_ignores_raise_paths_and_other_modules():
 
 
 def test_lock_discipline_flags_unlocked_inode_mutation():
-    hits = rule_hits(LockDisciplineRule(), """
+    hits = rule_hits(LockDiscipline(), """
         def truncate(self, inode, size, ctx):
             inode.size = size
     """, module="repro.fs.fixture")
@@ -202,7 +206,7 @@ def test_lock_discipline_accepts_locked_mutation():
             finally:
                 ctx.locks.release(inode.lock_name, ctx.cpu)
     """
-    assert rule_hits(LockDisciplineRule(), source,
+    assert rule_hits(LockDiscipline(), source,
                      module="repro.vfs.fixture") == []
 
 
@@ -217,7 +221,7 @@ def test_lock_discipline_exempts_single_threaded_functions():
         def __init__(self, inode):
             inode.owner_cpu = 0
     """
-    assert rule_hits(LockDisciplineRule(), source,
+    assert rule_hits(LockDiscipline(), source,
                      module="repro.fs.fixture") == []
 
 
@@ -226,9 +230,9 @@ def test_lock_discipline_scoped_to_fs_and_vfs():
         def poke(inode):
             inode.size = 1
     """
-    assert rule_hits(LockDisciplineRule(), source,
+    assert rule_hits(LockDiscipline(), source,
                      module="repro.core.fixture") == []
-    assert len(rule_hits(LockDisciplineRule(), source,
+    assert len(rule_hits(LockDiscipline(), source,
                          module="repro.vfs.fixture")) == 1
 
 
@@ -603,7 +607,7 @@ def split_rule_sets():
     file_rules, project_rules = default_rules()
     flow = [r for r in project_rules if isinstance(r, FlowAnalysis)]
     rest = [r for r in project_rules if not isinstance(r, FlowAnalysis)]
-    assert len(flow) == 1 and len(rest) == 2 and len(file_rules) == 4
+    assert len(flow) == 1 and len(rest) == 2 and len(file_rules) == 2
     return (file_rules, rest), ([], flow)
 
 
@@ -704,6 +708,27 @@ def test_acceptance_dropped_sfence_in_filesystem_fails_lint(tmp_path):
     (pkg / "base.py").write_text(mutated)
     result = run_lint([str(pkg / "base.py")], root=str(tmp_path))
     assert any(f.rule == "persistence-ordering" for f in result.findings)
+
+
+with open(os.path.join(REPO_ROOT, "tests", "mutations", "corpus.json"),
+          encoding="utf-8") as _fh:
+    LINTED_CORPUS = [e for e in json.load(_fh)["mutations"] if "lint" in e]
+
+
+@pytest.mark.parametrize("entry", LINTED_CORPUS, ids=lambda e: e["name"])
+def test_corpus_lint_column(entry, tmp_path):
+    """The rule ids ``repro lint`` reports with a corpus entry applied to
+    ``src/`` are the entry's recorded ``lint`` column."""
+    shutil.copytree(SRC_REPRO, tmp_path / "src" / "repro",
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    path = tmp_path / entry["file"]
+    text = path.read_text(encoding="utf-8")
+    assert text.count(entry["find"]) == 1
+    path.write_text(text.replace(entry["find"], entry["replace"]),
+                    encoding="utf-8")
+    result = run_lint([str(tmp_path / "src" / "repro")], root=str(tmp_path))
+    assert result.errors == []
+    assert sorted({f.rule for f in result.findings}) == entry["lint"]
 
 
 def test_lint_runtime_budget():
