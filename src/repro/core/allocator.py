@@ -103,44 +103,38 @@ class AlignmentAwareAllocator:
         """
         if nblocks <= 0:
             raise SimulationError("allocation must be positive")
-        if ctx.trace.enabled:
-            with ctx.trace.span(ctx, "alloc", blocks=nblocks):
-                return self._alloc(nblocks, ctx, want_aligned=want_aligned)
-        return self._alloc(nblocks, ctx, want_aligned=want_aligned)
-
-    def _alloc(self, nblocks: int, ctx: SimContext, *,
-               want_aligned: Optional[bool] = None) -> List[Extent]:
-        # inlined ctx.charge (_ALLOC_NS >= 0, single add)
-        ctx.clock._cpu_ns[ctx.cpu] += _ALLOC_NS
-        if self._faults is not None and self._faults.take_enospc(ctx):
-            raise NoSpaceError("injected fault: space exhausted")
-        home = ctx.cpu % self.layout.num_cpus
-        out: List[Extent] = []
-        remaining = nblocks
-        try:
-            # hugepage-sized chunks from aligned pools
-            while remaining >= BLOCKS_PER_HUGEPAGE and \
-                    (want_aligned is None or want_aligned):
-                ext = self._alloc_aligned_chunk(home)
-                if ext is None:
-                    break   # no aligned extent anywhere: fall through to holes
-                out.append(ext)
-                remaining -= BLOCKS_PER_HUGEPAGE
-            # remainder (or everything, when not aligned-eligible) from holes
-            while remaining > 0:
-                take = min(remaining, BLOCKS_PER_HUGEPAGE)
-                ext = self._alloc_hole_chunk(home, take)
-                if ext is None:
-                    raise NoSpaceError(
-                        f"cannot allocate {take} blocks "
-                        f"({self.free_blocks} free, fragmented)")
-                out.append(ext)
-                remaining -= ext.length
-        except NoSpaceError:
-            for ext in out:
-                self.free(ext)
-            raise
-        return out
+        with ctx.trace.span(ctx, "alloc", blocks=nblocks):
+            # inlined ctx.charge (_ALLOC_NS >= 0, single add)
+            ctx.clock._cpu_ns[ctx.cpu] += _ALLOC_NS
+            if self._faults is not None and self._faults.take_enospc(ctx):
+                raise NoSpaceError("injected fault: space exhausted")
+            home = ctx.cpu % self.layout.num_cpus
+            out: List[Extent] = []
+            remaining = nblocks
+            try:
+                # hugepage-sized chunks from aligned pools
+                while remaining >= BLOCKS_PER_HUGEPAGE and \
+                        (want_aligned is None or want_aligned):
+                    ext = self._alloc_aligned_chunk(home)
+                    if ext is None:
+                        break   # no aligned extent anywhere: use holes
+                    out.append(ext)
+                    remaining -= BLOCKS_PER_HUGEPAGE
+                # remainder (or all, when not aligned-eligible) from holes
+                while remaining > 0:
+                    take = min(remaining, BLOCKS_PER_HUGEPAGE)
+                    ext = self._alloc_hole_chunk(home, take)
+                    if ext is None:
+                        raise NoSpaceError(
+                            f"cannot allocate {take} blocks "
+                            f"({self.free_blocks} free, fragmented)")
+                    out.append(ext)
+                    remaining -= ext.length
+            except NoSpaceError:
+                for ext in out:
+                    self.free(ext)
+                raise
+            return out
 
     def _alloc_aligned_chunk(self, home: int) -> Optional[Extent]:
         # the home pool usually satisfies the request; only rank the

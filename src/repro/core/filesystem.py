@@ -199,11 +199,11 @@ class WineFS(BaseFS):
     def attach_fault_plan(self, plan) -> None:
         """Bind a fault plan to the device *and* the live allocator.
 
-        ``device.set_fault_plan`` alone is enough before ``mkfs``/
-        ``mount`` (the allocator picks the plan up when it is built);
-        this also rebinds an allocator that already exists.
+        The device binding alone is enough before ``mkfs``/``mount``
+        (the allocator picks the plan up when it is built); this also
+        rebinds an allocator that already exists.
         """
-        self.device.set_fault_plan(plan)
+        super().attach_fault_plan(plan)
         if self.allocator is not None:
             self.allocator.set_fault_plan(plan)
 
@@ -602,32 +602,24 @@ class WineFS(BaseFS):
         hugepage extents* ("hugepage handling on page faults", §3.6) --
         this is why LMDB-style ftruncate growth still gets hugepages."""
         assert self.allocator is not None
-        if ctx.trace.enabled:
-            with ctx.trace.span(ctx, "fault.alloc", ino=inode.ino,
-                                block=logical_block):
-                self._alloc_for_fault_impl(inode, logical_block, ctx)
-            return
-        self._alloc_for_fault_impl(inode, logical_block, ctx)
-
-    def _alloc_for_fault_impl(self, inode: Inode, logical_block: int,
-                              ctx: SimContext) -> None:
-        assert self.allocator is not None
-        while inode.extents.total_blocks <= logical_block:
-            ext = self.allocator.alloc_aligned_for_fault(
-                ctx.cpu % self.layout.num_cpus)
-            if ext is None:
-                exts = self.allocator.alloc(
-                    min(BLOCKS_PER_HUGEPAGE,
-                        logical_block + 1 - inode.extents.total_blocks),
-                    ctx, want_aligned=False)
-                for e in exts:
-                    inode.extents.append(e)
-            else:
-                inode.extents.append(ext)
-        # zeroing newly allocated space happens at allocation, as NOVA
-        # does
-        ctx.charge(self.machine.pm_write_ns(self.block_size))
-        self._persist_inode(inode, ctx)
+        with ctx.trace.span(ctx, "fault.alloc", ino=inode.ino,
+                            block=logical_block):
+            while inode.extents.total_blocks <= logical_block:
+                ext = self.allocator.alloc_aligned_for_fault(
+                    ctx.cpu % self.layout.num_cpus)
+                if ext is None:
+                    exts = self.allocator.alloc(
+                        min(BLOCKS_PER_HUGEPAGE,
+                            logical_block + 1 - inode.extents.total_blocks),
+                        ctx, want_aligned=False)
+                    for e in exts:
+                        inode.extents.append(e)
+                else:
+                    inode.extents.append(ext)
+            # zeroing newly allocated space happens at allocation, as NOVA
+            # does
+            ctx.charge(self.machine.pm_write_ns(self.block_size))
+            self._persist_inode(inode, ctx)
 
     # ------------------------------------------------------- data path
 
@@ -648,25 +640,18 @@ class WineFS(BaseFS):
         over = data[:overwrite_len]
         if self._range_is_aligned(inode, offset, overwrite_len):
             # data journaling: write data once to the journal, then in place
-            if ctx.trace.enabled:
-                with ctx.trace.span(ctx, "winefs.data_journal",
-                                    ino=inode.ino, size=len(over)):
-                    self._data_journal_write(inode, offset, over, ctx)
-            else:
-                self._data_journal_write(inode, offset, over, ctx)
+            with ctx.trace.span(ctx, "winefs.data_journal",
+                                ino=inode.ino, size=overwrite_len):
+                journal_ns = self.machine.persist_ns(overwrite_len)
+                ctx.charge(journal_ns)
+                ctx.counters.journal_ns += journal_ns
+                ctx.counters.pm_bytes_written += overwrite_len
+                self._write_in_place(inode, offset, over, ctx)
         else:
             self._write_cow(inode, offset, over, ctx)
         tail = data[overwrite_len:]
         if tail:
             self._write_in_place(inode, offset + overwrite_len, tail, ctx)
-
-    def _data_journal_write(self, inode: Inode, offset: int, over: bytes,
-                            ctx: SimContext) -> None:
-        journal_ns = self.machine.persist_ns(len(over))
-        ctx.charge(journal_ns)
-        ctx.counters.journal_ns += journal_ns
-        ctx.counters.pm_bytes_written += len(over)
-        self._write_in_place(inode, offset, over, ctx)
 
     def _range_is_aligned(self, inode: Inode, offset: int,
                           length: int) -> bool:
@@ -763,35 +748,27 @@ class WineFS(BaseFS):
                    ctx: SimContext) -> None:
         """Copy-on-write into fresh unaligned holes (§3.4)."""
         assert self.allocator is not None
-        if ctx.trace.enabled:
-            with ctx.trace.span(ctx, "winefs.cow", ino=inode.ino,
-                                size=len(data)):
-                self._write_cow_impl(inode, offset, data, ctx)
-            return
-        self._write_cow_impl(inode, offset, data, ctx)
-
-    def _write_cow_impl(self, inode: Inode, offset: int, data: bytes,
-                        ctx: SimContext) -> None:
-        assert self.allocator is not None
-        first = offset // self.block_size
-        last = (offset + len(data) - 1) // self.block_size
-        nblocks = last - first + 1
-        new_extents = self._alloc_cow_blocks(nblocks, ctx)
-        head_pad = offset - first * self.block_size
-        tail_end = (last + 1) * self.block_size
-        tail_pad = tail_end - (offset + len(data))
-        copy_bytes = len(data) + head_pad + tail_pad
-        ctx.charge(self.machine.pm_read_ns(head_pad + tail_pad) +
-                   self.machine.persist_ns(copy_bytes))
-        ctx.counters.pm_bytes_written += copy_bytes
-        if self.track_data:
-            old = bytearray(self._read_blocks(inode, first, nblocks))
-            old[head_pad:head_pad + len(data)] = data
-            self._store_extents(new_extents, old)
-        with self._meta_txn(ctx, entries=4, ino=inode.ino):
-            old_extents = inode.extents.replace_logical(first, new_extents)
-            self._persist_inode(inode, ctx)
-        self.allocator.free_all(old_extents, ctx)
+        with ctx.trace.span(ctx, "winefs.cow", ino=inode.ino,
+                            size=len(data)):
+            first = offset // self.block_size
+            last = (offset + len(data) - 1) // self.block_size
+            nblocks = last - first + 1
+            new_extents = self._alloc_cow_blocks(nblocks, ctx)
+            head_pad = offset - first * self.block_size
+            tail_end = (last + 1) * self.block_size
+            tail_pad = tail_end - (offset + len(data))
+            copy_bytes = len(data) + head_pad + tail_pad
+            ctx.charge(self.machine.pm_read_ns(head_pad + tail_pad) +
+                       self.machine.persist_ns(copy_bytes))
+            ctx.counters.pm_bytes_written += copy_bytes
+            if self.track_data:
+                old = bytearray(self._read_blocks(inode, first, nblocks))
+                old[head_pad:head_pad + len(data)] = data
+                self._store_extents(new_extents, old)
+            with self._meta_txn(ctx, entries=4, ino=inode.ino):
+                old_extents = inode.extents.replace_logical(first, new_extents)
+                self._persist_inode(inode, ctx)
+            self.allocator.free_all(old_extents, ctx)
 
     def _alloc_cow_blocks(self, nblocks: int,
                           ctx: SimContext) -> List[Extent]:

@@ -280,23 +280,17 @@ class _Transaction:
     def commit(self, ctx: SimContext) -> None:
         if self.committed:
             raise FSError("double commit")
-        if ctx.trace.enabled:
-            with ctx.trace.span(ctx, "journal.commit", txn=self.txn_id,
-                                entries=self.entries_used):
-                self._commit_impl(ctx)
-            return
-        self._commit_impl(ctx)
-
-    def _commit_impl(self, ctx: SimContext) -> None:
-        journal = self.journal
-        if journal.device.track_stores:
-            journal.append(
-                JournalEntry(TYPE_COMMIT, 0, self.txn_id, 0, b""), ctx)
-        else:
-            journal.append_run(1, ctx)
-        self.committed = True
-        # inlined reclaim_committed: synchronous ops reclaim immediately
-        journal.tail = journal.head
+        with ctx.trace.span(ctx, "journal.commit", txn=self.txn_id,
+                            entries=self.entries_used):
+            journal = self.journal
+            if journal.device.track_stores:
+                journal.append(
+                    JournalEntry(TYPE_COMMIT, 0, self.txn_id, 0, b""), ctx)
+            else:
+                journal.append_run(1, ctx)
+            self.committed = True
+            # inlined reclaim_committed: synchronous ops reclaim immediately
+            journal.tail = journal.head
 
 
 class JournalManager:
@@ -316,22 +310,18 @@ class JournalManager:
               ) -> _Transaction:
         """Start a transaction in the calling CPU's journal (§3.6: it stays
         in that journal even if the thread later migrates)."""
-        if ctx.trace.enabled:
-            with ctx.trace.span(ctx, "journal.begin", cpu=ctx.cpu):
-                return self._begin_impl(ctx, entries_hint)
-        return self._begin_impl(ctx, entries_hint)
-
-    def _begin_impl(self, ctx: SimContext, entries_hint: int) -> _Transaction:
-        journal = self.journals[ctx.cpu % len(self.journals)]
-        journal.reserve(entries_hint, ctx)
-        txn_id = self._next_txn_id
-        self._next_txn_id += 1
-        self.transactions_started += 1
-        if self.device.track_stores:
-            journal.append(JournalEntry(TYPE_START, 0, txn_id, 0, b""), ctx)
-        else:
-            journal.append_run(1, ctx)
-        return _Transaction(self, journal, txn_id)
+        with ctx.trace.span(ctx, "journal.begin", cpu=ctx.cpu):
+            journal = self.journals[ctx.cpu % len(self.journals)]
+            journal.reserve(entries_hint, ctx)
+            txn_id = self._next_txn_id
+            self._next_txn_id += 1
+            self.transactions_started += 1
+            if self.device.track_stores:
+                journal.append(
+                    JournalEntry(TYPE_START, 0, txn_id, 0, b""), ctx)
+            else:
+                journal.append_run(1, ctx)
+            return _Transaction(self, journal, txn_id)
 
     # -- recovery ------------------------------------------------------------------
 

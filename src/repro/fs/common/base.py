@@ -303,81 +303,65 @@ class BaseFS(FileSystem):
     def create(self, path: str, ctx: SimContext) -> OpenFile:
         self._check_mounted()
         self._check_writable()
-        if ctx.trace.enabled:
-            with ctx.trace.span(ctx, "vfs.create", fs=self.name, path=path):
-                return self._create_impl(path, ctx)
-        return self._create_impl(path, ctx)
-
-    def _create_impl(self, path: str, ctx: SimContext) -> OpenFile:
-        self._syscall(ctx)
-        path, parent, name = self._resolve_parent(path, ctx)
-        pdir = self._dirs[parent.ino]
-        lock = self._ino_lock(parent.ino)
-        ctx.locks.acquire(lock, ctx.cpu)
-        try:
-            if name in pdir:
-                raise ExistsError(path)
-            with self._meta_txn(ctx, entries=4, ino=parent.ino):
-                inode = self._alloc_inode(is_dir=False, ctx=ctx)
-                inode.parent_ino, inode.name = parent.ino, name
-                self._apply_dir_inheritance(parent, inode)
-                pdir.insert(name, inode.ino, ctx)
-                self._persist_inode(inode, ctx)
-                self._persist_inode(parent, ctx)
-        finally:
-            ctx.locks.release(lock, ctx.cpu)
-        return OpenFile(self, inode.ino, path)
+        with ctx.trace.span(ctx, "vfs.create", fs=self.name, path=path):
+            self._syscall(ctx)
+            path, parent, name = self._resolve_parent(path, ctx)
+            pdir = self._dirs[parent.ino]
+            lock = self._ino_lock(parent.ino)
+            ctx.locks.acquire(lock, ctx.cpu)
+            try:
+                if name in pdir:
+                    raise ExistsError(path)
+                with self._meta_txn(ctx, entries=4, ino=parent.ino):
+                    inode = self._alloc_inode(is_dir=False, ctx=ctx)
+                    inode.parent_ino, inode.name = parent.ino, name
+                    self._apply_dir_inheritance(parent, inode)
+                    pdir.insert(name, inode.ino, ctx)
+                    self._persist_inode(inode, ctx)
+                    self._persist_inode(parent, ctx)
+            finally:
+                ctx.locks.release(lock, ctx.cpu)
+            return OpenFile(self, inode.ino, path)
 
     def _apply_dir_inheritance(self, parent: Inode, child: Inode) -> None:
         """Hook: WineFS directory-level alignment xattrs (§3.6)."""
 
     def open(self, path: str, ctx: SimContext) -> OpenFile:
         self._check_mounted()
-        if ctx.trace.enabled:
-            with ctx.trace.span(ctx, "vfs.open", fs=self.name, path=path):
-                return self._open_impl(path, ctx)
-        return self._open_impl(path, ctx)
-
-    def _open_impl(self, path: str, ctx: SimContext) -> OpenFile:
-        self._syscall(ctx)
-        path = normalize_path(path)
-        inode = self._resolve(path, ctx)
-        if inode.is_dir:
-            raise IsADirectoryError_(path)
-        return OpenFile(self, inode.ino, path)
+        with ctx.trace.span(ctx, "vfs.open", fs=self.name, path=path):
+            self._syscall(ctx)
+            path = normalize_path(path)
+            inode = self._resolve(path, ctx)
+            if inode.is_dir:
+                raise IsADirectoryError_(path)
+            return OpenFile(self, inode.ino, path)
 
     def unlink(self, path: str, ctx: SimContext) -> None:
         self._check_mounted()
         self._check_writable()
-        if ctx.trace.enabled:
-            with ctx.trace.span(ctx, "vfs.unlink", fs=self.name, path=path):
-                self._unlink_impl(path, ctx)
-            return
-        self._unlink_impl(path, ctx)
-
-    def _unlink_impl(self, path: str, ctx: SimContext) -> None:
-        self._syscall(ctx)
-        path, parent, name = self._resolve_parent(path, ctx)
-        pdir = self._dirs[parent.ino]
-        lock = self._ino_lock(parent.ino)
-        ctx.locks.acquire(lock, ctx.cpu)
-        try:
-            ino = pdir.lookup(name, ctx)
-            if ino is None:
-                raise NotFoundError(path)
-            inode = self._itable.get(ino)
-            assert inode is not None
-            if inode.is_dir:
-                raise IsADirectoryError_(path)
-            with self._meta_txn(ctx, entries=4, ino=parent.ino):
-                pdir.remove(name, ctx)
-                freed = list(inode.extents)
-                if freed:
-                    self._free(freed, ctx)
-                self._free_inode(inode, ctx)
-                self._persist_inode(parent, ctx)
-        finally:
-            ctx.locks.release(lock, ctx.cpu)
+        with ctx.trace.span(ctx, "vfs.unlink", fs=self.name, path=path):
+            self._syscall(ctx)
+            path, parent, name = self._resolve_parent(path, ctx)
+            pdir = self._dirs[parent.ino]
+            lock = self._ino_lock(parent.ino)
+            ctx.locks.acquire(lock, ctx.cpu)
+            try:
+                ino = pdir.lookup(name, ctx)
+                if ino is None:
+                    raise NotFoundError(path)
+                inode = self._itable.get(ino)
+                assert inode is not None
+                if inode.is_dir:
+                    raise IsADirectoryError_(path)
+                with self._meta_txn(ctx, entries=4, ino=parent.ino):
+                    pdir.remove(name, ctx)
+                    freed = list(inode.extents)
+                    if freed:
+                        self._free(freed, ctx)
+                    self._free_inode(inode, ctx)
+                    self._persist_inode(parent, ctx)
+            finally:
+                ctx.locks.release(lock, ctx.cpu)
 
     def mkdir(self, path: str, ctx: SimContext) -> None:
         self._check_mounted()
@@ -589,84 +573,72 @@ class BaseFS(FileSystem):
 
     def read(self, ino: int, offset: int, size: int, ctx: SimContext) -> bytes:
         self._check_mounted()
-        if ctx.trace.enabled:
-            with ctx.trace.span(ctx, "vfs.read", fs=self.name, ino=ino,
-                                size=size):
-                return self._read_impl(ino, offset, size, ctx)
-        return self._read_impl(ino, offset, size, ctx)
-
-    def _read_impl(self, ino: int, offset: int, size: int,
-                   ctx: SimContext) -> bytes:
-        self._syscall(ctx)
-        if offset < 0 or size < 0:
-            raise InvalidArgumentError("negative offset/size")
-        inode = self._inode_for_data(ino)
-        if offset >= inode.size:
-            return b""
-        size = min(size, inode.size - offset)
-        if size == 0:
-            return b""
-        ctx.charge(self.machine.pm_load_ns +
-                   self.machine.pm_read_ns(size))
-        ctx.counters.pm_bytes_read += size
-        if not self.track_data:
-            return zero_bytes(size)
-        end = offset + size
-        # the allocation boundary is block-aligned, so bytes before it
-        # come from extents (batched per physical run) and bytes after
-        # it are one zero-filled hole
-        allocated_bytes = inode.extents.total_blocks * self.block_size
-        read_end = min(end, max(offset, allocated_bytes))
-        chunks: List[bytes] = []
-        if offset < read_end:
-            first_block = offset // self.block_size
-            last_block = (read_end - 1) // self.block_size
-            within = offset % self.block_size
-            pos = offset
-            for ext in inode.extents.slice_logical(
-                    first_block, last_block - first_block + 1):
-                take = min(ext.length * self.block_size - within,
-                           read_end - pos)
-                chunks.append(self.device.load(
-                    ext.start * self.block_size + within, take))
-                pos += take
-                within = 0
-        if end > read_end:
-            chunks.append(zero_bytes(end - read_end))
-        return b"".join(chunks)
+        with ctx.trace.span(ctx, "vfs.read", fs=self.name, ino=ino,
+                            size=size):
+            self._syscall(ctx)
+            if offset < 0 or size < 0:
+                raise InvalidArgumentError("negative offset/size")
+            inode = self._inode_for_data(ino)
+            if offset >= inode.size:
+                return b""
+            size = min(size, inode.size - offset)
+            if size == 0:
+                return b""
+            ctx.charge(self.machine.pm_load_ns +
+                       self.machine.pm_read_ns(size))
+            ctx.counters.pm_bytes_read += size
+            if not self.track_data:
+                return zero_bytes(size)
+            end = offset + size
+            # the allocation boundary is block-aligned, so bytes before it
+            # come from extents (batched per physical run) and bytes after
+            # it are one zero-filled hole
+            allocated_bytes = inode.extents.total_blocks * self.block_size
+            read_end = min(end, max(offset, allocated_bytes))
+            chunks: List[bytes] = []
+            if offset < read_end:
+                first_block = offset // self.block_size
+                last_block = (read_end - 1) // self.block_size
+                within = offset % self.block_size
+                pos = offset
+                for ext in inode.extents.slice_logical(
+                        first_block, last_block - first_block + 1):
+                    take = min(ext.length * self.block_size - within,
+                               read_end - pos)
+                    chunks.append(self.device.load(
+                        ext.start * self.block_size + within, take))
+                    pos += take
+                    within = 0
+            if end > read_end:
+                chunks.append(zero_bytes(end - read_end))
+            return b"".join(chunks)
 
     def write(self, ino: int, offset: int, data: bytes, ctx: SimContext) -> int:
         self._check_mounted()
         self._check_writable()
-        if ctx.trace.enabled:
-            with ctx.trace.span(ctx, "vfs.write", fs=self.name, ino=ino,
-                                size=len(data)):
-                return self._write_impl(ino, offset, data, ctx)
-        return self._write_impl(ino, offset, data, ctx)
-
-    def _write_impl(self, ino: int, offset: int, data: bytes,
-                    ctx: SimContext) -> int:
-        self._syscall(ctx)
-        if offset < 0:
-            raise InvalidArgumentError("negative offset")
-        if not data:
-            return 0
-        length = len(data)
-        inode = self._inode_for_data(ino)
-        lock = self._ino_lock(ino)
-        ctx.locks.acquire(lock, ctx.cpu)
-        try:
-            grows = offset + length > inode.size
-            self._ensure_blocks(inode, offset + length, ctx)
-            self._write_data(inode, offset, data, ctx)
-            inode.written_hwm = max(inode.written_hwm, offset + length)
-            if grows:
-                with self._meta_txn(ctx, entries=2, ino=ino):
-                    inode.size = offset + length
-                    self._persist_inode(inode, ctx)
-        finally:
-            ctx.locks.release(lock, ctx.cpu)
-        return length
+        with ctx.trace.span(ctx, "vfs.write", fs=self.name, ino=ino,
+                            size=len(data)):
+            self._syscall(ctx)
+            if offset < 0:
+                raise InvalidArgumentError("negative offset")
+            if not data:
+                return 0
+            length = len(data)
+            inode = self._inode_for_data(ino)
+            lock = self._ino_lock(ino)
+            ctx.locks.acquire(lock, ctx.cpu)
+            try:
+                grows = offset + length > inode.size
+                self._ensure_blocks(inode, offset + length, ctx)
+                self._write_data(inode, offset, data, ctx)
+                inode.written_hwm = max(inode.written_hwm, offset + length)
+                if grows:
+                    with self._meta_txn(ctx, entries=2, ino=ino):
+                        inode.size = offset + length
+                        self._persist_inode(inode, ctx)
+            finally:
+                ctx.locks.release(lock, ctx.cpu)
+            return length
 
     def write_zeros(self, ino: int, offset: int, length: int,
                     ctx: SimContext) -> int:
@@ -705,30 +677,23 @@ class BaseFS(FileSystem):
     def fallocate(self, ino: int, offset: int, size: int, ctx: SimContext) -> None:
         self._check_mounted()
         self._check_writable()
-        if ctx.trace.enabled:
-            with ctx.trace.span(ctx, "vfs.fallocate", fs=self.name, ino=ino,
-                                size=size):
-                self._fallocate_impl(ino, offset, size, ctx)
-            return
-        self._fallocate_impl(ino, offset, size, ctx)
-
-    def _fallocate_impl(self, ino: int, offset: int, size: int,
-                        ctx: SimContext) -> None:
-        self._syscall(ctx)
-        if offset < 0 or size <= 0:
-            raise InvalidArgumentError("bad fallocate range")
-        inode = self._inode_for_data(ino)
-        lock = self._ino_lock(ino)
-        ctx.locks.acquire(lock, ctx.cpu)
-        try:
-            with self._meta_txn(ctx, entries=2, ino=ino):
-                self._ensure_blocks(inode, offset + size, ctx)
-                if self._zero_on_fallocate():
-                    ctx.charge(self.machine.pm_write_ns(size))
-                inode.size = max(inode.size, offset + size)
-                self._persist_inode(inode, ctx)
-        finally:
-            ctx.locks.release(lock, ctx.cpu)
+        with ctx.trace.span(ctx, "vfs.fallocate", fs=self.name, ino=ino,
+                            size=size):
+            self._syscall(ctx)
+            if offset < 0 or size <= 0:
+                raise InvalidArgumentError("bad fallocate range")
+            inode = self._inode_for_data(ino)
+            lock = self._ino_lock(ino)
+            ctx.locks.acquire(lock, ctx.cpu)
+            try:
+                with self._meta_txn(ctx, entries=2, ino=ino):
+                    self._ensure_blocks(inode, offset + size, ctx)
+                    if self._zero_on_fallocate():
+                        ctx.charge(self.machine.pm_write_ns(size))
+                    inode.size = max(inode.size, offset + size)
+                    self._persist_inode(inode, ctx)
+            finally:
+                ctx.locks.release(lock, ctx.cpu)
 
     def _zero_on_fallocate(self) -> bool:
         """NOVA zeroes at fallocate; ext4-DAX zeroes at fault (§5.4)."""

@@ -30,6 +30,7 @@ from typing import (Any, Callable, Dict, Iterable, List, Mapping, Optional,
                     Sequence, Tuple)
 
 from ..aging import PROFILES
+from ..core.filesystem import WineFS
 from ..params import KIB, MIB
 from .setup import SPECS_BY_NAME, aged_fs, fresh_fs
 
@@ -264,11 +265,8 @@ def slo_cell(cell: Dict[str, Any]) -> Dict[str, Any]:
     fs, ctx = fresh_fs(name, size_gib=cell["size_gib"],
                        num_cpus=cell["num_cpus"])
     plan = campaign_plan(seed)
-    degradable = hasattr(fs, "attach_fault_plan")
-    if degradable:
-        fs.attach_fault_plan(plan)
-    else:
-        fs.device.set_fault_plan(plan)
+    degradable = isinstance(fs, WineFS)
+    fs.attach_fault_plan(plan)
     fs.attach_telemetry(telemetry)
     # salt the workload stream apart from the plan's own RNG
     rng = make_rng(seed, salt=11)
@@ -356,10 +354,7 @@ def serve_cell(cell: Dict[str, Any]) -> Dict[str, Any]:
     telemetry = Telemetry(tag=f"serve/{name}/s{seed}")
     if cell.get("faults"):
         plan = serve_campaign_plan(seed)
-        if hasattr(fs, "attach_fault_plan"):
-            fs.attach_fault_plan(plan)
-        else:
-            fs.device.set_fault_plan(plan)
+        fs.attach_fault_plan(plan)
     else:
         plan = None
     backend = FSObjStorage(fs, ctx)

@@ -85,7 +85,7 @@ class MappedRegion:
         self._memo_gen = -1
         #: per-fault charge for a zero-filling fault, precomputed: the sum
         #: is the same float every fault, so hoisting it out of
-        #: _handle_fault changes nothing bit-wise
+        #: fault changes nothing bit-wise
         self._fault_base_zero_ns = machine.fault_base_ns \
             + machine.pm_write_ns(BASE_PAGE) * machine.fault_zero_page_mult
         self._fault_huge_zero_ns = machine.fault_huge_ns \
@@ -135,15 +135,9 @@ class MappedRegion:
         Mirrors the kernel DAX fault path: try a PMD (2MB) mapping first,
         fall back to a PTE (4KB) mapping.
         """
-        if not ctx.trace.enabled:
-            return self._handle_fault(virt_page, ctx)
-        start = ctx.now
-        huge = self._handle_fault(virt_page, ctx)
-        ctx.trace.record("mmu.fault", ctx.cpu, start, ctx.now,
-                         page=virt_page, huge=huge)
-        return huge
-
-    def _handle_fault(self, virt_page: int, ctx: SimContext) -> bool:
+        cpu_ns = ctx.clock._cpu_ns
+        cpu = ctx.cpu
+        start = cpu_ns[cpu]
         huge_base = virt_page - (virt_page % _PAGES_PER_HUGE)
         # (a PMD install is only possible when no PTE in the range is
         # already populated — otherwise the kernel falls back to 4KB);
@@ -156,26 +150,30 @@ class MappedRegion:
         # properties, minus the dispatch overhead — this path runs once
         # per unique page in every aged/rand workload
         counters = ctx.counters
-        if huge_phys is not None:
+        huge = huge_phys is not None
+        if huge:
             self.page_table.install_huge(huge_base, huge_phys)
             if self.fault_zero_fill and self._page_unwritten(huge_base):
                 ns = self._fault_huge_zero_ns
             else:
                 ns = self.machine.fault_huge_ns
-            ctx.clock._cpu_ns[ctx.cpu] += ns
             counters._page_faults_2m.value += 1
-            counters._fault_ns.value += ns
-            return True
-        phys = self._phys_of_virt_page(virt_page)
-        self.page_table.install_base(virt_page, phys)
-        if self.fault_zero_fill and self._page_unwritten(virt_page):
-            ns = self._fault_base_zero_ns
         else:
-            ns = self.machine.fault_base_ns
-        ctx.clock._cpu_ns[ctx.cpu] += ns
-        counters._page_faults_4k.value += 1
+            phys = self._phys_of_virt_page(virt_page)
+            self.page_table.install_base(virt_page, phys)
+            if self.fault_zero_fill and self._page_unwritten(virt_page):
+                ns = self._fault_base_zero_ns
+            else:
+                ns = self.machine.fault_base_ns
+            counters._page_faults_4k.value += 1
+        # an add, not start + ns: demand allocation inside the physical
+        # lookups above may already have charged this clock
+        cpu_ns[cpu] += ns
         counters._fault_ns.value += ns
-        return False
+        if ctx.trace.enabled:
+            ctx.trace.record("mmu.fault", cpu, start, cpu_ns[cpu],
+                             page=virt_page, huge=huge)
+        return huge
 
     def _page_unwritten(self, virt_page: int) -> bool:
         """Does this page lie beyond the file's written bytes?
@@ -201,13 +199,15 @@ class MappedRegion:
                            ctx: SimContext) -> int:
         """Fault-in the unmapped run at *start* (bounded by *last*, inside
         one 2MB range whose coverage already forbids a PMD install),
-        charging bit-identically to per-page :meth:`fault` calls.
+        charging bit-identically to per-page :meth:`fault` calls and
+        tracing the run as one ``mmu.fault`` of ``pages=n``.
         Returns the next page for the prefault loop to consider.
         """
         pt = self.page_table
         n = pt.base_unmapped_run(start, last - start + 1)
         if n == 0:
             return start
+        begin = ctx.clock._cpu_ns[ctx.cpu]
         machine = self.machine
         base_ns = machine.fault_base_ns
         counters = ctx.counters
@@ -235,6 +235,9 @@ class MappedRegion:
         for run in self.extents.slice_logical(start, n):
             pt.install_base_run(page, run.length, run.start * BASE_PAGE)
             page += run.length
+        if ctx.trace.enabled:
+            ctx.trace.record("mmu.fault", ctx.cpu, begin, ctx.now,
+                             page=start, pages=n, huge=False)
         return start + n
 
     def prefault(self, ctx: SimContext) -> None:
@@ -243,7 +246,7 @@ class MappedRegion:
         total_pages = (self.length + BASE_PAGE - 1) // BASE_PAGE
         huge_tbl = self.page_table._huge
         base_tbl = self.page_table._base
-        can_batch = not ctx.trace.enabled and self.block_size == BASE_PAGE
+        can_batch = self.block_size == BASE_PAGE
         while page < total_pages:
             # mapped pages are skipped by raw-table membership probes
             if page // _PAGES_PER_HUGE in huge_tbl:

@@ -207,6 +207,10 @@ class FileSystem(ABC):
         if not self.mounted:
             raise NotMountedError(f"{self.name} is not mounted")
 
+    def attach_fault_plan(self, plan) -> None:
+        """Bind a :class:`~repro.faults.FaultPlan` to the device."""
+        self.device.set_fault_plan(plan)
+
     def remount_read_only(self, reason: str,
                           ctx: Optional[SimContext] = None) -> None:
         """Degrade to read-only after detected corruption.

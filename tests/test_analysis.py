@@ -453,6 +453,25 @@ def test_registered_spans_match_live_tracer_usage():
     assert any(p == "fault." for p in SPAN_PREFIXES)
 
 
+def test_every_registered_span_has_a_constant_name_site():
+    """No dead registry entries: a span lost in a refactor fails here."""
+    from repro.obs.names import SPAN_NAMES
+    rule = MetricNamesRule()
+    used = set()
+    src = os.path.join(REPO_ROOT, "src", "repro")
+    for dirpath, _dirs, files in os.walk(src):
+        for fname in files:
+            if not fname.endswith(".py"):
+                continue
+            path = os.path.join(dirpath, fname)
+            with open(path, encoding="utf-8") as fh:
+                ctx = FileContext(path, os.path.relpath(path, REPO_ROOT),
+                                  fh.read())
+            used.update(site["name"] for site in rule.collect(ctx)["sites"]
+                        if site["kind"] == "span" and "name" in site)
+    assert sorted(SPAN_NAMES - used) == []
+
+
 # ---------------------------------------------------------------------------
 # engine: suppression, json
 

@@ -6,9 +6,9 @@ import json
 import pytest
 
 from repro.cli import main
-from repro.harness import fresh_fs, phase_breakdown_table
+from repro.harness import ALL_SPECS, fresh_fs, phase_breakdown_table
 from repro.obs import Tracer
-from repro.params import MIB
+from repro.params import KIB, MIB
 from repro.workloads import mmap_rw_benchmark, run_scalability
 
 
@@ -90,6 +90,91 @@ class TestStackSpans:
         assert sum(s.duration_ns for s in waits) == pytest.approx(
             ctx.counters.lock_wait_ns)
         assert all("lock" in s.attrs for s in waits)
+
+
+MODELS = [spec.name for spec in ALL_SPECS]
+MIX_VERBS = ("create", "open", "write", "read", "fallocate", "truncate",
+             "fsync", "mmap", "mkdir", "rename", "unlink", "rmdir")
+
+
+def _op_mix(name, trace=None):
+    """Every traced VFS verb once (the write is an overwrite, so SplitFS's
+    syscall-free append path does not hide it)."""
+    fs, ctx = fresh_fs(name, size_gib=0.125, num_cpus=2, track_data=True,
+                       trace=trace)
+    if trace is not None:
+        trace.clear()
+    fs.mkdir("/d", ctx)
+    f = fs.create("/d/a", ctx)
+    fs.fallocate(f.ino, 0, 64 * KIB, ctx)
+    fs.write(f.ino, 0, b"w" * 10_000, ctx)
+    assert fs.read(f.ino, 0, 10_000, ctx) == b"w" * 10_000
+    fs.truncate(f.ino, 32 * KIB, ctx)
+    fs.fsync(f.ino, ctx)
+    region = fs.mmap(f.ino, ctx)
+    region.read(0, 64, ctx)
+    region.unmap()
+    fs.open("/d/a", ctx)
+    fs.rename("/d/a", "/d/b", ctx)
+    fs.unlink("/d/b", ctx)
+    fs.rmdir("/d", ctx)
+    return ctx
+
+
+class TestSpanCoverage:
+    @pytest.mark.parametrize("name", MODELS)
+    def test_every_verb_opens_its_span(self, name):
+        tracer = Tracer()
+        traced = _op_mix(name, trace=tracer)
+        spans = tracer.spans()
+        for verb in MIX_VERBS:
+            hits = [s for s in spans if s.name == f"vfs.{verb}"]
+            assert hits, f"no vfs.{verb} span on {name}"
+            assert all(s.attrs["fs"] == name for s in hits)
+        plain = _op_mix(name)
+        assert traced.clock.snapshot() == plain.clock.snapshot()
+        assert traced.counters.as_dict() == plain.counters.as_dict()
+
+    def test_winefs_core_spans_nest_under_vfs(self):
+        tracer = Tracer()
+        _op_mix("WineFS", trace=tracer)
+        spans = tracer.spans()
+        by_id = {s.span_id: s for s in spans}
+
+        def under_vfs(span):
+            while span.parent_id in by_id:
+                span = by_id[span.parent_id]
+                if span.name.startswith("vfs."):
+                    return True
+            return False
+
+        for name in ("journal.begin", "journal.commit", "alloc"):
+            hits = [s for s in spans if s.name == name]
+            assert hits and all(under_vfs(s) for s in hits), name
+
+    @pytest.mark.parametrize("name", ["WineFS", "NOVA"])
+    def test_traced_prefault_matches_untraced(self, name):
+        from repro.workloads import PARTModel
+
+        def build(trace):
+            # the 64 KiB tail cannot map huge: prefault installs it as runs
+            fs, ctx = fresh_fs(name, size_gib=0.125, trace=trace)
+            model = PARTModel(fs, ctx, pool_bytes=8 * MIB + 64 * KIB,
+                              hot_keys=64)
+            return ctx, model.region
+
+        tracer = Tracer()
+        traced, traced_region = build(tracer)
+        plain, plain_region = build(None)
+        assert traced.clock.snapshot() == plain.clock.snapshot()
+        assert traced.counters.as_dict() == plain.counters.as_dict()
+        assert traced_region.page_table._base == plain_region.page_table._base
+        assert traced_region.page_table._huge == plain_region.page_table._huge
+        faults = [s for s in tracer.spans() if s.name == "mmu.fault"]
+        c = traced.counters
+        assert any(s.attrs.get("pages", 1) > 1 for s in faults)
+        assert sum(s.attrs.get("pages", 1) for s in faults) == \
+            c.page_faults_4k + c.page_faults_2m
 
 
 class TestBoundGauges:

@@ -559,10 +559,7 @@ def test_index_matches_walk_under_faults(name, seed):
     live = make_fs_storage(name)
     fs = live.fs
     plan = serve_campaign_plan(seed)
-    if hasattr(fs, "attach_fault_plan"):
-        fs.attach_fault_plan(plan)
-    else:
-        fs.device.set_fault_plan(plan)
+    fs.attach_fault_plan(plan)
     stream, tenants, seen = _index_case(seed, ops=60)
 
     def kill_next_fallocate():

@@ -121,10 +121,7 @@ def _run_model(fs_name: str, seed: int, reference: bool, plan=None):
         if plan is not None:
             # fresh plan per run: plans accumulate op counters
             live = FaultPlan.from_json(plan.to_json())
-            if hasattr(fs, "attach_fault_plan"):
-                fs.attach_fault_plan(live)
-            else:
-                fs.device.set_fault_plan(live)
+            fs.attach_fault_plan(live)
         rng = random.Random(seed)
         outcomes = []
         _seeded_ops(fs, ctx, rng, outcomes)
