@@ -14,7 +14,9 @@ from an unsanctioned module bypasses those kernels: it may keep tests
 green (the columns still *read* fine) while silently breaking
 bit-identity with the reference oracles or corrupting a derived index
 that only an aged workload consults.  This rule flags any mutation of a
-watched attribute outside the modules sanctioned to own it.
+watched attribute outside the modules sanctioned to own it, including
+one made through a local bound to it in the same function
+(``cpu_ns = ctx.clock._cpu_ns`` then ``cpu_ns[cpu] = v``).
 
 Reading the arrays is fine anywhere (``ctx.clock._cpu_ns[cpu]`` as a
 timestamp, benchmarks summing clocks); only mutation is gated.  New
@@ -26,21 +28,23 @@ same change that audits their add-sequence, or — for a one-off — with
 from __future__ import annotations
 
 import ast
-from typing import Dict, List, Tuple
+from typing import Dict, List, Mapping, Tuple
 
 from ..engine import FileContext, FileRule
 from ..findings import Finding
 from . import dotted, enclosing_qualnames
 
-#: watched attribute -> modules sanctioned to mutate it.  The module
-#: that defines the structure always is; the others are the audited
-#: fused-charge kernels that write the clock array directly.
+#: watched attribute -> modules sanctioned to mutate it, each of which
+#: does: the clock and device that own their arrays, and the audited
+#: fused-charge kernels that write the clock array directly.  No module
+#: writes through ``_rs``: the free-space pool changes its run store
+#: only through ``RunStore``'s own methods.
 _SANCTIONED: Dict[str, Tuple[str, ...]] = {
     "_cpu_ns": ("repro.clock", "repro.vfs.interface",
-                "repro.core.allocator", "repro.core.filesystem",
-                "repro.core.journal", "repro.fs.common.dirindex",
-                "repro.mmu.mmap_region"),
-    "_rs": ("repro.structures.runstore", "repro.fs.common.freespace"),
+                "repro.core.allocator", "repro.core.journal",
+                "repro.fs.common.dirindex", "repro.mmu.mmap_region",
+                "repro.pm.device"),
+    "_rs": (),
     "_log_seqs": ("repro.pm.device",),
     "_log_addrs": ("repro.pm.device",),
     "_log_data": ("repro.pm.device",),
@@ -54,12 +58,41 @@ _MUTATORS = frozenset({
 })
 
 
-def _watched_segment(chain: str) -> str:
-    """The watched attribute a dotted receiver chain touches, or ''."""
-    for seg in chain.split("."):
+def _watched_segment(chain: str, aliases: Mapping[str, str]) -> str:
+    """The watched attribute a dotted receiver chain touches, or ''.
+
+    A chain whose head is a local in *aliases* touches the attribute
+    that local was bound to.
+    """
+    segs = chain.split(".")
+    if segs[0] in aliases:
+        return aliases[segs[0]]
+    for seg in segs:
         if seg in _SANCTIONED:
             return seg
     return ""
+
+
+def _local_aliases(tree: ast.Module) -> Dict[int, Dict[str, str]]:
+    """``id(node)`` -> {local name: watched attribute} for every node in
+    a function that binds a local to (a chain through) a watched
+    attribute, e.g. ``cpu_ns = ctx.clock._cpu_ns``."""
+    out: Dict[int, Dict[str, str]] = {}
+    for func in ast.walk(tree):
+        if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        bound: Dict[str, str] = {}
+        for node in ast.walk(func):
+            if isinstance(node, ast.Assign):
+                attr = _watched_segment(dotted(node.value) or "", bound)
+                for target in node.targets:
+                    if attr and isinstance(target, ast.Name):
+                        bound[target.id] = attr
+        if bound:
+            # nested functions come later in the walk and take their own
+            for node in ast.walk(func):
+                out[id(node)] = bound
+    return out
 
 
 class ArrayStateRule(FileRule):
@@ -78,7 +111,7 @@ class ArrayStateRule(FileRule):
             if quals is None:
                 quals = enclosing_qualnames(ctx.tree)
             qual = quals.get(id(node), "")
-            owners = ", ".join(_SANCTIONED[attr])
+            owners = ", ".join(_SANCTIONED[attr]) or "none"
             findings.append(Finding(
                 rule=self.id, path=ctx.relpath, line=node.lineno,
                 col=node.col_offset,
@@ -89,30 +122,32 @@ class ArrayStateRule(FileRule):
                      f"audited kernel",
                 qualname=qual, detail=attr))
 
+        scopes = _local_aliases(ctx.tree)
         for node in ast.walk(ctx.tree):
+            aliases = scopes.get(id(node), {})
             if isinstance(node, (ast.Assign, ast.AugAssign)):
                 targets = node.targets if isinstance(node, ast.Assign) \
                     else [node.target]
                 for target in targets:
-                    attr = self._target_attr(target)
+                    attr = self._target_attr(target, aliases)
                     if attr and ctx.module not in _SANCTIONED[attr]:
                         flag(node, attr, "direct write")
             elif isinstance(node, ast.Delete):
                 for target in node.targets:
-                    attr = self._target_attr(target)
+                    attr = self._target_attr(target, aliases)
                     if attr and ctx.module not in _SANCTIONED[attr]:
                         flag(node, attr, "element delete")
             elif isinstance(node, ast.Call) and \
                     isinstance(node.func, ast.Attribute) and \
                     node.func.attr in _MUTATORS:
                 chain = dotted(node.func.value) or ""
-                attr = _watched_segment(chain)
+                attr = _watched_segment(chain, aliases)
                 if attr and ctx.module not in _SANCTIONED[attr]:
                     flag(node, attr, f"mutating call .{node.func.attr}()")
         return findings
 
     @staticmethod
-    def _target_attr(target: ast.AST) -> str:
+    def _target_attr(target: ast.AST, aliases: Mapping[str, str]) -> str:
         """Watched attribute a store target mutates, or ''.
 
         ``x._cpu_ns[i] = v`` and ``x._rs.starts[i] = v`` are subscript
@@ -120,12 +155,9 @@ class ArrayStateRule(FileRule):
         store only counts when the chain *passes through* a watched
         name (``pool._rs.free_blocks = 0``) — rebinding the attribute
         itself (``self._rs = RunStore()``) is construction, which every
-        constructor must stay free to do.
+        constructor must stay free to do.  Rebinding a local alias
+        (``cpu_ns = None``) is a Name store and mutates nothing.
         """
-        if isinstance(target, ast.Subscript):
-            chain = dotted(target.value) or ""
-            return _watched_segment(chain)
-        if isinstance(target, ast.Attribute):
-            chain = dotted(target.value) or ""
-            return _watched_segment(chain)
+        if isinstance(target, (ast.Subscript, ast.Attribute)):
+            return _watched_segment(dotted(target.value) or "", aliases)
         return ""

@@ -1,6 +1,6 @@
 """Rule ``metric-names`` — observability names resolve to the registry.
 
-Every counter/gauge/histogram name handed to a MetricsRegistry and
+Every counter/gauge name handed to a MetricsRegistry and
 every span/record name handed to a Tracer must appear in
 :mod:`repro.obs.names` (``METRIC_NAMES`` / ``SPAN_NAMES``); f-string
 names must start with an allowed prefix in ``SPAN_PREFIXES``.  A typo'd
@@ -8,7 +8,7 @@ label otherwise silently splits one series into two and only a human
 staring at a dashboard notices.
 
 Call sites are matched by receiver shape: ``*.registry`` /
-``*.metrics`` receivers for ``counter``/``gauge``/``histogram``, and
+``*.metrics`` receivers for ``counter``/``gauge``, and
 ``*.trace`` / ``*.tracer`` receivers for ``span`` (name is the second
 argument, after ctx) and ``record`` (name first).  Names passed as
 plain variables are invisible to the AST — the EventCounters facade in
@@ -28,7 +28,7 @@ from ..engine import FileContext, ProjectRule
 from ..findings import Finding
 from . import dotted, enclosing_qualnames, fstring_head
 
-_METRIC_METHODS = ("counter", "gauge", "histogram")
+_METRIC_METHODS = ("counter", "gauge")
 _METRIC_RECV = ("registry", "metrics")
 _SPAN_RECV = ("trace", "tracer")
 _REGISTRY_SUFFIX = "obs.names"

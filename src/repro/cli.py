@@ -314,14 +314,15 @@ def cmd_serve(args) -> int:
 
 
 def cmd_snapshot(args) -> int:
-    """Build and maintain the sharded aged-image snapshot archive.
+    """Build and maintain the aged-image snapshot pack archive.
 
     ``--archive`` defaults to the cache directory ``aged_fs`` restores
     from.  ``build`` fans the (fs × profile × utilization × seed) grid
-    across ``--jobs`` workers and archives every image (byte-identical
-    packs and index for any jobs value); ``ls`` enumerates the index;
-    ``scrub`` re-verifies every record CRC and quarantines damaged
-    packs (exit 1 when it finds any); ``gc`` evicts LRU packs until
+    across ``--jobs`` workers and archives every image, one pack per
+    stored image (byte-identical packs and index for any jobs value);
+    ``ls`` enumerates the index; ``scrub`` re-verifies every record CRC,
+    quarantines damaged packs (exit 1 when it finds any) and reclaims
+    what killed writers left; ``gc`` evicts LRU packs until
     ``--max-bytes`` holds.
     """
     import os
@@ -333,9 +334,7 @@ def cmd_snapshot(args) -> int:
 
     if args.action == "build":
         cells = _campaign_cells("snapshot", args)
-        seal = None if args.seal_mib is None else int(args.seal_mib * MIB)
-        report = CAMPAIGNS["snapshot"].run(cells, jobs=args.jobs, root=root,
-                                           seal_bytes=seal)
+        report = CAMPAIGNS["snapshot"].run(cells, jobs=args.jobs, root=root)
         if _emit_report(args, report):
             stats = report["archive"]
             print(f"archived {len(cells)} cells -> "
@@ -349,8 +348,7 @@ def cmd_snapshot(args) -> int:
             print(f"{key}  {relpath}:{offset}+{length}")
         stats = archive.stats()
         print(f"{stats['objects']} object(s) ({stats['aliases']} aliased), "
-              f"{stats['packs']} pack(s), {stats['shards']} shard(s), "
-              f"{stats['bytes']:,} bytes")
+              f"{stats['packs']} pack(s), {stats['bytes']:,} bytes")
         return 0
 
     if args.action == "scrub":
@@ -359,6 +357,8 @@ def cmd_snapshot(args) -> int:
               f"{report['objects']} object record(s)")
         for relpath in report["quarantined"]:
             print(f"quarantined {relpath}")
+        for relpath in report["reclaimed"]:
+            print(f"reclaimed {relpath}")
         if report["dropped_keys"]:
             print(f"dropped {len(report['dropped_keys'])} key(s); "
                   "affected images will re-age on next use")
@@ -605,13 +605,13 @@ def build_parser() -> argparse.ArgumentParser:
                        help="write the merged frame as OpenMetrics text "
                             "('-' for stdout)")
 
-    p = _add_campaign(sub, "snapshot", "build and maintain the sharded "
-                      "aged-image snapshot archive", fs="WineFS",
+    p = _add_campaign(sub, "snapshot", "build and maintain the "
+                      "aged-image snapshot pack archive", fs="WineFS",
                       profile="agrawal", utilization="0.75", seed="7")
     p.add_argument("action", choices=["build", "ls", "scrub", "gc"],
                    help="build: archive an aged-image corpus; ls: list "
-                        "objects; scrub: verify CRCs and quarantine "
-                        "damage; gc: evict LRU packs")
+                        "objects; scrub: verify CRCs, quarantine damage "
+                        "and reclaim crash leftovers; gc: evict LRU packs")
     p.add_argument("--archive", metavar="DIR", default=None,
                    help="archive root (default: $REPRO_SNAPSHOT_DIR, the "
                         "cache aged_fs restores from)")
@@ -621,8 +621,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--track-data", action="store_true",
                    help="archive images that keep file contents (what "
                         "serve backends restore)")
-    p.add_argument("--seal-mib", type=float, default=None,
-                   help="pack seal threshold in MiB (default 64)")
     p.add_argument("--max-bytes", type=int, default=None,
                    help="gc target size (default: "
                         "$REPRO_SNAPSHOT_MAX_BYTES)")

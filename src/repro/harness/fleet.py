@@ -26,8 +26,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product
-from typing import (Any, Callable, Dict, Iterable, List, Mapping, Optional,
-                    Sequence, Tuple)
+from typing import (Any, Callable, Dict, Iterable, List, Mapping, Sequence,
+                    Tuple)
 
 from ..aging import PROFILES
 from ..core.filesystem import WineFS
@@ -453,23 +453,21 @@ def corpus_cell(cell: Dict[str, Any]) -> Dict[str, Any]:
 
 
 def _corpus_report(cells: Sequence[Dict[str, Any]],
-                   results: List[Dict[str, Any]], root: str,
-                   seal_bytes: Optional[int] = None) -> Dict[str, Any]:
+                   results: List[Dict[str, Any]], root: str
+                   ) -> Dict[str, Any]:
     """Archive every aged image under *root*.
 
     Deterministic by construction: workers only computed, the parent
-    writes to a single ``build`` shard in cell order and seals it at the
-    end, so index and pack contents are byte-identical for any *jobs*
-    value.  The report carries per-cell outcomes plus the archive's
-    dedup stats — identical payloads (every un-ageable PMFS cell across
+    archives in cell order, one pack per stored image, so pack numbers,
+    index and pack contents are byte-identical for any *jobs* value.
+    The report carries per-cell outcomes plus the archive's dedup stats
+    — identical payloads (every un-ageable PMFS cell across
     profiles/utilizations/seeds) are stored once and aliased.
     """
     from ..obs.metrics import MetricsRegistry
-    from ..snapshot.archive import DEFAULT_SEAL_BYTES, Archive
+    from ..snapshot.archive import Archive
 
-    archive = Archive(root, shard_token="build",
-                      seal_bytes=(DEFAULT_SEAL_BYTES if seal_bytes is None
-                                  else seal_bytes))
+    archive = Archive(root)
     registry = MetricsRegistry()
     report_cells = []
     for result in results:
@@ -492,7 +490,6 @@ def _corpus_report(cells: Sequence[Dict[str, Any]],
             "key": result["key"], "status": status,
             "payload_bytes": len(payload) if payload is not None else 0,
         })
-    archive.seal()
     return {
         "cells": report_cells,
         "archive": archive.stats(),

@@ -2,8 +2,8 @@
 
 Three pieces, all keyed to **simulated** nanoseconds (never wall time):
 
-* :mod:`repro.obs.metrics` — a labelled metrics registry (Counter, Gauge,
-  Histogram) that :class:`~repro.clock.EventCounters` sits on top of;
+* :mod:`repro.obs.metrics` — a labelled metrics registry (Counter, Gauge)
+  that :class:`~repro.clock.EventCounters` sits on top of;
 * :mod:`repro.obs.trace` — nested per-operation spans with a bounded ring
   buffer; default-off via the shared :data:`NULL_TRACER` handle carried by
   every :class:`~repro.clock.SimContext`;
@@ -20,8 +20,7 @@ all benchmark numbers are bit-identical with tracing or telemetry on or
 off.
 """
 
-from .metrics import (Counter, Gauge, Histogram, Metric, MetricsRegistry,
-                      format_series)
+from .metrics import Counter, Gauge, Metric, MetricsRegistry, format_series
 from .trace import NULL_TRACER, NullTracer, SpanRecord, Tracer
 from .export import (chrome_trace, chrome_trace_events,
                      openmetrics_exposition, openmetrics_lines,
@@ -35,7 +34,7 @@ from .telemetry import (Telemetry, evaluate_frame, frame_of, merge_frames)
 from .timeline import DegradedTimeline
 
 __all__ = [
-    "Counter", "Gauge", "Histogram", "Metric", "MetricsRegistry",
+    "Counter", "Gauge", "Metric", "MetricsRegistry",
     "format_series",
     "NULL_TRACER", "NullTracer", "SpanRecord", "Tracer",
     "chrome_trace", "chrome_trace_events", "span_jsonl_lines",

@@ -1,4 +1,4 @@
-"""Metrics registry: labelled counters, gauges and histograms.
+"""Metrics registry: labelled counters and gauges.
 
 The statsd-style shape (one registry, get-or-create metric handles keyed by
 name + sorted labels) follows what production object stores expose; here
@@ -12,10 +12,9 @@ Handles are cheap plain objects so hot paths can cache them and bump a
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterator, Optional, Tuple
 
 from ..errors import ObservabilityError
-from ..structures.stats import Summary
 
 LabelsKey = Tuple[Tuple[str, str], ...]
 
@@ -103,60 +102,6 @@ class Gauge(Metric):
         self.set(self.value - amount)
 
 
-#: default histogram buckets: exponential ns ladder, 1ns .. ~1s
-DEFAULT_BUCKETS = tuple(float(10 ** e) for e in range(10))
-
-
-class Histogram(Metric):
-    """Distribution of observations (simulated-ns latencies, sizes).
-
-    Keeps cumulative bucket counts for cheap exposition plus the raw
-    samples (bounded by ``max_samples``) so exact percentiles come from
-    :meth:`summary` via the single-sort ``Summary.from_samples`` path.
-    """
-
-    kind = "histogram"
-
-    def __init__(self, name: str, labels: LabelsKey,
-                 buckets: Sequence[float] = DEFAULT_BUCKETS,
-                 max_samples: int = 100_000) -> None:
-        super().__init__(name, labels)
-        self.buckets = tuple(sorted(buckets))
-        self.bucket_counts = [0] * (len(self.buckets) + 1)  # +inf tail
-        self.count = 0
-        self.sum = 0.0
-        self._samples: List[float] = []
-        self._max_samples = max_samples
-
-    def observe(self, value: float) -> None:
-        self.count += 1
-        self.sum += value
-        for i, bound in enumerate(self.buckets):
-            if value <= bound:
-                self.bucket_counts[i] += 1
-                break
-        else:
-            self.bucket_counts[-1] += 1
-        if len(self._samples) < self._max_samples:
-            self._samples.append(value)
-
-    @property
-    def value(self) -> float:
-        """Mean observation (what a scalar reading of a histogram means)."""
-        return self.sum / self.count if self.count else 0.0
-
-    def summary(self) -> Summary:
-        return Summary.from_samples(self._samples)
-
-    def as_dict(self) -> Dict[str, float]:
-        out: Dict[str, float] = {"count": self.count, "sum": self.sum}
-        if self._samples:
-            s = self.summary()
-            out.update(p50=s.median, p90=s.p90, p99=s.p99,
-                       min=s.minimum, max=s.maximum)
-        return out
-
-
 class MetricsRegistry:
     """Get-or-create registry of labelled metric series.
 
@@ -200,21 +145,15 @@ class MetricsRegistry:
         g = self._lookup(Gauge, name, labels, fn=fn)
         return g  # type: ignore[return-value]
 
-    def histogram(self, name: str,
-                  buckets: Sequence[float] = DEFAULT_BUCKETS,
-                  **labels) -> Histogram:
-        h = self._lookup(Histogram, name, labels, buckets=buckets)
-        return h  # type: ignore[return-value]
-
     # -- lifecycle ----------------------------------------------------------
 
     def reset(self) -> None:
         """Zero every stored series in place, keeping handles valid.
 
-        Counters go back to 0, settable gauges to 0.0, histograms drop all
-        observations.  Callback-backed gauges are left alone — they reflect
-        live object state, not accumulated history.  Existing handles cached
-        by hot paths (EventCounters properties) stay bound.
+        Counters go back to 0, settable gauges to 0.0.  Callback-backed
+        gauges are left alone — they reflect live object state, not
+        accumulated history.  Existing handles cached by hot paths
+        (EventCounters properties) stay bound.
         """
         for metric in self._metrics.values():
             if isinstance(metric, Counter):
@@ -222,11 +161,6 @@ class MetricsRegistry:
             elif isinstance(metric, Gauge):
                 if metric._fn is None:
                     metric._value = 0.0
-            elif isinstance(metric, Histogram):
-                metric.bucket_counts = [0] * (len(metric.buckets) + 1)
-                metric.count = 0
-                metric.sum = 0.0
-                metric._samples = []
 
     # -- introspection ------------------------------------------------------
 
@@ -244,11 +178,6 @@ class MetricsRegistry:
         return default if metric is None else metric.value
 
     def as_dict(self) -> Dict[str, object]:
-        """Exposition snapshot: series key -> scalar (or histogram dict)."""
-        out: Dict[str, object] = {}
-        for metric in self._metrics.values():
-            if isinstance(metric, Histogram):
-                out[metric.series] = metric.as_dict()
-            else:
-                out[metric.series] = metric.value
-        return out
+        """Exposition snapshot: series key -> scalar."""
+        return {metric.series: metric.value
+                for metric in self._metrics.values()}

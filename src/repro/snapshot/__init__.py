@@ -2,10 +2,10 @@
 
 ``codec`` turns a whitelisted object graph into a tagged binary stream
 whose restore is bit-identical (exact floats, preserved dict order and
-shared references); ``archive`` is the one on-disk container — a
-Winery-style sharded pack archive with CRC-framed records, an atomically
-published index and fail-closed reads, so corrupt or stale records fall
-back to re-aging; ``store`` is the content-addressed cache over it under
+shared references); ``archive`` is the one on-disk container — one
+sealed pack per CRC-framed record, an atomically published index and
+fail-closed reads, so corrupt or stale records fall back to re-aging;
+``store`` is the content-addressed cache over it under
 ``$REPRO_SNAPSHOT_DIR``.  ``harness.aged_fs`` is the consumer.
 """
 

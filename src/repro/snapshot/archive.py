@@ -1,45 +1,40 @@
-"""Winery-style sharded pack archive: the one container aged images live in.
+"""Pack archive: the one container aged images live in.
 
 The snapshot cache (:mod:`repro.snapshot.store`) and the fleet corpus
-builder (``repro.harness.fleet.CAMPAIGNS["snapshot"]``) share this layout and
-differ only in who seals when: the cache seals every image at once into
-a pack of its own, so one image is one evictable file; the builder fills
-one shard in grid order and seals it at ``seal_bytes`` and at the end,
-so a corpus is a few packs and identical payloads (every un-ageable PMFS
-cell, every duplicate parameter point) are stored once.  The shape is
-Software Heritage's *Winery* object storage:
-
-hot write shard
-    Each writer appends CRC-framed object records to its own
-    ``shard-<token>.write`` file.  Appends never rewrite existing bytes,
-    so a crashed writer leaves at worst an unindexed tail record.
+builder (``repro.harness.fleet.CAMPAIGNS["snapshot"]``) write through the
+same path: every new record becomes a sealed pack of its own, so one
+image is one evictable file, and identical payloads (every un-ageable
+PMFS cell, every duplicate parameter point) are stored once.
 
 sealed pack
-    When a shard crosses ``seal_bytes`` it is renamed (atomically, same
-    directory) to ``packs/pack-NNNNNN.pack`` and chmod'ed read-only.
-    Packs are immutable: readers can hold offsets into them forever.
+    ``packs/pack-NNNNNN.pack`` holds a header and one CRC-framed object
+    record.  It is created exclusively under the index lock, fsynced and
+    chmod'ed read-only before the index names it, so a crashed writer
+    leaves at worst a pack no entry names.  Packs are immutable: readers
+    can hold offsets into them forever.
 
 index
     One ``index.json`` maps every object key to ``(relpath, offset,
-    length)`` — shard or pack, the record layout is identical.  The
-    index is published by write-to-temp + ``os.replace`` under an
-    ``fcntl`` file lock, so readers always see a complete JSON document
-    and concurrent writers serialize their merges.  A ``contents``
-    section maps payload digests to the first key that wrote them:
-    later keys with identical payload bytes become *aliases* (entries
-    ``[relpath, offset, length, owner]`` sharing the owner's record) and
-    write nothing.  A record names the key it was written for and is
-    served to that key and its aliases only: an entry that has come to
-    point at other bytes (a shard name re-created after a crash, a pack
-    number reused after an eviction) reads ``corrupt``.  The index is
+    length)``.  The index is published by write-to-temp + ``os.replace``
+    under an ``fcntl`` file lock, so readers always see a complete JSON
+    document and concurrent writers serialize their merges.  A
+    ``contents`` section maps payload digests to the first key that
+    wrote them: later keys with identical payload bytes become *aliases*
+    (entries ``[relpath, offset, length, owner]`` sharing the owner's
+    record) and write nothing.  A record names the key it was written
+    for and is served to that key and its aliases only: an entry that
+    has come to point at other bytes (a pack number reused after an
+    eviction the index never heard of) reads ``corrupt``.  The index is
     outside input: entries that are malformed, or name anything but this
-    archive's own data files, are ignored.
+    archive's own packs, are ignored.
 
 scrub
-    Walks every shard and pack record-by-record, re-verifying each
-    record's CRC.  A file with structural damage or a failed CRC is
+    Walks every indexed pack record-by-record, re-verifying each
+    record's CRC.  A pack with structural damage or a failed CRC is
     moved to ``quarantine/`` and its index entries are dropped, so the
-    next restore of an affected key falls back to re-aging.
+    next restore of an affected key falls back to re-aging.  Packs no
+    entry names and stray index temp files — what a killed writer
+    leaves — are unlinked.
 
 All integrity failures on the read path degrade to the store's statuses
 (``miss`` / ``corrupt`` / ``stale`` / ``decode_error``); nothing in a
@@ -62,16 +57,11 @@ from typing import Any, Dict, Iterator, List, Optional, Tuple
 
 from . import codec, store
 
-__all__ = ["Archive", "ARCHIVE_VERSION", "DEFAULT_SEAL_BYTES", "INDEX_SCHEMA"]
+__all__ = ["Archive", "ARCHIVE_VERSION", "INDEX_SCHEMA"]
 
 #: bumped when the pack/record layout changes; packs carry it in their
 #: header so foreign files are quarantined, never misparsed
 ARCHIVE_VERSION = 1
-
-#: seal threshold: compact enough that a corpus build produces several
-#: packs (exercising the seal path), large enough that pack count stays
-#: far below the object count
-DEFAULT_SEAL_BYTES = 64 * 1024 * 1024
 
 INDEX_SCHEMA = "repro.snapshot-archive/1"
 
@@ -82,7 +72,7 @@ _REC_MAGIC = b"ROBJ"
 _REC_HEAD = struct.Struct("<4sHHIQ")
 _REC_CRC = struct.Struct("<I")
 #: the only files an index entry may name: what this module itself writes
-_DATA_FILE = re.compile(r"(packs/pack-\d+\.pack|shard-[^/\0]+\.write)\Z")
+_DATA_FILE = re.compile(r"packs/pack-\d+\.pack\Z")
 
 
 def _valid_entry(entry: Any) -> bool:
@@ -172,24 +162,17 @@ class _IndexLock:
 
 
 class Archive:
-    """One sharded pack archive rooted at a directory.
+    """One pack archive rooted at a directory.
 
     Thread-unsafe per instance, multi-process safe per directory: every
-    index mutation happens under the directory's file lock, every data
-    write is an append to this writer's own shard, and the index is
-    published atomically.  Instances are cheap — the index is re-read
-    from disk on every lookup so concurrent writers are always visible.
+    pack write and index mutation happens under the directory's file
+    lock, and the index is published atomically.  Instances are cheap —
+    the index is re-read from disk on every lookup so concurrent writers
+    are always visible.
     """
 
-    def __init__(self, root: str, *, seal_bytes: int = DEFAULT_SEAL_BYTES,
-                 shard_token: Optional[str] = None) -> None:
+    def __init__(self, root: str) -> None:
         self.root = root
-        self.seal_bytes = seal_bytes
-        # one shard per writer process keeps appends single-writer; a
-        # deterministic token (the corpus builder passes "build") makes
-        # shard and pack contents reproducible byte-for-byte
-        token = shard_token if shard_token is not None else f"pid{os.getpid()}"
-        self.shard_name = f"shard-{token}.write"
         os.makedirs(os.path.join(root, "packs"), exist_ok=True)
 
     # -- paths and index I/O --------------------------------------------------
@@ -295,21 +278,13 @@ class Archive:
                     status = "alias"
                 else:
                     record = _frame_record(key, meta_blob, payload)
-                    with open(self._path(self.shard_name), "ab") as handle:
-                        if handle.tell() == 0:
-                            handle.write(_pack_header())
-                        offset = handle.tell()
-                        handle.write(record)
-                        handle.flush()
-                        os.fsync(handle.fileno())
-                        size = handle.tell()
-                    objects[key] = [self.shard_name, offset, len(record)]
+                    pack_rel = self._next_pack_name()
+                    self._write_pack(pack_rel, record)
+                    objects[key] = [pack_rel, _HEADER_LEN, len(record)]
                     contents[digest] = key
-                    if size >= self.seal_bytes:
-                        self._seal_locked(doc)
                     status = "stored"
                 self._publish_index(doc)
-                if old is not None and old[0].startswith("packs/") and all(
+                if old is not None and all(
                         entry[0] != old[0] for entry in objects.values()):
                     with contextlib.suppress(OSError):
                         os.unlink(self._path(old[0]))  # the pack it orphaned
@@ -318,39 +293,21 @@ class Archive:
         return status
 
     def _next_pack_name(self) -> str:
-        packs_dir = os.path.join(self.root, "packs")
-        taken = [name for name in os.listdir(packs_dir)
-                 if name.startswith("pack-") and name.endswith(".pack")]
-        number = 0
-        for name in taken:
-            try:
-                number = max(number, int(name[5:-5]) + 1)
-            except ValueError:
-                continue
-        return f"packs/pack-{number:06d}.pack"
+        """One past the highest pack number on disk (lock held)."""
+        taken = [int(rel[len("packs/pack-"):-len(".pack")])
+                 for rel in self._data_files() if _DATA_FILE.match(rel)]
+        return f"packs/pack-{max(taken, default=-1) + 1:06d}.pack"
 
-    def _seal_locked(self, doc: Dict[str, Any]) -> Optional[str]:
-        """Rename this writer's shard into an immutable pack (lock held)."""
-        shard = self._path(self.shard_name)
-        if not os.path.exists(shard):
-            return None
-        pack_rel = self._next_pack_name()
-        pack = self._path(pack_rel)
-        os.replace(shard, pack)
-        os.chmod(pack, stat.S_IRUSR | stat.S_IRGRP | stat.S_IROTH)
-        for entry in doc["objects"].values():
-            if entry[0] == self.shard_name:
-                entry[0] = pack_rel
-        return pack_rel
-
-    def seal(self) -> Optional[str]:
-        """Seal this writer's shard now; returns the pack relpath."""
-        with _IndexLock(self.root):
-            doc = self._read_index()
-            pack_rel = self._seal_locked(doc)
-            if pack_rel is not None:
-                self._publish_index(doc)
-            return pack_rel
+    def _write_pack(self, pack_rel: str, record: bytes) -> None:
+        """Seal *record* into a new read-only pack (lock held): durable
+        before any index entry can name it."""
+        path = self._path(pack_rel)
+        fd = os.open(path, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o644)
+        with os.fdopen(fd, "wb") as handle:
+            handle.write(_pack_header() + record)
+            handle.flush()
+            os.fsync(handle.fileno())
+        os.chmod(path, stat.S_IRUSR | stat.S_IRGRP | stat.S_IROTH)
 
     # -- read path ------------------------------------------------------------
 
@@ -409,39 +366,43 @@ class Archive:
             "objects": len(doc["objects"]),
             "unique_records": len(locations),
             "aliases": len(doc["objects"]) - len(locations),
-            "packs": sum(1 for name in files if name.startswith("packs/")),
-            "shards": sum(1 for name in files if name.endswith(".write")),
+            "packs": len(files),
             "bytes": sum(files.values()),
         }
 
     # -- maintenance ----------------------------------------------------------
 
     def _data_files(self) -> List[str]:
-        names: List[str] = []
         packs_dir = os.path.join(self.root, "packs")
-        if os.path.isdir(packs_dir):
-            names.extend(f"packs/{name}" for name in os.listdir(packs_dir)
-                         if name.endswith(".pack"))
-        names.extend(name for name in os.listdir(self.root)
-                     if name.startswith("shard-") and name.endswith(".write"))
-        return sorted(names)
+        if not os.path.isdir(packs_dir):
+            return []
+        return sorted(f"packs/{name}" for name in os.listdir(packs_dir)
+                      if name.endswith(".pack"))
 
     def scrub(self) -> Dict[str, Any]:
-        """Verify every record CRC; quarantine damaged files.
+        """Verify every indexed record CRC; quarantine damaged packs;
+        reclaim what killed writers left.
 
-        Returns ``{"files", "objects", "quarantined", "dropped_keys"}``.
-        A file is damaged when its header is wrong or any record fails
-        to parse/CRC before EOF; damaged files move to ``quarantine/``
-        and every index entry that is not a verified record of its owner
-        (it points into such a file, at no record, or at another key's)
-        is dropped, aliases included, so affected keys re-age on next use.
+        Returns ``{"files", "objects", "quarantined", "dropped_keys",
+        "reclaimed"}``.  A pack is damaged when its header is wrong or
+        any record fails to parse/CRC before EOF; damaged packs move to
+        ``quarantine/`` and every index entry that is not a verified
+        record of its owner (it points into such a pack, at no record, or
+        at another key's) is dropped, aliases included, so affected keys
+        re-age on next use.  Every pack write and index publish runs
+        under the lock held here, so packs no remaining entry names and
+        ``.index-*.tmp`` files are crash leftovers: they are unlinked and
+        listed under ``reclaimed``.
         """
         with _IndexLock(self.root):
             doc = self._read_index()
+            named = {entry[0] for entry in doc["objects"].values()}
             valid: Dict[str, Dict[Tuple[int, int], str]] = {}
             quarantined: List[str] = []
             objects_seen = 0
             for relpath in self._data_files():
+                if relpath not in named:
+                    continue
                 path = self._path(relpath)
                 try:
                     with open(path, "rb") as handle:
@@ -472,11 +433,21 @@ class Archive:
             for key in dropped:
                 del doc["objects"][key]
             self._publish_index(doc)
+            named = {entry[0] for entry in doc["objects"].values()}
+            reclaimed = [relpath for relpath in self._data_files()
+                         if relpath not in named]
+            reclaimed += sorted(name for name in os.listdir(self.root)
+                                if name.startswith(".index-")
+                                and name.endswith(".tmp"))
+            for relpath in reclaimed:
+                with contextlib.suppress(OSError):
+                    os.unlink(self._path(relpath))
         return {
             "files": len(valid) + len(quarantined),
             "objects": objects_seen,
             "quarantined": quarantined,
             "dropped_keys": dropped,
+            "reclaimed": reclaimed,
         }
 
     def _quarantine(self, relpath: str) -> None:
@@ -490,10 +461,9 @@ class Archive:
         os.replace(self._path(relpath), target)
 
     def gc(self, max_bytes: int) -> Dict[str, Any]:
-        """Evict sealed packs, least-recently-modified first, until the
-        archive's data files fit in *max_bytes*.
+        """Evict packs, least-recently-modified first, until the
+        archive's packs fit in *max_bytes*.
 
-        Hot shards are never evicted (they hold in-flight writes).
         Returns ``{"evicted", "freed_bytes", "dropped_keys"}``.
         """
         with _IndexLock(self.root):
@@ -506,8 +476,7 @@ class Archive:
                 except OSError:
                     continue
                 total += info.st_size
-                if relpath.startswith("packs/"):
-                    sized.append((info.st_mtime, relpath, info.st_size))
+                sized.append((info.st_mtime, relpath, info.st_size))
             sized.sort()
             evicted: List[str] = []
             freed = 0

@@ -74,11 +74,10 @@ def snapshot_dir() -> str:
 
 
 def _cache() -> Any:
-    """The archive behind the cache.  ``seal_bytes=0`` seals each image at
-    once into a pack of its own: one image is one evictable file."""
+    """The archive behind the cache: one image is one evictable pack."""
     from .archive import Archive  # imports this module for FORMAT_VERSION
 
-    return Archive(snapshot_dir(), seal_bytes=0)
+    return Archive(snapshot_dir())
 
 
 def save(key: str, root: Any, meta: Optional[Dict[str, Any]] = None) -> bool:

@@ -21,7 +21,7 @@ import pytest
 from repro.analysis import FileContext, default_rules, run_lint
 from repro.analysis.engine import derive_module, scan_suppressions
 from repro.analysis.flow import CallGraph, FlowAnalysis, collect_file_facts
-from repro.analysis.rules.array_state import ArrayStateRule
+from repro.analysis.rules.array_state import _SANCTIONED, ArrayStateRule
 from repro.analysis.rules.determinism import DeterminismRule
 from repro.analysis.rules.flow_locks import LockDiscipline
 from repro.analysis.rules.flow_persist import PersistenceOrdering
@@ -426,6 +426,57 @@ def test_array_kernel_sanctioned_modules_and_reads_are_clean():
             return now, list(ctx.clock._cpu_ns)
     """, module="repro.workloads.fixture")
     assert reads == []
+
+
+def test_array_kernel_sees_writes_through_a_local_alias():
+    hits = rule_hits(ArrayStateRule(), """
+        def charge(ctx, dev, pool, ns):
+            cpu_ns = ctx.clock._cpu_ns
+            cpu_ns[ctx.cpu] = cpu_ns[ctx.cpu] + ns
+            cpu_ns[0] += ns
+            seqs = dev._log_seqs
+            seqs.append(7)
+            starts = pool._rs.starts
+            del starts[0]
+            cpu_ns = None
+            return seqs[0]
+    """, module="repro.workloads.fixture")
+    assert sorted((h.line, h.detail) for h in hits) == [
+        (4, "_cpu_ns"), (5, "_cpu_ns"), (7, "_log_seqs"), (9, "_rs")]
+
+
+def test_array_kernel_alias_is_scoped_to_its_function():
+    source = """
+        def bind(ctx):
+            cpu_ns = ctx.clock._cpu_ns
+            return cpu_ns[ctx.cpu]
+
+        def charge(cpu_ns, ns):
+            cpu_ns[0] += ns   # a parameter, not the local of bind()
+    """
+    assert rule_hits(ArrayStateRule(), source,
+                     module="repro.workloads.fixture") == []
+    # the fused persist kernel's aliased clock write is sanctioned
+    assert rule_hits(ArrayStateRule(), """
+        def persist(self, ctx, v):
+            cpu_ns = ctx.clock._cpu_ns
+            cpu_ns[ctx.cpu] = v
+    """, module="repro.pm.device") == []
+
+
+@pytest.mark.parametrize("attr,module", [
+    (attr, module) for attr, modules in sorted(_SANCTIONED.items())
+    for module in modules])
+def test_every_sanction_covers_a_write(attr, module, monkeypatch):
+    """A sanction no write needs is dead weight that hides the next
+    unaudited one: lifting each must expose at least one finding."""
+    path = os.path.join(SRC_REPRO, *module.split(".")[1:]) + ".py"
+    with open(path) as fh:
+        source = fh.read()
+    monkeypatch.setitem(_SANCTIONED, attr, tuple(
+        m for m in _SANCTIONED[attr] if m != module))
+    hits = rule_hits(ArrayStateRule(), source, module=module)
+    assert any(h.detail == attr for h in hits)
 
 
 def test_array_kernel_scoped_to_repro_and_suppressible():

@@ -57,7 +57,7 @@ INVOCATIONS = [
      ["corpus.json", "A"]),
     ("snapshot-build-jobs2",
      ["snapshot", "build", "--archive", "B", "--size-gib", "0.0625",
-      "--jobs", "2", "--seal-mib", "0.01", "--out", "-"],
+      "--jobs", "2", "--out", "-"],
      ["B"]),
     ("snapshot-ls", ["snapshot", "ls", "--archive", "A"], []),
 ]

@@ -1,10 +1,9 @@
-"""Metrics registry: counters, gauges, histograms, labels, cardinality."""
+"""Metrics registry: counters, gauges, labels, cardinality."""
 
 import pytest
 
 from repro.errors import ObservabilityError
-from repro.obs.metrics import (Counter, Gauge, Histogram, MetricsRegistry,
-                               format_series)
+from repro.obs.metrics import Counter, Gauge, MetricsRegistry, format_series
 
 
 class TestSeriesIdentity:
@@ -38,8 +37,9 @@ class TestSeriesIdentity:
         reg.counter("x", a="1")
         with pytest.raises(ObservabilityError):
             reg.gauge("x", a="1")
+        reg.gauge("y", a="1")
         with pytest.raises(ObservabilityError):
-            reg.histogram("x", a="1")
+            reg.counter("y", a="1")
 
 
 class TestCounter:
@@ -82,38 +82,6 @@ class TestGauge:
             g.set(2.0)
 
 
-class TestHistogram:
-    def test_buckets_and_summary(self):
-        h = Histogram("h", (), buckets=(10.0, 100.0))
-        for v in (1.0, 5.0, 50.0, 500.0):
-            h.observe(v)
-        assert h.count == 4
-        assert h.sum == 556.0
-        assert h.bucket_counts == [2, 1, 1]     # <=10, <=100, +inf
-        s = h.summary()
-        assert s.minimum == 1.0 and s.maximum == 500.0
-
-    def test_sample_bound(self):
-        h = Histogram("h", (), max_samples=3)
-        for v in range(10):
-            h.observe(float(v))
-        assert h.count == 10            # counts keep going
-        assert len(h._samples) == 3     # raw samples stay bounded
-
-    def test_as_dict(self):
-        h = Histogram("h", ())
-        h.observe(2.0)
-        d = h.as_dict()
-        assert d["count"] == 1 and d["sum"] == 2.0 and d["p50"] == 2.0
-
-    def test_scalar_value_is_mean(self):
-        h = Histogram("h", ())
-        assert h.value == 0.0
-        h.observe(2.0)
-        h.observe(4.0)
-        assert h.value == 3.0
-
-
 class TestCardinality:
     def test_cap_per_name(self):
         reg = MetricsRegistry(max_series_per_name=4)
@@ -142,11 +110,7 @@ class TestRegistryIntrospection:
         reg = MetricsRegistry()
         reg.counter("c").inc(2)
         reg.gauge("g", fn=lambda: 5.0)
-        reg.histogram("h").observe(1.0)
-        d = reg.as_dict()
-        assert d["c"] == 2
-        assert d["g"] == 5.0
-        assert d["h"]["count"] == 1
+        assert reg.as_dict() == {"c": 2, "g": 5.0}
 
     def test_collect_and_counts(self):
         reg = MetricsRegistry()

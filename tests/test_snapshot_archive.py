@@ -1,18 +1,19 @@
-"""Sharded pack archive: shard/pack lifecycle, integrity, determinism.
+"""Pack archive: one sealed pack per record, integrity, determinism.
 
 Five layers:
 
-* ``Archive`` — put/load round trips, payload dedup (aliases), seal at
-  the byte threshold, immutable packs;
+* ``Archive`` — put/load round trips, payload dedup (aliases), one
+  read-only pack per stored record;
 * failure paths — corrupt or truncated packs and stale index entries
   all fall back to re-aging (fail-closed), scrub quarantines damaged
-  files and drops their keys, gc evicts sealed packs LRU-first but
-  never a hot shard, a replacing put heals a damaged entry;
+  packs and drops their keys, gc evicts packs LRU-first, a replacing
+  put heals a damaged entry;
 * outside input and crashes — a record is served only to the key it was
   written for, malformed or hostile index entries are ignored, and a
-  writer killed at any step leaves an archive the next writer converges;
-* concurrency — many writers (one shard each) interleaving under the
-  index lock produce one consistent index;
+  writer killed at any step leaves an archive the next writer converges
+  and scrub reclaims;
+* concurrency — many writers interleaving under the index lock produce
+  one consistent index;
 * corpus builder + ``aged_fs`` — the fleet-built archive is
   byte-identical for any ``--jobs`` value, ``aged_fs`` restores from it
   when it is the cache directory, and a restore out of a sealed pack
@@ -94,26 +95,21 @@ class TestArchive:
         # both keys decode, from the one record
         assert archive.load_ex("bb" * 32) == ({"same": True}, "hit")
 
-    def test_seal_at_threshold(self, arch_dir):
-        archive = Archive(arch_dir, seal_bytes=4096)
-        _fill(archive, count=4)
-        stats = archive.stats()
-        assert stats["packs"] >= 1
-        for _key, relpath, _off, _len in archive.objects():
-            if relpath.startswith("packs/"):
-                mode = os.stat(os.path.join(arch_dir, relpath)).st_mode
-                assert not mode & (stat.S_IWUSR | stat.S_IWGRP)
-
-    def test_explicit_seal_empties_shard(self, arch_dir):
+    def test_every_record_is_its_own_read_only_pack(self, arch_dir):
         archive = Archive(arch_dir)
-        keys = _fill(archive)
-        assert archive.stats()["shards"] == 1
-        pack_rel = archive.seal()
-        assert pack_rel and pack_rel.startswith("packs/")
-        stats = archive.stats()
-        assert stats["shards"] == 0 and stats["packs"] == 1
-        for key in keys:
+        keys = _fill(archive, count=4)
+        assert archive.stats()["packs"] == 4
+        assert sorted(os.listdir(arch_dir)) == [".lock", "index.json",
+                                                "packs"]
+        relpaths = [relpath for _key, relpath, *_ in archive.objects()]
+        assert relpaths == [f"packs/pack-{i:06d}.pack" for i in range(4)]
+        for key, relpath, offset, length in archive.objects():
+            assert offset == archive_mod._HEADER_LEN
+            path = os.path.join(arch_dir, relpath)
+            assert os.path.getsize(path) == offset + length
+            assert not os.stat(path).st_mode & (stat.S_IWUSR | stat.S_IWGRP)
             assert archive.load_ex(key)[1] == "hit"
+        assert [key for key, *_ in archive.objects()] == keys
 
     def test_objects_sorted(self, arch_dir):
         archive = Archive(arch_dir)
@@ -131,42 +127,37 @@ class TestArchive:
 
 
 class TestArchiveFailurePaths:
-    def _sealed(self, arch_dir):
+    def _filled(self, arch_dir):
+        """Three records; the pack of the middle one is returned."""
         archive = Archive(arch_dir)
         keys = _fill(archive)
-        archive.seal()
-        (pack_rel,) = {rel for _k, rel, *_ in archive.objects()}
+        pack_rel = dict((k, rel) for k, rel, *_ in archive.objects())[keys[1]]
         return archive, keys, os.path.join(arch_dir, pack_rel)
 
     def test_corrupt_record_reads_corrupt(self, arch_dir):
-        archive, keys, pack = self._sealed(arch_dir)
+        archive, keys, pack = self._filled(arch_dir)
         os.chmod(pack, 0o644)
         blob = bytearray(open(pack, "rb").read())
         blob[len(blob) // 2] ^= 0xFF
         open(pack, "wb").write(bytes(blob))
-        statuses = [archive.load_ex(k)[1] for k in keys]
-        # only the record holding the flipped byte is damaged; reads are
-        # per-record spans, so neighbours still hit — and nothing raises
-        assert "corrupt" in statuses
-        assert set(statuses) <= {"hit", "corrupt"}
+        # only the record in the damaged pack fails; its neighbours still
+        # hit — and nothing raises
+        assert [archive.load_ex(k)[1] for k in keys] == [
+            "hit", "corrupt", "hit"]
 
     def test_truncated_pack_reads_corrupt(self, arch_dir):
-        archive, keys, pack = self._sealed(arch_dir)
+        archive, keys, pack = self._filled(arch_dir)
         os.chmod(pack, 0o644)
         blob = open(pack, "rb").read()
         open(pack, "wb").write(blob[:len(blob) // 2])
-        statuses = [archive.load_ex(k)[1] for k in keys]
-        # every record at or past the cut fails closed; none raises
-        assert statuses[-1] == "corrupt"
-        assert set(statuses) <= {"hit", "corrupt"}
+        assert [archive.load_ex(k)[1] for k in keys] == [
+            "hit", "corrupt", "hit"]
 
     def test_stale_index_entry_is_miss_or_corrupt(self, arch_dir):
-        archive, keys, pack = self._sealed(arch_dir)
-        os.chmod(pack, 0o644)
+        archive, keys, pack = self._filled(arch_dir)
         os.unlink(pack)  # index now points at a ghost
-        for key in keys:
-            value, status = archive.load_ex(key)
-            assert value is None and status != "hit"
+        assert [archive.load_ex(k)[1] for k in keys] == [
+            "hit", "miss", "hit"]
 
     @pytest.mark.parametrize(
         "payload", [b"S\x01l\x00", b"l\x01" * 60000 + b"N"],
@@ -179,33 +170,50 @@ class TestArchiveFailurePaths:
         assert archive.load_ex("ab" * 32) == (None, "decode_error")
 
     def test_scrub_clean_archive(self, arch_dir):
-        archive, keys, _pack = self._sealed(arch_dir)
+        archive, keys, _pack = self._filled(arch_dir)
         report = archive.scrub()
         assert report["quarantined"] == []
         assert report["dropped_keys"] == []
-        assert report["objects"] == len(keys)
+        assert report["reclaimed"] == []
+        assert (report["files"], report["objects"]) == (3, len(keys))
 
     def test_scrub_quarantines_corrupt_pack(self, arch_dir):
-        archive, keys, pack = self._sealed(arch_dir)
+        archive, keys, pack = self._filled(arch_dir)
         os.chmod(pack, 0o644)
         blob = bytearray(open(pack, "rb").read())
-        blob[-3] ^= 0xFF  # inside the last record's CRC
+        blob[-3] ^= 0xFF  # inside the record's CRC
         open(pack, "wb").write(bytes(blob))
         report = archive.scrub()
         assert report["quarantined"] == [
             os.path.relpath(pack, arch_dir).replace(os.sep, "/")]
-        assert report["dropped_keys"] == sorted(keys)
+        assert report["dropped_keys"] == [keys[1]]
         assert os.path.exists(os.path.join(
             arch_dir, "quarantine", os.path.basename(pack)))
-        # dropped keys now read as miss: callers re-age
-        assert {archive.load_ex(k)[1] for k in keys} == {"miss"}
+        # the dropped key now reads as miss: callers re-age
+        assert [archive.load_ex(k)[1] for k in keys] == [
+            "hit", "miss", "hit"]
+
+    def test_scrub_reclaims_crash_leftovers(self, arch_dir):
+        """A pack no entry names and an index temp file are what a writer
+        killed under the lock leaves; scrub holds that lock, so it
+        unlinks both — and only those."""
+        archive, keys, _pack = self._filled(arch_dir)
+        orphan = "packs/pack-000009.pack"
+        with open(os.path.join(arch_dir, orphan), "wb") as handle:
+            handle.write(archive_mod._pack_header())  # torn: no record
+        open(os.path.join(arch_dir, ".index-x.tmp"), "wb").close()
+        report = archive.scrub()
+        assert report["reclaimed"] == [orphan, ".index-x.tmp"]
+        assert report["quarantined"] == [] and report["dropped_keys"] == []
+        assert sorted(os.listdir(arch_dir)) == [".lock", "index.json",
+                                                "packs"]
+        assert {archive.load_ex(k)[1] for k in keys} == {"hit"}
 
     def test_scrub_drops_alias_of_quarantined_record(self, arch_dir):
         archive = Archive(arch_dir)
         payload = codec.encode({"v": 1})
         archive.put_payload("aa" * 32, payload)
         archive.put_payload("bb" * 32, payload)  # alias
-        archive.seal()
         (pack_rel,) = {rel for _k, rel, *_ in archive.objects()}
         pack = os.path.join(arch_dir, pack_rel)
         os.chmod(pack, 0o644)
@@ -216,7 +224,7 @@ class TestArchiveFailurePaths:
         assert report["dropped_keys"] == ["aa" * 32, "bb" * 32]
 
     def test_gc_evicts_lru_packs_only(self, arch_dir):
-        archive = Archive(arch_dir, seal_bytes=1)  # seal after every put
+        archive = Archive(arch_dir)
         keys = _fill(archive, count=3)
         packs = sorted(n for n in os.listdir(os.path.join(arch_dir, "packs")))
         assert len(packs) == 3
@@ -229,13 +237,6 @@ class TestArchiveFailurePaths:
         assert archive.load_ex(keys[0])[1] == "miss"
         assert archive.load_ex(keys[2])[1] == "hit"
 
-    def test_gc_never_evicts_hot_shard(self, arch_dir):
-        archive = Archive(arch_dir)
-        keys = _fill(archive)          # all still in the hot shard
-        report = archive.gc(0)
-        assert report["evicted"] == []
-        assert {archive.load_ex(k)[1] for k in keys} == {"hit"}
-
 
 def _pack_names(arch_dir):
     return sorted(os.listdir(os.path.join(arch_dir, "packs")))
@@ -247,8 +248,7 @@ class TestReplacingPut:
 
     @pytest.fixture
     def cache(self, arch_dir):
-        """Sealing at once, as the store does: one image, one pack."""
-        return Archive(arch_dir, seal_bytes=0)
+        return Archive(arch_dir)
 
     def test_put_replaces_and_unlinks_the_orphaned_pack(self, cache,
                                                         arch_dir):
@@ -310,99 +310,91 @@ class _Killed(Exception):
 
 
 def _kill_at(monkeypatch, step):
-    """Make the next write die at *step* of ``_store`` / ``seal``."""
+    """Make the next write die at *step* of ``_store``."""
     def die(*_args, **_kwargs):
         raise _Killed(step)
 
-    if step == "append":      # the record is in the shard; nothing else is
-        monkeypatch.setattr(Archive, "_seal_locked", die)
-    elif step == "rename":    # the shard is a pack the index has not heard of
+    if step == "written":     # the pack is durable but still writable
+        monkeypatch.setattr(archive_mod.os, "chmod", die)
+    elif step == "sealed":    # the pack is sealed; the index never heard of it
         monkeypatch.setattr(Archive, "_publish_index", die)
-    else:                     # the new index is written but not renamed in
-        real = os.replace
+    else:                     # the new index is written but not renamed in,
+        real = os.replace     # and a kill runs no cleanup
 
         def replace(src, dst):
             if str(dst).endswith("index.json"):
                 die()
             return real(src, dst)
         monkeypatch.setattr(archive_mod.os, "replace", replace)
+        monkeypatch.setattr(archive_mod.os, "unlink", die)
 
 
-def _assert_converges(archive, images):
-    """Every key is a hit with its own image or a non-hit the next save
-    replaces; scrub copes, and has nothing left to drop the second time."""
+def _assert_clean(archive, images):
+    """Every key hits its own image, the packs on disk are exactly the
+    indexed ones, nothing else is left in the root, and scrub has
+    nothing to do."""
     for key, image in images.items():
-        value, status = archive.load_ex(key)
-        assert (value, status) == (image, "hit") or \
-            (value is None and status in store.LOAD_STATUSES[1:]), key
-    archive.scrub()
-    again = archive.scrub()
-    assert again["dropped_keys"] == [] and again["quarantined"] == []
-    for key, image in images.items():
-        if archive.load_ex(key)[1] != "hit":
-            assert archive.put(key, image)
         assert archive.load_ex(key) == (image, "hit"), key
-    assert not [n for n in os.listdir(archive.root) if n.startswith(".index-")]
+    indexed = {relpath for _key, relpath, *_ in archive.objects()}
+    assert {f"packs/{name}" for name in _pack_names(archive.root)} == indexed
+    assert sorted(os.listdir(archive.root)) == [".lock", "index.json",
+                                                "packs"]
+    assert archive.scrub() == {
+        "files": len(indexed), "objects": len(indexed), "quarantined": [],
+        "dropped_keys": [], "reclaimed": []}
 
 
 class TestCrashConvergence:
-    """Kill a writer at each step; the next writer — same shard token, so
-    it re-creates the dead one's file names — must converge."""
+    """Kill a writer at each step; the next writer must store the key
+    again, and scrub must reclaim what the dead one left."""
 
     _IMAGES = {f"k{i}": {"image": i} for i in (1, 2, 3)}
 
     def test_record_served_only_to_its_key(self, arch_dir, monkeypatch):
-        """The reproduction: a seal dies between its rename and its index
-        publish, the next ``build`` writer re-creates the shard name, and
+        """The reproduction: a gc dies between unlinking a pack and
+        publishing the index, the next put reuses the pack number, and
         k1's stale entry lands exactly on k3's record."""
-        first = Archive(arch_dir, shard_token="build")
-        assert first.put("k1", {"image": 1})
+        archive = Archive(arch_dir)
+        assert archive.put("k1", {"image": 1})
         with monkeypatch.context() as patch:
-            _kill_at(patch, "rename")
+            _kill_at(patch, "sealed")
             with pytest.raises(_Killed):
-                first.seal()
-        second = Archive(arch_dir, shard_token="build")
-        assert second.put("k3", {"image": 3})
-        assert second.load_ex("k3") == ({"image": 3}, "hit")
-        assert second.load_ex("k1") == (None, "corrupt")
-        report = second.scrub()
+                archive.gc(0)
+        assert archive.put("k3", {"image": 3})
+        assert _pack_names(arch_dir) == ["pack-000000.pack"]
+        assert archive.load_ex("k3") == ({"image": 3}, "hit")
+        assert archive.load_ex("k1") == (None, "corrupt")
+        report = archive.scrub()
         assert report["dropped_keys"] == ["k1"]
-        assert report["quarantined"] == []
-        assert second.load_ex("k1") == (None, "miss")
+        assert report["quarantined"] == [] and report["reclaimed"] == []
+        assert archive.load_ex("k1") == (None, "miss")
 
-    @pytest.mark.parametrize("step", ["append", "rename", "publish"])
+    @pytest.mark.parametrize("step", ["written", "sealed", "publish"])
     def test_killed_cache_save_converges(self, arch_dir, monkeypatch, step):
-        def writer():
-            return Archive(arch_dir, seal_bytes=0, shard_token="t")
-
-        assert writer().put("k1", self._IMAGES["k1"])
+        assert Archive(arch_dir).put("k1", self._IMAGES["k1"])
         with monkeypatch.context() as patch:
             _kill_at(patch, step)
             with pytest.raises(_Killed):
-                writer().put("k2", self._IMAGES["k2"])
-        assert writer().put("k3", self._IMAGES["k3"])
-        _assert_converges(writer(), self._IMAGES)
-
-    @pytest.mark.parametrize("step", ["rename", "publish"])
-    def test_killed_build_seal_converges(self, arch_dir, monkeypatch, step):
-        def writer():
-            return Archive(arch_dir, shard_token="build")
-
-        first = writer()
-        assert first.put("k1", self._IMAGES["k1"])
-        assert first.put("k2", self._IMAGES["k2"])
-        with monkeypatch.context() as patch:
-            _kill_at(patch, step)
-            with pytest.raises(_Killed):
-                first.seal()
-        second = writer()
-        assert second.put("k3", self._IMAGES["k3"])
-        second.seal()
-        _assert_converges(writer(), self._IMAGES)
+                Archive(arch_dir).put("k2", self._IMAGES["k2"])
+        archive = Archive(arch_dir)
+        assert archive.load_ex("k2") == (None, "miss")  # never published
+        assert archive.put("k2", self._IMAGES["k2"])
+        assert archive.put_payload("k3", codec.encode(self._IMAGES["k3"])) \
+            == "stored"
+        report = archive.scrub()
+        assert report["quarantined"] == [] and report["dropped_keys"] == []
+        assert report["reclaimed"][0] == "packs/pack-000001.pack"
+        if step == "publish":
+            (tmp,) = report["reclaimed"][1:]
+            assert tmp.startswith(".index-") and tmp.endswith(".tmp")
+        else:
+            assert len(report["reclaimed"]) == 1
+        _assert_clean(archive, self._IMAGES)
 
 
 _MALFORMED_ENTRIES = {
-    "nan-offset": ["shard-t.write", "NaN", 5],
+    "nan-offset": ["packs/pack-000000.pack", "NaN", 5],
+    "legacy-shard": ["shard-build.write", 10, 100],
     "too-short": [1, 2],
     "string": "str",
     "null": None,
@@ -411,7 +403,7 @@ _MALFORMED_ENTRIES = {
 
 # index entries near enough to the real shape to get past a careless check
 _ENTRY_FIELDS = st.one_of(
-    st.sampled_from(["shard-x.write", "packs/pack-000000.pack", "../x",
+    st.sampled_from(["shard-x.write", "packs/pack-000001.pack", "../x",
                      "/etc/passwd", "packs/../../x", "shard-\x00.write"]),
     st.integers(-3, 1 << 70), st.booleans(), st.none(), st.text(max_size=3))
 _JSON = st.recursive(
@@ -429,7 +421,6 @@ class TestHostileIndex:
     def _with_entry(self, arch_dir, entry):
         archive = Archive(arch_dir)
         assert archive.put("good", {"v": 1})
-        archive.seal()
         doc = json.load(open(archive.index_path))
         doc["objects"]["bad"] = entry
         json.dump(doc, open(archive.index_path, "w"))
@@ -471,7 +462,8 @@ class TestHostileIndex:
         root = str(tmp_path_factory.mktemp("hostile"))
         archive = Archive(root)
         assert archive.put("good", {"v": 1})
-        with open(os.path.join(root, "shard-x.write"), "wb") as handle:
+        with open(os.path.join(root, "packs", "pack-000001.pack"),
+                  "wb") as handle:
             handle.write(archive_mod._pack_header() + blob)
         with open(archive.index_path, "w") as handle:
             json.dump({"schema": archive_mod.INDEX_SCHEMA,
@@ -494,23 +486,21 @@ class TestHostileIndex:
 
 class TestConcurrentWriters:
     def test_many_writers_one_consistent_index(self, arch_dir):
-        """Each thread owns a shard; index merges serialize on the file
-        lock.  Every key must be readable afterwards and the index must
-        hold exactly the union."""
+        """Pack writes and index merges serialize on the file lock.
+        Every key must be readable afterwards, in a pack of its own, and
+        the index must hold exactly the union."""
         per_writer = 8
         writers = 4
         errors = []
 
         def write(token):
             try:
-                archive = Archive(arch_dir, shard_token=f"w{token}",
-                                  seal_bytes=4096)
+                archive = Archive(arch_dir)
                 for i in range(per_writer):
                     key = f"{token}{i:02d}".ljust(64, "f")
                     status = archive.put_payload(
                         key, codec.encode(f"payload-{token}-{i}" * 64))
                     assert status == "stored", status
-                archive.seal()
             except BaseException as exc:  # surface into the test
                 errors.append(exc)
 
@@ -525,7 +515,7 @@ class TestConcurrentWriters:
         keys = [key for key, *_ in reader.objects()]
         assert len(keys) == writers * per_writer
         assert all(reader.load_ex(k)[1] == "hit" for k in keys)
-        assert reader.stats()["shards"] == 0  # every writer sealed
+        assert reader.stats()["packs"] == writers * per_writer
         assert reader.scrub()["dropped_keys"] == []
 
 
@@ -557,7 +547,9 @@ class TestCorpusBuilder:
         assert by_cell[("PMFS", "agrawal")] == "stored"
         assert by_cell[("PMFS", "wang-hpc")] == "alias"
         assert report["archive"]["aliases"] == 1
-        assert report["archive"]["shards"] == 0  # build seals at the end
+        # one pack per stored image; an alias writes none
+        statuses = [c["status"] for c in report["cells"]]
+        assert report["archive"]["packs"] == statuses.count("stored")
         assert report["metrics"]
 
     def test_jobs_do_not_change_bytes(self, tmp_path):
@@ -598,7 +590,7 @@ class TestArchiveRoutedStore:
         aged_fs("WineFS", **_AGE_KW)
         assert count_aging.instances == 1  # warm restore from its pack
         stats = Archive(routed).stats()
-        assert (stats["objects"], stats["packs"], stats["shards"]) == (1, 1, 0)
+        assert (stats["objects"], stats["packs"]) == (1, 1)
 
     def test_corrupt_archive_falls_back_to_aging(self, routed, count_aging):
         aged_fs("WineFS", **_AGE_KW)
@@ -622,6 +614,6 @@ def test_pack_restore_bit_identical(fs_name, routed, tmp_path):
     fs_cold, ctx_cold = aged_fs(fs_name, **_AGE_KW)  # ages + archives
     reaged = _replay(fs_cold, ctx_cold)
     stats = Archive(routed).stats()  # warm path must come from a pack
-    assert (stats["packs"], stats["shards"]) == (1, 0)
+    assert stats["packs"] == 1
     fs_warm, ctx_warm = aged_fs(fs_name, **_AGE_KW)
     _assert_bit_identical(_replay(fs_warm, ctx_warm), reaged)
