@@ -40,8 +40,7 @@ from . import dotted, enclosing_qualnames
 #: writes through ``_rs``: the free-space pool changes its run store
 #: only through ``RunStore``'s own methods.
 _SANCTIONED: Dict[str, Tuple[str, ...]] = {
-    "_cpu_ns": ("repro.clock", "repro.vfs.interface",
-                "repro.core.allocator", "repro.core.journal",
+    "_cpu_ns": ("repro.clock", "repro.vfs.interface", "repro.core.journal",
                 "repro.fs.common.dirindex", "repro.mmu.mmap_region",
                 "repro.pm.device"),
     "_rs": (),

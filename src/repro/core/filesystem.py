@@ -3,8 +3,9 @@
 Specializes :class:`~repro.fs.common.base.BaseFS` with the design choices
 the paper lists in §3.2:
 
-* alignment-aware allocation (large requests -> aligned extents, small ->
-  holes), via :class:`~repro.core.allocator.AlignmentAwareAllocator`;
+* alignment-aware allocation (§3.4): one pool per CPU; large requests
+  get aligned extents, small ones holes, stated through BaseFS's
+  ``_pool_order`` / ``_pick`` hooks;
 * per-CPU undo journals, coordinated through VFS inode locks;
 * in-place metadata with dedicated locations ("controlled fragmentation");
 * hybrid data atomicity in strict mode: data journaling for
@@ -26,7 +27,7 @@ from typing import Dict, Iterator, List, Optional
 
 from ..clock import SimContext
 from ..errors import (CorruptionError, FSError, InvalidArgumentError,
-                      MediaError, NotFoundError)
+                      MediaError, NoSpaceError, NotFoundError)
 from ..faults import MAX_WRITE_RETRIES
 from ..mmu.cache import CacheModel
 from ..mmu.mmap_region import MappedRegion
@@ -38,7 +39,6 @@ from ..vfs.interface import OpenFile
 from ..fs.common.base import BaseFS, ROOT_INO
 from ..fs.common.freespace import FreePool
 from ..fs.common.inode import Inode, InodeTable, INODE_BYTES
-from .allocator import AlignmentAwareAllocator
 from .journal import JournalManager, MAX_TXN_ENTRIES
 from .layout import (INLINE_EXTENTS, EXTENTS_PER_INDIRECT, InodePacker,
                      InodeRecord, Layout, pack_indirect, read_superblock,
@@ -135,6 +135,7 @@ class WineFS(BaseFS):
     like ext4-DAX), per §3.3."""
 
     fault_zero_fill = False       # WineFS zeroes at allocation time
+    alloc_ns = 60.0               # DRAM free-list probe per decision
 
     def __init__(self, device: PMDevice, num_cpus: int = 4,
                  mode: str = "strict",
@@ -147,7 +148,14 @@ class WineFS(BaseFS):
         super().__init__(device, num_cpus, track_data=track_data)
         self.name = "WineFS" if mode == "strict" else "WineFS-relaxed"
         self.data_consistent = (mode == "strict")
-        self.allocator: Optional[AlignmentAwareAllocator] = None
+        # provenance: hugepage indexes handed out *as aligned extents*.
+        # The hybrid data-atomicity policy (§3.4) keys off how an extent
+        # was allocated, not its accidental physical alignment — on a
+        # clean FS, hole allocations also merge into aligned runs.
+        self.aligned_out: set = set()
+        # blocks taken out of circulation after write errors; DRAM-only,
+        # like an unpersisted badblocks list, so a remount forgets them
+        self.quarantined: set = set()
         self.journal: Optional[JournalManager] = None
         self.rewrite_queue = RewriteQueue(self)
         self.numa_policy: Optional[NumaPolicy] = None
@@ -193,19 +201,13 @@ class WineFS(BaseFS):
         self.mounted = True
 
     def _init_allocator(self) -> None:
-        self.allocator = AlignmentAwareAllocator(self.layout,
-                                                faults=self.device.faults)
-
-    def attach_fault_plan(self, plan) -> None:
-        """Bind a fault plan to the device *and* the live allocator.
-
-        The device binding alone is enough before ``mkfs``/``mount``
-        (the allocator picks the plan up when it is built); this also
-        rebinds an allocator that already exists.
-        """
-        super().attach_fault_plan(plan)
-        if self.allocator is not None:
-            self.allocator.set_fault_plan(plan)
+        """One pool per CPU, each a whole number of hugepages, so an
+        aligned extent never straddles two pools; the data area's tail
+        below 2MB stays outside every pool."""
+        self._pools = [FreePool(*self.layout.data_pool_range(cpu))
+                       for cpu in range(self.layout.num_cpus)]
+        self.aligned_out = set()
+        self.quarantined = set()
 
     def mount(self, ctx: SimContext) -> None:
         """Mount from the PM image alone: recover journals, scan inodes.
@@ -332,9 +334,18 @@ class WineFS(BaseFS):
             if inode.ino == ROOT_INO:
                 continue
             self._dirs[inode.parent_ino].insert(inode.name, inode.ino)
+        # §3.6: pools are re-initialized from the blocks live inodes use;
+        # a block no pool owns or two inodes claim is a corrupt image
         self._init_allocator()
-        assert self.allocator is not None
-        self.allocator.rebuild_from_inodes(used)
+        for ext in sorted(used, key=lambda e: e.start):
+            start, end = ext.start, ext.end
+            while start < end:
+                pool = self._pool_owning(start, end)
+                stop = min(end, pool.range_end)
+                if pool.alloc_exact(start, stop - start) is None:
+                    raise CorruptionError(
+                        f"recovery: extent {ext} is not free")
+                start = stop
 
     def _scan_indirect_chain(self, ino: int) -> List[int]:
         """Blocks used by an inode's indirect extent chain (from PM)."""
@@ -423,9 +434,9 @@ class WineFS(BaseFS):
         self.device.persist(addr, b"\x00", ctx)
         self._serialized_extents.pop(inode.ino, None)
         self._packer.drop(inode.ino)
-        for block in self._indirect_chains.pop(inode.ino, []):
-            assert self.allocator is not None
-            self.allocator.free(Extent(block, 1))
+        chain = self._indirect_chains.pop(inode.ino, None)
+        if chain:
+            self._free([Extent(block, 1) for block in chain])
         self._itable.free(inode.ino)
         if ctx is not None and inode.lock_name is not None:
             ctx.locks.forget(inode.lock_name)
@@ -461,7 +472,6 @@ class WineFS(BaseFS):
                 txn.log_undo_range(addr, INODE_BYTES, ctx)
             self.device.persist(addr, packed, ctx)
             return
-        assert self.allocator is not None
         extents = new_tuple
         addr = self._inode_addrs.get(ino)
         if addr is None:
@@ -502,7 +512,7 @@ class WineFS(BaseFS):
             # overwritten, so rolling back the header alone is safe
             chain = list(old_chain)
             while len(chain) < needed:
-                chain.append(self.allocator.alloc_meta_block(ctx).start)
+                chain.append(self._one_hole(ctx).start)
             first_dirty = min(lcp, max(0, nnew - 1))
             start_block = max(0, (first_dirty - INLINE_EXTENTS)
                               // EXTENTS_PER_INDIRECT) if needed else 0
@@ -535,8 +545,7 @@ class WineFS(BaseFS):
             # structural change (CoW replace, truncate, first serialize):
             # copy-on-write the chain so the old blocks stay intact for
             # rollback; the header pointer swap is the atomic commit point
-            chain = [self.allocator.alloc_meta_block(ctx).start
-                     for _ in range(needed)]
+            chain = [self._one_hole(ctx).start for _ in range(needed)]
             for i in reversed(range(needed)):
                 chunk = overflow[i * EXTENTS_PER_INDIRECT:
                                  (i + 1) * EXTENTS_PER_INDIRECT]
@@ -558,8 +567,8 @@ class WineFS(BaseFS):
             changed = (nnew - lcp - lcs) + (prev_len - lcp - lcs)
             ctx.charge(self.machine.persist_ns(64 + changed * 8))
             ctx.counters.pm_bytes_written += 64 + changed * 8
-            for surplus in old_chain:
-                self.allocator.free(Extent(surplus, 1))
+            if old_chain:
+                self._free([Extent(surplus, 1) for surplus in old_chain])
             if txn is not None:
                 # the name region never changes on a data-path update, so
                 # only the header + inline-extent area needs an undo image
@@ -569,17 +578,120 @@ class WineFS(BaseFS):
         self.device.persist(addr, self._packer.pack(inode, new_tuple,
                                                     indirect0), ctx)
 
-    # ------------------------------------------------------- allocation hooks
+    # ------------------------------------------------------- allocation (§3.4)
 
-    def _alloc(self, nblocks: int, ctx: SimContext, *,
-               goal: Optional[int] = None,
-               want_aligned: bool = False) -> List[Extent]:
-        assert self.allocator is not None
-        return self.allocator.alloc(nblocks, ctx, want_aligned=want_aligned)
+    def _pool_order(self, ctx: SimContext,
+                    goal: Optional[int]) -> List[FreePool]:
+        # an injected ENOSPC fails the request before anything is carved
+        faults = self.device.faults
+        if faults is not None and faults.is_active \
+                and faults.take_enospc(ctx):
+            raise NoSpaceError("injected fault: space exhausted")
+        return self._home_first(ctx)
 
-    def _free(self, extents: List[Extent], ctx: SimContext) -> None:
-        assert self.allocator is not None
-        self.allocator.free_all(extents, ctx)
+    def _home_first(self, ctx: SimContext) -> List[FreePool]:
+        """The calling CPU's pool, then the others in address order."""
+        pools = self._pools
+        home = ctx.cpu % len(pools)
+        return [pools[home]] + pools[:home] + pools[home + 1:]
+
+    def _pick(self, pools: List[FreePool], remaining: int,
+              goal: Optional[int], nblocks: int,
+              want_aligned: bool) -> Optional[Extent]:
+        # requests are carved in chunks of at most one hugepage: whole
+        # hugepages from the aligned extents, the rest (or all, when the
+        # request is not aligned-eligible) from the holes
+        if want_aligned and remaining >= BLOCKS_PER_HUGEPAGE:
+            ext = self._take_aligned(pools)
+            if ext is not None:
+                return ext
+        return self._take_hole(pools, min(remaining, BLOCKS_PER_HUGEPAGE))
+
+    def _take_aligned(self, pools: List[FreePool]) -> Optional[Extent]:
+        """An aligned hugepage from the home pool, else from the remote
+        pool with the most free aligned hugepages; None when no pool has
+        one.  The hugepage joins the aligned provenance."""
+        ext = pools[0].alloc_aligned_hugepage()
+        if ext is None:
+            # the home pool usually has one: rank the others only when not
+            for pool in sorted(pools[1:], key=lambda p: p.aligned_hugepages(),
+                               reverse=True):
+                ext = pool.alloc_aligned_hugepage()
+                if ext is not None:
+                    break
+            else:
+                return None
+        self.aligned_out.add(ext.start // BLOCKS_PER_HUGEPAGE)
+        return ext
+
+    @staticmethod
+    def _take_hole(pools: List[FreePool], nblocks: int) -> Optional[Extent]:
+        """*nblocks* from the holes, spending unaligned slack before
+        breaking an aligned extent: the home pool first, then the remote
+        pool with the most unaligned free space; failing that, as much
+        as a first fit finds, in the same order.  None when all are
+        empty."""
+        ext = pools[0].alloc_avoiding_aligned(nblocks)
+        if ext is not None:
+            return ext
+        order = [pools[0]] + sorted(
+            pools[1:], reverse=True,
+            key=lambda p: p.free_blocks
+            - p.aligned_hugepages() * BLOCKS_PER_HUGEPAGE)
+        for pool in order[1:]:
+            ext = pool.alloc_avoiding_aligned(nblocks)
+            if ext is not None:
+                return ext
+        for pool in order:
+            largest = pool.largest()
+            if largest > 0:
+                return pool.alloc_first_fit(min(nblocks, largest))
+        return None
+
+    def _one_hole(self, ctx: SimContext) -> Extent:
+        """One hole block outside the allocation loop (an indirect
+        extent block, a relocation target): no span, no fault hook."""
+        ext = self._take_hole(self._home_first(ctx), 1)
+        if ext is None:
+            raise NoSpaceError(f"{self.name}: no free block")
+        return ext
+
+    def _free(self, extents: List[Extent],
+              ctx: Optional[SimContext] = None) -> None:
+        """Charge ``alloc_ns`` per extent (given a *ctx*), end the aligned
+        provenance of every hugepage an extent touches, and hand all but
+        its quarantined blocks back to their pools."""
+        aligned_out = self.aligned_out
+        quarantined = self.quarantined
+        back: List[Extent] = []
+        for ext in extents:
+            if ctx is not None:
+                ctx.charge(self.alloc_ns)
+            for hp in range(ext.start // BLOCKS_PER_HUGEPAGE,
+                            (ext.end - 1) // BLOCKS_PER_HUGEPAGE + 1):
+                aligned_out.discard(hp)
+            if not quarantined:
+                back.append(ext)
+                continue
+            start = ext.start
+            for block in range(ext.start, ext.end):
+                if block in quarantined:
+                    if block > start:
+                        back.append(Extent(start, block - start))
+                    start = block + 1
+            if start < ext.end:
+                back.append(ext if start == ext.start
+                            else Extent(start, ext.end - start))
+        super()._free(back, ctx)
+
+    def _quarantine(self, block: int) -> None:
+        """Take *block* out of circulation for good (write errors): it
+        leaves its pool now if free, and ``_free`` never returns it."""
+        if block in self.quarantined:
+            return
+        self.quarantined.add(block)
+        self.aligned_out.discard(block // BLOCKS_PER_HUGEPAGE)
+        self._pool_owning(block, block + 1).alloc_exact(block, 1)
 
     def _ensure_blocks(self, inode: Inode, end_byte: int, ctx: SimContext,
                        want_aligned: Optional[bool] = None) -> None:
@@ -601,14 +713,12 @@ class WineFS(BaseFS):
         """Demand allocation inside the fault handler hands out *aligned
         hugepage extents* ("hugepage handling on page faults", §3.6) --
         this is why LMDB-style ftruncate growth still gets hugepages."""
-        assert self.allocator is not None
         with ctx.trace.span(ctx, "fault.alloc", ino=inode.ino,
                             block=logical_block):
             while inode.extents.total_blocks <= logical_block:
-                ext = self.allocator.alloc_aligned_for_fault(
-                    ctx.cpu % self.layout.num_cpus)
+                ext = self._take_aligned(self._home_first(ctx))
                 if ext is None:
-                    exts = self.allocator.alloc(
+                    exts = self._alloc(
                         min(BLOCKS_PER_HUGEPAGE,
                             logical_block + 1 - inode.extents.total_blocks),
                         ctx, want_aligned=False)
@@ -672,10 +782,9 @@ class WineFS(BaseFS):
         hp_end = ext.end + (-ext.end % BLOCKS_PER_HUGEPAGE)
         # every touched hugepage must have been handed out from the
         # aligned pool (allocation provenance, not accidental alignment)
-        assert self.allocator is not None
         for hp in range(hp_start // BLOCKS_PER_HUGEPAGE,
                         hp_end // BLOCKS_PER_HUGEPAGE):
-            if not self.allocator.is_aligned_provenance(hp):
+            if hp not in self.aligned_out:
                 return False
         # and the file must own every touched hugepage end to end
         for fe in inode.extents:
@@ -721,9 +830,10 @@ class WineFS(BaseFS):
         extent map is swung over in a journaled transaction.  The bad
         block itself stays quarantined, never freed.
         """
-        assert self.allocator is not None
         logical = self._logical_of_phys(inode, bad)
-        new_ext = self.allocator.relocate_block(bad, ctx)
+        self._quarantine(bad)
+        ctx.charge(self.alloc_ns)
+        new_ext = self._one_hole(ctx)
         self._telemetry_event("relocation", ctx, block=bad,
                               dest=new_ext.start)
         ctx.charge(self.machine.pm_read_ns(self.block_size)
@@ -747,7 +857,6 @@ class WineFS(BaseFS):
     def _write_cow(self, inode: Inode, offset: int, data: bytes,
                    ctx: SimContext) -> None:
         """Copy-on-write into fresh unaligned holes (§3.4)."""
-        assert self.allocator is not None
         with ctx.trace.span(ctx, "winefs.cow", ino=inode.ino,
                             size=len(data)):
             first = offset // self.block_size
@@ -768,7 +877,7 @@ class WineFS(BaseFS):
             with self._meta_txn(ctx, entries=4, ino=inode.ino):
                 old_extents = inode.extents.replace_logical(first, new_extents)
                 self._persist_inode(inode, ctx)
-            self.allocator.free_all(old_extents, ctx)
+            self._free(old_extents, ctx)
 
     def _alloc_cow_blocks(self, nblocks: int,
                           ctx: SimContext) -> List[Extent]:
@@ -778,21 +887,19 @@ class WineFS(BaseFS):
         returned to the pools (``free`` splits around quarantined
         blocks), then the allocation retries from a clean slate.
         """
-        assert self.allocator is not None
         plan = self.device.faults
         if plan is None or not plan.wants_write_checks:
-            return self.allocator.alloc(nblocks, ctx, want_aligned=False)
+            return self._alloc(nblocks, ctx, want_aligned=False)
         for attempt in range(MAX_WRITE_RETRIES + 1):
-            extents = self.allocator.alloc(nblocks, ctx,
-                                           want_aligned=False)
+            extents = self._alloc(nblocks, ctx, want_aligned=False)
             bad = plan.failing_block(
                 (b for ext in extents
                  for b in range(ext.start, ext.end)), ctx)
             if bad is None:
                 return extents
-            self.allocator.quarantine(bad)
+            self._quarantine(bad)
             self._telemetry_event("quarantine", ctx, block=bad)
-            self.allocator.free_all(extents, ctx)
+            self._free(extents, ctx)
             if attempt == MAX_WRITE_RETRIES:
                 plan.note("write_error", "surfaced", ctx, block=bad)
                 raise MediaError(
@@ -847,14 +954,8 @@ class WineFS(BaseFS):
     # ------------------------------------------------------- NUMA
 
     def _free_space_of_node(self, node: int) -> int:
-        assert self.allocator is not None
+        pools = self._pools
         if self.device.topology is None:
-            return self.allocator.free_blocks
+            return sum(p.free_blocks for p in pools)
         cpus = self.device.topology.cpus_of_node(node)
-        return sum(self.allocator.pools[c % len(self.allocator.pools)]
-                   .free_blocks for c in cpus)
-
-    # ------------------------------------------------------- metrics
-
-    def _free_pools(self) -> List[FreePool]:
-        return self.allocator.pools if self.allocator is not None else []
+        return sum(pools[c % len(pools)].free_blocks for c in cpus)

@@ -72,14 +72,14 @@ class RewriteQueue:
         fs._check_writable()
         # read the file, rewrite with big allocations, atomically swap
         try:
-            new_extents = fs.allocator.alloc(nblocks, ctx, want_aligned=True)
+            new_extents = fs._alloc(nblocks, ctx, want_aligned=True)
         except NoSpaceError:
             return False                      # no aligned space; give up
         new = ExtentList(new_extents)
         if new.mappable_hugepages() <= inode.extents.mappable_hugepages():
             # no aligned extent was left: the allocation fell through to
             # holes and would map no more hugepages than the file has now
-            fs.allocator.free_all(new_extents, ctx)
+            fs._free(new_extents, ctx)
             return False
         # background read of old data + write of new copy
         nbytes = nblocks * fs.block_size
@@ -96,5 +96,5 @@ class RewriteQueue:
         inode.aligned_hint = True
         fs._persist_inode_record(inode, ctx, txn)
         txn.commit(ctx)
-        fs.allocator.free_all(old, ctx)
+        fs._free(old, ctx)
         return True

@@ -1,8 +1,8 @@
 """Deterministic PM fault injection (``repro.faults``).
 
 A :class:`FaultPlan` is a seed-driven, JSON-serializable schedule of
-failures injected at the :class:`~repro.pm.device.PMDevice` and
-:class:`~repro.core.allocator.AlignmentAwareAllocator` layers:
+failures injected at the :class:`~repro.pm.device.PMDevice` layer and
+in WineFS's block allocator (:class:`~repro.core.filesystem.WineFS`):
 
 * ``poison``      — uncorrectable media errors on cachelines (loads raise
   :class:`~repro.errors.MediaError`; a full-line overwrite heals the line);

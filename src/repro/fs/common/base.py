@@ -19,11 +19,12 @@ Subclasses state only the *policy* the paper tells the designs apart by:
   everyone else a 4KB block (this drives the LMDB result, §5.4).
 
 The base class owns the mechanics under those policies, once: the pool
-carve, the allocation loop with its largest-run fallback, the free to
-the owning pool, the durable store of file bytes (``_store_data`` /
-``_store_extents``: the only callers of ``device.store`` / ``clwb`` /
-``sfence`` for file data), path resolution, directory indexes, the read
-path, mmap plumbing, statfs and fragmentation metrics; and
+carve, the allocation loop with its largest-run fallback and its
+``alloc`` span, the free to the owning pool, the durable store of file
+bytes (``_store_data`` / ``_store_extents``: the only callers of
+``device.store`` / ``clwb`` / ``sfence`` for file data), path
+resolution, directory indexes, the read path, mmap plumbing, statfs and
+fragmentation metrics; and
 :class:`RunningLogFS` owns the running transaction of the batching
 journals (JBD2, the xfs log).
 """
@@ -104,9 +105,11 @@ class BaseFS(FileSystem):
         return self._pools
 
     def _pick(self, pools: List[FreePool], remaining: int,
-              goal: Optional[int], nblocks: int) -> Optional[Extent]:
+              goal: Optional[int], nblocks: int,
+              want_aligned: bool) -> Optional[Extent]:
         """Carve up to *remaining* blocks of an *nblocks* request from
-        *pools* by this design's placement rule; None when no free run
+        *pools* by this design's placement rule (*want_aligned*: the
+        caller asks for hugepage-aligned extents); None when no free run
         satisfies the rule."""
         raise NotImplementedError
 
@@ -184,23 +187,26 @@ class BaseFS(FileSystem):
                goal: Optional[int] = None,
                want_aligned: bool = False) -> List[Extent]:
         """Allocate *nblocks*: one ``_pick`` per extent, each continuing
-        at the end of the last; raises NoSpaceError when full."""
-        ctx.charge(self.alloc_ns)
-        pools = self._pool_order(ctx, goal)
-        out: List[Extent] = []
-        remaining = nblocks
-        while remaining > 0:
-            ext = self._pick(pools, remaining, goal, nblocks)
-            if ext is None:
-                # fragmented: no run fits, take the largest one there is
-                ext = self._take_largest_run(pools, remaining)
+        at the end of the last; raises NoSpaceError when full, handing
+        back (uncharged) what it had already carved."""
+        with ctx.trace.span(ctx, "alloc", blocks=nblocks):
+            ctx.charge(self.alloc_ns)
+            pools = self._pool_order(ctx, goal)
+            out: List[Extent] = []
+            remaining = nblocks
+            while remaining > 0:
+                ext = self._pick(pools, remaining, goal, nblocks,
+                                 want_aligned)
                 if ext is None:
-                    self._free(out, ctx)
-                    raise NoSpaceError(f"{self.name}: no free blocks")
-            out.append(ext)
-            remaining -= ext.length
-            goal = ext.start + ext.length
-        return out
+                    # fragmented: no run fits, take the largest one there is
+                    ext = self._take_largest_run(pools, remaining)
+                    if ext is None:
+                        self._free(out)
+                        raise NoSpaceError(f"{self.name}: no free blocks")
+                out.append(ext)
+                remaining -= ext.length
+                goal = ext.start + ext.length
+            return out
 
     def _take_largest_run(self, pools: List[FreePool],
                           remaining: int) -> Optional[Extent]:
@@ -215,25 +221,28 @@ class BaseFS(FileSystem):
             return None
         return owner.alloc_first_fit(min(largest, remaining))
 
-    def _free(self, extents: List[Extent], ctx: SimContext) -> None:
+    def _free(self, extents: List[Extent],
+              ctx: Optional[SimContext] = None) -> None:
         """Return each extent to the pool owning its address range,
         split where it crosses into the next pool's range."""
-        pools = self._pools
         for ext in extents:
             start = ext.start
             end = start + ext.length
             while start < end:
-                for pool in pools:
-                    if pool.range_start <= start < pool.range_end:
-                        break
-                else:
-                    raise CorruptionError(
-                        f"{self.name}: free of block range "
-                        f"[{start}, {end}) that no pool owns")
+                pool = self._pool_owning(start, end)
                 stop = end if end <= pool.range_end else pool.range_end
                 pool.insert(ext if stop - start == ext.length
                             else Extent(start, stop - start))
                 start = stop
+
+    def _pool_owning(self, start: int, end: int) -> FreePool:
+        """The pool whose range holds block *start* of the range
+        [start, end); CorruptionError when no pool does."""
+        for pool in self._pools:
+            if pool.range_start <= start < pool.range_end:
+                return pool
+        raise CorruptionError(
+            f"{self.name}: block range [{start}, {end}) that no pool owns")
 
     # --------------------------------------------------------------- resolution
 

@@ -44,7 +44,8 @@ class Ext4DAX(RunningLogFS):
 
     # contiguity-first goal allocation
     def _pick(self, pools: List[FreePool], remaining: int,
-              goal: Optional[int], nblocks: int) -> Optional[Extent]:
+              goal: Optional[int], nblocks: int,
+              want_aligned: bool) -> Optional[Extent]:
         if remaining >= BLOCKS_PER_HUGEPAGE:
             # mballoc normalizes large requests and aligns them to
             # their size boundary when the chosen run allows

@@ -80,7 +80,8 @@ class NovaFS(BaseFS):
             + self._pools[home + 1:]
 
     def _pick(self, pools: List[FreePool], remaining: int,
-              goal: Optional[int], nblocks: int) -> Optional[Extent]:
+              goal: Optional[int], nblocks: int,
+              want_aligned: bool) -> Optional[Extent]:
         # NOVA only aims for alignment on exact 2MB-multiple requests
         if nblocks % BLOCKS_PER_HUGEPAGE == 0 \
                 and remaining >= BLOCKS_PER_HUGEPAGE:

@@ -42,7 +42,8 @@ class PMFS(BaseFS):
         return 2049
 
     def _pick(self, pools: List[FreePool], remaining: int,
-              goal: Optional[int], nblocks: int) -> Optional[Extent]:
+              goal: Optional[int], nblocks: int,
+              want_aligned: bool) -> Optional[Extent]:
         return pools[0].alloc_first_fit(remaining)
 
     @contextmanager

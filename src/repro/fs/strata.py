@@ -53,7 +53,8 @@ class StrataFS(BaseFS):
         return 2048 + self.num_cpus * 4096
 
     def _pick(self, pools: List[FreePool], remaining: int,
-              goal: Optional[int], nblocks: int) -> Optional[Extent]:
+              goal: Optional[int], nblocks: int,
+              want_aligned: bool) -> Optional[Extent]:
         return pools[0].alloc_first_fit(remaining)
 
     def _meta_txn(self, ctx: SimContext, entries: int,

@@ -49,7 +49,8 @@ class XfsDAX(RunningLogFS):
         return self._pools
 
     def _pick(self, pools: List[FreePool], remaining: int,
-              goal: Optional[int], nblocks: int) -> Optional[Extent]:
+              goal: Optional[int], nblocks: int,
+              want_aligned: bool) -> Optional[Extent]:
         for pool in pools:
             ext = pool.alloc_first_fit(remaining, goal=goal)
             if ext is not None:

@@ -195,7 +195,6 @@ _MODULE_WHITELIST = (
     "repro.mmu.mmap_region",
     "repro.core.filesystem",
     "repro.core.layout",
-    "repro.core.allocator",
     "repro.core.journal",
     "repro.core.rewrite",
     "repro.core.numa_policy",

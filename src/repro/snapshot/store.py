@@ -39,8 +39,10 @@ __all__ = ["FORMAT_VERSION", "LOAD_STATUSES", "cache_key", "snapshot_dir",
 #: three), ext4 / SplitFS / xfs keep their running transaction in
 #: ``_log_pending`` / ``log_forces`` (were ``_pending_handles`` /
 #: ``jbd2_commits`` and ``_pending_items``), ``BaseFS._free_blocks`` and
-#: ``PMDevice._fast`` / ``_dirty_lines`` are gone)
-FORMAT_VERSION = 5
+#: ``PMDevice._fast`` / ``_dirty_lines`` are gone; 6: WineFS keeps its
+#: pools, ``aligned_out`` and ``quarantined`` on the FS itself — its
+#: ``allocator`` object is gone)
+FORMAT_VERSION = 6
 
 #: every status ``load_ex`` can report.  ``hit`` carries a value; the
 #: rest carry ``None``.  ``miss`` (no entry) is the healthy cold-cache

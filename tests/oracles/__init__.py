@@ -34,7 +34,7 @@ from contextlib import ExitStack, contextmanager
 from typing import Iterable, Iterator
 from unittest import mock
 
-import repro.core.allocator
+import repro.core.filesystem
 import repro.fs.common.base
 import repro.mmu.mmap_region
 
@@ -49,7 +49,7 @@ __all__ = ["ReferenceFreePool", "ReferencePageTable", "ReferenceSparsePages",
 
 #: every module global that constructs a free pool or a page table
 _PATCHES = (
-    (repro.core.allocator, "FreePool", ReferenceFreePool),
+    (repro.core.filesystem, "FreePool", ReferenceFreePool),
     (repro.fs.common.base, "FreePool", ReferenceFreePool),
     (repro.mmu.mmap_region, "PageTable", ReferencePageTable),
 )

@@ -385,7 +385,7 @@ class TestWriteErrors:
         assert plan.count("write_error", "masked") == 1
         # the logical block moved off the bad physical block...
         assert fs.file_extents(ino).physical_block(1) != bad
-        assert bad in fs.allocator.quarantined
+        assert bad in fs.quarantined
         # ...and both the new data and the surrounding blocks are intact
         data = fs.read_file("/f", ctx)
         assert data == b"0" * BLOCK_SIZE + b"N" * BLOCK_SIZE \
@@ -401,7 +401,7 @@ class TestWriteErrors:
         f.pwrite(BLOCK_SIZE, b"N" * BLOCK_SIZE, ctx)    # CoW path
         f.close()
         assert plan.count("write_error", "masked") == 1
-        assert fs.allocator.quarantined
+        assert fs.quarantined
         data = fs.read_file("/f", ctx)
         assert data[BLOCK_SIZE:2 * BLOCK_SIZE] == b"N" * BLOCK_SIZE
 

@@ -1,6 +1,6 @@
 """The mechanics ``fs/common/base.py`` owns once for every model: the
-durable store of file bytes, the pool carve, the free to the owning pool
-and the allocation loop's largest-run fallback."""
+durable store of file bytes, the pool carve, the free to the owning pool,
+the allocation loop's largest-run fallback and its ``alloc`` span."""
 
 import random
 
@@ -9,21 +9,23 @@ import pytest
 from repro.clock import make_context
 from repro.errors import CorruptionError, FSError, NoSpaceError
 from repro.harness import ALL_SPECS, SPECS_BY_NAME
+from repro.obs.trace import Tracer
 from repro.params import BLOCK_SIZE as B, HUGE_PAGE, MIB
 from repro.pm.device import PMDevice
 from repro.structures.extents import Extent
 
 SIZE = 256 * MIB
 ALL = [spec.name for spec in ALL_SPECS]
-#: the models whose pools BaseFS carves (WineFS brings its own allocator)
+#: the models whose pools BaseFS carves (WineFS carves one pool per CPU,
+#: each a whole number of hugepages, from its Layout)
 BASE_POOLS = ["ext4-DAX", "xfs-DAX", "PMFS", "SplitFS", "Strata", "NOVA",
               "NOVA-relaxed"]
 
 
-def _fs(name, *, track_stores=False, size=SIZE, num_cpus=4):
+def _fs(name, *, track_stores=False, size=SIZE, num_cpus=4, trace=None):
     device = PMDevice(size, track_stores=track_stores)
     fs = SPECS_BY_NAME[name].build(device, num_cpus, track_data=True)
-    ctx = make_context(num_cpus)
+    ctx = make_context(num_cpus, trace=trace)
     fs.mkfs(ctx)
     return fs, ctx
 
@@ -93,7 +95,7 @@ def test_pools_tile_the_data_area(name):
     assert len({p.range_end - p.range_start for p in pools[:-1]}) <= 1
 
 
-@pytest.mark.parametrize("name", ["xfs-DAX", "NOVA"])
+@pytest.mark.parametrize("name", ["xfs-DAX", "NOVA", "WineFS"])
 def test_freed_extent_returns_to_the_pool_owning_its_range(name):
     fs, ctx = _fs(name)
     before = [p.free_blocks for p in fs._pools]
@@ -109,7 +111,7 @@ def test_freed_extent_returns_to_the_pool_owning_its_range(name):
         pool.check_invariants()
 
 
-@pytest.mark.parametrize("name", BASE_POOLS)
+@pytest.mark.parametrize("name", BASE_POOLS + ["WineFS"])
 def test_free_of_a_range_no_pool_owns_is_a_typed_error(name):
     """xfs-DAX used to drop such an extent silently (its ``for`` had no
     ``else``) while NOVA raised: one shared free, one behaviour."""
@@ -151,3 +153,23 @@ def test_fragmented_request_is_pieced_from_the_largest_runs(name):
     assert fs.statfs().free_blocks == free - 40   # the partial grab came back
     fs._free(got, ctx)
     assert fs.statfs().free_blocks == free
+
+
+@pytest.mark.parametrize("name", ALL)
+def test_allocating_fallocate_records_an_alloc_span(name):
+    """Every model allocates through the one loop, so every model's
+    trace shows the allocation: an ``alloc`` span for the request,
+    nested under the ``vfs.fallocate`` that made it."""
+    tracer = Tracer()
+    fs, ctx = _fs(name, trace=tracer)
+    f = fs.create("/f", ctx)
+    f.fallocate(0, HUGE_PAGE + 3 * B, ctx)
+    spans = {s.span_id: s for s in tracer.spans()}
+    (syscall,) = [s for s in spans.values() if s.name == "vfs.fallocate"]
+    allocs = [s for s in spans.values() if s.name == "alloc"
+              and s.attrs["blocks"] == HUGE_PAGE // B + 3]
+    assert len(allocs) == 1
+    parent = spans.get(allocs[0].parent_id)
+    while parent is not None and parent is not syscall:
+        parent = spans.get(parent.parent_id)
+    assert parent is syscall

@@ -75,10 +75,8 @@ class TestRsyncAlignmentTransfer:
         # receiving FS did not reserve aligned extents for this file
         extents = dst_fs.file_extents(dst.ino)
         from repro.params import BLOCKS_PER_HUGEPAGE
-        assert not any(
-            dst_fs.allocator.is_aligned_provenance(
-                ext.start // BLOCKS_PER_HUGEPAGE)
-            for ext in extents)
+        assert not any(ext.start // BLOCKS_PER_HUGEPAGE in dst_fs.aligned_out
+                       for ext in extents)
 
     def test_directory_xattr_covers_rsynced_tree(self):
         dst_fs, dst_ctx, _ = _winefs()

@@ -88,4 +88,4 @@ class TestWineFSNuma:
         ctx = make_context(4)
         fs.mkfs(ctx)
         total = sum(fs._free_space_of_node(n) for n in range(2))
-        assert total == fs.allocator.free_blocks
+        assert total == fs.statfs().free_blocks

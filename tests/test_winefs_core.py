@@ -3,7 +3,6 @@
 import pytest
 
 from repro.clock import make_context
-from repro.core.allocator import AlignmentAwareAllocator
 from repro.core.filesystem import WineFS, XATTR_ALIGNED
 from repro.core.layout import Layout, pack_inode, unpack_inode, InodeRecord
 from repro.errors import NoSpaceError, NotFoundError, ReadOnlyError
@@ -22,12 +21,12 @@ class TestAlignmentAwareAllocation:
         assert extents.mappable_hugepages() == 4
 
     def test_small_requests_fill_holes(self, winefs, ctx):
-        aligned_before = winefs.allocator.free_aligned_hugepages()
+        aligned_before = winefs.statfs().free_aligned_hugepages
         for i in range(20):
             f = winefs.create(f"/small{i}", ctx)
             f.fallocate(0, 64 * KIB, ctx)
         # 20 * 64KB fits inside one broken hugepage's worth of holes
-        assert winefs.allocator.free_aligned_hugepages() >= \
+        assert winefs.statfs().free_aligned_hugepages >= \
             aligned_before - 1
 
     def test_mixed_request_splits(self, winefs, ctx):
@@ -37,15 +36,15 @@ class TestAlignmentAwareAllocation:
         assert extents.mappable_hugepages() >= 1
 
     def test_freed_aligned_extents_return_to_pool(self, winefs, ctx):
-        before = winefs.allocator.free_aligned_hugepages()
+        before = winefs.statfs().free_aligned_hugepages
         f = winefs.create("/tmp", ctx)
         f.fallocate(0, 8 * MIB, ctx)
-        assert winefs.allocator.free_aligned_hugepages() == before - 4
+        assert winefs.statfs().free_aligned_hugepages == before - 4
         winefs.unlink("/tmp", ctx)
-        assert winefs.allocator.free_aligned_hugepages() == before
+        assert winefs.statfs().free_aligned_hugepages == before
 
     def test_holes_merge_back_into_aligned(self, winefs, ctx):
-        before = winefs.allocator.free_aligned_hugepages()
+        before = winefs.statfs().free_aligned_hugepages
         paths = []
         for i in range(32):
             f = winefs.create(f"/h{i}", ctx)
@@ -53,15 +52,33 @@ class TestAlignmentAwareAllocation:
             paths.append(f"/h{i}")
         for p in paths:
             winefs.unlink(p, ctx)
-        assert winefs.allocator.free_aligned_hugepages() == before
+        assert winefs.statfs().free_aligned_hugepages == before
 
     def test_provenance_tracking(self, winefs, ctx):
         f = winefs.create("/big", ctx)
         f.fallocate(0, 2 * MIB, ctx)
         ext = winefs.file_extents(f.ino)[0]
-        assert winefs.allocator.is_aligned_provenance(ext.start // HP)
+        assert ext.start // HP in winefs.aligned_out
         winefs.unlink("/big", ctx)
-        assert not winefs.allocator.is_aligned_provenance(ext.start // HP)
+        assert ext.start // HP not in winefs.aligned_out
+
+    def test_large_spill_takes_the_pool_richest_in_aligned_hugepages(
+            self, ctx):
+        """§3.4: an aligned extent the home pool cannot give comes from
+        the remote pool with the most free aligned hugepages, not from
+        the next pool in address order."""
+        fs = WineFS(PMDevice(256 * MIB), num_cpus=4)
+        fs.mkfs(ctx)
+        home, near, rich, far = fs._pools
+        for pool, keep in ((home, 0), (near, 1), (far, 2)):
+            while pool.aligned_hugepages() > keep:
+                pool.alloc_aligned_hugepage()
+        assert rich.aligned_hugepages() > 2
+        f = fs.create("/big", ctx)
+        f.fallocate(0, 2 * MIB, ctx)
+        (ext,) = fs.file_extents(f.ino)
+        assert rich.range_start <= ext.start < rich.range_end
+        assert ext.start // HP in fs.aligned_out
 
     def test_exhaustion_raises_enospc(self, ctx):
         device = PMDevice(64 * MIB)
@@ -98,9 +115,9 @@ class TestFaultAllocation:
         # exhaust aligned extents but leave hole space: the final 1MB of
         # the request breaks the last aligned extent into holes
         filler = fs.create("/filler", ctx)
-        aligned = fs.allocator.free_aligned_hugepages()
+        aligned = fs.statfs().free_aligned_hugepages
         filler.fallocate(0, aligned * 2 * MIB - 1 * MIB, ctx)
-        assert fs.allocator.free_aligned_hugepages() == 0
+        assert fs.statfs().free_aligned_hugepages == 0
         f = fs.create("/sparse", ctx)
         f.ftruncate(2 * MIB, ctx)
         region = f.mmap(ctx, length=2 * MIB)
@@ -261,14 +278,14 @@ class TestReactiveRewrite:
         # take every aligned hugepage, then give half of each back: the
         # free space is holes only, and plenty of them
         hogs = []
-        while winefs.allocator.free_aligned_hugepages():
+        while winefs.statfs().free_aligned_hugepages:
             hog = winefs.create(f"/hog{len(hogs)}", ctx)
             hog.fallocate(0, 2 * MIB, ctx)
             hogs.append(hog)
         for hog in hogs:
             hog.ftruncate(MIB, ctx)
         nblocks = winefs.file_extents(f.ino).total_blocks
-        assert winefs.allocator.free_aligned_hugepages() == 0
+        assert winefs.statfs().free_aligned_hugepages == 0
         assert winefs.statfs().free_blocks >= nblocks
         before = list(winefs.file_extents(f.ino))
         free = winefs.statfs().free_blocks
@@ -286,13 +303,13 @@ class TestReactiveRewrite:
 
         def full(*_args, **_kwargs):
             raise NoSpaceError("no aligned space")
-        monkeypatch.setattr(winefs.allocator, "alloc", full)
+        monkeypatch.setattr(winefs, "_alloc", full)
         assert winefs.rewrite_queue.run_pending(ctx) == 0
         assert list(winefs.file_extents(f.ino)) == before
 
         def broken(*_args, **_kwargs):
             raise RuntimeError("a bug, not a full device")
-        monkeypatch.setattr(winefs.allocator, "alloc", broken)
+        monkeypatch.setattr(winefs, "_alloc", broken)
         winefs.rewrite_queue.note_fragmented(f.ino)
         with pytest.raises(RuntimeError):
             winefs.rewrite_queue.run_pending(ctx)

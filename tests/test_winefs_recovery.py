@@ -5,7 +5,7 @@ import pytest
 from repro.clock import make_context
 from repro.core.filesystem import WineFS
 from repro.core.journal import JournalManager
-from repro.core.layout import Layout, read_superblock
+from repro.core.layout import _EXT, _INODE_HEAD, Layout, read_superblock
 from repro.errors import CorruptionError
 from repro.params import KIB, MIB
 from repro.pm.device import PMDevice
@@ -139,6 +139,27 @@ class TestCrashRecovery:
         bad = WineFS(device, num_cpus=4)
         with pytest.raises(CorruptionError):
             bad.mount(make_context(4))
+
+    @pytest.mark.parametrize("claim", ["metadata area", "past the device",
+                                       "another inode's block"])
+    def test_corrupt_extent_map_rejected(self, claim):
+        """An inode slot whose extent names a block no pool owns, or one
+        another inode already holds, fails the mount closed."""
+        fs, ctx, device = _tracked_fs()
+        held = fs.create("/held", ctx)
+        held.append(b"h" * 4 * KIB, ctx)
+        victim = fs.create("/victim", ctx)
+        victim.append(b"v" * 4 * KIB, ctx)
+        block = {"metadata area": 3,
+                 "past the device": fs.total_blocks + 8,
+                 "another inode's block":
+                     fs.file_extents(held.ino)[0].start}[claim]
+        fs.unmount(ctx)
+        # the victim's first inline extent now claims that one block
+        device.persist(fs.layout.inode_addr(victim.ino) + _INODE_HEAD.size,
+                       _EXT.pack(block, 1))
+        with pytest.raises(CorruptionError):
+            _remount(device)
 
     def test_unformatted_device_rejected(self):
         device = PMDevice(64 * MIB, track_stores=True)
