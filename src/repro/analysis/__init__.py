@@ -3,12 +3,13 @@
 ``repro lint`` parses ``src/repro`` once and runs every rule over the
 ASTs in one pass (see :mod:`repro.analysis.rules`): the per-file rules
 — determinism and array-kernel containment — the cross-file
-snapshot-whitelist drift and metric/span-name registry checks, and the
-flow layer (:mod:`repro.analysis.flow`), a project-wide call graph
-whose IR feeds five checkers: the intra-procedural persistence-ordering
-and lock-discipline, and the summary-based persist-before-commit,
-lock-order-cycle and degraded-write-guard, whose findings carry witness
-call chains.
+metric/span-name registry check, and the flow layer
+(:mod:`repro.analysis.flow`), a project-wide call graph whose IR feeds
+three checkers: the intra-procedural lock-discipline, and the
+summary-based persist-before-commit and degraded-write-guard, whose
+findings carry witness call chains.  A rule stays only while a seeded
+bug of ``tests/mutations/corpus.json`` shows it catches something no
+other check does.
 
 A finding is accepted only by an inline ``# repro: allow[rule-id]
 <why>`` next to the code; any other error-severity finding fails the

@@ -7,8 +7,8 @@ Rules come in two shapes:
   findings directly (determinism, array-kernel containment).
 * :class:`ProjectRule` — records JSON-serializable *facts* per file,
   then ``finalize()`` crosses file boundaries once every file has been
-  seen (snapshot-whitelist drift, metric-name registry resolution, the
-  interprocedural flow analysis).
+  seen (metric-name registry resolution, the interprocedural flow
+  analysis).
 
 Findings are suppressed by ``# repro: allow[rule-id] <why>`` on the
 flagged line or a comment-only line directly above (stacked allow
@@ -146,79 +146,6 @@ def scan_suppressions(lines: Sequence[str]) -> Dict[int, Set[str]]:
     return out
 
 
-def resolve_import_base(module: str, node: ast.ImportFrom) -> str:
-    """Absolute module named by a (possibly relative) ``from X import``."""
-    if node.level == 0:
-        return node.module or ""
-    pkg = module.split(".")[:-1]          # containing package
-    drop = node.level - 1
-    if drop:
-        pkg = pkg[:-drop] if drop <= len(pkg) else []
-    base = ".".join(pkg)
-    if node.module:
-        base = f"{base}.{node.module}" if base else node.module
-    return base
-
-
-def strongly_connected(edges: Dict[str, Iterable[str]],
-                       ordered: bool = False) -> List[List[str]]:
-    """Tarjan SCCs of a digraph; each component sorted.
-
-    With *ordered*, components come in Tarjan emission order — callees
-    before callers — which is the fixpoint order the flow analyses want;
-    otherwise the outer list is sorted for stable membership queries.
-    """
-    index: Dict[str, int] = {}
-    low: Dict[str, int] = {}
-    on_stack: Set[str] = set()
-    stack: List[str] = []
-    out: List[List[str]] = []
-    counter = [0]
-    nodes = sorted(set(edges) | {w for ws in edges.values() for w in ws})
-
-    def strong(v: str) -> None:
-        # iterative Tarjan: (node, iterator) frames to survive deep graphs
-        work = [(v, iter(sorted(edges.get(v, ()))))]
-        index[v] = low[v] = counter[0]
-        counter[0] += 1
-        stack.append(v)
-        on_stack.add(v)
-        while work:
-            node, it = work[-1]
-            advanced = False
-            for w in it:
-                if w not in index:
-                    index[w] = low[w] = counter[0]
-                    counter[0] += 1
-                    stack.append(w)
-                    on_stack.add(w)
-                    work.append((w, iter(sorted(edges.get(w, ())))))
-                    advanced = True
-                    break
-                if w in on_stack:
-                    low[node] = min(low[node], index[w])
-            if advanced:
-                continue
-            work.pop()
-            if work:
-                parent = work[-1][0]
-                low[parent] = min(low[parent], low[node])
-            if low[node] == index[node]:
-                comp = []
-                while True:
-                    w = stack.pop()
-                    on_stack.discard(w)
-                    comp.append(w)
-                    if w == node:
-                        break
-                out.append(sorted(comp))
-
-    for v in nodes:
-        if v not in index:
-            strong(v)
-    return out if ordered else sorted(out)
-
-
 class FileRule:
     id = "file-rule"
     def run(self, ctx: FileContext) -> List[Finding]:  # pragma: no cover
@@ -234,14 +161,14 @@ class ProjectRule:
 
 
 def default_rules() -> Tuple[List[FileRule], List[ProjectRule]]:
-    """Every rule ``repro lint`` runs: two per-file, three project-wide."""
+    """Every rule ``repro lint`` runs: two per-file, two project-wide
+    (the flow layer carries three checkers)."""
     from .flow import FlowAnalysis
     from .rules.array_state import ArrayStateRule
     from .rules.determinism import DeterminismRule
     from .rules.metric_names import MetricNamesRule
-    from .rules.snapshot import SnapshotWhitelistRule
     return ([DeterminismRule(), ArrayStateRule()],
-            [SnapshotWhitelistRule(), MetricNamesRule(), FlowAnalysis()])
+            [MetricNamesRule(), FlowAnalysis()])
 
 
 def iter_python_files(targets: Iterable[str]) -> List[str]:

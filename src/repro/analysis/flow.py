@@ -19,11 +19,10 @@ member upholds it.  Constructor calls resolve the same way
 (``C(...)`` targets the ``__init__`` of ``C`` and of every subclass).
 
 Receivers we cannot type (``self._helper.foo()``) resolve to nothing;
-the three interprocedural rules (``persist-before-commit``,
-``lock-order-cycle``, ``degraded-write-guard``) are written so an
-unresolved call is a no-op, which biases the analysis toward false
-negatives instead of noise — see DESIGN.md "Static analysis v2" for the
-policy.
+the two interprocedural rules (``persist-before-commit`` and
+``degraded-write-guard``) are written so an unresolved call is a no-op,
+which biases the analysis toward false negatives instead of noise — see
+DESIGN.md "Static analysis" for the policy.
 """
 
 from __future__ import annotations
@@ -32,8 +31,7 @@ import ast
 from typing import (Dict, Iterable, Iterator, List, Optional, Sequence,
                     Set, Tuple)
 
-from .engine import (FileContext, ProjectRule, resolve_import_base,
-                     strongly_connected)
+from .engine import FileContext, ProjectRule
 from .findings import Finding
 from .rules import dotted, fstring_head
 
@@ -41,6 +39,7 @@ from .rules import dotted, fstring_head
 # IR node tags (JSON lists, first element is the tag)
 # ---------------------------------------------------------------------------
 CALL = "call"     # ["call", line, col, recv, fn, lockspec|None]
+#                   (lockspec: the lock-name argument of an ``acquire``)
 ASGN = "asgn"     # ["asgn", line, col, recv, field]
 RET = "ret"       # ["ret", line]
 RAISE = "raise"   # ["raise", line]
@@ -48,10 +47,6 @@ IF = "if"         # ["if", body, orelse]
 LOOP = "loop"     # ["loop", body, orelse]
 TRY = "try"       # ["try", body, [handler_bodies...], final]
 WITH = "with"     # ["with", [item_call_nodes...], body]
-
-_LOCK_FNS = ("acquire", "release", "atomic")
-
-_TRIVIAL_DOC = (ast.Constant,)
 
 
 def _is_trivial_body(body: Sequence[ast.stmt]) -> bool:
@@ -95,6 +90,20 @@ def _lock_spec(expr: ast.AST,
         if fn:
             return [["call", fn.split(".")[-1]]]
     return None
+
+
+def resolve_import_base(module: str, node: ast.ImportFrom) -> str:
+    """Absolute module named by a (possibly relative) ``from X import``."""
+    if node.level == 0:
+        return node.module or ""
+    pkg = module.split(".")[:-1]          # containing package
+    drop = node.level - 1
+    if drop:
+        pkg = pkg[:-drop] if drop <= len(pkg) else []
+    base = ".".join(pkg)
+    if node.module:
+        base = f"{base}.{node.module}" if base else node.module
+    return base
 
 
 class _Collector:
@@ -234,7 +243,7 @@ class _Collector:
             else:
                 continue
             lockspec = None
-            if fn in _LOCK_FNS and sub.args:
+            if fn == "acquire" and sub.args:
                 lockspec = _lock_spec(sub.args[0], varmap)
             out.append([CALL, sub.lineno, sub.col_offset, recv, fn, lockspec])
 
@@ -334,6 +343,60 @@ def namespace_of(base_spec: Sequence[str]) -> Optional[str]:
 # ---------------------------------------------------------------------------
 # Call graph
 # ---------------------------------------------------------------------------
+
+def strongly_connected(edges: Dict[str, Iterable[str]]) -> List[List[str]]:
+    """Tarjan SCCs of a digraph, each sorted, in emission order: callees
+    before callers, the fixpoint order the flow analyses want."""
+    index: Dict[str, int] = {}
+    low: Dict[str, int] = {}
+    on_stack: Set[str] = set()
+    stack: List[str] = []
+    out: List[List[str]] = []
+    counter = [0]
+    nodes = sorted(set(edges) | {w for ws in edges.values() for w in ws})
+
+    def strong(v: str) -> None:
+        # iterative Tarjan: (node, iterator) frames to survive deep graphs
+        work = [(v, iter(sorted(edges.get(v, ()))))]
+        index[v] = low[v] = counter[0]
+        counter[0] += 1
+        stack.append(v)
+        on_stack.add(v)
+        while work:
+            node, it = work[-1]
+            advanced = False
+            for w in it:
+                if w not in index:
+                    index[w] = low[w] = counter[0]
+                    counter[0] += 1
+                    stack.append(w)
+                    on_stack.add(w)
+                    work.append((w, iter(sorted(edges.get(w, ())))))
+                    advanced = True
+                    break
+                if w in on_stack:
+                    low[node] = min(low[node], index[w])
+            if advanced:
+                continue
+            work.pop()
+            if work:
+                parent = work[-1][0]
+                low[parent] = min(low[parent], low[node])
+            if low[node] == index[node]:
+                comp = []
+                while True:
+                    w = stack.pop()
+                    on_stack.discard(w)
+                    comp.append(w)
+                    if w == node:
+                        break
+                out.append(sorted(comp))
+
+    for v in nodes:
+        if v not in index:
+            strong(v)
+    return out
+
 
 class FuncInfo:
     __slots__ = ("fid", "module", "relpath", "qual", "cls", "name",
@@ -549,7 +612,7 @@ class CallGraph:
     def topo_sccs(self) -> List[List[str]]:
         """Function SCCs, callees before callers (fixpoint order)."""
         edges = {fid: self.call_edges(fid) for fid in sorted(self.functions)}
-        return strongly_connected(edges, ordered=True)
+        return strongly_connected(edges)
 
     def resolve_lock_namespaces(self, caller: FuncInfo,
                                 lockspec: Optional[List]) -> List[str]:
@@ -581,9 +644,8 @@ class CallGraph:
 class FlowAnalysis(ProjectRule):
     """Umbrella project rule running the checkers that walk the IR.
 
-    One fact-collection pass feeds all five; findings carry the
-    individual rule ids (``persist-before-commit``,
-    ``persistence-ordering``, ``lock-order-cycle``, ``lock-discipline``,
+    One fact-collection pass feeds all three; findings carry the
+    individual rule ids (``persist-before-commit``, ``lock-discipline``,
     ``degraded-write-guard``) so suppressions stay per-rule.
     """
 
@@ -592,11 +654,9 @@ class FlowAnalysis(ProjectRule):
     def __init__(self, checkers: Optional[List] = None):
         if checkers is None:
             from .rules.flow_guards import DegradedWriteGuard
-            from .rules.flow_locks import LockDiscipline, LockOrderCycle
-            from .rules.flow_persist import (PersistBeforeCommit,
-                                             PersistenceOrdering)
-            checkers = [PersistBeforeCommit(), PersistenceOrdering(),
-                        LockOrderCycle(), LockDiscipline(),
+            from .rules.flow_locks import LockDiscipline
+            from .rules.flow_persist import PersistBeforeCommit
+            checkers = [PersistBeforeCommit(), LockDiscipline(),
                         DegradedWriteGuard()]
         self.checkers = checkers
 

@@ -1,4 +1,4 @@
-"""The nine codebase-specific lint rules.
+"""The six codebase-specific lint rules.
 
 Shared AST helpers live here; each rule is one module.  Rule ids are
 the stable public names used by ``# repro: allow[<id>]`` suppressions.
@@ -8,8 +8,6 @@ Pattern rules (one file at a time, or cross-file facts):
 =====================  =====================================================
 ``determinism``        wall-clock reads, global ``random.*``, ``os.urandom``,
                        ``id()``-keyed sorts, unordered set iteration
-``snapshot-whitelist``  persisted-graph module missing from the snapshot
-                       codec whitelist
 ``metric-names``       counter/gauge/span names absent from repro.obs.names
 ``array-kernel``       array-backed hot state (clock array, run store,
                        device store-log columns) mutated outside its
@@ -22,10 +20,6 @@ Rules on the flow IR (modules ``flow_*``, run through
 =========================  =================================================
 ``persist-before-commit``  a PM store must reach persist()/clwb+sfence on
                            every path before a journal commit
-``persistence-ordering``   ``PMDevice.store`` not followed by clwb+sfence on
-                           every path out of the function (calls opaque)
-``lock-order-cycle``       cycle in the global lock-namespace acquisition
-                           order graph (witness call chain attached)
 ``lock-discipline``        inode-field mutation outside a lock acquisition;
                            acquire sites with unregistered lock namespaces
 ``degraded-write-guard``   mutating FileSystem entry point can mutate state

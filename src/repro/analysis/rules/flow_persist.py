@@ -1,4 +1,4 @@
-"""PM dirt must be fenced: ``persist-before-commit`` and ``persistence-ordering``.
+"""PM dirt must be fenced before a commit: ``persist-before-commit``.
 
 The crash-consistency contract of every journaled path in this codebase
 is *undo-log, mutate, flush+fence, commit*: once the journal commit
@@ -7,7 +7,7 @@ store that has not reached ``persist()``/``clwb``+``sfence`` by that
 point can be torn or lost across a crash — exactly the dominant bug
 class in the PM-issues survey.
 
-Both rules run one machine, :class:`_Run`: a per-receiver three-level
+The rule runs one machine, :class:`_Run`: a per-receiver three-level
 lattice (clean / stored-and-clwbed / stored) through each function's
 IR, with the semantics of :class:`repro.pm.device.PMDevice`:
 
@@ -16,15 +16,14 @@ IR, with the semantics of :class:`repro.pm.device.PMDevice`:
 * ``recv.sfence()``    -> every clwbed receiver becomes clean (the fence
   is global; un-flushed stores stay dirty)
 * ``recv.persist(...)``/``recv.write_zeros(...)`` -> store+clwb+sfence
-  helpers: a fence, and for ``persist-before-commit`` also retires the
-  receiver's own earlier stores
+  helpers: a fence that also retires the receiver's own earlier stores
 * ``recv.drain()``     -> flush+fence everything: all clean
 * ``raise``            -> exempt (recovery owns durability)
 
 Branches join with the worst level per receiver; loop bodies run once
 and join with the loop-skip state.
 
-``persist-before-commit`` crosses function boundaries with summaries:
+It crosses function boundaries with summaries:
 
 * ``exit_dirty`` — can return with unfenced stores of its own making;
 * ``fences`` / ``drains`` — guarantees entry dirt (clwbed / any) is
@@ -37,13 +36,9 @@ the block end is a commit event.  Findings anchor at the offending
 store; the witness chain walks store -> (calls) -> commit so the report
 reads as the failure path.
 
-``persistence-ordering`` is the intra-procedural view: each function of
-``repro.core`` / ``repro.fs`` runs with an empty summary table (every
-call is opaque), and each of its own stores still dirty on a
-non-raising exit is reported at the store.  Helpers that intentionally
-return with pending stores (batched writers) take a
-``# repro: allow[persistence-ordering]`` with a pointer to where the
-fence happens.
+A store left unfenced on a path that never commits is the crash
+explorer's to catch, not this rule's: the overwrite and create paths
+are enumerated crash state by crash state in tier 1.
 """
 
 from __future__ import annotations
@@ -69,8 +64,6 @@ _COMMIT_RECV_HINTS = ("txn", "transaction", "journal")
 _CLWBED_ENTRY = "<entry:clwbed>"
 _STORED_ENTRY = "<entry:stored>"
 _MAX_SCC_ITER = 5
-#: persistence-ordering checks the modules that own PM durability
-_ORDERING_SCOPES = ("repro.core", "repro.fs")
 
 
 def _is_device(recv: str) -> bool:
@@ -124,9 +117,6 @@ def _merge(a: Optional[State], b: Optional[State]) -> Optional[State]:
 class _Run:
     """One abstract execution of a function body."""
 
-    #: persist() on a receiver retires that receiver's earlier stores too
-    PERSIST_CLEARS_RECEIVER = True
-
     def __init__(self, graph: CallGraph, info: FuncInfo,
                  summaries: Dict[str, Summary], report: bool):
         self.graph = graph
@@ -140,8 +130,6 @@ class _Run:
         self.commits_with_stored = False
         self.violations: List[Tuple[Tuple[Hop, ...], Tuple[Hop, ...]]] = []
         self._seen_violations: set = set()
-        #: (receiver, line) -> column of the last store made there
-        self.store_cols: Dict[Tuple[str, int], int] = {}
 
     def run(self, initial: State) -> None:
         final = self.exec_block(self.info.body, dict(initial))
@@ -173,14 +161,13 @@ class _Run:
         self._seen_violations.add(key)
         self.violations.append((chain, commit_chain))
 
-    def _apply_call(self, state: State, line: int, col: int, recv: str,
+    def _apply_call(self, state: State, line: int, recv: str,
                     fn: str) -> None:
         if _is_device(recv):
             if fn in _STORE_FNS:
                 hop: Hop = (f"{self.info.qual}: store via {recv}",
                             self.info.relpath, line)
                 state[recv] = (2, (hop,))
-                self.store_cols[recv, line] = col
             elif fn in _CLWB_FNS:
                 cur = state.get(recv)
                 if cur is not None and cur[0] == 2:
@@ -189,8 +176,7 @@ class _Run:
                 for r in [r for r, (lvl, _) in state.items() if lvl == 1]:
                     del state[r]
             elif fn in _PERSIST_FNS:
-                if self.PERSIST_CLEARS_RECEIVER:
-                    state.pop(recv, None)
+                state.pop(recv, None)
                 for r in [r for r, (lvl, _) in state.items() if lvl == 1]:
                     del state[r]
             elif fn in _DRAIN_FNS:
@@ -247,7 +233,7 @@ class _Run:
                 return None
             tag = node[0]
             if tag == CALL:
-                self._apply_call(state, node[1], node[2], node[3], node[4])
+                self._apply_call(state, node[1], node[3], node[4])
             elif tag == ASGN:
                 pass
             elif tag == RET:
@@ -360,38 +346,3 @@ class PersistBeforeCommit:
                     if not s.dirty_chain:
                         s.dirty_chain = chain
         return s
-
-
-class _OwnStoresRun(_Run):
-    """``persistence-ordering``'s run: persist() only fences."""
-
-    PERSIST_CLEARS_RECEIVER = False
-
-
-class PersistenceOrdering:
-    id = "persistence-ordering"
-
-    def check(self, graph: CallGraph) -> List[Finding]:
-        findings: List[Finding] = []
-        for fid in sorted(graph.functions):
-            info = graph.functions[fid]
-            if not info.module.startswith(_ORDERING_SCOPES):
-                continue
-            run = _OwnStoresRun(graph, info, {}, report=False)
-            run.run({})
-            reported = set()
-            for state in run.exits:
-                for recv, (_lvl, chain) in state.items():
-                    line = chain[0][2]
-                    if (recv, line) in reported:
-                        continue
-                    reported.add((recv, line))
-                    findings.append(Finding(
-                        rule=self.id, path=info.relpath, line=line,
-                        col=run.store_cols[recv, line],
-                        message=(f"{recv}.store() may reach a return "
-                                 "without clwb+sfence"),
-                        hint="flush with clwb+sfence (or use persist()) on "
-                             "every non-raising path",
-                        qualname=info.qual, detail=recv))
-        return findings

@@ -348,12 +348,26 @@ class WineFS(BaseFS):
                 start = stop
 
     def _scan_indirect_chain(self, ino: int) -> List[int]:
-        """Blocks used by an inode's indirect extent chain (from PM)."""
+        """Blocks used by an inode's indirect extent chain (from PM).
+
+        Each pointer must name a data block not yet on the chain before
+        it is loaded, so a corrupt image fails closed in bounded time
+        instead of reading past the device or cycling forever.
+        """
         from .layout import _INODE_HEAD
         raw = self.device.load(self.layout.inode_addr(ino), INODE_BYTES)
         indirect = _INODE_HEAD.unpack(raw[:_INODE_HEAD.size])[6]
+        first, end = self.layout.data_start_block, self.layout.total_blocks
         chain: List[int] = []
+        seen = set()
         while indirect:
+            if not first <= indirect < end:
+                raise CorruptionError(f"inode {ino}: indirect block "
+                                      f"{indirect} outside the data area")
+            if indirect in seen:
+                raise CorruptionError(f"inode {ino}: indirect chain "
+                                      f"revisits block {indirect}")
+            seen.add(indirect)
             chain.append(indirect)
             blob = self.device.load(indirect * BLOCK_SIZE, 8)
             indirect = struct.unpack_from("<Q", blob, 0)[0]

@@ -429,9 +429,6 @@ class BaseFS(FileSystem):
             # deterministic lock order to avoid simulated deadlock accounting
             lock_inos = sorted({src_parent.ino, dst_parent.ino})
             for li in lock_inos:
-                # repro: allow[lock-order-cycle] both acquisitions are in the
-                # ino namespace but ordered by ascending inode number, so the
-                # ino->ino self-edge can never close a real deadlock cycle
                 ctx.locks.acquire(self._ino_lock(li), ctx.cpu)
             try:
                 sdir = self._dirs[src_parent.ino]

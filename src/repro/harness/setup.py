@@ -108,6 +108,15 @@ def _reset_after_setup(fs: FileSystem, ctx: SimContext) -> None:
     fs.device.bytes_written = 0
 
 
+#: version of the code that ages an image: Geriatrix, the aging profiles
+#: and every model's allocator.  Part of every aged-image key, so a warm
+#: archive never serves an image that older aging code built.  Bump it
+#: with any change that moves an aged image; the fragmentation report of
+#: one tiny cold-aged image is pinned beside it in
+#: ``tests/data/aging_version_golden.json``.
+AGING_VERSION = 1
+
+
 def aged_cache_key(name: str, *, size_gib: float = 1.0, num_cpus: int = 4,
                    utilization: float = 0.75, churn_multiple: float = 10.0,
                    profile: AgingProfile = AGRAWAL, seed: int = 7,
@@ -120,6 +129,7 @@ def aged_cache_key(name: str, *, size_gib: float = 1.0, num_cpus: int = 4,
     """
     return snapshot_store.cache_key({
         "kind": "aged_fs",
+        "aging_version": AGING_VERSION,
         "fs": name,
         "size_bytes": int(size_gib * GIB),
         "num_cpus": num_cpus,
@@ -173,10 +183,10 @@ def aged_fs(name: str, *, size_gib: float = 1.0, num_cpus: int = 4,
 
     With *snapshot* (the default), the aged image is cached under
     ``$REPRO_SNAPSHOT_DIR`` (default ``~/.cache/repro``) keyed by every
-    aging parameter, and later calls restore it bit-identically instead
-    of re-aging.  Set ``REPRO_SNAPSHOT=0`` (or ``snapshot=False``) to
-    force re-aging; tracing a run disables the cache automatically since
-    a restore would replay no spans.
+    aging parameter and :data:`AGING_VERSION`, and later calls restore
+    it bit-identically instead of re-aging.  Set ``REPRO_SNAPSHOT=0``
+    (or ``snapshot=False``) to force re-aging; tracing a run disables
+    the cache automatically since a restore would replay no spans.
     """
     use_cache = (snapshot and trace is None
                  and os.environ.get("REPRO_SNAPSHOT", "1") != "0")

@@ -1,4 +1,4 @@
-"""persistence-ordering and persist-before-commit seeds."""
+"""persist-before-commit seeds."""
 
 
 class Journal:
@@ -29,13 +29,3 @@ class FS:
     def update(self, ctx, inode):
         with self._meta_txn(ctx, entries=2):
             self.device.store(inode, b"x", ctx)
-
-    def write_branch(self, addr, data, ctx, flush):
-        self.device.store(addr, data, ctx)
-        if flush:
-            self.device.clwb(addr, len(data), ctx)
-            self.device.sfence(ctx)
-
-    def write_torn(self, addr, data, ctx):
-        self.device.store(addr, data, ctx)
-        raise IOError("torn")

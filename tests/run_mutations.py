@@ -1,4 +1,4 @@
-"""Replay the committed mutation corpus (opt-in, minutes; not tier-1).
+"""Replay the committed mutation corpus (minutes; not tier-1, CI runs it).
 
 ``tests/mutations/corpus.json`` holds seeded bugs as data: ``file``, the
 exact text to ``find`` (it must occur exactly once), its ``replace``-ment

@@ -1,5 +1,8 @@
 """Aging framework tests: profiles, Geriatrix, fragmentation metrics."""
 
+import dataclasses
+import json
+import os
 import random
 
 import pytest
@@ -13,6 +16,7 @@ from repro.clock import make_context
 from repro.core.filesystem import WineFS
 from repro.errors import NotFoundError
 from repro.fs import Ext4DAX, NovaFS
+from repro.harness.setup import AGING_VERSION, aged_cache_key, aged_fs
 from repro.params import GIB, KIB, MIB
 from repro.pm.device import PMDevice
 
@@ -178,3 +182,49 @@ class TestFragmentationSeparation:
         f = fs.create("/tiny", ctx)
         f.fallocate(0, 64 * KIB, ctx)
         assert file_mappability(fs, f.ino) == 1.0
+
+
+# ---------------------------------------------------------------------------
+# aged-image keys follow the code that ages them
+
+AGING_GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)),
+                            "data", "aging_version_golden.json")
+
+
+def _tiny_aged_report() -> dict:
+    fs, _ctx = aged_fs("WineFS", size_gib=0.0625, num_cpus=2,
+                       utilization=0.6, churn_multiple=2.0, seed=7,
+                       snapshot=False)
+    return dataclasses.asdict(fragmentation_report(fs))
+
+
+def test_aging_change_bumps_the_aging_version():
+    """Re-age the pinned tiny image cold: a changed report under an
+    unchanged AGING_VERSION means a warm archive would serve images the
+    old code aged.  Bump AGING_VERSION, then re-record the golden with
+    ``PYTHONPATH=src python tests/test_aging.py``."""
+    with open(AGING_GOLDEN, encoding="utf-8") as fh:
+        golden = json.load(fh)
+    report = _tiny_aged_report()
+    if report != golden["fragmentation_report"]:
+        assert AGING_VERSION != golden["aging_version"], \
+            f"aging moved the image ({report}) but AGING_VERSION did not"
+    assert {"aging_version": AGING_VERSION,
+            "fragmentation_report": report} == golden, \
+        "re-record tests/data/aging_version_golden.json"
+
+
+def test_aged_cache_key_carries_the_aging_version(monkeypatch):
+    from repro.harness import setup
+    before = aged_cache_key("WineFS")
+    monkeypatch.setattr(setup, "AGING_VERSION", AGING_VERSION + 1)
+    assert aged_cache_key("WineFS") != before
+
+
+if __name__ == "__main__":
+    with open(AGING_GOLDEN, "w", encoding="utf-8") as fh:
+        json.dump({"aging_version": AGING_VERSION,
+                   "fragmentation_report": _tiny_aged_report()},
+                  fh, indent=1, sort_keys=True)
+        fh.write("\n")
+    print(f"recorded {AGING_GOLDEN}")

@@ -3,10 +3,10 @@
 Each rule gets good/bad fixture snippets; the engine gets suppression
 and --json stability coverage; the one-pass merge is pinned by a golden
 recorded from the two modes it replaced; and the tier-1 gate at the
-bottom self-lints ``src/repro`` (the same check CI runs), including the
-two acceptance mutations: weakening a ``persist`` to a bare ``store``
-in ``repro.core.journal`` and deleting an ``sfence`` in
-``repro.core.filesystem`` must both trip ``persistence-ordering``.
+bottom self-lints ``src/repro`` (the same check CI runs), checks that
+deleting the ``sfence`` ending ``BaseFS._store_data`` trips
+``persist-before-commit``, and pins the rule set each mutation-corpus
+entry reports.
 """
 
 from __future__ import annotations
@@ -24,9 +24,7 @@ from repro.analysis.flow import CallGraph, FlowAnalysis, collect_file_facts
 from repro.analysis.rules.array_state import _SANCTIONED, ArrayStateRule
 from repro.analysis.rules.determinism import DeterminismRule
 from repro.analysis.rules.flow_locks import LockDiscipline
-from repro.analysis.rules.flow_persist import PersistenceOrdering
 from repro.analysis.rules.metric_names import MetricNamesRule
-from repro.analysis.rules.snapshot import SnapshotWhitelistRule
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SRC_REPRO = os.path.join(REPO_ROOT, "src", "repro")
@@ -113,76 +111,6 @@ def test_determinism_flags_set_comprehension_iteration():
 
 
 # ---------------------------------------------------------------------------
-# persistence-ordering
-
-
-def test_persistence_flags_store_without_flush():
-    hits = rule_hits(PersistenceOrdering(), """
-        def write(self, addr, data, ctx):
-            self.device.store(addr, data, ctx)
-            return len(data)
-    """, module="repro.core.fixture")
-    assert len(hits) == 1
-    assert hits[0].detail == "self.device"
-
-
-def test_persistence_flags_clwb_without_sfence():
-    hits = rule_hits(PersistenceOrdering(), """
-        def write(self, addr, data, ctx):
-            self.device.store(addr, data, ctx)
-            self.device.clwb(addr, len(data), ctx)
-    """, module="repro.fs.fixture")
-    assert len(hits) == 1
-
-
-def test_persistence_accepts_full_sequence_and_persist():
-    source = """
-        def write(self, addr, data, ctx):
-            self.device.store(addr, data, ctx)
-            self.device.clwb(addr, len(data), ctx)
-            self.device.sfence(ctx)
-
-        def write2(self, addr, data, ctx):
-            self.device.persist(addr, data, ctx)
-
-        def batched(self, addrs, data, ctx):
-            for addr in addrs:
-                self.device.store(addr, data, ctx)
-                self.device.clwb(addr, len(data), ctx)
-            self.device.sfence(ctx)
-    """
-    assert rule_hits(PersistenceOrdering(), source,
-                     module="repro.core.fixture") == []
-
-
-def test_persistence_flags_unflushed_branch():
-    hits = rule_hits(PersistenceOrdering(), """
-        def write(self, addr, data, ctx, flush):
-            self.device.store(addr, data, ctx)
-            if flush:
-                self.device.clwb(addr, len(data), ctx)
-                self.device.sfence(ctx)
-    """, module="repro.core.fixture")
-    assert len(hits) == 1
-
-
-def test_persistence_ignores_raise_paths_and_other_modules():
-    crash = """
-        def write(self, addr, data, ctx):
-            self.device.store(addr, data, ctx)
-            raise IOError("torn")
-    """
-    assert rule_hits(PersistenceOrdering(), crash,
-                     module="repro.core.fixture") == []
-    unflushed = """
-        def write(self, addr, data, ctx):
-            self.device.store(addr, data, ctx)
-    """
-    assert rule_hits(PersistenceOrdering(), unflushed,
-                     module="repro.mmu.fixture") == []
-
-
-# ---------------------------------------------------------------------------
 # lock-discipline
 
 
@@ -237,14 +165,7 @@ def test_lock_discipline_scoped_to_fs_and_vfs():
 
 
 # ---------------------------------------------------------------------------
-# snapshot-whitelist (project rule)
-
-
-CODEC_SRC = """
-    _MODULE_WHITELIST = (
-        "repro.fs.common.base",
-    )
-"""
+# metric-names (project rule)
 
 
 def project_findings(rule, files):
@@ -254,89 +175,6 @@ def project_findings(rule, files):
                           module=module)
         facts[relpath] = rule.collect(ctx)
     return rule.finalize(facts)
-
-
-def test_snapshot_whitelist_flags_unlisted_import():
-    findings = project_findings(SnapshotWhitelistRule(), {
-        "snapshot/codec.py": ("repro.snapshot.codec", CODEC_SRC),
-        "fs/common/base.py": ("repro.fs.common.base", """
-            from ...structures.shiny import ShinyTree
-
-            class FSBase:
-                pass
-        """),
-        "structures/shiny.py": ("repro.structures.shiny", """
-            class ShinyTree:
-                pass
-        """),
-    })
-    assert len(findings) == 1
-    assert findings[0].detail == "repro.structures.shiny"
-    assert findings[0].path == "fs/common/base.py"
-
-
-def test_snapshot_tag_bytes_must_be_unique():
-    """Reusing a frame tag byte inside repro.snapshot is a finding:
-    the one decoder dispatches v1 and v2 tags in one byte namespace."""
-    findings = project_findings(SnapshotWhitelistRule(), {
-        "snapshot/codec.py": ("repro.snapshot.codec", """
-            _T_INT = b"i"
-            _T_VINT = b"v"
-            _T_CLASH = b"i"
-        """),
-    })
-    assert len(findings) == 1
-    assert findings[0].detail == "_T_CLASH"
-    assert "_T_INT" in findings[0].message
-
-
-def test_snapshot_tag_bytes_checked_across_modules():
-    findings = project_findings(SnapshotWhitelistRule(), {
-        "snapshot/codec.py": ("repro.snapshot.codec", """
-            _T_INT = b"i"
-        """),
-        "snapshot/extra.py": ("repro.snapshot.extra", """
-            _T_OTHER = b"i"
-        """),
-    })
-    assert len(findings) == 1
-    assert findings[0].path == "snapshot/extra.py"
-    # same byte outside repro.snapshot (different wire format) is fine
-    assert project_findings(SnapshotWhitelistRule(), {
-        "snapshot/codec.py": ("repro.snapshot.codec", "_T_INT = b'i'\n"),
-        "serve/wire.py": ("repro.serve.wire", "_T_INT = b'i'\n"),
-    }) == []
-
-
-def test_snapshot_whitelist_clean_when_listed_or_classless():
-    findings = project_findings(SnapshotWhitelistRule(), {
-        "snapshot/codec.py": ("repro.snapshot.codec", """
-            _MODULE_WHITELIST = (
-                "repro.fs.common.base",
-                "repro.structures.shiny",
-            )
-        """),
-        "fs/common/base.py": ("repro.fs.common.base", """
-            from ...structures.shiny import ShinyTree
-            from ...core import helpers
-
-            class FSBase:
-                pass
-        """),
-        "structures/shiny.py": ("repro.structures.shiny", """
-            class ShinyTree:
-                pass
-        """),
-        "core/helpers.py": ("repro.core.helpers", """
-            def pure_function():
-                return 1
-        """),
-    })
-    assert findings == []
-
-
-# ---------------------------------------------------------------------------
-# metric-names (project rule)
 
 
 NAMES_SRC = """
@@ -661,9 +499,8 @@ def test_cli_lint_json(tmp_path, capsys):
 DATA = os.path.join(REPO_ROOT, "tests", "data")
 
 ALL_RULE_IDS = {
-    "determinism", "persistence-ordering", "lock-discipline", "array-kernel",
-    "snapshot-whitelist", "metric-names",
-    "persist-before-commit", "lock-order-cycle", "degraded-write-guard",
+    "determinism", "array-kernel", "metric-names",
+    "persist-before-commit", "lock-discipline", "degraded-write-guard",
 }
 
 
@@ -677,7 +514,7 @@ def split_rule_sets():
     file_rules, project_rules = default_rules()
     flow = [r for r in project_rules if isinstance(r, FlowAnalysis)]
     rest = [r for r in project_rules if not isinstance(r, FlowAnalysis)]
-    assert len(flow) == 1 and len(rest) == 2 and len(file_rules) == 2
+    assert len(flow) == 1 and len(rest) == 1 and len(file_rules) == 2
     return (file_rules, rest), ([], flow)
 
 
@@ -744,24 +581,6 @@ def test_src_repro_lints_clean():
     assert result.findings == [], f"lint findings:\n{rendered}"
 
 
-def test_acceptance_weakened_persist_in_journal_fails_lint(tmp_path):
-    src = open(os.path.join(SRC_REPRO, "core", "journal.py")).read()
-    weak = "self.device.store(addr, entry.pack(), ctx)"
-    assert "self.device.persist(addr, entry.pack(), ctx)" in src
-    mutated = src.replace("self.device.persist(addr, entry.pack(), ctx)",
-                          weak)
-    pkg = tmp_path / "repro" / "core"
-    pkg.mkdir(parents=True)
-    (tmp_path / "repro" / "__init__.py").write_text("")
-    (pkg / "__init__.py").write_text("")
-    (pkg / "journal.py").write_text(mutated)
-    result = run_lint([str(pkg / "journal.py")], root=str(tmp_path))
-    assert any(f.rule == "persistence-ordering"
-               for f in result.findings), \
-        "weakening persist() to store() must trip the lint"
-    assert result.exit_code == 1
-
-
 def test_acceptance_dropped_sfence_in_filesystem_fails_lint(tmp_path):
     path = os.path.join(SRC_REPRO, "fs", "common", "base.py")
     lines = open(path).read().splitlines(keepends=True)
@@ -777,7 +596,7 @@ def test_acceptance_dropped_sfence_in_filesystem_fails_lint(tmp_path):
         (init / "__init__.py").write_text("")
     (pkg / "base.py").write_text(mutated)
     result = run_lint([str(pkg / "base.py")], root=str(tmp_path))
-    assert any(f.rule == "persistence-ordering" for f in result.findings)
+    assert any(f.rule == "persist-before-commit" for f in result.findings)
 
 
 with open(os.path.join(REPO_ROOT, "tests", "mutations", "corpus.json"),

@@ -149,6 +149,21 @@ class TestExplorer:
         assert result.passed, result.violations
 
 
+@pytest.mark.parametrize("mode", ["strict", "relaxed"])
+@pytest.mark.parametrize("name", ["overwrite",
+                                  "fallocate-overwrite-truncate"])
+def test_overwrite_paths_pass_every_crash_state(name, mode):
+    """Every crash state of the overwrite paths: copy-on-write through
+    ``_store_extents`` (strict) and the in-place store (relaxed)."""
+    explorer = CrashExplorer(lambda dev: WineFS(dev, num_cpus=2, mode=mode),
+                             device_size=64 * MIB)
+    wl = next(w for w in generate_workloads(seq2=True, seq3=True)
+              if w.name == name)
+    result = explorer.run_workload(wl)
+    assert result.passed, result.violations
+    assert result.states_checked > result.crash_points > 0
+
+
 class TestSeq3:
     def test_seq3_extends_catalogue(self):
         base = generate_workloads(seq2=True)

@@ -16,7 +16,7 @@ from repro.analysis import FileContext, run_lint
 from repro.analysis.engine import iter_python_files
 from repro.analysis.flow import CallGraph, FlowAnalysis, collect_file_facts
 from repro.analysis.rules.flow_guards import DegradedWriteGuard
-from repro.analysis.rules.flow_locks import LockOrderCycle
+from repro.analysis.rules.flow_locks import LockDiscipline
 from repro.analysis.rules.flow_persist import PersistBeforeCommit
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -244,119 +244,19 @@ def test_persist_raise_paths_are_exempt():
 
 
 # ---------------------------------------------------------------------------
-# lock-order-cycle
-
-
-def test_lock_cycle_between_two_namespaces():
-    hits = checker_hits(LockOrderCycle(), {"fix.py": ("repro.fixture", """
-        def forward(ctx):
-            ctx.locks.acquire("ino:1", ctx.cpu)
-            ctx.locks.acquire("winefs-journal:0", ctx.cpu)
-            ctx.locks.release("winefs-journal:0", ctx.cpu)
-            ctx.locks.release("ino:1", ctx.cpu)
-
-        def backward(ctx):
-            ctx.locks.acquire("winefs-journal:0", ctx.cpu)
-            ctx.locks.acquire("ino:1", ctx.cpu)
-            ctx.locks.release("ino:1", ctx.cpu)
-            ctx.locks.release("winefs-journal:0", ctx.cpu)
-    """)}, rule_id="lock-order-cycle")
-    assert len(hits) == 1
-    f = hits[0]
-    assert f.detail == "ino->winefs-journal->ino"
-    labels = [hop[0] for hop in f.witness]
-    assert any("forward acquires winefs-journal" in lbl for lbl in labels)
-    assert any("backward acquires ino" in lbl for lbl in labels)
-
-
-def test_lock_self_edge_from_nested_same_namespace():
-    hits = checker_hits(LockOrderCycle(), {"fix.py": ("repro.fixture", """
-        def rename(ctx, inos):
-            for ino in inos:
-                ctx.locks.acquire(f"ino:{ino}", ctx.cpu)
-    """)}, rule_id="lock-order-cycle")
-    assert len(hits) == 1
-    assert hits[0].detail == "ino->ino"
-
-
-def test_lock_consistent_order_is_acyclic():
-    assert checker_hits(LockOrderCycle(), {"fix.py": ("repro.fixture", """
-        def one(ctx):
-            ctx.locks.acquire("ino:1", ctx.cpu)
-            ctx.locks.acquire("winefs-journal:0", ctx.cpu)
-
-        def two(ctx):
-            ctx.locks.acquire("ino:2", ctx.cpu)
-            ctx.locks.acquire("winefs-journal:0", ctx.cpu)
-    """)}, rule_id="lock-order-cycle") == []
-
-
-def test_lock_edge_forms_through_a_call():
-    hits = checker_hits(LockOrderCycle(), {"fix.py": ("repro.fixture", """
-        def log_append(ctx):
-            ctx.locks.acquire("winefs-journal:0", ctx.cpu)
-            ctx.locks.release("winefs-journal:0", ctx.cpu)
-
-        def outer(ctx):
-            ctx.locks.acquire("ino:1", ctx.cpu)
-            log_append(ctx)
-            ctx.locks.release("ino:1", ctx.cpu)
-
-        def backward(ctx):
-            ctx.locks.acquire("winefs-journal:0", ctx.cpu)
-            ctx.locks.acquire("ino:1", ctx.cpu)
-    """)}, rule_id="lock-order-cycle")
-    assert len(hits) == 1
-    labels = [hop[0] for hop in hits[0].witness]
-    assert any("outer calls log_append" in lbl for lbl in labels)
-
-
-def test_lock_release_breaks_the_held_set():
-    assert checker_hits(LockOrderCycle(), {"fix.py": ("repro.fixture", """
-        def one(ctx):
-            ctx.locks.acquire("ino:1", ctx.cpu)
-            ctx.locks.release("ino:1", ctx.cpu)
-            ctx.locks.acquire("winefs-journal:0", ctx.cpu)
-
-        def two(ctx):
-            ctx.locks.acquire("winefs-journal:0", ctx.cpu)
-            ctx.locks.release("winefs-journal:0", ctx.cpu)
-            ctx.locks.acquire("ino:1", ctx.cpu)
-    """)}, rule_id="lock-order-cycle") == []
-
-
-def test_lock_atomic_is_not_a_held_lock():
-    assert checker_hits(LockOrderCycle(), {"fix.py": ("repro.fixture", """
-        def one(ctx):
-            ctx.locks.atomic("ino:1", ctx.cpu)
-            ctx.locks.acquire("winefs-journal:0", ctx.cpu)
-
-        def two(ctx):
-            ctx.locks.atomic("winefs-journal:0", ctx.cpu)
-            ctx.locks.acquire("ino:1", ctx.cpu)
-    """)}, rule_id="lock-order-cycle") == []
+# lock-discipline: acquire sites naming an unregistered namespace
 
 
 def test_lock_unregistered_namespace_warns():
-    hits = checker_hits(LockOrderCycle(), {"fix.py": ("repro.fixture", """
-        def one(ctx):
+    hits = checker_hits(LockDiscipline(), {"fix.py": ("repro.fixture", """
+        def one(ctx, name):
             ctx.locks.acquire("bogus-family:1", ctx.cpu)
+            ctx.locks.acquire("ino:1", ctx.cpu)
+            ctx.locks.acquire(name, ctx.cpu)
     """)}, rule_id="lock-discipline")
     assert len(hits) == 1
     assert hits[0].severity == "warning"
     assert hits[0].detail == "unregistered:bogus-family"
-
-
-def test_lock_unresolvable_name_never_forms_edges():
-    assert checker_hits(LockOrderCycle(), {"fix.py": ("repro.fixture", """
-        def one(ctx, name):
-            ctx.locks.acquire("ino:1", ctx.cpu)
-            ctx.locks.acquire(name, ctx.cpu)
-
-        def two(ctx, name):
-            ctx.locks.acquire(name, ctx.cpu)
-            ctx.locks.acquire("ino:1", ctx.cpu)
-    """)}, rule_id="lock-order-cycle") == []
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,8 @@
 """WineFS mount/unmount and crash recovery (paper §3.6, §5.2)."""
 
+import signal
+import struct
+
 import pytest
 
 from repro.clock import make_context
@@ -7,7 +10,7 @@ from repro.core.filesystem import WineFS
 from repro.core.journal import JournalManager
 from repro.core.layout import _EXT, _INODE_HEAD, Layout, read_superblock
 from repro.errors import CorruptionError
-from repro.params import KIB, MIB
+from repro.params import BLOCK_SIZE, KIB, MIB
 from repro.pm.device import PMDevice
 
 
@@ -160,6 +163,35 @@ class TestCrashRecovery:
                        _EXT.pack(block, 1))
         with pytest.raises(CorruptionError):
             _remount(device)
+
+    @pytest.mark.parametrize("target", ["itself", "past the device"])
+    def test_corrupt_indirect_chain_rejected_in_bounded_time(self, target):
+        """An indirect block whose next pointer names itself, or a block
+        past the device, fails the mount closed within a second."""
+        fs, ctx, device = _tracked_fs(size=64 * MIB)
+        f = fs.create("/chained", ctx)
+        g = fs.create("/interleaved", ctx)
+        for _ in range(8):       # interleaved appends spill the inline map
+            f.append(b"c" * 16 * KIB, ctx)
+            g.append(b"i" * 16 * KIB, ctx)
+        fs.unmount(ctx)
+        raw = device.load(fs.layout.inode_addr(f.ino), _INODE_HEAD.size)
+        indirect = _INODE_HEAD.unpack(raw)[6]
+        assert indirect, "the file must own an indirect block"
+        nxt = {"itself": indirect, "past the device": 2 ** 40}[target]
+        device.persist(indirect * BLOCK_SIZE, struct.pack("<Q", nxt))
+
+        def expire(signum, frame):
+            raise TimeoutError("mount did not finish within 1 s")
+
+        previous = signal.signal(signal.SIGALRM, expire)
+        signal.setitimer(signal.ITIMER_REAL, 1.0)
+        try:
+            with pytest.raises(CorruptionError):
+                _remount(device)
+        finally:
+            signal.setitimer(signal.ITIMER_REAL, 0)
+            signal.signal(signal.SIGALRM, previous)
 
     def test_unformatted_device_rejected(self):
         device = PMDevice(64 * MIB, track_stores=True)
