@@ -1,9 +1,9 @@
 """repro.analysis — the invariant-enforcing static analysis suite.
 
 ``repro lint`` parses ``src/repro`` once and runs every rule over the
-ASTs in one pass (see :mod:`repro.analysis.rules`): the per-file rules
-— determinism and array-kernel containment — the cross-file
-metric/span-name registry check, and the flow layer
+ASTs in one pass (see :mod:`repro.analysis.rules`): the per-file
+determinism rule (set iteration), the cross-file metric/span-name
+registry check, and the flow layer
 (:mod:`repro.analysis.flow`), a project-wide call graph whose IR feeds
 three checkers: the intra-procedural lock-discipline, and the
 summary-based persist-before-commit and degraded-write-guard, whose

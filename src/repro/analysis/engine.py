@@ -4,7 +4,7 @@ One parse per file; every rule sees the same :class:`FileContext`.
 Rules come in two shapes:
 
 * :class:`FileRule` — looks at one file in isolation and returns
-  findings directly (determinism, array-kernel containment).
+  findings directly (determinism's set-iteration check).
 * :class:`ProjectRule` — records JSON-serializable *facts* per file,
   then ``finalize()`` crosses file boundaries once every file has been
   seen (metric-name registry resolution, the interprocedural flow
@@ -161,13 +161,12 @@ class ProjectRule:
 
 
 def default_rules() -> Tuple[List[FileRule], List[ProjectRule]]:
-    """Every rule ``repro lint`` runs: two per-file, two project-wide
+    """Every rule ``repro lint`` runs: one per-file, two project-wide
     (the flow layer carries three checkers)."""
     from .flow import FlowAnalysis
-    from .rules.array_state import ArrayStateRule
     from .rules.determinism import DeterminismRule
     from .rules.metric_names import MetricNamesRule
-    return ([DeterminismRule(), ArrayStateRule()],
+    return ([DeterminismRule()],
             [MetricNamesRule(), FlowAnalysis()])
 
 

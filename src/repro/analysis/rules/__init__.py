@@ -1,4 +1,4 @@
-"""The six codebase-specific lint rules.
+"""The five codebase-specific lint rules.
 
 Shared AST helpers live here; each rule is one module.  Rule ids are
 the stable public names used by ``# repro: allow[<id>]`` suppressions.
@@ -6,12 +6,9 @@ the stable public names used by ``# repro: allow[<id>]`` suppressions.
 Pattern rules (one file at a time, or cross-file facts):
 
 =====================  =====================================================
-``determinism``        wall-clock reads, global ``random.*``, ``os.urandom``,
-                       ``id()``-keyed sorts, unordered set iteration
+``determinism``        a ``for`` loop or comprehension over a freshly built
+                       set (hash-ordered iteration)
 ``metric-names``       counter/gauge/span names absent from repro.obs.names
-``array-kernel``       array-backed hot state (clock array, run store,
-                       device store-log columns) mutated outside its
-                       sanctioned kernel modules
 =====================  =====================================================
 
 Rules on the flow IR (modules ``flow_*``, run through

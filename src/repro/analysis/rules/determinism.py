@@ -1,46 +1,26 @@
-"""Rule ``determinism`` — nondeterminism sources in simulator code.
+"""Rule ``determinism`` — iterating a freshly built set.
 
-Every simulated quantity must be a pure function of its seeds, so the
-rule flags:
+Every simulated quantity must be a pure function of its seeds, but a
+``for`` loop or comprehension over a ``set`` literal or ``set(...)``
+call visits its items in hash order, which ``PYTHONHASHSEED`` changes
+from run to run.  Of the mutation corpus, only this rule reliably
+kills ``shard-scan-iterates-a-set``: the serving tests notice its
+hash-ordered shard scan under some ``PYTHONHASHSEED`` values only.
 
-* wall-clock reads (``time.time``/``perf_counter``/``monotonic``/...,
-  ``datetime.now``/``utcnow``/``today``) — simulated time comes from
-  ``ctx.now()``, wall time belongs only in the obs layer's span *wall*
-  annotations (which carry an allow comment);
-* calls through the module-level ``random`` API (including
-  ``random.Random``) — use :func:`repro.rng.make_rng`;
-* ``os.urandom`` — never seedable;
-* ``sorted(..., key=id)`` / ``.sort(key=id)`` — id() is the CPython
-  heap address, different every run;
-* iterating a freshly-built ``set`` literal/call in a ``for`` loop or
-  comprehension — hash order leaks into results under
-  ``PYTHONHASHSEED``.
+Wall-clock reads, module-level ``random``, ``os.urandom`` and
+``key=id`` sorts are left to the dynamic tests: every seeded bug of
+those kinds moves a golden, the exact gate or a byte-compared CLI
+output.
 """
 
 from __future__ import annotations
 
 import ast
-from typing import Dict, List
+from typing import List
 
 from ..engine import FileContext, FileRule
 from ..findings import Finding
-from . import dotted, enclosing_qualnames
-
-_WALLCLOCK = {
-    "time.time", "time.time_ns", "time.perf_counter",
-    "time.perf_counter_ns", "time.monotonic", "time.monotonic_ns",
-    "time.process_time", "time.process_time_ns", "time.clock_gettime",
-    "datetime.datetime.now", "datetime.datetime.utcnow",
-    "datetime.datetime.today", "datetime.date.today",
-}
-
-_HINTS = {
-    "wallclock": "use ctx.now() (simulated ns), not host wall time",
-    "random-global": "use repro.rng.make_rng(seed) for a private stream",
-    "urandom": "os.urandom cannot be seeded; derive bytes from make_rng",
-    "id-sort": "key=id orders by heap address; sort on a stable field",
-    "set-iteration": "wrap in sorted(...) before iterating",
-}
+from . import enclosing_qualnames
 
 
 class DeterminismRule(FileRule):
@@ -48,80 +28,20 @@ class DeterminismRule(FileRule):
 
     def run(self, ctx: FileContext) -> List[Finding]:
         quals = enclosing_qualnames(ctx.tree)
-        imports = _import_map(ctx.tree)
         findings: List[Finding] = []
-
-        def add(node: ast.AST, kind: str, message: str, detail: str) -> None:
-            findings.append(Finding(
-                rule=self.id, path=ctx.relpath, line=node.lineno,
-                col=node.col_offset, message=message,
-                hint=_HINTS[kind], qualname=quals.get(id(node), ""),
-                detail=detail))
-
         for node in ast.walk(ctx.tree):
-            if isinstance(node, ast.Call):
-                name = _resolved_call_name(node, imports)
-                if name is not None:
-                    if name in _WALLCLOCK:
-                        add(node, "wallclock",
-                            f"wall-clock read {name}()", name)
-                    elif name == "os.urandom":
-                        add(node, "urandom", "os.urandom() is unseedable",
-                            name)
-                    elif name.startswith("random.") or name == "random":
-                        add(node, "random-global",
-                            f"interpreter-global randomness {name}()", name)
-                for kw in node.keywords:
-                    if kw.arg == "key" and isinstance(kw.value, ast.Name) \
-                            and kw.value.id == "id":
-                        fname = dotted(node.func) or "sort"
-                        add(node, "id-sort",
-                            f"{fname}(key=id) orders by heap address",
-                            f"{fname}:key=id")
-            elif isinstance(node, ast.For):
-                self._check_set_iter(node.iter, add)
-            elif isinstance(node, (ast.ListComp, ast.SetComp, ast.DictComp,
-                                   ast.GeneratorExp)):
-                for gen in node.generators:
-                    self._check_set_iter(gen.iter, add)
+            if not isinstance(node, (ast.For, ast.comprehension)):
+                continue
+            it = node.iter
+            if isinstance(it, ast.Set) or (
+                    isinstance(it, ast.Call)
+                    and isinstance(it.func, ast.Name)
+                    and it.func.id == "set"):
+                findings.append(Finding(
+                    rule=self.id, path=ctx.relpath, line=it.lineno,
+                    col=it.col_offset,
+                    message="iteration order of a set is hash-dependent",
+                    hint="wrap in sorted(...) before iterating",
+                    qualname=quals.get(id(it), ""),
+                    detail="set-iteration"))
         return findings
-
-    @staticmethod
-    def _check_set_iter(iter_node: ast.AST, add) -> None:
-        is_set = isinstance(iter_node, ast.Set) or (
-            isinstance(iter_node, ast.Call)
-            and isinstance(iter_node.func, ast.Name)
-            and iter_node.func.id == "set")
-        if is_set:
-            add(iter_node, "set-iteration",
-                "iteration order of a set is hash-dependent",
-                "set-iteration")
-
-
-def _import_map(tree: ast.Module) -> Dict[str, str]:
-    """Local name -> canonical dotted origin for relevant stdlib imports."""
-    interesting = ("time", "random", "os", "datetime")
-    out: Dict[str, str] = {}
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Import):
-            for alias in node.names:
-                if alias.name.split(".")[0] in interesting:
-                    out[alias.asname or alias.name.split(".")[0]] = alias.name
-        elif isinstance(node, ast.ImportFrom) and node.level == 0 and \
-                node.module and node.module.split(".")[0] in interesting:
-            for alias in node.names:
-                out[alias.asname or alias.name] = \
-                    f"{node.module}.{alias.name}"
-    return out
-
-
-def _resolved_call_name(node: ast.Call, imports: Dict[str, str]):
-    """Canonical dotted name of the called function, import-aware."""
-    name = dotted(node.func)
-    if name is None:
-        return None
-    head, _, rest = name.partition(".")
-    if head in imports:
-        name = imports[head] + (("." + rest) if rest else "")
-    # normalise datetime.datetime.* regardless of import style
-    return name

@@ -42,7 +42,7 @@ from ..fs.common.inode import Inode, InodeTable, INODE_BYTES
 from .journal import JournalManager, MAX_TXN_ENTRIES
 from .layout import (INLINE_EXTENTS, EXTENTS_PER_INDIRECT, InodePacker,
                      InodeRecord, Layout, pack_indirect, read_superblock,
-                     unpack_inode, write_superblock)
+                     unpack_inode, walk_chain, write_superblock)
 from .numa_policy import NumaPolicy
 from .rewrite import RewriteQueue
 
@@ -283,8 +283,9 @@ class WineFS(BaseFS):
                                            INODE_BYTES, scan_ctx)
                     rec = unpack_inode(
                         ino, raw,
-                        read_indirect=lambda b: self.device.load(
-                            b * BLOCK_SIZE, BLOCK_SIZE, scan_ctx))
+                        lambda b: self.device.load(
+                            b * BLOCK_SIZE, BLOCK_SIZE, scan_ctx),
+                        self.layout.data_blocks)
                 except MediaError:
                     # poisoned inode slot (or indirect block): the record
                     # is unreadable — skip it and degrade instead of
@@ -348,29 +349,14 @@ class WineFS(BaseFS):
                 start = stop
 
     def _scan_indirect_chain(self, ino: int) -> List[int]:
-        """Blocks used by an inode's indirect extent chain (from PM).
-
-        Each pointer must name a data block not yet on the chain before
-        it is loaded, so a corrupt image fails closed in bounded time
-        instead of reading past the device or cycling forever.
-        """
+        """Blocks used by an inode's indirect extent chain (from PM),
+        walked by the same checked :func:`walk_chain` as the slot parse."""
         from .layout import _INODE_HEAD
         raw = self.device.load(self.layout.inode_addr(ino), INODE_BYTES)
-        indirect = _INODE_HEAD.unpack(raw[:_INODE_HEAD.size])[6]
-        first, end = self.layout.data_start_block, self.layout.total_blocks
-        chain: List[int] = []
-        seen = set()
-        while indirect:
-            if not first <= indirect < end:
-                raise CorruptionError(f"inode {ino}: indirect block "
-                                      f"{indirect} outside the data area")
-            if indirect in seen:
-                raise CorruptionError(f"inode {ino}: indirect chain "
-                                      f"revisits block {indirect}")
-            seen.add(indirect)
-            chain.append(indirect)
-            blob = self.device.load(indirect * BLOCK_SIZE, 8)
-            indirect = struct.unpack_from("<Q", blob, 0)[0]
+        head = _INODE_HEAD.unpack(raw[:_INODE_HEAD.size])[6]
+        chain = [block for block, _ in walk_chain(
+            ino, head, self.layout.data_blocks,
+            lambda b: self.device.load(b * BLOCK_SIZE, 8))]
         self._indirect_chains[ino] = list(chain)
         return chain
 

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import Iterator, List, Optional, Tuple
 
 from ..errors import CorruptionError, FSError
 from ..params import BLOCK_SIZE, BLOCKS_PER_HUGEPAGE
@@ -90,6 +90,11 @@ class Layout:
         """Data area starts at the next hugepage boundary (so pools begin
         aligned and metadata never splits an aligned extent)."""
         return align_up(self.meta_end_block)
+
+    @property
+    def data_blocks(self) -> range:
+        """Every block an extent or an indirect block may name."""
+        return range(self.data_start_block, self.total_blocks)
 
     def data_pool_range(self, cpu: int) -> Tuple[int, int]:
         """(start, length) in blocks of one CPU's data pool, 2MB-aligned."""
@@ -260,9 +265,35 @@ class InodePacker:
         return buf
 
 
-def unpack_inode(ino: int, raw: bytes,
-                 read_indirect) -> Optional[InodeRecord]:
-    """Parse a slot; *read_indirect(block) -> bytes* loads chain blocks.
+def walk_chain(ino: int, head: int, data_blocks: range,
+               load) -> Iterator[Tuple[int, bytes]]:
+    """``(block, load(block))`` along an inode's on-PM indirect chain.
+
+    The chain starts at the slot's *head* pointer; each block's first 8
+    bytes name the next one (0 ends it).  Every pointer must name a block
+    of *data_blocks* not yet on the chain before it is loaded, so a
+    corrupt image fails closed in bounded time instead of reading past
+    the device or cycling forever.
+    """
+    seen = set()
+    block = head
+    while block:
+        if block not in data_blocks:
+            raise CorruptionError(f"inode {ino}: indirect block "
+                                  f"{block} outside the data area")
+        if block in seen:
+            raise CorruptionError(f"inode {ino}: indirect chain "
+                                  f"revisits block {block}")
+        seen.add(block)
+        blob = load(block)
+        yield block, blob
+        block = struct.unpack_from("<Q", blob, 0)[0]
+
+
+def unpack_inode(ino: int, raw: bytes, read_indirect,
+                 data_blocks: range) -> Optional[InodeRecord]:
+    """Parse a slot; *read_indirect(block) -> bytes* loads chain blocks,
+    which :func:`walk_chain` bounds to *data_blocks*.
 
     Returns None for empty/invalid slots; raises CorruptionError on
     garbage that claims to be valid.
@@ -288,20 +319,21 @@ def unpack_inode(ino: int, raw: bytes,
         raise CorruptionError(f"inode {ino}: bad name length {name_len}")
     name = raw[pos + 1: pos + 1 + name_len].decode(errors="strict")
     remaining = n_extents - len(extents)
-    block = indirect
-    while remaining > 0:
-        if not block:
+    if remaining:
+        for _block, blob in walk_chain(ino, indirect, data_blocks,
+                                       read_indirect):
+            count = min(remaining, EXTENTS_PER_INDIRECT)
+            for i in range(count):
+                start, length = _EXT.unpack_from(blob, 8 + i * 8)
+                if length == 0:
+                    raise CorruptionError(
+                        f"inode {ino}: zero-length extent")
+                extents.append(Extent(start, length))
+            remaining -= count
+            if not remaining:
+                break
+        else:
             raise CorruptionError(f"inode {ino}: extent chain truncated")
-        blob = read_indirect(block)
-        nxt = struct.unpack_from("<Q", blob, 0)[0]
-        count = min(remaining, EXTENTS_PER_INDIRECT)
-        for i in range(count):
-            start, length = _EXT.unpack_from(blob, 8 + i * 8)
-            if length == 0:
-                raise CorruptionError(f"inode {ino}: zero-length extent")
-            extents.append(Extent(start, length))
-        remaining -= count
-        block = nxt
     return InodeRecord(ino=ino, valid=True, is_dir=bool(flags & FLAG_DIR),
                        aligned_hint=bool(flags & FLAG_ALIGNED_HINT),
                        nlink=nlink, size=size, parent_ino=parent_ino,

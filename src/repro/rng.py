@@ -5,8 +5,8 @@ its seeds: workload op streams, aging churn, fault schedules and the LLC
 pollution model all draw from :class:`random.Random` instances created
 here.  Nothing in ``src/repro`` may call the module-level ``random.*``
 functions (they share interpreter-global state, so any import-order or
-test-ordering change would silently reshuffle results) — the determinism
-lint (rule ``determinism`` in :mod:`repro.analysis`) enforces this.
+test-ordering change would silently reshuffle results) — the seeded
+goldens and the exact gate catch a stray draw.
 
 ``make_rng(seed)`` is stream-identical to ``random.Random(seed)``; the
 optional *salt* derives independent sub-streams from one seed without
@@ -37,4 +37,4 @@ def make_rng(seed: int = BENCH_SEED, salt: int = 0) -> random.Random:
     """
     if salt:
         seed = seed + salt * _SALT_STRIDE
-    return random.Random(seed)   # repro: allow[determinism] the sanctioned constructor
+    return random.Random(seed)

@@ -1,23 +1,15 @@
-"""determinism and array-kernel seeds."""
-import os
-import random
-import time
+"""determinism seed: iterating a freshly built set.
+
+The loop in run() visits its items in hash order, which PYTHONHASHSEED
+changes from run to run; the comprehension after it iterates a set too
+but carries an inline allow, so the rule reports the loop alone.
+"""
 
 
 def run(results):
-    t = time.time()
-    x = random.random()
-    k = os.urandom(4)
-    ordered = sorted(results, key=id)
+    """Append every distinct result again, in set order."""
+    ordered = sorted(results)
     for item in set(ordered):
         results.append(item)
-    stamp = time.time()  # repro: allow[determinism] suppressed on purpose
-    return t, x, k, stamp
-
-
-def churn(ctx, dev, pool):
-    ctx.clock._cpu_ns[ctx.cpu] += 5.0
-    dev._log_seqs.append(7)
-    pool._rs.starts[0] = 3
-    del dev._log_data[0]
-    pool._rs.free_blocks = 0
+    seen = [x for x in set(ordered)]  # repro: allow[determinism] suppressed on purpose
+    return seen

@@ -4,7 +4,8 @@ Each rule gets good/bad fixture snippets; the engine gets suppression
 and --json stability coverage; the one-pass merge is pinned by a golden
 recorded from the two modes it replaced; and the tier-1 gate at the
 bottom self-lints ``src/repro`` (the same check CI runs), checks that
-deleting the ``sfence`` ending ``BaseFS._store_data`` trips
+every allow comment there names a live rule, checks that deleting the
+``sfence`` ending ``BaseFS._store_data`` trips
 ``persist-before-commit``, and pins the rule set each mutation-corpus
 entry reports.
 """
@@ -15,13 +16,14 @@ import json
 import os
 import shutil
 import textwrap
+import tokenize
 
 import pytest
 
 from repro.analysis import FileContext, default_rules, run_lint
-from repro.analysis.engine import derive_module, scan_suppressions
+from repro.analysis.engine import (SUPPRESS_RE, derive_module,
+                                   iter_python_files, scan_suppressions)
 from repro.analysis.flow import CallGraph, FlowAnalysis, collect_file_facts
-from repro.analysis.rules.array_state import _SANCTIONED, ArrayStateRule
 from repro.analysis.rules.determinism import DeterminismRule
 from repro.analysis.rules.flow_locks import LockDiscipline
 from repro.analysis.rules.metric_names import MetricNamesRule
@@ -48,58 +50,32 @@ def rule_hits(rule, source: str, module: str = "repro.fixture"):
 
 
 BAD_DETERMINISM = """
-    import time
-    import random
-    import os
-
-    def run(results):
-        t = time.time()
-        x = random.random()
-        k = os.urandom(4)
-        ordered = sorted(results, key=id)
-        for item in set(ordered):
+    def run(results, a, b):
+        for item in set(results):
             results.append(item)
-        return t, x, k
+        for item in {a, b}:
+            results.append(item)
 """
 
 GOOD_DETERMINISM = """
-    from repro.rng import make_rng
-
-    def run(ctx, results):
-        rng = make_rng(7)
-        t = ctx.now()
-        ordered = sorted(results, key=lambda r: r.key)
-        for item in sorted(set(ordered), key=str):
-            results.append(rng.random())
-        return t
+    def run(results, a, b):
+        for item in sorted(set(results), key=str):
+            results.append(item)
+        for item in (a, b):
+            results.append(item)
+        return {item for item in results}
 """
 
 
 def test_determinism_flags_every_source():
+    """A loop over a ``set(...)`` call and one over a set literal."""
     hits = rule_hits(DeterminismRule(), BAD_DETERMINISM)
-    details = {h.detail for h in hits}
-    assert "time.time" in details
-    assert "random.random" in details
-    assert "os.urandom" in details
-    assert "sorted:key=id" in details
-    assert "set-iteration" in details
-    assert len(hits) == 5
+    assert [(h.line, h.detail) for h in hits] == [
+        (3, "set-iteration"), (5, "set-iteration")]
 
 
 def test_determinism_clean_on_seeded_code():
     assert rule_hits(DeterminismRule(), GOOD_DETERMINISM) == []
-
-
-def test_determinism_sees_through_from_imports():
-    hits = rule_hits(DeterminismRule(), """
-        from time import perf_counter as pc
-        from random import randint
-
-        def run():
-            return pc() + randint(0, 9)
-    """)
-    assert {h.detail for h in hits} == {"time.perf_counter",
-                                        "random.randint"}
 
 
 def test_determinism_flags_set_comprehension_iteration():
@@ -220,114 +196,6 @@ def test_metric_names_accepts_registered_and_prefixed():
     assert findings == []
 
 
-# ---------------------------------------------------------------------------
-# array-kernel
-
-
-BAD_ARRAY_STATE = """
-    def churn(ctx, dev, pool):
-        ctx.clock._cpu_ns[ctx.cpu] += 5.0
-        dev._log_seqs.append(7)
-        pool._rs.starts[0] = 3
-        del dev._log_data[0]
-        pool._rs.free_blocks = 0
-"""
-
-
-def test_array_kernel_flags_unsanctioned_mutation():
-    hits = rule_hits(ArrayStateRule(), BAD_ARRAY_STATE,
-                     module="repro.workloads.fixture")
-    assert {h.detail for h in hits} == {"_cpu_ns", "_log_seqs", "_rs",
-                                        "_log_data"}
-    assert len(hits) == 5
-    assert all(h.rule == "array-kernel" for h in hits)
-
-
-def test_array_kernel_sanctioned_modules_and_reads_are_clean():
-    # the owning kernel module may mutate its own state
-    clock_hits = rule_hits(ArrayStateRule(), """
-        def charge(self, cpu, ns):
-            self._cpu_ns[cpu] += ns
-    """, module="repro.clock")
-    assert clock_hits == []
-    device_hits = rule_hits(ArrayStateRule(), """
-        def store(self, addr, data):
-            self._log_seqs.append(self._seq)
-            self._log_flushed.append(0)
-    """, module="repro.pm.device")
-    assert device_hits == []
-    # reads and whole-attribute rebinds (construction) are fine anywhere
-    reads = rule_hits(ArrayStateRule(), """
-        def snapshot(ctx, pool):
-            now = ctx.clock._cpu_ns[ctx.cpu]
-            pool._rs = object()
-            return now, list(ctx.clock._cpu_ns)
-    """, module="repro.workloads.fixture")
-    assert reads == []
-
-
-def test_array_kernel_sees_writes_through_a_local_alias():
-    hits = rule_hits(ArrayStateRule(), """
-        def charge(ctx, dev, pool, ns):
-            cpu_ns = ctx.clock._cpu_ns
-            cpu_ns[ctx.cpu] = cpu_ns[ctx.cpu] + ns
-            cpu_ns[0] += ns
-            seqs = dev._log_seqs
-            seqs.append(7)
-            starts = pool._rs.starts
-            del starts[0]
-            cpu_ns = None
-            return seqs[0]
-    """, module="repro.workloads.fixture")
-    assert sorted((h.line, h.detail) for h in hits) == [
-        (4, "_cpu_ns"), (5, "_cpu_ns"), (7, "_log_seqs"), (9, "_rs")]
-
-
-def test_array_kernel_alias_is_scoped_to_its_function():
-    source = """
-        def bind(ctx):
-            cpu_ns = ctx.clock._cpu_ns
-            return cpu_ns[ctx.cpu]
-
-        def charge(cpu_ns, ns):
-            cpu_ns[0] += ns   # a parameter, not the local of bind()
-    """
-    assert rule_hits(ArrayStateRule(), source,
-                     module="repro.workloads.fixture") == []
-    # the fused persist kernel's aliased clock write is sanctioned
-    assert rule_hits(ArrayStateRule(), """
-        def persist(self, ctx, v):
-            cpu_ns = ctx.clock._cpu_ns
-            cpu_ns[ctx.cpu] = v
-    """, module="repro.pm.device") == []
-
-
-@pytest.mark.parametrize("attr,module", [
-    (attr, module) for attr, modules in sorted(_SANCTIONED.items())
-    for module in modules])
-def test_every_sanction_covers_a_write(attr, module, monkeypatch):
-    """A sanction no write needs is dead weight that hides the next
-    unaudited one: lifting each must expose at least one finding."""
-    path = os.path.join(SRC_REPRO, *module.split(".")[1:]) + ".py"
-    with open(path) as fh:
-        source = fh.read()
-    monkeypatch.setitem(_SANCTIONED, attr, tuple(
-        m for m in _SANCTIONED[attr] if m != module))
-    hits = rule_hits(ArrayStateRule(), source, module=module)
-    assert any(h.detail == attr for h in hits)
-
-
-def test_array_kernel_scoped_to_repro_and_suppressible():
-    assert rule_hits(ArrayStateRule(), BAD_ARRAY_STATE,
-                     module="scripts.fixture") == []
-    suppressed = rule_hits(ArrayStateRule(), """
-        def poke(ctx):
-            # repro: allow[array-kernel] test hook mirrors the kernel
-            ctx.clock._cpu_ns[0] += 1.0
-    """, module="repro.workloads.fixture")
-    assert suppressed == []
-
-
 def test_counter_layout_names_are_registered():
     """The one non-literal registry call site, checked at runtime."""
     from repro.clock import _COUNTER_LAYOUT
@@ -368,17 +236,15 @@ def test_every_registered_span_has_a_constant_name_site():
 def test_suppression_on_line_and_line_above(tmp_path):
     target = tmp_path / "mod.py"
     target.write_text(textwrap.dedent("""
-        import time
-
-        def run():
-            # repro: allow[determinism] wall time feeds a log label only
-            a = time.time()
-            b = time.time()   # repro: allow[determinism] ditto
-            c = time.time()
+        def run(xs):
+            # repro: allow[determinism] the order feeds a log label only
+            a = [x for x in set(xs)]
+            b = [x for x in set(xs)]   # repro: allow[determinism] ditto
+            c = [x for x in set(xs)]
             return a, b, c
     """))
     result = run_lint([str(target)], root=str(tmp_path))
-    assert [f.line for f in result.findings] == [8]
+    assert [f.line for f in result.findings] == [6]
     assert result.exit_code == 1
 
 
@@ -395,12 +261,10 @@ def test_suppression_stacked_comment_chain(tmp_path):
     """Allows in a run of comment lines all reach the line below them."""
     target = tmp_path / "mod.py"
     target.write_text(textwrap.dedent("""
-        import time
-
-        def run():
-            # repro: allow[determinism] wall time feeds a log label only
+        def run(xs):
+            # repro: allow[determinism] the order feeds a log label only
             # (second comment line between the allow and the code)
-            a = time.time()
+            a = [x for x in set(xs)]
             return a
     """))
     result = run_lint([str(target)], root=str(tmp_path))
@@ -417,7 +281,7 @@ def test_suppression_stack_holds_multiple_rules():
     idx = SuppressionIndex(src.splitlines(), ast.parse(src))
     assert idx.allowed("determinism", 3)
     assert idx.allowed("lock-discipline", 3)
-    assert not idx.allowed("array-kernel", 3)
+    assert not idx.allowed("metric-names", 3)
 
 
 def test_suppression_above_decorator_covers_the_def_line():
@@ -438,9 +302,8 @@ def test_suppression_trailing_allow_covers_multiline_statement(tmp_path):
     target = tmp_path / "mod.py"
     target.write_text(textwrap.dedent("""
         def run(results):
-            ordered = sorted(
-                results,
-                key=id)  # repro: allow[determinism] ordering is cosmetic
+            ordered = [r for r in set(results)
+                       if r]  # repro: allow[determinism] ordering is cosmetic
             return ordered
     """))
     result = run_lint([str(target)], root=str(tmp_path))
@@ -451,12 +314,10 @@ def test_suppression_does_not_leak_into_compound_bodies(tmp_path):
     """An allow on an ``if`` header cannot bless the whole block."""
     target = tmp_path / "mod.py"
     target.write_text(textwrap.dedent("""
-        import time
-
-        def run(flag):
+        def run(flag, xs):
             if flag:  # repro: allow[determinism] header comment, not a span
-                return time.time()
-            return 0.0
+                return [x for x in set(xs)]
+            return []
     """))
     result = run_lint([str(target)], root=str(tmp_path))
     assert [f.rule for f in result.findings] == ["determinism"]
@@ -464,7 +325,7 @@ def test_suppression_does_not_leak_into_compound_bodies(tmp_path):
 
 def test_json_output_is_stable(tmp_path):
     target = tmp_path / "mod.py"
-    target.write_text("import time\nT = time.time()\n")
+    target.write_text("T = [x for x in set('ab')]\n")
     a = run_lint([str(target)], root=str(tmp_path)).render_json()
     b = run_lint([str(target)], root=str(tmp_path)).render_json()
     assert a == b
@@ -486,7 +347,7 @@ def test_derive_module_walks_packages(tmp_path):
 def test_cli_lint_json(tmp_path, capsys):
     from repro.cli import main
     target = tmp_path / "mod.py"
-    target.write_text("import time\nT = time.time()\n")
+    target.write_text("T = [x for x in set('ab')]\n")
     rc = main(["lint", "--json", str(target)])
     doc = json.loads(capsys.readouterr().out)
     assert rc == 1
@@ -499,7 +360,7 @@ def test_cli_lint_json(tmp_path, capsys):
 DATA = os.path.join(REPO_ROOT, "tests", "data")
 
 ALL_RULE_IDS = {
-    "determinism", "array-kernel", "metric-names",
+    "determinism", "metric-names",
     "persist-before-commit", "lock-discipline", "degraded-write-guard",
 }
 
@@ -514,7 +375,7 @@ def split_rule_sets():
     file_rules, project_rules = default_rules()
     flow = [r for r in project_rules if isinstance(r, FlowAnalysis)]
     rest = [r for r in project_rules if not isinstance(r, FlowAnalysis)]
-    assert len(flow) == 1 and len(rest) == 1 and len(file_rules) == 2
+    assert len(flow) == 1 and len(rest) == 1 and len(file_rules) == 1
     return (file_rules, rest), ([], flow)
 
 
@@ -581,6 +442,27 @@ def test_src_repro_lints_clean():
     assert result.findings == [], f"lint findings:\n{rendered}"
 
 
+def test_every_suppression_names_a_live_rule():
+    """An allow comment naming a rule that no longer runs suppresses
+    nothing: every ``# repro: allow[<id>]`` comment under ``src/repro``
+    names a rule id that :func:`default_rules` reports."""
+    file_rules, project_rules = default_rules()
+    live = {rule.id for rule in file_rules}
+    for rule in project_rules:
+        live.update(c.id for c in getattr(rule, "checkers", [rule]))
+    stale = []
+    for path in iter_python_files([SRC_REPRO]):
+        with open(path, encoding="utf-8") as fh:
+            tokens = list(tokenize.generate_tokens(fh.readline))
+        for tok in tokens:
+            if tok.type == tokenize.COMMENT:
+                stale.extend(
+                    f"{os.path.relpath(path, REPO_ROOT)}:{tok.start[0]}: {i}"
+                    for i in SUPPRESS_RE.findall(tok.string)
+                    if i not in live)
+    assert stale == [], f"allow comments naming no live rule: {stale}"
+
+
 def test_acceptance_dropped_sfence_in_filesystem_fails_lint(tmp_path):
     path = os.path.join(SRC_REPRO, "fs", "common", "base.py")
     lines = open(path).read().splitlines(keepends=True)
@@ -621,8 +503,8 @@ def test_corpus_lint_column(entry, tmp_path):
 
 
 def test_lint_runtime_budget():
-    import time as _time   # repro: allow[determinism] measuring the linter
-    start = _time.perf_counter()   # repro: allow[determinism] ditto
+    import time as _time
+    start = _time.perf_counter()
     run_lint([SRC_REPRO], root=REPO_ROOT)
-    elapsed = _time.perf_counter() - start  # repro: allow[determinism]
+    elapsed = _time.perf_counter() - start
     assert elapsed < 30.0, f"cold lint took {elapsed:.1f}s (budget 30s)"

@@ -335,14 +335,14 @@ class TestLayoutSerialization:
                           extents=[Extent(10, 5), Extent(99, 1)])
         raw = pack_inode(rec)
         assert len(raw) == 128
-        back = unpack_inode(7, raw, read_indirect=lambda b: b"")
+        back = unpack_inode(7, raw, lambda b: b"", data_blocks=range(0))
         assert back.name == "hello.txt"
         assert back.size == 12345
         assert back.aligned_hint
         assert back.extents == [Extent(10, 5), Extent(99, 1)]
 
     def test_empty_slot_unpacks_none(self):
-        assert unpack_inode(1, b"\x00" * 128, lambda b: b"") is None
+        assert unpack_inode(1, b"\x00" * 128, lambda b: b"", range(0)) is None
 
     def test_layout_pools_are_aligned_and_disjoint(self):
         layout = Layout(num_cpus=4, total_blocks=65536)

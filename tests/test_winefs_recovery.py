@@ -164,10 +164,12 @@ class TestCrashRecovery:
         with pytest.raises(CorruptionError):
             _remount(device)
 
-    @pytest.mark.parametrize("target", ["itself", "past the device"])
+    @pytest.mark.parametrize("target", ["itself", "past the device",
+                                        "slot head past the device"])
     def test_corrupt_indirect_chain_rejected_in_bounded_time(self, target):
-        """An indirect block whose next pointer names itself, or a block
-        past the device, fails the mount closed within a second."""
+        """An indirect block whose next pointer names itself or a block
+        past the device, or an inode slot whose head pointer names a
+        block past the device, fails the mount closed within a second."""
         fs, ctx, device = _tracked_fs(size=64 * MIB)
         f = fs.create("/chained", ctx)
         g = fs.create("/interleaved", ctx)
@@ -176,10 +178,16 @@ class TestCrashRecovery:
             g.append(b"i" * 16 * KIB, ctx)
         fs.unmount(ctx)
         raw = device.load(fs.layout.inode_addr(f.ino), _INODE_HEAD.size)
-        indirect = _INODE_HEAD.unpack(raw)[6]
+        head = list(_INODE_HEAD.unpack(raw))
+        indirect = head[6]
         assert indirect, "the file must own an indirect block"
-        nxt = {"itself": indirect, "past the device": 2 ** 40}[target]
-        device.persist(indirect * BLOCK_SIZE, struct.pack("<Q", nxt))
+        if target == "slot head past the device":
+            head[6] = 2 ** 40
+            device.persist(fs.layout.inode_addr(f.ino),
+                           _INODE_HEAD.pack(*head))
+        else:
+            nxt = {"itself": indirect, "past the device": 2 ** 40}[target]
+            device.persist(indirect * BLOCK_SIZE, struct.pack("<Q", nxt))
 
         def expire(signum, frame):
             raise TimeoutError("mount did not finish within 1 s")
