@@ -17,11 +17,7 @@ comments all apply; an allow above a decorator covers the decorated
 covers the whole statement).  That comment is the only way to accept a
 finding; there is no baseline file.  Findings are reported in a
 deterministic order so ``--json`` output is byte-stable for a given
-tree.
-
-Severity tiers: ``error`` findings fail the lint, ``warning`` findings
-are reported but never block, ``info`` findings appear only with
-``--verbose``.
+tree.  Any finding left fails the lint.
 """
 
 from __future__ import annotations
@@ -193,26 +189,14 @@ class LintResult:
         self.errors = errors
 
     @property
-    def new_errors(self) -> List[Finding]:
-        return [f for f in self.findings if f.severity == "error"]
-
-    @property
-    def new_warnings(self) -> List[Finding]:
-        return [f for f in self.findings if f.severity == "warning"]
-
-    @property
     def exit_code(self) -> int:
-        return 1 if (self.new_errors or self.errors) else 0
+        return 1 if (self.findings or self.errors) else 0
 
-    def render_text(self, verbose: bool = False) -> str:
-        lines = [f.render() for f in self.findings
-                 if verbose or f.severity != "info"]
+    def render_text(self) -> str:
+        lines = [f.render() for f in self.findings]
         lines.extend(f"lint error: {e}" for e in self.errors)
-        tail = f"{self.files} files checked: {len(self.findings)} finding(s)"
-        w = len(self.new_warnings)
-        if w:
-            tail += f" ({w} warning-level)"
-        lines.append(tail)
+        lines.append(f"{self.files} files checked: "
+                     f"{len(self.findings)} finding(s)")
         return "\n".join(lines)
 
     def render_json(self) -> str:
@@ -220,8 +204,6 @@ class LintResult:
             "files": self.files,
             "findings": [f.as_dict() for f in self.findings],
             "new": len(self.findings),
-            "new_errors": len(self.new_errors),
-            "new_warnings": len(self.new_warnings),
             "errors": self.errors,
             "exit_code": self.exit_code,
         }

@@ -4,11 +4,8 @@ A finding pins a rule violation to ``path:line:col``, names the
 enclosing function (``qualname``) and carries a stable ``detail`` slug
 (API name, receiver, field) that orders otherwise-equal findings.
 
-Findings carry a severity tier:
-
-* ``error`` — invariant violation; blocks the lint (non-zero exit)
-* ``warning`` — reported and counted, but does not fail the run
-* ``info`` — shown only with ``--verbose``
+Every finding is an invariant violation: any one not suppressed fails
+the lint (non-zero exit).
 
 Interprocedural findings additionally carry a *witness* call chain:
 ``(label, path, line)`` hops from the defect's origin to the point the
@@ -32,15 +29,12 @@ class Finding:
     hint: str = ""
     qualname: str = ""   # enclosing Class.method / function, "" = module
     detail: str = ""     # stable slug (API name, receiver, field, ...)
-    severity: str = "error"
     #: interprocedural witness chain: (label, path, line) hops
     witness: Tuple[Tuple[str, str, int], ...] = field(default=())
 
     def render(self) -> str:
-        head = f"{self.path}:{self.line}:{self.col}: [{self.rule}] "
-        if self.severity != "error":
-            head += f"{self.severity}: "
-        out = head + self.message
+        out = (f"{self.path}:{self.line}:{self.col}: [{self.rule}] "
+               f"{self.message}")
         if self.hint:
             out += f"  (hint: {self.hint})"
         for label, path, line in self.witness:
@@ -52,6 +46,5 @@ class Finding:
             "rule": self.rule, "path": self.path, "line": self.line,
             "col": self.col, "message": self.message, "hint": self.hint,
             "qualname": self.qualname, "detail": self.detail,
-            "severity": self.severity,
             "witness": [list(hop) for hop in self.witness],
         }

@@ -18,6 +18,10 @@ every call site, and a property holds for the family only if every
 member upholds it.  Constructor calls resolve the same way
 (``C(...)`` targets the ``__init__`` of ``C`` and of every subclass).
 
+The two interprocedural rules share one :class:`Interpreter` (the IR
+walk) and one :func:`summarize_sccs` (the callee-first fixpoint); each
+rule supplies only its state domain and transfer functions.
+
 Receivers we cannot type (``self._helper.foo()``) resolve to nothing;
 the two interprocedural rules (``persist-before-commit`` and
 ``degraded-write-guard``) are written so an unresolved call is a no-op,
@@ -28,18 +32,17 @@ DESIGN.md "Static analysis" for the policy.
 from __future__ import annotations
 
 import ast
-from typing import (Dict, Iterable, Iterator, List, Optional, Sequence,
-                    Set, Tuple)
+from typing import (Callable, Dict, Iterable, Iterator, List, Optional,
+                    Sequence, Set, Tuple)
 
 from .engine import FileContext, ProjectRule
 from .findings import Finding
-from .rules import dotted, fstring_head
+from .rules import dotted
 
 # ---------------------------------------------------------------------------
 # IR node tags (JSON lists, first element is the tag)
 # ---------------------------------------------------------------------------
-CALL = "call"     # ["call", line, col, recv, fn, lockspec|None]
-#                   (lockspec: the lock-name argument of an ``acquire``)
+CALL = "call"     # ["call", line, col, recv, fn]
 ASGN = "asgn"     # ["asgn", line, col, recv, field]
 RET = "ret"       # ["ret", line]
 RAISE = "raise"   # ["raise", line]
@@ -67,29 +70,6 @@ def _is_trivial_body(body: Sequence[ast.stmt]) -> bool:
                 continue
         return False
     return True
-
-
-def _lock_spec(expr: ast.AST,
-               varmap: Dict[str, List[List[str]]]) -> Optional[List[List[str]]]:
-    """Static description of a lock-name argument.
-
-    Base specs: ``["lit", s]`` literal, ``["fstr", head]`` f-string,
-    ``["call", fn]`` helper call, ``["attr", name]`` attribute read.
-    A Name resolves through the function-local assignment map.
-    """
-    if isinstance(expr, ast.Constant) and isinstance(expr.value, str):
-        return [["lit", expr.value]]
-    if isinstance(expr, ast.JoinedStr):
-        return [["fstr", fstring_head(expr)]]
-    if isinstance(expr, ast.Name):
-        return varmap.get(expr.id)
-    if isinstance(expr, ast.Attribute):
-        return [["attr", expr.attr]]
-    if isinstance(expr, ast.Call):
-        fn = dotted(expr.func)
-        if fn:
-            return [["call", fn.split(".")[-1]]]
-    return None
 
 
 def resolve_import_base(module: str, node: ast.ImportFrom) -> str:
@@ -164,65 +144,24 @@ class _Collector:
 
     def _collect_function(self, qual: str, cls: Optional[str],
                           node: ast.AST) -> None:
-        varmap = self._local_lock_vars(node)
         fact = {
             "line": node.lineno,
             "name": node.name,
             "cls": cls,
             "trivial": _is_trivial_body(node.body),
-            "body": self._block(node.body, varmap),
-            "lock_returns": self._lock_returns(node, varmap),
+            "body": self._block(node.body),
         }
         self.functions[qual] = fact
 
-    def _local_lock_vars(self, fn: ast.AST) -> Dict[str, List[List[str]]]:
-        out: Dict[str, List[List[str]]] = {}
-        for node in self._own_walk(fn):
-            if isinstance(node, ast.Assign) and len(node.targets) == 1 and \
-                    isinstance(node.targets[0], ast.Name):
-                spec = _lock_spec(node.value, {})
-                if spec:
-                    out.setdefault(node.targets[0].id, []).extend(
-                        s for s in spec if s not in
-                        out.get(node.targets[0].id, []))
-        return out
-
-    def _lock_returns(self, fn: ast.AST,
-                      varmap: Dict[str, List[List[str]]]) -> List[str]:
-        """Lock namespaces this function can return (for helper resolution)."""
-        spaces: List[str] = []
-        for node in self._own_walk(fn):
-            if isinstance(node, ast.Return) and node.value is not None:
-                spec = _lock_spec(node.value, varmap) or []
-                for base in spec:
-                    ns = namespace_of(base)
-                    if ns and ns not in spaces:
-                        spaces.append(ns)
-        return spaces
-
-    @staticmethod
-    def _own_walk(fn: ast.AST) -> Iterable[ast.AST]:
-        """ast.walk that does not descend into nested function defs."""
-        stack = list(ast.iter_child_nodes(fn))
-        while stack:
-            node = stack.pop()
-            yield node
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
-                                 ast.Lambda)):
-                continue
-            stack.extend(ast.iter_child_nodes(node))
-
     # -- statement -> IR ---------------------------------------------------
 
-    def _block(self, body: Sequence[ast.stmt],
-               varmap: Dict[str, List[List[str]]]) -> List:
+    def _block(self, body: Sequence[ast.stmt]) -> List:
         out: List = []
         for stmt in body:
-            self._stmt(stmt, out, varmap)
+            self._stmt(stmt, out)
         return out
 
-    def _calls_in(self, node: ast.AST, out: List,
-                  varmap: Dict[str, List[List[str]]]) -> None:
+    def _calls_in(self, node: ast.AST, out: List) -> None:
         for sub in ast.walk(node):
             if not isinstance(sub, ast.Call):
                 continue
@@ -242,10 +181,7 @@ class _Collector:
                     recv = "<expr>"
             else:
                 continue
-            lockspec = None
-            if fn == "acquire" and sub.args:
-                lockspec = _lock_spec(sub.args[0], varmap)
-            out.append([CALL, sub.lineno, sub.col_offset, recv, fn, lockspec])
+            out.append([CALL, sub.lineno, sub.col_offset, recv, fn])
 
     def _asgn_targets(self, stmt: ast.AST, out: List) -> None:
         targets: List[ast.AST] = []
@@ -268,44 +204,43 @@ class _Collector:
                 recv = dotted(t.value.value) or "<expr>"
                 out.append([ASGN, t.lineno, t.col_offset, recv, t.value.attr])
 
-    def _stmt(self, stmt: ast.stmt, out: List,
-              varmap: Dict[str, List[List[str]]]) -> None:
+    def _stmt(self, stmt: ast.stmt, out: List) -> None:
         if isinstance(stmt, ast.If):
-            self._calls_in(stmt.test, out, varmap)
-            out.append([IF, self._block(stmt.body, varmap),
-                        self._block(stmt.orelse, varmap)])
+            self._calls_in(stmt.test, out)
+            out.append([IF, self._block(stmt.body),
+                        self._block(stmt.orelse)])
         elif isinstance(stmt, (ast.For, ast.AsyncFor)):
-            self._calls_in(stmt.iter, out, varmap)
-            out.append([LOOP, self._block(stmt.body, varmap),
-                        self._block(stmt.orelse, varmap)])
+            self._calls_in(stmt.iter, out)
+            out.append([LOOP, self._block(stmt.body),
+                        self._block(stmt.orelse)])
         elif isinstance(stmt, ast.While):
-            self._calls_in(stmt.test, out, varmap)
-            out.append([LOOP, self._block(stmt.body, varmap),
-                        self._block(stmt.orelse, varmap)])
+            self._calls_in(stmt.test, out)
+            out.append([LOOP, self._block(stmt.body),
+                        self._block(stmt.orelse)])
         elif isinstance(stmt, ast.Try):
-            handlers = [self._block(h.body, varmap) for h in stmt.handlers]
+            handlers = [self._block(h.body) for h in stmt.handlers]
             out.append([TRY,
-                        self._block(stmt.body + stmt.orelse, varmap),
+                        self._block(stmt.body + stmt.orelse),
                         handlers,
-                        self._block(stmt.finalbody, varmap)])
+                        self._block(stmt.finalbody)])
         elif isinstance(stmt, (ast.With, ast.AsyncWith)):
             items: List = []
             for item in stmt.items:
-                self._calls_in(item.context_expr, items, varmap)
-            out.append([WITH, items, self._block(stmt.body, varmap)])
+                self._calls_in(item.context_expr, items)
+            out.append([WITH, items, self._block(stmt.body)])
         elif isinstance(stmt, ast.Return):
             if stmt.value is not None:
-                self._calls_in(stmt.value, out, varmap)
+                self._calls_in(stmt.value, out)
             out.append([RET, stmt.lineno])
         elif isinstance(stmt, ast.Raise):
             if stmt.exc is not None:
-                self._calls_in(stmt.exc, out, varmap)
+                self._calls_in(stmt.exc, out)
             out.append([RAISE, stmt.lineno])
         elif isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef,
                                ast.ClassDef)):
             pass  # nested scope: not part of this function's control flow
         else:
-            self._calls_in(stmt, out, varmap)
+            self._calls_in(stmt, out)
             self._asgn_targets(stmt, out)
 
 
@@ -327,17 +262,6 @@ def ir_nodes(block: List) -> Iterator[List]:
             for handler in node[2]:
                 yield from ir_nodes(handler)
             yield from ir_nodes(node[3])
-
-
-def namespace_of(base_spec: Sequence[str]) -> Optional[str]:
-    """Lock namespace named by one base spec, "?" unknown, None for none."""
-    kind, val = base_spec[0], base_spec[1]
-    if kind in ("lit", "fstr"):
-        head = val.split(":")[0].strip()
-        return head or "?"
-    if kind in ("attr", "call"):
-        return "?"
-    return None
 
 
 # ---------------------------------------------------------------------------
@@ -400,7 +324,7 @@ def strongly_connected(edges: Dict[str, Iterable[str]]) -> List[List[str]]:
 
 class FuncInfo:
     __slots__ = ("fid", "module", "relpath", "qual", "cls", "name",
-                 "line", "body", "lock_returns", "trivial")
+                 "line", "body", "trivial")
 
     def __init__(self, fid: str, module: str, relpath: str, qual: str,
                  fact: Dict):
@@ -412,7 +336,6 @@ class FuncInfo:
         self.name = fact.get("name", qual.split(".")[-1])
         self.line = fact.get("line", 1)
         self.body = fact.get("body", [])
-        self.lock_returns = fact.get("lock_returns", [])
         self.trivial = bool(fact.get("trivial"))
 
 
@@ -614,31 +537,134 @@ class CallGraph:
         edges = {fid: self.call_edges(fid) for fid in sorted(self.functions)}
         return strongly_connected(edges)
 
-    def resolve_lock_namespaces(self, caller: FuncInfo,
-                                lockspec: Optional[List]) -> List[str]:
-        """Namespaces a lock-name spec can denote ("?" = unresolvable)."""
-        if not lockspec:
-            return ["?"]
-        out: List[str] = []
-        for base in lockspec:
-            ns = namespace_of(base)
-            if base[0] == "call":
-                # helper function that builds the name (e.g. _ino_lock)
-                spaces: List[str] = []
-                for fid in self.resolve_call(caller, "self", base[1]) or \
-                        self.resolve_call(caller, "", base[1]):
-                    spaces.extend(self.functions[fid].lock_returns)
-                concrete = [s for s in spaces if s != "?"]
-                if concrete:
-                    for s in concrete:
-                        if s not in out:
-                            out.append(s)
-                    continue
-                ns = "?"
-            if ns and ns not in out:
-                out.append(ns)
-        concrete = [s for s in out if s != "?"]
-        return concrete or ["?"]
+# ---------------------------------------------------------------------------
+# Abstract interpretation: one walker and one fixpoint for every flow rule
+# ---------------------------------------------------------------------------
+
+Hop = Tuple[str, str, int]   # one witness step: (label, path, line)
+
+_DEVICE_SEGMENTS = ("device", "dev", "pm", "pmem")
+#: summary rounds per SCC; every SCC of src/repro settles in 3
+_MAX_SCC_ITER = 5
+
+
+def is_device(recv: str) -> bool:
+    """Does receiver *recv* name a PM device (``self.device``, ``pm``)?"""
+    for seg in recv.lower().split("."):
+        seg = seg.lstrip("_")
+        if any(d in seg for d in _DEVICE_SEGMENTS):
+            return True
+    return False
+
+
+class Interpreter:
+    """One abstract execution of a function body over a rule's state.
+
+    A rule subclasses this with its state domain and transfer functions:
+    ``call`` / ``assign`` map a state through one IR node, ``with_exit``
+    through the end of a ``with`` block, ``join`` merges two states
+    where paths meet and ``copy`` forks one where they split.  ``None``
+    is the state of no path (after a return or raise).  Branches join;
+    a loop body runs once and joins with the loop-skip state; an
+    exception handler starts from the join of the try entry and body.
+    ``exits`` collects the state at every non-raising exit.
+    """
+
+    def __init__(self, graph: CallGraph, info: FuncInfo):
+        self.graph = graph
+        self.info = info
+        self.exits: List = []
+
+    def run(self, state) -> None:
+        final = self.exec_block(self.info.body, state)
+        if final is not None:
+            self.exits.append(final)
+
+    def join(self, a, b):
+        raise NotImplementedError
+
+    def copy(self, state):
+        return state
+
+    def call(self, state, line: int, recv: str, fn: str):
+        return state
+
+    def assign(self, state, line: int, recv: str, field: str):
+        return state
+
+    def with_exit(self, state, items: List):
+        return state
+
+    def _join(self, a, b):
+        if a is None:
+            return b
+        if b is None:
+            return a
+        return self.join(a, b)
+
+    def exec_block(self, block: List, state):
+        for node in block:
+            if state is None:
+                return None
+            tag = node[0]
+            if tag == CALL:
+                state = self.call(state, node[1], node[3], node[4])
+            elif tag == ASGN:
+                state = self.assign(state, node[1], node[3], node[4])
+            elif tag == RET:
+                self.exits.append(self.copy(state))
+                return None
+            elif tag == RAISE:
+                return None    # recovery owns the raise paths
+            elif tag == IF:
+                state = self._join(self.exec_block(node[1], self.copy(state)),
+                                   self.exec_block(node[2], self.copy(state)))
+            elif tag == LOOP:
+                state = self._join(state,
+                                   self.exec_block(node[1], self.copy(state)))
+                if node[2]:
+                    state = self.exec_block(node[2], state)
+            elif tag == TRY:
+                body = self.exec_block(node[1], self.copy(state))
+                entry = self._join(state, body)
+                merged = body
+                for handler in node[2]:
+                    merged = self._join(
+                        merged, self.exec_block(handler, self.copy(entry)))
+                if node[3]:
+                    base = merged if merged is not None else self.copy(state)
+                    fin = self.exec_block(node[3], base)
+                    state = fin if merged is not None else None
+                else:
+                    state = merged
+            elif tag == WITH:
+                state = self.exec_block(node[1], state)
+                state = self.exec_block(node[2], state)
+                if state is not None:
+                    state = self.with_exit(state, node[1])
+        return state
+
+
+def summarize_sccs(graph: CallGraph, summarize: Callable, empty: Callable
+                   ) -> Dict[str, object]:
+    """Per-function summaries, callees before callers.  Each SCC starts
+    from ``empty()`` and is re-summarized (``summarize(graph, info,
+    summaries)``) until no member's ``key()`` changes, at most
+    ``_MAX_SCC_ITER`` rounds."""
+    summaries: Dict[str, object] = {}
+    for scc in graph.topo_sccs():
+        members = [fid for fid in scc if fid in graph.functions]
+        for fid in members:
+            summaries[fid] = empty()
+        for _ in range(_MAX_SCC_ITER):
+            changed = False
+            for fid in members:
+                new = summarize(graph, graph.functions[fid], summaries)
+                changed |= new.key() != summaries[fid].key()
+                summaries[fid] = new
+            if not changed:
+                break
+    return summaries
 
 
 class FlowAnalysis(ProjectRule):
@@ -651,14 +677,12 @@ class FlowAnalysis(ProjectRule):
 
     id = "flow"
 
-    def __init__(self, checkers: Optional[List] = None):
-        if checkers is None:
-            from .rules.flow_guards import DegradedWriteGuard
-            from .rules.flow_locks import LockDiscipline
-            from .rules.flow_persist import PersistBeforeCommit
-            checkers = [PersistBeforeCommit(), LockDiscipline(),
-                        DegradedWriteGuard()]
-        self.checkers = checkers
+    def __init__(self) -> None:
+        from .rules.flow_guards import DegradedWriteGuard
+        from .rules.flow_locks import LockDiscipline
+        from .rules.flow_persist import PersistBeforeCommit
+        self.checkers = [PersistBeforeCommit(), LockDiscipline(),
+                         DegradedWriteGuard()]
 
     def collect(self, ctx: FileContext) -> Dict[str, object]:
         return collect_file_facts(ctx)

@@ -12,13 +12,13 @@ Pattern rules (one file at a time, or cross-file facts):
 =====================  =====================================================
 
 Rules on the flow IR (modules ``flow_*``, run through
-:class:`repro.analysis.flow.FlowAnalysis`):
+:class:`repro.analysis.flow.FlowAnalysis`; the two interprocedural ones
+are state domains of :class:`repro.analysis.flow.Interpreter`):
 
 =========================  =================================================
 ``persist-before-commit``  a PM store must reach persist()/clwb+sfence on
                            every path before a journal commit
-``lock-discipline``        inode-field mutation outside a lock acquisition;
-                           acquire sites with unregistered lock namespaces
+``lock-discipline``        inode-field mutation outside a lock acquisition
 ``degraded-write-guard``   mutating FileSystem entry point can mutate state
                            before ``_check_writable()``
 =========================  =================================================

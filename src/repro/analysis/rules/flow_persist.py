@@ -7,9 +7,10 @@ store that has not reached ``persist()``/``clwb``+``sfence`` by that
 point can be torn or lost across a crash — exactly the dominant bug
 class in the PM-issues survey.
 
-The rule runs one machine, :class:`_Run`: a per-receiver three-level
-lattice (clean / stored-and-clwbed / stored) through each function's
-IR, with the semantics of :class:`repro.pm.device.PMDevice`:
+The rule's state domain, run through each function's IR by the shared
+:class:`repro.analysis.flow.Interpreter`, is a per-receiver three-level
+lattice (clean / stored-and-clwbed / stored) with the semantics of
+:class:`repro.pm.device.PMDevice`:
 
 * ``recv.store(...)``  -> stored (dirty in the cache hierarchy)
 * ``recv.clwb(...)``   -> stored becomes clwbed (flush issued)
@@ -20,8 +21,7 @@ IR, with the semantics of :class:`repro.pm.device.PMDevice`:
 * ``recv.drain()``     -> flush+fence everything: all clean
 * ``raise``            -> exempt (recovery owns durability)
 
-Branches join with the worst level per receiver; loop bodies run once
-and join with the loop-skip state.
+Branches join with the worst level per receiver.
 
 It crosses function boundaries with summaries:
 
@@ -43,15 +43,14 @@ are enumerated crash state by crash state in tier 1.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 from ..findings import Finding
-from ..flow import ASGN, CALL, IF, LOOP, RAISE, RET, TRY, WITH, CallGraph, FuncInfo
+from ..flow import (CALL, CallGraph, FuncInfo, Hop, Interpreter, is_device,
+                    summarize_sccs)
 
-Hop = Tuple[str, str, int]
 State = Dict[str, Tuple[int, Tuple[Hop, ...]]]   # recv -> (level, chain)
 
-_DEVICE_SEGMENTS = ("device", "dev", "pm", "pmem")
 _STORE_FNS = {"store"}
 _CLWB_FNS = {"clwb"}
 _FENCE_FNS = {"sfence"}
@@ -63,15 +62,6 @@ _COMMIT_RECV_HINTS = ("txn", "transaction", "journal")
 
 _CLWBED_ENTRY = "<entry:clwbed>"
 _STORED_ENTRY = "<entry:stored>"
-_MAX_SCC_ITER = 5
-
-
-def _is_device(recv: str) -> bool:
-    for seg in recv.lower().split("."):
-        seg = seg.lstrip("_")
-        if any(d in seg for d in _DEVICE_SEGMENTS):
-            return True
-    return False
 
 
 def _is_commit(recv: str, fn: str) -> bool:
@@ -101,29 +91,14 @@ class Summary:
                 self.commits_with_clwbed, self.commits_with_stored)
 
 
-def _merge(a: Optional[State], b: Optional[State]) -> Optional[State]:
-    if a is None:
-        return dict(b) if b is not None else None
-    if b is None:
-        return dict(a)
-    out = dict(a)
-    for recv, (lvl, chain) in b.items():
-        cur = out.get(recv)
-        if cur is None or lvl > cur[0]:
-            out[recv] = (lvl, chain)
-    return out
-
-
-class _Run:
+class _Run(Interpreter):
     """One abstract execution of a function body."""
 
     def __init__(self, graph: CallGraph, info: FuncInfo,
                  summaries: Dict[str, Summary], report: bool):
-        self.graph = graph
-        self.info = info
+        super().__init__(graph, info)
         self.summaries = summaries
         self.report = report
-        self.exits: List[State] = []
         self.commits = False
         self.commit_chain: Tuple[Hop, ...] = ()
         self.commits_with_clwbed = False
@@ -131,10 +106,18 @@ class _Run:
         self.violations: List[Tuple[Tuple[Hop, ...], Tuple[Hop, ...]]] = []
         self._seen_violations: set = set()
 
-    def run(self, initial: State) -> None:
-        final = self.exec_block(self.info.body, dict(initial))
-        if final is not None:
-            self.exits.append(final)
+    # -- state domain ------------------------------------------------------
+
+    def copy(self, state: State) -> State:
+        return dict(state)
+
+    def join(self, a: State, b: State) -> State:
+        out = dict(a)
+        for recv, (lvl, chain) in b.items():
+            cur = out.get(recv)
+            if cur is None or lvl > cur[0]:
+                out[recv] = (lvl, chain)
+        return out
 
     # -- events ------------------------------------------------------------
 
@@ -161,9 +144,15 @@ class _Run:
         self._seen_violations.add(key)
         self.violations.append((chain, commit_chain))
 
-    def _apply_call(self, state: State, line: int, recv: str,
-                    fn: str) -> None:
-        if _is_device(recv):
+    def with_exit(self, state: State, items: List) -> State:
+        # the _meta_txn scope object commits when the block exits
+        if any(item[0] == CALL and item[4] in TXN_SCOPE_FNS
+               for item in items):
+            self._commit_event(state, items[0][1])
+        return state
+
+    def call(self, state: State, line: int, recv: str, fn: str) -> State:
+        if is_device(recv):
             if fn in _STORE_FNS:
                 hop: Hop = (f"{self.info.qual}: store via {recv}",
                             self.info.relpath, line)
@@ -181,15 +170,15 @@ class _Run:
                     del state[r]
             elif fn in _DRAIN_FNS:
                 state.clear()
-            return
+            return state
         if _is_commit(recv, fn):
             self._commit_event(state, line)
-            return
+            return state
         targets = [self.summaries[t]
                    for t in self.graph.resolve_call(self.info, recv, fn)
                    if t in self.summaries]
         if not targets:
-            return
+            return state
         call_hop: Hop = (f"{self.info.qual}: calls {recv + '.' if recv else ''}{fn}",
                          self.info.relpath, line)
         # a dirty caller must not reach a callee that commits first
@@ -224,55 +213,6 @@ class _Run:
             chain = dirty[0].dirty_chain + (call_hop,)
             key = chain[0] if chain else call_hop
             state[f"<ret:{key[0]}>"] = (2, chain)
-
-    # -- structural walk ---------------------------------------------------
-
-    def exec_block(self, block: List, state: Optional[State]) -> Optional[State]:
-        for node in block:
-            if state is None:
-                return None
-            tag = node[0]
-            if tag == CALL:
-                self._apply_call(state, node[1], node[3], node[4])
-            elif tag == ASGN:
-                pass
-            elif tag == RET:
-                self.exits.append(dict(state))
-                return None
-            elif tag == RAISE:
-                return None    # recovery owns durability on raise paths
-            elif tag == IF:
-                s1 = self.exec_block(node[1], dict(state))
-                s2 = self.exec_block(node[2], dict(state))
-                state = _merge(s1, s2)
-            elif tag == LOOP:
-                s1 = self.exec_block(node[1], dict(state))
-                state = _merge(state, s1)
-                if node[2]:
-                    state = self.exec_block(node[2], state)
-            elif tag == TRY:
-                sb = self.exec_block(node[1], dict(state))
-                entry_h = _merge(state, sb)
-                merged: Optional[State] = sb
-                for handler in node[2]:
-                    sh = self.exec_block(handler, dict(entry_h or {}))
-                    merged = _merge(merged, sh)
-                if node[3]:
-                    base = merged if merged is not None else dict(state)
-                    fin = self.exec_block(node[3], base)
-                    state = fin if merged is not None else None
-                else:
-                    state = merged
-            elif tag == WITH:
-                state = self.exec_block(node[1], state)
-                if state is None:
-                    return None
-                txn_scope = any(item[0] == CALL and item[4] in TXN_SCOPE_FNS
-                                for item in node[1])
-                scope_line = node[1][0][1] if node[1] else self.info.line
-                state = self.exec_block(node[2], state)
-                if state is not None and txn_scope:
-                    self._commit_event(state, scope_line)
         return state
 
 
@@ -280,22 +220,7 @@ class PersistBeforeCommit:
     id = "persist-before-commit"
 
     def check(self, graph: CallGraph) -> List[Finding]:
-        summaries: Dict[str, Summary] = {}
-        for scc in graph.topo_sccs():
-            members = [fid for fid in scc if fid in graph.functions]
-            for fid in members:
-                summaries.setdefault(fid, Summary())
-            for _ in range(_MAX_SCC_ITER):
-                changed = False
-                for fid in members:
-                    new = self._summarize(graph, graph.functions[fid],
-                                          summaries)
-                    if new.key() != summaries[fid].key():
-                        changed = True
-                    summaries[fid] = new
-                if not changed:
-                    break
-
+        summaries = summarize_sccs(graph, self._summarize, Summary)
         findings: List[Finding] = []
         for fid in sorted(graph.functions):
             info = graph.functions[fid]

@@ -397,7 +397,7 @@ def cmd_lint(args) -> int:
     if args.json:
         print(result.render_json())
     else:
-        print(result.render_text(verbose=args.verbose))
+        print(result.render_text())
     return result.exit_code
 
 
@@ -633,8 +633,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--json", action="store_true",
                    help="machine-readable output (byte-stable for a "
                         "given tree)")
-    p.add_argument("--verbose", action="store_true",
-                   help="also print info-severity findings")
     p.add_argument("--emit-registry", action="store_true",
                    help="print every metric/span name referenced at call "
                         "sites (to refresh repro/obs/names.py)")

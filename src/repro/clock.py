@@ -84,32 +84,6 @@ class SimClock:
         return list(self._cpu_ns)
 
 
-#: Registry of every lock-name *namespace* in the simulator — the part of
-#: a lock name before the first ``:`` (``ino:7g0`` -> ``ino``), or the
-#: whole name for instance-less locks (``xfs-log``).  The static analysis
-#: suite (``repro.analysis``) resolves lock names through this table
-#: instead of hard-coded string literals, so renaming a lock family
-#: without registering it here turns into a lint warning rather than a
-#: silently weakened discipline check.  Keys are namespaces, values are
-#: one-line descriptions of what the lock protects.
-LOCK_NAMESPACES: Dict[str, str] = {
-    "ino": "per-inode mutex (metadata and data of one file/directory)",
-    "winefs-journal": "WineFS per-CPU undo journal head",
-    "pmfs-journal": "PMFS global journal reservation",
-    "xfs-log-item": "XFS-DAX in-memory log item manipulation",
-    "xfs-log": "XFS-DAX on-media log append",
-    "jbd2-handle": "ext4-DAX jbd2 running-transaction handle",
-    "jbd2-commit": "ext4-DAX jbd2 commit serialization",
-    "serve-spare": "object service: one tenant's successor shard being "
-                   "prepared on the idle core (taken by the rotation)",
-}
-
-
-def lock_namespace_of(name: str) -> str:
-    """Namespace of a concrete lock name (text before the first ``:``)."""
-    return name.split(":", 1)[0]
-
-
 class LockManager:
     """Simulated-time mutual exclusion.
 
@@ -118,16 +92,9 @@ class LockManager:
     deterministic model charges real contention: if CPU 1 holds lock L for
     [t0, t1] and CPU 2 arrives at t < t1, CPU 2's clock jumps to t1.
 
-    Lock names are namespaced (see :data:`LOCK_NAMESPACES`);
-    :meth:`validate_name` checks a name against the registry.  The hot
-    ``acquire`` path deliberately does *not* validate — the lint suite
-    enforces the registry statically, keeping zero overhead here.
+    Lock names are namespaced: the text before the first ``:`` names the
+    lock family (DESIGN.md lists them), the rest the instance.
     """
-
-    @staticmethod
-    def validate_name(name: str) -> bool:
-        """True iff *name*'s namespace is registered."""
-        return lock_namespace_of(name) in LOCK_NAMESPACES
 
     def __init__(self, clock: Optional[SimClock] = None) -> None:
         self._clock = clock

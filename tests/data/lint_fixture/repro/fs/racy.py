@@ -14,34 +14,6 @@ def truncate_locked(self, inode, size, ctx):
         ctx.locks.release(inode.lock_name, ctx.cpu)
 
 
-def forward(ctx):
-    ctx.locks.acquire("ino:1", ctx.cpu)
-    ctx.locks.acquire("winefs-journal:0", ctx.cpu)
-    ctx.locks.release("winefs-journal:0", ctx.cpu)
-    ctx.locks.release("ino:1", ctx.cpu)
-
-
-def log_append(ctx):
-    ctx.locks.acquire("ino:2", ctx.cpu)
-    ctx.locks.release("ino:2", ctx.cpu)
-
-
-def backward(ctx):
-    ctx.locks.acquire("winefs-journal:0", ctx.cpu)
-    log_append(ctx)
-    ctx.locks.release("winefs-journal:0", ctx.cpu)
-
-
-def relog(ctx, items):
-    for item in items:
-        # registered namespaces, nested or not, draw no warning
-        ctx.locks.acquire(f"xfs-log-item:{item}", ctx.cpu)
-
-
-def unregistered(ctx):
-    ctx.locks.acquire("bogus-family:1", ctx.cpu)
-
-
 class BaseFS(FileSystem):
     def write(self, ino, offset, data, ctx):
         self._check_writable()

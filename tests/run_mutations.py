@@ -15,6 +15,8 @@ pins that column (absent means no rule): a different rule set fails the
 run too.
 
     python tests/run_mutations.py [substring of an entry name ...]
+
+A selection that matches no entry exits 2 before copying anything.
 """
 
 from __future__ import annotations
@@ -41,6 +43,9 @@ def main(argv: list) -> int:
     with open(CORPUS, encoding="utf-8") as fh:
         entries = [e for e in json.load(fh)["mutations"]
                    if not argv or any(a in e["name"] for a in argv)]
+    if not entries:
+        print(f"no corpus entry matches {' '.join(argv)}", file=sys.stderr)
+        return 2
     rows, failed = [], 0
     with tempfile.TemporaryDirectory(prefix="repro-mutations-") as tree:
         for part in ("src", "tests", "benchmarks"):

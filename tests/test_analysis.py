@@ -366,7 +366,7 @@ ALL_RULE_IDS = {
 
 
 def finding_tuples(result):
-    return [[f.rule, f.path, f.line, f.col, f.severity, f.detail,
+    return [[f.rule, f.path, f.line, f.col, f.detail,
              [list(hop) for hop in f.witness]] for f in result.findings]
 
 
@@ -406,7 +406,7 @@ def test_one_pass_equals_the_union_on_the_finding_bearing_trees():
              for rules in (per_file, flow)]
     assert all(part.findings for part in parts)
     union = sorted((t for part in parts for t in finding_tuples(part)),
-                   key=lambda t: (t[1], t[2], t[3], t[0], t[5]))
+                   key=lambda t: (t[1], t[2], t[3], t[0], t[4]))
     assert finding_tuples(run_lint(targets, root=REPO_ROOT)) == union
 
 

@@ -1,5 +1,7 @@
 """Crash-consistency framework tests (ACE, explorer, checker)."""
 
+from dataclasses import dataclass, field
+
 import pytest
 
 from repro.clock import make_context
@@ -8,7 +10,8 @@ from repro.crashmon import (AceWorkload, CrashExplorer, SyscallOp,
                             check_consistency, generate_workloads)
 from repro.crashmon.checker import (ConsistencyError, capture_state,
                                     check_invariants, states_equal)
-from repro.params import MIB
+from repro.faults import FaultPlan, FaultSpec
+from repro.params import HUGE_PAGE, MIB
 from repro.pm.device import PMDevice
 
 
@@ -162,6 +165,52 @@ def test_overwrite_paths_pass_every_crash_state(name, mode):
     result = explorer.run_workload(wl)
     assert result.passed, result.violations
     assert result.states_checked > result.crash_points > 0
+
+
+@dataclass(frozen=True)
+class _OverwriteOnFailingBlock(SyscallOp):
+    """``overwrite`` whose first block takes one write error.  The plan
+    goes on the device the workload runs on, for this op only: the crash
+    images the explorer mounts never see it."""
+
+    plans: list = field(default_factory=list, compare=False)
+
+    def apply(self, fs, ctx) -> None:
+        ino = fs.getattr(self.path, ctx).ino
+        block = next(iter(fs.file_extents(ino))).start
+        plan = FaultPlan(specs=[FaultSpec("write_error", blocks=(block,),
+                                          count=1)])
+        fs.device.set_fault_plan(plan)
+        try:
+            super().apply(fs, ctx)
+        finally:
+            fs.device.set_fault_plan(None)
+        self.plans.append(plan)
+
+
+def test_bad_block_relocation_passes_every_crash_state():
+    """A 4 KiB overwrite data-journaled in place (strict WineFS, a file
+    holding one aligned hugepage) whose block fails: the block is
+    salvaged into a fresh hole, the map swung over in a transaction and
+    the write retried there.  Every crash state recovers the pre or the
+    post state, file contents included."""
+    overwrite = _OverwriteOnFailingBlock("overwrite", "/f0", size=4096)
+    explorer = CrashExplorer(lambda dev: WineFS(dev, num_cpus=2,
+                                                mode="strict"),
+                             device_size=64 * MIB)
+    wl = AceWorkload(
+        "overwrite-bad-block",
+        setup=[SyscallOp("create", "/f0"),
+               SyscallOp("append", "/f0", size=HUGE_PAGE)],
+        ops=[overwrite])
+    result = explorer.run_workload(wl)
+    assert result.passed, result.violations
+    assert result.states_checked > result.crash_points > 0
+    # the in-place path ran and relocated (a CoW never writes the
+    # file's own block, so it could not have hit the planned one)
+    (plan,) = overwrite.plans
+    assert plan.counts == {("write_error", "injected"): 1,
+                           ("write_error", "masked"): 1}
 
 
 class TestSeq3:

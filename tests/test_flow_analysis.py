@@ -2,8 +2,8 @@
 
 Fixtures seed each flow rule with a known bug and assert the witness
 call chain, the call-graph resolution tests pin the dispatch rules the
-checkers depend on (self/super/constructor/toggle-family/import), and
-the engine-level test covers severity tiers.  The acceptance mutation at the bottom re-introduces the SplitFS unguarded
+checkers depend on (self/super/constructor/toggle-family/import).  The
+acceptance mutation at the bottom re-introduces the SplitFS unguarded
 append fast path against the *real* tree and must be caught.
 """
 
@@ -16,7 +16,6 @@ from repro.analysis import FileContext, run_lint
 from repro.analysis.engine import iter_python_files
 from repro.analysis.flow import CallGraph, FlowAnalysis, collect_file_facts
 from repro.analysis.rules.flow_guards import DegradedWriteGuard
-from repro.analysis.rules.flow_locks import LockDiscipline
 from repro.analysis.rules.flow_persist import PersistBeforeCommit
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -37,12 +36,8 @@ def one_file_graph(source: str, module: str = "repro.fixture") -> CallGraph:
     return graph_for({"fixture.py": (module, source)})
 
 
-def checker_hits(checker, files, rule_id=None):
-    graph = graph_for(files)
-    hits = checker.check(graph)
-    if rule_id is not None:
-        hits = [h for h in hits if h.rule == rule_id]
-    return hits
+def checker_hits(checker, files):
+    return checker.check(graph_for(files))
 
 
 # ---------------------------------------------------------------------------
@@ -132,19 +127,6 @@ def test_callgraph_resolves_cross_module_imports():
         """),
     })
     assert g.call_edges("repro.b:run") == ["repro.a:helper"]
-
-
-def test_lock_helper_resolves_namespace_through_returns():
-    g = one_file_graph("""
-        class FS:
-            def _ino_lock(self, ino):
-                return f"ino:{ino}"
-
-            def lock_it(self, ctx, ino):
-                ctx.locks.acquire(self._ino_lock(ino), ctx.cpu)
-    """)
-    info = g.functions["repro.fixture:FS.lock_it"]
-    assert g.resolve_lock_namespaces(info, [["call", "_ino_lock"]]) == ["ino"]
 
 
 # ---------------------------------------------------------------------------
@@ -241,22 +223,6 @@ def test_persist_raise_paths_are_exempt():
                 self.device.persist(0, 1, ctx)
                 self._txn.commit(ctx)
     """)}) == []
-
-
-# ---------------------------------------------------------------------------
-# lock-discipline: acquire sites naming an unregistered namespace
-
-
-def test_lock_unregistered_namespace_warns():
-    hits = checker_hits(LockDiscipline(), {"fix.py": ("repro.fixture", """
-        def one(ctx, name):
-            ctx.locks.acquire("bogus-family:1", ctx.cpu)
-            ctx.locks.acquire("ino:1", ctx.cpu)
-            ctx.locks.acquire(name, ctx.cpu)
-    """)}, rule_id="lock-discipline")
-    assert len(hits) == 1
-    assert hits[0].severity == "warning"
-    assert hits[0].detail == "unregistered:bogus-family"
 
 
 # ---------------------------------------------------------------------------
@@ -372,36 +338,6 @@ def test_guard_ignores_classes_outside_the_vfs_tree():
                 def write(self, data):
                     self.chunks = [data]
         """)}) == []
-
-
-# ---------------------------------------------------------------------------
-# engine: severity tiers
-
-
-def _write_fixture_tree(root):
-    os.makedirs(root, exist_ok=True)
-    files = {
-        "alpha.py": "def helper(x):\n    return x\n",
-        "beta.py": ("from alpha import helper\n\n"
-                    "def run(ctx):\n"
-                    "    ctx.locks.acquire('bogus-family:1', ctx.cpu)\n"
-                    "    return helper(1)\n"),
-        "gamma.py": "def other():\n    return 3\n",
-    }
-    for name, text in files.items():
-        with open(os.path.join(root, name), "w") as fh:
-            fh.write(text)
-    return sorted(files)
-
-
-def test_warning_findings_do_not_block_exit(tmp_path):
-    root = str(tmp_path)
-    _write_fixture_tree(root)
-    result = run_lint([root], root=root)
-    assert [f.severity for f in result.findings] == ["warning"]
-    assert result.new_warnings and not result.new_errors
-    assert result.exit_code == 0
-    assert "warning-level" in result.render_text()
 
 
 # ---------------------------------------------------------------------------

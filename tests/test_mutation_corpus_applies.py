@@ -29,3 +29,14 @@ def test_find_occurs_exactly_once_in_its_file(entry):
     assert text.count(entry["find"]) == 1
     assert entry["replace"] != entry["find"]
     assert entry["must_fail"]
+
+
+def test_runner_rejects_a_selection_that_matches_no_entry(capsys,
+                                                          monkeypatch):
+    from tests import run_mutations
+
+    def no_copy(*_args, **_kwargs):
+        raise AssertionError("copied a tree for an empty selection")
+    monkeypatch.setattr(run_mutations.shutil, "copytree", no_copy)
+    assert run_mutations.main(["no-such-entry"]) == 2
+    assert "no corpus entry matches no-such-entry" in capsys.readouterr().err
