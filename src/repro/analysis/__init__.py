@@ -5,12 +5,12 @@ ASTs in one pass (see :mod:`repro.analysis.rules`): the per-file
 determinism rule (set iteration), the cross-file metric/span-name
 registry check, and the flow layer
 (:mod:`repro.analysis.flow`), a project-wide call graph whose IR feeds
-three checkers: the intra-procedural lock-discipline, and
-persist-before-commit and degraded-write-guard, two state domains of
-one abstract interpreter with per-function summaries, whose findings
-carry witness call chains.  A rule stays only while a seeded
-bug of ``tests/mutations/corpus.json`` shows it catches something no
-other check does.
+two checkers: the intra-procedural lock-discipline, and
+degraded-write-guard, an interprocedural walk with per-function
+summaries whose findings carry witness call chains.  A rule stays only
+while a seeded bug of ``tests/mutations/corpus.json`` shows it catches
+something no other check does; PM ordering is checked dynamically, by
+the crash explorer and the fence tests.
 
 A finding is accepted only by an inline ``# repro: allow[rule-id]
 <why>`` next to the code; any other finding fails the run (and CI).

@@ -158,7 +158,7 @@ class ProjectRule:
 
 def default_rules() -> Tuple[List[FileRule], List[ProjectRule]]:
     """Every rule ``repro lint`` runs: one per-file, two project-wide
-    (the flow layer carries three checkers)."""
+    (the flow layer carries two checkers)."""
     from .flow import FlowAnalysis
     from .rules.determinism import DeterminismRule
     from .rules.metric_names import MetricNamesRule

@@ -5,7 +5,7 @@ extracts a compact, JSON-serializable IR:
 
 * every function/method with a structural mini-IR of its body — call
   sites, attribute stores, returns/raises, and the if/loop/try/with
-  skeleton the dataflow rules walk;
+  skeleton the guard walks;
 * the class table (name -> base names) and the import table
   (local name -> absolute dotted target).
 
@@ -18,13 +18,12 @@ every call site, and a property holds for the family only if every
 member upholds it.  Constructor calls resolve the same way
 (``C(...)`` targets the ``__init__`` of ``C`` and of every subclass).
 
-The two interprocedural rules share one :class:`Interpreter` (the IR
-walk) and one :func:`summarize_sccs` (the callee-first fixpoint); each
-rule supplies only its state domain and transfer functions.
+Two checkers read the IR: ``lock-discipline`` one function at a time,
+and ``degraded-write-guard``, which walks it with per-function summaries
+over the SCCs of the call graph (:meth:`CallGraph.topo_sccs`).
 
 Receivers we cannot type (``self._helper.foo()``) resolve to nothing;
-the two interprocedural rules (``persist-before-commit`` and
-``degraded-write-guard``) are written so an unresolved call is a no-op,
+``degraded-write-guard`` is written so an unresolved call is a no-op,
 which biases the analysis toward false negatives instead of noise — see
 DESIGN.md "Static analysis" for the policy.
 """
@@ -32,8 +31,8 @@ DESIGN.md "Static analysis" for the policy.
 from __future__ import annotations
 
 import ast
-from typing import (Callable, Dict, Iterable, Iterator, List, Optional,
-                    Sequence, Set, Tuple)
+from typing import (Dict, Iterable, Iterator, List, Optional, Sequence,
+                    Set, Tuple)
 
 from .engine import FileContext, ProjectRule
 from .findings import Finding
@@ -42,10 +41,10 @@ from .rules import dotted
 # ---------------------------------------------------------------------------
 # IR node tags (JSON lists, first element is the tag)
 # ---------------------------------------------------------------------------
-CALL = "call"     # ["call", line, col, recv, fn]
+CALL = "call"     # ["call", line, recv, fn]
 ASGN = "asgn"     # ["asgn", line, col, recv, field]
-RET = "ret"       # ["ret", line]
-RAISE = "raise"   # ["raise", line]
+RET = "ret"       # ["ret"]
+RAISE = "raise"   # ["raise"]
 IF = "if"         # ["if", body, orelse]
 LOOP = "loop"     # ["loop", body, orelse]
 TRY = "try"       # ["try", body, [handler_bodies...], final]
@@ -181,7 +180,7 @@ class _Collector:
                     recv = "<expr>"
             else:
                 continue
-            out.append([CALL, sub.lineno, sub.col_offset, recv, fn])
+            out.append([CALL, sub.lineno, recv, fn])
 
     def _asgn_targets(self, stmt: ast.AST, out: List) -> None:
         targets: List[ast.AST] = []
@@ -231,11 +230,11 @@ class _Collector:
         elif isinstance(stmt, ast.Return):
             if stmt.value is not None:
                 self._calls_in(stmt.value, out)
-            out.append([RET, stmt.lineno])
+            out.append([RET])
         elif isinstance(stmt, ast.Raise):
             if stmt.exc is not None:
                 self._calls_in(stmt.exc, out)
-            out.append([RAISE, stmt.lineno])
+            out.append([RAISE])
         elif isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef,
                                ast.ClassDef)):
             pass  # nested scope: not part of this function's control flow
@@ -270,7 +269,7 @@ def ir_nodes(block: List) -> Iterator[List]:
 
 def strongly_connected(edges: Dict[str, Iterable[str]]) -> List[List[str]]:
     """Tarjan SCCs of a digraph, each sorted, in emission order: callees
-    before callers, the fixpoint order the flow analyses want."""
+    before callers, the order the guard's fixpoint wants."""
     index: Dict[str, int] = {}
     low: Dict[str, int] = {}
     on_stack: Set[str] = set()
@@ -323,12 +322,10 @@ def strongly_connected(edges: Dict[str, Iterable[str]]) -> List[List[str]]:
 
 
 class FuncInfo:
-    __slots__ = ("fid", "module", "relpath", "qual", "cls", "name",
-                 "line", "body", "trivial")
+    __slots__ = ("module", "relpath", "qual", "cls", "name", "line", "body",
+                 "trivial")
 
-    def __init__(self, fid: str, module: str, relpath: str, qual: str,
-                 fact: Dict):
-        self.fid = fid
+    def __init__(self, module: str, relpath: str, qual: str, fact: Dict):
         self.module = module
         self.relpath = relpath
         self.qual = qual
@@ -371,7 +368,7 @@ class CallGraph:
             for qual in sorted(fact.get("functions", {})):
                 ffact = fact["functions"][qual]
                 fid = f"{module}:{qual}"
-                info = FuncInfo(fid, module, relpath, qual, ffact)
+                info = FuncInfo(module, relpath, qual, ffact)
                 self.functions[fid] = info
                 if info.cls:
                     self.class_methods.setdefault(
@@ -526,7 +523,7 @@ class CallGraph:
         out: Set[str] = set()
         for node in ir_nodes(info.body):
             if node[0] == CALL:
-                out.update(self.resolve_call(info, node[3], node[4]))
+                out.update(self.resolve_call(info, node[2], node[3]))
         out.discard(fid)
         edges = sorted(out)
         self._edges_cache[fid] = edges
@@ -537,142 +534,13 @@ class CallGraph:
         edges = {fid: self.call_edges(fid) for fid in sorted(self.functions)}
         return strongly_connected(edges)
 
-# ---------------------------------------------------------------------------
-# Abstract interpretation: one walker and one fixpoint for every flow rule
-# ---------------------------------------------------------------------------
-
-Hop = Tuple[str, str, int]   # one witness step: (label, path, line)
-
-_DEVICE_SEGMENTS = ("device", "dev", "pm", "pmem")
-#: summary rounds per SCC; every SCC of src/repro settles in 3
-_MAX_SCC_ITER = 5
-
-
-def is_device(recv: str) -> bool:
-    """Does receiver *recv* name a PM device (``self.device``, ``pm``)?"""
-    for seg in recv.lower().split("."):
-        seg = seg.lstrip("_")
-        if any(d in seg for d in _DEVICE_SEGMENTS):
-            return True
-    return False
-
-
-class Interpreter:
-    """One abstract execution of a function body over a rule's state.
-
-    A rule subclasses this with its state domain and transfer functions:
-    ``call`` / ``assign`` map a state through one IR node, ``with_exit``
-    through the end of a ``with`` block, ``join`` merges two states
-    where paths meet and ``copy`` forks one where they split.  ``None``
-    is the state of no path (after a return or raise).  Branches join;
-    a loop body runs once and joins with the loop-skip state; an
-    exception handler starts from the join of the try entry and body.
-    ``exits`` collects the state at every non-raising exit.
-    """
-
-    def __init__(self, graph: CallGraph, info: FuncInfo):
-        self.graph = graph
-        self.info = info
-        self.exits: List = []
-
-    def run(self, state) -> None:
-        final = self.exec_block(self.info.body, state)
-        if final is not None:
-            self.exits.append(final)
-
-    def join(self, a, b):
-        raise NotImplementedError
-
-    def copy(self, state):
-        return state
-
-    def call(self, state, line: int, recv: str, fn: str):
-        return state
-
-    def assign(self, state, line: int, recv: str, field: str):
-        return state
-
-    def with_exit(self, state, items: List):
-        return state
-
-    def _join(self, a, b):
-        if a is None:
-            return b
-        if b is None:
-            return a
-        return self.join(a, b)
-
-    def exec_block(self, block: List, state):
-        for node in block:
-            if state is None:
-                return None
-            tag = node[0]
-            if tag == CALL:
-                state = self.call(state, node[1], node[3], node[4])
-            elif tag == ASGN:
-                state = self.assign(state, node[1], node[3], node[4])
-            elif tag == RET:
-                self.exits.append(self.copy(state))
-                return None
-            elif tag == RAISE:
-                return None    # recovery owns the raise paths
-            elif tag == IF:
-                state = self._join(self.exec_block(node[1], self.copy(state)),
-                                   self.exec_block(node[2], self.copy(state)))
-            elif tag == LOOP:
-                state = self._join(state,
-                                   self.exec_block(node[1], self.copy(state)))
-                if node[2]:
-                    state = self.exec_block(node[2], state)
-            elif tag == TRY:
-                body = self.exec_block(node[1], self.copy(state))
-                entry = self._join(state, body)
-                merged = body
-                for handler in node[2]:
-                    merged = self._join(
-                        merged, self.exec_block(handler, self.copy(entry)))
-                if node[3]:
-                    base = merged if merged is not None else self.copy(state)
-                    fin = self.exec_block(node[3], base)
-                    state = fin if merged is not None else None
-                else:
-                    state = merged
-            elif tag == WITH:
-                state = self.exec_block(node[1], state)
-                state = self.exec_block(node[2], state)
-                if state is not None:
-                    state = self.with_exit(state, node[1])
-        return state
-
-
-def summarize_sccs(graph: CallGraph, summarize: Callable, empty: Callable
-                   ) -> Dict[str, object]:
-    """Per-function summaries, callees before callers.  Each SCC starts
-    from ``empty()`` and is re-summarized (``summarize(graph, info,
-    summaries)``) until no member's ``key()`` changes, at most
-    ``_MAX_SCC_ITER`` rounds."""
-    summaries: Dict[str, object] = {}
-    for scc in graph.topo_sccs():
-        members = [fid for fid in scc if fid in graph.functions]
-        for fid in members:
-            summaries[fid] = empty()
-        for _ in range(_MAX_SCC_ITER):
-            changed = False
-            for fid in members:
-                new = summarize(graph, graph.functions[fid], summaries)
-                changed |= new.key() != summaries[fid].key()
-                summaries[fid] = new
-            if not changed:
-                break
-    return summaries
-
 
 class FlowAnalysis(ProjectRule):
     """Umbrella project rule running the checkers that walk the IR.
 
-    One fact-collection pass feeds all three; findings carry the
-    individual rule ids (``persist-before-commit``, ``lock-discipline``,
-    ``degraded-write-guard``) so suppressions stay per-rule.
+    One fact-collection pass feeds both; findings carry the individual
+    rule ids (``lock-discipline``, ``degraded-write-guard``) so
+    suppressions stay per-rule.
     """
 
     id = "flow"
@@ -680,9 +548,7 @@ class FlowAnalysis(ProjectRule):
     def __init__(self) -> None:
         from .rules.flow_guards import DegradedWriteGuard
         from .rules.flow_locks import LockDiscipline
-        from .rules.flow_persist import PersistBeforeCommit
-        self.checkers = [PersistBeforeCommit(), LockDiscipline(),
-                         DegradedWriteGuard()]
+        self.checkers = [LockDiscipline(), DegradedWriteGuard()]
 
     def collect(self, ctx: FileContext) -> Dict[str, object]:
         return collect_file_facts(ctx)

@@ -1,4 +1,4 @@
-"""The five codebase-specific lint rules.
+"""The four codebase-specific lint rules.
 
 Shared AST helpers live here; each rule is one module.  Rule ids are
 the stable public names used by ``# repro: allow[<id>]`` suppressions.
@@ -12,15 +12,12 @@ Pattern rules (one file at a time, or cross-file facts):
 =====================  =====================================================
 
 Rules on the flow IR (modules ``flow_*``, run through
-:class:`repro.analysis.flow.FlowAnalysis`; the two interprocedural ones
-are state domains of :class:`repro.analysis.flow.Interpreter`):
+:class:`repro.analysis.flow.FlowAnalysis`):
 
 =========================  =================================================
-``persist-before-commit``  a PM store must reach persist()/clwb+sfence on
-                           every path before a journal commit
 ``lock-discipline``        inode-field mutation outside a lock acquisition
 ``degraded-write-guard``   mutating FileSystem entry point can mutate state
-                           before ``_check_writable()``
+                           before ``_check_writable()`` (interprocedural)
 =========================  =================================================
 """
 

@@ -49,11 +49,11 @@ class LockDiscipline:
                 continue
             nodes = list(ir_nodes(info.body))
             acquires = [node[1] for node in nodes
-                        if node[0] == CALL and node[4] == "acquire"
-                        and "lock" in node[3].lower()]
+                        if node[0] == CALL and node[3] == "acquire"
+                        and "lock" in node[2].lower()]
             acquires += [item[1] for node in nodes if node[0] == WITH
                          for item in node[1]
-                         if "lock" in f"{item[3]}.{item[4]}".lower()]
+                         if "lock" in f"{item[2]}.{item[3]}".lower()]
             first = min(acquires, default=None)
             seen: Set[int] = set()
             for node in nodes:

@@ -336,7 +336,9 @@ class JournalManager:
         Records that fail their checksum or sit on poisoned lines are
         skipped (graceful degradation), counted in
         :attr:`skipped_records`; the caller decides whether a non-zero
-        count forces a read-only mount.
+        count forces a read-only mount.  An undo record whose target
+        range lies outside the device raises :class:`CorruptionError`
+        before any undo is applied.
         """
         committed_ids = set()
         txn_entries = {}
@@ -348,6 +350,11 @@ class JournalManager:
                 if entry.etype == TYPE_COMMIT:
                     committed_ids.add(entry.txn_id)
                 elif entry.etype == TYPE_DATA:
+                    if entry.addr + len(entry.undo) > self.device.size:
+                        raise CorruptionError(
+                            f"undo record of txn {entry.txn_id} targets "
+                            f"[{entry.addr:#x}, +{len(entry.undo)}) outside "
+                            "the device")
                     txn_entries.setdefault(entry.txn_id, []).append(entry)
                 elif entry.etype == TYPE_START:
                     txn_entries.setdefault(entry.txn_id, [])

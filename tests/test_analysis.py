@@ -4,10 +4,8 @@ Each rule gets good/bad fixture snippets; the engine gets suppression
 and --json stability coverage; the one-pass merge is pinned by a golden
 recorded from the two modes it replaced; and the tier-1 gate at the
 bottom self-lints ``src/repro`` (the same check CI runs), checks that
-every allow comment there names a live rule, checks that deleting the
-``sfence`` ending ``BaseFS._store_data`` trips
-``persist-before-commit``, and pins the rule set each mutation-corpus
-entry reports.
+every allow comment there names a live rule, and pins the rule set each
+mutation-corpus entry reports.
 """
 
 from __future__ import annotations
@@ -360,8 +358,7 @@ def test_cli_lint_json(tmp_path, capsys):
 DATA = os.path.join(REPO_ROOT, "tests", "data")
 
 ALL_RULE_IDS = {
-    "determinism", "metric-names",
-    "persist-before-commit", "lock-discipline", "degraded-write-guard",
+    "determinism", "metric-names", "lock-discipline", "degraded-write-guard",
 }
 
 
@@ -461,24 +458,6 @@ def test_every_suppression_names_a_live_rule():
                     for i in SUPPRESS_RE.findall(tok.string)
                     if i not in live)
     assert stale == [], f"allow comments naming no live rule: {stale}"
-
-
-def test_acceptance_dropped_sfence_in_filesystem_fails_lint(tmp_path):
-    path = os.path.join(SRC_REPRO, "fs", "common", "base.py")
-    lines = open(path).read().splitlines(keepends=True)
-    # drop the sfence that seals the extent-data write loop of the one
-    # routine every model stores file bytes through (``_store_data``)
-    victims = [i for i, ln in enumerate(lines)
-               if ln.strip() == "device.sfence()"]
-    assert len(victims) == 1, "expected the one sfence ending _store_data"
-    mutated = "".join(ln for i, ln in enumerate(lines) if i != victims[0])
-    pkg = tmp_path / "repro" / "fs" / "common"
-    pkg.mkdir(parents=True)
-    for init in (tmp_path / "repro", tmp_path / "repro" / "fs", pkg):
-        (init / "__init__.py").write_text("")
-    (pkg / "base.py").write_text(mutated)
-    result = run_lint([str(pkg / "base.py")], root=str(tmp_path))
-    assert any(f.rule == "persist-before-commit" for f in result.findings)
 
 
 with open(os.path.join(REPO_ROOT, "tests", "mutations", "corpus.json"),

@@ -16,7 +16,6 @@ from repro.analysis import FileContext, run_lint
 from repro.analysis.engine import iter_python_files
 from repro.analysis.flow import CallGraph, FlowAnalysis, collect_file_facts
 from repro.analysis.rules.flow_guards import DegradedWriteGuard
-from repro.analysis.rules.flow_persist import PersistBeforeCommit
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SRC_REPRO = os.path.join(REPO_ROOT, "src", "repro")
@@ -130,102 +129,6 @@ def test_callgraph_resolves_cross_module_imports():
 
 
 # ---------------------------------------------------------------------------
-# persist-before-commit
-
-
-def test_persist_flags_store_reaching_commit_unfenced():
-    hits = checker_hits(PersistBeforeCommit(), {"fix.py": ("repro.fixture", """
-        class Journal:
-            def append(self, ctx, data):
-                self.device.store(0, data, ctx)
-                self._txn.commit(ctx)
-    """)})
-    assert len(hits) == 1
-    f = hits[0]
-    assert f.rule == "persist-before-commit"
-    assert f.line == 4                       # anchored at the store
-    assert "store via self.device" in f.detail
-    assert any("journal commit" in hop[0] for hop in f.witness)
-
-
-def test_persist_clean_when_persisted_before_commit():
-    assert checker_hits(PersistBeforeCommit(), {"fix.py": ("repro.fixture", """
-        class Journal:
-            def append(self, ctx, data):
-                self.device.store(0, data, ctx)
-                self.device.persist(0, len(data), ctx)
-                self._txn.commit(ctx)
-    """)}) == []
-
-
-def test_persist_clwb_alone_is_not_durable():
-    hits = checker_hits(PersistBeforeCommit(), {"fix.py": ("repro.fixture", """
-        class Journal:
-            def append(self, ctx, data):
-                self.device.store(0, data, ctx)
-                self.device.clwb(0, ctx)
-                self._txn.commit(ctx)
-    """)})
-    assert len(hits) == 1
-
-
-def test_persist_clwb_sfence_is_durable():
-    assert checker_hits(PersistBeforeCommit(), {"fix.py": ("repro.fixture", """
-        class Journal:
-            def append(self, ctx, data):
-                self.device.store(0, data, ctx)
-                self.device.clwb(0, ctx)
-                self.device.sfence(ctx)
-                self._txn.commit(ctx)
-    """)}) == []
-
-
-def test_persist_crosses_function_boundaries_with_witness():
-    hits = checker_hits(PersistBeforeCommit(), {"fix.py": ("repro.fixture", """
-        class FS:
-            def write_meta(self, ctx, data):
-                self.device.store(0, data, ctx)
-                self._finish(ctx)
-
-            def _finish(self, ctx):
-                self._journal.commit(ctx)
-    """)})
-    assert len(hits) == 1
-    f = hits[0]
-    assert f.qualname == "FS.write_meta"
-    labels = [hop[0] for hop in f.witness]
-    assert any("calls self._finish" in lbl for lbl in labels)
-    assert any("journal commit" in lbl for lbl in labels)
-
-
-def test_persist_meta_txn_scope_commits_on_exit():
-    src = """
-        class FS:
-            def update(self, ctx, inode):
-                with self._meta_txn(ctx, entries=2):
-                    self.device.store(inode, b"x", ctx)
-                    {persist}
-    """
-    bad = {"fix.py": ("repro.fixture", src.format(persist="pass"))}
-    good = {"fix.py": ("repro.fixture", src.format(
-        persist='self.device.persist(inode, 1, ctx)'))}
-    assert len(checker_hits(PersistBeforeCommit(), bad)) == 1
-    assert checker_hits(PersistBeforeCommit(), good) == []
-
-
-def test_persist_raise_paths_are_exempt():
-    assert checker_hits(PersistBeforeCommit(), {"fix.py": ("repro.fixture", """
-        class FS:
-            def update(self, ctx):
-                self.device.store(0, b"x", ctx)
-                if ctx.failed:
-                    raise RuntimeError("torn")
-                self.device.persist(0, 1, ctx)
-                self._txn.commit(ctx)
-    """)}) == []
-
-
-# ---------------------------------------------------------------------------
 # degraded-write-guard
 
 _VFS_FIXTURE = ("repro.vfs.fixture", """
@@ -238,39 +141,99 @@ _VFS_FIXTURE = ("repro.vfs.fixture", """
 """)
 
 
-def test_guard_flags_mutation_before_check():
-    hits = checker_hits(DegradedWriteGuard(), {
-        "vfs.py": _VFS_FIXTURE,
-        "fs.py": ("repro.fs.fixture", """
-            from repro.vfs.fixture import FileSystem
+def fastfs(methods: str):
+    """Guard fixture files: a ``FastFS(FileSystem)`` with *methods*,
+    its first ``def`` on line 5."""
+    return {"vfs.py": _VFS_FIXTURE, "fs.py": ("repro.fs.fixture", (
+        "\nfrom repro.vfs.fixture import FileSystem\n\n"
+        "class FastFS(FileSystem):\n"
+        + textwrap.indent(textwrap.dedent(methods).lstrip("\n"), "    ")))}
 
-            class FastFS(FileSystem):
-                def write(self, ino, offset, data, ctx):
-                    ctx.locks.acquire(f"ino:{ino}", ctx.cpu)
-                    self._check_writable()
-                    return len(data)
-        """)})
-    assert len(hits) == 1
-    f = hits[0]
-    assert f.qualname == "FastFS.write"
-    assert f.line == 5                       # the def line, where allows sit
-    assert any("acquires a lock" in hop[0] for hop in f.witness)
+
+def test_guard_flags_mutation_before_check():
+    # the direct case; an except handler that swallows the error starts
+    # from the try entry, where nothing is checked yet
+    cases = {
+        """
+        def write(self, ino, offset, data, ctx):
+            ctx.locks.acquire(f"ino:{ino}", ctx.cpu)
+            self._check_writable()
+            return len(data)
+        """: ["FastFS.write acquires a lock"],
+        """
+        def write(self, ino, offset, data, ctx):
+            try:
+                self._check_writable()
+            except KeyError:
+                pass
+            ctx.locks.acquire(f"ino:{ino}", ctx.cpu)
+            return len(data)
+        """: ["FastFS.write acquires a lock"],
+    }
+    for methods, witness in cases.items():
+        hits = checker_hits(DegradedWriteGuard(), fastfs(methods))
+        assert len(hits) == 1, methods
+        f = hits[0]
+        assert f.qualname == "FastFS.write"
+        assert f.line == 5                   # the def line, where allows sit
+        assert [hop[0] for hop in f.witness] == witness
 
 
 def test_guard_clean_when_check_dominates():
-    assert checker_hits(DegradedWriteGuard(), {
-        "vfs.py": _VFS_FIXTURE,
-        "fs.py": ("repro.fs.fixture", """
-            from repro.vfs.fixture import FileSystem
+    # straight-line; a finally block continues from the try body
+    for methods in ("""
+        def write(self, ino, offset, data, ctx):
+            self._check_writable()
+            ctx.locks.acquire(f"ino:{ino}", ctx.cpu)
+            self.size = offset + len(data)
+            return len(data)
+    """, """
+        def write(self, ino, offset, data, ctx):
+            try:
+                self._check_writable()
+            finally:
+                ctx.trace.mark("write")
+            ctx.locks.acquire(f"ino:{ino}", ctx.cpu)
+            return len(data)
+    """):
+        assert checker_hits(DegradedWriteGuard(), fastfs(methods)) == [], \
+            methods
 
-            class FastFS(FileSystem):
-                def write(self, ino, offset, data, ctx):
-                    self._check_writable()
-                    ctx.locks.acquire(f"ino:{ino}", ctx.cpu)
-                    self.size = offset + len(data)
-                    return len(data)
-        """)}) == []
 
+
+def test_persist_crosses_function_boundaries_with_witness():
+    # a callee's PM persist is reported through its summary, with the
+    # call in the witness
+    hits = checker_hits(DegradedWriteGuard(), fastfs("""
+        def write(self, ino, offset, data, ctx):
+            self._finish(ino, ctx)
+            self._check_writable()
+            return len(data)
+
+        def _finish(self, ino, ctx):
+            self.device.persist(ino, 1, ctx)
+    """))
+    assert len(hits) == 1
+    f = hits[0]
+    assert f.qualname == "FastFS.write"
+    assert [hop[0] for hop in f.witness] == [
+        "FastFS.write calls FastFS._finish",
+        "FastFS._finish: PM write via self.device"]
+
+
+def test_persist_raise_paths_are_exempt():
+    # a raise ends its path, so the unchecked branch never reaches the
+    # store and persist
+    assert checker_hits(DegradedWriteGuard(), fastfs("""
+        def write(self, ino, offset, data, ctx):
+            if data:
+                self._check_writable()
+            else:
+                raise ValueError("empty write")
+            self.device.store(offset, data, ctx)
+            self.device.persist(offset, len(data), ctx)
+            return len(data)
+    """)) == []
 
 def test_guard_delegating_wrapper_inherits_the_check():
     assert checker_hits(DegradedWriteGuard(), {

@@ -7,7 +7,8 @@ import pytest
 
 from repro.clock import make_context
 from repro.core.filesystem import WineFS
-from repro.core.journal import JournalManager
+from repro.core.journal import (ENTRY_BYTES, TYPE_DATA, TYPE_START,
+                                 JournalEntry, JournalManager)
 from repro.core.layout import _EXT, _INODE_HEAD, Layout, read_superblock
 from repro.errors import CorruptionError
 from repro.params import BLOCK_SIZE, KIB, MIB
@@ -200,6 +201,26 @@ class TestCrashRecovery:
         finally:
             signal.setitimer(signal.ITIMER_REAL, 0)
             signal.signal(signal.SIGALRM, previous)
+
+    def test_journal_undo_outside_the_device_rejected(self):
+        """A CRC-valid undo record whose target lies past the device
+        fails the mount closed, before any undo record is applied."""
+        fs, ctx, device = _tracked_fs(size=64 * MIB)
+        f = fs.create("/kept", ctx)
+        f.append(b"k" * 4 * KIB, ctx)          # no unmount: recovery runs
+        target = fs.file_extents(f.ino)[0].start * BLOCK_SIZE
+        journal = fs.journal.journals[0]
+        # txn 1000 rolls back first and in range; txn 999 points past
+        for slot, (etype, txn, addr, undo) in enumerate([
+                (TYPE_START, 999, 0, b""),
+                (TYPE_DATA, 999, device.size + 4096, b"\xff" * 4),
+                (TYPE_START, 1000, 0, b""),
+                (TYPE_DATA, 1000, target, b"undo")], start=journal.head):
+            device.persist(journal.base + slot * ENTRY_BYTES, JournalEntry(
+                etype, journal.wraparound, txn, addr, undo).pack())
+        with pytest.raises(CorruptionError):
+            _remount(device)
+        assert device.load(target, 4) == b"kkkk"
 
     def test_unformatted_device_rejected(self):
         device = PMDevice(64 * MIB, track_stores=True)
