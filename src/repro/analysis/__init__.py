@@ -1,16 +1,15 @@
 """repro.analysis — the invariant-enforcing static analysis suite.
 
 ``repro lint`` parses ``src/repro`` once and runs every rule over the
-ASTs in one pass (see :mod:`repro.analysis.rules`): the per-file
-determinism rule (set iteration), the cross-file metric/span-name
-registry check, and the flow layer
-(:mod:`repro.analysis.flow`), a project-wide call graph whose IR feeds
-two checkers: the intra-procedural lock-discipline, and
-degraded-write-guard, an interprocedural walk with per-function
-summaries whose findings carry witness call chains.  A rule stays only
-while a seeded bug of ``tests/mutations/corpus.json`` shows it catches
-something no other check does; PM ordering is checked dynamically, by
-the crash explorer and the fence tests.
+ASTs in one pass (see :mod:`repro.analysis.rules`): two per-file rules,
+determinism (set iteration) and lock-discipline (inode-field writes
+outside a lock), and the cross-file metric/span-name registry check.
+Every rule reads one function or one file at a time; there is no call
+graph.  A rule stays only while a seeded bug of
+``tests/mutations/corpus.json`` shows it catches something no test
+does.  PM ordering is checked dynamically, by the crash explorer and
+the fence tests, and the read-only contract of a degraded mount by a
+table test over every model and mutating verb.
 
 A finding is accepted only by an inline ``# repro: allow[rule-id]
 <why>`` next to the code; any other finding fails the run (and CI).

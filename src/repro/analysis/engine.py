@@ -4,11 +4,10 @@ One parse per file; every rule sees the same :class:`FileContext`.
 Rules come in two shapes:
 
 * :class:`FileRule` — looks at one file in isolation and returns
-  findings directly (determinism's set-iteration check).
+  findings directly (determinism's set-iteration check, lock-discipline).
 * :class:`ProjectRule` — records JSON-serializable *facts* per file,
   then ``finalize()`` crosses file boundaries once every file has been
-  seen (metric-name registry resolution, the interprocedural flow
-  analysis).
+  seen (metric-name registry resolution).
 
 Findings are suppressed by ``# repro: allow[rule-id] <why>`` on the
 flagged line or a comment-only line directly above (stacked allow
@@ -157,13 +156,11 @@ class ProjectRule:
 
 
 def default_rules() -> Tuple[List[FileRule], List[ProjectRule]]:
-    """Every rule ``repro lint`` runs: one per-file, two project-wide
-    (the flow layer carries two checkers)."""
-    from .flow import FlowAnalysis
+    """Every rule ``repro lint`` runs: two per-file, one project-wide."""
     from .rules.determinism import DeterminismRule
+    from .rules.locks import LockDiscipline
     from .rules.metric_names import MetricNamesRule
-    return ([DeterminismRule()],
-            [MetricNamesRule(), FlowAnalysis()])
+    return ([DeterminismRule(), LockDiscipline()], [MetricNamesRule()])
 
 
 def iter_python_files(targets: Iterable[str]) -> List[str]:

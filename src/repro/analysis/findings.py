@@ -6,17 +6,12 @@ enclosing function (``qualname``) and carries a stable ``detail`` slug
 
 Every finding is an invariant violation: any one not suppressed fails
 the lint (non-zero exit).
-
-Interprocedural findings additionally carry a *witness* call chain:
-``(label, path, line)`` hops from the defect's origin to the point the
-invariant breaks (store site → … → commit site); ``--json`` carries it
-whole.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, Tuple
+from dataclasses import dataclass
+from typing import Dict
 
 
 @dataclass(frozen=True)
@@ -29,16 +24,12 @@ class Finding:
     hint: str = ""
     qualname: str = ""   # enclosing Class.method / function, "" = module
     detail: str = ""     # stable slug (API name, receiver, field, ...)
-    #: interprocedural witness chain: (label, path, line) hops
-    witness: Tuple[Tuple[str, str, int], ...] = field(default=())
 
     def render(self) -> str:
         out = (f"{self.path}:{self.line}:{self.col}: [{self.rule}] "
                f"{self.message}")
         if self.hint:
             out += f"  (hint: {self.hint})"
-        for label, path, line in self.witness:
-            out += f"\n    via {label} ({path}:{line})"
         return out
 
     def as_dict(self) -> Dict[str, object]:
@@ -46,5 +37,4 @@ class Finding:
             "rule": self.rule, "path": self.path, "line": self.line,
             "col": self.col, "message": self.message, "hint": self.hint,
             "qualname": self.qualname, "detail": self.detail,
-            "witness": [list(hop) for hop in self.witness],
         }

@@ -1,24 +1,17 @@
-"""The four codebase-specific lint rules.
+"""The three codebase-specific lint rules.
 
 Shared AST helpers live here; each rule is one module.  Rule ids are
 the stable public names used by ``# repro: allow[<id>]`` suppressions.
-
-Pattern rules (one file at a time, or cross-file facts):
+Each rule reads one function or one file at a time, or collects facts
+per file for one cross-file check:
 
 =====================  =====================================================
 ``determinism``        a ``for`` loop or comprehension over a freshly built
                        set (hash-ordered iteration)
+``lock-discipline``    inode-field write in ``repro.fs``/``repro.vfs``
+                       before any lock acquisition in its function
 ``metric-names``       counter/gauge/span names absent from repro.obs.names
 =====================  =====================================================
-
-Rules on the flow IR (modules ``flow_*``, run through
-:class:`repro.analysis.flow.FlowAnalysis`):
-
-=========================  =================================================
-``lock-discipline``        inode-field mutation outside a lock acquisition
-``degraded-write-guard``   mutating FileSystem entry point can mutate state
-                           before ``_check_writable()`` (interprocedural)
-=========================  =================================================
 """
 
 from __future__ import annotations

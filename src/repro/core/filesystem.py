@@ -313,24 +313,33 @@ class WineFS(BaseFS):
         if lost:
             self._degrade(ctx, f"{len(lost)} unreadable inode slots "
                                f"(inos {sorted(lost)[:8]}...)")
-        # second pass: rebuild directory indexes from parent pointers; in
-        # a degraded mount, children whose parent was lost are dropped
-        # (recursively) rather than aborting the mount
-        dropped = True
-        while dropped:
-            dropped = False
-            for inode in self._itable.live_inodes():
-                if inode.ino == ROOT_INO:
-                    continue
-                parent = self._itable.get(inode.parent_ino)
-                if parent is None or not parent.is_dir:
-                    if not self.read_only:
-                        raise CorruptionError(
-                            f"inode {inode.ino} has dangling parent "
-                            f"{inode.parent_ino}")
-                    self._dirs.pop(inode.ino, None)
-                    self._itable.free(inode.ino)
-                    dropped = True
+        # second pass: every live inode must reach the root through its
+        # parent pointers.  A lost or non-directory parent, or a cycle,
+        # leaves a subtree hanging off nothing: that fails the mount, and
+        # a degraded mount drops the subtree instead.  Each inode is
+        # walked once; a cycle meets its own provisional ``False``.
+        reaches: Dict[int, bool] = {ROOT_INO: True}
+        for inode in self._itable.live_inodes():
+            chain: List[int] = []
+            node: Optional[Inode] = inode
+            while node is not None and node.ino not in reaches:
+                reaches[node.ino] = False
+                chain.append(node.ino)
+                parent = self._itable.get(node.parent_ino)
+                node = parent if parent is not None and parent.is_dir \
+                    else None
+            ok = node is not None and reaches[node.ino]
+            for ino in chain:
+                reaches[ino] = ok
+        unreachable = sorted(ino for ino, ok in reaches.items() if not ok)
+        if unreachable and not self.read_only:
+            ino = unreachable[0]
+            raise CorruptionError(
+                f"inode {ino} (parent {self._itable.get(ino).parent_ino}) "
+                f"is not reachable from the root")
+        for ino in unreachable:
+            self._dirs.pop(ino, None)
+            self._itable.free(ino)
         for inode in self._itable.live_inodes():
             if inode.ino == ROOT_INO:
                 continue

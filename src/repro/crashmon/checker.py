@@ -6,8 +6,9 @@ Two layers of checks, as in CrashMonkey:
   file contents hash) must equal either the pre-operation or the
   post-operation state — metadata operations are atomic, so no
   intermediate state may be observable;
-* **internal invariants**: no dangling directory entries, no shared
-  blocks between files, allocator accounting matches the live inodes.
+* **internal invariants**: no dangling directory entries, every live
+  inode reachable from ``/``, no shared blocks between files, allocator
+  accounting matches the live inodes.
 """
 
 from __future__ import annotations
@@ -100,11 +101,13 @@ def check_invariants(fs: FileSystem) -> None:
     """Structural invariants, independent of workload expectations."""
     ctx = make_context(1)
     seen_blocks: Dict[int, str] = {}
+    reachable = {fs.getattr("/", ctx).ino}
 
     def walk(path: str) -> None:
         for name in fs.readdir(path, ctx):
             child = path + name if path == "/" else path + "/" + name
             st = fs.getattr(child, ctx)
+            reachable.add(st.ino)
             if st.is_dir:
                 walk(child)
                 return_ = None
@@ -123,6 +126,10 @@ def check_invariants(fs: FileSystem) -> None:
                         seen_blocks[block] = child
 
     walk("/")
+    live = fs.statfs().files
+    if live != len(reachable):
+        raise ConsistencyError(
+            f"{live} live inodes, {len(reachable)} reachable from /")
     # allocator must not consider any live block free
     for ext in fs._free_extent_iter():          # noqa: SLF001
         for block in range(ext.start, ext.end):

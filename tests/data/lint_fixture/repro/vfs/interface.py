@@ -1,4 +1,4 @@
-"""The FileSystem root the degraded-write-guard seeds hang off."""
+"""A lock-discipline seed in a method of a repro.vfs class."""
 
 
 class FileSystem:

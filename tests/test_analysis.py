@@ -21,9 +21,8 @@ import pytest
 from repro.analysis import FileContext, default_rules, run_lint
 from repro.analysis.engine import (SUPPRESS_RE, derive_module,
                                    iter_python_files, scan_suppressions)
-from repro.analysis.flow import CallGraph, FlowAnalysis, collect_file_facts
 from repro.analysis.rules.determinism import DeterminismRule
-from repro.analysis.rules.flow_locks import LockDiscipline
+from repro.analysis.rules.locks import LockDiscipline
 from repro.analysis.rules.metric_names import MetricNamesRule
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -36,11 +35,8 @@ def ctx_for(source: str, module: str = "repro.fixture",
 
 
 def rule_hits(rule, source: str, module: str = "repro.fixture"):
-    """A per-file rule's findings, or a flow checker's over a one-file graph."""
-    ctx = ctx_for(source, module=module)
-    if hasattr(rule, "check"):
-        return rule.check(CallGraph({ctx.relpath: collect_file_facts(ctx)}))
-    return rule.run(ctx)
+    """A per-file rule's findings on one fixture file."""
+    return rule.run(ctx_for(source, module=module))
 
 
 # ---------------------------------------------------------------------------
@@ -286,13 +282,13 @@ def test_suppression_above_decorator_covers_the_def_line():
     import ast
 
     from repro.analysis.engine import SuppressionIndex
-    src = ("# repro: allow[degraded-write-guard] wrapper delegates the check\n"
+    src = ("# repro: allow[lock-discipline] setup runs single-threaded\n"
            "@property\n"
            "@staticmethod\n"
            "def write(self):\n"
            "    pass\n")
     idx = SuppressionIndex(src.splitlines(), ast.parse(src))
-    assert idx.allowed("degraded-write-guard", 4)   # the def line itself
+    assert idx.allowed("lock-discipline", 4)   # the def line itself
     assert not idx.allowed("determinism", 4)
 
 
@@ -357,30 +353,29 @@ def test_cli_lint_json(tmp_path, capsys):
 
 DATA = os.path.join(REPO_ROOT, "tests", "data")
 
-ALL_RULE_IDS = {
-    "determinism", "metric-names", "lock-discipline", "degraded-write-guard",
-}
+ALL_RULE_IDS = {"determinism", "metric-names", "lock-discipline"}
 
 
 def finding_tuples(result):
-    return [[f.rule, f.path, f.line, f.col, f.detail,
-             [list(hop) for hop in f.witness]] for f in result.findings]
+    return [[f.rule, f.path, f.line, f.col, f.detail]
+            for f in result.findings]
 
 
 def split_rule_sets():
-    """The two rule sets the parent ran as `lint` and `lint --flow`."""
+    """The two rule sets the old `lint` and `lint --flow` modes ran:
+    determinism and metric-names, then lock-discipline."""
     file_rules, project_rules = default_rules()
-    flow = [r for r in project_rules if isinstance(r, FlowAnalysis)]
-    rest = [r for r in project_rules if not isinstance(r, FlowAnalysis)]
-    assert len(flow) == 1 and len(rest) == 1 and len(file_rules) == 1
-    return (file_rules, rest), ([], flow)
+    locks = [r for r in file_rules if isinstance(r, LockDiscipline)]
+    rest = [r for r in file_rules if not isinstance(r, LockDiscipline)]
+    assert len(locks) == 1 and len(rest) == 1 and len(project_rules) == 1
+    return (rest, project_rules), (locks, [])
 
 
 def test_one_pass_equals_the_recorded_union_of_both_old_modes():
-    """``tests/data/lint_fixture`` seeds every rule (and two inline
-    allows, one per old mode); the golden is the parent's ``lint --json
-    --baseline ''`` ∪ ``lint --flow --json --baseline ''`` over it,
-    sorted the way one run sorts."""
+    """``tests/data/lint_fixture`` seeds every rule (and one inline
+    allow); the golden is the parent's ``lint --json --baseline ''`` ∪
+    ``lint --flow --json --baseline ''`` over it, sorted the way one run
+    sorts."""
     with open(os.path.join(DATA, "lint_union_golden.json")) as fh:
         golden = json.load(fh)
     fixture = os.path.join(DATA, "lint_fixture")
@@ -413,7 +408,7 @@ def test_one_pass_equals_the_union_on_the_finding_bearing_trees():
 
 def test_src_repro_lints_clean():
     """The CI gate: one run, every rule, no finding left unsuppressed."""
-    (file_rules, cross_file), (_none, (flow,)) = split_rule_sets()
+    file_rules, cross_file = default_rules()
     ran = set()
 
     def spy(obj, method, rule_id):
@@ -428,11 +423,9 @@ def test_src_repro_lints_clean():
         spy(rule, "run", rule.id)
     for rule in cross_file:
         spy(rule, "finalize", rule.id)
-    for checker in flow.checkers:
-        spy(checker, "check", checker.id)
 
     result = run_lint([SRC_REPRO], root=REPO_ROOT,
-                      rules=(file_rules, cross_file + [flow]))
+                      rules=(file_rules, cross_file))
     assert ran == ALL_RULE_IDS
     assert result.errors == []
     rendered = "\n".join(f.render() for f in result.findings)
@@ -444,9 +437,7 @@ def test_every_suppression_names_a_live_rule():
     nothing: every ``# repro: allow[<id>]`` comment under ``src/repro``
     names a rule id that :func:`default_rules` reports."""
     file_rules, project_rules = default_rules()
-    live = {rule.id for rule in file_rules}
-    for rule in project_rules:
-        live.update(c.id for c in getattr(rule, "checkers", [rule]))
+    live = {rule.id for rule in file_rules + project_rules}
     stale = []
     for path in iter_python_files([SRC_REPRO]):
         with open(path, encoding="utf-8") as fh:

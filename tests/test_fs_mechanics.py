@@ -1,18 +1,22 @@
 """The mechanics ``fs/common/base.py`` owns once for every model: the
 durable store of file bytes, the pool carve, the free to the owning pool,
-the allocation loop's largest-run fallback and its ``alloc`` span."""
+the allocation loop's largest-run fallback and its ``alloc`` span; and
+the read-only contract of a degraded mount, verb by verb."""
 
 import random
 
 import pytest
 
 from repro.clock import make_context
-from repro.errors import CorruptionError, FSError, NoSpaceError
+from repro.crashmon.checker import capture_state
+from repro.errors import (CorruptionError, FSError, InvalidArgumentError,
+                          NoSpaceError, ReadOnlyError)
 from repro.harness import ALL_SPECS, SPECS_BY_NAME
 from repro.obs.trace import Tracer
 from repro.params import BLOCK_SIZE as B, HUGE_PAGE, MIB
 from repro.pm.device import PMDevice
 from repro.structures.extents import Extent
+from repro.vfs.interface import FileSystem
 
 SIZE = 256 * MIB
 ALL = [spec.name for spec in ALL_SPECS]
@@ -173,3 +177,54 @@ def test_allocating_fallocate_records_an_alloc_span(name):
     while parent is not None and parent is not syscall:
         parent = spans.get(parent.parent_id)
     assert parent is syscall
+
+
+#: every mutating verb of the VFS, as a call on a file system holding
+#: ``/d/f`` (inode *ino*) and an empty directory ``/e``
+MUTATING_VERBS = {
+    "create": lambda fs, ino, ctx: fs.create("/d/new", ctx),
+    "unlink": lambda fs, ino, ctx: fs.unlink("/d/f", ctx),
+    "mkdir": lambda fs, ino, ctx: fs.mkdir("/d/sub", ctx),
+    "rmdir": lambda fs, ino, ctx: fs.rmdir("/e", ctx),
+    "rename": lambda fs, ino, ctx: fs.rename("/d/f", "/e/g", ctx),
+    "overwrite": lambda fs, ino, ctx: fs.write(ino, 0, b"o" * B, ctx),
+    "append": lambda fs, ino, ctx: fs.write(
+        ino, fs.getattr_ino(ino).size, b"a" * B, ctx),
+    "write_zeros": lambda fs, ino, ctx: fs.write_zeros(ino, 0, 2 * B, ctx),
+    "truncate": lambda fs, ino, ctx: fs.truncate(ino, 0, ctx),
+    "fallocate": lambda fs, ino, ctx: fs.fallocate(ino, 0, HUGE_PAGE, ctx),
+    "setxattr": lambda fs, ino, ctx: fs.setxattr("/d/f", "user.k", b"v", ctx),
+}
+
+
+def _observable(fs, ino):
+    """Everything a refused call must leave alone: the device's bytes
+    and store count, ``statfs()``, the namespace with every file's
+    content, and the file's size and extents."""
+    dev = fs.device
+    pages = {no: dev._store.read(no * B, B) for no in sorted(dev._store._pages)}
+    return (pages, dev.bytes_written, fs.statfs(), capture_state(fs),
+            fs.getattr_ino(ino).size, list(fs.file_extents(ino)))
+
+
+@pytest.mark.parametrize("name,verb", [
+    pytest.param(name, verb, id=f"{name}-{verb}")
+    for name in ALL for verb in MUTATING_VERBS])
+def test_read_only_mount_refuses_every_mutating_verb(name, verb):
+    """``errors=remount-ro``: once a mount degrades, every mutating verb
+    fails with ``ReadOnlyError`` (``setxattr`` on a model without xattrs
+    with ``InvalidArgumentError``) and changes nothing on the device or
+    in the namespace."""
+    fs, ctx = _fs(name)
+    fs.mkdir("/d", ctx)
+    fs.mkdir("/e", ctx)
+    ino = fs.write_file("/d/f", random.Random(7).randbytes(2 * B + 100),
+                        ctx).ino
+    fs.remount_read_only("read-only table", ctx)
+    before = _observable(fs, ino)
+    expected = ReadOnlyError
+    if verb == "setxattr" and type(fs).setxattr is FileSystem.setxattr:
+        expected = InvalidArgumentError
+    with pytest.raises(expected):
+        MUTATING_VERBS[verb](fs, ino, ctx)
+    assert _observable(fs, ino) == before

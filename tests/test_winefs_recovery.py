@@ -1,5 +1,6 @@
 """WineFS mount/unmount and crash recovery (paper §3.6, §5.2)."""
 
+import contextlib
 import signal
 import struct
 
@@ -10,7 +11,10 @@ from repro.core.filesystem import WineFS
 from repro.core.journal import (ENTRY_BYTES, TYPE_DATA, TYPE_START,
                                  JournalEntry, JournalManager)
 from repro.core.layout import _EXT, _INODE_HEAD, Layout, read_superblock
+from repro.crashmon.checker import ConsistencyError, check_invariants
 from repro.errors import CorruptionError
+from repro.faults import FaultPlan, FaultSpec
+from repro.fs.common.inode import INODE_BYTES
 from repro.params import BLOCK_SIZE, KIB, MIB
 from repro.pm.device import PMDevice
 
@@ -28,6 +32,38 @@ def _remount(device, num_cpus=2):
     ctx = make_context(num_cpus)
     fs.mount(ctx)
     return fs, ctx
+
+
+@contextlib.contextmanager
+def _within_one_second():
+    def expire(signum, frame):
+        raise TimeoutError("mount did not finish within 1 s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, 1.0)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def _cycle_image():
+    """An unmounted image holding ``/a/b/f`` and ``/kept`` whose on-PM
+    parent pointer of ``/a`` names ``/a/b``: every parent exists and is
+    a directory, but ``a`` and ``b`` (and ``f`` below) hang off nothing."""
+    fs, ctx, device = _tracked_fs(size=64 * MIB)
+    fs.mkdir("/a", ctx)
+    fs.mkdir("/a/b", ctx)
+    fs.write_file("/a/b/f", b"f" * 4 * KIB, ctx)
+    kept = fs.write_file("/kept", b"k" * 4 * KIB, ctx).ino
+    a, b = fs.getattr("/a").ino, fs.getattr("/a/b").ino
+    fs.unmount(ctx)
+    head = list(_INODE_HEAD.unpack(
+        device.load(fs.layout.inode_addr(a), _INODE_HEAD.size)))
+    head[5] = b                                   # parent_ino
+    device.persist(fs.layout.inode_addr(a), _INODE_HEAD.pack(*head))
+    return device, fs.layout, kept
 
 
 class TestCleanRemount:
@@ -189,18 +225,38 @@ class TestCrashRecovery:
         else:
             nxt = {"itself": indirect, "past the device": 2 ** 40}[target]
             device.persist(indirect * BLOCK_SIZE, struct.pack("<Q", nxt))
+        with _within_one_second(), pytest.raises(CorruptionError):
+            _remount(device)
 
-        def expire(signum, frame):
-            raise TimeoutError("mount did not finish within 1 s")
+    def test_parent_pointer_cycle_rejected_in_bounded_time(self):
+        """Two directories whose parent pointers name each other pass a
+        dangling-parent check; the mount still fails closed, within a
+        second, instead of mounting them unreachable."""
+        device, _layout, _kept = _cycle_image()
+        with _within_one_second(), pytest.raises(CorruptionError):
+            _remount(device)
 
-        previous = signal.signal(signal.SIGALRM, expire)
-        signal.setitimer(signal.ITIMER_REAL, 1.0)
-        try:
-            with pytest.raises(CorruptionError):
-                _remount(device)
-        finally:
-            signal.setitimer(signal.ITIMER_REAL, 0)
-            signal.signal(signal.SIGALRM, previous)
+    def test_degraded_mount_drops_a_parent_pointer_cycle(self):
+        """A mount already degraded (here by a poisoned inode slot)
+        drops the unreachable subtree, as it drops a lost parent's
+        children, and what is left passes the invariants."""
+        device, layout, kept = _cycle_image()
+        device.set_fault_plan(FaultPlan(specs=[FaultSpec(
+            "poison", addr=layout.inode_addr(kept), length=INODE_BYTES)]))
+        fs, ctx = _remount(device)
+        assert fs.read_only
+        assert fs.readdir("/", ctx) == []
+        assert fs.statfs().files == 1
+        check_invariants(fs)
+
+    def test_invariants_require_every_live_inode_reachable(self):
+        fs, ctx, _device = _tracked_fs()
+        fs.mkdir("/a", ctx)
+        fs.write_file("/a/f", b"f", ctx)
+        check_invariants(fs)
+        fs._dirs[fs.getattr("/").ino].remove("a")   # noqa: SLF001
+        with pytest.raises(ConsistencyError, match="reachable"):
+            check_invariants(fs)
 
     def test_journal_undo_outside_the_device_rejected(self):
         """A CRC-valid undo record whose target lies past the device
