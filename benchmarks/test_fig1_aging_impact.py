@@ -26,6 +26,8 @@ from _common import NUM_CPUS, SIZE_GIB, emit, record
 
 FS_NAMES = ["ext4-DAX", "NOVA", "WineFS"]
 UTILIZATIONS = [0.05, 0.30, 0.60, 0.90]
+#: aging is what this figure measures, so it ages harder than the
+#: application benches (_common.CHURN_MULTIPLE = 6)
 CHURN_MULTIPLE = 8.0
 
 

@@ -19,6 +19,8 @@ from _common import NUM_CPUS, SIZE_GIB, emit, record
 
 FS_NAMES = ["ext4-DAX", "NOVA", "WineFS"]
 UTILIZATIONS = [0.10, 0.30, 0.50, 0.70, 0.90]
+#: aging is what this figure measures, so it ages harder than the
+#: application benches (_common.CHURN_MULTIPLE = 6)
 CHURN_MULTIPLE = 8.0
 
 

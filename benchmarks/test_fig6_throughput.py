@@ -19,14 +19,13 @@ from repro.harness import Table, aged_fs
 from repro.params import GIB, KIB, MIB
 from repro.workloads import mmap_rw_benchmark, posix_rw_benchmark
 
-from _common import NUM_CPUS, SIZE_GIB, emit, record
+from _common import CHURN_MULTIPLE, NUM_CPUS, SIZE_GIB, emit, record
 
 MMAP_FS = ["WineFS", "PMFS", "NOVA", "xfs-DAX", "SplitFS", "ext4-DAX"]
 WEAK_FS = ["WineFS-relaxed", "NOVA-relaxed", "ext4-DAX", "xfs-DAX",
            "PMFS", "SplitFS"]
 STRONG_FS = ["WineFS", "NOVA", "Strata"]
 PATTERNS = ["seq-write", "rand-write", "seq-read", "rand-read"]
-CHURN_MULTIPLE = 6.0
 
 
 def _aged(name):

@@ -23,12 +23,11 @@ from repro.workloads import run_fillseq, run_fillseqbatch
 from repro.workloads.rocksdb import RocksDBModel
 from repro.workloads.ycsb import YCSB_WORKLOADS, run_ycsb
 
-from _common import NUM_CPUS, SIZE_GIB, emit, record
+from _common import CHURN_MULTIPLE, NUM_CPUS, SIZE_GIB, emit, record
 
 WEAK_FS = ["ext4-DAX", "xfs-DAX", "SplitFS", "NOVA-relaxed",
            "WineFS-relaxed", "PMFS"]
 STRONG_FS = ["NOVA", "Strata", "WineFS"]
-CHURN_MULTIPLE = 6.0
 YCSB_RECORDS = 20_000
 YCSB_OPS = 10_000
 LMDB_KEYS = 30_000

@@ -17,10 +17,9 @@ from repro.harness import aged_fs, format_cdf, Table
 from repro.params import MIB
 from repro.workloads import run_part_lookups
 
-from _common import NUM_CPUS, SIZE_GIB, emit, record
+from _common import CHURN_MULTIPLE, NUM_CPUS, SIZE_GIB, emit, record
 
 FS_NAMES = ["xfs-DAX", "SplitFS", "ext4-DAX", "NOVA", "WineFS"]
-CHURN_MULTIPLE = 6.0
 LOOKUPS = 20_000
 
 

@@ -16,10 +16,9 @@ from repro.workloads import run_fillseq, run_fillseqbatch
 from repro.workloads.rocksdb import RocksDBModel
 from repro.workloads.ycsb import YCSB_WORKLOADS, run_ycsb
 
-from _common import NUM_CPUS, SIZE_GIB, emit, record
+from _common import CHURN_MULTIPLE, NUM_CPUS, SIZE_GIB, emit, record
 
 FS_NAMES = ["WineFS", "ext4-DAX", "xfs-DAX", "SplitFS", "NOVA"]
-CHURN_MULTIPLE = 6.0
 
 
 def _faults_for(name):

@@ -36,6 +36,9 @@ class SimClock:
         # shares this single store.  A list beats array('d') here: the
         # hot += would pay an unbox/rebox per touch on a typed array
         self._cpu_ns = [0.0] * num_cpus
+        #: one TLB per CPU, shared by every mapping touched on it; built on
+        #: the CPU's first mapping access (MappedRegion._new_tlb)
+        self.tlbs: list = [None] * num_cpus
 
     def charge(self, cpu: int, ns: float) -> None:
         """Advance *cpu*'s clock by *ns* nanoseconds."""

@@ -29,9 +29,7 @@ from ..clock import SimContext
 from ..errors import (CorruptionError, FSError, InvalidArgumentError,
                       MediaError, NoSpaceError, NotFoundError)
 from ..faults import MAX_WRITE_RETRIES
-from ..mmu.cache import CacheModel
 from ..mmu.mmap_region import MappedRegion
-from ..mmu.tlb import TLB
 from ..params import BLOCK_SIZE, BLOCKS_PER_HUGEPAGE
 from ..pm.device import PMDevice
 from ..structures.extents import Extent, ExtentList
@@ -40,9 +38,10 @@ from ..fs.common.base import BaseFS, ROOT_INO
 from ..fs.common.freespace import FreePool
 from ..fs.common.inode import Inode, InodeTable, INODE_BYTES
 from .journal import JournalManager, MAX_TXN_ENTRIES
-from .layout import (INLINE_EXTENTS, EXTENTS_PER_INDIRECT, InodePacker,
-                     InodeRecord, Layout, pack_indirect, read_superblock,
-                     unpack_inode, walk_chain, write_superblock)
+from .layout import (INLINE_EXTENTS, EXTENTS_PER_INDIRECT, MAX_FILE_SIZE,
+                     InodePacker, InodeRecord, Layout, pack_indirect,
+                     read_superblock, unpack_inode, walk_chain,
+                     write_superblock)
 from .numa_policy import NumaPolicy
 from .rewrite import RewriteQueue
 
@@ -124,6 +123,8 @@ class _MetaTxnScope:
             ctx = self._ctx
             self._stack.pop()
             txn.commit(ctx)
+            if txn.frees:
+                self._fs._free(txn.frees)
             if self._lock is not None:
                 ctx.locks.release(self._lock, ctx.cpu)
         return False
@@ -136,6 +137,7 @@ class WineFS(BaseFS):
 
     fault_zero_fill = False       # WineFS zeroes at allocation time
     alloc_ns = 60.0               # DRAM free-list probe per decision
+    max_file_size = MAX_FILE_SIZE
 
     def __init__(self, device: PMDevice, num_cpus: int = 4,
                  mode: str = "strict",
@@ -577,7 +579,11 @@ class WineFS(BaseFS):
             ctx.charge(self.machine.persist_ns(64 + changed * 8))
             ctx.counters.pm_bytes_written += 64 + changed * 8
             if old_chain:
-                self._free([Extent(surplus, 1) for surplus in old_chain])
+                freed = [Extent(surplus, 1) for surplus in old_chain]
+                if txn is None:
+                    self._free(freed)
+                else:
+                    txn.frees += freed         # rollback needs them
             if txn is not None:
                 # the name region never changes on a data-path update, so
                 # only the header + inline-extent area needs an undo image
@@ -919,10 +925,9 @@ class WineFS(BaseFS):
 
     # ------------------------------------------------------- mmap & xattrs
 
-    def mmap(self, ino: int, ctx: SimContext, length: Optional[int] = None,
-             tlb: Optional[TLB] = None,
-             cache: Optional[CacheModel] = None) -> MappedRegion:
-        region = super().mmap(ino, ctx, length=length, tlb=tlb, cache=cache)
+    def mmap(self, ino: int, ctx: SimContext,
+             length: Optional[int] = None) -> MappedRegion:
+        region = super().mmap(ino, ctx, length=length)
         inode = self._itable.get(ino)
         assert inode is not None
         nblocks = inode.extents.total_blocks

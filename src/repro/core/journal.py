@@ -218,7 +218,7 @@ class _Transaction:
     """Handle for one open transaction; created via JournalManager.begin."""
 
     __slots__ = ("_mgr", "journal", "txn_id", "entries_used", "committed",
-                 "_logged")
+                 "_logged", "frees")
 
     def __init__(self, mgr: "JournalManager", journal: PerCPUJournal,
                  txn_id: int) -> None:
@@ -228,6 +228,8 @@ class _Transaction:
         self.entries_used = 1     # START
         self.committed = False
         self._logged: set = set()   # addresses already undo-logged this txn
+        #: extents to free once committed: a rollback may still need them
+        self.frees: list = []
 
     def log_undo(self, addr: int, ctx: SimContext) -> None:
         """Record the current PM contents of one cacheline-sized area.

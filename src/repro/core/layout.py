@@ -40,6 +40,9 @@ MAX_NAME = 36
 INLINE_EXTENTS = 4
 # indirect extent block: 8B next-chain pointer + (start,len) u32 pairs
 EXTENTS_PER_INDIRECT = (BLOCK_SIZE - 8) // 8
+#: the largest file: extents name u32 blocks (16 TiB at 4 KiB, ext4's
+#: limit); no verb passes it, so a slot claiming more is corrupt
+MAX_FILE_SIZE = (1 << 32) * BLOCK_SIZE
 
 _SB = struct.Struct("<IIIIQ")        # magic, ncpus, clean, version, total_blocks
 _INODE_HEAD = struct.Struct("<BBHIQQQ")   # valid, flags, nlink, n_extents,
@@ -304,7 +307,7 @@ def unpack_inode(ino: int, raw: bytes, read_indirect,
         _INODE_HEAD.unpack(raw[:_INODE_HEAD.size])
     if not valid:
         return None
-    if valid != 1 or size < 0:
+    if valid != 1 or size > MAX_FILE_SIZE:
         raise CorruptionError(f"corrupt inode {ino}")
     pos = _INODE_HEAD.size
     extents: List[Extent] = []

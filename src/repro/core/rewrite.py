@@ -96,5 +96,6 @@ class RewriteQueue:
         inode.aligned_hint = True
         fs._persist_inode_record(inode, ctx, txn)
         txn.commit(ctx)
+        fs._free(txn.frees)
         fs._free(old, ctx)
         return True

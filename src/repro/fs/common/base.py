@@ -41,9 +41,7 @@ from ...errors import (
     IsADirectoryError_, NoSpaceError, NotADirectoryError_, NotEmptyError,
     NotFoundError, NotMountedError,
 )
-from ...mmu.cache import CacheModel
 from ...mmu.mmap_region import MappedRegion
-from ...mmu.tlb import TLB
 from ...params import BASE_PAGE, BLOCK_SIZE, BLOCKS_PER_HUGEPAGE, HUGE_PAGE
 from ...pm.device import PMDevice
 from ...pm.zeros import Zeros, zero_bytes
@@ -72,6 +70,8 @@ class BaseFS(FileSystem):
     track_data = True
     #: free-list / tree search charged once per allocation request
     alloc_ns = 0.0
+    #: write/truncate/fallocate refuse a larger size (WineFS: core.layout)
+    max_file_size: float = float("inf")
 
     def __init__(self, device: PMDevice, num_cpus: int = 4,
                  track_data: Optional[bool] = None) -> None:
@@ -630,6 +630,8 @@ class BaseFS(FileSystem):
             if not data:
                 return 0
             length = len(data)
+            if offset + length > self.max_file_size:
+                raise InvalidArgumentError("past the maximum file size")
             inode = self._inode_for_data(ino)
             lock = self._ino_lock(ino)
             ctx.locks.acquire(lock, ctx.cpu)
@@ -662,8 +664,8 @@ class BaseFS(FileSystem):
         with ctx.trace.span(ctx, "vfs.truncate", fs=self.name, ino=ino,
                             size=size):
             self._syscall(ctx)
-            if size < 0:
-                raise InvalidArgumentError("negative size")
+            if not 0 <= size <= self.max_file_size:
+                raise InvalidArgumentError(f"size {size} out of range")
             inode = self._inode_for_data(ino)
             ctx.locks.acquire(self._ino_lock(ino), ctx.cpu)
             try:
@@ -686,7 +688,8 @@ class BaseFS(FileSystem):
         with ctx.trace.span(ctx, "vfs.fallocate", fs=self.name, ino=ino,
                             size=size):
             self._syscall(ctx)
-            if offset < 0 or size <= 0:
+            if offset < 0 or size <= 0 \
+                    or offset + size > self.max_file_size:
                 raise InvalidArgumentError("bad fallocate range")
             inode = self._inode_for_data(ino)
             lock = self._ino_lock(ino)
@@ -714,9 +717,8 @@ class BaseFS(FileSystem):
 
     # --------------------------------------------------------------- mmap
 
-    def mmap(self, ino: int, ctx: SimContext, length: Optional[int] = None,
-             tlb: Optional[TLB] = None,
-             cache: Optional[CacheModel] = None) -> MappedRegion:
+    def mmap(self, ino: int, ctx: SimContext,
+             length: Optional[int] = None) -> MappedRegion:
         self._check_mounted()
         with ctx.trace.span(ctx, "vfs.mmap", fs=self.name, ino=ino):
             self._syscall(ctx)
@@ -726,8 +728,8 @@ class BaseFS(FileSystem):
                 raise InvalidArgumentError("cannot mmap an empty range")
             region = _FSMappedRegion(
                 fs=self, inode=inode, device=self.device, machine=self.machine,
-                length=map_len, block_size=self.block_size, tlb=tlb,
-                cache=cache, fault_zero_fill=self.fault_zero_fill,
+                length=map_len, block_size=self.block_size,
+                fault_zero_fill=self.fault_zero_fill,
                 track_data=self.track_data)
             return region
 

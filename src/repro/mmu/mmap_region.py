@@ -6,7 +6,8 @@ file's physical extents.  Accessing it triggers the full hardware pipeline:
 
 1. page fault on first touch of an unmapped page (4KB or 2MB, depending on
    whether the backing extent is hugepage-aligned and contiguous);
-2. TLB lookup per touched page on every access;
+2. TLB lookup per touched page on every access, in the accessing CPU's
+   TLB (``SimClock.tlbs``, shared by every mapping touched there);
 3. on a 4KB TLB miss, a page walk that pollutes the LLC (Fig 4 effect);
 4. the data copy itself at PM bandwidth.
 
@@ -45,9 +46,6 @@ class MappedRegion:
         requires a fresh mmap, as with real ``mmap``).
     block_size:
         FS block size in bytes (4KB everywhere in this repro).
-    tlb, cache:
-        Shared TLB/LLC models.  Pass the same instances across regions to
-        model one core's hardware; defaults create private ones.
     fault_zero_fill:
         True if this file system zeroes pages inside the fault handler
         (ext4-DAX behaviour, §5.4 PmemKV discussion); False if allocation
@@ -59,7 +57,6 @@ class MappedRegion:
 
     def __init__(self, device: PMDevice, machine: MachineParams,
                  extents: ExtentList, length: int, block_size: int,
-                 tlb: Optional[TLB] = None, cache: Optional[CacheModel] = None,
                  fault_zero_fill: bool = False, track_data: bool = True) -> None:
         if length <= 0:
             raise InvalidArgumentError("mmap length must be positive")
@@ -70,9 +67,12 @@ class MappedRegion:
         self.block_size = block_size
         self._check_extents_cover()
         self.page_table = PageTable()
-        self.tlb = tlb if tlb is not None else TLB(machine.tlb_4k_entries,
-                                                   machine.tlb_2m_entries)
-        self.cache = cache
+        #: the per-CPU TLBs unmap shoots down: the faulting clock's (a
+        #: fault precedes any TLB access)
+        self._tlbs: Optional[list] = None
+        #: LLC model for page-walk pollution and read_element probes
+        #: (P-ART attaches one); None charges every probe a PM load
+        self.cache: Optional[CacheModel] = None
         self.fault_zero_fill = fault_zero_fill
         self.track_data = track_data
         self.region_id = _next_region_id[0]
@@ -135,7 +135,9 @@ class MappedRegion:
         Mirrors the kernel DAX fault path: try a PMD (2MB) mapping first,
         fall back to a PTE (4KB) mapping.
         """
-        cpu_ns = ctx.clock._cpu_ns
+        clock = ctx.clock
+        self._tlbs = clock.tlbs
+        cpu_ns = clock._cpu_ns
         cpu = ctx.cpu
         start = cpu_ns[cpu]
         huge_base = virt_page - (virt_page % _PAGES_PER_HUGE)
@@ -271,6 +273,14 @@ class MappedRegion:
 
     # -- TLB/walk accounting ----------------------------------------------------------
 
+    def _new_tlb(self, ctx: SimContext) -> TLB:
+        """Build *ctx*'s CPU's TLB from this mapping's machine: accesses
+        take ``ctx.clock.tlbs[ctx.cpu] or self._new_tlb(ctx)``."""
+        machine = self.machine
+        tlb = ctx.clock.tlbs[ctx.cpu] = TLB(machine.tlb_4k_entries,
+                                            machine.tlb_2m_entries)
+        return tlb
+
     def _memo_note(self, lo: int, hi: int, gen: int) -> None:
         """Record a verified base-mapped span, merging adjacent spans."""
         if gen == self._memo_gen and lo <= self._memo_hi + 1 \
@@ -288,8 +298,8 @@ class MappedRegion:
                          ctx: SimContext) -> None:
         """TLB accounting for *n* consecutive base pages, bit-identical to
         n per-event touches."""
-        hits, misses = self.tlb.access_run(self.region_id, start_page, n,
-                                           False)
+        tlb = ctx.clock.tlbs[ctx.cpu] or self._new_tlb(ctx)
+        hits, misses = tlb.access_run(self.region_id, start_page, n, False)
         counters = ctx.counters
         if hits:
             counters._tlb_hits.value += hits
@@ -309,8 +319,8 @@ class MappedRegion:
     def _charge_tlb_huge(self, key_page: int, ctx: SimContext) -> None:
         """One TLB access against a 2MB entry (no pollute on miss, as in
         the per-event path)."""
-        hit = self.tlb.access(self.region_id, key_page, True)
-        if hit:
+        tlb = ctx.clock.tlbs[ctx.cpu] or self._new_tlb(ctx)
+        if tlb.access(self.region_id, key_page, True):
             ctx.counters.tlb_hits += 1
         else:
             ctx.counters.tlb_misses += 1
@@ -389,11 +399,13 @@ class MappedRegion:
             while page <= last and page in base:
                 page += 1
             if page > last:
-                hits, misses = self.tlb.access_run(self.region_id, first,
-                                                   last - first + 1, False)
-                counters = ctx.counters
-                cpu_ns = ctx.clock._cpu_ns
+                clock = ctx.clock
                 cpu = ctx.cpu
+                tlb = clock.tlbs[cpu] or self._new_tlb(ctx)
+                hits, misses = tlb.access_run(self.region_id, first,
+                                              last - first + 1, False)
+                counters = ctx.counters
+                cpu_ns = clock._cpu_ns
                 v = cpu_ns[cpu]
                 if hits:
                     counters._tlb_hits.value += hits
@@ -466,7 +478,8 @@ class MappedRegion:
         pt = self.page_table
         machine = self.machine
         counters = ctx.counters
-        cpu_ns = ctx.clock._cpu_ns
+        clock = ctx.clock
+        cpu_ns = clock._cpu_ns
         cpu = ctx.cpu
         # the latency includes the fault, if the probe takes one
         before = cpu_ns[cpu]
@@ -481,7 +494,8 @@ class MappedRegion:
         # writes are deferred onto a local, which keeps the add sequence
         # identical.
         v = cpu_ns[cpu]
-        if self.tlb.access(self.region_id, key_page, huge):
+        tlb = clock.tlbs[cpu] or self._new_tlb(ctx)
+        if tlb.access(self.region_id, key_page, huge):
             counters._tlb_hits.value += 1
         else:
             counters._tlb_misses.value += 1
@@ -569,7 +583,11 @@ class MappedRegion:
         return self.extents.mappable_hugepages()
 
     def unmap(self) -> int:
-        """Tear down; returns number of TLB entries shot down."""
-        dropped = self.tlb.invalidate_region(self.region_id)
+        """Tear down; returns the number of TLB entries shot down, summed
+        over every CPU's TLB."""
+        dropped = 0
+        for tlb in self._tlbs or ():
+            if tlb is not None:
+                dropped += tlb.invalidate_region(self.region_id)
         self.page_table.unmap_all()
         return dropped

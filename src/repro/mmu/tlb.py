@@ -5,7 +5,8 @@ entries (modern STLBs share capacity; a split model keeps the reach math
 transparent).  The decisive property for the paper's results is *reach*:
 1536 4KB entries cover 6MB of address space while 1024 2MB entries cover
 2GB, so a large working set thrashes the 4KB TLB but fits entirely in the
-2MB TLB.
+2MB TLB.  It holds entries only: lookups are counted where they are
+charged (``EventCounters.tlb_hits`` / ``tlb_misses``).
 """
 
 from __future__ import annotations
@@ -39,8 +40,6 @@ class TLB:
         # under miss-dominated thrash; popitem(last=False) is O(1)
         self._map_4k: "OrderedDict[int, None]" = OrderedDict()
         self._map_2m: "OrderedDict[int, None]" = OrderedDict()
-        self.hits = 0
-        self.misses = 0
 
     def access(self, region_id: int, page_no: int, huge: bool) -> bool:
         """Look up a translation; returns True on hit.
@@ -53,9 +52,7 @@ class TLB:
         key = (region_id << _KEY_SHIFT) | page_no
         if key in table:
             table.move_to_end(key)
-            self.hits += 1
             return True
-        self.misses += 1
         table[key] = None
         if len(table) > cap:
             table.popitem(last=False)
@@ -66,8 +63,7 @@ class TLB:
         """*npages* sequential accesses; returns ``(hits, misses)``.
 
         Table updates (LRU promotion, install, eviction) happen op-for-op
-        exactly as *npages* :meth:`access` calls would make them; only the
-        hit/miss counter bumps are grouped.
+        exactly as *npages* :meth:`access` calls would make them.
         """
         table = self._map_2m if huge else self._map_4k
         cap = self._cap_2m if huge else self._cap_4k
@@ -84,10 +80,7 @@ class TLB:
                 table[key] = None
                 if len(table) > cap:
                     popitem(last=False)
-        misses = npages - hits
-        self.hits += hits
-        self.misses += misses
-        return hits, misses
+        return hits, npages - hits
 
     def invalidate_region(self, region_id: int) -> int:
         """TLB shootdown for one region; returns entries dropped."""
@@ -99,31 +92,6 @@ class TLB:
             dropped += len(stale)
         return dropped
 
-    def flush(self) -> None:
-        self._map_4k.clear()
-        self._map_2m.clear()
-
-    def bind_metrics(self, registry, **labels) -> None:
-        """Expose this TLB through callback gauges on *registry*.
-
-        Reads live state at collection time; nothing is charged to the
-        simulated clock and the hot ``access`` path is untouched.
-        """
-        registry.gauge("tlb_occupancy", fn=lambda: len(self._map_4k),
-                       size="4k", **labels)
-        registry.gauge("tlb_occupancy", fn=lambda: len(self._map_2m),
-                       size="2m", **labels)
-        registry.gauge("tlb_lookups_total", fn=lambda: self.hits,
-                       result="hit", **labels)
-        registry.gauge("tlb_lookups_total", fn=lambda: self.misses,
-                       result="miss", **labels)
-        registry.gauge("tlb_miss_rate", fn=lambda: self.miss_rate, **labels)
-
     @property
     def occupancy(self) -> Tuple[int, int]:
         return len(self._map_4k), len(self._map_2m)
-
-    @property
-    def miss_rate(self) -> float:
-        total = self.hits + self.misses
-        return self.misses / total if total else 0.0

@@ -46,9 +46,6 @@ METRIC_NAMES: FrozenSet[str] = frozenset({
     # device / MMU pull gauges
     "pm_device_bytes",
     "pm_materialized_bytes",
-    "tlb_occupancy",
-    "tlb_lookups_total",
-    "tlb_miss_rate",
     "pt_mapped_pages",
     "pt_installed_total",
     # fault injection

@@ -59,10 +59,10 @@ point at dead inodes.  Mapped stores never reach the file system's own
 write guard, so ``put``/``delete`` raise ``EROFS`` themselves on a
 read-only mount, before any store.  Every warm answer is charged one
 DRAM load, plus 64 bytes per returned id at DRAM streaming bandwidth
-(``MachineParams.dram_load_ns`` / ``dram_read_bw``).  All mappings share
-one TLB (one serving core; a successor arrives faulted in but not in
-it), so a file system that hands out unaligned extents pays for its
-4 KiB mappings here exactly as in the mmap benchmarks.  The storage
+(``MachineParams.dram_load_ns`` / ``dram_read_bw``).  Verbs touch the
+serving core's TLB (a successor arrives faulted in but not in it), so a
+file system that hands out unaligned extents pays for its 4 KiB
+mappings here exactly as in the mmap benchmarks.  The storage
 assumes it is the only writer under ``/srv`` within an epoch.
 
 :class:`MemoryObjStorage` is the reference implementation: a dict with a
@@ -80,7 +80,6 @@ from ..clock import SimContext
 from ..errors import (ExistsError, FSError, MediaError, NoSpaceError,
                       NotFoundError, ReadOnlyError)
 from ..mmu.mmap_region import MappedRegion
-from ..mmu.tlb import TLB
 from ..obs.metrics import Counter
 from ..params import HUGE_PAGE
 from ..vfs.interface import FileSystem
@@ -150,12 +149,10 @@ class FSObjStorage(ObjStorage):
         self.name = label if label is not None else fs.name
         #: a tenant is present only while warm
         self._tenants: Dict[str, _Tenant] = {}
-        self._tlb = TLB(fs.machine.tlb_4k_entries, fs.machine.tlb_2m_entries)
         #: where successors are prepared: the machine's last core, idle
-        #: while one core serves, and its TLB; None on a one-CPU machine
+        #: while one core serves; None on a one-CPU machine
         idle = ctx.clock.num_cpus - 1
-        self._idle = None if idle == ctx.cpu else (ctx.on_cpu(idle), TLB(
-            fs.machine.tlb_4k_entries, fs.machine.tlb_2m_entries))
+        self._idle = None if idle == ctx.cpu else ctx.on_cpu(idle)
         #: the mount the caches describe, and whether it had degraded
         self._mount = (fs, fs.namespace_epoch)
         self._read_only = fs.read_only
@@ -219,7 +216,7 @@ class FSObjStorage(ObjStorage):
             if not fs.getattr_ino(f.ino).size:
                 f.close()
                 continue                    # nothing to map: a foreign name
-            shard = _Shard(path, f.mmap(ctx, tlb=self._tlb))
+            shard = _Shard(path, f.mmap(ctx))
             f.close()
             state.shards.append(shard)
             read, offset = shard.region.read, 0
@@ -255,8 +252,9 @@ class FSObjStorage(ObjStorage):
     def _drop_all(self, reason: str) -> None:
         if self._tenants:
             self._invalidations[reason].value += 1
+        # the dropped mappings' TLB entries are never looked up again, so
+        # LRU evicts them before any live one: no shootdown needed
         self._tenants.clear()
-        self._tlb.flush()
 
     def _drop(self, tenant: str) -> None:
         """An ``FSError`` escaped a mutating verb: whatever it left in
@@ -277,8 +275,7 @@ class FSObjStorage(ObjStorage):
 
     # -- the shard log ------------------------------------------------------
 
-    def _prepare(self, tenant: str, size: int, ctx: SimContext,
-                 tlb: TLB) -> _Shard:
+    def _prepare(self, tenant: str, size: int, ctx: SimContext) -> _Shard:
         """Create, size, map and sync — once — a shard of *size* bytes
         under the name ``new``, on *ctx*'s core: the idle one ahead of
         need, or the serving one inside a stalled rotation."""
@@ -289,7 +286,7 @@ class FSObjStorage(ObjStorage):
             fs.unlink(unnamed, ctx)
             f = fs.create(unnamed, ctx)
         f.fallocate(0, size, ctx)
-        shard = _Shard(unnamed, f.mmap(ctx, tlb=tlb))
+        shard = _Shard(unnamed, f.mmap(ctx))
         shard.region.write(0, _WORD[_FREE], ctx)
         f.fsync(ctx)
         f.close()
@@ -298,13 +295,13 @@ class FSObjStorage(ObjStorage):
     def _prepare_ahead(self, tenant: str, state: _Tenant) -> None:
         """Start *tenant*'s next successor on the idle core, no earlier
         than the serving core's now, under the lock a rotation takes."""
-        if self._idle is None:
+        idle = self._idle
+        if idle is None:
             return
-        idle, tlb = self._idle
         idle.clock.advance_to(idle.cpu, self.ctx.now)
         idle.locks.acquire(f"serve-spare:{tenant}", idle.cpu)
         try:
-            state.spare = self._prepare(tenant, HUGE_PAGE, idle, tlb)
+            state.spare = self._prepare(tenant, HUGE_PAGE, idle)
         except FSError:
             pass        # no successor: the next rotation prepares its own
         finally:
@@ -317,8 +314,6 @@ class FSObjStorage(ObjStorage):
         ctx.locks.acquire(f"serve-spare:{tenant}", ctx.cpu)
         ctx.locks.release(f"serve-spare:{tenant}", ctx.cpu)
         spare, state.spare = state.spare, None
-        if spare is not None:
-            spare.region.tlb = self._tlb
         return spare
 
     def _rotate(self, tenant: str, state: _Tenant, need: int) -> None:
@@ -346,7 +341,7 @@ class FSObjStorage(ObjStorage):
         if shard is None:
             size = -(-need // HUGE_PAGE) * HUGE_PAGE
             try:
-                shard = self._prepare(tenant, size, ctx, self._tlb)
+                shard = self._prepare(tenant, size, ctx)
             except NoSpaceError:
                 held = [(other, holder) for other, holder
                         in self._tenants.items() if holder.spare]
@@ -355,7 +350,7 @@ class FSObjStorage(ObjStorage):
                 for other, holder in held:
                     self._take_spare(other, holder).region.unmap()
                     fs.unlink(f"{SERVE_ROOT}/{other}/new", ctx)
-                shard = self._prepare(tenant, size, ctx, self._tlb)
+                shard = self._prepare(tenant, size, ctx)
         shard.path = f"{tenant_dir}/{seq:08d}"
         fs.rename(f"{tenant_dir}/new", shard.path, ctx)
         shards.append(shard)

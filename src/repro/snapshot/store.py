@@ -41,8 +41,9 @@ __all__ = ["FORMAT_VERSION", "LOAD_STATUSES", "cache_key", "snapshot_dir",
 #: ``jbd2_commits`` and ``_pending_items``), ``BaseFS._free_blocks`` and
 #: ``PMDevice._fast`` / ``_dirty_lines`` are gone; 6: WineFS keeps its
 #: pools, ``aligned_out`` and ``quarantined`` on the FS itself — its
-#: ``allocator`` object is gone)
-FORMAT_VERSION = 6
+#: ``allocator`` object is gone; 7: ``SimClock`` holds one TLB slot per
+#: CPU, ``tlbs``)
+FORMAT_VERSION = 7
 
 #: every status ``load_ex`` can report.  ``hit`` carries a value; the
 #: rest carry ``None``.  ``miss`` (no entry) is the healthy cold-cache

@@ -18,9 +18,7 @@ from typing import Dict, List, Optional
 from ..clock import SimContext
 from ..errors import (BadFileError, FSError, InvalidArgumentError,
                       NotMountedError, ReadOnlyError)
-from ..mmu.cache import CacheModel
 from ..mmu.mmap_region import MappedRegion
-from ..mmu.tlb import TLB
 from ..params import MachineParams
 from ..pm.device import PMDevice
 
@@ -119,11 +117,10 @@ class OpenFile:
         self._check()
         self.fs.fallocate(self.ino, offset, size, ctx)
 
-    def mmap(self, ctx: SimContext, length: Optional[int] = None,
-             tlb: Optional[TLB] = None,
-             cache: Optional[CacheModel] = None) -> MappedRegion:
+    def mmap(self, ctx: SimContext,
+             length: Optional[int] = None) -> MappedRegion:
         self._check()
-        return self.fs.mmap(self.ino, ctx, length=length, tlb=tlb, cache=cache)
+        return self.fs.mmap(self.ino, ctx, length=length)
 
     def close(self) -> None:
         self.closed = True
@@ -378,9 +375,8 @@ class FileSystem(ABC):
     def fsync(self, ino: int, ctx: SimContext) -> None: ...
 
     @abstractmethod
-    def mmap(self, ino: int, ctx: SimContext, length: Optional[int] = None,
-             tlb: Optional[TLB] = None,
-             cache: Optional[CacheModel] = None) -> MappedRegion: ...
+    def mmap(self, ino: int, ctx: SimContext,
+             length: Optional[int] = None) -> MappedRegion: ...
 
     # -- xattrs (WineFS alignment hints; others may raise) --------------------------------
 

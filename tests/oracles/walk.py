@@ -70,8 +70,8 @@ def _touch_translation(self: MappedRegion, virt_page: int,
     """
     m = self._resolve_page(virt_page, ctx)
     key_page = m.virt_page if m.huge else virt_page
-    hit = self.tlb.access(self.region_id, key_page, m.huge)
-    if hit:
+    tlb = ctx.clock.tlbs[ctx.cpu] or self._new_tlb(ctx)
+    if tlb.access(self.region_id, key_page, m.huge):
         # a hit costs nothing here: it is folded into load latency
         ctx.counters.tlb_hits += 1
     else:

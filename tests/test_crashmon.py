@@ -11,7 +11,7 @@ from repro.crashmon import (AceWorkload, CrashExplorer, SyscallOp,
 from repro.crashmon.checker import (ConsistencyError, capture_state,
                                     check_invariants, states_equal)
 from repro.faults import FaultPlan, FaultSpec
-from repro.params import HUGE_PAGE, MIB
+from repro.params import BLOCK_SIZE, HUGE_PAGE, KIB, MIB
 from repro.pm.device import PMDevice
 
 
@@ -211,6 +211,59 @@ def test_bad_block_relocation_passes_every_crash_state():
     (plan,) = overwrite.plans
     assert plan.counts == {("write_error", "injected"): 1,
                            ("write_error", "masked"): 1}
+
+
+@dataclass(frozen=True)
+class _FreedBlocksReusedAtOnce(SyscallOp):
+    """An op on a machine where another CPU reuses a freed block at once:
+    every extent WineFS frees is overwritten durably before ``_free``
+    returns.  A block freed while a transaction could still roll back
+    to it then shows up as foreign bytes in a crash state.  The op maps
+    the file, which queues it (§3.6), and drains the rewrite queue."""
+
+    done: list = field(default_factory=list, compare=False)
+
+    def apply(self, fs, ctx) -> None:
+        free = fs._free
+
+        def free_then_reuse(extents, ctx=None):
+            free(extents, ctx)
+            for ext in extents:
+                fs.device.store(ext.start * BLOCK_SIZE,
+                                b"\xee" * ext.length * BLOCK_SIZE)
+                fs.device.clwb(ext.start * BLOCK_SIZE,
+                               ext.length * BLOCK_SIZE)
+            fs.device.sfence()
+
+        fs._free = free_then_reuse
+        try:
+            f = fs.open(self.path, ctx)
+            f.mmap(ctx)
+            f.close()
+            self.done.append(fs.rewrite_queue.run_pending(ctx))
+        finally:
+            del fs._free
+
+
+def test_reactive_rewrite_reads_the_old_or_the_new_map_in_every_crash_state():
+    """§3.6's rewrite of a fragmented mapped file copies it to aligned
+    blocks, swaps the extent map through the journal and frees the old
+    blocks.  In every crash state the file reads its bytes through the
+    old map or the new one, even though each freed block (old data, old
+    indirect chain) is reused the instant it is freed."""
+    setup = [SyscallOp("create", "/frag"), SyscallOp("create", "/gap")]
+    for _ in range(HUGE_PAGE // (64 * KIB)):     # interleaved: fragmented
+        setup += [SyscallOp("append", "/frag", size=64 * KIB),
+                  SyscallOp("append", "/gap", size=64 * KIB)]
+    rewrite = _FreedBlocksReusedAtOnce("rewrite", "/frag")
+    # every crash point, with a sample of each one's surviving subsets
+    explorer = CrashExplorer(lambda dev: WineFS(dev, num_cpus=2),
+                             device_size=64 * MIB, max_subsets=8)
+    result = explorer.run_workload(AceWorkload("rewrite", setup=setup,
+                                               ops=[rewrite]))
+    assert result.passed, result.violations[:3]
+    assert rewrite.done == [1]
+    assert result.states_checked > result.crash_points > 0
 
 
 class TestSeq3:

@@ -1,5 +1,7 @@
 """MMU tests: page tables, TLB, cache model, mapped regions."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro.clock import make_context
@@ -8,7 +10,7 @@ from repro.faults import FaultPlan, FaultSpec
 from repro.mmu.cache import CacheModel
 from repro.mmu.mmap_region import MappedRegion
 from repro.mmu.page_table import PageTable
-from repro.mmu.tlb import TLB
+from repro.mmu.tlb import _KEY_SHIFT, TLB
 from repro.params import (BASE_PAGE, BLOCKS_PER_HUGEPAGE, DEFAULT_MACHINE,
                           HUGE_PAGE, MIB)
 from repro.pm.device import PMDevice
@@ -99,11 +101,15 @@ class TestTLB:
         assert not tlb.access(1, 0, False)
         assert tlb.access(2, 0, False)
 
-    def test_miss_rate(self):
-        tlb = TLB(4, 4)
-        tlb.access(1, 0, False)
-        tlb.access(1, 0, False)
-        assert tlb.miss_rate == 0.5
+    def test_access_run_counts_like_access(self):
+        tlb = TLB(2, 2)
+        tlb.access(1, 1, False)
+        # page 1 hits; pages 0 and 2 miss, and page 2 evicts page 0,
+        # the least recently used once page 1 was promoted
+        assert tlb.access_run(1, 0, 3, False) == (1, 2)
+        assert tlb.occupancy == (2, 0)
+        assert tlb.access(1, 1, False)
+        assert not tlb.access(1, 0, False)
 
 
 class TestCacheModel:
@@ -205,12 +211,79 @@ class TestMappedRegion:
         assert region.unmap() >= 1
         assert not region.page_table.is_mapped(0)
 
+    def test_unmap_of_an_untouched_region_drops_nothing(self):
+        assert _region([(0, BLOCKS_PER_HUGEPAGE)], length=2 * MIB).unmap() == 0
+
     def test_read_element_returns_latency(self):
         region = _region([(0, BLOCKS_PER_HUGEPAGE)], length=2 * MIB)
         ctx = make_context(1)
         region.prefault(ctx)
         lat = region.read_element(64, ctx)
         assert lat > 0
+
+
+def _entries(tlb, region):
+    """Entries of *region* in *tlb*, both sizes."""
+    return [key for table in (tlb._map_4k, tlb._map_2m) for key in table
+            if key >> _KEY_SHIFT == region.region_id]
+
+
+class TestPerCpuTLB:
+    """One TLB per simulated CPU, held by the clock and shared by every
+    mapping touched on that CPU."""
+
+    def test_one_mapping_misses_once_on_each_cpus_tlb(self):
+        region = _region([(1, BLOCKS_PER_HUGEPAGE)], length=2 * MIB)
+        ctx = make_context(2)
+        other = ctx.on_cpu(1)
+        for view in (ctx, other, ctx, other):
+            region.read(0, 64, view)
+        counters = ctx.counters
+        assert (counters.page_faults, counters.tlb_misses,
+                counters.tlb_hits) == (1, 2, 2)
+        assert [tlb.occupancy for tlb in ctx.clock.tlbs] == [(1, 0)] * 2
+        assert other.clock.tlbs is ctx.clock.tlbs
+
+    def test_mappings_on_one_cpu_share_its_capacity(self):
+        machine = replace(DEFAULT_MACHINE, tlb_4k_entries=2)
+        dev = PMDevice(64 * MIB)
+        a, b = (MappedRegion(dev, machine, ExtentList([Extent(start, 2)]),
+                             2 * BASE_PAGE, 4096) for start in (1, 3))
+        ctx = make_context(1)
+        for region in (a, b, a):
+            region.read(0, 2 * BASE_PAGE, ctx)
+        # a private TLB per mapping would have hit on a's second pass
+        assert (ctx.counters.tlb_misses, ctx.counters.tlb_hits) == (6, 0)
+        assert ctx.clock.tlbs[0].occupancy == (2, 0)
+
+    def test_unmap_leaves_no_entry_of_the_region_on_any_cpu(self):
+        huge = _region([(0, BLOCKS_PER_HUGEPAGE)], length=2 * MIB)
+        base = _region([(BLOCKS_PER_HUGEPAGE + 1, 4)], length=4 * BASE_PAGE)
+        ctx = make_context(3)
+        for cpu in (0, 1):
+            huge.read(0, 64, ctx.on_cpu(cpu))
+            base.read(0, 4 * BASE_PAGE, ctx.on_cpu(cpu))
+        tlbs = ctx.clock.tlbs
+        assert tlbs[2] is None
+        assert base.unmap() == 8
+        assert not any(_entries(tlb, base) for tlb in tlbs[:2])
+        assert [len(_entries(tlb, huge)) for tlb in tlbs[:2]] == [1, 1]
+        assert huge.unmap() == 2
+        assert [tlb.occupancy for tlb in tlbs[:2]] == [(0, 0)] * 2
+
+    def test_part_miss_rate_is_its_counters_ratio(self):
+        from repro.harness import fresh_fs
+        from repro.workloads import run_part_lookups
+
+        fs, ctx = fresh_fs("ext4-DAX", size_gib=0.125)
+        counters = ctx.counters
+        hits, misses = counters.tlb_hits, counters.tlb_misses
+        result = run_part_lookups(fs, ctx, lookups=3000, pool_bytes=16 * MIB,
+                                  hot_keys=2000, seed=5)
+        hits = counters.tlb_hits - hits
+        misses = counters.tlb_misses - misses
+        assert hits + misses == 3000 and hits and misses
+        assert result.tlb_miss_rate == misses / (hits + misses)
 
 
 def _logging(dev):

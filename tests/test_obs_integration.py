@@ -187,21 +187,13 @@ class TestBoundGauges:
         after = reg.value("pm_device_bytes", direction="write", fs="WineFS")
         assert after > before
 
-    def test_tlb_and_page_table_gauges(self):
+    def test_page_table_gauges(self):
         from repro.mmu.page_table import PageTable
-        from repro.mmu.tlb import TLB
         from repro.obs import MetricsRegistry
         reg = MetricsRegistry()
-        tlb = TLB(4, 4)
         pt = PageTable()
-        tlb.bind_metrics(reg, core="0")
         pt.bind_metrics(reg, region="r0")
-        tlb.access(0, 1, False)
-        tlb.access(0, 1, False)
         pt.install_base(0, 0)
-        assert reg.value("tlb_lookups_total", result="miss", core="0") == 1
-        assert reg.value("tlb_lookups_total", result="hit", core="0") == 1
-        assert reg.value("tlb_occupancy", size="4k", core="0") == 1
         assert reg.value("pt_mapped_pages", size="4k", region="r0") == 1
         assert reg.value("pt_installed_total", size="4k", region="r0") == 1
 

@@ -10,9 +10,10 @@ from repro.clock import make_context
 from repro.core.filesystem import WineFS
 from repro.core.journal import (ENTRY_BYTES, TYPE_DATA, TYPE_START,
                                  JournalEntry, JournalManager)
-from repro.core.layout import _EXT, _INODE_HEAD, Layout, read_superblock
+from repro.core.layout import (_EXT, _INODE_HEAD, MAX_FILE_SIZE, Layout,
+                               read_superblock)
 from repro.crashmon.checker import ConsistencyError, check_invariants
-from repro.errors import CorruptionError
+from repro.errors import CorruptionError, InvalidArgumentError
 from repro.faults import FaultPlan, FaultSpec
 from repro.fs.common.inode import INODE_BYTES
 from repro.params import BLOCK_SIZE, KIB, MIB
@@ -141,6 +142,21 @@ class TestCleanRemount:
         f.append(b" two", ctx2)
         assert fs2.read_file("/f", ctx2) == b"one two"
 
+    def test_largest_file_remounts_and_nothing_passes_it(self):
+        """A sparse file of exactly the maximum size remounts; truncate,
+        write and fallocate refuse one byte more and change nothing."""
+        fs, ctx, device = _tracked_fs()
+        f = fs.create("/sparse", ctx)
+        f.ftruncate(MAX_FILE_SIZE, ctx)
+        for refused in (lambda: f.ftruncate(MAX_FILE_SIZE + 1, ctx),
+                        lambda: fs.write(f.ino, MAX_FILE_SIZE, b"x", ctx),
+                        lambda: f.fallocate(MAX_FILE_SIZE, 1, ctx)):
+            with pytest.raises(InvalidArgumentError):
+                refused()
+        fs.unmount(ctx)
+        fs2, _ctx2 = _remount(device)
+        assert fs2.getattr("/sparse").size == MAX_FILE_SIZE
+
 
 class TestCrashRecovery:
     def test_crash_without_unmount_recovers(self):
@@ -225,6 +241,20 @@ class TestCrashRecovery:
         else:
             nxt = {"itself": indirect, "past the device": 2 ** 40}[target]
             device.persist(indirect * BLOCK_SIZE, struct.pack("<Q", nxt))
+        with _within_one_second(), pytest.raises(CorruptionError):
+            _remount(device)
+
+    def test_inode_size_past_the_maximum_rejected(self):
+        """A live slot whose size was flipped past the largest file
+        WineFS stores fails the mount closed within a second, instead of
+        mounting a file no reader could hold."""
+        fs, ctx, device = _tracked_fs(size=64 * MIB)
+        ino = fs.write_file("/sized", b"s" * 4 * KIB, ctx).ino
+        fs.unmount(ctx)
+        addr = fs.layout.inode_addr(ino)
+        head = list(_INODE_HEAD.unpack(device.load(addr, _INODE_HEAD.size)))
+        head[4] |= 1 << 62                            # size
+        device.persist(addr, _INODE_HEAD.pack(*head))
         with _within_one_second(), pytest.raises(CorruptionError):
             _remount(device)
 
