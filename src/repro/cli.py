@@ -314,15 +314,15 @@ def cmd_serve(args) -> int:
 
 
 def cmd_snapshot(args) -> int:
-    """Build and maintain the aged-image snapshot pack archive.
+    """Build and maintain the aged-image snapshot archive.
 
     ``--archive`` defaults to the cache directory ``aged_fs`` restores
-    from.  ``build`` fans the (fs × profile × utilization × seed) grid
-    across ``--jobs`` workers and archives every image, one pack per
-    stored image (byte-identical packs and index for any jobs value);
-    ``ls`` enumerates the index; ``scrub`` re-verifies every record CRC,
-    quarantines damaged packs (exit 1 when it finds any) and reclaims
-    what killed writers left; ``gc`` evicts LRU packs until
+    from, which holds one file per image.  ``build`` fans the (fs ×
+    profile × utilization × seed) grid across ``--jobs`` workers and
+    archives every image (byte-identical files for any jobs value);
+    ``ls`` lists the images; ``scrub`` re-verifies every image CRC,
+    quarantines damaged images (exit 1 when it finds any) and reclaims
+    what killed writers left; ``gc`` evicts LRU images until
     ``--max-bytes`` holds.
     """
     import os
@@ -338,30 +338,23 @@ def cmd_snapshot(args) -> int:
         if _emit_report(args, report):
             stats = report["archive"]
             print(f"archived {len(cells)} cells -> "
-                  f"{stats['objects']} objects "
-                  f"({stats['aliases']} deduped) in {stats['packs']} "
-                  f"pack(s), {stats['bytes']:,} bytes")
+                  f"{stats['images']} image(s), {stats['bytes']:,} bytes")
         return 0
 
     if args.action == "ls":
-        for key, relpath, offset, length in archive.objects():
-            print(f"{key}  {relpath}:{offset}+{length}")
+        for key in archive.keys():
+            print(key)
         stats = archive.stats()
-        print(f"{stats['objects']} object(s) ({stats['aliases']} aliased), "
-              f"{stats['packs']} pack(s), {stats['bytes']:,} bytes")
+        print(f"{stats['images']} image(s), {stats['bytes']:,} bytes")
         return 0
 
     if args.action == "scrub":
         report = archive.scrub()
-        print(f"scrubbed {report['files']} file(s), "
-              f"{report['objects']} object record(s)")
-        for relpath in report["quarantined"]:
-            print(f"quarantined {relpath}")
-        for relpath in report["reclaimed"]:
-            print(f"reclaimed {relpath}")
-        if report["dropped_keys"]:
-            print(f"dropped {len(report['dropped_keys'])} key(s); "
-                  "affected images will re-age on next use")
+        print(f"scrubbed {report['images']} image(s)")
+        for key in report["quarantined"]:
+            print(f"quarantined {key}; it will re-age on next use")
+        for name in report["reclaimed"]:
+            print(f"reclaimed {name}")
         return 1 if report["quarantined"] else 0
 
     max_bytes = args.max_bytes
@@ -372,9 +365,8 @@ def cmd_snapshot(args) -> int:
                              "$REPRO_SNAPSHOT_MAX_BYTES")
         max_bytes = int(raw)
     report = archive.gc(max_bytes)
-    print(f"evicted {len(report['evicted'])} pack(s), freed "
-          f"{report['freed_bytes']:,} bytes "
-          f"({len(report['dropped_keys'])} key(s) dropped)")
+    print(f"evicted {len(report['evicted'])} image(s), freed "
+          f"{report['freed_bytes']:,} bytes")
     return 0
 
 
@@ -494,8 +486,8 @@ def _add_campaign(sub, name: str, blurb: str, out: Optional[str] = None,
     campaign = CAMPAIGNS[name]
     p = sub.add_parser(name, help=blurb)
     p.add_argument("--jobs", type=_positive_int, default=1,
-                   help="worker processes (reports, OpenMetrics, packs and "
-                        "index are byte-identical for any value)")
+                   help="worker processes (reports, OpenMetrics and "
+                        "archived images are byte-identical for any value)")
     for axis in campaign.axes:
         p.add_argument(_AXIS_FLAGS[axis][0], dest=axis, metavar="LIST",
                        type=_list_flag(axis), default=axis_defaults[axis],
@@ -606,12 +598,12 @@ def build_parser() -> argparse.ArgumentParser:
                             "('-' for stdout)")
 
     p = _add_campaign(sub, "snapshot", "build and maintain the "
-                      "aged-image snapshot pack archive", fs="WineFS",
+                      "aged-image snapshot archive", fs="WineFS",
                       profile="agrawal", utilization="0.75", seed="7")
     p.add_argument("action", choices=["build", "ls", "scrub", "gc"],
                    help="build: archive an aged-image corpus; ls: list "
-                        "objects; scrub: verify CRCs, quarantine damage "
-                        "and reclaim crash leftovers; gc: evict LRU packs")
+                        "images; scrub: verify CRCs, quarantine damage "
+                        "and reclaim crash leftovers; gc: evict LRU images")
     p.add_argument("--archive", metavar="DIR", default=None,
                    help="archive root (default: $REPRO_SNAPSHOT_DIR, the "
                         "cache aged_fs restores from)")

@@ -32,8 +32,7 @@ from ..faults import MAX_WRITE_RETRIES
 from ..mmu.mmap_region import MappedRegion
 from ..params import BLOCK_SIZE, BLOCKS_PER_HUGEPAGE
 from ..pm.device import PMDevice
-from ..structures.extents import Extent, ExtentList
-from ..vfs.interface import OpenFile
+from ..structures.extents import Extent
 from ..fs.common.base import BaseFS, ROOT_INO
 from ..fs.common.freespace import FreePool
 from ..fs.common.inode import Inode, InodeTable, INODE_BYTES
@@ -438,16 +437,19 @@ class WineFS(BaseFS):
         # record first so a mid-transaction crash can roll the inode back
         # (CrashMonkey's rename-clobber workload catches the unlogged case)
         addr = self.layout.inode_addr(inode.ino)
-        if ctx is not None:
-            txn = self._active_txn(ctx)
-            if txn is not None:
-                txn.log_undo_range(addr, INODE_BYTES, ctx)
+        txn = self._active_txn(ctx) if ctx is not None else None
+        if txn is not None:
+            txn.log_undo_range(addr, INODE_BYTES, ctx)
         self.device.persist(addr, b"\x00", ctx)
         self._serialized_extents.pop(inode.ino, None)
         self._packer.drop(inode.ino)
         chain = self._indirect_chains.pop(inode.ino, None)
         if chain:
-            self._free([Extent(block, 1) for block in chain])
+            freed = [Extent(block, 1) for block in chain]
+            if txn is None:
+                self._free(freed)
+            else:
+                txn.frees.extend(freed)  # the rolled-back record names them
         self._itable.free(inode.ino)
         if ctx is not None and inode.lock_name is not None:
             ctx.locks.forget(inode.lock_name)
@@ -670,6 +672,18 @@ class WineFS(BaseFS):
         if ext is None:
             raise NoSpaceError(f"{self.name}: no free block")
         return ext
+
+    def _free_at_commit(self, extents: List[Extent],
+                        ctx: SimContext) -> None:
+        """Charge ``alloc_ns`` per extent now, as :meth:`_free` would, but
+        hand the extents back only when the open transaction commits: a
+        crash before then rolls back to a record that still names them."""
+        txn = self._active_txn(ctx)
+        if txn is None:
+            self._free(extents, ctx)
+            return
+        ctx.charge_repeat(self.alloc_ns, len(extents))
+        txn.frees += extents
 
     def _free(self, extents: List[Extent],
               ctx: Optional[SimContext] = None) -> None:

@@ -26,7 +26,7 @@ from __future__ import annotations
 import struct
 import zlib
 from dataclasses import dataclass
-from typing import Iterator, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 from ..clock import SimContext
 from ..errors import ChecksumError, CorruptionError, FSError, MediaError

@@ -42,7 +42,7 @@ from ...errors import (
     NotFoundError, NotMountedError,
 )
 from ...mmu.mmap_region import MappedRegion
-from ...params import BASE_PAGE, BLOCK_SIZE, BLOCKS_PER_HUGEPAGE, HUGE_PAGE
+from ...params import BASE_PAGE, BLOCK_SIZE, BLOCKS_PER_HUGEPAGE
 from ...pm.device import PMDevice
 from ...pm.zeros import Zeros, zero_bytes
 from ...structures.extents import Extent, ExtentList
@@ -235,6 +235,13 @@ class BaseFS(FileSystem):
                             else Extent(start, stop - start))
                 start = stop
 
+    def _free_at_commit(self, extents: List[Extent],
+                        ctx: SimContext) -> None:
+        """Free *extents*, which the open ``_meta_txn`` stops naming.  A
+        design whose transaction can roll back to them holds them until
+        it commits (WineFS); the default frees them at once."""
+        self._free(extents, ctx)
+
     def _pool_owning(self, start: int, end: int) -> FreePool:
         """The pool whose range holds block *start* of the range
         [start, end); CorruptionError when no pool does."""
@@ -366,7 +373,7 @@ class BaseFS(FileSystem):
                     pdir.remove(name, ctx)
                     freed = list(inode.extents)
                     if freed:
-                        self._free(freed, ctx)
+                        self._free_at_commit(freed, ctx)
                     self._free_inode(inode, ctx)
                     self._persist_inode(parent, ctx)
             finally:
@@ -449,7 +456,7 @@ class BaseFS(FileSystem):
                                 raise NotEmptyError(new)
                             del self._dirs[displaced]
                         elif victim.extents.total_blocks:
-                            self._free(list(victim.extents), ctx)
+                            self._free_at_commit(list(victim.extents), ctx)
                         ddir.remove(dst_name, ctx)
                         self._free_inode(victim, ctx)
                     sdir.remove(src_name, ctx)
@@ -674,7 +681,7 @@ class BaseFS(FileSystem):
                         keep = (size + self.block_size - 1) // self.block_size
                         freed = inode.extents.truncate_blocks(keep)
                         if freed:
-                            self._free(freed, ctx)
+                            self._free_at_commit(freed, ctx)
                     # growing truncate leaves a hole: no allocation (sparse),
                     # the LMDB pattern -- blocks appear on demand at fault time
                     inode.size = size

@@ -405,7 +405,7 @@ def corpus_cell(cell: Dict[str, Any]) -> Dict[str, Any]:
 
     Workers do the expensive, independent part (aging + codec encode)
     and return raw payload bytes; all archive writes happen in the
-    parent, in sorted cell order, so the resulting packs and index are
+    parent, in sorted cell order, so the resulting image files are
     byte-identical for any ``--jobs`` value.  Un-serializable graphs
     report a ``None`` payload (fail-closed, like ``store.save``).
 
@@ -414,7 +414,7 @@ def corpus_cell(cell: Dict[str, Any]) -> Dict[str, Any]:
     before the cell.  The counter is pinned to its initial value for
     the build and fast-forwarded afterwards: every payload comes out as
     if aged in a fresh process, which is what makes the archive's
-    contents (and dedup) independent of worker scheduling.
+    contents independent of worker scheduling.
     """
     from ..fs.common.inode import _GENERATION
     from ..snapshot import codec
@@ -455,17 +455,15 @@ def corpus_cell(cell: Dict[str, Any]) -> Dict[str, Any]:
 def _corpus_report(cells: Sequence[Dict[str, Any]],
                    results: List[Dict[str, Any]], root: str
                    ) -> Dict[str, Any]:
-    """Archive every aged image under *root*.
+    """Archive every aged image under *root*, one file per key.
 
-    Deterministic by construction: workers only computed, the parent
-    archives in cell order, one pack per stored image, so pack numbers,
-    index and pack contents are byte-identical for any *jobs* value.
-    The report carries per-cell outcomes plus the archive's dedup stats
-    — identical payloads (every un-ageable PMFS cell across
-    profiles/utilizations/seeds) are stored once and aliased.
+    Deterministic by construction: workers only computed and the parent
+    archives in cell order, so the image files are byte-identical for
+    any *jobs* value.  The report carries per-cell outcomes plus the
+    archive's image count and size.
     """
     from ..obs.metrics import MetricsRegistry
-    from ..snapshot.archive import Archive
+    from ..snapshot.store import Archive
 
     archive = Archive(root)
     registry = MetricsRegistry()

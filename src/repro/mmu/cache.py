@@ -49,8 +49,6 @@ class CacheModel:
         self.base_residency = min(1.0, machine.llc_bytes / hot_set_bytes) \
             if hot_set_bytes else 1.0
         self._pollution_pending = 0.0   # probability next access was evicted
-        self.hits = 0
-        self.misses = 0
 
     def pollute(self, lines: int = 8) -> None:
         """A page walk cached *lines* PTE cachelines, evicting hot data."""
@@ -86,20 +84,10 @@ class CacheModel:
             # pollution is consumed: the walked PTEs stop displacing new
             # lines once the hot line has been refetched
             self._pollution_pending = 0.0
-        hit = self._rng.random() < p_hit
-        if hit:
-            self.hits += 1
-        else:
-            self.misses += 1
-        return hit
+        return self._rng.random() < p_hit
 
     def access_latency_ns(self, hit: bool, pm_resident: bool = True) -> float:
         """Latency of one 64B load given hit/miss and backing medium."""
         if hit:
             return self.machine.llc_hit_ns
         return self.machine.pm_load_ns if pm_resident else self.machine.dram_load_ns
-
-    @property
-    def miss_rate(self) -> float:
-        total = self.hits + self.misses
-        return self.misses / total if total else 0.0

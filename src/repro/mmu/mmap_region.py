@@ -20,7 +20,7 @@ from __future__ import annotations
 from typing import List, Optional, Tuple
 
 from ..clock import SimContext
-from ..errors import InvalidArgumentError, SimulationError
+from ..errors import InvalidArgumentError
 from ..params import BASE_PAGE, HUGE_PAGE, MachineParams
 from ..pm.device import PMDevice
 from ..pm.zeros import Zeros, zero_bytes

@@ -27,7 +27,7 @@ from .export import (chrome_trace, chrome_trace_events,
                      span_jsonl_lines, write_chrome_trace,
                      write_metrics_json, write_openmetrics,
                      write_span_jsonl)
-from .faults import bind_fault_metrics, fault_report
+from .faults import fault_report
 from .sketch import LatencySketch, SketchBank
 from .slo import DEFAULT_SLOS, ErrorLedger, SLOResult, SLOSpec
 from .telemetry import (Telemetry, evaluate_frame, frame_of, merge_frames)
@@ -40,7 +40,7 @@ __all__ = [
     "chrome_trace", "chrome_trace_events", "span_jsonl_lines",
     "write_chrome_trace", "write_metrics_json", "write_span_jsonl",
     "openmetrics_exposition", "openmetrics_lines", "write_openmetrics",
-    "bind_fault_metrics", "fault_report",
+    "fault_report",
     "LatencySketch", "SketchBank",
     "DEFAULT_SLOS", "ErrorLedger", "SLOResult", "SLOSpec",
     "Telemetry", "evaluate_frame", "frame_of", "merge_frames",

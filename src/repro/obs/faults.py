@@ -2,39 +2,19 @@
 
 The :class:`~repro.faults.FaultPlan` ledger mirrors events into the
 metrics registry lazily (``fault_events{kind,outcome}``) and, with tracing
-on, emits zero-width ``fault.<kind>`` records.  This module adds the
-pull side: registry gauges that expose the ledger without the plan having
-to push, and a plain-text report for the CLI.
+on, emits zero-width ``fault.<kind>`` records.  This module renders
+that ledger as a plain-text report for the CLI.
 
-Everything here is read-only over the plan — binding metrics or printing
-a report never perturbs clocks or counters.
+The report is read-only over the plan: printing it never perturbs clocks
+or counters.
 """
 
 from __future__ import annotations
 
 from typing import List, Optional
 
-from .metrics import MetricsRegistry
-
 #: column layout shared by the CLI and tests
 _REPORT_HEADER = ("kind", "injected", "masked", "surfaced")
-
-
-def bind_fault_metrics(registry: MetricsRegistry, plan) -> None:
-    """Register pull-gauges over *plan*'s ledger.
-
-    One ``fault_outcomes{kind,outcome}`` gauge per (kind, outcome) pair
-    the plan can produce, so dashboards see explicit zeros instead of
-    missing series.
-    """
-    from ..faults.plan import FAULT_KINDS, OUTCOMES
-
-    for kind in FAULT_KINDS:
-        for outcome in OUTCOMES:
-            registry.gauge(
-                "fault_outcomes",
-                fn=(lambda k=kind, o=outcome: float(plan.count(k, o))),
-                kind=kind, outcome=outcome)
 
 
 def fault_report(plan, title: Optional[str] = None) -> str:

@@ -50,7 +50,6 @@ METRIC_NAMES: FrozenSet[str] = frozenset({
     "pt_installed_total",
     # fault injection
     "fault_events",
-    "fault_outcomes",
     "fs_degraded",
     # SLO telemetry exposition (repro.obs.sketch / slo / timeline)
     "vfs_op_latency_ns",

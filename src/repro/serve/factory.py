@@ -11,7 +11,7 @@ Supported classes:
 * ``fs`` — one simulated file system (any of the nine evaluated
   configurations), mounted fresh or restored from an aged snapshot
   image via :func:`repro.harness.setup.aged_fs` (same cache keys, same
-  bit-identical restore guarantees; the image comes out of the pack
+  bit-identical restore guarantees; the image comes out of the
   archive under ``$REPRO_SNAPSHOT_DIR`` — e.g. one pre-built there by
   ``repro snapshot build --track-data``; a corrupt or stale snapshot
   falls back to re-aging, counts a ``snapshot_load_failures`` metric

@@ -2,16 +2,14 @@
 
 ``codec`` turns a whitelisted object graph into a tagged binary stream
 whose restore is bit-identical (exact floats, preserved dict order and
-shared references); ``archive`` is the one on-disk container — one
-sealed pack per CRC-framed record, an atomically published index and
-fail-closed reads, so corrupt or stale records fall back to re-aging;
-``store`` is the content-addressed cache over it under
-``$REPRO_SNAPSHOT_DIR``.  ``harness.aged_fs`` is the consumer.
+shared references); ``store`` is the content-addressed cache under
+``$REPRO_SNAPSHOT_DIR`` — one CRC-checked file per aged image, published
+atomically and read fail-closed, so corrupt or stale images fall back to
+re-aging.  ``harness.aged_fs`` is the consumer.
 """
 
-from .archive import Archive
 from .codec import SnapshotDecodeError, SnapshotUnsupported, decode, encode
-from .store import (FORMAT_VERSION, cache_key, load, load_ex, save,
+from .store import (FORMAT_VERSION, Archive, cache_key, load, load_ex, save,
                     snapshot_dir)
 
 __all__ = [

@@ -12,8 +12,8 @@ from __future__ import annotations
 
 import functools
 from abc import ABC, abstractmethod
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from dataclasses import dataclass
+from typing import List, Optional
 
 from ..clock import SimContext
 from ..errors import (BadFileError, FSError, InvalidArgumentError,

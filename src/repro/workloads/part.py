@@ -100,16 +100,18 @@ def run_part_lookups(fs: FileSystem, ctx: SimContext, *,
     model = PARTModel(fs, ctx, pool_bytes=pool_bytes, hot_keys=hot_keys,
                       seed=seed, path=path)
     recorder = LatencyRecorder()
-    misses = ctx.counters.tlb_misses
+    counters = ctx.counters
+    tlb_misses, llc_misses = counters.tlb_misses, counters.llc_misses
     for _ in range(lookups):
         recorder.record(model.lookup(ctx))
-    # each probe is one TLB lookup
-    misses = ctx.counters.tlb_misses - misses
+    # each probe is one TLB lookup and one LLC lookup
+    tlb_misses = counters.tlb_misses - tlb_misses
+    llc_misses = counters.llc_misses - llc_misses
     result = PARTResult(
         fs_name=fs.name, lookups=lookups,
         summary=recorder.summary(),
         cdf=recorder.cdf(50),
-        tlb_miss_rate=misses / lookups if lookups else 0.0,
-        llc_miss_rate=model.cache.miss_rate)
+        tlb_miss_rate=tlb_misses / lookups if lookups else 0.0,
+        llc_miss_rate=llc_misses / lookups if lookups else 0.0)
     model.close()
     return result

@@ -2,8 +2,7 @@
 
 ``tests/data/campaign_cli_golden.json`` holds the sha256 of everything
 each invocation below leaves behind — report, OpenMetrics file, captured
-stdout, and for ``snapshot build`` the archive's ``index.json`` and every
-pack.  It was recorded *before* the CLI pipelines were folded into one
+stdout, and for ``snapshot build`` every image file of the archive.  It was recorded *before* the CLI pipelines were folded into one
 ``Campaign`` (``PYTHONPATH=src python tests/test_campaign_cli.py`` rewrites
 it), so a passing replay means every flag, default and report byte
 survived.  Re-record only for an intended change of simulated output.
@@ -73,7 +72,7 @@ def _hash_outputs(outputs):
         if os.path.isdir(out):
             paths = sorted(os.path.join(parent, name)
                            for parent, _dirs, names in os.walk(out)
-                           for name in names if name != ".lock")
+                           for name in names)
         else:
             paths = [out]
         for path in paths:

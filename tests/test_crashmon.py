@@ -218,8 +218,9 @@ class _FreedBlocksReusedAtOnce(SyscallOp):
     """An op on a machine where another CPU reuses a freed block at once:
     every extent WineFS frees is overwritten durably before ``_free``
     returns.  A block freed while a transaction could still roll back
-    to it then shows up as foreign bytes in a crash state.  The op maps
-    the file, which queues it (§3.6), and drains the rewrite queue."""
+    to it then shows up as foreign bytes in a crash state.  Kind
+    ``rewrite`` maps the file, which queues it (§3.6), and drains the
+    rewrite queue; any other kind is the plain syscall."""
 
     done: list = field(default_factory=list, compare=False)
 
@@ -237,6 +238,9 @@ class _FreedBlocksReusedAtOnce(SyscallOp):
 
         fs._free = free_then_reuse
         try:
+            if self.kind != "rewrite":
+                super().apply(fs, ctx)
+                return
             f = fs.open(self.path, ctx)
             f.mmap(ctx)
             f.close()
@@ -245,16 +249,24 @@ class _FreedBlocksReusedAtOnce(SyscallOp):
             del fs._free
 
 
+def _fragmented_setup():
+    """``/frag``: 2 MiB appended 64 KiB at a time, interleaved with
+    ``/gap``, so its map runs past the inline extents into an indirect
+    chain."""
+    setup = [SyscallOp("create", "/frag"), SyscallOp("create", "/gap")]
+    for _ in range(HUGE_PAGE // (64 * KIB)):
+        setup += [SyscallOp("append", "/frag", size=64 * KIB),
+                  SyscallOp("append", "/gap", size=64 * KIB)]
+    return setup
+
+
 def test_reactive_rewrite_reads_the_old_or_the_new_map_in_every_crash_state():
     """§3.6's rewrite of a fragmented mapped file copies it to aligned
     blocks, swaps the extent map through the journal and frees the old
     blocks.  In every crash state the file reads its bytes through the
     old map or the new one, even though each freed block (old data, old
     indirect chain) is reused the instant it is freed."""
-    setup = [SyscallOp("create", "/frag"), SyscallOp("create", "/gap")]
-    for _ in range(HUGE_PAGE // (64 * KIB)):     # interleaved: fragmented
-        setup += [SyscallOp("append", "/frag", size=64 * KIB),
-                  SyscallOp("append", "/gap", size=64 * KIB)]
+    setup = _fragmented_setup()
     rewrite = _FreedBlocksReusedAtOnce("rewrite", "/frag")
     # every crash point, with a sample of each one's surviving subsets
     explorer = CrashExplorer(lambda dev: WineFS(dev, num_cpus=2),
@@ -263,6 +275,24 @@ def test_reactive_rewrite_reads_the_old_or_the_new_map_in_every_crash_state():
                                                ops=[rewrite]))
     assert result.passed, result.violations[:3]
     assert rewrite.done == [1]
+    assert result.states_checked > result.crash_points > 0
+
+
+@pytest.mark.parametrize("op", [
+    _FreedBlocksReusedAtOnce("unlink", "/frag"),
+    _FreedBlocksReusedAtOnce("truncate", "/frag", size=64 * KIB)],
+    ids=lambda op: op.kind)
+def test_freed_blocks_wait_for_the_commit_in_every_crash_state(op):
+    """Unlinking or truncating a file whose map has an indirect chain
+    frees its data blocks (and, for the unlink, the chain) inside a
+    metadata transaction.  Each crash state rolls
+    back to the old map or keeps the new one, so none may read a block
+    that was reused before the commit."""
+    explorer = CrashExplorer(lambda dev: WineFS(dev, num_cpus=2),
+                             device_size=64 * MIB, max_subsets=8)
+    result = explorer.run_workload(AceWorkload(
+        op.kind, setup=_fragmented_setup(), ops=[op]))
+    assert result.passed, result.violations[:3]
     assert result.states_checked > result.crash_points > 0
 
 

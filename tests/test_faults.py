@@ -28,7 +28,7 @@ from repro.errors import (ChecksumError, InvalidArgumentError, MediaError,
 from repro.faults import FAULT_KINDS, FaultPlan, FaultSpec, \
     MAX_WRITE_RETRIES
 from repro.fs.common.inode import INODE_BYTES
-from repro.obs import MetricsRegistry, bind_fault_metrics, fault_report
+from repro.obs import fault_report
 from repro.params import BLOCK_SIZE, MIB
 from repro.pm.device import PMDevice
 
@@ -437,16 +437,6 @@ class TestObservability:
         fs.write_file("/f", b"x" * 4096, ctx)
         assert "fault_events" not in repr(
             sorted(ctx.counters.registry.as_dict()))
-
-    def test_bind_fault_metrics_gauges(self):
-        plan = FaultPlan(specs=[FaultSpec("enospc", at_op=0)])
-        registry = MetricsRegistry()
-        bind_fault_metrics(registry, plan)
-        assert registry.value("fault_outcomes", kind="enospc",
-                              outcome="surfaced") == 0.0
-        plan.take_enospc()
-        assert registry.value("fault_outcomes", kind="enospc",
-                              outcome="surfaced") == 1.0
 
     def test_fault_report_text(self):
         plan = FaultPlan(specs=[FaultSpec("enospc", at_op=0)])

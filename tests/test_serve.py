@@ -69,7 +69,8 @@ from repro.serve import (FSObjStorage, LoadSpec, MemoryObjStorage,
                          run_load)
 from repro.snapshot import Archive, store as snapshot_store
 
-from tests.test_snapshot import flip_middle_byte, rewrite, stored_record
+from tests.test_snapshot import (flip_middle_byte, rewrite, stored_record,
+                                 with_version)
 
 SERVE_SIZE = 64 * MIB
 SERVE_CPUS = 2
@@ -1637,7 +1638,7 @@ def test_snapshot_restored_backend_serves_identical_bytes(
         tmp_path, monkeypatch):
     monkeypatch.setenv("REPRO_SNAPSHOT_DIR", str(tmp_path))
     aged = get_objstorage(**_AGED_KWARGS)            # ages, saves
-    assert len(os.listdir(tmp_path / "packs")) == 1
+    assert len(os.listdir(tmp_path / "images")) == 1
     re_aged = get_objstorage(**_AGED_KWARGS, snapshot=False)
     restored = get_objstorage(**_AGED_KWARGS)        # cache hit
     state = _serve_on(aged)
@@ -1648,8 +1649,9 @@ def test_snapshot_restored_backend_serves_identical_bytes(
 def test_corrupt_snapshot_falls_back_and_is_counted(tmp_path, monkeypatch):
     monkeypatch.setenv("REPRO_SNAPSHOT_DIR", str(tmp_path))
     baseline = _serve_on(get_objstorage(**_AGED_KWARGS))
-    ((_key, relpath, _offset, _length),) = Archive(str(tmp_path)).objects()
-    rewrite(tmp_path / relpath, flip_middle_byte)    # break the CRC
+    archive = Archive(str(tmp_path))
+    (key,) = archive.keys()
+    rewrite(archive.path(key), flip_middle_byte)     # break the CRC
 
     storage = get_objstorage(**_AGED_KWARGS)         # falls back, re-ages
     series = storage.ctx.counters.registry.as_dict()
@@ -1660,23 +1662,28 @@ def test_corrupt_snapshot_falls_back_and_is_counted(tmp_path, monkeypatch):
 
 def test_load_ex_classifies_every_failure(tmp_path, monkeypatch):
     monkeypatch.setenv("REPRO_SNAPSHOT_DIR", str(tmp_path))
-    assert snapshot_store.save("k" * 64, {"v": 1})
-    value, status = snapshot_store.load_ex("k" * 64)
+    key, other = "c" * 64, "e" * 64
+    assert snapshot_store.save(key, {"v": 1})
+    value, status = snapshot_store.load_ex(key)
     assert (value, status) == ({"v": 1}, "hit")
-    assert snapshot_store.load_ex("m" * 64) == (None, "miss")
+    assert snapshot_store.load_ex("0" * 64) == (None, "miss")
 
-    path, offset, _length = stored_record("k" * 64)
+    path = stored_record(key)
     good = open(path, "rb").read()
-    rewrite(path, lambda blob: blob[:len(blob) // 2])            # truncated
-    assert snapshot_store.load_ex("k" * 64) == (None, "corrupt")
-    version = (snapshot_store.FORMAT_VERSION + 1).to_bytes(2, "little")
-    rewrite(path, lambda _blob: good[:offset + 4] + version
-            + good[offset + 6:])                                 # future version
-    assert snapshot_store.load_ex("k" * 64) == (None, "stale")
+    rewrite(path, flip_middle_byte)                              # flipped
+    assert snapshot_store.load_ex(key) == (None, "corrupt")
+    rewrite(path, lambda blob: good[:len(good) // 2])            # truncated
+    assert snapshot_store.load_ex(key) == (None, "corrupt")
+    assert snapshot_store.save(other, {"v": 2})                  # another
+    rewrite(path, lambda _blob: open(stored_record(other), "rb").read())
+    assert snapshot_store.load_ex(key) == (None, "corrupt")      # key's image
+    rewrite(path, lambda _blob: with_version(
+        snapshot_store.FORMAT_VERSION + 1)(good))                # future version
+    assert snapshot_store.load_ex(key) == (None, "stale")
     rewrite(path, lambda _blob: good)
-    assert snapshot_store.load_ex("k" * 64)[1] == "hit"
-    assert snapshot_store.load("k" * 64) == {"v": 1}
-    # a record whose CRC holds around a payload the codec cannot read
+    assert snapshot_store.load_ex(key)[1] == "hit"
+    assert snapshot_store.load(key) == {"v": 1}
+    # an image whose CRC holds around a payload the codec cannot read
     assert Archive(str(tmp_path)).put_payload("d" * 64, b"\xffnot a stream")
     assert snapshot_store.load_ex("d" * 64) == (None, "decode_error")
 

@@ -4,7 +4,7 @@ Three layers:
 
 * codec — pickle-free round trips: exact floats, shared references,
   cycles, whitelisting (anything foreign refuses at *encode* time);
-* store — the cache's contract on the pack archive: CRC, version and
+* store — the cache's contract on its image files: CRC, version and
   truncation checks all fail closed (``load`` returns ``None``, callers
   re-age), a save replaces what its key held, the size cap evicts LRU;
 * ``aged_fs`` integration — a restored image is *bit-identical* to a
@@ -17,6 +17,7 @@ from __future__ import annotations
 import os
 import random
 import time
+from pathlib import Path
 
 import pytest
 
@@ -364,22 +365,27 @@ def snap_dir(tmp_path, monkeypatch):
 
 
 def stored_record(key):
-    """``(path, offset, length)`` of the record the cache holds for *key*,
-    found the way a load finds it: through the index."""
-    archive = Archive(store.snapshot_dir())
-    (span,) = [(os.path.join(archive.root, relpath), offset, length)
-               for k, relpath, offset, length in archive.objects() if k == key]
-    return span
+    """The image file the cache holds for *key*, found the way a load
+    finds it: by its key."""
+    path = Archive(store.snapshot_dir()).path(key)
+    assert os.path.exists(path)
+    return path
 
 
 def rewrite(path, mutate):
-    """Damage a stored file in place; *mutate* maps its bytes to new ones
-    (packs are sealed read-only, so make it writable first)."""
-    os.chmod(path, 0o644)
+    """Damage a stored file in place; *mutate* maps its bytes to new ones."""
     with open(path, "rb") as handle:
         blob = handle.read()
     with open(path, "wb") as handle:
         handle.write(mutate(blob))
+
+
+def with_version(version):
+    """A *mutate* for :func:`rewrite` that stamps another store version
+    into an image (it sits right after the magic, outside the CRC)."""
+    at = len(store._MAGIC)
+    raw = version.to_bytes(2, "little")
+    return lambda blob: blob[:at] + raw + blob[at + 2:]
 
 
 def flip_middle_byte(blob):
@@ -387,22 +393,19 @@ def flip_middle_byte(blob):
     return blob[:middle] + bytes((blob[middle] ^ 0xFF,)) + blob[middle + 1:]
 
 
-def packs(directory):
-    return sorted((directory / "packs").glob("pack-*.pack"))
+def images(directory):
+    return sorted((directory / "images").glob("*.img"))
 
 
 class TestStore:
     def test_save_load_roundtrip(self, snap_dir):
         key = store.cache_key({"kind": "unit", "n": 1})
         assert store.save(key, {"x": [1.5, "two"]}, meta={"n": 1})
-        assert os.path.exists(stored_record(key)[0])
         assert store.load(key) == {"x": [1.5, "two"]}
-        # one image, sealed at once: nothing but the index, its lock and
-        # the image's own read-only pack
-        assert sorted(p.name for p in snap_dir.iterdir()) == \
-            [".lock", "index.json", "packs"]
-        (pack,) = packs(snap_dir)
-        assert not os.stat(pack).st_mode & 0o222
+        # one image, one file named by its key, and nothing else
+        assert [p.relative_to(snap_dir) for p in snap_dir.rglob("*")
+                if p.is_file()] == [Path("images", f"{key}.img")]
+        assert stored_record(key) == str(snap_dir / "images" / f"{key}.img")
 
     def test_missing_key(self, snap_dir):
         assert store.load("0" * 64) is None
@@ -411,15 +414,15 @@ class TestStore:
         key = store.cache_key({"kind": "unit", "n": 2})
         assert store.save(key, {"fn": lambda: 0}) is False
         assert store.load_ex(key) == (None, "miss")
-        assert packs(snap_dir) == []
+        assert images(snap_dir) == []
 
     def test_unusable_directory_is_soft(self, tmp_path, monkeypatch):
         """A cache that cannot be used costs a re-age, never an error."""
         blocker = tmp_path / "a-file"
         blocker.write_bytes(b"")
         monkeypatch.setenv("REPRO_SNAPSHOT_DIR", str(blocker / "cache"))
-        assert store.save("k" * 64, {"v": 1}) is False
-        assert store.load_ex("k" * 64) == (None, "miss")
+        assert store.save("ab" * 32, {"v": 1}) is False
+        assert store.load_ex("ab" * 32) == (None, "miss")
 
     def _saved(self, what):
         key = store.cache_key({"kind": "unit", "corrupt": what})
@@ -427,36 +430,34 @@ class TestStore:
         return key, stored_record(key)
 
     def test_corrupt_payload_rejected(self, snap_dir):
-        key, (path, _offset, _length) = self._saved("flip")
+        key, path = self._saved("flip")
         rewrite(path, flip_middle_byte)
         assert store.load_ex(key) == (None, "corrupt")
 
     def test_truncated_file_rejected(self, snap_dir):
-        key, (path, _offset, _length) = self._saved("trunc")
+        key, path = self._saved("trunc")
         rewrite(path, lambda blob: blob[:len(blob) // 2])
         assert store.load_ex(key) == (None, "corrupt")
 
     def test_stale_version_rejected(self, snap_dir):
-        # the u16 store version sits right after the record's 4-byte magic
-        # and is deliberately outside the CRC: bumping FORMAT_VERSION must
+        # the u16 store version sits right after the image's magic and is
+        # deliberately outside the CRC: bumping FORMAT_VERSION must
         # always invalidate, even against accidental CRC collisions
-        key, (path, offset, _length) = self._saved("version")
-        # a record from before the last bump, and one from a newer build
+        key, path = self._saved("version")
+        # an image from before the last bump, and one from a newer build
         for version in (store.FORMAT_VERSION - 1, store.FORMAT_VERSION + 1):
-            rewrite(path, lambda blob: blob[:offset + 4]
-                    + version.to_bytes(2, "little") + blob[offset + 6:])
+            rewrite(path, with_version(version))
             assert store.load_ex(key) == (None, "stale")
 
     def test_save_replaces_a_damaged_entry(self, snap_dir):
-        """The flat store's ``os.replace`` semantic: whatever a key held,
-        the next save wins — and the pack it orphans is unlinked."""
-        key, (path, _offset, _length) = self._saved("heal")
+        """``os.replace`` semantics: whatever a key held, the next save
+        wins, in the same one file."""
+        key, path = self._saved("heal")
         rewrite(path, flip_middle_byte)
         assert store.load_ex(key) == (None, "corrupt")
         assert store.save(key, {"payload": "again"})
         assert store.load_ex(key) == ({"payload": "again"}, "hit")
-        assert not os.path.exists(path)
-        assert len(packs(snap_dir)) == 1
+        assert images(snap_dir) == [Path(path)]
 
     def test_cache_key_sensitivity(self):
         base = {"kind": "aged_fs", "fs": "WineFS", "seed": 7, "churn": 10.0}
@@ -482,21 +483,20 @@ class TestStoreSizeCap:
         for i in range(count):
             key = store.cache_key({"kind": "cap", "n": i})
             assert store.save(key, {"blob": bytes([i]) * payload})
-            os.utime(stored_record(key)[0], (i, i))  # oldest = lowest n
+            os.utime(stored_record(key), (i, i))  # oldest = lowest n
             keys.append(key)
         return keys
 
     @staticmethod
     def _size(key):
-        return os.path.getsize(stored_record(key)[0])
+        return os.path.getsize(stored_record(key))
 
     def test_cap_drops_oldest_first(self, snap_dir):
         keys = self._fill()
         cap = self._size(keys[2]) + self._size(keys[3])
         out = Archive(str(snap_dir)).gc(cap)
-        assert len(out["evicted"]) == 2
-        assert out["dropped_keys"] == sorted(keys[:2])
-        assert sum(os.path.getsize(p) for p in packs(snap_dir)) <= cap
+        assert out["evicted"] == sorted(keys[:2])
+        assert sum(os.path.getsize(p) for p in images(snap_dir)) <= cap
         assert [store.load(k) is not None for k in keys] == \
             [False, False, True, True]
 
@@ -508,8 +508,8 @@ class TestStoreSizeCap:
         assert store.save(key, {"blob": b"x" * 4096})
         assert store.load(key) is not None          # newest always kept
         assert store.load(keys[0]) is None          # oldest evicted
-        assert len(packs(snap_dir)) == 2
-        assert sum(os.path.getsize(p) for p in packs(snap_dir)) <= cap
+        assert len(images(snap_dir)) == 2
+        assert sum(os.path.getsize(p) for p in images(snap_dir)) <= cap
 
     @pytest.mark.parametrize("raw", ["", "lots", "-1", "1e3"])
     def test_value_that_is_no_byte_count_is_no_cap(self, snap_dir,
@@ -580,12 +580,13 @@ class TestAgedSnapshotCache:
     def test_warm_call_skips_aging(self, snap_dir, count_aging):
         aged_fs("WineFS", **_AGE_KW)
         assert count_aging.instances == 1
-        assert len(packs(snap_dir)) == 1
+        (image,) = images(snap_dir)
+        cold = image.read_bytes()
         aged_fs("WineFS", **_AGE_KW)
         assert count_aging.instances == 1  # restored, not re-aged
-        # cold then warm leaves the index, its lock and one sealed pack
-        assert sorted(p.name for p in snap_dir.rglob("*")) == \
-            [".lock", "index.json", "pack-000000.pack", "packs"]
+        # cold then warm leaves exactly the one image file, unchanged
+        assert [p for p in snap_dir.rglob("*") if p.is_file()] == [image]
+        assert image.read_bytes() == cold
 
     def test_snapshot_env_opt_out(self, snap_dir, count_aging, monkeypatch):
         monkeypatch.setenv("REPRO_SNAPSHOT", "0")
@@ -602,8 +603,8 @@ class TestAgedSnapshotCache:
     def test_restore_bit_identical(self, snap_dir, fs_name):
         fs_cold, ctx_cold = aged_fs(fs_name, **_AGE_KW)   # ages + saves
         # directory indexes are plain dicts: no tree rides in the image
-        (pack,) = packs(snap_dir)
-        blob = pack.read_bytes()
+        (image,) = images(snap_dir)
+        blob = image.read_bytes()
         assert b"repro.fs.common.dirindex:" in blob
         assert b"repro.structures.rbtree:" not in blob
         reaged = _replay(fs_cold, ctx_cold)
@@ -618,19 +619,19 @@ class TestAgedSnapshotCache:
     def test_corrupt_snapshot_falls_back_to_aging(self, snap_dir,
                                                   count_aging):
         aged_fs("WineFS", **_AGE_KW)
-        (pack,) = packs(snap_dir)
-        rewrite(pack, flip_middle_byte)
+        (image,) = images(snap_dir)
+        rewrite(image, flip_middle_byte)
         fs, ctx = aged_fs("WineFS", **_AGE_KW)
         assert count_aging.instances == 2  # silently re-aged
         assert ctx.clock.elapsed == 0.0
 
     def test_run_after_a_corrupt_image_is_a_hit(self, snap_dir, count_aging):
         """The run that meets a damaged image re-ages, counts it and heals
-        the cache; the run after restores — and no orphaned pack is left."""
+        the cache; the run after restores — from the one image file."""
         fs, ctx = aged_fs("WineFS", **_AGE_KW)
         cold = _replay(fs, ctx)
-        (pack,) = packs(snap_dir)
-        rewrite(pack, flip_middle_byte)
+        (image,) = images(snap_dir)
+        rewrite(image, flip_middle_byte)
         fs, ctx = aged_fs("WineFS", **_AGE_KW)
         assert count_aging.instances == 2
         assert ctx.counters.registry.value(
@@ -640,12 +641,12 @@ class TestAgedSnapshotCache:
         assert not ctx.counters.registry.value(
             "snapshot_load_failures", fs="WineFS", reason="corrupt")
         _assert_bit_identical(_replay(fs, ctx), cold)
-        assert len(packs(snap_dir)) == 1
+        assert images(snap_dir) == [image]
 
     def test_distinct_parameters_distinct_snapshots(self, snap_dir):
         aged_fs("WineFS", **_AGE_KW)
         aged_fs("WineFS", **{**_AGE_KW, "seed": 12})
-        assert len(packs(snap_dir)) == 2
+        assert len(images(snap_dir)) == 2
 
     def test_warm_restore_speedup(self, snap_dir):
         kw = dict(size_gib=0.25, num_cpus=4, churn_multiple=2.0, seed=3)

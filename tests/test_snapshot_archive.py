@@ -1,36 +1,37 @@
-"""Pack archive: one sealed pack per record, integrity, determinism.
+"""Snapshot archive: one self-checking file per image, integrity,
+determinism.
 
 Five layers:
 
-* ``Archive`` — put/load round trips, payload dedup (aliases), one
-  read-only pack per stored record;
-* failure paths — corrupt or truncated packs and stale index entries
-  all fall back to re-aging (fail-closed), scrub quarantines damaged
-  packs and drops their keys, gc evicts packs LRU-first, a replacing
-  put heals a damaged entry;
-* outside input and crashes — a record is served only to the key it was
-  written for, malformed or hostile index entries are ignored, and a
-  writer killed at any step leaves an archive the next writer converges
-  and scrub reclaims;
-* concurrency — many writers interleaving under the index lock produce
-  one consistent index;
+* ``Archive`` — put/load round trips, one ``images/<key>.img`` file per
+  stored image, keys that are not 64 lowercase hex characters refused
+  before they form a path;
+* failure paths — corrupt or truncated images fall back to re-aging
+  (fail-closed), scrub quarantines damaged images, gc evicts images
+  LRU-first, a replacing put heals a damaged image;
+* outside input and crashes — an image is served only to the key it was
+  written for, arbitrary file bytes never raise, and a writer killed at
+  any step leaves a root the next writer converges and scrub cleans;
+* concurrency — many writers, no lock: every image readable afterwards;
 * corpus builder + ``aged_fs`` — the fleet-built archive is
   byte-identical for any ``--jobs`` value, ``aged_fs`` restores from it
-  when it is the cache directory, and a restore out of a sealed pack
+  when it is the cache directory, and a restore out of an image file
   replays bit-identically to a cold re-age on all nine file systems.
+
+Test names that say *pack* predate the one-file layout, where each image
+was a sealed pack: read them as "image file".
 """
 
 from __future__ import annotations
 
-import json
+import filecmp
 import os
-import stat
+import shutil
 import threading
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-import repro.snapshot.archive as archive_mod
 from repro.harness import CAMPAIGNS, aged_fs
 from repro.harness.setup import SPECS_BY_NAME
 from repro.snapshot import Archive, codec, store
@@ -56,14 +57,24 @@ def routed(arch_dir, monkeypatch):
     return arch_dir
 
 
+def _key(i):
+    return f"{i:02x}" * 32
+
+
 def _fill(archive, count=3, size=2048):
     keys = []
     for i in range(count):
-        key = f"{i:02d}" * 32
         payload = codec.encode({"n": i, "blob": bytes([i]) * size})
-        assert archive.put_payload(key, payload) == "stored"
-        keys.append(key)
+        assert archive.put_payload(_key(i), payload) == "stored"
+        keys.append(_key(i))
     return keys
+
+
+def _tree(root):
+    """Every file under *root*, relative, sorted."""
+    return sorted(os.path.relpath(os.path.join(parent, name), root)
+                  for parent, _dirs, names in os.walk(root)
+                  for name in names)
 
 
 class TestArchive:
@@ -80,229 +91,165 @@ class TestArchive:
     def test_unserializable_not_stored(self, arch_dir):
         archive = Archive(arch_dir)
         assert archive.put("ab" * 32, {"fn": lambda: 0}) is False
-        assert not archive.contains("ab" * 32)
+        assert not os.path.exists(archive.path("ab" * 32))
 
-    def test_identical_payload_becomes_alias(self, arch_dir):
-        archive = Archive(arch_dir)
-        payload = codec.encode({"same": True})
-        assert archive.put_payload("aa" * 32, payload) == "stored"
-        assert archive.put_payload("bb" * 32, payload) == "alias"
-        assert archive.put_payload("aa" * 32, payload) == "existing"
-        stats = archive.stats()
-        assert stats["objects"] == 2
-        assert stats["unique_records"] == 1
-        assert stats["aliases"] == 1
-        # both keys decode, from the one record
-        assert archive.load_ex("bb" * 32) == ({"same": True}, "hit")
-
-    def test_every_record_is_its_own_read_only_pack(self, arch_dir):
+    def test_every_image_is_one_file_named_by_its_key(self, arch_dir):
         archive = Archive(arch_dir)
         keys = _fill(archive, count=4)
-        assert archive.stats()["packs"] == 4
-        assert sorted(os.listdir(arch_dir)) == [".lock", "index.json",
-                                                "packs"]
-        relpaths = [relpath for _key, relpath, *_ in archive.objects()]
-        assert relpaths == [f"packs/pack-{i:06d}.pack" for i in range(4)]
-        for key, relpath, offset, length in archive.objects():
-            assert offset == archive_mod._HEADER_LEN
-            path = os.path.join(arch_dir, relpath)
-            assert os.path.getsize(path) == offset + length
-            assert not os.stat(path).st_mode & (stat.S_IWUSR | stat.S_IWGRP)
-            assert archive.load_ex(key)[1] == "hit"
-        assert [key for key, *_ in archive.objects()] == keys
+        assert _tree(arch_dir) == [os.path.join("images", f"{key}.img")
+                                   for key in keys]
+        assert archive.stats() == {
+            "images": 4,
+            "bytes": sum(os.path.getsize(archive.path(k)) for k in keys)}
+        assert {archive.load_ex(k)[1] for k in keys} == {"hit"}
 
     def test_objects_sorted(self, arch_dir):
         archive = Archive(arch_dir)
         keys = _fill(archive, count=5)
-        listed = [key for key, *_ in archive.objects()]
-        assert listed == sorted(keys)
+        assert archive.keys() == sorted(keys)
 
-    def test_index_is_published_atomically(self, arch_dir):
+    def test_put_payload_first_writer_wins(self, arch_dir):
         archive = Archive(arch_dir)
-        _fill(archive)
-        doc = json.load(open(archive.index_path))
-        assert doc["schema"] == "repro.snapshot-archive/1"
-        assert not [n for n in os.listdir(arch_dir)
-                    if n.startswith(".index-")]  # no temp droppings
+        assert archive.put_payload("aa" * 32, codec.encode(1)) == "stored"
+        assert archive.put_payload("aa" * 32, codec.encode(2)) == "existing"
+        assert archive.load_ex("aa" * 32) == (1, "hit")
+
+    @pytest.mark.parametrize("key", [
+        "../" * 21 + "x", "AB" * 32, "ab" * 31, "ab" * 33, "g" * 64,
+        "ab" * 31 + "a/", "", None, b"ab" * 32])
+    def test_malformed_key_is_refused_before_touching_the_filesystem(
+            self, tmp_path, monkeypatch, key):
+        cache = tmp_path / "cache"
+        monkeypatch.setenv("REPRO_SNAPSHOT_DIR", str(cache))
+        with pytest.raises(ValueError):
+            store.save(key, {"v": 1})
+        with pytest.raises(ValueError):
+            store.load_ex(key)
+        assert not cache.exists()
+        archive = Archive(str(tmp_path / "archive"))
+        for call in (archive.path, archive.load_ex,
+                     lambda k: archive.put(k, {"v": 1}),
+                     lambda k: archive.put_payload(k, b"N")):
+            with pytest.raises(ValueError):
+                call(key)
+        assert _tree(archive.root) == []
 
 
 class TestArchiveFailurePaths:
     def _filled(self, arch_dir):
-        """Three records; the pack of the middle one is returned."""
+        """Three images; the path of the middle one is returned."""
         archive = Archive(arch_dir)
         keys = _fill(archive)
-        pack_rel = dict((k, rel) for k, rel, *_ in archive.objects())[keys[1]]
-        return archive, keys, os.path.join(arch_dir, pack_rel)
+        return archive, keys, archive.path(keys[1])
 
     def test_corrupt_record_reads_corrupt(self, arch_dir):
-        archive, keys, pack = self._filled(arch_dir)
-        os.chmod(pack, 0o644)
-        blob = bytearray(open(pack, "rb").read())
-        blob[len(blob) // 2] ^= 0xFF
-        open(pack, "wb").write(bytes(blob))
-        # only the record in the damaged pack fails; its neighbours still
-        # hit — and nothing raises
+        archive, keys, image = self._filled(arch_dir)
+        rewrite(image, flip_middle_byte)
+        # only the damaged image fails; its neighbours still hit — and
+        # nothing raises
         assert [archive.load_ex(k)[1] for k in keys] == [
             "hit", "corrupt", "hit"]
 
     def test_truncated_pack_reads_corrupt(self, arch_dir):
-        archive, keys, pack = self._filled(arch_dir)
-        os.chmod(pack, 0o644)
-        blob = open(pack, "rb").read()
-        open(pack, "wb").write(blob[:len(blob) // 2])
+        archive, keys, image = self._filled(arch_dir)
+        rewrite(image, lambda blob: blob[:len(blob) // 2])
         assert [archive.load_ex(k)[1] for k in keys] == [
             "hit", "corrupt", "hit"]
-
-    def test_stale_index_entry_is_miss_or_corrupt(self, arch_dir):
-        archive, keys, pack = self._filled(arch_dir)
-        os.unlink(pack)  # index now points at a ghost
-        assert [archive.load_ex(k)[1] for k in keys] == [
-            "hit", "miss", "hit"]
 
     @pytest.mark.parametrize(
         "payload", [b"S\x01l\x00", b"l\x01" * 60000 + b"N"],
         ids=["unhashable-set-member", "nesting-past-the-recursion-limit"])
     def test_undecodable_record_reads_decode_error(self, arch_dir, payload):
-        """A CRC-valid record whose payload does not decode fails closed
+        """A CRC-valid image whose payload does not decode fails closed
         (the caller re-ages) instead of raising out of ``load_ex``."""
         archive = Archive(arch_dir)
         assert archive.put_payload("ab" * 32, payload) == "stored"
         assert archive.load_ex("ab" * 32) == (None, "decode_error")
 
     def test_scrub_clean_archive(self, arch_dir):
-        archive, keys, _pack = self._filled(arch_dir)
-        report = archive.scrub()
-        assert report["quarantined"] == []
-        assert report["dropped_keys"] == []
-        assert report["reclaimed"] == []
-        assert (report["files"], report["objects"]) == (3, len(keys))
+        archive, keys, _image = self._filled(arch_dir)
+        assert archive.scrub() == {"images": len(keys), "quarantined": [],
+                                   "reclaimed": []}
 
     def test_scrub_quarantines_corrupt_pack(self, arch_dir):
-        archive, keys, pack = self._filled(arch_dir)
-        os.chmod(pack, 0o644)
-        blob = bytearray(open(pack, "rb").read())
-        blob[-3] ^= 0xFF  # inside the record's CRC
-        open(pack, "wb").write(bytes(blob))
+        archive, keys, image = self._filled(arch_dir)
+        rewrite(image, lambda blob: blob[:-3] + bytes((blob[-3] ^ 0xFF,))
+                + blob[-2:])                   # inside the image's CRC
         report = archive.scrub()
-        assert report["quarantined"] == [
-            os.path.relpath(pack, arch_dir).replace(os.sep, "/")]
-        assert report["dropped_keys"] == [keys[1]]
+        assert report["quarantined"] == [keys[1]]
         assert os.path.exists(os.path.join(
-            arch_dir, "quarantine", os.path.basename(pack)))
-        # the dropped key now reads as miss: callers re-age
+            arch_dir, "quarantine", os.path.basename(image)))
+        # the quarantined key now reads as miss: callers re-age
         assert [archive.load_ex(k)[1] for k in keys] == [
             "hit", "miss", "hit"]
 
-    def test_scrub_reclaims_crash_leftovers(self, arch_dir):
-        """A pack no entry names and an index temp file are what a writer
-        killed under the lock leaves; scrub holds that lock, so it
-        unlinks both — and only those."""
-        archive, keys, _pack = self._filled(arch_dir)
-        orphan = "packs/pack-000009.pack"
-        with open(os.path.join(arch_dir, orphan), "wb") as handle:
-            handle.write(archive_mod._pack_header())  # torn: no record
-        open(os.path.join(arch_dir, ".index-x.tmp"), "wb").close()
-        report = archive.scrub()
-        assert report["reclaimed"] == [orphan, ".index-x.tmp"]
-        assert report["quarantined"] == [] and report["dropped_keys"] == []
-        assert sorted(os.listdir(arch_dir)) == [".lock", "index.json",
-                                                "packs"]
-        assert {archive.load_ex(k)[1] for k in keys} == {"hit"}
+    def test_scrub_keeps_a_stale_image(self, arch_dir):
+        """Another format version is intact, not damage: the next save
+        replaces it."""
+        archive, keys, image = self._filled(arch_dir)
+        version = (store.FORMAT_VERSION + 1).to_bytes(2, "little")
+        at = len(store._MAGIC)
+        rewrite(image, lambda blob: blob[:at] + version + blob[at + 2:])
+        assert archive.scrub()["quarantined"] == []
+        assert archive.load_ex(keys[1]) == (None, "stale")
 
-    def test_scrub_drops_alias_of_quarantined_record(self, arch_dir):
-        archive = Archive(arch_dir)
-        payload = codec.encode({"v": 1})
-        archive.put_payload("aa" * 32, payload)
-        archive.put_payload("bb" * 32, payload)  # alias
-        (pack_rel,) = {rel for _k, rel, *_ in archive.objects()}
-        pack = os.path.join(arch_dir, pack_rel)
-        os.chmod(pack, 0o644)
-        blob = bytearray(open(pack, "rb").read())
-        blob[-1] ^= 0xFF
-        open(pack, "wb").write(bytes(blob))
+    def test_scrub_reclaims_crash_leftovers(self, arch_dir):
+        """A temp file is what a writer killed before its ``os.replace``
+        leaves; scrub unlinks it — and only it."""
+        archive, keys, _image = self._filled(arch_dir)
+        images = os.path.join(arch_dir, "images")
+        open(os.path.join(images, "tmpx1y2.tmp"), "wb").close()
         report = archive.scrub()
-        assert report["dropped_keys"] == ["aa" * 32, "bb" * 32]
+        assert report["reclaimed"] == ["tmpx1y2.tmp"]
+        assert report["quarantined"] == []
+        assert _tree(arch_dir) == [os.path.join("images", f"{k}.img")
+                                   for k in keys]
+        assert {archive.load_ex(k)[1] for k in keys} == {"hit"}
 
     def test_gc_evicts_lru_packs_only(self, arch_dir):
         archive = Archive(arch_dir)
         keys = _fill(archive, count=3)
-        packs = sorted(n for n in os.listdir(os.path.join(arch_dir, "packs")))
-        assert len(packs) == 3
-        for i, name in enumerate(packs):
-            os.utime(os.path.join(arch_dir, "packs", name), (i, i))
+        for i, key in enumerate(keys):
+            os.utime(archive.path(key), (i, i))
         keep = archive.stats()["bytes"] - 1  # force exactly one eviction
         report = archive.gc(keep)
-        assert report["evicted"] == [f"packs/{packs[0]}"]
-        assert report["dropped_keys"] == [keys[0]]
+        assert report == {"evicted": [keys[0]],
+                          "freed_bytes": report["freed_bytes"]}
+        assert report["freed_bytes"] > 0
         assert archive.load_ex(keys[0])[1] == "miss"
         assert archive.load_ex(keys[2])[1] == "hit"
 
 
-def _pack_names(arch_dir):
-    return sorted(os.listdir(os.path.join(arch_dir, "packs")))
-
-
 class TestReplacingPut:
     """``put`` is the cache's write: the last writer wins, which is what
-    heals a damaged entry; ``put_payload`` keeps the builder's answer."""
+    heals a damaged image; ``put_payload`` keeps the builder's answer."""
 
     @pytest.fixture
     def cache(self, arch_dir):
         return Archive(arch_dir)
 
-    def test_put_replaces_and_unlinks_the_orphaned_pack(self, cache,
-                                                        arch_dir):
-        assert cache.put("k", {"image": 1})
-        (old_pack,) = _pack_names(arch_dir)
-        rewrite(os.path.join(arch_dir, "packs", old_pack), flip_middle_byte)
-        assert cache.load_ex("k") == (None, "corrupt")
-        assert cache.put_payload("k", codec.encode({"image": 1})) \
+    def test_put_replaces_a_damaged_image(self, cache):
+        key = "cd" * 32
+        assert cache.put(key, {"image": 1})
+        rewrite(cache.path(key), flip_middle_byte)
+        assert cache.load_ex(key) == (None, "corrupt")
+        assert cache.put_payload(key, codec.encode({"image": 1})) \
             == "existing"                      # the builder never replaces
-        assert cache.load_ex("k") == (None, "corrupt")
-        assert cache.put("k", {"image": 1})    # same bytes, fresh record
-        assert cache.load_ex("k") == ({"image": 1}, "hit")
-        (new_pack,) = _pack_names(arch_dir)
-        assert new_pack != old_pack
-        assert cache.stats()["objects"] == 1
-        assert cache.scrub()["dropped_keys"] == []
+        assert cache.load_ex(key) == (None, "corrupt")
+        assert cache.put(key, {"image": 1})
+        assert cache.load_ex(key) == ({"image": 1}, "hit")
+        assert cache.keys() == [key]
+        assert cache.scrub()["quarantined"] == []
 
-    def test_pack_an_alias_still_needs_is_kept(self, cache):
-        assert cache.put("owner", {"image": 1})
-        assert cache.put_payload("alias", codec.encode({"image": 1})) \
-            == "alias"
-        assert cache.put("owner", {"image": 2})
-        assert cache.load_ex("alias") == ({"image": 1}, "hit")
-        assert cache.load_ex("owner") == ({"image": 2}, "hit")
-        assert cache.stats()["packs"] == 2
-        # the digest of image 1 no longer names "owner": a third key with
-        # those bytes must not be pointed at owner's new record
-        assert cache.put("third", {"image": 1})
-        assert cache.load_ex("third") == ({"image": 1}, "hit")
-
-    def test_alias_of_a_damaged_record_heals(self, cache, arch_dir):
-        """Re-saving an alias must not alias it straight back onto the
-        record that just failed it."""
-        assert cache.put("owner", {"image": 1})
-        assert cache.put("alias", {"image": 1})
-        assert cache.stats()["aliases"] == 1
-        (damaged,) = _pack_names(arch_dir)
-        rewrite(os.path.join(arch_dir, "packs", damaged), flip_middle_byte)
-        for key in ("alias", "owner"):
-            assert cache.load_ex(key) == (None, "corrupt")
-            assert cache.put(key, {"image": 1})
-            assert cache.load_ex(key) == ({"image": 1}, "hit")
-        assert damaged not in _pack_names(arch_dir)  # orphaned, so unlinked
-        assert cache.scrub()["dropped_keys"] == []
-
-    def test_vanished_pack_is_a_miss(self, cache, arch_dir):
-        """A pack evicted or replaced under a reader is a cold cache, not
-        damage: nothing to count, and the next save replaces the entry."""
-        assert cache.put("k", {"image": 1})
-        (pack,) = _pack_names(arch_dir)
-        os.unlink(os.path.join(arch_dir, "packs", pack))
-        assert cache.load_ex("k") == (None, "miss")
-        assert cache.put("k", {"image": 1})
-        assert cache.load_ex("k") == ({"image": 1}, "hit")
+    def test_vanished_pack_is_a_miss(self, cache):
+        """An image evicted under a reader is a cold cache, not damage:
+        nothing to count, and the next save stores it again."""
+        key = "cd" * 32
+        assert cache.put(key, {"image": 1})
+        os.unlink(cache.path(key))
+        assert cache.load_ex(key) == (None, "miss")
+        assert cache.put(key, {"image": 1})
+        assert cache.load_ex(key) == ({"image": 1}, "hit")
 
 
 class _Killed(Exception):
@@ -310,185 +257,135 @@ class _Killed(Exception):
 
 
 def _kill_at(monkeypatch, step):
-    """Make the next write die at *step* of ``_store``."""
+    """Make the next write die at *step*; a kill runs no cleanup, so
+    ``os.unlink`` dies too."""
     def die(*_args, **_kwargs):
         raise _Killed(step)
 
-    if step == "written":     # the pack is durable but still writable
-        monkeypatch.setattr(archive_mod.os, "chmod", die)
-    elif step == "sealed":    # the pack is sealed; the index never heard of it
-        monkeypatch.setattr(Archive, "_publish_index", die)
-    else:                     # the new index is written but not renamed in,
-        real = os.replace     # and a kill runs no cleanup
+    real = os.replace
 
-        def replace(src, dst):
-            if str(dst).endswith("index.json"):
-                die()
-            return real(src, dst)
-        monkeypatch.setattr(archive_mod.os, "replace", replace)
-        monkeypatch.setattr(archive_mod.os, "unlink", die)
+    def replace_then_die(src, dst):
+        real(src, dst)
+        die()
 
-
-def _assert_clean(archive, images):
-    """Every key hits its own image, the packs on disk are exactly the
-    indexed ones, nothing else is left in the root, and scrub has
-    nothing to do."""
-    for key, image in images.items():
-        assert archive.load_ex(key) == (image, "hit"), key
-    indexed = {relpath for _key, relpath, *_ in archive.objects()}
-    assert {f"packs/{name}" for name in _pack_names(archive.root)} == indexed
-    assert sorted(os.listdir(archive.root)) == [".lock", "index.json",
-                                                "packs"]
-    assert archive.scrub() == {
-        "files": len(indexed), "objects": len(indexed), "quarantined": [],
-        "dropped_keys": [], "reclaimed": []}
+    monkeypatch.setattr(store.os, "unlink", die)
+    if step == "written":    # the bytes are in the temp file, not durable
+        monkeypatch.setattr(store.os, "fsync", die)
+    elif step == "sealed":   # the temp file is durable, never published
+        monkeypatch.setattr(store.os, "replace", die)
+    else:                    # published, and the writer dies before return
+        monkeypatch.setattr(store.os, "replace", replace_then_die)
 
 
 class TestCrashConvergence:
     """Kill a writer at each step; the next writer must store the key
     again, and scrub must reclaim what the dead one left."""
 
-    _IMAGES = {f"k{i}": {"image": i} for i in (1, 2, 3)}
+    _IMAGES = {_key(i): {"image": i} for i in (1, 2, 3)}
 
-    def test_record_served_only_to_its_key(self, arch_dir, monkeypatch):
-        """The reproduction: a gc dies between unlinking a pack and
-        publishing the index, the next put reuses the pack number, and
-        k1's stale entry lands exactly on k3's record."""
+    def test_record_served_only_to_its_key(self, arch_dir):
+        """An image copied or renamed under another key's name (by hand,
+        or by a tool that mixes up names) is never served to that key;
+        scrub quarantines it."""
         archive = Archive(arch_dir)
-        assert archive.put("k1", {"image": 1})
-        with monkeypatch.context() as patch:
-            _kill_at(patch, "sealed")
-            with pytest.raises(_Killed):
-                archive.gc(0)
-        assert archive.put("k3", {"image": 3})
-        assert _pack_names(arch_dir) == ["pack-000000.pack"]
-        assert archive.load_ex("k3") == ({"image": 3}, "hit")
-        assert archive.load_ex("k1") == (None, "corrupt")
-        report = archive.scrub()
-        assert report["dropped_keys"] == ["k1"]
-        assert report["quarantined"] == [] and report["reclaimed"] == []
-        assert archive.load_ex("k1") == (None, "miss")
+        k1, k3 = _key(1), _key(3)
+        assert archive.put(k3, {"image": 3})
+        shutil.copyfile(archive.path(k3), archive.path(k1))
+        assert archive.load_ex(k3) == ({"image": 3}, "hit")
+        assert archive.load_ex(k1) == (None, "corrupt")
+        assert archive.scrub()["quarantined"] == [k1]
+        assert archive.load_ex(k1) == (None, "miss")
 
     @pytest.mark.parametrize("step", ["written", "sealed", "publish"])
     def test_killed_cache_save_converges(self, arch_dir, monkeypatch, step):
-        assert Archive(arch_dir).put("k1", self._IMAGES["k1"])
+        keys = sorted(self._IMAGES)
+        assert Archive(arch_dir).put(keys[0], self._IMAGES[keys[0]])
         with monkeypatch.context() as patch:
             _kill_at(patch, step)
             with pytest.raises(_Killed):
-                Archive(arch_dir).put("k2", self._IMAGES["k2"])
+                Archive(arch_dir).put(keys[1], self._IMAGES[keys[1]])
         archive = Archive(arch_dir)
-        assert archive.load_ex("k2") == (None, "miss")  # never published
-        assert archive.put("k2", self._IMAGES["k2"])
-        assert archive.put_payload("k3", codec.encode(self._IMAGES["k3"])) \
-            == "stored"
-        report = archive.scrub()
-        assert report["quarantined"] == [] and report["dropped_keys"] == []
-        assert report["reclaimed"][0] == "packs/pack-000001.pack"
+        leftovers = [name for name in os.listdir(os.path.join(arch_dir,
+                                                              "images"))
+                     if name.endswith(".tmp")]
         if step == "publish":
-            (tmp,) = report["reclaimed"][1:]
-            assert tmp.startswith(".index-") and tmp.endswith(".tmp")
+            assert archive.load_ex(keys[1]) == (self._IMAGES[keys[1]], "hit")
+            assert leftovers == []
         else:
-            assert len(report["reclaimed"]) == 1
-        _assert_clean(archive, self._IMAGES)
+            assert archive.load_ex(keys[1]) == (None, "miss")
+            assert len(leftovers) == 1
+        assert archive.put(keys[1], self._IMAGES[keys[1]])
+        assert archive.put_payload(keys[2], codec.encode(
+            self._IMAGES[keys[2]])) == "stored"
+        assert archive.scrub() == {"images": 3, "quarantined": [],
+                                   "reclaimed": leftovers}
+        for key, image in self._IMAGES.items():
+            assert archive.load_ex(key) == (image, "hit"), key
+        assert _tree(arch_dir) == [os.path.join("images", f"{k}.img")
+                                   for k in keys]
+        assert archive.scrub() == {"images": 3, "quarantined": [],
+                                   "reclaimed": []}
 
 
-_MALFORMED_ENTRIES = {
-    "nan-offset": ["packs/pack-000000.pack", "NaN", 5],
-    "legacy-shard": ["shard-build.write", 10, 100],
-    "too-short": [1, 2],
-    "string": "str",
-    "null": None,
-    "escapes-root": ["../../../etc/passwd", 0, 10],
-}
-
-# index entries near enough to the real shape to get past a careless check
-_ENTRY_FIELDS = st.one_of(
-    st.sampled_from(["shard-x.write", "packs/pack-000001.pack", "../x",
-                     "/etc/passwd", "packs/../../x", "shard-\x00.write"]),
-    st.integers(-3, 1 << 70), st.booleans(), st.none(), st.text(max_size=3))
-_JSON = st.recursive(
-    st.none() | st.booleans() | st.integers() | st.floats() | st.text()
-    | st.lists(_ENTRY_FIELDS, min_size=2, max_size=5),
-    lambda inner: st.lists(inner, max_size=4)
-    | st.dictionaries(st.text(max_size=4), inner, max_size=4),
-    max_leaves=10)
-
-
-class TestHostileIndex:
-    """``index.json`` is outside input: the repair tool has to survive
-    whatever it finds there."""
-
-    def _with_entry(self, arch_dir, entry):
-        archive = Archive(arch_dir)
-        assert archive.put("good", {"v": 1})
-        doc = json.load(open(archive.index_path))
-        doc["objects"]["bad"] = entry
-        json.dump(doc, open(archive.index_path, "w"))
-        return archive
-
-    @pytest.mark.parametrize("name", sorted(_MALFORMED_ENTRIES))
-    def test_malformed_entry_is_ignored(self, arch_dir, name):
-        archive = self._with_entry(arch_dir, _MALFORMED_ENTRIES[name])
-        assert archive.load_ex("bad") == (None, "miss")  # never followed
-        assert not archive.contains("bad")
-        assert [key for key, *_ in archive.objects()] == ["good"]
-        assert archive.stats()["objects"] == 1
-        assert archive.gc(1 << 40)["dropped_keys"] == []
-        report = archive.scrub()
-        assert report["dropped_keys"] == [] and report["quarantined"] == []
-        assert archive.load_ex("good") == ({"v": 1}, "hit")
-        assert archive.put("bad", {"v": 2})              # and replaceable
-        assert archive.load_ex("bad") == ({"v": 2}, "hit")
-
-    @pytest.mark.parametrize("name", sorted(_MALFORMED_ENTRIES))
-    def test_cli_survives_malformed_entry(self, arch_dir, name, capsys):
-        from repro.cli import main
-
-        self._with_entry(arch_dir, _MALFORMED_ENTRIES[name])
-        for action in ("ls", "scrub", "gc"):
-            assert main(["snapshot", action, "--archive", arch_dir,
-                         "--max-bytes", str(1 << 40)]) == 0
-        out = capsys.readouterr().out
-        assert "1 object(s)" in out and "quarantined" not in out
+class TestHostileFiles:
+    """The image files are outside input: the cache and the repair
+    tools have to survive whatever they find in the root."""
 
     @settings(max_examples=60, deadline=None)
-    @given(objects=_JSON, contents=_JSON, blob=st.binary(max_size=200))
-    def test_arbitrary_index_and_record_bytes(self, tmp_path_factory,
-                                              objects, contents, blob):
-        """Arbitrary JSON where the index sections go and arbitrary bytes
-        where records go: every method answers, none raises."""
-        parsed = archive_mod._parse_record(blob, 0)
-        assert parsed is None or len(parsed) == 5
+    @given(blob=st.binary(max_size=200), keep_head=st.booleans())
+    def test_arbitrary_image_bytes(self, tmp_path_factory, blob, keep_head):
+        """Arbitrary bytes where an image goes, with or without a valid
+        header in front: every method answers, none raises."""
         root = str(tmp_path_factory.mktemp("hostile"))
         archive = Archive(root)
-        assert archive.put("good", {"v": 1})
-        with open(os.path.join(root, "packs", "pack-000001.pack"),
-                  "wb") as handle:
-            handle.write(archive_mod._pack_header() + blob)
-        with open(archive.index_path, "w") as handle:
-            json.dump({"schema": archive_mod.INDEX_SCHEMA,
-                       "objects": objects, "contents": contents}, handle)
-        keys = list(objects) if isinstance(objects, dict) else []
-        for key in keys + ["absent"]:
-            value, status = archive.load_ex(key)
-            assert status in store.LOAD_STATUSES and value is None
-        assert all(type(offset) is int and type(length) is int
-                   for _key, _rel, offset, length in archive.objects())
-        assert archive.stats()["objects"] <= len(keys)
-        assert archive.put_payload("p", codec.encode({"v": 2})) in (
-            "stored", "alias", "existing")
-        assert archive.put("new", {"v": 3})
-        assert archive.load_ex("new") == ({"v": 3}, "hit")
-        archive.gc(0)
+        good, bad = _key(1), _key(2)
+        assert archive.put(good, {"v": 1})
+        if keep_head:
+            blob = open(archive.path(good), "rb").read()[:24] + blob
+        with open(archive.path(bad), "wb") as handle:
+            handle.write(blob)
+        value, status = archive.load_ex(bad)
+        assert status in store.LOAD_STATUSES and value is None
+        assert archive.stats()["images"] == 2
+        assert archive.put_payload(bad, codec.encode({"v": 2})) == "existing"
         archive.scrub()
-        assert archive.scrub()["dropped_keys"] == []
+        assert archive.scrub()["quarantined"] == []
+        assert archive.load_ex(good) == ({"v": 1}, "hit")
+        assert archive.put(bad, {"v": 3})
+        assert archive.load_ex(bad) == ({"v": 3}, "hit")
+        archive.gc(0)
+        assert archive.keys() == []
+
+    def test_cli_survives_foreign_files(self, arch_dir, capsys):
+        """A directory where an image goes, a name that is no key, and
+        the files of the retired pack layout: ``ls`` / ``scrub`` / ``gc``
+        skip what is not an image and quarantine what is damaged."""
+        from repro.cli import main
+
+        archive = Archive(arch_dir)
+        assert archive.put(_key(1), {"v": 1})
+        os.mkdir(archive.path(_key(2)))
+        for name in ("images/notakey.img", "index.json",
+                     "packs/pack-000000.pack"):
+            os.makedirs(os.path.dirname(os.path.join(arch_dir, name)),
+                        exist_ok=True)
+            open(os.path.join(arch_dir, name), "wb").close()
+        assert archive.load_ex(_key(2)) == (None, "corrupt")
+        assert main(["snapshot", "ls", "--archive", arch_dir]) == 0
+        assert main(["snapshot", "scrub", "--archive", arch_dir]) == 1
+        assert main(["snapshot", "gc", "--archive", arch_dir,
+                     "--max-bytes", str(1 << 40)]) == 0
+        out = capsys.readouterr().out
+        assert "2 image(s)" in out and f"quarantined {_key(2)}" in out
+        assert archive.keys() == [_key(1)]
+        assert archive.load_ex(_key(1)) == ({"v": 1}, "hit")
 
 
 class TestConcurrentWriters:
-    def test_many_writers_one_consistent_index(self, arch_dir):
-        """Pack writes and index merges serialize on the file lock.
-        Every key must be readable afterwards, in a pack of its own, and
-        the index must hold exactly the union."""
+    def test_many_writers_every_image_readable(self, arch_dir):
+        """Writers share no lock: each publishes whole files with
+        ``os.replace``.  Every key must be readable afterwards, in a
+        file of its own, with no temp file left behind."""
         per_writer = 8
         writers = 4
         errors = []
@@ -509,14 +406,15 @@ class TestConcurrentWriters:
         for thread in threads:
             thread.start()
         for thread in threads:
-            thread.join()
+            thread.join(timeout=60)
+            assert not thread.is_alive()
         assert errors == []
         reader = Archive(arch_dir)
-        keys = [key for key, *_ in reader.objects()]
+        keys = reader.keys()
         assert len(keys) == writers * per_writer
         assert all(reader.load_ex(k)[1] == "hit" for k in keys)
-        assert reader.stats()["packs"] == writers * per_writer
-        assert reader.scrub()["dropped_keys"] == []
+        assert len(_tree(arch_dir)) == writers * per_writer
+        assert reader.scrub()["quarantined"] == []
 
 
 _CORPUS = CAMPAIGNS["snapshot"]
@@ -536,25 +434,23 @@ class TestCorpusBuilder:
         with pytest.raises(Exception):
             _CORPUS.matrix(["WineFS"], ["no-such-profile"], [0.5], [1])
 
-    def test_build_deduplicates_unageable_cells(self, arch_dir):
-        """PMFS is returned clean for every profile, so its images are
-        byte-identical across profiles — the archive must store one."""
+    def test_build_stores_one_file_per_cell(self, arch_dir):
+        """Every cell is its own key, so every cell stores one image
+        file, even where two payloads are byte-identical (an un-ageable
+        PMFS cell under two profiles); a rebuild stores nothing."""
         cells = _CORPUS.matrix(*self._GRID, size_gib=0.0625,
                                churn_multiple=0.25)
         report = _CORPUS.run(cells, root=arch_dir)
-        by_cell = {(c["fs"], c["profile"]): c["status"]
-                   for c in report["cells"]}
-        assert by_cell[("PMFS", "agrawal")] == "stored"
-        assert by_cell[("PMFS", "wang-hpc")] == "alias"
-        assert report["archive"]["aliases"] == 1
-        # one pack per stored image; an alias writes none
-        statuses = [c["status"] for c in report["cells"]]
-        assert report["archive"]["packs"] == statuses.count("stored")
+        assert [c["status"] for c in report["cells"]] == ["stored"] * 4
+        assert report["archive"]["images"] == 4
+        assert len(_tree(arch_dir)) == 4
         assert report["metrics"]
+        rerun = _CORPUS.run(cells, root=arch_dir)
+        assert [c["status"] for c in rerun["cells"]] == ["existing"] * 4
 
     def test_jobs_do_not_change_bytes(self, tmp_path):
         """The whole point: fan-out is an implementation detail.  Same
-        grid, any ``--jobs`` → byte-identical packs, index and report."""
+        grid, any ``--jobs`` → byte-identical roots and report."""
         cells = _CORPUS.matrix(["WineFS"], ["agrawal", "wang-hpc"], [0.5],
                                [3], size_gib=0.0625, churn_multiple=0.25)
         roots, reports = [], []
@@ -563,13 +459,11 @@ class TestCorpusBuilder:
             reports.append(_CORPUS.run(list(cells), jobs=jobs, root=root))
             roots.append(root)
         assert reports[0] == reports[1]
-        read = lambda r, rel: open(os.path.join(r, rel), "rb").read()
-        assert read(roots[0], "index.json") == read(roots[1], "index.json")
-        packs = sorted(os.listdir(os.path.join(roots[0], "packs")))
-        assert packs == sorted(os.listdir(os.path.join(roots[1], "packs")))
-        for name in packs:
-            assert read(roots[0], f"packs/{name}") == \
-                read(roots[1], f"packs/{name}")
+        files = _tree(roots[0])
+        assert len(files) == 2 and files == _tree(roots[1])
+        match, mismatch, errors = filecmp.cmpfiles(roots[0], roots[1], files,
+                                                   shallow=False)
+        assert (mismatch, errors) == ([], [])
 
     def test_corpus_restores_through_aged_fs(self, routed, count_aging):
         """An image built by the corpus builder lands on exactly the key
@@ -588,15 +482,14 @@ class TestArchiveRoutedStore:
         aged_fs("WineFS", **_AGE_KW)
         assert count_aging.instances == 1
         aged_fs("WineFS", **_AGE_KW)
-        assert count_aging.instances == 1  # warm restore from its pack
-        stats = Archive(routed).stats()
-        assert (stats["objects"], stats["packs"]) == (1, 1)
+        assert count_aging.instances == 1  # warm restore from its image
+        assert Archive(routed).stats()["images"] == 1
 
     def test_corrupt_archive_falls_back_to_aging(self, routed, count_aging):
         aged_fs("WineFS", **_AGE_KW)
         archive = Archive(routed)
-        (pack_rel,) = {rel for _k, rel, *_ in archive.objects()}
-        rewrite(os.path.join(routed, pack_rel), flip_middle_byte)
+        (key,) = archive.keys()
+        rewrite(archive.path(key), flip_middle_byte)
         fs, ctx = aged_fs("WineFS", **_AGE_KW)
         assert count_aging.instances == 2  # re-aged, run not stopped
         assert ctx.counters.registry.value(
@@ -608,12 +501,13 @@ class TestArchiveRoutedStore:
 @pytest.mark.parametrize("fs_name", sorted(SPECS_BY_NAME),
                          ids=lambda name: f"{name}-array")
 def test_pack_restore_bit_identical(fs_name, routed, tmp_path):
-    """A restore out of a *sealed pack* replays bit-identically to a
-    cold re-age — same sim_ns clocks (repr-compared floats), counters,
-    metrics, read bytes and statfs — for every evaluated file system."""
+    """A restore out of an archived image file replays bit-identically
+    to a cold re-age — same sim_ns clocks (repr-compared floats),
+    counters, metrics, read bytes and statfs — for every evaluated file
+    system."""
     fs_cold, ctx_cold = aged_fs(fs_name, **_AGE_KW)  # ages + archives
     reaged = _replay(fs_cold, ctx_cold)
-    stats = Archive(routed).stats()  # warm path must come from a pack
-    assert stats["packs"] == 1
+    # the warm path must come from the one image file
+    assert Archive(routed).stats()["images"] == 1
     fs_warm, ctx_warm = aged_fs(fs_name, **_AGE_KW)
     _assert_bit_identical(_replay(fs_warm, ctx_warm), reaged)
