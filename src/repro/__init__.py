@@ -24,10 +24,8 @@ from dataclasses import dataclass
 from .clock import EventCounters, SimClock, SimContext, make_context
 from .obs import (MetricsRegistry, NULL_TRACER, Tracer, chrome_trace,
                   write_chrome_trace, write_metrics_json, write_span_jsonl)
-from .params import (DEFAULT_MACHINE, GIB, HUGE_PAGE, KIB, MIB,
-                     MachineParams, PartitionParams)
+from .params import DEFAULT_MACHINE, GIB, HUGE_PAGE, KIB, MIB, MachineParams
 from .pm.device import PMDevice
-from .pm.numa import NumaTopology
 from .core.filesystem import WineFS
 from .fs import Ext4DAX, NovaFS, PMFS, SplitFS, StrataFS, XfsDAX
 
@@ -47,17 +45,12 @@ class Machine:
 
 
 def make_machine(size_gib: float = 1.0, num_cpus: int = 4,
-                 numa_nodes: int = 1, track_stores: bool = False,
+                 track_stores: bool = False,
                  machine_params: MachineParams = DEFAULT_MACHINE) -> Machine:
     """Build a simulated PM machine for examples and tests."""
     size = int(size_gib * GIB)
     size -= size % HUGE_PAGE
-    topology = None
-    if numa_nodes > 1:
-        topology = NumaTopology(num_cpus=num_cpus, nodes=numa_nodes,
-                                pm_bytes=size)
-    device = PMDevice(size, machine_params, topology,
-                      track_stores=track_stores)
+    device = PMDevice(size, machine_params, track_stores=track_stores)
     return Machine(device=device, ctx=make_context(num_cpus=num_cpus))
 
 
@@ -72,8 +65,7 @@ __all__ = [
     "SimClock", "SimContext", "EventCounters",
     "MetricsRegistry", "NULL_TRACER", "Tracer", "chrome_trace",
     "write_chrome_trace", "write_metrics_json", "write_span_jsonl",
-    "MachineParams", "PartitionParams", "DEFAULT_MACHINE",
-    "PMDevice", "NumaTopology",
+    "MachineParams", "DEFAULT_MACHINE", "PMDevice",
     "WineFS", "Ext4DAX", "NovaFS", "PMFS", "XfsDAX", "SplitFS", "StrataFS",
     "METADATA_CONSISTENT_FS", "DATA_CONSISTENT_FS",
     "KIB", "MIB", "GIB", "HUGE_PAGE",

@@ -105,8 +105,6 @@ class LockManager:
         self._holder: Dict[str, int] = {}
         self._atomic_next: Dict[str, float] = {}
         self.contended_waits = 0
-        self.acquisitions = 0
-        self.lock_wait_ns = 0.0
         #: observability hooks, attached by SimContext.__post_init__
         self.counters: Optional["EventCounters"] = None
         self.trace: NullTracer = NULL_TRACER
@@ -138,14 +136,11 @@ class LockManager:
         self._holder.clear()
         self._atomic_next.clear()
         self.contended_waits = 0
-        self.acquisitions = 0
-        self.lock_wait_ns = 0.0
 
     def _charge_wait(self, name: str, cpu: int, now: float,
                      until: float) -> None:
         wait = until - now
         self.contended_waits += 1
-        self.lock_wait_ns += wait
         if self.counters is not None:
             self.counters.lock_wait_ns += wait
         if self.trace.enabled:
@@ -161,7 +156,6 @@ class LockManager:
             self._charge_wait(name, cpu, now, free_at)
             clock.advance_to(cpu, free_at)
         self._holder[name] = cpu
-        self.acquisitions += 1
 
     def release(self, name: str, cpu: int) -> None:
         # _holder keeps only locks that are held
@@ -218,7 +212,6 @@ class LockManager:
             clock.advance_to(cpu, busy)
         clock.charge(cpu, hold_ns)
         self._atomic_next[name] = busy + hold_ns
-        self.acquisitions += 1
 
 
 #: EventCounters field -> (registry metric name, labels).  The registry is

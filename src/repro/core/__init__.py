@@ -15,13 +15,14 @@ A hugepage-aware PM file system (SOSP 2021) built from:
   per-CPU journals in global-transaction-ID order and rebuilds DRAM state
   by scanning per-CPU inode tables (``WineFS.mount``);
 * **reactive rewriting** of fragmented mmap'ed files
-  (:mod:`repro.core.rewrite`) and **alignment xattrs**;
-* a **NUMA policy** that keeps writes on a process's home node
-  (:mod:`repro.core.numa_policy`).
+  (:mod:`repro.core.rewrite`) and **alignment xattrs**.
+
+The paper's socket-awareness (§3.6, a home socket for each process's
+writes) is not modelled: its §5.1 evaluation runs on one socket with it
+disabled, and no experiment here measures it.
 """
 
 from .filesystem import WineFS
 from .journal import PerCPUJournal, JournalManager
-from .numa_policy import NumaPolicy
 
-__all__ = ["WineFS", "PerCPUJournal", "JournalManager", "NumaPolicy"]
+__all__ = ["WineFS", "PerCPUJournal", "JournalManager"]

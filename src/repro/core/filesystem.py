@@ -41,7 +41,6 @@ from .layout import (INLINE_EXTENTS, EXTENTS_PER_INDIRECT, MAX_FILE_SIZE,
                      InodePacker, InodeRecord, Layout, pack_indirect,
                      read_superblock, unpack_inode, walk_chain,
                      write_superblock)
-from .numa_policy import NumaPolicy
 from .rewrite import RewriteQueue
 
 XATTR_ALIGNED = "user.winefs.aligned"
@@ -159,10 +158,6 @@ class WineFS(BaseFS):
         self.quarantined: set = set()
         self.journal: Optional[JournalManager] = None
         self.rewrite_queue = RewriteQueue(self)
-        self.numa_policy: Optional[NumaPolicy] = None
-        if device.topology is not None and device.topology.nodes > 1:
-            self.numa_policy = NumaPolicy(
-                device.topology, self._free_space_of_node)
         self._txn_stack: Dict[int, list] = {}
         self._indirect_chains: Dict[int, List[int]] = {}
         self._serialized_extents: Dict[int, tuple] = {}
@@ -307,6 +302,10 @@ class WineFS(BaseFS):
             inode.owner_cpu = self.layout.cpu_of_ino(rec.ino) \
                 % self.layout.num_cpus
             self._itable.adopt(inode)
+            # the packer remembers the name now on PM, so the first
+            # update after mount can tell whether a rename moved it
+            self._packer.pack(inode, inode.extents.as_tuple(),
+                              chain[0] if chain else 0)
             if inode.is_dir:
                 self._dirs[inode.ino] = self.dir_index_cls()
             used.extend(inode.extents)
@@ -340,6 +339,7 @@ class WineFS(BaseFS):
                 f"is not reachable from the root")
         for ino in unreachable:
             self._dirs.pop(ino, None)
+            self._packer.drop(ino)
             self._itable.free(ino)
         for inode in self._itable.live_inodes():
             if inode.ino == ROOT_INO:
@@ -548,7 +548,8 @@ class WineFS(BaseFS):
                 else:
                     self.device.persist(chain[i] * BLOCK_SIZE, blob, ctx)
             if txn is not None:
-                if first_dirty >= INLINE_EXTENTS:
+                if first_dirty >= INLINE_EXTENTS \
+                        and not self._packer.renamed(inode):
                     # header entry alone suffices: n_extents gates how much
                     # of the (suffix-extended) chain is live
                     txn.log_undo(addr, ctx)
@@ -587,9 +588,11 @@ class WineFS(BaseFS):
                 else:
                     txn.frees += freed         # rollback needs them
             if txn is not None:
-                # the name region never changes on a data-path update, so
-                # only the header + inline-extent area needs an undo image
-                txn.log_undo_range(addr, 72, ctx)
+                # the name region changes only on a rename, so a
+                # data-path update logs the header + inline extents alone
+                txn.log_undo_range(
+                    addr, INODE_BYTES if self._packer.renamed(inode)
+                    else 72, ctx)
         self._indirect_chains[ino] = chain
         indirect0 = chain[0] if chain else 0
         self.device.persist(addr, self._packer.pack(inode, new_tuple,
@@ -979,11 +982,3 @@ class WineFS(BaseFS):
         if parent.xattrs.get(XATTR_ALIGNED) == b"1":
             child.aligned_hint = True
 
-    # ------------------------------------------------------- NUMA
-
-    def _free_space_of_node(self, node: int) -> int:
-        pools = self._pools
-        if self.device.topology is None:
-            return sum(p.free_blocks for p in pools)
-        cpus = self.device.topology.cpus_of_node(node)
-        return sum(pools[c % len(pools)].free_blocks for c in cpus)

@@ -229,6 +229,14 @@ class InodePacker:
     def drop(self, ino: int) -> None:
         self._slots.pop(ino, None)
 
+    def renamed(self, inode) -> bool:
+        """Whether *inode*'s name differs from the one last packed for it.
+
+        The name field lies past the header and the inline extents, so
+        an undo image that skips it cannot roll back a rename."""
+        entry = self._slots.get(inode.ino)
+        return entry is not None and entry[3] != inode.name
+
     def pack(self, inode, extents: tuple, indirect_block: int) -> bytearray:
         entry = self._slots.get(inode.ino)
         if entry is None:

@@ -23,9 +23,9 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, Iterator, List, Tuple
 
-from ..clock import SimContext, make_context
+from ..clock import make_context
 from ..pm.device import PMDevice
 from ..vfs.interface import FileSystem
 from .ace import AceWorkload
@@ -60,22 +60,33 @@ class CrashExplorer:
         self.num_cpus = num_cpus
         self.max_subsets = max_subsets
 
-    def run_workload(self, workload: AceWorkload) -> CrashTestResult:
-        result = CrashTestResult(workload=workload.name)
+    def _run_ops(self, workload: AceWorkload) -> Iterator[tuple]:
+        """Format, run the setup, then replay the ops one at a time.
+
+        Yields ``(i, op, device, pre, post, epochs)`` per op: the logical
+        state before and after it, and its crash points as
+        :meth:`PMDevice.end_capture` returns them.  The setup is never
+        crashed, and each op is made fully durable before the next one.
+        """
         device = PMDevice(self.device_size, track_stores=True)
         fs = self.fs_factory(device)
         ctx = make_context(self.num_cpus)
         fs.mkfs(ctx)
         workload.run_setup(fs, ctx)
-        device.drain()   # setup is never crashed
-
-        expected_states: List[LogicalState] = [capture_state(fs)]
+        device.drain()
+        pre = capture_state(fs)
         for i, op in enumerate(workload.ops):
             device.start_capture()
             op.apply(fs, ctx)
             post = capture_state(fs)
             epochs = device.end_capture()
-            pre = expected_states[-1]
+            yield i, op, device, pre, post, epochs
+            pre = post
+            device.drain()
+
+    def run_workload(self, workload: AceWorkload) -> CrashTestResult:
+        result = CrashTestResult(workload=workload.name)
+        for _i, op, device, pre, post, epochs in self._run_ops(workload):
             # one crash point at the instant before every fence retired,
             # plus the final point with never-fenced residue
             for epoch, seqs in epochs:
@@ -85,8 +96,6 @@ class CrashExplorer:
                     image = device.capture_crash_image(epoch, surviving)
                     self._check_one(image, pre, post, op, epoch, surviving,
                                     result)
-            expected_states.append(post)
-            device.drain()   # op is fully durable before the next one
         return result
 
     def _check_one(self, image: PMDevice, pre: LogicalState,
@@ -141,23 +150,13 @@ class CrashExplorer:
         by_op: Dict[int, List[dict]] = {}
         for p in points:
             by_op.setdefault(int(p["op"]), []).append(p)
-        device = PMDevice(self.device_size, track_stores=True)
-        fs = self.fs_factory(device)
-        ctx = make_context(self.num_cpus)
-        fs.mkfs(ctx)
-        workload.run_setup(fs, ctx)
-        device.drain()
-        pre = capture_state(fs)
-        for i, op in enumerate(workload.ops):
-            device.start_capture()
-            op.apply(fs, ctx)
-            post = capture_state(fs)
-            epochs = dict(device.end_capture())
+        for i, op, device, pre, post, epochs in self._run_ops(workload):
+            fenced = dict(epochs)
             for p in by_op.get(i, ()):
                 epoch = p["epoch"]
                 surviving = tuple(p["surviving"])
                 result.crash_points += 1
-                if epoch not in epochs:
+                if epoch not in fenced:
                     result.violations.append(
                         f"{op}: stale corpus point epoch={epoch} — "
                         f"regenerate tests/data/crash_corpus.json")
@@ -166,8 +165,6 @@ class CrashExplorer:
                 image = device.capture_crash_image(epoch, surviving)
                 self._check_one(image, pre, post, op, epoch, surviving,
                                 result)
-            pre = post
-            device.drain()
         return result
 
     def build_corpus(self, workloads: List[AceWorkload],
@@ -179,16 +176,8 @@ class CrashExplorer:
         """
         entries: List[dict] = []
         for workload in workloads:
-            device = PMDevice(self.device_size, track_stores=True)
-            fs = self.fs_factory(device)
-            ctx = make_context(self.num_cpus)
-            fs.mkfs(ctx)
-            workload.run_setup(fs, ctx)
-            device.drain()
-            for i, op in enumerate(workload.ops):
-                device.start_capture()
-                op.apply(fs, ctx)
-                epochs = device.end_capture()
+            for i, _op, _device, _pre, _post, epochs in \
+                    self._run_ops(workload):
                 picked = 0
                 for epoch, seqs in epochs:
                     if picked >= per_op_limit:
@@ -201,5 +190,4 @@ class CrashExplorer:
                                         "op": i, "epoch": epoch,
                                         "surviving": sorted(s)})
                         picked += 1
-                device.drain()
         return entries

@@ -12,7 +12,7 @@ class ReproError(Exception):
 
 
 class SimulationError(ReproError):
-    """The simulation itself was misused (bad clock, bad topology, ...)."""
+    """The simulation itself was misused (bad clock, negative hold time, ...)."""
 
 
 class PMError(ReproError):

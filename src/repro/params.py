@@ -12,7 +12,7 @@ All times are in nanoseconds, all sizes in bytes, unless noted.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 # ---------------------------------------------------------------------------
 # Fundamental sizes
@@ -33,7 +33,7 @@ TIB = 1024 * GIB
 
 @dataclass(frozen=True)
 class MachineParams:
-    """Cost model of the simulated two-socket Optane machine (paper §5.1).
+    """Cost model of the simulated one-socket Optane machine (paper §5.1).
 
     The defaults encode the paper's stated ratios:
 
@@ -58,8 +58,6 @@ class MachineParams:
     pm_store_ns: float = 100.0            # "writes have similar latency"
     pm_read_bw: float = 30.0 * GIB        # 1/3 of DRAM read bandwidth
     pm_write_bw: float = 13.0 * GIB       # ~0.17x of DRAM write bandwidth
-    remote_numa_read_mult: float = 1.7    # remote socket penalty (cited [51])
-    remote_numa_write_mult: float = 2.3   # "remote writes are more expensive"
 
     # -- persistence instructions -------------------------------------------
     clwb_ns: float = 25.0                 # per-cacheline write-back issue
@@ -97,17 +95,15 @@ class MachineParams:
     jbd2_commit_ns: float = 22000.0       # JBD2 stop-the-world commit overhead
     max_txn_entries: int = 10             # §3.6: at most 10 entries = 640B
 
-    def pm_read_ns(self, nbytes: int, remote: bool = False) -> float:
+    def pm_read_ns(self, nbytes: int) -> float:
         """Streaming read cost for *nbytes* from PM."""
-        ns = nbytes / self.pm_read_bw * 1e9
-        return ns * self.remote_numa_read_mult if remote else ns
+        return nbytes / self.pm_read_bw * 1e9
 
-    def pm_write_ns(self, nbytes: int, remote: bool = False) -> float:
+    def pm_write_ns(self, nbytes: int) -> float:
         """Streaming write cost for *nbytes* to PM (excludes clwb/fence)."""
-        ns = nbytes / self.pm_write_bw * 1e9
-        return ns * self.remote_numa_write_mult if remote else ns
+        return nbytes / self.pm_write_bw * 1e9
 
-    def persist_ns(self, nbytes: int, remote: bool = False) -> float:
+    def persist_ns(self, nbytes: int) -> float:
         """Write + flush + fence cost for a durable store of *nbytes*.
 
         Small updates (journal entries, inode fields) go through the
@@ -117,41 +113,7 @@ class MachineParams:
         """
         lines = max(1, (nbytes + CACHELINE - 1) // CACHELINE)
         flush = min(lines, 8) * self.clwb_ns
-        return self.pm_write_ns(nbytes, remote) + flush + self.sfence_ns
+        return self.pm_write_ns(nbytes) + flush + self.sfence_ns
 
 
 DEFAULT_MACHINE = MachineParams()
-
-
-@dataclass(frozen=True)
-class PartitionParams:
-    """Geometry of a simulated PM partition.
-
-    The paper evaluates a 500GB partition (100GiB for Fig 1).  Pure-Python
-    benches default to smaller partitions; aging write volumes are scaled by
-    ``size / paper_size`` so utilization and churn match the paper.
-    """
-
-    size_bytes: int = 4 * GIB
-    block_size: int = BLOCK_SIZE
-    num_cpus: int = 4
-    numa_nodes: int = 1
-
-    def __post_init__(self) -> None:
-        if self.size_bytes % HUGE_PAGE:
-            raise ValueError("partition size must be a multiple of 2MiB")
-        if self.num_cpus < 1:
-            raise ValueError("need at least one CPU")
-        if self.numa_nodes < 1 or self.num_cpus % self.numa_nodes:
-            raise ValueError("CPUs must divide evenly across NUMA nodes")
-
-    @property
-    def num_blocks(self) -> int:
-        return self.size_bytes // self.block_size
-
-    @property
-    def num_hugepages(self) -> int:
-        return self.size_bytes // HUGE_PAGE
-
-
-DEFAULT_PARTITION = PartitionParams()

@@ -29,7 +29,6 @@ from typing import Dict, Iterable, List, Optional, Tuple, Union
 from ..clock import SimContext
 from ..errors import PMError
 from ..params import CACHELINE, BASE_PAGE, DEFAULT_MACHINE, MachineParams
-from .numa import NumaTopology
 from .zeros import Zeros
 
 #: a page of the sparse store: materialized, or a tuple of segments
@@ -296,9 +295,6 @@ class PMDevice:
         Capacity in bytes; must be hugepage-aligned for the file systems.
     machine:
         Cost model; defaults to the paper-derived :data:`DEFAULT_MACHINE`.
-    topology:
-        Optional NUMA layout.  ``None`` means single-node (every access
-        local), matching the paper's single-socket evaluation (§5.1).
     track_stores:
         When True, every store is logged for crash-state enumeration.  Off
         by default because aging benches issue millions of stores.
@@ -309,13 +305,11 @@ class PMDevice:
     """
 
     def __init__(self, size: int, machine: MachineParams = DEFAULT_MACHINE,
-                 topology: Optional[NumaTopology] = None,
                  track_stores: bool = False, faults=None) -> None:
         if size <= 0 or size % BASE_PAGE:
             raise PMError("PM size must be a positive multiple of 4KB")
         self.size = size
         self.machine = machine
-        self.topology = topology
         self._store = _SparsePages(size)
         # without store tracking there is no crash-state enumeration, so
         # the store log is pure overhead: every store is treated as
@@ -366,11 +360,6 @@ class PMDevice:
             raise PMError(f"access [{addr:#x}, +{length}) outside device "
                           f"of size {self.size:#x}")
 
-    def _is_remote(self, ctx: Optional[SimContext], addr: int) -> bool:
-        if ctx is None or self.topology is None:
-            return False
-        return self.topology.is_remote(ctx.cpu, addr)
-
     # -- data path ----------------------------------------------------------------
 
     def load(self, addr: int, length: int, ctx: Optional[SimContext] = None) -> bytes:
@@ -385,8 +374,7 @@ class PMDevice:
             self.faults.on_load(addr, length, ctx)
         self.bytes_read += length
         if ctx is not None:
-            remote = self._is_remote(ctx, addr)
-            ns = self.machine.pm_load_ns + self.machine.pm_read_ns(length, remote)
+            ns = self.machine.pm_load_ns + self.machine.pm_read_ns(length)
             ctx.charge(ns)
             ctx.counters.pm_bytes_read += length
         return self._store.read(addr, length)
@@ -418,8 +406,7 @@ class PMDevice:
             self._store.write(addr, data)
         self.bytes_written += len(data)
         if ctx is not None:
-            remote = self._is_remote(ctx, addr)
-            ctx.charge(self.machine.pm_write_ns(len(data), remote))
+            ctx.charge(self.machine.pm_write_ns(len(data)))
             ctx.counters.pm_bytes_written += len(data)
         if not self.track_stores:
             return
@@ -513,11 +500,7 @@ class PMDevice:
             v = cpu_ns[cpu]
             if length:
                 # inlined machine.pm_write_ns (identical float ops)
-                ns = length / machine.pm_write_bw * 1e9
-                if self.topology is not None \
-                        and self.topology.is_remote(cpu, addr):
-                    ns *= machine.remote_numa_write_mult
-                v += ns
+                v += length / machine.pm_write_bw * 1e9
                 ctx.counters._pm_bytes_written.value += length
                 nlines = ((addr + length - 1) // CACHELINE
                           - addr // CACHELINE + 1)
@@ -582,8 +565,7 @@ class PMDevice:
         if self._capture_base is None:
             raise PMError("no capture in progress or completed")
         survivors = set(surviving)
-        image = PMDevice(self.size, self.machine, self.topology,
-                         track_stores=True)
+        image = PMDevice(self.size, self.machine, track_stores=True)
         image._store = self._capture_base.clone()
         for seq in sorted(self._capture_records):
             addr, data = self._capture_records[seq]
@@ -622,8 +604,7 @@ class PMDevice:
         unknown = survivors - set(self._log_seqs)
         if unknown:
             raise PMError(f"unknown in-flight store seqs: {sorted(unknown)}")
-        image = PMDevice(self.size, self.machine, self.topology,
-                         track_stores=True)
+        image = PMDevice(self.size, self.machine, track_stores=True)
         image._store = self._durable.clone()
         # the seq column ascends in append order: replay is already sorted
         for seq, addr, data in zip(self._log_seqs, self._log_addrs,
@@ -636,7 +617,7 @@ class PMDevice:
 
     def clone(self) -> "PMDevice":
         """Deep copy (for checkers that mutate state during verification)."""
-        out = PMDevice(self.size, self.machine, self.topology,
+        out = PMDevice(self.size, self.machine,
                        track_stores=self.track_stores)
         out._store = self._store.clone()
         out._log_seqs = list(self._log_seqs)

@@ -187,7 +187,6 @@ _MODULE_WHITELIST = (
     "repro.obs.metrics",
     "repro.obs.trace",
     "repro.pm.device",
-    "repro.pm.numa",
     "repro.pm.zeros",
     "repro.mmu.page_table",
     "repro.mmu.tlb",
@@ -197,7 +196,6 @@ _MODULE_WHITELIST = (
     "repro.core.layout",
     "repro.core.journal",
     "repro.core.rewrite",
-    "repro.core.numa_policy",
     "repro.structures.extents",
     "repro.structures.runstore",
     "repro.structures.stats",

@@ -60,8 +60,11 @@ __all__ = ["FORMAT_VERSION", "LOAD_STATUSES", "Archive", "cache_key",
 #: ``PMDevice._fast`` / ``_dirty_lines`` are gone; 6: WineFS keeps its
 #: pools, ``aligned_out`` and ``quarantined`` on the FS itself — its
 #: ``allocator`` object is gone; 7: ``SimClock`` holds one TLB slot per
-#: CPU, ``tlbs``)
-FORMAT_VERSION = 7
+#: CPU, ``tlbs``; 8: the machine is one socket — the device's socket
+#: map, WineFS's home-socket policy and ``MachineParams``' two remote
+#: multipliers are gone, as are ``LockManager.acquisitions`` and
+#: ``LockManager.lock_wait_ns``)
+FORMAT_VERSION = 8
 
 #: every status ``load_ex`` can report.  ``hit`` carries a value; the
 #: rest carry ``None``.  ``miss`` (no image) is the healthy cold-cache

@@ -239,4 +239,3 @@ class TestSimContext:
         ctx.locks.release("L", 0)
         ctx.on_cpu(1).locks.acquire("L", 1)
         assert ctx.counters.lock_wait_ns == 100.0
-        assert ctx.locks.lock_wait_ns == 100.0

@@ -280,18 +280,57 @@ def test_reactive_rewrite_reads_the_old_or_the_new_map_in_every_crash_state():
 
 @pytest.mark.parametrize("op", [
     _FreedBlocksReusedAtOnce("unlink", "/frag"),
-    _FreedBlocksReusedAtOnce("truncate", "/frag", size=64 * KIB)],
+    _FreedBlocksReusedAtOnce("truncate", "/frag", size=64 * KIB),
+    _FreedBlocksReusedAtOnce("rename", "/gap", arg="/frag")],
     ids=lambda op: op.kind)
 def test_freed_blocks_wait_for_the_commit_in_every_crash_state(op):
-    """Unlinking or truncating a file whose map has an indirect chain
-    frees its data blocks (and, for the unlink, the chain) inside a
-    metadata transaction.  Each crash state rolls
+    """Unlinking or truncating a file whose map has an indirect chain,
+    or renaming another file over it, frees its data blocks (and, for
+    the unlink and the rename, the chain) inside a metadata
+    transaction.  Each crash state rolls
     back to the old map or keeps the new one, so none may read a block
     that was reused before the commit."""
     explorer = CrashExplorer(lambda dev: WineFS(dev, num_cpus=2),
                              device_size=64 * MIB, max_subsets=8)
     result = explorer.run_workload(AceWorkload(
         op.kind, setup=_fragmented_setup(), ops=[op]))
+    assert result.passed, result.violations[:3]
+    assert result.states_checked > result.crash_points > 0
+
+
+@dataclass(frozen=True)
+class _RecoveryMount(SyscallOp):
+    """Mount again without an unmount, as after a crash with nothing in
+    flight: recovery runs and every DRAM index is rebuilt from PM."""
+
+    def apply(self, fs, ctx) -> None:
+        fs.device.drain()
+        fs.mount(ctx)
+
+
+@pytest.mark.parametrize("remount", [False, True],
+                         ids=["live", "after-recovery"])
+def test_rename_over_a_chained_file_is_atomic_in_every_crash_state(remount):
+    """A rename over a file with an indirect chain invalidates the
+    victim's slot and rewrites the moved file's name, which lies past
+    the slot's header and inline extents.  Both sit under one undo
+    image, so every crash state holds the two files or the moved one
+    under its new name.  After a recovery mount the moved file's first
+    update copies its chain (the other serialize branch); the names
+    are longer than the 7 name bytes a 72-byte undo image would
+    cover."""
+    src, dst = "/a-moved-file", "/a-victim-file"
+    setup = [SyscallOp("create", dst), SyscallOp("create", src)]
+    for _ in range(HUGE_PAGE // (64 * KIB)):
+        setup += [SyscallOp("append", dst, size=64 * KIB),
+                  SyscallOp("append", src, size=64 * KIB)]
+    if remount:
+        setup.append(_RecoveryMount("mount", "/"))
+    explorer = CrashExplorer(lambda dev: WineFS(dev, num_cpus=2),
+                             device_size=64 * MIB, max_subsets=8)
+    result = explorer.run_workload(AceWorkload(
+        "rename-over-chained", setup=setup,
+        ops=[SyscallOp("rename", src, arg=dst)]))
     assert result.passed, result.violations[:3]
     assert result.states_checked > result.crash_points > 0
 

@@ -4,7 +4,7 @@ import pytest
 
 from repro.params import (BASE_PAGE, BLOCKS_PER_HUGEPAGE, DEFAULT_MACHINE,
                           HUGE_PAGE, PAGES_PER_HUGEPAGE, MachineParams,
-                          PartitionParams, GIB, KIB, MIB)
+                          GIB, KIB, MIB)
 
 
 class TestConstants:
@@ -45,10 +45,6 @@ class TestMachineRatios:
         m = DEFAULT_MACHINE
         assert m.fault_base_ns > 5 * m.pm_load_ns
 
-    def test_remote_writes_cost_more_than_remote_reads(self):
-        m = DEFAULT_MACHINE
-        assert m.remote_numa_write_mult > m.remote_numa_read_mult > 1.0
-
 
 class TestCostFunctions:
     def test_read_write_scale_with_bytes(self):
@@ -56,11 +52,6 @@ class TestCostFunctions:
         assert m.pm_read_ns(2 * MIB) == pytest.approx(2 * m.pm_read_ns(MIB))
         assert m.pm_write_ns(2 * MIB) == pytest.approx(
             2 * m.pm_write_ns(MIB))
-
-    def test_remote_multipliers_apply(self):
-        m = DEFAULT_MACHINE
-        assert m.pm_read_ns(MIB, remote=True) > m.pm_read_ns(MIB)
-        assert m.pm_write_ns(MIB, remote=True) > m.pm_write_ns(MIB)
 
     def test_persist_small_uses_clwb(self):
         m = DEFAULT_MACHINE
@@ -81,21 +72,3 @@ class TestCostFunctions:
             assert cur >= last
             last = cur
 
-
-class TestPartitionParams:
-    def test_defaults_valid(self):
-        p = PartitionParams()
-        assert p.num_blocks * p.block_size == p.size_bytes
-        assert p.num_hugepages == p.size_bytes // HUGE_PAGE
-
-    def test_unaligned_size_rejected(self):
-        with pytest.raises(ValueError):
-            PartitionParams(size_bytes=3 * MIB)
-
-    def test_zero_cpus_rejected(self):
-        with pytest.raises(ValueError):
-            PartitionParams(num_cpus=0)
-
-    def test_numa_divisibility(self):
-        with pytest.raises(ValueError):
-            PartitionParams(num_cpus=3, numa_nodes=2)

@@ -8,7 +8,6 @@ from repro.clock import make_context
 from repro.errors import PMError
 from repro.params import BASE_PAGE, CACHELINE, MIB
 from repro.pm.device import _MAX_SEGMENTS, PMDevice, _SparsePages
-from repro.pm.numa import NumaTopology
 from repro.pm.zeros import Zeros
 from repro.snapshot.codec import encode
 
@@ -503,27 +502,3 @@ class TestEpochCapture:
         dev = PMDevice(1 * MIB)
         with pytest.raises(PMError):
             dev.start_capture()
-
-
-class TestNuma:
-    def test_topology_validation(self):
-        with pytest.raises(Exception):
-            NumaTopology(num_cpus=3, nodes=2, pm_bytes=1 * MIB)
-
-    def test_node_mapping(self):
-        topo = NumaTopology(num_cpus=4, nodes=2, pm_bytes=2 * MIB)
-        assert topo.node_of_cpu(0) == 0
-        assert topo.node_of_cpu(3) == 1
-        assert topo.node_of_addr(0) == 0
-        assert topo.node_of_addr(1 * MIB) == 1
-        assert topo.is_remote(0, 1 * MIB)
-        assert not topo.is_remote(3, 1 * MIB)
-
-    def test_remote_write_costs_more(self):
-        topo = NumaTopology(num_cpus=2, nodes=2, pm_bytes=2 * MIB)
-        dev = PMDevice(2 * MIB, topology=topo)
-        local = make_context(2, cpu=0)
-        remote = make_context(2, cpu=0)
-        dev.store(0, b"x" * 4096, local)            # node 0, local
-        dev.store(1 * MIB, b"x" * 4096, remote)     # node 1, remote
-        assert remote.now > local.now

@@ -700,4 +700,4 @@ class TestAgedResetState:
         ctx.locks.reset_timeline()
         ctx.locks.acquire("L", 1)  # fresh timeline: no spurious wait
         assert ctx.clock.now(1) == 0.0
-        assert ctx.locks.lock_wait_ns == 0.0
+        assert ctx.counters.lock_wait_ns == 0.0
