@@ -54,12 +54,6 @@ def make_machine(size_gib: float = 1.0, num_cpus: int = 4,
     return Machine(device=device, ctx=make_context(num_cpus=num_cpus))
 
 
-#: file systems with metadata-only consistency (paper Fig 7a-c group)
-METADATA_CONSISTENT_FS = ["ext4-DAX", "xfs-DAX", "PMFS", "SplitFS",
-                          "NOVA-relaxed", "WineFS-relaxed"]
-#: file systems with data+metadata consistency (paper Fig 7d-f group)
-DATA_CONSISTENT_FS = ["NOVA", "Strata", "WineFS"]
-
 __all__ = [
     "Machine", "make_machine", "make_context",
     "SimClock", "SimContext", "EventCounters",
@@ -67,6 +61,5 @@ __all__ = [
     "write_chrome_trace", "write_metrics_json", "write_span_jsonl",
     "MachineParams", "DEFAULT_MACHINE", "PMDevice",
     "WineFS", "Ext4DAX", "NovaFS", "PMFS", "XfsDAX", "SplitFS", "StrataFS",
-    "METADATA_CONSISTENT_FS", "DATA_CONSISTENT_FS",
     "KIB", "MIB", "GIB", "HUGE_PAGE",
 ]

@@ -38,6 +38,9 @@ from .profiles import AgingProfile
 #: one file-growth step; 2MB keeps large files hugepage-eligible on every
 #: file system (Geriatrix extends files with large writes)
 _GROW_CHUNK = 2 * MIB
+#: every churn cycle may overwrite this share of the *whole* churn volume,
+#: over 50: a fixed budget, so more churn spends more of it on overwrites
+_OVERWRITE_FRACTION = 0.4
 
 
 @dataclass
@@ -191,8 +194,7 @@ class Geriatrix:
         return result
 
     def churn(self, ctx: SimContext, write_volume: int,
-              result: Optional[AgingResult] = None,
-              overwrite_fraction: float = 0.4) -> AgingResult:
+              result: Optional[AgingResult] = None) -> AgingResult:
         """Age by *write_volume* bytes of create/delete/update churn."""
         result = result if result is not None else AgingResult()
         high = min(self.target + 0.03, 0.93)
@@ -210,7 +212,7 @@ class Geriatrix:
                 else:
                     misses += 1
             written += self._overwrite_some(
-                ctx, result, int(write_volume * overwrite_fraction / 50))
+                ctx, result, int(write_volume * _OVERWRITE_FRACTION / 50))
             while self._files and self._utilization() > low:
                 self._delete_one(ctx, result)
                 progress = True

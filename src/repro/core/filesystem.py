@@ -39,8 +39,7 @@ from ..fs.common.inode import Inode, InodeTable, INODE_BYTES
 from .journal import JournalManager, MAX_TXN_ENTRIES
 from .layout import (INLINE_EXTENTS, EXTENTS_PER_INDIRECT, MAX_FILE_SIZE,
                      InodePacker, InodeRecord, Layout, pack_indirect,
-                     read_superblock, unpack_inode, walk_chain,
-                     write_superblock)
+                     read_superblock, unpack_inode, write_superblock)
 from .rewrite import RewriteQueue
 
 XATTR_ALIGNED = "user.winefs.aligned"
@@ -190,7 +189,7 @@ class WineFS(BaseFS):
         assert root.ino == ROOT_INO
         root.name, root.parent_ino = "", 0
         self._dirs[ROOT_INO] = self.dir_index_cls()
-        write_superblock(self.device, self.layout, clean=False)
+        write_superblock(self.device, self.layout)
         self._persist_watermarks(ctx)
         self._persist_inode_record(root, ctx)
         ctx.charge(self.machine.persist_ns(4096))
@@ -208,10 +207,13 @@ class WineFS(BaseFS):
     def mount(self, ctx: SimContext) -> None:
         """Mount from the PM image alone: recover journals, scan inodes.
 
-        This is the real recovery path (§3.6): uncommitted transactions are
-        rolled back in global-ID order, then DRAM structures (directory
-        indexes, allocator free lists, inode in-use lists) are rebuilt by
-        scanning the per-CPU inode tables.
+        This is the real recovery path (§3.6), and every mount takes it:
+        uncommitted transactions are rolled back in global-ID order, the
+        journals are erased and transaction ids continue above the last
+        one seen, then DRAM structures (directory indexes, allocator free
+        lists, inode in-use lists) are rebuilt by scanning the per-CPU
+        inode tables.  After a clean unmount every transaction committed,
+        so recovery rolls nothing back.
 
         Degradation ladder: metadata reads that hit poisoned lines surface
         ``EIO`` (:class:`~repro.errors.MediaError` is an ``FSError``);
@@ -219,20 +221,17 @@ class WineFS(BaseFS):
         completes the mount **read-only** instead of refusing to mount.
         """
         with ctx.trace.span(ctx, "winefs.recover", fs=self.name):
-            layout, clean = read_superblock(self.device)
+            layout = read_superblock(self.device)
             if layout.num_cpus != self.layout.num_cpus or \
                     layout.total_blocks != self.layout.total_blocks:
                 raise CorruptionError("superblock geometry mismatch")
             self.journal = JournalManager(self.device, self.layout)
-            if not clean:
-                self.journal.recover()
-                if self.journal.skipped_records:
-                    self._degrade(
-                        ctx, f"journal recovery skipped "
-                        f"{self.journal.skipped_records} corrupt records")
+            self.journal.recover()
+            if self.journal.skipped_records:
+                self._degrade(
+                    ctx, f"journal recovery skipped "
+                    f"{self.journal.skipped_records} corrupt records")
             self._rebuild_from_scan(ctx)
-            if not self.read_only:
-                write_superblock(self.device, self.layout, clean=False)
             self.mounted = True
 
     def _degrade(self, ctx: Optional[SimContext], reason: str) -> None:
@@ -254,7 +253,6 @@ class WineFS(BaseFS):
         # stored free lists are an optimization, not a correctness need).
         stats_bytes = 64 * len(self._itable)
         ctx.charge(self.machine.persist_ns(stats_bytes))
-        write_superblock(self.device, self.layout, clean=True)
         self.device.drain()
         self.mounted = False
 
@@ -292,11 +290,7 @@ class WineFS(BaseFS):
                     records.append(rec)
         used: List[Extent] = []
         for rec in records:
-            try:
-                chain = self._scan_indirect_chain(rec.ino)
-            except MediaError:
-                lost.append(rec.ino)
-                continue
+            chain = self._indirect_chains[rec.ino] = rec.chain
             inode = rec.to_inode()
             inode.parent_ino, inode.name = rec.parent_ino, rec.name
             inode.owner_cpu = self.layout.cpu_of_ino(rec.ino) \
@@ -357,18 +351,6 @@ class WineFS(BaseFS):
                     raise CorruptionError(
                         f"recovery: extent {ext} is not free")
                 start = stop
-
-    def _scan_indirect_chain(self, ino: int) -> List[int]:
-        """Blocks used by an inode's indirect extent chain (from PM),
-        walked by the same checked :func:`walk_chain` as the slot parse."""
-        from .layout import _INODE_HEAD
-        raw = self.device.load(self.layout.inode_addr(ino), INODE_BYTES)
-        head = _INODE_HEAD.unpack(raw[:_INODE_HEAD.size])[6]
-        chain = [block for block, _ in walk_chain(
-            ino, head, self.layout.data_blocks,
-            lambda b: self.device.load(b * BLOCK_SIZE, 8))]
-        self._indirect_chains[ino] = list(chain)
-        return chain
 
     # ------------------------------------------------------- watermarks
 

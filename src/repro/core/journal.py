@@ -177,21 +177,16 @@ class PerCPUJournal:
 
     # -- recovery scan ----------------------------------------------------------
 
-    def scan(self) -> List[JournalEntry]:
-        """Read back every live entry in append order (oldest first).
+    def scan(self) -> Tuple[List[JournalEntry], int]:
+        """Read back every live entry in append order (oldest first), and
+        the number of slots skipped.
 
         Uses the wraparound counter to find the newest region: entries
         carry the wrap generation they were written under, so a slot whose
         generation is *newer* than its predecessor marks the write frontier.
+        A slot whose load hits a poisoned line or whose record fails its
+        checksum is skipped and counted instead of aborting recovery.
         """
-        entries, _skipped = self.scan_tolerant(tolerate=False)
-        return entries
-
-    def scan_tolerant(self, tolerate: bool = True
-                      ) -> Tuple[List[JournalEntry], int]:
-        """Like :meth:`scan`, but (when *tolerate*) a slot whose load hits
-        a poisoned line or whose record fails its checksum is skipped and
-        counted instead of aborting recovery."""
         entries: List[Tuple[int, JournalEntry]] = []
         skipped = 0
         for slot in range(self.capacity):
@@ -200,8 +195,6 @@ class PerCPUJournal:
                                        ENTRY_BYTES)
                 e = JournalEntry.unpack(raw)
             except (MediaError, CorruptionError):
-                if not tolerate:
-                    raise
                 skipped += 1
                 continue
             if e is not None:
@@ -346,7 +339,7 @@ class JournalManager:
         txn_entries = {}
         self.skipped_records = 0
         for journal in self.journals:
-            entries, skipped = journal.scan_tolerant()
+            entries, skipped = journal.scan()
             self.skipped_records += skipped
             for entry in entries:
                 if entry.etype == TYPE_COMMIT:

@@ -23,7 +23,7 @@ of indirect extent blocks beyond that.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterator, List, Optional, Tuple
 
 from ..errors import CorruptionError, FSError
@@ -44,7 +44,9 @@ EXTENTS_PER_INDIRECT = (BLOCK_SIZE - 8) // 8
 #: limit); no verb passes it, so a slot claiming more is corrupt
 MAX_FILE_SIZE = (1 << 32) * BLOCK_SIZE
 
-_SB = struct.Struct("<IIIIQ")        # magic, ncpus, clean, version, total_blocks
+#: magic, ncpus, reserved (always 0: every mount replays the journal),
+#: version, total_blocks
+_SB = struct.Struct("<IIIIQ")
 _INODE_HEAD = struct.Struct("<BBHIQQQ")   # valid, flags, nlink, n_extents,
                                           # size, parent_ino, indirect_block
 _EXT = struct.Struct("<II")               # start, length
@@ -133,20 +135,20 @@ class Layout:
 # -- superblock ---------------------------------------------------------------------
 
 
-def write_superblock(device: PMDevice, layout: Layout, clean: bool) -> None:
-    raw = _SB.pack(SUPERBLOCK_MAGIC, layout.num_cpus, 1 if clean else 0, 1,
+def write_superblock(device: PMDevice, layout: Layout) -> None:
+    raw = _SB.pack(SUPERBLOCK_MAGIC, layout.num_cpus, 0, 1,
                    layout.total_blocks)
     device.persist(layout.superblock_block * BLOCK_SIZE, raw)
 
 
-def read_superblock(device: PMDevice) -> Tuple[Layout, bool]:
+def read_superblock(device: PMDevice) -> Layout:
     raw = device.load(0, _SB.size)
-    magic, ncpus, clean, _version, total_blocks = _SB.unpack(raw)
+    magic, ncpus, _reserved, _version, total_blocks = _SB.unpack(raw)
     if magic != SUPERBLOCK_MAGIC:
         raise CorruptionError("bad WineFS superblock magic")
     if ncpus < 1 or total_blocks <= 0:
         raise CorruptionError("implausible superblock fields")
-    return Layout(num_cpus=ncpus, total_blocks=total_blocks), bool(clean)
+    return Layout(num_cpus=ncpus, total_blocks=total_blocks)
 
 
 # -- inode records ---------------------------------------------------------------------
@@ -165,6 +167,8 @@ class InodeRecord:
     parent_ino: int
     name: str
     extents: List[Extent]
+    #: the blocks of the slot's indirect chain, head first
+    chain: List[int] = field(default_factory=list)
 
     def to_inode(self):
         from ..fs.common.inode import _GENERATION, Inode
@@ -306,6 +310,9 @@ def unpack_inode(ino: int, raw: bytes, read_indirect,
     """Parse a slot; *read_indirect(block) -> bytes* loads chain blocks,
     which :func:`walk_chain` bounds to *data_blocks*.
 
+    The chain is walked to its end, past the blocks the extent map
+    needs (a rolled-back append leaves one linked), and reported in
+    :attr:`InodeRecord.chain`: every block on it holds PM space.
     Returns None for empty/invalid slots; raises CorruptionError on
     garbage that claims to be valid.
     """
@@ -330,25 +337,22 @@ def unpack_inode(ino: int, raw: bytes, read_indirect,
         raise CorruptionError(f"inode {ino}: bad name length {name_len}")
     name = raw[pos + 1: pos + 1 + name_len].decode(errors="strict")
     remaining = n_extents - len(extents)
+    chain: List[int] = []
+    for block, blob in walk_chain(ino, indirect, data_blocks, read_indirect):
+        chain.append(block)
+        count = min(remaining, EXTENTS_PER_INDIRECT)
+        for i in range(count):
+            start, length = _EXT.unpack_from(blob, 8 + i * 8)
+            if length == 0:
+                raise CorruptionError(f"inode {ino}: zero-length extent")
+            extents.append(Extent(start, length))
+        remaining -= count
     if remaining:
-        for _block, blob in walk_chain(ino, indirect, data_blocks,
-                                       read_indirect):
-            count = min(remaining, EXTENTS_PER_INDIRECT)
-            for i in range(count):
-                start, length = _EXT.unpack_from(blob, 8 + i * 8)
-                if length == 0:
-                    raise CorruptionError(
-                        f"inode {ino}: zero-length extent")
-                extents.append(Extent(start, length))
-            remaining -= count
-            if not remaining:
-                break
-        else:
-            raise CorruptionError(f"inode {ino}: extent chain truncated")
+        raise CorruptionError(f"inode {ino}: extent chain truncated")
     return InodeRecord(ino=ino, valid=True, is_dir=bool(flags & FLAG_DIR),
                        aligned_hint=bool(flags & FLAG_ALIGNED_HINT),
                        nlink=nlink, size=size, parent_ino=parent_ino,
-                       name=name, extents=extents)
+                       name=name, extents=extents, chain=chain)
 
 
 def pack_indirect(next_block: int, extents: List[Extent]) -> bytes:

@@ -62,10 +62,10 @@ ALL_SPECS: List[FSSpec] = [
 
 SPECS_BY_NAME: Dict[str, FSSpec] = {s.name: s for s in ALL_SPECS}
 
-#: §5.1 comparison groups
-METADATA_GROUP = ["ext4-DAX", "xfs-DAX", "PMFS", "NOVA-relaxed", "SplitFS",
-                  "WineFS-relaxed"]
-DATA_GROUP = ["NOVA", "Strata", "WineFS"]
+#: §5.1 comparison groups: metadata-only consistency (Fig 7a-c) and
+#: data + metadata consistency (Fig 7d-f)
+METADATA_GROUP = [s.name for s in ALL_SPECS if not s.data_consistent]
+DATA_GROUP = [s.name for s in ALL_SPECS if s.data_consistent]
 
 
 def make_fs(name: str, *, size_gib: float = 1.0, num_cpus: int = 4,

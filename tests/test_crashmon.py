@@ -299,33 +299,40 @@ def test_freed_blocks_wait_for_the_commit_in_every_crash_state(op):
 
 
 @dataclass(frozen=True)
-class _RecoveryMount(SyscallOp):
-    """Mount again without an unmount, as after a crash with nothing in
-    flight: recovery runs and every DRAM index is rebuilt from PM."""
+class _Remount(SyscallOp):
+    """Mount again, after a clean unmount (kind ``clean``) or without
+    one, as after a crash with nothing in flight (kind ``recovery``):
+    either way recovery runs and every DRAM index is rebuilt from PM."""
 
     def apply(self, fs, ctx) -> None:
-        fs.device.drain()
+        if self.kind == "clean":
+            fs.unmount(ctx)
+        else:
+            fs.device.drain()
         fs.mount(ctx)
 
 
-@pytest.mark.parametrize("remount", [False, True],
-                         ids=["live", "after-recovery"])
+@pytest.mark.parametrize("remount", [None, "recovery", "clean"],
+                         ids=["live", "after-recovery",
+                              "after-clean-remount"])
 def test_rename_over_a_chained_file_is_atomic_in_every_crash_state(remount):
     """A rename over a file with an indirect chain invalidates the
     victim's slot and rewrites the moved file's name, which lies past
     the slot's header and inline extents.  Both sit under one undo
     image, so every crash state holds the two files or the moved one
-    under its new name.  After a recovery mount the moved file's first
+    under its new name.  After a remount the moved file's first
     update copies its chain (the other serialize branch); the names
     are longer than the 7 name bytes a 72-byte undo image would
-    cover."""
+    cover.  A mount after a clean unmount must erase the journal too:
+    a stale COMMIT record of a reused transaction id would keep a
+    crashed rename from rolling back."""
     src, dst = "/a-moved-file", "/a-victim-file"
     setup = [SyscallOp("create", dst), SyscallOp("create", src)]
     for _ in range(HUGE_PAGE // (64 * KIB)):
         setup += [SyscallOp("append", dst, size=64 * KIB),
                   SyscallOp("append", src, size=64 * KIB)]
     if remount:
-        setup.append(_RecoveryMount("mount", "/"))
+        setup.append(_Remount(remount, "/"))
     explorer = CrashExplorer(lambda dev: WineFS(dev, num_cpus=2),
                              device_size=64 * MIB, max_subsets=8)
     result = explorer.run_workload(AceWorkload(

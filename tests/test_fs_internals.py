@@ -339,7 +339,8 @@ class TestJournalRegion:
             journal.append(
                 JournalEntry(TYPE_DATA, 0, i + 1, 0, b""), ctx)
             journal.reclaim_committed()
-        entries = journal.scan()
+        entries, skipped = journal.scan()
+        assert skipped == 0
         ids = [e.txn_id for e in entries]
         assert ids == sorted(ids)
         assert ids[-1] == total

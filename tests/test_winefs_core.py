@@ -4,9 +4,12 @@ import pytest
 
 from repro.clock import make_context
 from repro.core.filesystem import WineFS, XATTR_ALIGNED
-from repro.core.layout import Layout, pack_inode, unpack_inode, InodeRecord
-from repro.errors import NoSpaceError, NotFoundError, ReadOnlyError
-from repro.params import BLOCKS_PER_HUGEPAGE, KIB, MIB
+from repro.core.layout import (EXTENTS_PER_INDIRECT, INLINE_EXTENTS,
+                               InodeRecord, Layout, pack_indirect,
+                               pack_inode, unpack_inode)
+from repro.errors import (CorruptionError, NoSpaceError, NotFoundError,
+                          ReadOnlyError)
+from repro.params import BLOCK_SIZE, BLOCKS_PER_HUGEPAGE, KIB, MIB
 from repro.pm.device import PMDevice
 from repro.structures.extents import Extent
 
@@ -344,6 +347,56 @@ class TestLayoutSerialization:
     def test_empty_slot_unpacks_none(self):
         assert unpack_inode(1, b"\x00" * 128, lambda b: b"", range(0)) is None
 
+    @staticmethod
+    def _chained_slot(chain, tail=0,
+                      n_extents=INLINE_EXTENTS + EXTENTS_PER_INDIRECT + 3):
+        """A slot of *n_extents* one-block extents whose overflow fills
+        the indirect *chain* in order, the last block's next pointer
+        *tail*; returns the slot, a block -> bytes map and the extents."""
+        extents = [Extent(1000 + 2 * i, 1) for i in range(n_extents)]
+        rec = InodeRecord(ino=7, valid=True, is_dir=False,
+                          aligned_hint=False, nlink=1,
+                          size=n_extents * BLOCK_SIZE, parent_ino=1,
+                          name="chained", extents=extents)
+        overflow = extents[INLINE_EXTENTS:]
+        blobs = {}
+        for i, block in enumerate(chain):
+            nxt = chain[i + 1] if i + 1 < len(chain) else tail
+            blobs[block] = pack_indirect(
+                nxt, overflow[i * EXTENTS_PER_INDIRECT:
+                              (i + 1) * EXTENTS_PER_INDIRECT])
+        return pack_inode(rec, chain[0] if chain else 0), blobs, extents
+
+    @pytest.mark.parametrize("chain", [[], [50, 40], [50, 40, 60]],
+                             ids=["inline", "needed", "surplus block"])
+    def test_unpack_reports_exactly_the_chain(self, chain):
+        """One walk parses the map and reports every chain block, each
+        loaded once, including one past the blocks the map needs (a
+        rolled-back append leaves it linked; it still holds PM space)."""
+        n = INLINE_EXTENTS if not chain else \
+            INLINE_EXTENTS + EXTENTS_PER_INDIRECT + 3
+        raw, blobs, extents = self._chained_slot(chain, n_extents=n)
+        loaded = []
+
+        def load(block):
+            loaded.append(block)
+            return blobs[block]
+
+        rec = unpack_inode(7, raw, load, range(10, 5000))
+        assert rec.chain == chain
+        assert loaded == chain
+        assert rec.extents == extents
+
+    @pytest.mark.parametrize("tail", [50, 40, 10 ** 6, 3],
+                             ids=["back to the head", "to itself",
+                                  "past the data area", "into metadata"])
+    def test_surplus_chain_pointer_fails_closed(self, tail):
+        """The block the map ends on may still point on; a pointer there
+        that revisits the chain or leaves the data area is corrupt."""
+        raw, blobs, _ = self._chained_slot([50, 40], tail=tail)
+        with pytest.raises(CorruptionError):
+            unpack_inode(7, raw, blobs.__getitem__, range(10, 5000))
+
     def test_layout_pools_are_aligned_and_disjoint(self):
         layout = Layout(num_cpus=4, total_blocks=65536)
         prev_end = layout.data_start_block
@@ -377,3 +430,38 @@ class TestPerCPUJournalCoordination:
         winefs.create("/cpu1file", ctx.on_cpu(1))
         assert winefs.journal.journals[0].head > j_heads[0]
         assert winefs.journal.journals[1].head > j_heads[1]
+
+
+def test_remount_never_hands_out_a_chain_block():
+    """After a remount the allocator is rebuilt from the inode scan: every
+    block of a chained file's indirect chain stays held, so filling the
+    file system hands none of them out again."""
+    device = PMDevice(64 * MIB)
+    fs = WineFS(device, num_cpus=2)
+    ctx = make_context(2)
+    fs.mkfs(ctx)
+    f = fs.create("/chained", ctx)
+    g = fs.create("/gap", ctx)
+    for _ in range(8):          # interleaved appends spill the inline map
+        f.append(b"c" * 16 * KIB, ctx)
+        g.append(b"g" * 16 * KIB, ctx)
+    chain = list(fs._indirect_chains[f.ino])
+    assert chain
+    fs.unmount(ctx)
+    fs2 = WineFS(device, num_cpus=2)
+    ctx2 = make_context(2)
+    fs2.mount(ctx2)
+    assert fs2._indirect_chains[f.ino] == chain
+    fs2.create("/hog", ctx2).fallocate(
+        0, (fs2.statfs().free_blocks - 16) * BLOCK_SIZE, ctx2)
+    with pytest.raises(NoSpaceError):
+        for i in range(32):
+            fs2.write_file(f"/crumb{i}", b"x" * BLOCK_SIZE, ctx2)
+    held = []
+    for inode in fs2._itable.live_inodes():
+        held += [b for e in fs2.file_extents(inode.ino)
+                 for b in range(e.start, e.end)]
+        held += fs2._indirect_chains.get(inode.ino, [])
+    assert len(held) == len(set(held))
+    assert set(chain) <= set(held)
+    assert fs2.read_file("/chained", ctx2) == b"c" * 8 * 16 * KIB

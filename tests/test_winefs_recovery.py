@@ -8,10 +8,9 @@ import pytest
 
 from repro.clock import make_context
 from repro.core.filesystem import WineFS
-from repro.core.journal import (ENTRY_BYTES, TYPE_DATA, TYPE_START,
-                                 JournalEntry, JournalManager)
-from repro.core.layout import (_EXT, _INODE_HEAD, MAX_FILE_SIZE, Layout,
-                               read_superblock)
+from repro.core.journal import (ENTRY_BYTES, TYPE_COMMIT, TYPE_DATA,
+                                 TYPE_START, JournalEntry, JournalManager)
+from repro.core.layout import _EXT, _INODE_HEAD, MAX_FILE_SIZE, Layout
 from repro.crashmon.checker import ConsistencyError, check_invariants
 from repro.errors import CorruptionError, InvalidArgumentError
 from repro.faults import FaultPlan, FaultSpec
@@ -78,16 +77,25 @@ class TestCleanRemount:
         assert fs2.readdir("/docs", ctx2) == ["report"]
         assert fs2.read_file("/docs/report", ctx2) == b"quarterly numbers"
 
-    def test_clean_flag_set_and_cleared(self):
+    def test_mount_after_unmount_erases_journals_and_continues_ids(self):
+        """A mount after a clean unmount replays the journal like any
+        other: it erases the records, so a crash in the first
+        transactions afterwards cannot meet a stale COMMIT of the same
+        id, and new ids continue above every committed one."""
         fs, ctx, device = _tracked_fs()
-        _, clean = read_superblock(device)
-        assert not clean          # mounted => dirty
+        fs.mkdir("/d", ctx)
+        fs.write_file("/d/f", b"f" * 4 * KIB, ctx)
+        committed = {e.txn_id for j in fs.journal.journals
+                     for e in j.scan()[0] if e.etype == TYPE_COMMIT}
+        assert committed
         fs.unmount(ctx)
-        _, clean = read_superblock(device)
-        assert clean
         fs2, ctx2 = _remount(device)
-        _, clean = read_superblock(device)
-        assert not clean
+        assert [j.scan() for j in fs2.journal.journals] == \
+            [([], 0)] * len(fs2.journal.journals)
+        fs2.create("/after", ctx2)
+        started = [e.txn_id for j in fs2.journal.journals
+                   for e in j.scan()[0] if e.etype == TYPE_START]
+        assert started and min(started) > max(committed)
 
     def test_deep_tree_survives(self):
         fs, ctx, device = _tracked_fs()
