@@ -325,9 +325,8 @@ def cmd_snapshot(args) -> int:
     what killed writers left; ``gc`` evicts LRU images until
     ``--max-bytes`` holds.
     """
-    import os
-
     from .snapshot import Archive, snapshot_dir
+    from .snapshot.store import env_max_bytes
 
     root = args.archive or snapshot_dir()
     archive = Archive(root)  # fails before any aging if the root is unusable
@@ -359,11 +358,15 @@ def cmd_snapshot(args) -> int:
 
     max_bytes = args.max_bytes
     if max_bytes is None:
-        raw = os.environ.get("REPRO_SNAPSHOT_MAX_BYTES")
-        if raw is None:
-            raise SystemExit("gc needs --max-bytes or "
-                             "$REPRO_SNAPSHOT_MAX_BYTES")
-        max_bytes = int(raw)
+        try:
+            max_bytes = env_max_bytes()
+        except ValueError as exc:
+            print(f"repro snapshot gc: {exc}", file=sys.stderr)
+            return 2
+        if max_bytes is None:
+            print("repro snapshot gc: needs --max-bytes or "
+                  "$REPRO_SNAPSHOT_MAX_BYTES", file=sys.stderr)
+            return 2
     report = archive.gc(max_bytes)
     print(f"evicted {len(report['evicted'])} image(s), freed "
           f"{report['freed_bytes']:,} bytes")

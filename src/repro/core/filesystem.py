@@ -38,7 +38,7 @@ from ..fs.common.freespace import FreePool
 from ..fs.common.inode import Inode, InodeTable, INODE_BYTES
 from .journal import JournalManager, MAX_TXN_ENTRIES
 from .layout import (INLINE_EXTENTS, EXTENTS_PER_INDIRECT, MAX_FILE_SIZE,
-                     InodePacker, InodeRecord, Layout, pack_indirect,
+                     InodeRecord, InodeSlot, Layout, pack_indirect,
                      read_superblock, unpack_inode, write_superblock)
 from .rewrite import RewriteQueue
 
@@ -158,14 +158,9 @@ class WineFS(BaseFS):
         self.journal: Optional[JournalManager] = None
         self.rewrite_queue = RewriteQueue(self)
         self._txn_stack: Dict[int, list] = {}
-        self._indirect_chains: Dict[int, List[int]] = {}
-        self._serialized_extents: Dict[int, tuple] = {}
-        self._packer = InodePacker()
-        # ino -> PM slot address; a pure function of the (fixed) layout,
-        # so never invalidated, and bounded by the inode numbers in use
-        # (they are recycled).  A dict probe beats the layout.inode_addr
-        # call at one persist per metadata update
-        self._inode_addrs: Dict[int, int] = {}
+        #: ino -> what is on PM for that inode (slot address and image,
+        #: extents, indirect chain, name); one probe per metadata update
+        self._slots: Dict[int, InodeSlot] = {}
 
     # ------------------------------------------------------------- lifecycle
 
@@ -180,9 +175,7 @@ class WineFS(BaseFS):
         self.clear_degraded(ctx)
         self._itable = _PerCPUInodeTables(self.layout)
         self._dirs = {}
-        self._indirect_chains = {}
-        self._serialized_extents = {}
-        self._packer = InodePacker()
+        self._slots = {}
         self.journal = JournalManager(self.device, self.layout)
         self._init_allocator()
         root = self._itable.allocate(is_dir=True)
@@ -259,9 +252,7 @@ class WineFS(BaseFS):
     def _rebuild_from_scan(self, ctx: SimContext) -> None:
         self._itable = _PerCPUInodeTables(self.layout)
         self._dirs = {}
-        self._indirect_chains = {}
-        self._serialized_extents = {}
-        self._packer = InodePacker()
+        self._slots = {}
         records: List[InodeRecord] = []
         lost: List[int] = []
         watermarks = self._load_watermarks()
@@ -290,16 +281,20 @@ class WineFS(BaseFS):
                     records.append(rec)
         used: List[Extent] = []
         for rec in records:
-            chain = self._indirect_chains[rec.ino] = rec.chain
+            chain = rec.chain
             inode = rec.to_inode()
             inode.parent_ino, inode.name = rec.parent_ino, rec.name
             inode.owner_cpu = self.layout.cpu_of_ino(rec.ino) \
                 % self.layout.num_cpus
             self._itable.adopt(inode)
-            # the packer remembers the name now on PM, so the first
-            # update after mount can tell whether a rename moved it
-            self._packer.pack(inode, inode.extents.as_tuple(),
-                              chain[0] if chain else 0)
+            slot = self._slots[rec.ino] = InodeSlot(
+                self.layout.inode_addr(rec.ino), chain)
+            # the record learns the name now on PM, so the first update
+            # after mount can tell whether a rename moved it; it keeps no
+            # diff base, so that update copy-on-writes the chain
+            slot.pack(inode, inode.extents.as_tuple(),
+                      chain[0] if chain else 0)
+            slot.extents = None
             if inode.is_dir:
                 self._dirs[inode.ino] = self.dir_index_cls()
             used.extend(inode.extents)
@@ -333,7 +328,7 @@ class WineFS(BaseFS):
                 f"is not reachable from the root")
         for ino in unreachable:
             self._dirs.pop(ino, None)
-            self._packer.drop(ino)
+            self._slots.pop(ino, None)
             self._itable.free(ino)
         for inode in self._itable.live_inodes():
             if inode.ino == ROOT_INO:
@@ -423,11 +418,9 @@ class WineFS(BaseFS):
         if txn is not None:
             txn.log_undo_range(addr, INODE_BYTES, ctx)
         self.device.persist(addr, b"\x00", ctx)
-        self._serialized_extents.pop(inode.ino, None)
-        self._packer.drop(inode.ino)
-        chain = self._indirect_chains.pop(inode.ino, None)
-        if chain:
-            freed = [Extent(block, 1) for block in chain]
+        slot = self._slots.pop(inode.ino, None)
+        if slot is not None and slot.chain:
+            freed = [Extent(block, 1) for block in slot.chain]
             if txn is None:
                 self._free(freed)
             else:
@@ -451,87 +444,61 @@ class WineFS(BaseFS):
         """
         new_tuple = inode.extents.as_tuple()
         nnew = len(new_tuple)
-        ino = inode.ino
-        prev = self._serialized_extents.get(ino)
-        old_chain = self._indirect_chains.get(ino)
-        if prev is new_tuple and nnew <= INLINE_EXTENTS and not old_chain:
-            # size-only update of an inline-extent inode: no chain work,
-            # same undo image and slot rewrite as the general path below
-            if old_chain is None:
-                self._indirect_chains[ino] = []
-            addr = self._inode_addrs.get(ino)
-            if addr is None:
-                addr = self._inode_addrs[ino] = self.layout.inode_addr(ino)
-            packed = self._packer.pack(inode, new_tuple, 0)
-            if txn is not None:
-                txn.log_undo_range(addr, INODE_BYTES, ctx)
-            self.device.persist(addr, packed, ctx)
-            return
-        extents = new_tuple
-        addr = self._inode_addrs.get(ino)
-        if addr is None:
-            addr = self._inode_addrs[ino] = self.layout.inode_addr(ino)
-        prev_len = len(prev) if prev is not None else 0
-        lcp = 0
+        slot = self._slots.get(inode.ino)
+        if slot is None:
+            slot = self._slots[inode.ino] = InodeSlot(
+                self.layout.inode_addr(inode.ino))
+        addr = slot.addr
+        prev = slot.extents
+        old_chain = slot.chain
         if prev is new_tuple:
             # unchanged since the last serialize (size-only update)
-            lcp = prev_len
-        elif prev is not None:
+            prev_len = lcp = nnew
+        elif prev is None:
+            prev_len = lcp = 0
+        else:
+            prev_len = len(prev)
             n = min(prev_len, nnew)
+            lcp = 0
             while lcp < n and prev[lcp] == new_tuple[lcp]:
                 lcp += 1
+        n_old = len(old_chain)
+        needed = (nnew - INLINE_EXTENTS + EXTENTS_PER_INDIRECT - 1) \
+            // EXTENTS_PER_INDIRECT if nnew > INLINE_EXTENTS else 0
         # append-only: everything except possibly the last old extent
         # (which may have grown by coalescing) is unchanged
-        append_only = (prev is not None
-                       and nnew >= prev_len
-                       and lcp >= prev_len - 1)
-        self._serialized_extents[ino] = new_tuple
-        if append_only and nnew <= INLINE_EXTENTS and not old_chain:
-            # hot aging path (inline-extent append): the general
-            # append-only branch below reduces to exactly this
-            if old_chain is None:
-                self._indirect_chains[ino] = []
-            packed = self._packer.pack(inode, new_tuple, 0)
-            if txn is not None:
-                txn.log_undo_range(addr, INODE_BYTES, ctx)
-            self.device.persist(addr, packed, ctx)
-            return
-        if old_chain is None:
-            old_chain = []
-        overflow = extents[INLINE_EXTENTS:]
-        n_old = len(old_chain)
-        needed = (len(overflow) + EXTENTS_PER_INDIRECT - 1) \
-            // EXTENTS_PER_INDIRECT
-        if append_only and needed >= n_old:
+        if prev is not None and nnew >= prev_len and lcp >= prev_len - 1 \
+                and needed >= n_old:
             # in-place incremental update: old entries are never
             # overwritten, so rolling back the header alone is safe
-            chain = list(old_chain)
-            while len(chain) < needed:
-                chain.append(self._one_hole(ctx).start)
-            first_dirty = min(lcp, max(0, nnew - 1))
-            start_block = max(0, (first_dirty - INLINE_EXTENTS)
-                              // EXTENTS_PER_INDIRECT) if needed else 0
-            if len(chain) != n_old:
-                start_block = min(start_block, max(0, n_old - 1))
-            for i in reversed(range(start_block, needed)):
-                chunk = overflow[i * EXTENTS_PER_INDIRECT:
-                                 (i + 1) * EXTENTS_PER_INDIRECT]
-                nxt = chain[i + 1] if i + 1 < needed else 0
-                blob = pack_indirect(nxt, chunk)
-                dirty_idx = first_dirty - INLINE_EXTENTS \
-                    - i * EXTENTS_PER_INDIRECT
-                if i < n_old and len(chain) == n_old \
-                        and i == needed - 1 and dirty_idx > 0:
-                    # write only the modified tail entries of the leaf
-                    lo = 8 + dirty_idx * 8
-                    hi = 8 + len(chunk) * 8
-                    self.device.persist(chain[i] * BLOCK_SIZE + lo,
-                                        blob[lo:hi], ctx)
-                else:
-                    self.device.persist(chain[i] * BLOCK_SIZE, blob, ctx)
+            chain = old_chain
+            first_dirty = min(lcp, nnew - 1)
+            if needed:
+                start_block = max(0, (first_dirty - INLINE_EXTENTS)
+                                  // EXTENTS_PER_INDIRECT)
+                if needed > n_old:
+                    chain = old_chain + [self._one_hole(ctx).start
+                                         for _ in range(needed - n_old)]
+                    start_block = min(start_block, max(0, n_old - 1))
+                overflow = new_tuple[INLINE_EXTENTS:]
+                for i in reversed(range(start_block, needed)):
+                    chunk = overflow[i * EXTENTS_PER_INDIRECT:
+                                     (i + 1) * EXTENTS_PER_INDIRECT]
+                    nxt = chain[i + 1] if i + 1 < needed else 0
+                    blob = pack_indirect(nxt, chunk)
+                    dirty_idx = first_dirty - INLINE_EXTENTS \
+                        - i * EXTENTS_PER_INDIRECT
+                    if needed == n_old and i == needed - 1 and dirty_idx > 0:
+                        # write only the modified tail entries of the leaf
+                        lo = 8 + dirty_idx * 8
+                        hi = 8 + len(chunk) * 8
+                        self.device.persist(chain[i] * BLOCK_SIZE + lo,
+                                            blob[lo:hi], ctx)
+                    else:
+                        self.device.persist(chain[i] * BLOCK_SIZE, blob, ctx)
             if txn is not None:
                 if first_dirty >= INLINE_EXTENTS \
-                        and not self._packer.renamed(inode):
+                        and slot.name == inode.name:
                     # header entry alone suffices: n_extents gates how much
                     # of the (suffix-extended) chain is live
                     txn.log_undo(addr, ctx)
@@ -541,6 +508,7 @@ class WineFS(BaseFS):
             # structural change (CoW replace, truncate, first serialize):
             # copy-on-write the chain so the old blocks stay intact for
             # rollback; the header pointer swap is the atomic commit point
+            overflow = new_tuple[INLINE_EXTENTS:]
             chain = [self._one_hole(ctx).start for _ in range(needed)]
             for i in reversed(range(needed)):
                 chunk = overflow[i * EXTENTS_PER_INDIRECT:
@@ -557,7 +525,7 @@ class WineFS(BaseFS):
             # entries outside the common prefix and common suffix
             lcs = 0
             max_lcs = min(prev_len, nnew) - lcp
-            while lcs < max_lcs and prev is not None \
+            while lcs < max_lcs \
                     and prev[prev_len - 1 - lcs] == new_tuple[nnew - 1 - lcs]:
                 lcs += 1
             changed = (nnew - lcp - lcs) + (prev_len - lcp - lcs)
@@ -572,13 +540,11 @@ class WineFS(BaseFS):
             if txn is not None:
                 # the name region changes only on a rename, so a
                 # data-path update logs the header + inline extents alone
-                txn.log_undo_range(
-                    addr, INODE_BYTES if self._packer.renamed(inode)
-                    else 72, ctx)
-        self._indirect_chains[ino] = chain
-        indirect0 = chain[0] if chain else 0
-        self.device.persist(addr, self._packer.pack(inode, new_tuple,
-                                                    indirect0), ctx)
+                renamed = slot.name is not None and slot.name != inode.name
+                txn.log_undo_range(addr, INODE_BYTES if renamed else 72, ctx)
+        slot.chain = chain
+        self.device.persist(addr, slot.pack(inode, new_tuple,
+                                            chain[0] if chain else 0), ctx)
 
     # ------------------------------------------------------- allocation (§3.4)
 

@@ -32,7 +32,6 @@ from ..clock import SimContext
 from ..errors import ChecksumError, CorruptionError, FSError, MediaError
 from ..params import BLOCK_SIZE, CACHELINE
 from ..pm.device import PMDevice
-from ..pm.zeros import Zeros
 from .layout import Layout
 
 ENTRY_BYTES = CACHELINE
@@ -48,6 +47,7 @@ _HEAD = struct.Struct("<BBHIIQQ")
 _CRC_OFF = 8                                # byte offset of the crc field
 UNDO_BYTES = ENTRY_BYTES - _HEAD.size      # 36B of undo payload per entry
 MAX_TXN_ENTRIES = 10                        # §3.6: at most 10 entries / 640B
+_EMPTY_ENTRY = bytes(ENTRY_BYTES)           # an erased slot
 
 
 @dataclass(frozen=True)
@@ -125,27 +125,25 @@ class PerCPUJournal:
         return self.base + (slot % self.capacity) * ENTRY_BYTES
 
     def append(self, entry: JournalEntry, ctx: SimContext) -> None:
-        if not self.device.track_stores:
-            # fast devices cannot produce crash images, so the journal
-            # bytes are unobservable: charge the persist without writing
-            self.append_run(1, ctx)
-            return
-        addr = self._slot_addr(self.head)
-        if (self.head % self.capacity) == 0 and self.head > 0:
-            self.wraparound += 1
-        entry = JournalEntry(entry.etype, self.wraparound, entry.txn_id,
-                             entry.addr, entry.undo)
-        self.device.persist(addr, entry.pack(), ctx)
-        ctx.counters.journal_ns += self._entry_persist_ns
-        self.head += 1
+        """Append one entry under the current wrap generation.
+
+        Only a tracked device can produce crash images, so only there are
+        the bytes written, and uncharged: the cost is :meth:`append_run`'s
+        on every device, so tracking stores never moves simulated time.
+        """
+        if self.device.track_stores:
+            head = self.head
+            wrap = self.wraparound + (head % self.capacity == 0 and head > 0)
+            self.device.persist(self._slot_addr(head), JournalEntry(
+                entry.etype, wrap, entry.txn_id, entry.addr,
+                entry.undo).pack())
+        self.append_run(1, ctx)
 
     def append_run(self, n: int, ctx: SimContext) -> None:
-        """Advance the journal by *n* blank entries: the one place the
-        cost of an entry whose bytes nobody can observe is charged.
-
-        Only valid on an untracked (fast) device, where it charges
-        exactly what *n* :meth:`append` calls would (clock and journal_ns
-        adds stay per-entry because float addition does not regroup).
+        """Advance the journal by *n* entries: the one place the cost of
+        a journal entry is charged, and all of an entry on a fast device,
+        whose journal bytes nobody can observe (clock and journal_ns adds
+        stay per-entry because float addition does not regroup).
         """
         if n <= 0:
             return
@@ -177,34 +175,37 @@ class PerCPUJournal:
 
     # -- recovery scan ----------------------------------------------------------
 
-    def scan(self) -> Tuple[List[JournalEntry], int]:
-        """Read back every live entry in append order (oldest first), and
-        the number of slots skipped.
+    def scan(self) -> Tuple[List[JournalEntry], int, List[int]]:
+        """Read back every live entry in append order (oldest first), the
+        number of slots skipped, and the slots that are not all zeros.
 
         Uses the wraparound counter to find the newest region: entries
         carry the wrap generation they were written under, so a slot whose
         generation is *newer* than its predecessor marks the write frontier.
         A slot whose load hits a poisoned line or whose record fails its
-        checksum is skipped and counted instead of aborting recovery.
+        checksum is skipped and counted instead of aborting recovery; it
+        is not all zeros either, so an erase still overwrites it.
         """
         entries: List[Tuple[int, JournalEntry]] = []
         skipped = 0
+        dirty: List[int] = []
         for slot in range(self.capacity):
             try:
                 raw = self.device.load(self.base + slot * ENTRY_BYTES,
                                        ENTRY_BYTES)
+                if raw == _EMPTY_ENTRY:
+                    continue
                 e = JournalEntry.unpack(raw)
             except (MediaError, CorruptionError):
+                e = None
                 skipped += 1
-                continue
+            dirty.append(slot)
             if e is not None:
                 entries.append((slot, e))
-        if not entries:
-            return [], skipped
         # order: higher wraparound generation is newer; within a
         # generation, slot order is append order
         entries.sort(key=lambda se: (se[1].wraparound, se[0]))
-        return [e for _slot, e in entries], skipped
+        return [e for _slot, e in entries], skipped, dirty
 
 
 class _Transaction:
@@ -337,10 +338,12 @@ class JournalManager:
         """
         committed_ids = set()
         txn_entries = {}
+        dirty_slots = []
         self.skipped_records = 0
         for journal in self.journals:
-            entries, skipped = journal.scan()
+            entries, skipped, dirty = journal.scan()
             self.skipped_records += skipped
+            dirty_slots.append(dirty)
             for entry in entries:
                 if entry.etype == TYPE_COMMIT:
                     committed_ids.add(entry.txn_id)
@@ -357,20 +360,13 @@ class JournalManager:
         for tid in sorted(uncommitted, reverse=True):
             for entry in reversed(txn_entries[tid]):
                 self.device.persist(entry.addr, entry.undo)
-        # journals restart clean after recovery
-        for journal in self.journals:
-            self._erase(journal)
+        # journals restart clean after recovery: zero every slot the scan
+        # did not find all zeros (the slots found so are already erased)
+        for journal, dirty in zip(self.journals, dirty_slots):
+            for slot in dirty:
+                self.device.persist(journal.base + slot * ENTRY_BYTES,
+                                    _EMPTY_ENTRY)
+            journal.head = journal.tail = 0
+            journal.wraparound += 1
         self._next_txn_id = max(list(committed_ids) + list(txn_entries) + [0]) + 1
         return len(committed_ids), len(uncommitted)
-
-    def _erase(self, journal: PerCPUJournal) -> None:
-        if self.device.track_stores:
-            zero = b"\x00" * ENTRY_BYTES
-            for slot in range(journal.capacity):
-                self.device.persist(journal.base + slot * ENTRY_BYTES, zero)
-        else:
-            # one buffer-free zeroing sweep; same total bytes_written
-            self.device.persist(journal.base,
-                                Zeros(journal.capacity * ENTRY_BYTES))
-        journal.head = journal.tail = 0
-        journal.wraparound += 1

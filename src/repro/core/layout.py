@@ -201,57 +201,58 @@ def pack_inode(rec: InodeRecord, indirect_block: int = 0) -> bytes:
     return body.ljust(INODE_SLOT_BYTES, b"\x00")
 
 
-class InodePacker:
-    """:func:`pack_inode` specialized for the serialize-on-every-update
-    path: keeps one preallocated slot buffer per inode and rewrites only
-    the regions that changed since the last pack.
+class InodeSlot:
+    """What is on PM for one WineFS inode: the one DRAM record that the
+    serialize-on-every-update path diffs against and packs into.
 
-    The head is re-packed in place every call (size/nlink change often);
-    the inline-extent region is rewritten only when the identity-cached
-    extent tuple (:meth:`ExtentList.as_tuple`) changes, the name field
-    only when the name string changes.  No per-call allocation, no
-    concatenation, no trailing-pad copy — the returned buffer is always
-    the full slot.  Output is byte-identical to :func:`pack_inode` of
-    the equivalent record.
+    * ``addr``: the slot's PM byte address;
+    * ``buf``: the reusable 128B slot image that :meth:`pack` rewrites;
+    * ``extents``: the extent tuple last persisted
+      (:meth:`ExtentList.as_tuple`, identity-cached), the diff base of the
+      next update; None when there is none (a new inode, or one a mount
+      rebuilt from PM);
+    * ``chain``: the blocks of the slot's indirect chain, head first;
+    * ``name``: the name last packed (None before the first pack): the
+      name field lies past the header and the inline extents, so an undo
+      image that skips it cannot roll back a rename.
 
-    The returned ``bytearray`` is reused by the next ``pack`` of the
-    same inode: callers must consume it immediately (the device's sparse
-    store copies it on write).  Entries must be dropped when an inode is
-    freed (ino numbers are reused).
+    The record only caches PM, and is dropped when its inode is freed
+    (ino numbers are reused).
     """
 
-    __slots__ = ("_slots",)
+    __slots__ = ("addr", "buf", "extents", "chain", "name",
+                 "_inline_used", "_name_end")
 
     _INLINE_OFF = _INODE_HEAD.size
     _NAME_OFF = _INODE_HEAD.size + INLINE_EXTENTS * _EXT.size
 
-    def __init__(self) -> None:
-        # ino -> [slot bytearray, extents tuple, n_inline_bytes,
-        #         name str, name_end]
-        self._slots: dict = {}
-
-    def drop(self, ino: int) -> None:
-        self._slots.pop(ino, None)
-
-    def renamed(self, inode) -> bool:
-        """Whether *inode*'s name differs from the one last packed for it.
-
-        The name field lies past the header and the inline extents, so
-        an undo image that skips it cannot roll back a rename."""
-        entry = self._slots.get(inode.ino)
-        return entry is not None and entry[3] != inode.name
+    def __init__(self, addr: int, chain: Optional[List[int]] = None) -> None:
+        self.addr = addr
+        self.buf = bytearray(INODE_SLOT_BYTES)
+        self.extents: Optional[tuple] = None
+        self.chain: List[int] = chain if chain is not None else []
+        self.name: Optional[str] = None
+        self._inline_used = 0
+        self._name_end = 0
 
     def pack(self, inode, extents: tuple, indirect_block: int) -> bytearray:
-        entry = self._slots.get(inode.ino)
-        if entry is None:
-            entry = [bytearray(INODE_SLOT_BYTES), None, 0, None, 0]
-            self._slots[inode.ino] = entry
-        buf = entry[0]
+        """:func:`pack_inode` of *inode* with *extents*, into :attr:`buf`,
+        which becomes the record of what is on PM.
+
+        The head is re-packed every call (size/nlink change often); the
+        inline-extent region only when *extents* is not the tuple last
+        packed, the name field only when the name string changes.  No
+        per-call allocation; the output is byte-identical to
+        :func:`pack_inode` of the equivalent record.  The buffer is
+        reused by the next ``pack``: callers consume it at once (the
+        device's sparse store copies it on write).
+        """
+        buf = self.buf
         flags = (FLAG_DIR if inode.is_dir else 0) | \
                 (FLAG_ALIGNED_HINT if inode.aligned_hint else 0)
         _HEAD_PACK_INTO(buf, 0, 1, flags, inode.nlink, len(extents),
                         inode.size, inode.parent_ino, indirect_block)
-        if entry[1] is not extents:
+        if self.extents is not extents:
             flat = []
             for e in extents[:INLINE_EXTENTS]:
                 flat.append(e.start)
@@ -259,13 +260,14 @@ class InodePacker:
             off = self._INLINE_OFF
             _INLINE_PACK_INTO[len(flat) // 2](buf, off, *flat)
             used = len(flat) * 4
-            if used < entry[2]:
+            if used < self._inline_used:
                 # fewer inline extents than last time: zero the stale tail
-                buf[off + used:off + entry[2]] = bytes(entry[2] - used)
-            entry[1] = extents
-            entry[2] = used
+                buf[off + used:off + self._inline_used] = \
+                    bytes(self._inline_used - used)
+            self.extents = extents
+            self._inline_used = used
         name = inode.name
-        if entry[3] is not name:
+        if self.name is not name:
             name_bytes = name.encode()
             if len(name_bytes) > MAX_NAME:
                 raise FSError(f"name too long for inode slot: {name!r}")
@@ -273,10 +275,10 @@ class InodePacker:
             buf[off] = len(name_bytes)
             end = off + 1 + len(name_bytes)
             buf[off + 1:end] = name_bytes
-            if end < entry[4]:
-                buf[end:entry[4]] = bytes(entry[4] - end)
-            entry[3] = name
-            entry[4] = end
+            if end < self._name_end:
+                buf[end:self._name_end] = bytes(self._name_end - end)
+            self.name = name
+            self._name_end = end
         return buf
 
 

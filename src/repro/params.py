@@ -87,13 +87,10 @@ class MachineParams:
     syscall_ns: float = 700.0             # trap + VFS dispatch (§2.1: "cost of
                                           # trapping into the kernel ... adds
                                           # significant overhead")
-    vfs_lock_ns: float = 150.0            # shared namespace lock hold time
-    context_switch_ns: float = 2000.0
 
-    # -- journaling -----------------------------------------------------------
-    journal_entry_bytes: int = 64         # §3.6: each log entry is a cacheline
+    # -- journaling (WineFS's entry size and transaction bound are
+    # ENTRY_BYTES / MAX_TXN_ENTRIES in repro.core.journal) -------------------
     jbd2_commit_ns: float = 22000.0       # JBD2 stop-the-world commit overhead
-    max_txn_entries: int = 10             # §3.6: at most 10 entries = 640B
 
     def pm_read_ns(self, nbytes: int) -> float:
         """Streaming read cost for *nbytes* from PM."""

@@ -46,7 +46,7 @@ from typing import Any, Dict, List, Optional, Tuple
 from . import codec
 
 __all__ = ["FORMAT_VERSION", "LOAD_STATUSES", "Archive", "cache_key",
-           "snapshot_dir", "save", "load", "load_ex"]
+           "env_max_bytes", "snapshot_dir", "save", "load", "load_ex"]
 
 #: bump whenever the codec stream or the simulated state layout changes;
 #: old images are then ignored (and replaced by the next save), never
@@ -63,8 +63,11 @@ __all__ = ["FORMAT_VERSION", "LOAD_STATUSES", "Archive", "cache_key",
 #: CPU, ``tlbs``; 8: the machine is one socket — the device's socket
 #: map, WineFS's home-socket policy and ``MachineParams``' two remote
 #: multipliers are gone, as are ``LockManager.acquisitions`` and
-#: ``LockManager.lock_wait_ns``)
-FORMAT_VERSION = 8
+#: ``LockManager.lock_wait_ns``; 9: WineFS's four per-inode persistence
+#: maps became one ``InodeSlot`` record per inode in ``_slots``, and
+#: ``MachineParams`` lost ``vfs_lock_ns``, ``context_switch_ns``,
+#: ``journal_entry_bytes`` and ``max_txn_entries``)
+FORMAT_VERSION = 9
 
 #: every status ``load_ex`` can report.  ``hit`` carries a value; the
 #: rest carry ``None``.  ``miss`` (no image) is the healthy cold-cache
@@ -316,6 +319,20 @@ def snapshot_dir() -> str:
     return os.path.join(os.path.expanduser("~"), ".cache", "repro")
 
 
+def env_max_bytes() -> Optional[int]:
+    """``$REPRO_SNAPSHOT_MAX_BYTES`` as a byte count; None when unset or
+    empty.  Any other value that is not a decimal byte count raises
+    ValueError: :func:`save` then applies no cap, and ``repro snapshot
+    gc`` refuses it."""
+    raw = os.environ.get("REPRO_SNAPSHOT_MAX_BYTES", "")
+    if not raw:
+        return None
+    if not raw.isdecimal():
+        raise ValueError(f"$REPRO_SNAPSHOT_MAX_BYTES={raw!r} is not a "
+                         "byte count")
+    return int(raw)
+
+
 def save(key: str, root: Any, meta: Optional[Dict[str, Any]] = None) -> bool:
     """Encode *root* and store it under *key*, replacing any older image.
 
@@ -324,11 +341,14 @@ def save(key: str, root: Any, meta: Optional[Dict[str, Any]] = None) -> bool:
     """
     _check_key(key)
     try:
+        cap = env_max_bytes()
+    except ValueError:          # not a byte count: no cap
+        cap = None
+    try:
         cache = Archive(snapshot_dir())
         saved = cache.put(key, root, meta=meta)
-        cap = os.environ.get("REPRO_SNAPSHOT_MAX_BYTES", "")
-        if saved and cap.isdecimal():  # unset or not a byte count: no cap
-            cache.gc(int(cap))
+        if saved and cap is not None:
+            cache.gc(cap)
         return saved
     except OSError:
         return False

@@ -56,8 +56,8 @@ class TestAccounting:
         internal = 0
         if hasattr(fs, "_log_pages"):              # NOVA per-inode logs
             internal += sum(len(p) for p in fs._log_pages.values())
-        if hasattr(fs, "_indirect_chains"):        # WineFS extent chains
-            internal += sum(len(c) for c in fs._indirect_chains.values())
+        if hasattr(fs, "_slots"):                  # WineFS extent chains
+            internal += sum(len(s.chain) for s in fs._slots.values())
         assert stats.free_blocks + used_by_files + internal == \
             stats0.total_blocks
 

@@ -315,7 +315,7 @@ class TestTornStores:
         if keep:
             with pytest.raises(ChecksumError):
                 JournalEntry.unpack(device.load(journal.base, ENTRY_BYTES))
-        entries, skipped = journal.scan()
+        entries, skipped, _dirty = journal.scan()
         assert entry not in entries
         assert skipped == (1 if keep else 0)
 

@@ -339,7 +339,7 @@ class TestJournalRegion:
             journal.append(
                 JournalEntry(TYPE_DATA, 0, i + 1, 0, b""), ctx)
             journal.reclaim_committed()
-        entries, skipped = journal.scan()
+        entries, skipped, _dirty = journal.scan()
         assert skipped == 0
         ids = [e.txn_id for e in entries]
         assert ids == sorted(ids)

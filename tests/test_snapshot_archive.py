@@ -219,6 +219,38 @@ class TestArchiveFailurePaths:
         assert archive.load_ex(keys[0])[1] == "miss"
         assert archive.load_ex(keys[2])[1] == "hit"
 
+    @pytest.mark.parametrize("raw,want", [(None, None), ("", None),
+                                          ("4096", 4096), ("0", 0)])
+    def test_env_cap_parses_a_byte_count(self, monkeypatch, raw, want):
+        if raw is None:
+            monkeypatch.delenv("REPRO_SNAPSHOT_MAX_BYTES", raising=False)
+        else:
+            monkeypatch.setenv("REPRO_SNAPSHOT_MAX_BYTES", raw)
+        assert store.env_max_bytes() == want
+
+    @pytest.mark.parametrize("raw", ["abc", "-1", "1e3", " 5"])
+    def test_gc_refuses_an_env_cap_that_is_no_byte_count(
+            self, arch_dir, monkeypatch, capsys, raw):
+        """``save`` ignores such a cap (``TestStoreSizeCap``); ``gc`` is
+        asked for one, so it exits 2 with one stderr line and keeps
+        every image."""
+        from repro.cli import main
+
+        archive = Archive(arch_dir)
+        keys = _fill(archive, count=2)
+        monkeypatch.setenv("REPRO_SNAPSHOT_MAX_BYTES", raw)
+        with pytest.raises(ValueError):
+            store.env_max_bytes()
+        assert main(["snapshot", "gc", "--archive", arch_dir]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "is not a byte count" in err
+        assert archive.keys() == sorted(keys)
+        monkeypatch.delenv("REPRO_SNAPSHOT_MAX_BYTES")
+        assert main(["snapshot", "gc", "--archive", arch_dir]) == 2
+        monkeypatch.setenv("REPRO_SNAPSHOT_MAX_BYTES", "0")
+        assert main(["snapshot", "gc", "--archive", arch_dir]) == 0
+        assert archive.keys() == []
+
 
 class TestReplacingPut:
     """``put`` is the cache's write: the last writer wins, which is what

@@ -22,7 +22,7 @@ import zlib
 
 import pytest
 
-from repro.core.layout import (INODE_SLOT_BYTES, InodePacker, InodeRecord,
+from repro.core.layout import (INODE_SLOT_BYTES, InodeRecord, InodeSlot,
                                pack_inode)
 from repro.errors import FSError
 from repro.faults import FaultPlan, FaultSpec
@@ -269,11 +269,11 @@ class _FakeInode:
 
 
 def test_inode_packer_matches_pack_inode():
-    """The slot-buffer packer must emit byte-identical 128B slots across
-    randomized head/extents/name mutations, including shrink paths that
-    must zero stale tails."""
+    """The slot record's buffer packer must emit byte-identical 128B slots
+    across randomized head/extents/name mutations, including shrink paths
+    that must zero stale tails."""
     rng = random.Random(11)
-    packer = InodePacker()
+    slots = {}
     inodes = {i: _FakeInode(i) for i in range(6)}
     extents = {i: () for i in inodes}
     indirect = {i: 0 for i in inodes}
@@ -298,8 +298,9 @@ def test_inode_packer_matches_pack_inode():
         elif mut == 4:
             inode.parent_ino = rng.randrange(0, 100)
         else:
-            packer.drop(ino)
-        got = bytes(packer.pack(inode, extents[ino], indirect[ino]))
+            slots.pop(ino, None)
+        slot = slots.setdefault(ino, InodeSlot(0))
+        got = bytes(slot.pack(inode, extents[ino], indirect[ino]))
         rec = InodeRecord(
             ino=ino, valid=True, is_dir=inode.is_dir,
             aligned_hint=inode.aligned_hint, nlink=inode.nlink,

@@ -445,13 +445,13 @@ def test_remount_never_hands_out_a_chain_block():
     for _ in range(8):          # interleaved appends spill the inline map
         f.append(b"c" * 16 * KIB, ctx)
         g.append(b"g" * 16 * KIB, ctx)
-    chain = list(fs._indirect_chains[f.ino])
+    chain = list(fs._slots[f.ino].chain)
     assert chain
     fs.unmount(ctx)
     fs2 = WineFS(device, num_cpus=2)
     ctx2 = make_context(2)
     fs2.mount(ctx2)
-    assert fs2._indirect_chains[f.ino] == chain
+    assert fs2._slots[f.ino].chain == chain
     fs2.create("/hog", ctx2).fallocate(
         0, (fs2.statfs().free_blocks - 16) * BLOCK_SIZE, ctx2)
     with pytest.raises(NoSpaceError):
@@ -461,7 +461,7 @@ def test_remount_never_hands_out_a_chain_block():
     for inode in fs2._itable.live_inodes():
         held += [b for e in fs2.file_extents(inode.ino)
                  for b in range(e.start, e.end)]
-        held += fs2._indirect_chains.get(inode.ino, [])
+        held += fs2._slots[inode.ino].chain
     assert len(held) == len(set(held))
     assert set(chain) <= set(held)
     assert fs2.read_file("/chained", ctx2) == b"c" * 8 * 16 * KIB

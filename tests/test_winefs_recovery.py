@@ -91,7 +91,7 @@ class TestCleanRemount:
         fs.unmount(ctx)
         fs2, ctx2 = _remount(device)
         assert [j.scan() for j in fs2.journal.journals] == \
-            [([], 0)] * len(fs2.journal.journals)
+            [([], 0, [])] * len(fs2.journal.journals)
         fs2.create("/after", ctx2)
         started = [e.txn_id for j in fs2.journal.journals
                    for e in j.scan()[0] if e.etype == TYPE_START]
