@@ -60,11 +60,10 @@ def _campaign_cells(name: str, args) -> List[dict]:
 
 
 def _emit_report(args, report) -> bool:
-    """Write ``--out`` / ``--openmetrics``; true when neither took
-    stdout, which is then free for the human-readable table."""
+    """Write ``--out``; true when it did not take stdout, which is then
+    free for the human-readable table."""
     import json
 
-    openmetrics = getattr(args, "openmetrics", None)
     if args.out:
         blob = json.dumps(report, sort_keys=True, indent=2) + "\n"
         if args.out == "-":
@@ -74,12 +73,7 @@ def _emit_report(args, report) -> bool:
                 handle.write(blob)
             print(f"wrote {args.out} ({len(report['cells'])} cells, "
                   f"jobs={args.jobs})")
-    if openmetrics:
-        from .obs import write_openmetrics
-        write_openmetrics(openmetrics, report["frame"])
-        if openmetrics != "-":
-            print(f"wrote {openmetrics} (OpenMetrics)")
-    return args.out != "-" and openmetrics != "-"
+    return args.out != "-"
 
 
 def cmd_bench(args) -> int:
@@ -274,10 +268,9 @@ def cmd_serve(args) -> int:
     happened — a smoke test of the whole stack.
 
     With ``--load``: run the seeded multi-tenant load matrix through the
-    fleet runner.  The JSON report and the OpenMetrics exposition
-    contain only simulated quantities merged in sorted-cell-key order,
-    so both are byte-identical for any ``--jobs`` value and across
-    repeated runs with the same seeds.
+    fleet runner.  The JSON report contains only simulated quantities
+    merged in sorted-cell-key order, so it is byte-identical for any
+    ``--jobs`` value and across repeated runs with the same seeds.
     """
     from .harness.report import slo_table
 
@@ -489,8 +482,8 @@ def _add_campaign(sub, name: str, blurb: str, out: Optional[str] = None,
     campaign = CAMPAIGNS[name]
     p = sub.add_parser(name, help=blurb)
     p.add_argument("--jobs", type=_positive_int, default=1,
-                   help="worker processes (reports, OpenMetrics and "
-                        "archived images are byte-identical for any value)")
+                   help="worker processes (reports and archived images "
+                        "are byte-identical for any value)")
     for axis in campaign.axes:
         p.add_argument(_AXIS_FLAGS[axis][0], dest=axis, metavar="LIST",
                        type=_list_flag(axis), default=axis_defaults[axis],
@@ -595,10 +588,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="serve from aged images (snapshot-cached)")
     serve.add_argument("--faults", action="store_true",
                        help="run the seeded serve fault campaign mid-load")
-    for p in (slo, serve):
-        p.add_argument("--openmetrics", metavar="PATH", default=None,
-                       help="write the merged frame as OpenMetrics text "
-                            "('-' for stdout)")
 
     p = _add_campaign(sub, "snapshot", "build and maintain the "
                       "aged-image snapshot archive", fs="WineFS",
@@ -669,9 +658,6 @@ COMMANDS = {
 def main(argv: Optional[List[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if getattr(args, "out", None) == getattr(args, "openmetrics", "") == "-":
-        parser.error("--out - and --openmetrics - would interleave two "
-                     "documents on stdout; send one of them to a file")
     return COMMANDS[args.command](args)
 
 

@@ -171,7 +171,7 @@ class WineFS(BaseFS):
 
     def mkfs(self, ctx: SimContext) -> None:
         # a fresh format clears any degradation from a previous mount
-        # (and closes the degraded interval on an attached timeline)
+        # (and closes the degraded interval on attached telemetry)
         self.clear_degraded(ctx)
         self._itable = _PerCPUInodeTables(self.layout)
         self._dirs = {}
@@ -227,17 +227,16 @@ class WineFS(BaseFS):
             self._rebuild_from_scan(ctx)
             self.mounted = True
 
-    def _degrade(self, ctx: Optional[SimContext], reason: str) -> None:
+    def _degrade(self, ctx: SimContext, reason: str) -> None:
         """Remount read-only and make the event observable."""
         if self.read_only:
             return
         self.remount_read_only(reason, ctx)
-        if ctx is not None:
-            ctx.counters.registry.counter("fs_degraded", fs=self.name).inc()
-            if ctx.trace.enabled:
-                now = ctx.now
-                ctx.trace.record("fs.degraded", ctx.cpu, now, now,
-                                 fs=self.name, reason=reason)
+        ctx.counters.registry.counter("fs_degraded", fs=self.name).inc()
+        if ctx.trace.enabled:
+            now = ctx.now
+            ctx.trace.record("fs.degraded", ctx.cpu, now, now,
+                             fs=self.name, reason=reason)
 
     def unmount(self, ctx: SimContext) -> None:
         self._check_mounted()
@@ -814,8 +813,6 @@ class WineFS(BaseFS):
         self._quarantine(bad)
         ctx.charge(self.alloc_ns)
         new_ext = self._one_hole(ctx)
-        self._telemetry_event("relocation", ctx, block=bad,
-                              dest=new_ext.start)
         ctx.charge(self.machine.pm_read_ns(self.block_size)
                    + self.machine.persist_ns(self.block_size))
         ctx.counters.pm_bytes_written += self.block_size
@@ -878,7 +875,6 @@ class WineFS(BaseFS):
             if bad is None:
                 return extents
             self._quarantine(bad)
-            self._telemetry_event("quarantine", ctx, block=bad)
             self._free(extents, ctx)
             if attempt == MAX_WRITE_RETRIES:
                 plan.note("write_error", "surfaced", ctx, block=bad)

@@ -13,8 +13,8 @@ Two builders, matching the two phases of a campaign cell
 
 * :func:`campaign_plan` — runtime faults active while the workload runs;
 * :func:`crash_plan` — the damage applied between a simulated crash and
-  the remount (a poisoned journal head), which is what drives the
-  degraded-mode timeline.
+  the remount (a poisoned journal head), which is what opens the
+  degraded interval behind the campaign's MTTR.
 """
 
 from __future__ import annotations
@@ -105,7 +105,7 @@ def crash_plan(seed: int, journal_base: int,
     journal, read from the pre-crash instance) so the tolerant journal
     scan on the next mount skips at least one record and the file
     system degrades to read-only — the deterministic trigger for a
-    degraded-mode interval on the timeline.
+    degraded interval.
     """
     return FaultPlan(seed=seed, specs=[
         FaultSpec("poison", addr=journal_base, length=length)])

@@ -236,7 +236,7 @@ def _drive_degraded_mix(fs, ctx, rng, count: int) -> None:
 
 
 def slo_cell(cell: Dict[str, Any]) -> Dict[str, Any]:
-    """Run one fault-campaign cell; returns a telemetry frame payload.
+    """Run one fault-campaign cell; returns its telemetry as a dict.
 
     Three phases, all in simulated time on the cell's own machine:
 
@@ -252,7 +252,7 @@ def slo_cell(cell: Dict[str, Any]) -> Dict[str, Any]:
        recovery edge that turns the degraded interval into an MTTR
        sample — and a short post-repair mix.
 
-    Everything is deterministic in the cell key, so the frame is too.
+    Everything is deterministic in the cell key, so the dict is too.
     """
     from ..faults import campaign_plan, crash_plan
     from ..obs import Telemetry
@@ -261,7 +261,7 @@ def slo_cell(cell: Dict[str, Any]) -> Dict[str, Any]:
     name = cell["fs"]
     seed = cell["seed"]
     ops = cell["ops"]
-    telemetry = Telemetry(tag=f"{name}/s{seed}")
+    telemetry = Telemetry()
     fs, ctx = fresh_fs(name, size_gib=cell["size_gib"],
                        num_cpus=cell["num_cpus"])
     plan = campaign_plan(seed)
@@ -292,39 +292,17 @@ def slo_cell(cell: Dict[str, Any]) -> Dict[str, Any]:
         _drive_degraded_mix(fs, ctx, rng, ops // 2)
     telemetry.absorb_fault_plan(fs.name, plan)
     telemetry.finalize(ctx.clock.elapsed)
-    return telemetry.as_payload()
-
-
-def _slo_result_rows(merged: Dict[str, Any]) -> List[Dict[str, Any]]:
-    """Evaluate every SLO over a merged frame: one report row each."""
-    from ..obs import evaluate_frame
-
-    return [{"fs": r.fs, "slo": r.spec.name, "ops": r.ops,
-             "surfaced": r.surfaced, "p50_ns": r.p50_ns,
-             "p99_ns": r.p99_ns, "p999_ns": r.p999_ns,
-             "budget_burn": r.budget_burn,
-             "objectives": list(r.objective_lines), "ok": r.ok}
-            for r in evaluate_frame(merged)]
+    return telemetry.as_dict()
 
 
 def _slo_report(cells: Sequence[Dict[str, Any]],
-                frames: List[Dict[str, Any]]) -> Dict[str, Any]:
-    """SLOs and availability over the frames merged in cell order."""
-    from ..obs import frame_of, merge_frames
+                parts: List[Dict[str, Any]]) -> Dict[str, Any]:
+    """SLOs and availability over the cells' telemetry, folded in cell
+    order."""
+    from ..obs import slo_report
 
-    merged = merge_frames(frames)
-    _bank, _ledger, timeline = frame_of(merged)
-    availability = {
-        fs: {"degradations": timeline.degradations(fs),
-             "degraded_ns": timeline.degraded_ns(fs),
-             "mttr_ns": timeline.mttr_ns(fs)}
-        for fs in timeline.fs_names()}
-    return {
-        "cells": [{"fs": c["fs"], "seed": c["seed"]} for c in cells],
-        "frame": merged,
-        "results": _slo_result_rows(merged),
-        "availability": availability,
-    }
+    return {"cells": [{"fs": c["fs"], "seed": c["seed"]} for c in cells],
+            **slo_report(parts)}
 
 
 # -- the `repro serve` load campaign -----------------------------------------
@@ -337,7 +315,7 @@ def serve_cell(cell: Dict[str, Any]) -> Dict[str, Any]:
     ``queue_cap > 0``) — and replays the seeded stream through it.
     With ``faults`` set, :func:`repro.faults.serve_campaign_plan` runs
     against the backend mid-load; surfaced errors burn the ``service``
-    SLO budget but never abort the load.  Returns the telemetry frame,
+    SLO budget but never abort the load.  Returns the telemetry dict,
     the load report, and the multiplexer's admission metrics.
     """
     from ..faults import serve_campaign_plan
@@ -351,7 +329,7 @@ def serve_cell(cell: Dict[str, Any]) -> Dict[str, Any]:
     # track_data: served objects must round-trip their actual bytes
     fs, ctx = build(name, size_gib=cell["size_gib"],
                     num_cpus=cell["num_cpus"], track_data=True)
-    telemetry = Telemetry(tag=f"serve/{name}/s{seed}")
+    telemetry = Telemetry()
     if cell.get("faults"):
         plan = serve_campaign_plan(seed)
         fs.attach_fault_plan(plan)
@@ -366,24 +344,23 @@ def serve_cell(cell: Dict[str, Any]) -> Dict[str, Any]:
     report = run_load(mux, stream, telemetry=telemetry)
     if plan is not None:
         telemetry.absorb_fault_plan(fs.name, plan)
-    telemetry.ledger.absorb_counters(backend.index_counters())
+    telemetry.absorb_counters(backend.index_counters())
     telemetry.finalize(ctx.clock.elapsed)
     return {
         "fs": name,
         "seed": seed,
         "load": report,
         "admission": mux.registry.as_dict(),
-        "frame": telemetry.as_payload(),
+        "telemetry": telemetry.as_dict(),
     }
 
 
 def _serve_report(cells: Sequence[Dict[str, Any]],
                   results: List[Dict[str, Any]]) -> Dict[str, Any]:
-    """Per-cell load reports plus SLOs over the merged frame (frames
-    merge in cell order, like :func:`_slo_report`)."""
-    from ..obs import merge_frames
+    """Per-cell load reports plus SLOs over the cells' telemetry, folded
+    in cell order like :func:`_slo_report`."""
+    from ..obs import slo_report
 
-    merged = merge_frames([r["frame"] for r in results])
     totals = merge_numeric(
         {"requests": r["load"]["requests"], "rejected": r["load"]["rejected"],
          "bytes_put": r["load"]["bytes_put"],
@@ -393,8 +370,7 @@ def _serve_report(cells: Sequence[Dict[str, Any]],
         "cells": [{"fs": r["fs"], "seed": r["seed"], "load": r["load"],
                    "admission": r["admission"]} for r in results],
         "totals": totals,
-        "frame": merged,
-        "results": _slo_result_rows(merged),
+        **slo_report(r["telemetry"] for r in results),
     }
 
 

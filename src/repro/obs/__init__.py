@@ -8,12 +8,11 @@ Three pieces, all keyed to **simulated** nanoseconds (never wall time):
   buffer; default-off via the shared :data:`NULL_TRACER` handle carried by
   every :class:`~repro.clock.SimContext`;
 * :mod:`repro.obs.export` — JSONL and Chrome ``trace_event`` exporters so
-  runs open in Perfetto, plus the OpenMetrics SLO exposition;
-* :mod:`repro.obs.sketch` / :mod:`repro.obs.slo` /
-  :mod:`repro.obs.timeline` / :mod:`repro.obs.telemetry` — the SLO
-  telemetry pipeline: mergeable per-(fs, op) latency sketches, error
-  budgets over a surfaced/masked ledger, and degraded-mode timelines,
-  attached per file system via ``FileSystem.attach_telemetry``.
+  runs open in Perfetto;
+* :mod:`repro.obs.slo` — SLO telemetry: exact per-(fs, op) latency
+  samples, error budgets over a surfaced/masked ledger, and degraded
+  intervals (MTTR), attached per file system via
+  ``FileSystem.attach_telemetry`` and graded by one report function.
 
 Invariant: observability never charges the :class:`~repro.clock.SimClock`;
 all benchmark numbers are bit-identical with tracing or telemetry on or
@@ -22,16 +21,11 @@ off.
 
 from .metrics import Counter, Gauge, Metric, MetricsRegistry, format_series
 from .trace import NULL_TRACER, NullTracer, SpanRecord, Tracer
-from .export import (chrome_trace, chrome_trace_events,
-                     openmetrics_exposition, openmetrics_lines,
-                     span_jsonl_lines, write_chrome_trace,
-                     write_metrics_json, write_openmetrics,
+from .export import (chrome_trace, chrome_trace_events, span_jsonl_lines,
+                     write_chrome_trace, write_metrics_json,
                      write_span_jsonl)
 from .faults import fault_report
-from .sketch import LatencySketch, SketchBank
-from .slo import DEFAULT_SLOS, ErrorLedger, SLOResult, SLOSpec
-from .telemetry import (Telemetry, evaluate_frame, frame_of, merge_frames)
-from .timeline import DegradedTimeline
+from .slo import DEFAULT_SLOS, SLOSpec, Telemetry, slo_report
 
 __all__ = [
     "Counter", "Gauge", "Metric", "MetricsRegistry",
@@ -39,10 +33,6 @@ __all__ = [
     "NULL_TRACER", "NullTracer", "SpanRecord", "Tracer",
     "chrome_trace", "chrome_trace_events", "span_jsonl_lines",
     "write_chrome_trace", "write_metrics_json", "write_span_jsonl",
-    "openmetrics_exposition", "openmetrics_lines", "write_openmetrics",
     "fault_report",
-    "LatencySketch", "SketchBank",
-    "DEFAULT_SLOS", "ErrorLedger", "SLOResult", "SLOSpec",
-    "Telemetry", "evaluate_frame", "frame_of", "merge_frames",
-    "DegradedTimeline",
+    "DEFAULT_SLOS", "SLOSpec", "Telemetry", "slo_report",
 ]

@@ -14,18 +14,6 @@ which prints every name referenced in the tree; add the new ones here
 (a name used at a call site but absent below is a lint finding, and an
 entry below that no call site uses anymore is harmless but should be
 pruned when noticed).
-
-Sketch-name prefix convention
------------------------------
-Latency-sketch families (:mod:`repro.obs.sketch`) are exposed as
-OpenMetrics histograms and follow ``<layer>_op_latency_ns``: the layer
-prefix (``vfs_`` today) names the instrumentation point, and the ``_ns``
-suffix pins the unit to simulated nanoseconds.  SLO-evaluation families
-(:mod:`repro.obs.slo` via the exposition) carry the ``slo_`` prefix with
-OpenMetrics-conventional suffixes — ``_total`` for counters,
-``_seconds`` for simulated-time gauges.  Every family name below is
-asserted against the exposition by the tier-1 telemetry suite, so a new
-sketch or SLO family must be registered here (no baseline entries).
 """
 
 from __future__ import annotations
@@ -51,17 +39,6 @@ METRIC_NAMES: FrozenSet[str] = frozenset({
     # fault injection
     "fault_events",
     "fs_degraded",
-    # SLO telemetry exposition (repro.obs.sketch / slo / timeline)
-    "vfs_op_latency_ns",
-    "slo_ops_total",
-    "slo_errors_total",
-    "slo_fault_outcomes_total",
-    "slo_latency_ns",
-    "slo_error_budget_burn",
-    "slo_objective_ok",
-    "slo_degraded_seconds",
-    "slo_degradations_total",
-    "slo_mttr_seconds",
     # service layer (repro.serve)
     "serve_requests_total",
     "serve_rejected_total",

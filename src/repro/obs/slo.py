@@ -1,50 +1,52 @@
-"""SLO specs, the surfaced/masked error ledger, and SLO evaluation.
+"""SLO specs, the per-run telemetry recorder, and the one SLO report.
 
-An :class:`SLOSpec` states what "good" means for one class of VFS
-operations: latency objectives on the sketch quantiles (p50/p99/p999 in
-simulated ns) and an error budget — the fraction of operations allowed to
-surface an error to the caller.  Faults that the stack *masks* (a torn
-journal record caught by its checksum, a failing block relocated on
-retry) never burn budget; that distinction is exactly what the
-:class:`~repro.faults.FaultPlan` ledger records, and
-:meth:`ErrorLedger.absorb_fault_counts` folds it in per FS.
+An :class:`SLOSpec` states what "good" means for one class of
+operations: bounds on the p99/p999 latency in simulated ns, and an error
+budget — the fraction of operations allowed to surface an error to the
+caller.  Faults that the stack *masks* (a torn journal record caught by
+its checksum, a failing block relocated on retry) never burn budget;
+that distinction is exactly what the :class:`~repro.faults.FaultPlan`
+ledger records, and :meth:`Telemetry.absorb_fault_plan` keeps it per FS.
 
-Evaluation (:func:`evaluate`) is pure arithmetic over a telemetry frame:
-same frame, same report, byte for byte.
+One :class:`Telemetry` is attached to one or more simulated file systems
+(``FileSystem.attach_telemetry``): the VFS entry-point wrappers feed it
+latencies and surfaced errors, ``remount_read_only`` / ``clear_degraded``
+open and close degraded intervals.  It only *reads* clocks, so every
+simulated result is identical with telemetry on or off.
+
+Campaign cells return :meth:`Telemetry.as_dict` (plain nested dicts);
+:func:`slo_report` folds them in cell order and takes the quantiles from
+the merged exact samples, so a report is byte-identical for any
+``--jobs`` value.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Mapping, Optional, Tuple
+from typing import Any, Dict, Iterable, List, Mapping, Optional, Tuple
 
+from ..errors import ObservabilityError
+from ..structures.stats import Summary
 from .metrics import Counter, format_series
-from .sketch import SketchBank
-from .timeline import DegradedTimeline
 
-__all__ = ["SLOSpec", "DEFAULT_SLOS", "ErrorLedger", "SLOResult",
-           "evaluate"]
+__all__ = ["SLOSpec", "DEFAULT_SLOS", "Telemetry", "slo_report"]
 
 
 @dataclass(frozen=True)
 class SLOSpec:
     """One operation class's objectives.
 
-    ``ops`` names the VFS entry points the spec covers; quantile bounds
-    are inclusive (``p99 <= p99_ns`` passes).  ``error_budget`` is the
+    ``ops`` names the entry points the spec covers; quantile bounds are
+    inclusive (``p99 <= p99_ns`` passes).  ``error_budget`` is the
     allowed surfaced-error fraction of operations in the class (0.001 =
-    "three nines" on errors).  A bound of ``None`` means "no objective".
+    "three nines" on errors).
     """
 
     name: str
     ops: Tuple[str, ...]
-    p50_ns: Optional[float] = None
-    p99_ns: Optional[float] = None
-    p999_ns: Optional[float] = None
+    p99_ns: float
+    p999_ns: float
     error_budget: float = 0.001
-
-    def covers(self, op: str) -> bool:
-        return op in self.ops
 
 
 #: default objectives per VFS operation class.  Thresholds are generous
@@ -63,227 +65,172 @@ DEFAULT_SLOS: Tuple[SLOSpec, ...] = (
             p99_ns=5e6, p999_ns=2e7, error_budget=0.005),
     # service-level objectives for repro.serve: the object verbs recorded
     # under the "serve" label.  The names never collide with VFS entry
-    # points, so frames without a service layer evaluate exactly as
-    # before.  Thresholds cover a whole object op (several VFS calls,
+    # points.  Thresholds cover a whole object op (several VFS calls,
     # payloads up to 256 KiB) on an aged image.
     SLOSpec("service", ("put", "get", "exists", "delete", "list"),
             p99_ns=5e7, p999_ns=2e8, error_budget=0.001),
 )
 
 
-class ErrorLedger:
-    """Per-(fs, op) operation/error counts plus per-fs fault outcomes.
+def _bump(counts: Dict[str, int], key: str, n: int = 1) -> None:
+    counts[key] = counts.get(key, 0) + n
 
-    ``ops`` counts every instrumented VFS call (successes and failures);
-    ``surfaced`` counts the calls that raised an
-    :class:`~repro.errors.FSError` to the caller, keyed further by errno
-    name.  Fault-plan outcomes (injected/masked/surfaced per kind) are
-    absorbed per FS so reports can show what the stack swallowed, and
-    registry counters absorbed at harvest (cache health) ride along as
-    ``name -> rendered labels -> count``.
-    """
+
+class Telemetry:
+    """Mutable per-run record; harvest with :meth:`as_dict`."""
 
     def __init__(self) -> None:
-        self._ops: Dict[Tuple[str, str], int] = {}
-        self._surfaced: Dict[Tuple[str, str], Dict[str, int]] = {}
-        self._faults: Dict[str, Dict[str, Dict[str, int]]] = {}
-        self._counters: Dict[str, Dict[str, int]] = {}
+        #: fs -> op -> latency (simulated ns) of every call that returned
+        self.samples: Dict[str, Dict[str, List[float]]] = {}
+        #: fs -> op -> calls, failed ones included
+        self.ops: Dict[str, Dict[str, int]] = {}
+        #: fs -> op -> errno name -> calls that surfaced it
+        self.surfaced: Dict[str, Dict[str, Dict[str, int]]] = {}
+        #: fs -> fault kind -> outcome -> count (the FaultPlan ledger)
+        self.faults: Dict[str, Dict[str, Dict[str, int]]] = {}
+        #: counter family -> rendered labels -> value (serve index health)
+        self.counters: Dict[str, Dict[str, int]] = {}
+        #: degraded intervals in event order: ``fs``, ``reason``,
+        #: ``start``, ``end`` (None while open) and ``recovered`` (closed
+        #: by a repair rather than by :meth:`finalize`)
+        self.intervals: List[Dict[str, Any]] = []
 
-    # -- recording ----------------------------------------------------------
+    # -- recording ------------------------------------------------------------
 
-    def note_op(self, fs: str, op: str) -> None:
-        key = (fs, op)
-        self._ops[key] = self._ops.get(key, 0) + 1
+    def record_op(self, fs: str, op: str, latency_ns: float) -> None:
+        self.samples.setdefault(fs, {}).setdefault(op, []).append(latency_ns)
+        _bump(self.ops.setdefault(fs, {}), op)
 
-    def note_surfaced(self, fs: str, op: str, errno_name: str) -> None:
-        key = (fs, op)
-        by_errno = self._surfaced.setdefault(key, {})
-        by_errno[errno_name] = by_errno.get(errno_name, 0) + 1
+    def record_error(self, fs: str, op: str, errno_name: str) -> None:
+        """A call that surfaced an FSError.  It counts toward ``ops`` (it
+        consumed a request) but adds no latency sample — an EROFS
+        rejection is fast, and letting it pull p99 down would reward
+        degradation."""
+        _bump(self.ops.setdefault(fs, {}), op)
+        _bump(self.surfaced.setdefault(fs, {}).setdefault(op, {}),
+              errno_name)
 
-    def absorb_fault_counts(self, fs: str,
-                            counts: Mapping[Tuple[str, str], int]) -> None:
-        """Fold a :class:`~repro.faults.FaultPlan`'s ``counts`` ledger
-        (keyed ``(kind, outcome)``) into this FS's fault record."""
-        store = self._faults.setdefault(fs, {})
-        for (kind, outcome), n in sorted(counts.items()):
-            by_outcome = store.setdefault(kind, {})
-            by_outcome[outcome] = by_outcome.get(outcome, 0) + int(n)
+    def absorb_fault_plan(self, fs: str, plan) -> None:
+        """Fold *plan*'s ``(kind, outcome)`` counts into *fs*'s record."""
+        by_kind = self.faults.setdefault(fs, {})
+        for (kind, outcome), n in sorted(plan.counts.items()):
+            _bump(by_kind.setdefault(kind, {}), outcome, int(n))
 
     def absorb_counters(self, series: Iterable[Counter]) -> None:
         """Fold registry counter handles (e.g. a serve backend's
         ``index_counters()``) in under their exposition labels."""
         for counter in series:
-            self._count(counter.name, format_series("", counter.labels),
-                        int(counter.value))
+            _bump(self.counters.setdefault(counter.name, {}),
+                  format_series("", counter.labels), int(counter.value))
 
-    def _count(self, name: str, labels: str, n: int) -> None:
-        by_labels = self._counters.setdefault(name, {})
-        by_labels[labels] = by_labels.get(labels, 0) + n
+    def _open_interval(self, fs: str) -> Optional[Dict[str, Any]]:
+        for interval in reversed(self.intervals):
+            if interval["fs"] == fs and interval["end"] is None:
+                return interval
+        return None
 
-    # -- queries ------------------------------------------------------------
+    def mark_degraded(self, fs: str, reason: str, now_ns: float) -> None:
+        """Open a degraded interval for *fs*; while one is open a second
+        reason is dropped (the first detection wins, as in
+        ``FileSystem.remount_read_only``)."""
+        if self._open_interval(fs) is None:
+            self.intervals.append({"fs": fs, "reason": reason,
+                                   "start": now_ns, "end": None,
+                                   "recovered": False})
 
-    def counters(self) -> Dict[str, Dict[str, int]]:
-        """Absorbed counters, families and label sets sorted."""
-        return {name: dict(sorted(by.items()))
-                for name, by in sorted(self._counters.items())}
+    def mark_recovered(self, fs: str, now_ns: float) -> None:
+        """Close *fs*'s open interval: a repair turns it into an MTTR
+        sample."""
+        interval = self._open_interval(fs)
+        if interval is None:
+            return
+        if now_ns < interval["start"]:
+            raise ObservabilityError("recovery precedes degradation")
+        interval["end"] = now_ns
+        interval["recovered"] = True
 
-    def ops(self, fs: str, op: Optional[str] = None) -> int:
-        if op is not None:
-            return self._ops.get((fs, op), 0)
-        return sum(n for (f, _o), n in self._ops.items() if f == fs)
+    def finalize(self, end_ns: float) -> None:
+        """Close every still-open interval at the end of observation."""
+        for interval in self.intervals:
+            if interval["end"] is None:
+                interval["end"] = end_ns
 
-    def surfaced(self, fs: str, op: Optional[str] = None) -> int:
-        total = 0
-        for (f, o), by_errno in self._surfaced.items():
-            if f == fs and (op is None or o == op):
-                total += sum(by_errno.values())
-        return total
-
-    def fault_total(self, fs: str, outcome: str) -> int:
-        return sum(by_outcome.get(outcome, 0)
-                   for by_outcome in self._faults.get(fs, {}).values())
-
-    def fs_names(self) -> List[str]:
-        return sorted({f for (f, _o) in self._ops}
-                      | {f for (f, _o) in self._surfaced}
-                      | set(self._faults))
-
-    def op_names(self, fs: str) -> List[str]:
-        return sorted({o for (f, o) in self._ops if f == fs}
-                      | {o for (f, o) in self._surfaced if f == fs})
-
-    # -- merge / serialization ----------------------------------------------
-
-    def merge(self, other: "ErrorLedger") -> "ErrorLedger":
-        for key in sorted(other._ops):
-            self._ops[key] = self._ops.get(key, 0) + other._ops[key]
-        for key in sorted(other._surfaced):
-            mine = self._surfaced.setdefault(key, {})
-            for errno_name in sorted(other._surfaced[key]):
-                mine[errno_name] = mine.get(errno_name, 0) \
-                    + other._surfaced[key][errno_name]
-        for fs in sorted(other._faults):
-            store = self._faults.setdefault(fs, {})
-            for kind in sorted(other._faults[fs]):
-                by_outcome = store.setdefault(kind, {})
-                for outcome in sorted(other._faults[fs][kind]):
-                    by_outcome[outcome] = by_outcome.get(outcome, 0) \
-                        + other._faults[fs][kind][outcome]
-        for name, by_labels in other.counters().items():
-            for labels, n in by_labels.items():
-                self._count(name, labels, n)
-        return self
-
-    def to_payload(self) -> Dict[str, object]:
-        payload: Dict[str, object] = {
-            "ops": {f"{f}\x1f{o}": n
-                    for (f, o), n in sorted(self._ops.items())},
-            "surfaced": {f"{f}\x1f{o}": dict(sorted(by.items()))
-                         for (f, o), by in sorted(self._surfaced.items())},
-            "faults": {fs: {kind: dict(sorted(by.items()))
-                            for kind, by in sorted(kinds.items())}
-                       for fs, kinds in sorted(self._faults.items())},
-        }
-        # absent rather than empty, so frames without absorbed counters
-        # (``repro slo``) keep their bytes
-        if self._counters:
-            payload["counters"] = self.counters()
-        return payload
-
-    @classmethod
-    def from_payload(cls, payload: Mapping[str, object]) -> "ErrorLedger":
-        ledger = cls()
-        for key, n in dict(payload.get("ops", {})).items():
-            fs, _, op = key.partition("\x1f")
-            ledger._ops[(fs, op)] = int(n)
-        for key, by in dict(payload.get("surfaced", {})).items():
-            fs, _, op = key.partition("\x1f")
-            ledger._surfaced[(fs, op)] = {k: int(v)
-                                          for k, v in dict(by).items()}
-        for fs, kinds in dict(payload.get("faults", {})).items():
-            ledger._faults[fs] = {kind: {o: int(v)
-                                         for o, v in dict(by).items()}
-                                  for kind, by in dict(kinds).items()}
-        for name, by in dict(payload.get("counters", {})).items():
-            for labels, n in dict(by).items():
-                ledger._count(name, labels, int(n))
-        return ledger
+    def as_dict(self) -> Dict[str, Any]:
+        """The parts above as plain dicts and lists: what a campaign
+        cell returns and :func:`slo_report` folds."""
+        return dict(vars(self))
 
 
-@dataclass
-class SLOResult:
-    """One (fs, spec) evaluation row."""
-
-    fs: str
-    spec: SLOSpec
-    ops: int
-    surfaced: int
-    p50_ns: float
-    p99_ns: float
-    p999_ns: float
-    #: surfaced-error fraction divided by the budget; > 1.0 = budget blown
-    budget_burn: float
-    #: "objective<=bound: OK|VIOLATED" lines, one per set objective
-    objective_lines: Tuple[str, ...]
-    ok: bool
+def _fold(into: Dict[str, Any], part: Mapping[str, Any]) -> None:
+    """Add *part* into *into*: dicts recurse, lists extend, counts add."""
+    for key, value in part.items():
+        if isinstance(value, Mapping):
+            _fold(into.setdefault(key, {}), value)
+        elif isinstance(value, list):
+            into.setdefault(key, []).extend(value)
+        else:
+            into[key] = into.get(key, 0) + value
 
 
-def _check(label: str, value: float, bound: Optional[float],
-           lines: List[str]) -> bool:
-    if bound is None:
-        return True
-    ok = value <= bound
-    lines.append(f"{label}<={bound:.0f}ns: {'OK' if ok else 'VIOLATED'}")
-    return ok
+def _availability(intervals: List[Dict[str, Any]]
+                  ) -> Dict[str, Dict[str, Any]]:
+    """Per degraded FS: interval count, degraded time over the closed
+    intervals, and mean time-to-recover over the *recovered* ones only
+    (``None`` when none recovered: a mount degraded to the end of
+    observation has no repair time)."""
+    availability: Dict[str, Dict[str, Any]] = {}
+    for fs in sorted({str(i["fs"]) for i in intervals}):
+        mine = [i for i in intervals if i["fs"] == fs]
+        closed = [i["end"] - i["start"] for i in mine
+                  if i["end"] is not None]
+        repairs = [i["end"] - i["start"] for i in mine if i["recovered"]]
+        availability[fs] = {
+            "degradations": len(mine),
+            "degraded_ns": sum(closed, 0.0),
+            "mttr_ns": sum(repairs) / len(repairs) if repairs else None}
+    return availability
 
 
-def evaluate(sketches: SketchBank, ledger: ErrorLedger,
-             timeline: Optional[DegradedTimeline] = None,
-             slos: Tuple[SLOSpec, ...] = DEFAULT_SLOS) -> List[SLOResult]:
-    """Evaluate every (fs, spec) pair that saw at least one operation.
+def slo_report(parts: Iterable[Mapping[str, Any]],
+               slos: Tuple[SLOSpec, ...] = DEFAULT_SLOS) -> Dict[str, Any]:
+    """Fold :meth:`Telemetry.as_dict` parts in the given (cell) order and
+    grade every (fs, spec) pair that saw at least one operation.
 
-    Quantiles come from the merged per-op sketches of the spec's op
-    class (an exact merge — the class sketch is what a per-class sketch
-    would have recorded); errors from the ledger.  Rows are ordered
-    (fs, spec) — deterministic for a deterministic frame.
+    A row's p50/p99/p999 are :meth:`Summary.from_samples` over the merged
+    samples of the spec's ops (0.0 when every call failed); its
+    ``budget_burn`` is the surfaced-error fraction over the budget
+    (> 1.0 = budget blown).  The other keys carry the merged surfaced
+    errors, fault outcomes, absorbed counters and per-FS availability.
     """
-    fs_names = sorted(set(ledger.fs_names())
-                      | {fs for (fs, _op) in sketches.keys()})
-    results: List[SLOResult] = []
-    for fs in fs_names:
+    merged = Telemetry().as_dict()
+    for part in parts:
+        _fold(merged, part)
+    samples, ops, surfaced = (merged["samples"], merged["ops"],
+                              merged["surfaced"])
+    rows: List[Dict[str, Any]] = []
+    for fs in sorted(ops):
         for spec in slos:
-            class_sketch = None
-            ops = 0
-            surfaced = 0
-            for op in spec.ops:
-                sketch = sketches.get(fs, op)
-                if sketch is not None:
-                    if class_sketch is None:
-                        from .sketch import LatencySketch
-                        class_sketch = LatencySketch()
-                    class_sketch.merge(sketch)
-                ops += ledger.ops(fs, op)
-                surfaced += ledger.surfaced(fs, op)
-            if ops == 0 and class_sketch is None:
+            calls = sum(ops[fs].get(op, 0) for op in spec.ops)
+            if not calls:
                 continue
-            p50 = class_sketch.p50 if class_sketch else 0.0
-            p99 = class_sketch.p99 if class_sketch else 0.0
-            p999 = class_sketch.p999 if class_sketch else 0.0
-            error_fraction = surfaced / ops if ops else 0.0
-            burn = (error_fraction / spec.error_budget
-                    if spec.error_budget > 0 else 0.0)
-            lines: List[str] = []
-            ok = True
-            ok &= _check("p50", p50, spec.p50_ns, lines)
-            ok &= _check("p99", p99, spec.p99_ns, lines)
-            ok &= _check("p999", p999, spec.p999_ns, lines)
-            if spec.error_budget > 0:
-                budget_ok = burn <= 1.0
-                lines.append(f"errors<={spec.error_budget:g}: "
-                             f"{'OK' if budget_ok else 'VIOLATED'}")
-                ok &= budget_ok
-            results.append(SLOResult(
-                fs=fs, spec=spec, ops=ops, surfaced=surfaced,
-                p50_ns=p50, p99_ns=p99, p999_ns=p999, budget_burn=burn,
-                objective_lines=tuple(lines), ok=bool(ok)))
-    return results
+            errors = sum(n for op in spec.ops
+                         for n in surfaced.get(fs, {}).get(op, {}).values())
+            latencies = [ns for op in spec.ops
+                         for ns in samples.get(fs, {}).get(op, ())]
+            tail = Summary.from_samples(latencies) if latencies else None
+            p50, p99, p999 = ((tail.median, tail.p99, tail.p999) if tail
+                              else (0.0, 0.0, 0.0))
+            burn = errors / calls / spec.error_budget
+            checks = ((f"p99<={spec.p99_ns:.0f}ns", p99 <= spec.p99_ns),
+                      (f"p999<={spec.p999_ns:.0f}ns", p999 <= spec.p999_ns),
+                      (f"errors<={spec.error_budget:g}", burn <= 1.0))
+            rows.append({
+                "fs": fs, "slo": spec.name, "ops": calls,
+                "surfaced": errors, "p50_ns": p50, "p99_ns": p99,
+                "p999_ns": p999, "budget_burn": burn,
+                "objectives": [f"{label}: {'OK' if ok else 'VIOLATED'}"
+                               for label, ok in checks],
+                "ok": all(ok for _label, ok in checks)})
+    return {"results": rows, "surfaced": surfaced,
+            "faults": merged["faults"], "counters": merged["counters"],
+            "availability": _availability(merged["intervals"])}

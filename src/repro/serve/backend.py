@@ -474,8 +474,8 @@ class FSObjStorage(ObjStorage):
         return self.ctx.now
 
     def index_counters(self) -> List[Counter]:
-        """The index-health and shard-event series, for a telemetry
-        frame to absorb."""
+        """The index-health and shard-event series, for
+        :meth:`~repro.obs.Telemetry.absorb_counters`."""
         return [self._hits, self._walks, *self._invalidations.values(),
                 *self._events.values()]
 

@@ -105,7 +105,7 @@ class ObjStorage(ABC):
         plain backends ignore it."""
 
     def attach_telemetry(self, telemetry) -> None:
-        """Attach an SLO telemetry frame to any underlying simulated
+        """Attach SLO telemetry to any underlying simulated
         file systems; storages without one ignore it."""
 
     def _resolve_put(self, tenant: str, data: bytes,

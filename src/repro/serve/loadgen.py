@@ -13,8 +13,8 @@ fault campaign that kills puts makes later gets of those ids surface
 ``ENOENT`` — exactly the downstream damage a real archive would see.
 
 :func:`run_load` drives any :class:`~repro.serve.ObjStorage` with a
-stream, records service latencies and surfaced errors into an optional
-SLO telemetry frame (service ops appear under the ``serve`` label, next
+stream, records service latencies and surfaced errors into optional
+SLO telemetry (service ops appear under the ``serve`` label, next
 to the per-FS VFS series the attached backends record), and returns a
 deterministic report.
 """

@@ -40,11 +40,10 @@ class Summary:
     median: float
     p90: float
     p99: float
+    #: tail percentile the SLO reports grade against
+    p999: float
     minimum: float
     maximum: float
-    #: tail percentile the SLO reports grade against; defaulted so older
-    #: positional constructions keep working
-    p999: float = 0.0
 
     def __str__(self) -> str:
         return (f"n={self.count} mean={self.mean:.1f} p50={self.median:.1f} "
@@ -68,9 +67,9 @@ class Summary:
             median=percentile_sorted(data, 50),
             p90=percentile_sorted(data, 90),
             p99=percentile_sorted(data, 99),
+            p999=percentile_sorted(data, 99.9),
             minimum=data[0],
             maximum=data[-1],
-            p999=percentile_sorted(data, 99.9),
         )
 
 

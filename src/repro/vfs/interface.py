@@ -208,17 +208,15 @@ class FileSystem(ABC):
         """Bind a :class:`~repro.faults.FaultPlan` to the device."""
         self.device.set_fault_plan(plan)
 
-    def remount_read_only(self, reason: str,
-                          ctx: Optional[SimContext] = None) -> None:
+    def remount_read_only(self, reason: str, ctx: SimContext) -> None:
         """Degrade to read-only after detected corruption.
 
         Mirrors the kernel's ``errors=remount-ro`` behaviour: the first
         detection wins (the original reason is kept), reads keep working,
         and every mutating syscall fails with ``EROFS`` until a clean
         ``mkfs``/``mount`` cycle.  With telemetry attached the event
-        opens a degraded interval on the timeline at *ctx*'s simulated
-        time (0 when no context is available); re-entry on an
-        already-degraded mount is a no-op — no overwritten reason, no
+        opens a degraded interval at *ctx*'s simulated time; re-entry on
+        an already-degraded mount is a no-op — no overwritten reason, no
         duplicate interval.
         """
         if self.read_only:
@@ -226,26 +224,24 @@ class FileSystem(ABC):
         self.read_only = True
         self.degraded_reason = reason
         if self.telemetry is not None:
-            self.telemetry.timeline.mark_degraded(
-                self.name, reason, 0.0 if ctx is None else ctx.now)
+            self.telemetry.mark_degraded(self.name, reason, ctx.now)
 
-    def clear_degraded(self, ctx: Optional[SimContext] = None) -> None:
+    def clear_degraded(self, ctx: SimContext) -> None:
         """A clean repair (``mkfs``) heals degradation.
 
-        Closes the open degraded interval on an attached timeline, which
-        is what turns a degraded-to-repair window into an MTTR sample.
+        Closes the open degraded interval on attached telemetry, which is
+        what turns a degraded-to-repair window into an MTTR sample.
         """
         was_degraded = self.read_only
         self.read_only = False
         self.degraded_reason = None
         if was_degraded and self.telemetry is not None:
-            self.telemetry.timeline.mark_recovered(
-                self.name, 0.0 if ctx is None else ctx.now)
+            self.telemetry.mark_recovered(self.name, ctx.now)
 
     # -- SLO telemetry ------------------------------------------------------
 
     def attach_telemetry(self, telemetry) -> None:
-        """Record per-operation latency sketches and surfaced errors.
+        """Record per-operation latency samples and surfaced errors.
 
         Wraps every :data:`TELEMETRY_OPS` entry point *on this instance*
         with a closure that reads the context's simulated clock before
@@ -284,8 +280,7 @@ class FileSystem(ABC):
             try:
                 result = inner(*args, **kwargs)
             except FSError as exc:
-                telemetry.record_error(fs_label, op, exc.errno_name,
-                                       clock.now(cpu) - start)
+                telemetry.record_error(fs_label, op, exc.errno_name)
                 raise
             telemetry.record_op(fs_label, op, clock.now(cpu) - start)
             return result
@@ -293,14 +288,6 @@ class FileSystem(ABC):
         wrapper.__wrapped__ = inner   # type: ignore[attr-defined]
         wrapper.__name__ = op         # type: ignore[attr-defined]
         self.__dict__[op] = wrapper
-
-    def _telemetry_event(self, kind: str, ctx: Optional[SimContext],
-                         **attrs) -> None:
-        """Log one degradation-related event (quarantine, relocation)
-        on the attached timeline; no-op without telemetry."""
-        if self.telemetry is not None:
-            self.telemetry.timeline.note_event(
-                self.name, kind, 0.0 if ctx is None else ctx.now, **attrs)
 
     def _check_writable(self) -> None:
         if self.read_only:

@@ -1,11 +1,11 @@
 """Pinned bytes of the four campaign verbs (bench / slo / serve / snapshot).
 
 ``tests/data/campaign_cli_golden.json`` holds the sha256 of everything
-each invocation below leaves behind — report, OpenMetrics file, captured
-stdout, and for ``snapshot build`` every image file of the archive.  It was recorded *before* the CLI pipelines were folded into one
-``Campaign`` (``PYTHONPATH=src python tests/test_campaign_cli.py`` rewrites
-it), so a passing replay means every flag, default and report byte
-survived.  Re-record only for an intended change of simulated output.
+each invocation below leaves behind — report, captured stdout, and for
+``snapshot build`` every image file of the archive
+(``PYTHONPATH=src python tests/test_campaign_cli.py`` rewrites it), so a
+passing replay means every flag, default and report byte survived.
+Re-record only for an intended change of simulated output.
 """
 
 from __future__ import annotations
@@ -37,17 +37,16 @@ INVOCATIONS = [
     ("bench-defaults", ["bench"], []),
     ("slo-out-om",
      ["slo", "--fs", "WineFS,ext4-DAX", "--seeds", "1,2", "--ops", "60",
-      "--size-gib", "0.125", "--out", "slo.json", "--openmetrics", "slo.om"],
-     ["slo.json", "slo.om"]),
+      "--size-gib", "0.125", "--out", "slo.json"],
+     ["slo.json"]),
     ("slo-stdout", ["slo", "--seeds", "2", "--ops", "40", "--out", "-"], []),
     ("serve-load-faults",
      ["serve", "--load", "--fs", "WineFS,NOVA", "--seeds", "1,2",
-      "--ops", "120", "--faults", "--out", "serve.json",
-      "--openmetrics", "serve.om"],
-     ["serve.json", "serve.om"]),
+      "--ops", "120", "--faults", "--out", "serve.json"],
+     ["serve.json"]),
     ("serve-load-admission",
      ["serve", "--load", "--queue-cap", "2", "--tenants", "3",
-      "--openmetrics", "-"], []),
+      "--out", "-"], []),
     ("serve-demo", ["serve", "--fs", "WineFS,NOVA"], []),
     ("snapshot-build-grid",
      ["snapshot", "build", "--archive", "A", "--fs", "WineFS,PMFS",
@@ -165,13 +164,6 @@ def test_duplicate_list_items_name_one_cell(capsys):
     assert len(json.loads(doubled)["cells"]) == 1
     assert main(argv + ["--fs", "WineFS", "--seeds", "1"]) == 0
     assert capsys.readouterr().out == doubled
-
-
-@pytest.mark.parametrize("verb", [["slo"], ["serve", "--load"]],
-                         ids=["slo", "serve"])
-def test_two_documents_on_stdout_refused(verb, capsys, no_workers):
-    err = _usage_error(verb + ["--out", "-", "--openmetrics", "-"], capsys)
-    assert "--out -" in err and "--openmetrics -" in err
 
 
 if __name__ == "__main__":

@@ -30,7 +30,7 @@ Five suites, matching the layer's five claims:
 * **Faults** — a seeded fault campaign against a served WineFS burns
   the service error budget and degrades the mount but never aborts the
   load; masked vs surfaced outcomes land in the ledger and the
-  degraded interval lands on the timeline; its allocator blip meets, by
+  degraded interval yields an MTTR sample; its allocator blip meets, by
   seed, a first rotation (a refused put) or a background prepare (none).
 * **Snapshots** — an aged backend restored from the snapshot cache
   serves byte-identical results to a freshly re-aged one, and a corrupt
@@ -57,7 +57,7 @@ from repro.errors import (BusyError, FSError, InvalidArgumentError,
 from repro.faults import (FaultPlan, FaultSpec, crash_plan,
                           serve_campaign_plan)
 from repro.harness.setup import SPECS_BY_NAME, fresh_fs
-from repro.obs import Telemetry, evaluate_frame, frame_of
+from repro.obs import Telemetry, slo_report
 from repro.obs.trace import Tracer
 from repro.obs.names import METRIC_NAMES
 from repro.mmu.mmap_region import MappedRegion
@@ -433,7 +433,7 @@ def test_load_over_a_storage_that_only_fails_completes_and_counts():
     counted error and keeps going."""
     storage = _FailingStorage()
     stream = generate_stream(LoadSpec(seed=9, tenants=2, ops=60))
-    telemetry = Telemetry(tag="failing")
+    telemetry = Telemetry()
     report = run_load(storage, stream, telemetry=telemetry)
     assert storage.calls == report["requests"] == 60
     assert report["errors"] == {"EAGAIN": 10, "EINVAL": 10, "EIO": 10,
@@ -441,7 +441,8 @@ def test_load_over_a_storage_that_only_fails_completes_and_counts():
     assert sum(report["errors"].values()) == 60
     assert report["rejections"] == [r.index for r in stream][4::6]
     assert report["bytes_put"] == report["bytes_got"] == 0
-    assert telemetry.ledger.surfaced("serve") == 60
+    assert sum(n for by in telemetry.surfaced["serve"].values()
+               for n in by.values()) == 60
 
 
 # -- factory ------------------------------------------------------------------
@@ -1292,11 +1293,10 @@ def test_crash_at_every_fence_serves_whole_acknowledged_objects():
 
 
 def test_clean_load_reports_index_health(tmp_path):
-    """The index and shard series ride the ``--openmetrics`` frame: a
+    """The index and shard series ride the report's ``counters``: a
     clean 400-op load shows hits, no invalidation, at most one scan per
     tenant and at least one rotation per backend."""
     from repro.harness.fleet import CAMPAIGNS
-    from repro.obs.export import openmetrics_lines
 
     tenants = 4
     cells = CAMPAIGNS["serve"].matrix(["NOVA", "WineFS"], [1],
@@ -1304,7 +1304,7 @@ def test_clean_load_reports_index_health(tmp_path):
                                       tenants=tenants)
     report = CAMPAIGNS["serve"].run(cells)
     assert not report["cells"][0]["load"]["errors"]
-    counters = report["frame"]["errors"]["counters"]
+    counters = report["counters"]
     assert set(counters) == {"serve_index_hits_total",
                              "serve_index_walks_total",
                              "serve_index_invalidations_total",
@@ -1326,16 +1326,12 @@ def test_clean_load_reports_index_health(tmp_path):
         stalls = events[f'{{backend="{backend}",event="stall"}}']
         assert tenants <= stalls \
             <= events[f'{{backend="{backend}",event="rotate"}}']
-    lines = openmetrics_lines(report["frame"])
-    assert f'serve_index_walks_total{{backend="WineFS"}} {tenants}' in lines
-    assert "# TYPE serve_index_invalidations_total counter" in lines
-    assert 'serve_index_invalidations_total{backend="NOVA",' \
-           'reason="read_only"} 0' in lines
-    assert "# TYPE serve_shard_events_total counter" in lines
-    assert 'serve_shard_events_total{backend="NOVA",event="unlink"} 0' \
-        in lines
-    assert f'serve_shard_events_total{{backend="NOVA",event="stall"}} ' \
-           f'{tenants}' in lines
+    assert counters["serve_index_walks_total"]['{backend="WineFS"}'] \
+        == tenants
+    assert counters["serve_index_invalidations_total"][
+        '{backend="NOVA",reason="read_only"}'] == 0
+    assert events['{backend="NOVA",event="unlink"}'] == 0
+    assert events['{backend="NOVA",event="stall"}'] == tenants
 
 
 # -- fault campaign against a served file system ------------------------------
@@ -1366,7 +1362,7 @@ def test_serve_fault_campaign_degrades_but_never_crashes():
         "poison", addr=free_addr - free_addr % 64, length=64)])
     fs.attach_fault_plan(plan)
     backend = FSObjStorage(fs, ctx)
-    telemetry = Telemetry(tag="serve-campaign")
+    telemetry = Telemetry()
     mux = ObjStorageMultiplexer([backend])
     mux.attach_telemetry(telemetry)
     stream = generate_stream(LoadSpec(seed=3, tenants=4, ops=150))
@@ -1381,8 +1377,9 @@ def test_serve_fault_campaign_degrades_but_never_crashes():
     assert series["serve_index_invalidations_total", "error"] == 1
     assert series["serve_shard_events_total", "stall"] >= 5
     telemetry.absorb_fault_plan(fs.name, plan)
-    assert telemetry.ledger.fault_total("WineFS", "surfaced") >= 1
-    assert telemetry.ledger.fault_total("WineFS", "masked") >= 1
+    outcomes = telemetry.faults["WineFS"].values()
+    assert sum(by.get("surfaced", 0) for by in outcomes) >= 1
+    assert sum(by.get("masked", 0) for by in outcomes) >= 1
 
     # crash without unmount, scar the journal head, remount degraded
     damage = crash_plan(3, fs.journal.journals[0].base)
@@ -1406,17 +1403,18 @@ def test_serve_fault_campaign_degrades_but_never_crashes():
     assert not fs2.read_only
     telemetry.absorb_fault_plan(fs2.name, damage)
     telemetry.finalize(ctx.clock.elapsed)
-    _bank, _ledger, timeline = frame_of(telemetry.as_payload())
-    assert timeline.degradations("WineFS") == 1
-    assert timeline.degraded_ns("WineFS") > 0
-    assert timeline.mttr_ns("WineFS") > 0
+    report = slo_report([telemetry.as_dict()])
+    avail = report["availability"]["WineFS"]
+    assert avail["degradations"] == 1
+    assert avail["degraded_ns"] > 0
+    assert avail["mttr_ns"] > 0
 
     # the surfaced errors blew the service error budget — visibly
-    service = [r for r in evaluate_frame(telemetry.as_payload())
-               if r.spec.name == "service" and r.fs == "serve"]
+    service = [r for r in report["results"]
+               if r["slo"] == "service" and r["fs"] == "serve"]
     assert len(service) == 1
-    assert service[0].budget_burn > 1.0
-    assert not service[0].ok
+    assert service[0]["budget_burn"] > 1.0
+    assert not service[0]["ok"]
 
 
 def test_serve_campaign_blip_lands_inside_the_warm_up():
@@ -1439,7 +1437,7 @@ def test_serve_campaign_blip_lands_inside_the_warm_up():
         cell = serve_cell({"fs": "WineFS", "seed": seed, "size_gib": 0.0625,
                            "num_cpus": 2, "ops": 150, "tenants": 4,
                            "faults": True})
-        assert cell["frame"]["errors"]["faults"]["WineFS"]["enospc"] \
+        assert cell["telemetry"]["faults"]["WineFS"]["enospc"] \
             == {"injected": 2, "surfaced": 2}
         refused.setdefault(specs[-1].at_op, set()).add(
             cell["load"]["errors"].get("ENOSPC", 0))
@@ -1713,18 +1711,15 @@ class TestServeCLI:
 
         def run(tag):
             out = tmp_path / f"report-{tag}.json"
-            om = tmp_path / f"metrics-{tag}.txt"
             argv = ["serve", "--load", "--fs", "WineFS", "--seeds", "1",
                     "--ops", "60", "--queue-cap", "2", "--size-gib",
-                    "0.0625", "--out", str(out), "--openmetrics",
-                    str(om)]
+                    "0.0625", "--out", str(out)]
             assert main(argv) == 0
-            return out.read_bytes(), om.read_bytes()
+            return out.read_bytes()
 
         first = run("a")
         assert run("b") == first
-        report = json.loads(first[0])
+        report = json.loads(first)
         assert report["schema"] == "repro.serve-report/1"
         assert report["totals"]["requests"] == 60
         assert any(r["slo"] == "service" for r in report["results"])
-        assert first[1].startswith(b"# ")
