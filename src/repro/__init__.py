@@ -22,8 +22,8 @@ See README.md and DESIGN.md at the repository root.
 from dataclasses import dataclass
 
 from .clock import EventCounters, SimClock, SimContext, make_context
-from .obs import (MetricsRegistry, NULL_TRACER, Tracer, chrome_trace,
-                  write_chrome_trace, write_metrics_json, write_span_jsonl)
+from .obs import (NULL_TRACER, Tracer, chrome_trace, write_chrome_trace,
+                  write_metrics_json, write_span_jsonl)
 from .params import DEFAULT_MACHINE, GIB, HUGE_PAGE, KIB, MIB, MachineParams
 from .pm.device import PMDevice
 from .core.filesystem import WineFS
@@ -57,7 +57,7 @@ def make_machine(size_gib: float = 1.0, num_cpus: int = 4,
 __all__ = [
     "Machine", "make_machine", "make_context",
     "SimClock", "SimContext", "EventCounters",
-    "MetricsRegistry", "NULL_TRACER", "Tracer", "chrome_trace",
+    "NULL_TRACER", "Tracer", "chrome_trace",
     "write_chrome_trace", "write_metrics_json", "write_span_jsonl",
     "MachineParams", "DEFAULT_MACHINE", "PMDevice",
     "WineFS", "Ext4DAX", "NovaFS", "PMFS", "XfsDAX", "SplitFS", "StrataFS",

@@ -9,7 +9,6 @@ mappability, which drives the mmap results directly.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List
 
 from ..params import BLOCKS_PER_HUGEPAGE
 from ..vfs.interface import FileSystem

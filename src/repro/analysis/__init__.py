@@ -3,7 +3,7 @@
 ``repro lint`` parses ``src/repro`` once and runs every rule over the
 ASTs in one pass (see :mod:`repro.analysis.rules`): two per-file rules,
 determinism (set iteration) and lock-discipline (inode-field writes
-outside a lock), and the cross-file metric/span-name registry check.
+outside a lock), and the cross-file span-name registry check.
 Every rule reads one function or one file at a time; there is no call
 graph.  A rule stays only while a seeded bug of
 ``tests/mutations/corpus.json`` shows it catches something no test

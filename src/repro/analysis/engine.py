@@ -7,7 +7,7 @@ Rules come in two shapes:
   findings directly (determinism's set-iteration check, lock-discipline).
 * :class:`ProjectRule` — records JSON-serializable *facts* per file,
   then ``finalize()`` crosses file boundaries once every file has been
-  seen (metric-name registry resolution).
+  seen (span-name registry resolution).
 
 Findings are suppressed by ``# repro: allow[rule-id] <why>`` on the
 flagged line or a comment-only line directly above (stacked allow

@@ -1,19 +1,15 @@
-"""Rule ``metric-names`` — observability names resolve to the registry.
+"""Rule ``metric-names`` — span names resolve to the name registry.
 
-Every counter/gauge name handed to a MetricsRegistry and
-every span/record name handed to a Tracer must appear in
-:mod:`repro.obs.names` (``METRIC_NAMES`` / ``SPAN_NAMES``); f-string
-names must start with an allowed prefix in ``SPAN_PREFIXES``.  A typo'd
-label otherwise silently splits one series into two and only a human
-staring at a dashboard notices.
+Every span/record name handed to a Tracer must appear in
+:mod:`repro.obs.names` (``SPAN_NAMES``); f-string names must start with
+an allowed prefix in ``SPAN_PREFIXES``.  A typo'd name otherwise
+silently splits one span family into two and only a human staring at a
+trace notices.
 
-Call sites are matched by receiver shape: ``*.registry`` /
-``*.metrics`` receivers for ``counter``/``gauge``, and
-``*.trace`` / ``*.tracer`` receivers for ``span`` (name is the second
-argument, after ctx) and ``record`` (name first).  Names passed as
-plain variables are invisible to the AST — the EventCounters facade in
-``repro.clock`` is the one such site, covered by a runtime test that
-asserts ``_COUNTER_LAYOUT``'s names are a subset of the registry.
+Call sites are matched by receiver shape: ``*.trace`` / ``*.tracer``
+receivers for ``span`` (name is the second argument, after ctx) and
+``record`` (name first).  Names passed as plain variables are invisible
+to the AST and are not checked.
 
 The registry itself is read from the AST of ``repro/obs/names.py`` in
 the same lint run (never imported), so the lint works on any checkout.
@@ -28,11 +24,9 @@ from ..engine import FileContext, ProjectRule
 from ..findings import Finding
 from . import dotted, enclosing_qualnames, fstring_head
 
-_METRIC_METHODS = ("counter", "gauge")
-_METRIC_RECV = ("registry", "metrics")
 _SPAN_RECV = ("trace", "tracer")
 _REGISTRY_SUFFIX = "obs.names"
-_REGISTRY_SETS = ("METRIC_NAMES", "SPAN_NAMES", "SPAN_PREFIXES")
+_REGISTRY_SETS = ("SPAN_NAMES", "SPAN_PREFIXES")
 
 
 def _name_arg(call: ast.Call, index: int) -> Optional[ast.AST]:
@@ -48,9 +42,9 @@ class MetricNamesRule(ProjectRule):
         quals = enclosing_qualnames(ctx.tree)
         sites: List[Dict[str, object]] = []
 
-        def record_site(kind: str, arg: ast.AST, call: ast.Call) -> None:
+        def record_site(arg: ast.AST, call: ast.Call) -> None:
             entry: Dict[str, object] = {
-                "kind": kind, "line": call.lineno, "col": call.col_offset,
+                "line": call.lineno, "col": call.col_offset,
                 "qualname": quals.get(id(call), ""),
             }
             if isinstance(arg, ast.Constant) and isinstance(arg.value, str):
@@ -68,20 +62,14 @@ class MetricNamesRule(ProjectRule):
             recv = dotted(node.func.value)
             if recv is None:
                 continue
-            seg = recv.split(".")[-1].lower()
             method = node.func.attr
-            if method in _METRIC_METHODS and seg in _METRIC_RECV:
-                arg = _name_arg(node, 0)
-                if arg is not None:
-                    record_site("metric", arg, node)
-            elif method == "span" and seg in _SPAN_RECV:
-                arg = _name_arg(node, 1)
-                if arg is not None:
-                    record_site("span", arg, node)
-            elif method == "record" and seg in _SPAN_RECV:
-                arg = _name_arg(node, 0)
-                if arg is not None:
-                    record_site("span", arg, node)
+            if method not in ("span", "record") or \
+                    recv.split(".")[-1].lower() not in _SPAN_RECV:
+                continue
+            # span(ctx, name, ...) / record(name, ...)
+            arg = _name_arg(node, 1 if method == "span" else 0)
+            if arg is not None:
+                record_site(arg, node)
 
         facts: Dict[str, object] = {"sites": sites}
         if ctx.module.endswith(_REGISTRY_SUFFIX):
@@ -119,32 +107,24 @@ class MetricNamesRule(ProjectRule):
                 registry = dict(per_file["registry"])
         if not registry:
             return []   # names.py outside the linted set
-        metrics = set(registry.get("METRIC_NAMES", ()))
         spans = set(registry.get("SPAN_NAMES", ()))
         prefixes = tuple(registry.get("SPAN_PREFIXES", ()))
         findings: List[Finding] = []
         for relpath in sorted(facts):
             for site in facts[relpath].get("sites", []):
-                kind = site["kind"]
-                allowed = metrics if kind == "metric" else spans
-                registry_set = ("METRIC_NAMES" if kind == "metric"
-                                else "SPAN_NAMES")
                 if "name" in site:
                     name = site["name"]
-                    if name in allowed:
+                    if name in spans or (prefixes
+                                         and name.startswith(prefixes)):
                         continue
-                    if kind == "span" and name.startswith(prefixes) \
-                            and prefixes:
-                        continue
-                    message = (f"{kind} name {name!r} is not in "
-                               f"repro.obs.names.{registry_set}")
+                    message = (f"span name {name!r} is not in "
+                               "repro.obs.names.SPAN_NAMES")
                     detail = name
                 else:
                     head = site.get("head", "")
-                    if kind == "span" and prefixes and head and \
-                            head.startswith(prefixes):
+                    if prefixes and head and head.startswith(prefixes):
                         continue
-                    message = (f"dynamic {kind} name f'{head}...' does not "
+                    message = (f"dynamic span name f'{head}...' does not "
                                "start with an allowed SPAN_PREFIXES entry")
                     detail = f"fstring:{head}"
                 findings.append(Finding(
@@ -157,12 +137,12 @@ class MetricNamesRule(ProjectRule):
 
 
 def emit_registry(targets, root=None) -> Dict[str, List[str]]:
-    """Every metric/span name referenced at call sites (for names.py)."""
+    """Every span name referenced at call sites (for names.py)."""
     import os
 
     from ..engine import FileContext, iter_python_files
     rule = MetricNamesRule()
-    metrics, spans, heads = set(), set(), set()
+    spans, heads = set(), set()
     for path in iter_python_files(targets):
         try:
             with open(path, encoding="utf-8") as fh:
@@ -173,9 +153,7 @@ def emit_registry(targets, root=None) -> Dict[str, List[str]]:
             continue
         for site in rule.collect(ctx)["sites"]:
             if "name" in site:
-                (metrics if site["kind"] == "metric" else spans).add(
-                    str(site["name"]))
+                spans.add(str(site["name"]))
             elif site.get("head"):
                 heads.add(str(site["head"]))
-    return {"metrics": sorted(metrics), "spans": sorted(spans),
-            "fstring_heads": sorted(heads)}
+    return {"spans": sorted(spans), "fstring_heads": sorted(heads)}

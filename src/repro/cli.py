@@ -39,14 +39,14 @@ def _add_common(p: argparse.ArgumentParser) -> None:
                    help="simulated partition size in GiB")
     p.add_argument("--cpus", type=int, default=4)
     p.add_argument("--metrics-out", metavar="PATH", default=None,
-                   help="dump the run's metrics registry as JSON "
+                   help="dump the run's event counters as JSON "
                         "('-' for stdout)")
 
 
 def _dump_metrics(args, counters) -> None:
     if getattr(args, "metrics_out", None):
         from .obs import write_metrics_json
-        write_metrics_json(args.metrics_out, counters.registry)
+        write_metrics_json(args.metrics_out, counters)
 
 
 def _campaign_cells(name: str, args) -> List[dict]:
@@ -424,7 +424,6 @@ def cmd_trace(args) -> int:
         device = PMDevice(int(args.size_gib * GIB))
         fs = spec.build(device, num_cpus=args.cpus, track_data=False)
         ctx = make_context(16, trace=tracer)
-        device.bind_metrics(ctx.counters.registry, fs=args.fs)
         fs.mkfs(ctx)
         ctx.clock.reset()
         run_scalability(fs, ctx, threads=args.cpus, ops_per_thread=60)
@@ -435,7 +434,7 @@ def cmd_trace(args) -> int:
             else posix_rw_benchmark
         bench(fs, ctx, file_size=8 * MIB, pattern=args.pattern)
     if args.format == "chrome":
-        write_chrome_trace(args.trace_out, tracer, ctx.counters.registry)
+        write_chrome_trace(args.trace_out, tracer, ctx.counters)
     else:
         write_span_jsonl(args.trace_out, tracer)
     dropped = f" ({tracer.dropped} dropped)" if tracer.dropped else ""
@@ -618,7 +617,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="machine-readable output (byte-stable for a "
                         "given tree)")
     p.add_argument("--emit-registry", action="store_true",
-                   help="print every metric/span name referenced at call "
+                   help="print every span name referenced at call "
                         "sites (to refresh repro/obs/names.py)")
 
     p = sub.add_parser("trace", help="run a workload with span tracing on "

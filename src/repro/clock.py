@@ -20,7 +20,6 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
 from .errors import SimulationError
-from .obs.metrics import MetricsRegistry
 from .obs.trace import NULL_TRACER, NullTracer
 
 
@@ -214,22 +213,14 @@ class LockManager:
         self._atomic_next[name] = busy + hold_ns
 
 
-#: EventCounters field -> (registry metric name, labels).  The registry is
-#: the source of truth; the legacy field names are properties over it.
-_COUNTER_LAYOUT = (
-    ("page_faults_4k", "page_faults", (("size", "4k"),)),
-    ("page_faults_2m", "page_faults", (("size", "2m"),)),
-    ("tlb_misses", "tlb_lookups", (("result", "miss"),)),
-    ("tlb_hits", "tlb_lookups", (("result", "hit"),)),
-    ("llc_misses", "llc_lookups", (("result", "miss"),)),
-    ("llc_hits", "llc_lookups", (("result", "hit"),)),
-    ("pm_bytes_read", "pm_bytes", (("direction", "read"),)),
-    ("pm_bytes_written", "pm_bytes", (("direction", "write"),)),
-    ("fault_ns", "phase_ns", (("phase", "fault"),)),
-    ("copy_ns", "phase_ns", (("phase", "copy"),)),
-    ("journal_ns", "phase_ns", (("phase", "journal"),)),
-    ("lock_wait_ns", "phase_ns", (("phase", "lock_wait"),)),
-    ("syscalls", "syscalls", ()),
+#: the EventCounters fields, in ``as_dict`` order
+_COUNTER_FIELDS = (
+    "page_faults_4k", "page_faults_2m",
+    "tlb_misses", "tlb_hits",
+    "llc_misses", "llc_hits",
+    "pm_bytes_read", "pm_bytes_written",
+    "fault_ns", "copy_ns", "journal_ns", "lock_wait_ns",
+    "syscalls",
 )
 
 
@@ -237,27 +228,25 @@ class EventCounters:
     """Hardware-ish event counters the evaluation reports.
 
     These feed Table 2 (page faults), Fig 4/8 (TLB and LLC misses), and the
-    fault-time breakdowns of Figs 1, 2 and 6.
-
-    Backed by an :class:`~repro.obs.metrics.MetricsRegistry`: each legacy
-    field is a property over one labelled registry series (e.g.
-    ``page_faults_4k`` ↔ ``page_faults{size="4k"}``), so both the ~20
-    inline ``ctx.counters.x += n`` call sites and registry consumers (the
-    per-phase report, ``--metrics-out``) see the same numbers.
+    fault-time breakdowns of Figs 1, 2 and 6.  A plain record: every
+    write is ``ctx.counters.x += n``, and a misspelled field raises
+    ``AttributeError`` instead of growing a new one.
     """
 
-    _fields = tuple(attr for attr, _name, _labels in _COUNTER_LAYOUT)
+    __slots__ = _COUNTER_FIELDS
+    _fields = _COUNTER_FIELDS
 
-    def __init__(self, registry: Optional[MetricsRegistry] = None,
-                 **values: float) -> None:
-        self.registry = MetricsRegistry() if registry is None else registry
-        for attr, name, labels in _COUNTER_LAYOUT:
-            setattr(self, "_" + attr, self.registry.counter(
-                name, **dict(labels)))
+    def __init__(self, **values: float) -> None:
+        self.reset()
         for key, value in values.items():
-            if key not in self._fields:
+            if key not in _COUNTER_FIELDS:
                 raise TypeError(f"unknown counter field {key!r}")
             setattr(self, key, value)
+
+    def reset(self) -> None:
+        """Zero every count (an int 0, as a fresh record has)."""
+        for f in _COUNTER_FIELDS:
+            setattr(self, f, 0)
 
     @property
     def page_faults(self) -> int:
@@ -266,26 +255,24 @@ class EventCounters:
     def add_repeat(self, attr: str, value: float, count: int) -> None:
         """``attr += value``, *count* times, in one call.
 
-        Bit-identical to *count* sequential ``+=`` statements (the adds
-        run one at a time on a local, never grouped into ``count * value``)
-        while skipping the per-add property dispatch.
+        Bit-identical to *count* sequential ``+=`` statements: the adds
+        run one at a time on a local, never grouped into ``count * value``.
         """
         if count <= 0:
             return
-        cell = getattr(self, "_" + attr)
-        v = cell.value
+        v = getattr(self, attr)
         for _ in range(count):
             v += value
-        cell.value = v
+        setattr(self, attr, v)
 
     def merged_with(self, other: "EventCounters") -> "EventCounters":
         out = EventCounters()
-        for f in self._fields:
+        for f in _COUNTER_FIELDS:
             setattr(out, f, getattr(self, f) + getattr(other, f))
         return out
 
     def as_dict(self) -> Dict[str, float]:
-        return {f: getattr(self, f) for f in self._fields}
+        return {f: getattr(self, f) for f in _COUNTER_FIELDS}
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, EventCounters):
@@ -296,23 +283,6 @@ class EventCounters:
         nonzero = ", ".join(f"{k}={v}" for k, v in self.as_dict().items()
                             if v)
         return f"EventCounters({nonzero})"
-
-
-def _counter_property(attr: str) -> property:
-    slot = "_" + attr
-
-    def fget(self: EventCounters) -> float:
-        return getattr(self, slot).value
-
-    def fset(self: EventCounters, value: float) -> None:
-        getattr(self, slot).value = value
-
-    return property(fget, fset, doc=f"registry-backed counter {attr!r}")
-
-
-for _attr, _name, _labels in _COUNTER_LAYOUT:
-    setattr(EventCounters, _attr, _counter_property(_attr))
-del _attr, _name, _labels
 
 
 @dataclass

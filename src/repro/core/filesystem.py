@@ -232,7 +232,6 @@ class WineFS(BaseFS):
         if self.read_only:
             return
         self.remount_read_only(reason, ctx)
-        ctx.counters.registry.counter("fs_degraded", fs=self.name).inc()
         if ctx.trace.enabled:
             now = ctx.now
             ctx.trace.record("fs.degraded", ctx.cpu, now, now,

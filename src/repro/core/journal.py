@@ -155,9 +155,8 @@ class PerCPUJournal:
         cell = ctx.clock._cpu_ns
         cpu = ctx.cpu
         counters = ctx.counters
-        jcell = counters._journal_ns
         v = cell[cpu]
-        jv = jcell.value
+        jv = counters.journal_ns
         for _ in range(n):
             if head % cap == 0 and head > 0:
                 self.wraparound += 1
@@ -166,8 +165,8 @@ class PerCPUJournal:
             jv += pns
         self.head = head
         cell[cpu] = v
-        jcell.value = jv
-        counters._pm_bytes_written.value += ENTRY_BYTES * n
+        counters.journal_ns = jv
+        counters.pm_bytes_written += ENTRY_BYTES * n
 
     def reclaim_committed(self) -> None:
         """All operations are immediately durable -> reclaim everything."""

@@ -8,9 +8,8 @@ metadata-mutating syscall, alone and in pairs, over a small set of paths.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
-from typing import Callable, List, Tuple
+from typing import List
 
 from ..clock import SimContext
 from ..vfs.interface import FileSystem

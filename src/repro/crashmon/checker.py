@@ -14,7 +14,7 @@ Two layers of checks, as in CrashMonkey:
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from ..clock import make_context

@@ -88,10 +88,8 @@ class FaultPlan:
     calls the ``on_load`` / ``on_store`` hooks) and handed by WineFS to
     its allocator (``take_enospc`` / ``failing_block``).  Every event is
     recorded in :attr:`counts` keyed ``(kind, outcome)``; when a context
-    is available the event is mirrored into the metrics registry
-    (``fault_events`` counter series, created lazily so an idle plan
-    leaves the registry untouched) and, with tracing on, emitted as a
-    zero-width trace record.
+    with tracing on is available, it is also emitted as a zero-width
+    trace record.
     """
 
     def __init__(self, seed: int = 0,
@@ -168,16 +166,13 @@ class FaultPlan:
     # -- ledger ---------------------------------------------------------------
 
     def note(self, kind: str, outcome: str, ctx=None, **attrs) -> None:
-        """Record one fault event (and mirror it to obs when possible)."""
+        """Record one fault event (and trace it when tracing is on)."""
         key = (kind, outcome)
         self.counts[key] = self.counts.get(key, 0) + 1
-        if ctx is not None:
-            ctx.counters.registry.counter(
-                "fault_events", kind=kind, outcome=outcome).inc()
-            if ctx.trace.enabled:
-                now = ctx.now
-                ctx.trace.record(f"fault.{kind}", ctx.cpu, now, now,
-                                 outcome=outcome, **attrs)
+        if ctx is not None and ctx.trace.enabled:
+            now = ctx.now
+            ctx.trace.record(f"fault.{kind}", ctx.cpu, now, now,
+                             outcome=outcome, **attrs)
 
     def count(self, kind: str, outcome: str) -> int:
         return self.counts.get((kind, outcome), 0)

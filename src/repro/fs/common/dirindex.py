@@ -17,7 +17,6 @@ from abc import ABC, abstractmethod
 from typing import Dict, Iterator, List, Optional
 
 from ...clock import SimContext
-from ...params import MachineParams
 
 #: cost of probing one directory entry during a linear PM scan
 _SCAN_ENTRY_NS = 60.0

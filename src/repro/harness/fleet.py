@@ -350,7 +350,7 @@ def serve_cell(cell: Dict[str, Any]) -> Dict[str, Any]:
         "fs": name,
         "seed": seed,
         "load": report,
-        "admission": mux.registry.as_dict(),
+        "admission": mux.admission,
         "telemetry": telemetry.as_dict(),
     }
 
@@ -438,11 +438,10 @@ def _corpus_report(cells: Sequence[Dict[str, Any]],
     any *jobs* value.  The report carries per-cell outcomes plus the
     archive's image count and size.
     """
-    from ..obs.metrics import MetricsRegistry
     from ..snapshot.store import Archive
 
     archive = Archive(root)
-    registry = MetricsRegistry()
+    metrics: Dict[str, int] = {}
     report_cells = []
     for result in results:
         payload = result.pop("payload")
@@ -454,10 +453,11 @@ def _corpus_report(cells: Sequence[Dict[str, Any]],
             if status is None:
                 status = "error"
             else:
-                registry.counter("snapshot_archive_objects",
-                                 status=status).inc()
-                registry.counter("snapshot_archive_bytes").inc(
-                    0 if status != "stored" else len(payload))
+                series = f'snapshot_archive_objects{{status="{status}"}}'
+                metrics[series] = metrics.get(series, 0) + 1
+                stored = len(payload) if status == "stored" else 0
+                metrics["snapshot_archive_bytes"] = \
+                    metrics.get("snapshot_archive_bytes", 0) + stored
         report_cells.append({
             "fs": result["fs"], "profile": result["profile"],
             "utilization": result["utilization"], "seed": result["seed"],
@@ -467,7 +467,7 @@ def _corpus_report(cells: Sequence[Dict[str, Any]],
     return {
         "cells": report_cells,
         "archive": archive.stats(),
-        "metrics": registry.as_dict(),
+        "metrics": metrics,
     }
 
 

@@ -6,7 +6,7 @@ helpers so EXPERIMENTS.md and the bench output stay directly comparable.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Sequence, Tuple
 
 
 class Table:
@@ -147,17 +147,14 @@ def phase_breakdown_table(per_fs, title: str = "Per-phase time breakdown"
                           ) -> Table:
     """Where did the simulated time go, per file system?
 
-    *per_fs* maps FS name -> an :class:`~repro.clock.EventCounters` or a
-    :class:`~repro.obs.metrics.MetricsRegistry`; either way the phase
-    columns come from the ``phase_ns`` series, plus a total and the
-    fraction of that total each phase accounts for.
+    *per_fs* maps FS name -> an :class:`~repro.clock.EventCounters`;
+    the phase columns come from its ``*_ns`` fields, plus a total and
+    the fraction of that total each phase accounts for.
     """
     table = Table(title, ["fs"] + [f"{label}_ns" for label, _ in PHASES]
                   + ["total_ns", "breakdown"])
-    for fs_name, source in per_fs.items():
-        registry = getattr(source, "registry", source)
-        values = [registry.value("phase_ns", phase=label)
-                  for label, _ in PHASES]
+    for fs_name, counters in per_fs.items():
+        values = [getattr(counters, attr) for _, attr in PHASES]
         total = sum(values)
         shares = " ".join(
             f"{label}={v / total * 100.0:.0f}%" for (label, _), v

@@ -17,6 +17,7 @@ fragmentation regime in minutes instead of weeks.
 from __future__ import annotations
 
 import os
+import warnings
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Tuple
 
@@ -81,7 +82,6 @@ def make_fs(name: str, *, size_gib: float = 1.0, num_cpus: int = 4,
     device = PMDevice(size)
     fs = spec.build(device, num_cpus, track_data=track_data)
     ctx = make_context(num_cpus, trace=trace)
-    device.bind_metrics(ctx.counters.registry, fs=name)
     fs.mkfs(ctx)
     return fs, ctx
 
@@ -98,12 +98,11 @@ def _reset_after_setup(fs: FileSystem, ctx: SimContext) -> None:
     *all* simulated history: the per-CPU clocks, the lock timeline (lock
     free times are absolute timestamps — left behind, the first
     acquisition after a clock reset pays the whole aging makespan as a
-    spurious wait), the metrics registry the counters write through, and
-    the device byte totals the ``pm_device_bytes`` gauges report.
+    spurious wait), the event counters and the device byte totals.
     """
     ctx.clock.reset()
     ctx.locks.reset_timeline()
-    ctx.counters.registry.reset()
+    ctx.counters.reset()
     fs.device.bytes_read = 0
     fs.device.bytes_written = 0
 
@@ -149,8 +148,8 @@ def _restore_aged(key: str, name: str
     *status* is a :data:`repro.snapshot.store.LOAD_STATUSES` entry; a
     decoded value of the wrong shape counts as ``decode_error``.  Any
     non-``hit`` status makes the caller re-age, and :func:`aged_fs`
-    counts the non-``miss`` failures into the run's metrics registry —
-    a cache that silently re-ages every run must not look healthy.
+    warns about the non-``miss`` failures — a cache that silently
+    re-ages every run must not look healthy.
     """
     root, status = snapshot_store.load_ex(key)
     if status != "hit":
@@ -161,9 +160,6 @@ def _restore_aged(key: str, name: str
     ctx = root.get("ctx")
     if not isinstance(fs, FileSystem) or not isinstance(ctx, SimContext):
         return None, "decode_error"
-    # callback gauges are dropped at encode time; re-create them exactly
-    # as make_fs does so the registry matches the freshly-aged path
-    fs.device.bind_metrics(ctx.counters.registry, fs=name)
     # inode generations must stay unique across restore + fresh allocations
     # (they key VFS lock names); fast-forward the process-wide counter
     for inode in fs._itable.live_inodes():
@@ -215,9 +211,8 @@ def aged_fs(name: str, *, size_gib: float = 1.0, num_cpus: int = 4,
             "utilization": utilization, "churn_multiple": churn_multiple,
             "profile": profile, "seed": seed, "track_data": track_data})
     if load_status not in ("hit", "miss"):
-        # the cache had a record for this key but could not serve it; count
-        # the failure post-reset, so it survives into the run's metrics,
-        # and post-save, so it stays out of the image that heals the cache
-        ctx.counters.registry.counter("snapshot_load_failures", fs=name,
-                                      reason=load_status).inc()
+        # the cache had a record for this key but could not serve it
+        warnings.warn(f"aged {name} image could not be restored "
+                      f"({load_status}); re-aged it", RuntimeWarning,
+                      stacklevel=2)
     return fs, ctx

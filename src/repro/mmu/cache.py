@@ -17,8 +17,6 @@ PM (~hundreds of ns).
 
 from __future__ import annotations
 
-from typing import Optional
-
 from ..errors import SimulationError
 from ..params import CACHELINE, MachineParams
 from ..rng import make_rng

@@ -24,7 +24,7 @@ from ..errors import InvalidArgumentError
 from ..params import BASE_PAGE, HUGE_PAGE, MachineParams
 from ..pm.device import PMDevice
 from ..pm.zeros import Zeros, zero_bytes
-from ..structures.extents import ExtentList, Extent
+from ..structures.extents import ExtentList
 from .cache import CacheModel
 from .page_table import PageTable
 from .tlb import TLB
@@ -147,10 +147,9 @@ class MappedRegion:
         # later fault inside an already part-populated 2MB range
         huge_phys = None if self.page_table.covered(huge_base) \
             else self._huge_phys_or_none(huge_base)
-        # counter/clock writes are inlined (the read_element pattern):
-        # same values in the same order as ctx.charge + the counter
-        # properties, minus the dispatch overhead — this path runs once
-        # per unique page in every aged/rand workload
+        # clock writes are inlined (the read_element pattern): same
+        # values in the same order as ctx.charge, minus the call — this
+        # path runs once per unique page in every aged/rand workload
         counters = ctx.counters
         huge = huge_phys is not None
         if huge:
@@ -159,7 +158,7 @@ class MappedRegion:
                 ns = self._fault_huge_zero_ns
             else:
                 ns = self.machine.fault_huge_ns
-            counters._page_faults_2m.value += 1
+            counters.page_faults_2m += 1
         else:
             phys = self._phys_of_virt_page(virt_page)
             self.page_table.install_base(virt_page, phys)
@@ -167,11 +166,11 @@ class MappedRegion:
                 ns = self._fault_base_zero_ns
             else:
                 ns = self.machine.fault_base_ns
-            counters._page_faults_4k.value += 1
+            counters.page_faults_4k += 1
         # an add, not start + ns: demand allocation inside the physical
         # lookups above may already have charged this clock
         cpu_ns[cpu] += ns
-        counters._fault_ns.value += ns
+        counters.fault_ns += ns
         if ctx.trace.enabled:
             ctx.trace.record("mmu.fault", cpu, start, cpu_ns[cpu],
                              page=virt_page, huge=huge)
@@ -302,9 +301,9 @@ class MappedRegion:
         hits, misses = tlb.access_run(self.region_id, start_page, n, False)
         counters = ctx.counters
         if hits:
-            counters._tlb_hits.value += hits
+            counters.tlb_hits += hits
         if misses:
-            counters._tlb_misses.value += misses
+            counters.tlb_misses += misses
             # inlined charge_repeat: same one-at-a-time adds on a local
             cpu_ns = ctx.clock._cpu_ns
             cpu = ctx.cpu
@@ -408,9 +407,9 @@ class MappedRegion:
                 cpu_ns = clock._cpu_ns
                 v = cpu_ns[cpu]
                 if hits:
-                    counters._tlb_hits.value += hits
+                    counters.tlb_hits += hits
                 if misses:
-                    counters._tlb_misses.value += misses
+                    counters.tlb_misses += misses
                     walk_ns = machine.page_walk_ns
                     for _ in range(misses):
                         v += walk_ns
@@ -419,20 +418,19 @@ class MappedRegion:
                 ns = machine.pm_read_ns(size)
                 v += ns
                 cpu_ns[cpu] = v
-                counters._copy_ns.value += ns
-                counters._pm_bytes_read.value += size
+                counters.copy_ns += ns
+                counters.pm_bytes_read += size
                 if not self.track_data:
                     return zero_bytes(size)
                 return self._copy_out(offset, size, ctx)
         self._walk_pages(offset, size, ctx)
         ns = machine.pm_read_ns(size)
-        # inlined ctx.charge + counter properties: the same single adds
-        # on the same cells, minus the dispatch frames (this tail runs on
-        # every fault-path read, the mmap_rand common case)
+        # inlined ctx.charge: the same single add, minus the call (this
+        # tail runs on every fault-path read, the mmap_rand common case)
         ctx.clock._cpu_ns[ctx.cpu] += ns
         counters = ctx.counters
-        counters._copy_ns.value += ns
-        counters._pm_bytes_read.value += size
+        counters.copy_ns += ns
+        counters.pm_bytes_read += size
         if not self.track_data:
             return zero_bytes(size)
         return self._copy_out(offset, size, ctx)
@@ -451,11 +449,11 @@ class MappedRegion:
             return
         self._walk_pages(offset, size, ctx)
         ns = self.machine.pm_write_ns(size) + self.machine.sfence_ns
-        # inlined ctx.charge + counter properties (see read())
+        # inlined ctx.charge (see read())
         ctx.clock._cpu_ns[ctx.cpu] += ns
         counters = ctx.counters
-        counters._copy_ns.value += ns
-        counters._pm_bytes_written.value += size
+        counters.copy_ns += ns
+        counters.pm_bytes_written += size
         if self.track_data:
             self._copy_in(offset, data, size)
 
@@ -490,15 +488,14 @@ class MappedRegion:
             huge = self.fault(page, ctx)
         key_page = page - page % _PAGES_PER_HUGE if huge else page
         # the per-event walk's TLB touch and charges, inlined: same events,
-        # same float adds, minus the call/property dispatch.  The clock
-        # writes are deferred onto a local, which keeps the add sequence
-        # identical.
+        # same float adds, minus the calls.  The clock writes are deferred
+        # onto a local, which keeps the add sequence identical.
         v = cpu_ns[cpu]
         tlb = clock.tlbs[cpu] or self._new_tlb(ctx)
         if tlb.access(self.region_id, key_page, huge):
-            counters._tlb_hits.value += 1
+            counters.tlb_hits += 1
         else:
-            counters._tlb_misses.value += 1
+            counters.tlb_misses += 1
             v += machine.page_walk_ns
             if self.cache is not None and not huge:
                 self.cache.pollute()
@@ -507,12 +504,12 @@ class MappedRegion:
             hit = cache.access_hot_line()
             lat = cache.access_latency_ns(hit)
             if hit:
-                counters._llc_hits.value += 1
+                counters.llc_hits += 1
             else:
-                counters._llc_misses.value += 1
+                counters.llc_misses += 1
         else:
             lat = machine.pm_load_ns
-            counters._llc_misses.value += 1
+            counters.llc_misses += 1
         v += lat
         cpu_ns[cpu] = v
         return v - before

@@ -152,17 +152,6 @@ class PageTable:
             raise SimulationError(f"address {virt_addr:#x} not mapped")
         return phys + (virt_addr % BASE_PAGE)
 
-    def bind_metrics(self, registry, **labels) -> None:
-        """Expose mapping counts through callback gauges on *registry*."""
-        registry.gauge("pt_mapped_pages", fn=lambda: len(self._base),
-                       size="4k", **labels)
-        registry.gauge("pt_mapped_pages", fn=lambda: len(self._huge),
-                       size="2m", **labels)
-        registry.gauge("pt_installed_total", fn=lambda: self.installed_4k,
-                       size="4k", **labels)
-        registry.gauge("pt_installed_total", fn=lambda: self.installed_2m,
-                       size="2m", **labels)
-
     @property
     def mapped_pages_4k(self) -> int:
         return len(self._base)

@@ -9,10 +9,12 @@ one ``tid`` so Perfetto renders the per-CPU timelines as separate tracks.
 from __future__ import annotations
 
 import json
-from typing import Dict, Iterable, List, Optional
+from typing import TYPE_CHECKING, Dict, Iterable, List, Optional
 
-from .metrics import MetricsRegistry
 from .trace import NullTracer, SpanRecord
+
+if TYPE_CHECKING:  # pragma: no cover - typing only, avoids an import cycle
+    from ..clock import EventCounters
 
 
 def chrome_trace_events(spans: Iterable[SpanRecord]) -> List[Dict]:
@@ -36,15 +38,16 @@ def chrome_trace_events(spans: Iterable[SpanRecord]) -> List[Dict]:
 
 
 def chrome_trace(tracer: NullTracer,
-                 registry: Optional[MetricsRegistry] = None) -> Dict:
-    """The full JSON-object form Perfetto/chrome://tracing accepts."""
+                 counters: Optional["EventCounters"] = None) -> Dict:
+    """The full JSON-object form Perfetto/chrome://tracing accepts;
+    *counters*, when given, ride along as ``otherData.metrics``."""
     out: Dict[str, object] = {
         "traceEvents": chrome_trace_events(tracer.spans()),
         "displayTimeUnit": "ns",
         "otherData": {"clock": "simulated", "source": "repro"},
     }
-    if registry is not None:
-        out["otherData"]["metrics"] = registry.as_dict()  # type: ignore[index]
+    if counters is not None:
+        out["otherData"]["metrics"] = counters.as_dict()  # type: ignore[index]
     return out
 
 
@@ -66,9 +69,9 @@ def span_jsonl_lines(spans: Iterable[SpanRecord]) -> List[str]:
 
 
 def write_chrome_trace(path: str, tracer: NullTracer,
-                       registry: Optional[MetricsRegistry] = None) -> None:
+                       counters: Optional["EventCounters"] = None) -> None:
     with open(path, "w") as f:
-        json.dump(chrome_trace(tracer, registry), f)
+        json.dump(chrome_trace(tracer, counters), f)
 
 
 def write_span_jsonl(path: str, tracer: NullTracer) -> None:
@@ -77,9 +80,9 @@ def write_span_jsonl(path: str, tracer: NullTracer) -> None:
             f.write(line + "\n")
 
 
-def write_metrics_json(path: str, registry: MetricsRegistry) -> None:
-    """Dump a registry snapshot; ``-`` writes to stdout."""
-    payload = json.dumps(registry.as_dict(), indent=2, sort_keys=True)
+def write_metrics_json(path: str, counters: "EventCounters") -> None:
+    """Dump the event counters as JSON; ``-`` writes to stdout."""
+    payload = json.dumps(counters.as_dict(), indent=2, sort_keys=True)
     if path == "-":
         print(payload)
     else:

@@ -1,9 +1,9 @@
 """Observability helpers for fault injection.
 
-The :class:`~repro.faults.FaultPlan` ledger mirrors events into the
-metrics registry lazily (``fault_events{kind,outcome}``) and, with tracing
-on, emits zero-width ``fault.<kind>`` records.  This module renders
-that ledger as a plain-text report for the CLI.
+The :class:`~repro.faults.FaultPlan` ledger counts events by
+``(kind, outcome)`` and, with tracing on, emits zero-width
+``fault.<kind>`` records.  This module renders that ledger as a
+plain-text report for the CLI.
 
 The report is read-only over the plan: printing it never perturbs clocks
 or counters.

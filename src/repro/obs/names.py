@@ -1,10 +1,10 @@
-"""The metric and span name registry.
+"""The span name registry.
 
-One authoritative list of every counter/gauge/histogram name and every
-span/record name used anywhere in ``src/repro``.  The ``metric-names``
-lint rule (:mod:`repro.analysis.rules.metric_names`) resolves each call
-site's name literal against this module, so a typo'd label fails CI
-instead of silently splitting a series into two.
+One authoritative list of every span/record name used anywhere in
+``src/repro``.  The ``metric-names`` lint rule
+(:mod:`repro.analysis.rules.metric_names`) resolves each call site's
+name literal against this module, so a typo'd name fails CI instead of
+silently splitting a span family into two.
 
 To regenerate after adding instrumentation, run::
 
@@ -20,39 +20,7 @@ from __future__ import annotations
 
 from typing import FrozenSet
 
-__all__ = ["METRIC_NAMES", "SPAN_NAMES", "SPAN_PREFIXES", "all_names"]
-
-#: every registered counter/gauge/histogram name
-METRIC_NAMES: FrozenSet[str] = frozenset({
-    # EventCounters facade series (clock._COUNTER_LAYOUT)
-    "page_faults",
-    "tlb_lookups",
-    "llc_lookups",
-    "pm_bytes",
-    "phase_ns",
-    "syscalls",
-    # device / MMU pull gauges
-    "pm_device_bytes",
-    "pm_materialized_bytes",
-    "pt_mapped_pages",
-    "pt_installed_total",
-    # fault injection
-    "fault_events",
-    "fs_degraded",
-    # service layer (repro.serve)
-    "serve_requests_total",
-    "serve_rejected_total",
-    "serve_queue_depth",
-    "serve_index_hits_total",
-    "serve_index_walks_total",
-    "serve_index_invalidations_total",
-    "serve_shard_events_total",
-    # snapshot cache health (repro.harness.setup)
-    "snapshot_load_failures",
-    # snapshot archive / corpus builder (repro.harness.fleet)
-    "snapshot_archive_objects",
-    "snapshot_archive_bytes",
-})
+__all__ = ["SPAN_NAMES", "SPAN_PREFIXES"]
 
 #: every span / zero-width record name
 SPAN_NAMES: FrozenSet[str] = frozenset({
@@ -86,7 +54,3 @@ SPAN_PREFIXES: FrozenSet[str] = frozenset({
     "fault.",
 })
 
-
-def all_names() -> FrozenSet[str]:
-    """Union of metric and span names (for exposition tooling)."""
-    return METRIC_NAMES | SPAN_NAMES

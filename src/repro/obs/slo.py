@@ -27,7 +27,6 @@ from typing import Any, Dict, Iterable, List, Mapping, Optional, Tuple
 
 from ..errors import ObservabilityError
 from ..structures.stats import Summary
-from .metrics import Counter, format_series
 
 __all__ = ["SLOSpec", "DEFAULT_SLOS", "Telemetry", "slo_report"]
 
@@ -116,12 +115,14 @@ class Telemetry:
         for (kind, outcome), n in sorted(plan.counts.items()):
             _bump(by_kind.setdefault(kind, {}), outcome, int(n))
 
-    def absorb_counters(self, series: Iterable[Counter]) -> None:
-        """Fold registry counter handles (e.g. a serve backend's
+    def absorb_counters(self, counts: Mapping[str, Mapping[str, int]]
+                        ) -> None:
+        """Fold ``{name: {labels: n}}`` counts (e.g. a serve backend's
         ``index_counters()``) in under their exposition labels."""
-        for counter in series:
-            _bump(self.counters.setdefault(counter.name, {}),
-                  format_series("", counter.labels), int(counter.value))
+        for name, series in counts.items():
+            family = self.counters.setdefault(name, {})
+            for labels, n in series.items():
+                _bump(family, labels, int(n))
 
     def _open_interval(self, fs: str) -> Optional[Dict[str, Any]]:
         for interval in reversed(self.intervals):

@@ -501,7 +501,7 @@ class PMDevice:
             if length:
                 # inlined machine.pm_write_ns (identical float ops)
                 v += length / machine.pm_write_bw * 1e9
-                ctx.counters._pm_bytes_written.value += length
+                ctx.counters.pm_bytes_written += length
                 nlines = ((addr + length - 1) // CACHELINE
                           - addr // CACHELINE + 1)
                 v += nlines * machine.clwb_ns
@@ -642,15 +642,6 @@ class PMDevice:
             if not flushed:
                 self.clwb(addr, len(data))
         self.sfence()
-
-    def bind_metrics(self, registry, **labels) -> None:
-        """Expose device totals through callback gauges on *registry*."""
-        registry.gauge("pm_device_bytes", fn=lambda: self.bytes_read,
-                       direction="read", **labels)
-        registry.gauge("pm_device_bytes", fn=lambda: self.bytes_written,
-                       direction="write", **labels)
-        registry.gauge("pm_materialized_bytes",
-                       fn=lambda: self.materialized_bytes, **labels)
 
     @property
     def materialized_bytes(self) -> int:

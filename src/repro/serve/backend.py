@@ -80,7 +80,6 @@ from ..clock import SimContext
 from ..errors import (ExistsError, FSError, MediaError, NoSpaceError,
                       NotFoundError, ReadOnlyError)
 from ..mmu.mmap_region import MappedRegion
-from ..obs.metrics import Counter
 from ..params import HUGE_PAGE
 from ..vfs.interface import FileSystem
 from .interface import OBJ_ID_LEN, ObjStorage, check_obj_id, check_tenant
@@ -156,19 +155,12 @@ class FSObjStorage(ObjStorage):
         #: the mount the caches describe, and whether it had degraded
         self._mount = (fs, fs.namespace_epoch)
         self._read_only = fs.read_only
-        registry = ctx.counters.registry
-        self._hits = registry.counter("serve_index_hits_total",
-                                      backend=self.name)
-        self._walks = registry.counter("serve_index_walks_total",
-                                       backend=self.name)
-        self._invalidations = {
-            reason: registry.counter("serve_index_invalidations_total",
-                                     backend=self.name, reason=reason)
-            for reason in _INVALIDATION_REASONS}
-        self._events = {
-            event: registry.counter("serve_shard_events_total",
-                                    backend=self.name, event=event)
-            for event in _SHARD_EVENTS}
+        #: index health and shard events; :meth:`index_counters`
+        #: names them
+        self._hits = 0
+        self._walks = 0
+        self._invalidations = dict.fromkeys(_INVALIDATION_REASONS, 0)
+        self._events = dict.fromkeys(_SHARD_EVENTS, 0)
 
     # -- the index and its one cold path ------------------------------------
 
@@ -202,7 +194,7 @@ class FSObjStorage(ObjStorage):
         The newest record of an id decides: an older live copy is what a
         compaction that died before its unlink left behind.
         """
-        self._walks.value += 1
+        self._walks += 1
         fs, ctx = self.fs, self.ctx
         state = _Tenant()
         tenant_dir = f"{SERVE_ROOT}/{tenant}"
@@ -251,7 +243,7 @@ class FSObjStorage(ObjStorage):
 
     def _drop_all(self, reason: str) -> None:
         if self._tenants:
-            self._invalidations[reason].value += 1
+            self._invalidations[reason] += 1
         # the dropped mappings' TLB entries are never looked up again, so
         # LRU evicts them before any live one: no shootdown needed
         self._tenants.clear()
@@ -261,7 +253,7 @@ class FSObjStorage(ObjStorage):
         the shards, the next verb on *tenant* finds it by scanning."""
         state = self._tenants.pop(tenant, None)
         if state is not None:
-            self._invalidations["error"].value += 1
+            self._invalidations["error"] += 1
             for shard in filter(None, (*state.shards, state.spare)):
                 shard.region.unmap()
 
@@ -271,7 +263,7 @@ class FSObjStorage(ObjStorage):
         self.ctx.charge(machine.dram_load_ns
                         + returned_ids * OBJ_ID_LEN / machine.dram_read_bw
                         * 1e9)
-        self._hits.value += 1
+        self._hits += 1
 
     # -- the shard log ------------------------------------------------------
 
@@ -337,7 +329,7 @@ class FSObjStorage(ObjStorage):
             shard.region.unmap()
             shard = None
         if shard is None or ctx.now > arrived:
-            self._events["stall"].value += 1
+            self._events["stall"] += 1
         if shard is None:
             size = -(-need // HUGE_PAGE) * HUGE_PAGE
             try:
@@ -354,7 +346,7 @@ class FSObjStorage(ObjStorage):
         shard.path = f"{tenant_dir}/{seq:08d}"
         fs.rename(f"{tenant_dir}/new", shard.path, ctx)
         shards.append(shard)
-        self._events["rotate"].value += 1
+        self._events["rotate"] += 1
 
     def _append(self, tenant: str, state: _Tenant, obj_id: str,
                 data: bytes) -> None:
@@ -393,7 +385,7 @@ class FSObjStorage(ObjStorage):
         if shard.live and shard.dead * 2 <= shard.size:
             return
         if shard.live:
-            self._events["compact"].value += 1
+            self._events["compact"] += 1
             moving = sorted((offset, length, obj_id) for obj_id,
                             (home, offset, length) in state.where.items()
                             if home is shard)
@@ -410,7 +402,7 @@ class FSObjStorage(ObjStorage):
         shard.region.unmap()
         state.shards.remove(shard)
         self.fs.unlink(shard.path, self.ctx)
-        self._events["unlink"].value += 1
+        self._events["unlink"] += 1
 
     # -- verbs --------------------------------------------------------------
 
@@ -473,11 +465,20 @@ class FSObjStorage(ObjStorage):
     def sim_ns(self) -> float:
         return self.ctx.now
 
-    def index_counters(self) -> List[Counter]:
-        """The index-health and shard-event series, for
-        :meth:`~repro.obs.Telemetry.absorb_counters`."""
-        return [self._hits, self._walks, *self._invalidations.values(),
-                *self._events.values()]
+    def index_counters(self) -> Dict[str, Dict[str, int]]:
+        """The index-health and shard-event counts as ``{name: {labels:
+        n}}``, for :meth:`~repro.obs.Telemetry.absorb_counters`."""
+        backend = f'backend="{self.name}"'
+        return {
+            "serve_index_hits_total": {f"{{{backend}}}": self._hits},
+            "serve_index_walks_total": {f"{{{backend}}}": self._walks},
+            "serve_index_invalidations_total": {
+                f'{{{backend},reason="{reason}"}}': n
+                for reason, n in self._invalidations.items()},
+            "serve_shard_events_total": {
+                f'{{{backend},event="{event}"}}': n
+                for event, n in self._events.items()},
+        }
 
     def attach_telemetry(self, telemetry) -> None:
         self.fs.attach_telemetry(telemetry)

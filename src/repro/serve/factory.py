@@ -14,8 +14,8 @@ Supported classes:
   bit-identical restore guarantees; the image comes out of the
   archive under ``$REPRO_SNAPSHOT_DIR`` — e.g. one pre-built there by
   ``repro snapshot build --track-data``; a corrupt or stale snapshot
-  falls back to re-aging, counts a ``snapshot_load_failures`` metric
-  and is replaced by that run);
+  falls back to re-aging with a ``RuntimeWarning`` and is replaced by
+  that run);
 * ``multiplexer`` — a fleet of recursively-built backends behind the
   deterministic tenant router with optional admission control.
 """

@@ -22,7 +22,7 @@ deterministic report.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 from ..errors import BusyError, FSError
 from ..params import KIB

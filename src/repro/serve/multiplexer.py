@@ -6,7 +6,7 @@ content-defined (never seeded, never process-dependent), so the same
 tenant always lands on the same backend — which is what makes the
 differential suite's claim checkable: a multi-tenant stream pushed
 through the multiplexer must leave every backend byte-identical
-(simulated ns, object bytes, metrics) to running that backend's tenant
+(simulated ns, object bytes, counters) to running that backend's tenant
 slice against it directly, because routing adds no simulated work and
 consumes no randomness.
 
@@ -31,7 +31,6 @@ from collections import deque
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, TypeVar
 
 from ..errors import BusyError, InvalidArgumentError
-from ..obs.metrics import Counter, MetricsRegistry
 from .interface import ObjStorage
 
 __all__ = ["ObjStorageMultiplexer"]
@@ -44,7 +43,6 @@ class ObjStorageMultiplexer(ObjStorage):
 
     def __init__(self, backends: Sequence[ObjStorage],
                  queue_cap: int = 0,
-                 registry: Optional[MetricsRegistry] = None,
                  label: str = "multiplexer") -> None:
         if not backends:
             raise InvalidArgumentError("multiplexer needs >= 1 backend")
@@ -52,17 +50,19 @@ class ObjStorageMultiplexer(ObjStorage):
             raise InvalidArgumentError("queue_cap must be >= 0")
         self.backends: List[ObjStorage] = list(backends)
         self.queue_cap = queue_cap
-        self.registry = registry if registry is not None \
-            else MetricsRegistry()
+        #: request, rejection and queue high-water counts keyed by their
+        #: exposition series, e.g. ``serve_requests_total{backend="m0",
+        #: op="put"}``
+        self.admission: Dict[str, int] = {}
         self.name = label
         #: per-backend completion times (ns on the arrival timeline) of
         #: admitted-but-unfinished requests, oldest first
         self._queues = [deque() for _ in self.backends]
         self._queue_high_water = [0] * len(self.backends)
         self._arrival_ns: Optional[float] = None
-        #: ``serve_requests_total`` handles by (backend index, op): resolving
-        #: one through the registry sorts its labels on every request
-        self._request_counters: Dict[Tuple[int, str], Counter] = {}
+        #: ``serve_requests_total`` series by (backend index, op), so a
+        #: request does not format its key
+        self._request_series: Dict[Tuple[int, str], str] = {}
 
     # -- routing ------------------------------------------------------------
 
@@ -84,8 +84,9 @@ class ObjStorageMultiplexer(ObjStorage):
         while queue and queue[0] <= self._arrival_ns:
             queue.popleft()
         if len(queue) >= self.queue_cap:
-            self.registry.counter("serve_rejected_total",
-                                  backend=backend.name, op=op).inc()
+            series = (f'serve_rejected_total{{backend="{backend.name}",'
+                      f'op="{op}"}}')
+            self.admission[series] = self.admission.get(series, 0) + 1
             raise BusyError(
                 f"backend {backend.name} queue full "
                 f"({len(queue)}/{self.queue_cap}); retry later")
@@ -100,9 +101,8 @@ class ObjStorageMultiplexer(ObjStorage):
         depth = len(queue)
         if depth > self._queue_high_water[idx]:
             self._queue_high_water[idx] = depth
-            self.registry.gauge(
-                "serve_queue_depth",
-                backend=self.backends[idx].name).set(depth)
+            name = self.backends[idx].name
+            self.admission[f'serve_queue_depth{{backend="{name}"}}'] = depth
 
     def _dispatch(self, tenant: str, op: str,
                   fn: Callable[[ObjStorage], T]) -> T:
@@ -113,11 +113,13 @@ class ObjStorageMultiplexer(ObjStorage):
         result = fn(backend)
         self._complete(idx, backend.sim_ns() - start)
         try:
-            counter = self._request_counters[idx, op]
+            series = self._request_series[idx, op]
         except KeyError:
-            counter = self._request_counters[idx, op] = self.registry.counter(
-                "serve_requests_total", backend=backend.name, op=op)
-        counter.value += 1
+            series = self._request_series[idx, op] = (
+                f'serve_requests_total{{backend="{backend.name}",'
+                f'op="{op}"}}')
+            self.admission[series] = 0
+        self.admission[series] += 1
         return result
 
     # -- verbs --------------------------------------------------------------

@@ -2,10 +2,10 @@
 
 Serializes the complete state of an aged file system — device sparse
 pages, page tables, allocator pools, journal, inode table, clocks,
-metrics — as a tagged binary stream that can be restored bit-identically:
+counters — as a tagged binary stream that can be restored bit-identically:
 floats round-trip as their exact IEEE-754 bytes, dict insertion order is
-preserved, and shared references (e.g. the registry Counter handles that
-EventCounters properties write through) come back as shared references.
+preserved, and shared references (e.g. the one EventCounters record a
+context and its lock manager both hold) come back as shared references.
 
 Unlike pickle, nothing in the stream can execute code on load: only
 classes explicitly whitelisted from ``repro``'s own modules may appear,
@@ -66,7 +66,7 @@ import struct
 import sys
 from array import array
 from collections import OrderedDict
-from typing import Any, Callable, Dict, List, Optional, Tuple, Type
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from ..errors import SimulationError
 
@@ -184,7 +184,6 @@ class _Reader:
 _MODULE_WHITELIST = (
     "repro.clock",
     "repro.params",
-    "repro.obs.metrics",
     "repro.obs.trace",
     "repro.pm.device",
     "repro.pm.zeros",
@@ -261,32 +260,6 @@ def _default_get_state(obj: Any) -> List[Tuple[str, Any]]:
 
 # -- per-class state filters -------------------------------------------------
 
-def _metrics_registry_state(registry: Any) -> List[Tuple[str, Any]]:
-    """Drop callback-backed gauges; they close over live objects.
-
-    The harness re-creates them after restore (``device.bind_metrics``),
-    so the decoded registry must not contain stale series for them —
-    ``_series_per_name`` is recomputed over the kept set so the re-created
-    gauges land exactly where a fresh run puts them.
-    """
-    from ..obs.metrics import Gauge
-
-    kept = {key: metric for key, metric in registry._metrics.items()
-            if not (isinstance(metric, Gauge) and metric._fn is not None)}
-    per_name: Dict[str, int] = {}
-    for name, _labels in kept:
-        per_name[name] = per_name.get(name, 0) + 1
-    return [("_metrics", kept), ("_series_per_name", per_name),
-            ("max_series_per_name", registry.max_series_per_name)]
-
-
-def _gauge_state(gauge: Any) -> List[Tuple[str, Any]]:
-    if gauge._fn is not None:
-        raise SnapshotUnsupported(
-            f"callback-backed gauge {gauge.series} reached the codec")
-    return _default_get_state(gauge)
-
-
 def _sparse_pages_state(store: Any) -> List[Tuple[str, Any]]:
     """A segment page encodes as the bytearray it stands for, and the
     single-page write cache as that same bytearray: the stream is the
@@ -306,11 +279,9 @@ def _sparse_pages_state(store: Any) -> List[Tuple[str, Any]]:
 
 
 def _state_filters() -> Dict[type, Callable[[Any], List[Tuple[str, Any]]]]:
-    from ..obs.metrics import Gauge, MetricsRegistry
     from ..pm.device import _SparsePages
 
-    return {MetricsRegistry: _metrics_registry_state, Gauge: _gauge_state,
-            _SparsePages: _sparse_pages_state}
+    return {_SparsePages: _sparse_pages_state}
 
 
 def _singletons() -> List[Any]:

@@ -66,8 +66,10 @@ __all__ = ["FORMAT_VERSION", "LOAD_STATUSES", "Archive", "cache_key",
 #: ``LockManager.lock_wait_ns``; 9: WineFS's four per-inode persistence
 #: maps became one ``InodeSlot`` record per inode in ``_slots``, and
 #: ``MachineParams`` lost ``vfs_lock_ns``, ``context_switch_ns``,
-#: ``journal_entry_bytes`` and ``max_txn_entries``)
-FORMAT_VERSION = 9
+#: ``journal_entry_bytes`` and ``max_txn_entries``; 10: ``EventCounters``
+#: holds its thirteen counts as slots — the metrics registry under it,
+#: and its ``Counter`` handles, are gone)
+FORMAT_VERSION = 10
 
 #: every status ``load_ex`` can report.  ``hit`` carries a value; the
 #: rest carry ``None``.  ``miss`` (no image) is the healthy cold-cache

@@ -296,10 +296,10 @@ class FileSystem(ABC):
 
     def _syscall(self, ctx: SimContext) -> None:
         """Charge one kernel crossing."""
-        # inlined ctx.charge / counter property (syscall_ns >= 0; single
-        # adds on the same cells, so values are bit-identical)
+        # inlined ctx.charge (syscall_ns >= 0; a single add on the same
+        # cell, so values are bit-identical)
         ctx.clock._cpu_ns[ctx.cpu] += self.machine.syscall_ns
-        ctx.counters._syscalls.value += 1
+        ctx.counters.syscalls += 1
 
     # -- namespace ops -----------------------------------------------------------
 

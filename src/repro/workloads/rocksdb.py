@@ -27,7 +27,7 @@ from typing import Dict, List, Optional
 from ..clock import SimContext
 from ..errors import NotFoundError
 from ..mmu.mmap_region import MappedRegion
-from ..params import KIB, MIB
+from ..params import MIB
 from ..vfs.interface import FileSystem
 
 

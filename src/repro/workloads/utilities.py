@@ -21,7 +21,6 @@ from ..clock import SimContext
 from ..errors import ReproError
 from ..params import KIB, MIB
 from ..rng import make_rng
-from ..structures.stats import ops_per_sec
 from ..vfs.interface import FileSystem
 
 #: per-translation-unit compile time dominates kernel builds

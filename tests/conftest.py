@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import os
 import random
+import warnings
 import zlib
 
 import pytest
@@ -38,6 +39,21 @@ def _sandbox_snapshot_cache(tmp_path_factory):
         os.environ.pop("REPRO_SNAPSHOT_DIR", None)
     else:
         os.environ["REPRO_SNAPSHOT_DIR"] = prior
+
+
+@pytest.fixture
+def restore_warnings():
+    """``call(fn, *args, **kwargs) -> (result, messages)``: run *fn* and
+    return the messages of the aged-image restore warnings it issued
+    (``harness.aged_fs`` warns once per image it could not restore)."""
+    def call(fn, *args, **kwargs):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            result = fn(*args, **kwargs)
+        return result, [str(w.message) for w in caught
+                        if issubclass(w.category, RuntimeWarning)
+                        and "could not be restored" in str(w.message)]
+    return call
 
 
 @pytest.fixture

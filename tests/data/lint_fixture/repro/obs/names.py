@@ -1,8 +1,5 @@
 """metric-names seeds: the registry the call sites are checked against."""
 
-METRIC_NAMES = frozenset({
-    "page_faults",
-})
 SPAN_NAMES = frozenset({
     "vfs.read",
 })

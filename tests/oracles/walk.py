@@ -108,8 +108,8 @@ def read(self: MappedRegion, offset: int, size: int,
     ns = self.machine.pm_read_ns(size)
     ctx.clock._cpu_ns[ctx.cpu] += ns
     counters = ctx.counters
-    counters._copy_ns.value += ns
-    counters._pm_bytes_read.value += size
+    counters.copy_ns += ns
+    counters.pm_bytes_read += size
     if not self.track_data:
         return zero_bytes(size)
     return self._copy_out(offset, size, ctx)

@@ -148,9 +148,6 @@ def project_findings(rule, files):
 
 
 NAMES_SRC = """
-    METRIC_NAMES = frozenset({
-        "page_faults",
-    })
     SPAN_NAMES = frozenset({
         "vfs.read",
     })
@@ -164,23 +161,21 @@ def test_metric_names_flags_unregistered_names():
     findings = project_findings(MetricNamesRule(), {
         "obs/names.py": ("repro.obs.names", NAMES_SRC),
         "core/x.py": ("repro.core.x", """
-            def run(ctx, registry):
-                registry.counter("page_fautls").inc()
+            def run(ctx):
                 with ctx.trace.span(ctx, "vfs.raed"):
                     pass
                 ctx.trace.record(f"oops.{1}", 0, 0, 0)
         """),
     })
     assert sorted(f.detail for f in findings) == \
-        ["fstring:oops.", "page_fautls", "vfs.raed"]
+        ["fstring:oops.", "vfs.raed"]
 
 
 def test_metric_names_accepts_registered_and_prefixed():
     findings = project_findings(MetricNamesRule(), {
         "obs/names.py": ("repro.obs.names", NAMES_SRC),
         "core/x.py": ("repro.core.x", """
-            def run(ctx, registry, kind):
-                registry.counter("page_faults").inc()
+            def run(ctx, kind):
                 with ctx.trace.span(ctx, "vfs.read"):
                     pass
                 ctx.trace.record(f"fault.{kind}", 0, 0, 0)
@@ -188,14 +183,6 @@ def test_metric_names_accepts_registered_and_prefixed():
         """),
     })
     assert findings == []
-
-
-def test_counter_layout_names_are_registered():
-    """The one non-literal registry call site, checked at runtime."""
-    from repro.clock import _COUNTER_LAYOUT
-    from repro.obs.names import METRIC_NAMES
-    layout_names = {series for _, series, _ in _COUNTER_LAYOUT}
-    assert layout_names <= METRIC_NAMES
 
 
 def test_registered_spans_match_live_tracer_usage():
@@ -219,7 +206,7 @@ def test_every_registered_span_has_a_constant_name_site():
                 ctx = FileContext(path, os.path.relpath(path, REPO_ROOT),
                                   fh.read())
             used.update(site["name"] for site in rule.collect(ctx)["sites"]
-                        if site["kind"] == "span" and "name" in site)
+                        if "name" in site)
     assert sorted(SPAN_NAMES - used) == []
 
 

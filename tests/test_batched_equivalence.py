@@ -6,8 +6,8 @@ and :func:`tests.oracles.reference_walk` patches it onto ``MappedRegion``
 for a block.  The two must produce *exactly* the same simulated time —
 bit-identical floats, not approximately equal — and the same
 observability counters.  These tests run identical scenarios on both
-walks and compare clock snapshots, counter dicts and the metrics
-registry.  Every scenario drives each walk entry point, and every
+walks and compare clock snapshots, counter dicts and the device's byte
+totals.  Every scenario drives each walk entry point, and every
 reference run ends in :func:`tests.oracles.assert_reference_walk`.
 
 CI treats a skip of this module as a failure: equivalence is the safety
@@ -53,6 +53,11 @@ def _read_element_and_prefault(region, ctx, out):
     region.prefault(ctx)
 
 
+def _device_state(dev):
+    """The device's byte totals and materialized store size."""
+    return dev.bytes_read, dev.bytes_written, dev.materialized_bytes
+
+
 def _run_region_scenario(reference: bool, seed: int, *, extent_layout,
                          track_data: bool, zero_fill: bool,
                          length: int = 4 * MIB):
@@ -93,7 +98,7 @@ def _run_region_scenario(reference: bool, seed: int, *, extent_layout,
         for off in reversed(sweep):
             reads.append(region.read(off, 64 * KIB, ctx))
     return (ctx.clock.snapshot(), ctx.counters.as_dict(),
-            ctx.counters.registry.as_dict(), reads, pages)
+            _device_state(dev), reads, pages)
 
 
 def _run_fs_scenario(reference: bool, seed: int, fs_name: str, *,
@@ -141,7 +146,7 @@ def _run_fs_scenario(reference: bool, seed: int, fs_name: str, *,
         reads.append(fs.read(f.ino, 0, 2 * MIB, ctx))
         f.close()
     return (ctx.clock.snapshot(), ctx.counters.as_dict(),
-            ctx.counters.registry.as_dict(), reads)
+            _device_state(fs.device), reads)
 
 
 def _run_rand_read_scenario(reference: bool, seed: int, *, prefault: bool,
@@ -165,7 +170,7 @@ def _run_rand_read_scenario(reference: bool, seed: int, *, prefault: bool,
         _read_element_and_prefault(region, ctx, reads)
         region.unmap()
     return (ctx.clock.snapshot(), ctx.counters.as_dict(),
-            ctx.counters.registry.as_dict(), reads)
+            _device_state(dev), reads)
 
 
 def _assert_identical(fast, ref):
@@ -284,7 +289,7 @@ class TestRandReadFastPath:
                 region.unmap()
                 f.close()
             return (ctx.clock.snapshot(), ctx.counters.as_dict(),
-                    ctx.counters.registry.as_dict(), reads)
+                    _device_state(fs.device), reads)
 
         _assert_identical(scenario(False), scenario(True))
 
@@ -294,7 +299,9 @@ class TestRandReadFastPath:
         commit where ``read`` still tested ``not ctx.trace.enabled``, when
         all 600 reads of the phase went through ``_walk_pages``; the
         chrome digest since gained the one ``alloc`` span of the file's
-        allocation (every model's allocation loop records one)."""
+        allocation (every model's allocation loop records one), and its
+        ``otherData.metrics`` became the counters' ``as_dict`` (the span
+        events kept their bytes)."""
         tracer = Tracer(capacity=65536)
         fs, ctx = fresh_fs("PMFS", size_gib=0.125, num_cpus=2, trace=tracer)
         f = fs.create("/rand", ctx)
@@ -318,9 +325,12 @@ class TestRandReadFastPath:
 
         assert walks == []
         assert (len(tracer), tracer.dropped) == (1028, 0)
-        assert digest(chrome_trace(tracer, ctx.counters.registry)) == \
-            "1b1b5d5a40cd2d7ae6c631b3e0bf9d34" \
-            "d91abbc70e96adf4f25e9e64710c0ec7"
+        assert digest(chrome_trace(tracer)) == \
+            "d1acea5dc8895f0a82e19872ce4850a7" \
+            "bb60648147180ff106166debb62d3c47"
+        assert digest(chrome_trace(tracer, ctx.counters)) == \
+            "ff62de514b307f264a12c25e33a8ba49" \
+            "d088d1f17fa0f0044738ce18a29aebac"
         assert repr(ctx.clock.snapshot()) == "[2152788.018380208, 0.0]"
         assert digest(ctx.counters.as_dict()) == \
             "f582afd2706eee07ace970d6695c3277" \

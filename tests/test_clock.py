@@ -181,12 +181,28 @@ class TestEventCounters:
         with pytest.raises(TypeError):
             EventCounters(nonsense=1)
 
-    def test_backed_by_registry_series(self):
+    def test_misspelled_field_raises(self):
+        # a typo'd counter write must fail loudly, not grow a new field
+        c = EventCounters()
+        with pytest.raises(AttributeError):
+            c.tlb_mises = 1
+        assert c.as_dict() == EventCounters().as_dict()
+
+    def test_reset_zeroes_every_field_as_int(self):
         c = EventCounters(page_faults_2m=6, lock_wait_ns=12.5)
-        assert c.registry.value("page_faults", size="2m") == 6
-        assert c.registry.value("phase_ns", phase="lock_wait") == 12.5
-        c.page_faults_2m += 1
-        assert c.registry.value("page_faults", size="2m") == 7
+        c.add_repeat("fault_ns", 0.1, 3)
+        c.reset()
+        d = c.as_dict()
+        assert list(d) == list(EventCounters._fields)
+        assert all(type(v) is int and v == 0 for v in d.values())
+
+    def test_add_repeat_is_sequential_adds(self):
+        c = EventCounters()
+        c.add_repeat("copy_ns", 0.1, 7)
+        v = 0
+        for _ in range(7):
+            v += 0.1
+        assert c.copy_ns == v
 
     def test_equality_compares_values(self):
         assert EventCounters(syscalls=2) == EventCounters(syscalls=2)

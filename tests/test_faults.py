@@ -184,7 +184,7 @@ class TestBitIdenticalOff:
         fs.truncate(fs.getattr("/d/a").ino, 5000, ctx)
         fs.unmount(ctx)
         return (list(ctx.clock._cpu_ns), ctx.counters.as_dict(),
-                ctx.counters.registry.as_dict(), device.bytes_read,
+                device.materialized_bytes, device.bytes_read,
                 device.bytes_written, data)
 
     def test_empty_plan_bit_identical(self):
@@ -267,8 +267,6 @@ class TestPoison:
         assert exc.value.errno_name == "EROFS"
         with pytest.raises(ReadOnlyError):
             fs2.write_file("/keep2", b"x", ctx2)
-        assert ctx2.counters.registry.value("fs_degraded",
-                                            fs=fs2.name) == 1.0
         # a re-format clears the degradation
         fs2.mkfs(ctx2)
         assert not fs2.read_only
@@ -420,24 +418,6 @@ class TestWriteErrors:
 
 
 class TestObservability:
-    def test_fault_events_reach_registry(self):
-        fs, ctx, _device = _winefs()
-        fs.create("/f", ctx).close()
-        plan = FaultPlan(specs=[FaultSpec("enospc", at_op=0, count=1)])
-        fs.attach_fault_plan(plan)
-        with pytest.raises(NoSpaceError):
-            fs.open("/f", ctx).append(b"a" * 4096, ctx)
-        reg = ctx.counters.registry
-        assert reg.value("fault_events", kind="enospc",
-                         outcome="surfaced") == 1.0
-
-    def test_idle_plan_leaves_registry_untouched(self):
-        fs, ctx, _device = _winefs(
-            plan=FaultPlan(specs=[FaultSpec("enospc", at_op=10 ** 9)]))
-        fs.write_file("/f", b"x" * 4096, ctx)
-        assert "fault_events" not in repr(
-            sorted(ctx.counters.registry.as_dict()))
-
     def test_fault_report_text(self):
         plan = FaultPlan(specs=[FaultSpec("enospc", at_op=0)])
         plan.take_enospc()

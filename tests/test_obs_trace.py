@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from repro.clock import SimClock, SimContext, make_context
+from repro.clock import EventCounters, SimClock, SimContext, make_context
 from repro.obs.export import (chrome_trace, chrome_trace_events,
                               span_jsonl_lines)
 from repro.obs.trace import NULL_TRACER, Tracer
@@ -189,11 +189,9 @@ class TestChromeExport:
 
     def test_metrics_embedded(self):
         tracer = self._traced()
-        from repro.obs.metrics import MetricsRegistry
-        reg = MetricsRegistry()
-        reg.counter("syscalls").inc(3)
-        doc = chrome_trace(tracer, reg)
-        assert doc["otherData"]["metrics"]["syscalls"] == 3
+        counters = EventCounters(syscalls=3)
+        doc = chrome_trace(tracer, counters)
+        assert doc["otherData"]["metrics"] == counters.as_dict()
 
 
 class TestJsonl:

@@ -517,15 +517,18 @@ class TestArchiveRoutedStore:
         assert count_aging.instances == 1  # warm restore from its image
         assert Archive(routed).stats()["images"] == 1
 
-    def test_corrupt_archive_falls_back_to_aging(self, routed, count_aging):
+    def test_corrupt_archive_falls_back_to_aging(self, routed, count_aging,
+                                                 restore_warnings):
         aged_fs("WineFS", **_AGE_KW)
         archive = Archive(routed)
         (key,) = archive.keys()
         rewrite(archive.path(key), flip_middle_byte)
-        fs, ctx = aged_fs("WineFS", **_AGE_KW)
+        _, warned = restore_warnings(aged_fs, "WineFS", **_AGE_KW)
         assert count_aging.instances == 2  # re-aged, run not stopped
-        assert ctx.counters.registry.value(
-            "snapshot_load_failures", fs="WineFS", reason="corrupt") == 1
+        assert len(warned) == 1 and "(corrupt)" in warned[0]
+        _, warned = restore_warnings(aged_fs, "WineFS", **_AGE_KW)
+        assert count_aging.instances == 2  # the re-aged image healed it
+        assert warned == []
 
 
 # the "-array" ids name the structures the image is built on: the

@@ -8,8 +8,9 @@ must reproduce the per-object reference engine's simulated time
 once on the array structures ``src/`` builds, once under
 :func:`tests.oracles.reference_structures` (every free pool and page
 table built from the per-object oracles, which the run then checks) —
-and compares clocks (by ``repr``, so ULP drift fails), counters,
-registry, op outcomes and statfs.
+and compares clocks (by ``repr``, so ULP drift fails), counters, the
+device's byte totals, the fault ledger and degrade, op outcomes and
+statfs.
 
 Also here: the RunStore invariant property sweep and the inode-packer
 differential against :func:`repro.core.layout.pack_inode`.
@@ -118,6 +119,7 @@ def _run_model(fs_name: str, seed: int, reference: bool, plan=None):
     def build():
         fs, ctx = fresh_fs(fs_name, size_gib=0.125, num_cpus=2,
                            track_data=True)
+        live = None
         if plan is not None:
             # fresh plan per run: plans accumulate op counters
             live = FaultPlan.from_json(plan.to_json())
@@ -127,8 +129,12 @@ def _run_model(fs_name: str, seed: int, reference: bool, plan=None):
         _seeded_ops(fs, ctx, rng, outcomes)
         region = _mmap_ops(fs, ctx, rng, outcomes)
         stats = fs.statfs()
+        device = fs.device
+        side = (device.bytes_read, device.bytes_written,
+                device.materialized_bytes,
+                None if live is None else live.counts, fs.degraded_reason)
         return fs, region, (ctx.clock.snapshot(), ctx.counters.as_dict(),
-                            ctx.counters.registry.as_dict(), outcomes, stats)
+                            side, outcomes, stats)
     if not reference:
         return build()[2]
     with reference_structures():
@@ -141,7 +147,7 @@ def _assert_engines_identical(fast, ref, label=""):
     for a, b in zip(fast[0], ref[0]):
         assert repr(a) == repr(b), f"{label}: clock diverged"
     assert fast[1] == ref[1], f"{label}: counters diverged"
-    assert fast[2] == ref[2], f"{label}: registry diverged"
+    assert fast[2] == ref[2], f"{label}: device or fault ledger diverged"
     assert fast[3] == ref[3], f"{label}: outcomes diverged"
     assert fast[4] == ref[4], f"{label}: statfs diverged"
 
