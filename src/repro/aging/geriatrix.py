@@ -261,26 +261,3 @@ class Geriatrix:
         self.fill(ctx, result)
         self.churn(ctx, write_volume, result)
         return result
-
-    def set_utilization(self, ctx: SimContext, target: float) -> AgingResult:
-        """Move to a different utilization *after* aging, preserving the
-        fragmentation history: deletes random files to go down, creates
-        profile files to go up.  This is how one aged image yields the
-        utilization sweep of Fig 1/3.
-        """
-        if not 0.0 < target < 1.0:
-            raise ValueError("target utilization must be in (0, 1)")
-        result = AgingResult()
-        guard = 0
-        while self._files and self._utilization() > target and guard < 100000:
-            self._delete_one(ctx, result)
-            guard += 1
-        old_target, self.target = self.target, target
-        try:
-            self.fill(ctx, result)
-        finally:
-            self.target = old_target
-        result.final_utilization = self._utilization()
-        result.live_files = len(self._files)
-        return result
-

@@ -164,7 +164,7 @@ def cmd_faults(args) -> int:
     from .core.filesystem import WineFS
     from .errors import FSError, InvalidArgumentError
     from .faults import FaultPlan, FaultSpec
-    from .obs import fault_report
+    from .harness.report import fault_table
     from .params import BLOCK_SIZE
     from .pm.device import PMDevice
 
@@ -229,8 +229,8 @@ def cmd_faults(args) -> int:
     attempt("unmount", lambda: fs.unmount(ctx))
     attempt("remount", lambda: fs.mount(ctx))
 
-    print(fault_report(plan, title=f"fault report (seed={plan.seed}, "
-                                   f"{len(plan.specs)} specs)"))
+    print(fault_table(plan, title=f"fault report (seed={plan.seed}, "
+                                  f"{len(plan.specs)} specs)"))
     for line in surfaced:
         print("surfaced:", line)
     state = f"read-only ({fs.degraded_reason})" if fs.read_only \

@@ -36,7 +36,7 @@ from ..structures.extents import Extent
 from ..fs.common.base import BaseFS, ROOT_INO
 from ..fs.common.freespace import FreePool
 from ..fs.common.inode import Inode, InodeTable, INODE_BYTES
-from .journal import JournalManager, MAX_TXN_ENTRIES
+from .journal import JournalManager, MAX_TXN_ENTRIES, _Transaction
 from .layout import (INLINE_EXTENTS, EXTENTS_PER_INDIRECT, MAX_FILE_SIZE,
                      InodeRecord, InodeSlot, Layout, pack_indirect,
                      read_superblock, unpack_inode, write_superblock)
@@ -103,7 +103,7 @@ class _MetaTxnScope:
     resumptions per use, which is measurable at aging scale.
     """
 
-    __slots__ = ("_fs", "_ctx", "_entries", "_txn", "_stack", "_lock")
+    __slots__ = ("_fs", "_ctx", "_entries", "_txn", "_lock")
 
     def __init__(self, fs: "WineFS", ctx: SimContext, entries: int) -> None:
         self._fs = fs
@@ -111,14 +111,13 @@ class _MetaTxnScope:
         self._entries = entries
 
     def __enter__(self) -> None:
-        self._txn, self._stack, self._lock = \
-            self._fs._txn_enter(self._ctx, self._entries)
+        self._txn, self._lock = self._fs._txn_enter(self._ctx, self._entries)
 
     def __exit__(self, exc_type, exc, tb) -> bool:
         txn = self._txn
         if txn is not None:
             ctx = self._ctx
-            self._stack.pop()
+            del self._fs._open_txn[ctx.cpu]
             txn.commit(ctx)
             if txn.frees:
                 self._fs._free(txn.frees)
@@ -157,7 +156,8 @@ class WineFS(BaseFS):
         self.quarantined: set = set()
         self.journal: Optional[JournalManager] = None
         self.rewrite_queue = RewriteQueue(self)
-        self._txn_stack: Dict[int, list] = {}
+        #: cpu -> the transaction open on it; a nested ``_meta_txn`` joins it
+        self._open_txn: Dict[int, _Transaction] = {}
         #: ino -> what is on PM for that inode (slot address and image,
         #: extents, indirect chain, name); one probe per metadata update
         self._slots: Dict[int, InodeSlot] = {}
@@ -184,7 +184,7 @@ class WineFS(BaseFS):
         self._dirs[ROOT_INO] = self.dir_index_cls()
         write_superblock(self.device, self.layout)
         self._persist_watermarks(ctx)
-        self._persist_inode_record(root, ctx)
+        self._persist_inode(root, ctx)
         ctx.charge(self.machine.persist_ns(4096))
         self.mounted = True
 
@@ -369,17 +369,14 @@ class WineFS(BaseFS):
         return _MetaTxnScope(self, ctx, entries)
 
     def _txn_enter(self, ctx: SimContext, entries: int):
-        """Open a journal transaction unless one encloses this CPU already.
+        """Open a journal transaction unless one is open on this CPU already.
 
-        Returns (txn, stack, lock_name): txn is None for a nested join,
+        Returns (txn, lock_name): txn is None for a nested join,
         lock_name is None unless the shared-journal lock was taken.
         """
-        stack = self._txn_stack.get(ctx.cpu)
-        if stack is None:
-            stack = self._txn_stack[ctx.cpu] = []
-        elif stack:
+        if ctx.cpu in self._open_txn:
             # nested operation joins the enclosing transaction
-            return None, stack, None
+            return None, None
         # journals are per-logical-CPU; when the workload runs more CPUs
         # than the FS has journals (e.g. the single-journal ablation), the
         # shared journal serializes its writers
@@ -387,21 +384,16 @@ class WineFS(BaseFS):
         if self.layout.num_cpus < ctx.clock.num_cpus:
             lock_name = f"winefs-journal:{ctx.cpu % self.layout.num_cpus}"
             ctx.locks.acquire(lock_name, ctx.cpu)
-        txn = self.journal.begin(ctx, entries_hint=min(entries,
-                                                       MAX_TXN_ENTRIES))
-        stack.append(txn)
-        return txn, stack, lock_name
-
-    def _active_txn(self, ctx: SimContext):
-        stack = self._txn_stack.get(ctx.cpu)
-        return stack[-1] if stack else None
+        txn = self._open_txn[ctx.cpu] = self.journal.begin(
+            ctx, entries_hint=min(entries, MAX_TXN_ENTRIES))
+        return txn, lock_name
 
     # ------------------------------------------------------- inode persistence
 
     def _alloc_inode(self, is_dir: bool, ctx: SimContext) -> Inode:
         assert isinstance(self._itable, _PerCPUInodeTables)
         inode = self._itable.allocate(is_dir=is_dir, owner_cpu=ctx.cpu)
-        txn = self._active_txn(ctx)
+        txn = self._open_txn.get(ctx.cpu)
         if txn is not None:
             txn.log_undo(_WATERMARK_OFF, ctx)
         self._persist_watermarks(ctx)
@@ -412,9 +404,9 @@ class WineFS(BaseFS):
         # record first so a mid-transaction crash can roll the inode back
         # (CrashMonkey's rename-clobber workload catches the unlogged case)
         addr = self.layout.inode_addr(inode.ino)
-        txn = self._active_txn(ctx) if ctx is not None else None
+        txn = self._open_txn.get(ctx.cpu) if ctx is not None else None
         if txn is not None:
-            txn.log_undo_range(addr, INODE_BYTES, ctx)
+            txn.log_undo(addr, ctx, INODE_BYTES)
         self.device.persist(addr, b"\x00", ctx)
         slot = self._slots.pop(inode.ino, None)
         if slot is not None and slot.chain:
@@ -428,18 +420,15 @@ class WineFS(BaseFS):
             ctx.locks.forget(inode.lock_name)
 
     def _persist_inode(self, inode: Inode, ctx: SimContext) -> None:
-        stack = self._txn_stack.get(ctx.cpu)
-        self._persist_inode_record(inode, ctx, stack[-1] if stack else None)
-
-    def _persist_inode_record(self, inode: Inode, ctx: SimContext,
-                              txn=None) -> None:
-        """Serialize the inode to its PM slot (and indirect chain).
+        """Serialize the inode to its PM slot (and indirect chain), undo-
+        logged in the transaction open on this CPU, if any.
 
         The chain is updated incrementally: when extents only changed at
         or past a known index (the common append case), only the affected
         chain blocks are rewritten — a real extent tree also touches only
         the modified leaves.
         """
+        txn = self._open_txn.get(ctx.cpu)
         new_tuple = inode.extents.as_tuple()
         nnew = len(new_tuple)
         slot = self._slots.get(inode.ino)
@@ -501,7 +490,7 @@ class WineFS(BaseFS):
                     # of the (suffix-extended) chain is live
                     txn.log_undo(addr, ctx)
                 else:
-                    txn.log_undo_range(addr, INODE_BYTES, ctx)
+                    txn.log_undo(addr, ctx, INODE_BYTES)
         else:
             # structural change (CoW replace, truncate, first serialize):
             # copy-on-write the chain so the old blocks stay intact for
@@ -539,7 +528,7 @@ class WineFS(BaseFS):
                 # the name region changes only on a rename, so a
                 # data-path update logs the header + inline extents alone
                 renamed = slot.name is not None and slot.name != inode.name
-                txn.log_undo_range(addr, INODE_BYTES if renamed else 72, ctx)
+                txn.log_undo(addr, ctx, INODE_BYTES if renamed else 72)
         slot.chain = chain
         self.device.persist(addr, slot.pack(inode, new_tuple,
                                             chain[0] if chain else 0), ctx)
@@ -627,7 +616,7 @@ class WineFS(BaseFS):
         """Charge ``alloc_ns`` per extent now, as :meth:`_free` would, but
         hand the extents back only when the open transaction commits: a
         crash before then rolls back to a record that still names them."""
-        txn = self._active_txn(ctx)
+        txn = self._open_txn.get(ctx.cpu)
         if txn is None:
             self._free(extents, ctx)
             return

@@ -99,7 +99,6 @@ class PerCPUJournal:
         self.head = 0            # next slot to write (DRAM cursor)
         self.tail = 0            # oldest un-reclaimed slot
         self.wraparound = 1      # starts at 1 so zeroed PM reads as stale
-        self.waits_for_space = 0
         # every entry is exactly one cacheline, so its persist cost is a
         # constant of the machine; computing it per append is pure waste
         self._entry_persist_ns = device.machine.persist_ns(ENTRY_BYTES)
@@ -118,14 +117,15 @@ class PerCPUJournal:
             # §3.6: "the thread waits till enough space is reclaimed".  All
             # our transactions are synchronous so reclaim is immediate; hit
             # this only on pathological misuse.
-            self.waits_for_space += 1
             self.tail = self.head
 
     def _slot_addr(self, slot: int) -> int:
         return self.base + (slot % self.capacity) * ENTRY_BYTES
 
-    def append(self, entry: JournalEntry, ctx: SimContext) -> None:
-        """Append one entry under the current wrap generation.
+    def append(self, etype: int, txn_id: int, ctx: SimContext,
+               addr: int = 0, undo: bytes = b"") -> None:
+        """Append one entry under the current wrap generation: the one
+        place an entry is written.
 
         Only a tracked device can produce crash images, so only there are
         the bytes written, and uncharged: the cost is :meth:`append_run`'s
@@ -135,8 +135,7 @@ class PerCPUJournal:
             head = self.head
             wrap = self.wraparound + (head % self.capacity == 0 and head > 0)
             self.device.persist(self._slot_addr(head), JournalEntry(
-                entry.etype, wrap, entry.txn_id, entry.addr,
-                entry.undo).pack())
+                etype, wrap, txn_id, addr, undo).pack())
         self.append_run(1, ctx)
 
     def append_run(self, n: int, ctx: SimContext) -> None:
@@ -210,12 +209,10 @@ class PerCPUJournal:
 class _Transaction:
     """Handle for one open transaction; created via JournalManager.begin."""
 
-    __slots__ = ("_mgr", "journal", "txn_id", "entries_used", "committed",
+    __slots__ = ("journal", "txn_id", "entries_used", "committed",
                  "_logged", "frees")
 
-    def __init__(self, mgr: "JournalManager", journal: PerCPUJournal,
-                 txn_id: int) -> None:
-        self._mgr = mgr
+    def __init__(self, journal: PerCPUJournal, txn_id: int) -> None:
         self.journal = journal
         self.txn_id = txn_id
         self.entries_used = 1     # START
@@ -224,53 +221,31 @@ class _Transaction:
         #: extents to free once committed: a rollback may still need them
         self.frees: list = []
 
-    def log_undo(self, addr: int, ctx: SimContext) -> None:
-        """Record the current PM contents of one cacheline-sized area.
+    def log_undo(self, addr: int, ctx: SimContext,
+                 length: int = UNDO_BYTES) -> None:
+        """Record the current PM contents of ``[addr, addr + length)``.
 
-        Call *before* updating the metadata in place; larger areas are
-        split across entries.  A region is logged at most once per
-        transaction (the first image is the one rollback needs).
+        Call *before* updating the metadata in place; the area takes one
+        DATA entry per ``UNDO_BYTES``.  An address is logged at most once
+        per transaction (the first image is the one rollback needs).
         """
         if addr in self._logged:
             return
-        self._logged.add(addr)
-        if not self.journal.device.track_stores:
-            # the undo image is unobservable on a fast device; only the
-            # entry's journal traffic matters
-            self._append_blank(1, ctx)
-            return
-        old = self.journal.device.load(addr, UNDO_BYTES)
-        self._append(TYPE_DATA, addr, old, ctx)
-
-    def log_undo_range(self, addr: int, length: int, ctx: SimContext) -> None:
-        if addr in self._logged:
-            return
-        self._logged.add(addr)
-        if not self.journal.device.track_stores:
-            self._append_blank((length + UNDO_BYTES - 1) // UNDO_BYTES, ctx)
-            return
-        old = self.journal.device.load(addr, length)
-        pos = 0
-        while pos < length:
-            take = min(UNDO_BYTES, length - pos)
-            self._append(TYPE_DATA, addr + pos, old[pos:pos + take], ctx)
-            pos += take
-
-    def _append_blank(self, n: int, ctx: SimContext) -> None:
-        if n <= 0:
-            return
         if self.committed:
             raise FSError("transaction already committed")
+        self._logged.add(addr)
+        n = (length + UNDO_BYTES - 1) // UNDO_BYTES
         self.entries_used += n
-        self.journal.append_run(n, ctx)
-
-    def _append(self, etype: int, addr: int, undo: bytes,
-                ctx: SimContext) -> None:
-        if self.committed:
-            raise FSError("transaction already committed")
-        self.entries_used += 1
-        self.journal.append(
-            JournalEntry(etype, 0, self.txn_id, addr, undo), ctx)
+        journal = self.journal
+        if not journal.device.track_stores:
+            # the undo images are unobservable on a fast device; only
+            # their journal traffic matters
+            journal.append_run(n, ctx)
+            return
+        old = journal.device.load(addr, length)
+        for pos in range(0, length, UNDO_BYTES):
+            journal.append(TYPE_DATA, self.txn_id, ctx, addr + pos,
+                           old[pos:pos + UNDO_BYTES])
 
     def commit(self, ctx: SimContext) -> None:
         if self.committed:
@@ -278,11 +253,7 @@ class _Transaction:
         with ctx.trace.span(ctx, "journal.commit", txn=self.txn_id,
                             entries=self.entries_used):
             journal = self.journal
-            if journal.device.track_stores:
-                journal.append(
-                    JournalEntry(TYPE_COMMIT, 0, self.txn_id, 0, b""), ctx)
-            else:
-                journal.append_run(1, ctx)
+            journal.append(TYPE_COMMIT, self.txn_id, ctx)
             self.committed = True
             # inlined reclaim_committed: synchronous ops reclaim immediately
             journal.tail = journal.head
@@ -311,12 +282,8 @@ class JournalManager:
             txn_id = self._next_txn_id
             self._next_txn_id += 1
             self.transactions_started += 1
-            if self.device.track_stores:
-                journal.append(
-                    JournalEntry(TYPE_START, 0, txn_id, 0, b""), ctx)
-            else:
-                journal.append_run(1, ctx)
-            return _Transaction(self, journal, txn_id)
+            journal.append(TYPE_START, txn_id, ctx)
+            return _Transaction(journal, txn_id)
 
     # -- recovery ------------------------------------------------------------------
 

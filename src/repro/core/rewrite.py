@@ -90,12 +90,10 @@ class RewriteQueue:
             fs._store_extents(new_extents, fs._read_blocks(inode, 0, nblocks))
         # §3.6: "A journal transaction is used to atomically delete the old
         # file and point the directory entry to the new file."
-        txn = fs.journal.begin(ctx, entries_hint=4)
         old = list(inode.extents)
-        inode.extents = new
-        inode.aligned_hint = True
-        fs._persist_inode_record(inode, ctx, txn)
-        txn.commit(ctx)
-        fs._free(txn.frees)
+        with fs._meta_txn(ctx, entries=4):
+            inode.extents = new
+            inode.aligned_hint = True
+            fs._persist_inode(inode, ctx)
         fs._free(old, ctx)
         return True

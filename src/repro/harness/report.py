@@ -138,6 +138,15 @@ def availability_table(availability: Dict[str, Dict],
     return table
 
 
+def fault_table(plan, title: str = "Fault report") -> Table:
+    """A :class:`~repro.faults.FaultPlan`'s ledger: one row per fault
+    kind seen, with its injected / masked / surfaced counts."""
+    table = Table(title, ["kind", "injected", "masked", "surfaced"])
+    for row in plan.report_rows():
+        table.add_row(*row)
+    return table
+
+
 #: phase label -> display column, in paper-breakdown order (Figs 1/2/6)
 PHASES = (("fault", "fault_ns"), ("copy", "copy_ns"),
           ("journal", "journal_ns"), ("lock_wait", "lock_wait_ns"))

@@ -24,13 +24,11 @@ from .trace import NULL_TRACER, NullTracer, SpanRecord, Tracer
 from .export import (chrome_trace, chrome_trace_events, span_jsonl_lines,
                      write_chrome_trace, write_metrics_json,
                      write_span_jsonl)
-from .faults import fault_report
 from .slo import DEFAULT_SLOS, SLOSpec, Telemetry, slo_report
 
 __all__ = [
     "NULL_TRACER", "NullTracer", "SpanRecord", "Tracer",
     "chrome_trace", "chrome_trace_events", "span_jsonl_lines",
     "write_chrome_trace", "write_metrics_json", "write_span_jsonl",
-    "fault_report",
     "DEFAULT_SLOS", "SLOSpec", "Telemetry", "slo_report",
 ]

@@ -50,26 +50,8 @@ __all__ = ["FORMAT_VERSION", "LOAD_STATUSES", "Archive", "cache_key",
 
 #: bump whenever the codec stream or the simulated state layout changes;
 #: old images are then ignored (and replaced by the next save), never
-#: misread (3: codec v2 columnar stream became the default encoding; 4:
-#: directory indexes stopped carrying a red-black tree beside their dict;
-#: 5: persisted attributes renamed or dropped when the FS mechanics moved
-#: into BaseFS — every baseline's pools are ``_pools`` (was ``_pool`` on
-#: three), ext4 / SplitFS / xfs keep their running transaction in
-#: ``_log_pending`` / ``log_forces`` (were ``_pending_handles`` /
-#: ``jbd2_commits`` and ``_pending_items``), ``BaseFS._free_blocks`` and
-#: ``PMDevice._fast`` / ``_dirty_lines`` are gone; 6: WineFS keeps its
-#: pools, ``aligned_out`` and ``quarantined`` on the FS itself — its
-#: ``allocator`` object is gone; 7: ``SimClock`` holds one TLB slot per
-#: CPU, ``tlbs``; 8: the machine is one socket — the device's socket
-#: map, WineFS's home-socket policy and ``MachineParams``' two remote
-#: multipliers are gone, as are ``LockManager.acquisitions`` and
-#: ``LockManager.lock_wait_ns``; 9: WineFS's four per-inode persistence
-#: maps became one ``InodeSlot`` record per inode in ``_slots``, and
-#: ``MachineParams`` lost ``vfs_lock_ns``, ``context_switch_ns``,
-#: ``journal_entry_bytes`` and ``max_txn_entries``; 10: ``EventCounters``
-#: holds its thirteen counts as slots — the metrics registry under it,
-#: and its ``Counter`` handles, are gone)
-FORMAT_VERSION = 10
+#: misread.
+FORMAT_VERSION = 11
 
 #: every status ``load_ex`` can report.  ``hit`` carries a value; the
 #: rest carry ``None``.  ``miss`` (no image) is the healthy cold-cache

@@ -90,15 +90,6 @@ class TestGeriatrix:
             frag.append(fs.statfs().free_aligned_hugepages)
         assert frag[0] == frag[1]
 
-    def test_set_utilization_down_and_up(self):
-        fs, ctx = _fs()
-        g = Geriatrix(fs, AGRAWAL, target_utilization=0.6, seed=2)
-        g.age(ctx, write_volume=int(0.25 * GIB))
-        g.set_utilization(ctx, 0.3)
-        assert fs.statfs().utilization <= 0.42
-        g.set_utilization(ctx, 0.7)
-        assert fs.statfs().utilization >= 0.6
-
     def test_files_remain_readable_namespace(self):
         fs, ctx = _fs()
         g = Geriatrix(fs, AGRAWAL, target_utilization=0.4, seed=3)

@@ -28,7 +28,7 @@ from repro.errors import (ChecksumError, InvalidArgumentError, MediaError,
 from repro.faults import FAULT_KINDS, FaultPlan, FaultSpec, \
     MAX_WRITE_RETRIES
 from repro.fs.common.inode import INODE_BYTES
-from repro.obs import fault_report
+from repro.harness.report import fault_table
 from repro.params import BLOCK_SIZE, MIB
 from repro.pm.device import PMDevice
 
@@ -421,10 +421,17 @@ class TestObservability:
     def test_fault_report_text(self):
         plan = FaultPlan(specs=[FaultSpec("enospc", at_op=0)])
         plan.take_enospc()
-        text = fault_report(plan, title="demo")
-        assert "demo" in text and "enospc" in text and "surfaced" in text
-        empty = fault_report(FaultPlan())
-        assert "no fault events" in empty
+        assert [line.rstrip() for line in
+                fault_table(plan, title="demo").render().splitlines()] == [
+            "demo",
+            "kind    injected  masked  surfaced",
+            "----------------------------------",
+            "enospc  1         0       1"]
+        # an empty ledger is a header and no rows
+        assert fault_table(FaultPlan()).render().splitlines() == [
+            "Fault report",
+            "kind  injected  masked  surfaced",
+            "--------------------------------"]
 
     def test_every_kind_has_a_documented_errno(self):
         # the degradation ladder's errno table (DESIGN.md "Fault model")

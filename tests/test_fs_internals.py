@@ -325,7 +325,7 @@ class TestJournalRegion:
         journal = mgr.journals[0]
         start_wrap = journal.wraparound
         for _ in range(journal.capacity + 2):
-            journal.append(JournalEntry(TYPE_START, 0, 1, 0, b""), ctx)
+            journal.append(TYPE_START, 1, ctx)
             journal.reclaim_committed()
         assert journal.wraparound > start_wrap
 
@@ -336,8 +336,7 @@ class TestJournalRegion:
         journal = mgr.journals[0]
         total = journal.capacity + 4
         for i in range(total):
-            journal.append(
-                JournalEntry(TYPE_DATA, 0, i + 1, 0, b""), ctx)
+            journal.append(TYPE_DATA, i + 1, ctx)
             journal.reclaim_committed()
         entries, skipped, _dirty = journal.scan()
         assert skipped == 0

@@ -9,6 +9,7 @@ from repro.core.layout import (EXTENTS_PER_INDIRECT, INLINE_EXTENTS,
                                pack_inode, unpack_inode)
 from repro.errors import (CorruptionError, NoSpaceError, NotFoundError,
                           ReadOnlyError)
+from repro.obs.trace import Tracer
 from repro.params import BLOCK_SIZE, BLOCKS_PER_HUGEPAGE, KIB, MIB
 from repro.pm.device import PMDevice
 from repro.structures.extents import Extent
@@ -430,6 +431,38 @@ class TestPerCPUJournalCoordination:
         winefs.create("/cpu1file", ctx.on_cpu(1))
         assert winefs.journal.journals[0].head > j_heads[0]
         assert winefs.journal.journals[1].head > j_heads[1]
+
+    def test_shared_journal_serialises_every_transaction(self):
+        """Four CPUs on a two-journal WineFS: CPUs 1 and 3 share journal
+        1, so a transaction on CPU 3 waits for the journal lock CPU 1
+        released, and the reactive rewrite's transaction is no exception
+        (§3.6: the swap is a journal transaction like any other)."""
+        trace = Tracer()
+        ctx = make_context(4, trace=trace)
+        fs = WineFS(PMDevice(128 * MIB), num_cpus=2)
+        fs.mkfs(ctx)
+        TestReactiveRewrite._queued_fragmented(fs, ctx)
+        fs.mkdir("/cpu3", ctx)    # CPU 3's own parent: no shared dir lock
+        cpu1, cpu3 = ctx.on_cpu(1), ctx.on_cpu(3)
+
+        def waits_for_journal_1(name, op):
+            # CPU 1 commits in journal 1 about 1 ms after every other CPU
+            ctx.clock.advance_to(1, ctx.clock.elapsed + 1e6)
+            fs.create(f"/late-{name}", cpu1)
+            released = cpu1.now
+            waited = ctx.counters.lock_wait_ns
+            trace.clear()
+            op()
+            assert [s.attrs["lock"] for s in trace.spans()
+                    if s.name == "lock.wait" and s.cpu == 3] == \
+                ["winefs-journal:1"], name
+            assert ctx.counters.lock_wait_ns > waited, name
+            assert cpu3.now > released, name
+
+        waits_for_journal_1("create", lambda: fs.create("/cpu3/a", cpu3))
+        waits_for_journal_1(
+            "rewrite", lambda: fs.rewrite_queue.run_pending(cpu3))
+        assert fs.rewrite_queue.rewrites_done == 1
 
 
 def test_remount_never_hands_out_a_chain_block():
