@@ -167,10 +167,6 @@ class PerCPUJournal:
         counters.journal_ns = jv
         counters.pm_bytes_written += ENTRY_BYTES * n
 
-    def reclaim_committed(self) -> None:
-        """All operations are immediately durable -> reclaim everything."""
-        self.tail = self.head
-
     # -- recovery scan ----------------------------------------------------------
 
     def scan(self) -> Tuple[List[JournalEntry], int, List[int]]:
@@ -255,7 +251,7 @@ class _Transaction:
             journal = self.journal
             journal.append(TYPE_COMMIT, self.txn_id, ctx)
             self.committed = True
-            # inlined reclaim_committed: synchronous ops reclaim immediately
+            # synchronous ops are durable at commit: reclaim everything
             journal.tail = journal.head
 
 

@@ -46,7 +46,8 @@ class Table:
                     (cell_lines[k] if k < len(cell_lines) else "")
                     .ljust(widths[i])
                     for i, cell_lines in enumerate(row)))
-        return "\n".join(lines)
+        # no line ends in padding; the rule keeps the header's full width
+        return "\n".join(line.rstrip() for line in lines)
 
     def __str__(self) -> str:
         return self.render()

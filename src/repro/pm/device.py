@@ -29,7 +29,6 @@ from typing import Dict, Iterable, List, Optional, Tuple, Union
 from ..clock import SimContext
 from ..errors import PMError
 from ..params import CACHELINE, BASE_PAGE, DEFAULT_MACHINE, MachineParams
-from .zeros import Zeros
 
 #: a page of the sparse store: materialized, or a tuple of segments
 Page = Union[bytearray, tuple]
@@ -61,29 +60,6 @@ def _materialize(page: tuple) -> bytearray:
     return out
 
 
-def _punch(page: tuple, start: int, end: int) -> Page:
-    """The segments of *page* with [start, end) cut out of them;
-    materialized if that splits them into more than
-    :data:`_MAX_SEGMENTS`."""
-    out = ()
-    count = 0
-    for seg in page:
-        off, obj, obj_off, n = seg
-        if off + n <= start or off >= end:
-            out += (seg,)
-            count += 1
-            continue
-        if off < start:
-            out += ((off, obj, obj_off, start - off),)
-            count += 1
-        if off + n > end:
-            out += ((end, obj, obj_off + end - off, off + n - end),)
-            count += 1
-    if count > _MAX_SEGMENTS:
-        return _materialize(out)
-    return out
-
-
 class _SparsePages:
     """Sparse byte store over the PM address space.
 
@@ -98,12 +74,10 @@ class _SparsePages:
       immutable payload is referenced, at any length, never copied.
     - A ``bytes`` write into a materialized page copies into it, except
       that a page the write covers in full becomes a one-segment page.
-    - Any other source (a ``bytearray``, a buffer view, ``Zeros``) may
-      change after the store returns: it materializes the page and is
-      copied.
-    - A partial zeroing punches segments; a full-page zeroing drops the
-      page.  A page that would hold more than :data:`_MAX_SEGMENTS`
-      segments is materialized.
+    - Any other source (a ``bytearray``, a buffer view) may change after
+      the store returns: it materializes the page and is copied.
+    - A page that would hold more than :data:`_MAX_SEGMENTS` segments is
+      materialized.
 
     A read of exactly the span one object was written to returns that
     object while every page still holds all of it.
@@ -215,8 +189,8 @@ class _SparsePages:
                     elif page is None:
                         page = ((off, data, pos, take),)
                     else:
-                        # the new segment, then _punch(page, off, end)
-                        # inlined: this runs on every payload write
+                        # the new segment, then the old ones with
+                        # [off, end) cut out of them
                         end = off + take
                         segs = ((off, data, pos, take),)
                         count = 1
@@ -247,33 +221,6 @@ class _SparsePages:
         if confined:
             self._last_no = page_no
             self._last_page = page
-
-    def write_zeros(self, addr: int, length: int) -> None:
-        """Zero [addr, addr+length) without materializing a buffer.
-
-        Fully covered pages are dropped (absent pages read as zeros);
-        partial head/tail pages are zeroed in place if materialized, and
-        punched if segment pages.
-        """
-        pages = self._pages
-        pos = 0
-        while pos < length:
-            page_no, off = divmod(addr + pos, BASE_PAGE)
-            take = min(BASE_PAGE - off, length - pos)
-            if take == BASE_PAGE:
-                pages.pop(page_no, None)
-                if page_no == self._last_no:
-                    self._last_no = -1
-                    self._last_page = None
-            else:
-                page = pages.get(page_no)
-                if type(page) is bytearray:
-                    page[off:off + take] = bytes(take)
-                elif page is not None:
-                    page = pages[page_no] = _punch(page, off, off + take)
-                    if page_no == self._last_no:
-                        self._last_page = page
-            pos += take
 
     def materialized_bytes(self) -> int:
         return len(self._pages) * BASE_PAGE
@@ -380,13 +327,7 @@ class PMDevice:
         return self._store.read(addr, length)
 
     def store(self, addr: int, data: bytes, ctx: Optional[SimContext] = None) -> None:
-        """Write bytes into the (volatile) cache tier of the device.
-
-        *data* may be a :class:`~repro.pm.zeros.Zeros` stand-in: in fast
-        mode the zeros are applied without materializing a buffer; with
-        store tracking they are converted to real bytes so crash-state
-        enumeration keeps byte-exact records.
-        """
+        """Write bytes into the (volatile) cache tier of the device."""
         self._check(addr, len(data))
         if not data:
             return
@@ -396,14 +337,7 @@ class PMDevice:
             data = self.faults.on_store(addr, data, ctx)
             if not len(data):
                 return      # fully torn: nothing reached even the cache
-        if type(data) is Zeros:
-            if self.track_stores:
-                data = bytes(data)
-                self._store.write(addr, data)
-            else:
-                self._store.write_zeros(addr, len(data))
-        else:
-            self._store.write(addr, data)
+        self._store.write(addr, data)
         self.bytes_written += len(data)
         if ctx is not None:
             ctx.charge(self.machine.pm_write_ns(len(data)))
@@ -485,10 +419,7 @@ class PMDevice:
             if length < 0 or addr < 0 or addr + length > self.size:
                 self._check(addr, length)   # raises with the full message
             if length:
-                if type(data) is Zeros:
-                    self._store.write_zeros(addr, length)
-                else:
-                    self._store.write(addr, data)
+                self._store.write(addr, data)
                 self.bytes_written += length
             if ctx is None:
                 return
@@ -511,11 +442,6 @@ class PMDevice:
         self.store(addr, data, ctx)
         self.clwb(addr, len(data), ctx)
         self.sfence(ctx)
-
-    def write_zeros(self, addr: int, length: int,
-                    ctx: Optional[SimContext] = None) -> None:
-        """:meth:`store` of *length* zero bytes, buffer-free."""
-        self.store(addr, Zeros(length), ctx)
 
     # -- crash support -----------------------------------------------------------
 
@@ -614,22 +540,6 @@ class PMDevice:
         assert image._durable is not None
         image._durable = image._store.clone()
         return image
-
-    def clone(self) -> "PMDevice":
-        """Deep copy (for checkers that mutate state during verification)."""
-        out = PMDevice(self.size, self.machine,
-                       track_stores=self.track_stores)
-        out._store = self._store.clone()
-        out._log_seqs = list(self._log_seqs)
-        out._log_addrs = list(self._log_addrs)
-        out._log_data = list(self._log_data)
-        out._log_flushed = bytearray(self._log_flushed)
-        out._seq = self._seq
-        if self._durable is not None:
-            out._durable = self._durable.clone()
-        out.bytes_written = self.bytes_written
-        out.bytes_read = self.bytes_read
-        return out
 
     def drain(self) -> None:
         """Flush + fence everything dirty (clean unmount / power-safe)."""

@@ -1,13 +1,13 @@
 """Zero-filled payloads that never materialize the bytes.
 
-Zero-fill faults, ``fallocate`` zeroing, journal erase and aging overwrite
-traffic all write runs of zero bytes whose *content* is never read back in
-fast (untracked) mode — only their length matters for cost charging.  A
-:class:`Zeros` stand-in carries the length through the write paths
-(`len()`, slicing and truthiness behave like a real ``bytes`` object) so
-multi-megabyte throwaway buffers are never allocated.  Paths that do need
-real bytes (``track_stores`` crash capture, ``track_data`` content checks)
-convert with ``bytes(z)`` / :func:`zero_bytes`.
+Cost-only (``track_data=False``) file systems and mappings charge a write
+by its length and never store its payload, so zero writes there
+(``write_zeros``, ``pwrite_zeros``, ``append_zeros``, aging overwrite
+churn) carry a :class:`Zeros` stand-in through their write paths
+(`len()`, slicing and truthiness behave like a real ``bytes`` object)
+and multi-megabyte throwaway buffers are never allocated.  A ``Zeros``
+never reaches the PM device, which stores ``bytes`` and ``bytearray``
+only; ``track_data`` paths write :func:`zero_bytes` instead.
 """
 
 from __future__ import annotations

@@ -1,4 +1,5 @@
-"""The FileSystem interface all seven simulated file systems implement.
+"""The VFS layer: open-file handles and the ``FileSystem`` base of every
+simulated file system.
 
 The API is the subset of POSIX the paper's workloads exercise (Table 1 and
 §5): create/open/read/write/append/fsync/unlink/rename/mkdir/readdir/
@@ -11,9 +12,8 @@ and accumulating its cost, and charges the syscall crossing cost up front
 from __future__ import annotations
 
 import functools
-from abc import ABC, abstractmethod
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import Optional
 
 from ..clock import SimContext
 from ..errors import (BadFileError, FSError, InvalidArgumentError,
@@ -148,11 +148,15 @@ def _bumps_namespace_epoch(lifecycle_verb):
     return wrapper
 
 
-class FileSystem(ABC):
-    """Abstract simulated PM file system.
+class FileSystem:
+    """What every simulated PM file system shares above its verbs:
+    degradation, SLO telemetry wrapping, the syscall charge and the
+    whole-file helpers.
 
-    Concrete subclasses: :class:`repro.core.WineFS` and the baselines in
-    :mod:`repro.fs`.  Files are identified by paths for namespace ops and by
+    The verbs themselves (``mkfs`` … ``file_extents``) live in
+    :class:`repro.fs.common.base.BaseFS`, which every model —
+    :class:`repro.core.WineFS` and the baselines in :mod:`repro.fs` —
+    subclasses.  Files are identified by paths for namespace ops and by
     inode number for data ops (handles carry the inode).
     """
 
@@ -185,20 +189,6 @@ class FileSystem(ABC):
         # SLO telemetry handle; None (the default) means the entry
         # points are the plain unwrapped methods — bit-identical-off
         self.telemetry = None
-
-    # -- lifecycle ------------------------------------------------------------
-
-    @abstractmethod
-    def mkfs(self, ctx: SimContext) -> None:
-        """Format the device."""
-
-    @abstractmethod
-    def mount(self, ctx: SimContext) -> None:
-        """Mount (runs recovery if the device crashed dirty)."""
-
-    @abstractmethod
-    def unmount(self, ctx: SimContext) -> None:
-        """Clean unmount (serializes DRAM state to PM)."""
 
     def _check_mounted(self) -> None:
         if not self.mounted:
@@ -301,35 +291,6 @@ class FileSystem(ABC):
         ctx.clock._cpu_ns[ctx.cpu] += self.machine.syscall_ns
         ctx.counters.syscalls += 1
 
-    # -- namespace ops -----------------------------------------------------------
-
-    @abstractmethod
-    def create(self, path: str, ctx: SimContext) -> OpenFile: ...
-
-    @abstractmethod
-    def open(self, path: str, ctx: SimContext) -> OpenFile: ...
-
-    @abstractmethod
-    def unlink(self, path: str, ctx: SimContext) -> None: ...
-
-    @abstractmethod
-    def mkdir(self, path: str, ctx: SimContext) -> None: ...
-
-    @abstractmethod
-    def rmdir(self, path: str, ctx: SimContext) -> None: ...
-
-    @abstractmethod
-    def rename(self, old: str, new: str, ctx: SimContext) -> None: ...
-
-    @abstractmethod
-    def readdir(self, path: str, ctx: SimContext) -> List[str]: ...
-
-    @abstractmethod
-    def getattr(self, path: str, ctx: Optional[SimContext] = None) -> StatResult: ...
-
-    @abstractmethod
-    def getattr_ino(self, ino: int) -> StatResult: ...
-
     def exists(self, path: str) -> bool:
         """Does *path* resolve?  Uncharged (workload setup helpers)."""
         try:
@@ -337,33 +298,6 @@ class FileSystem(ABC):
             return True
         except FSError:
             return False
-
-    # -- data ops ---------------------------------------------------------------------
-
-    @abstractmethod
-    def read(self, ino: int, offset: int, size: int, ctx: SimContext) -> bytes: ...
-
-    @abstractmethod
-    def write(self, ino: int, offset: int, data: bytes, ctx: SimContext) -> int: ...
-
-    def write_zeros(self, ino: int, offset: int, length: int,
-                    ctx: SimContext) -> int:
-        """Write ``length`` zero bytes.  Subclasses override to avoid
-        materializing the buffer; the default is behaviour-identical."""
-        return self.write(ino, offset, b"\x00" * length, ctx)
-
-    @abstractmethod
-    def truncate(self, ino: int, size: int, ctx: SimContext) -> None: ...
-
-    @abstractmethod
-    def fallocate(self, ino: int, offset: int, size: int, ctx: SimContext) -> None: ...
-
-    @abstractmethod
-    def fsync(self, ino: int, ctx: SimContext) -> None: ...
-
-    @abstractmethod
-    def mmap(self, ino: int, ctx: SimContext,
-             length: Optional[int] = None) -> MappedRegion: ...
 
     # -- xattrs (WineFS alignment hints; others may raise) --------------------------------
 
@@ -373,18 +307,7 @@ class FileSystem(ABC):
     def getxattr(self, path: str, key: str, ctx: SimContext) -> bytes:
         raise InvalidArgumentError(f"{self.name} does not support xattrs")
 
-    # -- introspection ----------------------------------------------------------------------
-
-    @abstractmethod
-    def statfs(self) -> FSStats: ...
-
-    def utilization(self) -> float:
-        """``statfs().utilization``; hot pollers get an O(pools) override
-        in :class:`repro.fs.common.base.BaseFS`."""
-        return self.statfs().utilization
-
-    @abstractmethod
-    def file_extents(self, ino: int): ...
+    # -- whole files ------------------------------------------------------------------
 
     def write_file(self, path: str, data: bytes, ctx: SimContext,
                    chunk: int = 1 << 20) -> OpenFile:

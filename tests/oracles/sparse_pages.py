@@ -26,8 +26,8 @@ class ReferenceSparsePages:
 
     A page is a ``bytearray``, or — for a page a ``bytes`` write covers in
     full — a read-only ``memoryview`` of the writer's own object: an
-    immutable payload is referenced, not copied.  A partial write or
-    zeroing into such a *view page* copies it first (copy-on-write).  Only
+    immutable payload is referenced, not copied.  A partial write into
+    such a *view page* copies it first (copy-on-write).  Only
     ``bytes`` is aliased; a ``bytearray`` source may change after the
     store returns, so it is always copied.
     """
@@ -152,30 +152,6 @@ class ReferenceSparsePages:
             pos += take
             page_no += 1
             off = 0
-
-    def write_zeros(self, addr: int, length: int) -> None:
-        """Zero [addr, addr+length) without materializing a buffer.
-
-        Fully covered pages are dropped (absent pages read as zeros);
-        partial head/tail pages are zeroed in place if materialized.
-        """
-        pages = self._pages
-        pos = 0
-        while pos < length:
-            page_no, off = divmod(addr + pos, BASE_PAGE)
-            take = min(BASE_PAGE - off, length - pos)
-            if take == BASE_PAGE:
-                pages.pop(page_no, None)
-                if page_no == self._last_no:
-                    self._last_no = -1
-                    self._last_page = None
-            else:
-                page = pages.get(page_no)
-                if page is not None:
-                    if type(page) is memoryview:
-                        page = pages[page_no] = bytearray(page)    # CoW
-                    page[off:off + take] = bytes(take)
-            pos += take
 
     def materialized_bytes(self) -> int:
         return len(self._pages) * BASE_PAGE

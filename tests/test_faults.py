@@ -421,8 +421,7 @@ class TestObservability:
     def test_fault_report_text(self):
         plan = FaultPlan(specs=[FaultSpec("enospc", at_op=0)])
         plan.take_enospc()
-        assert [line.rstrip() for line in
-                fault_table(plan, title="demo").render().splitlines()] == [
+        assert fault_table(plan, title="demo").render().splitlines() == [
             "demo",
             "kind    injected  masked  surfaced",
             "----------------------------------",

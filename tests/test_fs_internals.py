@@ -326,7 +326,6 @@ class TestJournalRegion:
         start_wrap = journal.wraparound
         for _ in range(journal.capacity + 2):
             journal.append(TYPE_START, 1, ctx)
-            journal.reclaim_committed()
         assert journal.wraparound > start_wrap
 
     def test_scan_orders_by_generation(self):
@@ -337,7 +336,6 @@ class TestJournalRegion:
         total = journal.capacity + 4
         for i in range(total):
             journal.append(TYPE_DATA, i + 1, ctx)
-            journal.reclaim_committed()
         entries, skipped, _dirty = journal.scan()
         assert skipped == 0
         ids = [e.txn_id for e in entries]

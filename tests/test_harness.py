@@ -85,8 +85,10 @@ class TestReport:
         assert "errors<=0.001: VIOLATED" in lines[4]
         # continuation lines leave the other columns blank
         assert lines[4].startswith(" ")
-        # every rendered row line is padded to the same grid
-        assert {len(l) for l in lines[3:]} == {len(lines[3])}
+        # no line ends in padding, and the rule spans the whole grid
+        assert all(line == line.rstrip() for line in lines)
+        assert len(lines[2]) == len(lines[3]) == 8 + 2 + 23 + 2 + 8
+        assert lines[4] == " " * 10 + "errors<=0.001: VIOLATED"
 
     def test_format_series(self):
         out = format_series("S", {"fs": [(1.0, 2.0), (3.0, 4.0)]},

@@ -4,12 +4,14 @@ import random
 
 import pytest
 
+from repro.aging import AGRAWAL, Geriatrix
 from repro.clock import make_context
 from repro.errors import PMError
-from repro.params import BASE_PAGE, CACHELINE, MIB
+from repro.harness import ALL_SPECS
+from repro.params import BASE_PAGE, BLOCK_SIZE, MIB
 from repro.pm.device import _MAX_SEGMENTS, PMDevice, _SparsePages
-from repro.pm.zeros import Zeros
 from repro.snapshot.codec import encode
+from repro.workloads.microbench import mmap_rw_benchmark
 
 from .oracles import ReferenceSparsePages
 
@@ -154,13 +156,6 @@ class TestPersistence:
         dev.sfence()
         assert dev.crash_image().load(0, 8192) == dev.load(0, 8192)
 
-    def test_clone_independent(self):
-        dev = PMDevice(1 * MIB)
-        dev.store(0, b"one")
-        clone = dev.clone()
-        dev.store(0, b"two")
-        assert clone.load(0, 3) == b"one"
-
 
 def _payload(pages: int, at: int = 0) -> bytes:
     """Distinct bytes (no 256-byte period lines up with a page), one
@@ -221,7 +216,8 @@ class TestPayloadAliasing:
             assert dev.load(addr, len(data) - 1) == data[:-1]
             assert dev.load(addr + 1, len(data) - 1) == data[1:]
             # the same bytes written by someone else are not the object
-            other = dev.clone()
+            other = PMDevice(1 * MIB)
+            other.store(addr, data)
             other.store(addr, bytearray(data))
             assert other.load(addr, len(data)) is not data
             dev.store(addr + offset, bytes([data[offset] ^ 0xFF]))
@@ -253,30 +249,12 @@ class TestPayloadAliasing:
         assert got[:BASE_PAGE + 5] == data[:BASE_PAGE + 5]
         assert got[BASE_PAGE + 6:] == data[BASE_PAGE + 6:]
 
-    def test_write_zeros_over_view_pages(self):
-        dev = PMDevice(1 * MIB)
-        data = _payload(4)
-        dev.store(self.ADDR, data)                # pages 3..7, 4..6 views
-        assert dev.materialized_bytes == 5 * BASE_PAGE
-        dev.write_zeros(5 * BASE_PAGE, BASE_PAGE)  # a whole view page goes
-        assert dev.materialized_bytes == 4 * BASE_PAGE
-        dev.write_zeros(4 * BASE_PAGE + 10, 20)    # part of one is copied
-        assert dev.materialized_bytes == 4 * BASE_PAGE
-        expect = bytearray(data)
-        start = 4 * BASE_PAGE - self.ADDR
-        expect[start + BASE_PAGE:start + 2 * BASE_PAGE] = bytes(BASE_PAGE)
-        expect[start + 10:start + 30] = bytes(20)
-        assert dev.load(self.ADDR, len(data)) == expect
-        assert data == _payload(4)
-
-    def test_clone_and_crash_image_over_view_pages(self):
+    def test_crash_image_over_view_pages(self):
         dev = PMDevice(1 * MIB, track_stores=True)
         durable, pending = _payload(3, at=1), _payload(2, at=2)
         dev.persist(self.ADDR, durable)
         dev.store(self.ADDR + 4 * BASE_PAGE, pending)
-        clone = dev.clone()
         dev.store(self.ADDR + BASE_PAGE, b"later")
-        assert clone.load(self.ADDR, len(durable)) == durable
         image = dev.crash_image()
         assert image.load(self.ADDR, len(durable)) == durable
         assert image.load(self.ADDR + 4 * BASE_PAGE, len(pending)) \
@@ -354,7 +332,7 @@ class TestPayloadAliasing:
         assert dev.load(1000, 400) == (b"A" * 50 + b"x" * 200 + b"C" * 50
                                        + b"D" * 100)
         dev.store(1320, b"y" * 10)                # the middle of D
-        dev.write_zeros(1350, 10)
+        dev.store(1350, bytes(10))
         assert dev.load(1300, 100) == (b"D" * 20 + b"y" * 10 + b"D" * 20
                                        + bytes(10) + b"D" * 40)
         assert dev.load(0, 1000) == bytes(1000)
@@ -414,20 +392,15 @@ class TestAgainstViewPageOracle:
         for step in range(300):
             op = rng.random()
             addr, length, small = self._span(rng)
-            if op < 0.75:
+            if op < 0.85:
                 fill = rng.randrange(256)
                 raw = bytes((fill + i) % 256 for i in range(length))
                 kind = "bytes" if small else rng.choice((
-                    "bytes", "bytes", "bytes", "bytearray", "memoryview",
-                    "zeros"))
+                    "bytes", "bytes", "bytes", "bytearray", "memoryview"))
                 data = {"bytes": raw, "bytearray": bytearray(raw),
-                        "memoryview": memoryview(raw),
-                        "zeros": Zeros(length)}[kind]
+                        "memoryview": memoryview(raw)}[kind]
                 store.write(addr, data)
                 ref.write(addr, data)
-            elif op < 0.85:
-                store.write_zeros(addr, length)
-                ref.write_zeros(addr, length)
             elif op < 0.97:
                 assert store.read(addr, length) == ref.read(addr, length)
                 continue
@@ -439,7 +412,7 @@ class TestAgainstViewPageOracle:
                 continue
             live = [(a, obj) for a, obj in live
                     if a + len(obj) <= addr or a >= addr + length]
-            if op < 0.75 and kind == "bytes":
+            if kind == "bytes":
                 live.append((addr, data))
             assert list(store._pages) == list(ref._pages), step
             assert store.materialized_bytes() == ref.materialized_bytes()
@@ -502,3 +475,45 @@ class TestEpochCapture:
         dev = PMDevice(1 * MIB)
         with pytest.raises(PMError):
             dev.start_capture()
+
+
+class _PayloadTypes(PMDevice):
+    """A device that records the type of every payload it is handed."""
+
+    def __init__(self, size: int) -> None:
+        super().__init__(size)
+        self.types = set()
+
+    def store(self, addr, data, ctx=None):
+        self.types.add(type(data))
+        super().store(addr, data, ctx)
+
+    def persist(self, addr, data, ctx=None):
+        self.types.add(type(data))
+        super().persist(addr, data, ctx)
+
+
+def test_every_model_hands_the_device_only_bytes():
+    """The device stores bytes: a ``Zeros`` stand-in that reached it
+    would be copied element by element into a materialized page.  Every
+    model, moving real bytes or cost-only, keeps its zero runs above
+    the device through aging, zero writes and mmap'd writes into
+    fallocated and sparse files."""
+    size, cpus = 64 * MIB, 2
+    for spec in ALL_SPECS:
+        for track_data in (False, True):
+            device = _PayloadTypes(size)
+            fs = spec.build(device, cpus, track_data=track_data)
+            ctx = make_context(cpus)
+            fs.mkfs(ctx)
+            Geriatrix(fs, AGRAWAL, 0.4, seed=3, concurrency=2).age(
+                ctx, size // 4)
+            f = fs.create("/zeros", ctx)
+            f.append_zeros(3 * BLOCK_SIZE + 5, ctx)
+            f.pwrite_zeros(BLOCK_SIZE + 7, 2 * BLOCK_SIZE, ctx)
+            for create in ("fallocate", "ftruncate"):
+                mmap_rw_benchmark(fs, ctx, file_size=4 * MIB,
+                                  io_size=256 * 1024, path="/" + create,
+                                  create=create)
+            assert device.types <= {bytes, bytearray}, \
+                (spec.name, track_data, device.types)
