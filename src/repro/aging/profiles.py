@@ -58,19 +58,6 @@ class AgingProfile:
             size = min(max(size, 1 * KIB), LARGE_FILE_THRESHOLD - 1)
         return int(size)
 
-    def expected_large_capacity_share(self, rng: random.Random,
-                                      samples: int = 20000) -> float:
-        """Monte-Carlo estimate of the capacity share held by large files."""
-        small = large = 0
-        for _ in range(samples):
-            s = self.sample_size(rng)
-            if s >= LARGE_FILE_THRESHOLD:
-                large += s
-            else:
-                small += s
-        total = small + large
-        return large / total if total else 0.0
-
 
 #: Agrawal et al. profile: 56% of capacity in >=2MB files (§5.1).  With
 #: these branch parameters the large-capacity share lands at ~0.56.

@@ -7,7 +7,6 @@ Quick access to the library without writing a script:
   fragmentation report;
 * ``repro mmap-bench --fs WineFS --aged`` — the Fig 1-style probe;
 * ``repro crash-test`` — run the CrashMonkey/ACE catalogue on WineFS;
-* ``repro lint`` — the repro.analysis static-analysis suite (CI gate);
 * ``repro slo --jobs 2`` — seeded fault campaign with SLO telemetry;
 * ``repro serve --load --seeds 1,2`` — seeded multi-tenant object-service
   load over simulated backends (``repro.serve``);
@@ -366,29 +365,6 @@ def cmd_snapshot(args) -> int:
     return 0
 
 
-def cmd_lint(args) -> int:
-    """Run the repro.analysis static-analysis suite (see DESIGN.md)."""
-    import json
-    import os
-
-    from .analysis import DEFAULT_TARGET, run_lint
-
-    root = os.getcwd()
-    targets = args.paths or [os.path.join(root, DEFAULT_TARGET)]
-
-    if args.emit_registry:
-        from .analysis.rules.metric_names import emit_registry
-        print(json.dumps(emit_registry(targets, root=root), indent=2))
-        return 0
-
-    result = run_lint(targets, root=root)
-    if args.json:
-        print(result.render_json())
-    else:
-        print(result.render_text())
-    return result.exit_code
-
-
 def cmd_scalability(args) -> int:
     from .clock import make_context
     from .pm.device import PMDevice
@@ -608,18 +584,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="gc target size (default: "
                         "$REPRO_SNAPSHOT_MAX_BYTES)")
 
-    p = sub.add_parser("lint", help="run the repro.analysis static-"
-                                    "analysis suite over src/repro")
-    p.add_argument("paths", nargs="*",
-                   help="files or directories to lint "
-                        "(default: src/repro)")
-    p.add_argument("--json", action="store_true",
-                   help="machine-readable output (byte-stable for a "
-                        "given tree)")
-    p.add_argument("--emit-registry", action="store_true",
-                   help="print every span name referenced at call "
-                        "sites (to refresh repro/obs/names.py)")
-
     p = sub.add_parser("trace", help="run a workload with span tracing on "
                                      "and export the trace")
     p.add_argument("workload", choices=["mmap", "posix", "scalability"],
@@ -648,7 +612,6 @@ COMMANDS = {
     "slo": cmd_slo,
     "serve": cmd_serve,
     "snapshot": cmd_snapshot,
-    "lint": cmd_lint,
     "scalability": cmd_scalability,
     "trace": cmd_trace,
 }

@@ -74,11 +74,6 @@ class SimClock:
         """Makespan: the max across CPU clocks (parallel completion time)."""
         return max(self._cpu_ns)
 
-    @property
-    def total_cpu_time(self) -> float:
-        """Sum of all per-CPU clocks (total work performed)."""
-        return sum(self._cpu_ns)
-
     def reset(self) -> None:
         self._cpu_ns = [0.0] * self.num_cpus
 
@@ -166,9 +161,6 @@ class LockManager:
         if clock is None:
             clock = self._require_clock()
         self._free_at[name] = clock._cpu_ns[cpu]
-
-    def holding(self, name: str) -> Optional[int]:
-        return self._holder.get(name)
 
     def forget(self, name: str) -> None:
         """Drop the free time of a lock no one will take again.

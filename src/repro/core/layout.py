@@ -181,26 +181,6 @@ class InodeRecord:
         return inode
 
 
-def pack_inode(rec: InodeRecord, indirect_block: int = 0) -> bytes:
-    """Serialize the fixed 128B slot (inline part only)."""
-    name_bytes = rec.name.encode()
-    if len(name_bytes) > MAX_NAME:
-        raise FSError(f"name too long for inode slot: {rec.name!r}")
-    flags = (FLAG_DIR if rec.is_dir else 0) | \
-            (FLAG_ALIGNED_HINT if rec.aligned_hint else 0)
-    head = _INODE_HEAD.pack(1 if rec.valid else 0, flags, rec.nlink,
-                            len(rec.extents), rec.size, rec.parent_ino,
-                            indirect_block)
-    inline = b"".join(_EXT.pack(e.start, e.length)
-                      for e in rec.extents[:INLINE_EXTENTS])
-    inline = inline.ljust(INLINE_EXTENTS * _EXT.size, b"\x00")
-    name_field = bytes([len(name_bytes)]) + name_bytes
-    body = head + inline + name_field
-    if len(body) > INODE_SLOT_BYTES:
-        raise FSError("inode slot overflow")
-    return body.ljust(INODE_SLOT_BYTES, b"\x00")
-
-
 class InodeSlot:
     """What is on PM for one WineFS inode: the one DRAM record that the
     serialize-on-every-update path diffs against and packs into.
@@ -236,14 +216,14 @@ class InodeSlot:
         self._name_end = 0
 
     def pack(self, inode, extents: tuple, indirect_block: int) -> bytearray:
-        """:func:`pack_inode` of *inode* with *extents*, into :attr:`buf`,
-        which becomes the record of what is on PM.
+        """The 128B slot of *inode* with *extents*, packed into
+        :attr:`buf`, which becomes the record of what is on PM.
 
         The head is re-packed every call (size/nlink change often); the
         inline-extent region only when *extents* is not the tuple last
         packed, the name field only when the name string changes.  No
-        per-call allocation; the output is byte-identical to
-        :func:`pack_inode` of the equivalent record.  The buffer is
+        per-call allocation; the output is byte-identical to the one-shot
+        encoder of ``tests/oracles/inode_slot.py``.  The buffer is
         reused by the next ``pack``: callers consume it at once (the
         device's sparse store copies it on write).
         """

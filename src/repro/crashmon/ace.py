@@ -14,11 +14,6 @@ from typing import List
 from ..clock import SimContext
 from ..vfs.interface import FileSystem
 
-#: the metadata-mutating operations ACE composes
-OP_KINDS = ("create", "mkdir", "unlink", "rmdir", "rename", "append",
-            "overwrite", "truncate", "fallocate")
-
-
 @dataclass(frozen=True)
 class SyscallOp:
     """One operation in an ACE workload."""

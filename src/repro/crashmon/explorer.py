@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterator, List, Tuple
+from typing import Callable, Iterator, List, Tuple
 
 from ..clock import make_context
 from ..pm.device import PMDevice
@@ -133,61 +133,3 @@ class CrashExplorer:
 
     def run_all(self, workloads: List[AceWorkload]) -> List[CrashTestResult]:
         return [self.run_workload(w) for w in workloads]
-
-    # -- regression corpus -----------------------------------------------------
-
-    def replay_crash_states(self, workload: AceWorkload,
-                            points: List[dict]) -> CrashTestResult:
-        """Re-check recorded crash states (regression-corpus replay).
-
-        Each point is ``{"op": <index into workload.ops>, "epoch": int,
-        "surviving": [store seqs]}`` as produced by :meth:`build_corpus`.
-        A point whose epoch no longer exists is reported as a violation —
-        that means the on-PM store sequence changed and the corpus must
-        be regenerated, a drift worth failing loudly on.
-        """
-        result = CrashTestResult(workload=workload.name)
-        by_op: Dict[int, List[dict]] = {}
-        for p in points:
-            by_op.setdefault(int(p["op"]), []).append(p)
-        for i, op, device, pre, post, epochs in self._run_ops(workload):
-            fenced = dict(epochs)
-            for p in by_op.get(i, ()):
-                epoch = p["epoch"]
-                surviving = tuple(p["surviving"])
-                result.crash_points += 1
-                if epoch not in fenced:
-                    result.violations.append(
-                        f"{op}: stale corpus point epoch={epoch} — "
-                        f"regenerate tests/data/crash_corpus.json")
-                    continue
-                result.states_checked += 1
-                image = device.capture_crash_image(epoch, surviving)
-                self._check_one(image, pre, post, op, epoch, surviving,
-                                result)
-        return result
-
-    def build_corpus(self, workloads: List[AceWorkload],
-                     per_op_limit: int = 6) -> List[dict]:
-        """Deterministically sample crash states into corpus entries.
-
-        Strides through each op's subset enumeration (no randomness), so
-        the same code version always produces the same corpus.
-        """
-        entries: List[dict] = []
-        for workload in workloads:
-            for i, _op, _device, _pre, _post, epochs in \
-                    self._run_ops(workload):
-                picked = 0
-                for epoch, seqs in epochs:
-                    if picked >= per_op_limit:
-                        break
-                    subsets = self._subsets(seqs)
-                    remaining = per_op_limit - picked
-                    stride = max(1, len(subsets) // remaining)
-                    for s in subsets[::stride][:remaining]:
-                        entries.append({"workload": workload.name,
-                                        "op": i, "epoch": epoch,
-                                        "surviving": sorted(s)})
-                        picked += 1
-        return entries

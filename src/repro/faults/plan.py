@@ -23,9 +23,6 @@ FAULT_KINDS = ("poison", "torn_store", "latency", "enospc", "write_error")
 #: bounded retry budget for failed block writes (relocations per write op)
 MAX_WRITE_RETRIES = 3
 
-#: outcome labels used in counts / metrics
-OUTCOMES = ("injected", "masked", "surfaced")
-
 
 def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
@@ -153,10 +150,6 @@ class FaultPlan:
                 self._pmax = max(self._poisoned)
                 self.counts[("poison", "injected")] = len(self._poisoned)
         self._device = device
-
-    @property
-    def poisoned_lines(self) -> Set[int]:
-        return set(self._poisoned)
 
     @property
     def wants_write_checks(self) -> bool:

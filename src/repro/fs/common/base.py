@@ -887,7 +887,6 @@ class _FSMappedRegion(MappedRegion):
                 # the mmap() caller already holds the inode lock for the
                 # mapping's lifetime, and taking it again here would add
                 # LockManager wait accounting to every fault
-                # repro: allow[lock-discipline] caller holds the inode lock
                 self._inode.size = min(
                     self.length, self.extents.total_blocks * self.block_size)
         return super().fault(virt_page, ctx)

@@ -64,11 +64,6 @@ class FreePool:
     def largest(self) -> int:
         return self._rs.largest()
 
-    def contains_block(self, block: int) -> bool:
-        rs = self._rs
-        i = rs.floor_index(block)
-        return i >= 0 and block < rs.starts[i] + rs.lens[i]
-
     # -- mutation -----------------------------------------------------------------
 
     def insert(self, extent: Extent) -> None:

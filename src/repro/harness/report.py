@@ -95,13 +95,6 @@ def format_cdf(title: str, cdfs: Dict[str, List[Tuple[float, float]]],
     return "\n".join(lines)
 
 
-def speedup(results: Dict[str, float], over: str) -> Dict[str, float]:
-    """Each entry relative to *over* (higher = faster than baseline)."""
-    base = results[over]
-    return {k: (v / base if base else float("inf"))
-            for k, v in results.items()}
-
-
 def slo_table(rows: Sequence[Dict], title: str = "SLO report") -> Table:
     """Per-(fs, SLO class) table from a campaign report's ``results``
     rows (``repro.harness.fleet.CAMPAIGNS["slo"].run``).

@@ -49,10 +49,6 @@ class PageTable:
         #: generations instead of revalidating against the dicts
         self.generation = 0
 
-    def is_mapped(self, virt_page: int) -> bool:
-        return (virt_page // _PAGES_PER_HUGE in self._huge
-                or virt_page in self._base)
-
     def _check_base(self, virt_page: int, phys_addr: int) -> None:
         if virt_page // _PAGES_PER_HUGE in self._huge:
             raise SimulationError(f"page {virt_page} already covered by a "
@@ -139,18 +135,6 @@ class PageTable:
         while n < max_pages and (virt_page + n) in base:
             n += 1
         return n
-
-    def translate(self, virt_addr: int) -> int:
-        """Virtual byte offset within the region -> physical PM address."""
-        virt_page = virt_addr // BASE_PAGE
-        idx = virt_page // _PAGES_PER_HUGE
-        phys = self._huge.get(idx)
-        if phys is not None:
-            return phys + (virt_addr - idx * HUGE_PAGE)
-        phys = self._base.get(virt_page)
-        if phys is None:
-            raise SimulationError(f"address {virt_addr:#x} not mapped")
-        return phys + (virt_addr % BASE_PAGE)
 
     @property
     def mapped_pages_4k(self) -> int:

@@ -23,7 +23,6 @@ from ..errors import SimulationError
 #: of page number cover 2^60 bytes of mapping, far beyond any simulated
 #: device.
 _KEY_SHIFT = 48
-_PAGE_MASK = (1 << _KEY_SHIFT) - 1
 
 
 class TLB:
@@ -92,6 +91,3 @@ class TLB:
             dropped += len(stale)
         return dropped
 
-    @property
-    def occupancy(self) -> Tuple[int, int]:
-        return len(self._map_4k), len(self._map_2m)

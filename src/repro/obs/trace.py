@@ -55,9 +55,6 @@ class _NullSpan:
     def __exit__(self, *exc) -> None:
         return None
 
-    def set_attr(self, key: str, value: object) -> None:
-        return None
-
 
 _NULL_SPAN = _NullSpan()
 
@@ -98,9 +95,6 @@ class _OpenSpan:
         self.ctx = ctx
         self.name = name
         self.attrs = attrs
-
-    def set_attr(self, key: str, value: object) -> None:
-        self.attrs[key] = value
 
     def __enter__(self) -> "_OpenSpan":
         self.tracer._push(self)
@@ -183,9 +177,6 @@ class Tracer(NullTracer):
         self._ring.clear()
         self._stacks.clear()
         self.dropped = 0
-
-    def open_depth(self, cpu: int) -> int:
-        return len(self._stacks.get(cpu, []))
 
     def __len__(self) -> int:
         return len(self._ring)

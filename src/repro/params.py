@@ -21,14 +21,12 @@ from dataclasses import dataclass
 CACHELINE = 64
 BASE_PAGE = 4 * 1024           # 4KB base page
 HUGE_PAGE = 2 * 1024 * 1024    # 2MB hugepage
-PAGES_PER_HUGEPAGE = HUGE_PAGE // BASE_PAGE   # 512 (paper: "512x more page faults")
 BLOCK_SIZE = BASE_PAGE         # file systems allocate in 4KB blocks
 BLOCKS_PER_HUGEPAGE = HUGE_PAGE // BLOCK_SIZE
 
 KIB = 1024
 MIB = 1024 * KIB
 GIB = 1024 * MIB
-TIB = 1024 * GIB
 
 
 @dataclass(frozen=True)

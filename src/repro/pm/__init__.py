@@ -9,6 +9,6 @@ The device is one socket's PM, with no remote-socket cost: the paper's
 disabled, and no experiment here measures a remote access.
 """
 
-from .device import PMDevice, StoreRecord
+from .device import PMDevice
 
-__all__ = ["PMDevice", "StoreRecord"]
+__all__ = ["PMDevice"]

@@ -23,7 +23,6 @@ the :class:`~repro.params.MachineParams` ratios.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Tuple, Union
 
 from ..clock import SimContext
@@ -32,17 +31,6 @@ from ..params import CACHELINE, BASE_PAGE, DEFAULT_MACHINE, MachineParams
 
 #: a page of the sparse store: materialized, or a tuple of segments
 Page = Union[bytearray, tuple]
-
-
-@dataclass(frozen=True)
-class StoreRecord:
-    """One logged store: bytes written to [addr, addr+len) at seq order."""
-
-    seq: int
-    addr: int
-    data: bytes
-    flushed: bool = False   # a clwb has been issued for this store's lines
-    fenced: bool = False    # an sfence has made it durable
 
 
 #: a page that would hold more segments than this is materialized: at
@@ -505,16 +493,6 @@ class PMDevice:
         assert image._durable is not None
         image._durable = image._store.clone()
         return image
-
-    def in_flight_stores(self) -> List[StoreRecord]:
-        """Stores that are not yet guaranteed durable (no fence covers them)."""
-        if not self.track_stores:
-            raise PMError("store tracking is disabled on this device")
-        # StoreRecord is materialized only here, at the API boundary
-        return [StoreRecord(seq, addr, data, flushed=bool(fl))
-                for seq, addr, data, fl in
-                zip(self._log_seqs, self._log_addrs, self._log_data,
-                    self._log_flushed)]
 
     def crash_image(self, surviving: Iterable[int] = ()) -> "PMDevice":
         """The device as it would look after a crash.

@@ -41,34 +41,6 @@ class Extent:
         """One past the last block."""
         return self.start + self.length
 
-    @property
-    def is_hugepage_aligned(self) -> bool:
-        """True if this extent starts on a hugepage boundary and spans one."""
-        return (self.start % BLOCKS_PER_HUGEPAGE == 0
-                and self.length >= BLOCKS_PER_HUGEPAGE)
-
-    def hugepage_runs(self) -> int:
-        """How many whole aligned hugepages fit inside this extent."""
-        first = align_up(self.start)
-        last = align_down(self.end)
-        return max(0, (last - first) // BLOCKS_PER_HUGEPAGE)
-
-    def contains(self, block: int) -> bool:
-        return self.start <= block < self.end
-
-    def overlaps(self, other: "Extent") -> bool:
-        return self.start < other.end and other.start < self.end
-
-    def adjacent_to(self, other: "Extent") -> bool:
-        return self.end == other.start or other.end == self.start
-
-    def split_at(self, block: int) -> Tuple["Extent", "Extent"]:
-        """Split into [start, block) and [block, end)."""
-        if not self.start < block < self.end:
-            raise ValueError(f"split point {block} outside {self}")
-        return (Extent(self.start, block - self.start),
-                Extent(block, self.end - block))
-
     def take(self, nblocks: int, from_end: bool = False) -> Tuple["Extent", "Extent | None"]:
         """Carve *nblocks* off this extent; returns (taken, remainder)."""
         if not 0 < nblocks <= self.length:
@@ -80,12 +52,6 @@ class Extent:
                     Extent(self.start, self.length - nblocks))
         return (Extent(self.start, nblocks),
                 Extent(self.start + nblocks, self.length - nblocks))
-
-    def merge(self, other: "Extent") -> "Extent":
-        if not self.adjacent_to(other):
-            raise ValueError(f"{self} and {other} are not adjacent")
-        start = min(self.start, other.start)
-        return Extent(start, self.length + other.length)
 
     def blocks(self) -> Iterator[int]:
         return iter(range(self.start, self.end))

@@ -8,7 +8,7 @@ few hundred thousand) and compute the summaries the harness prints.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Sequence, Tuple
+from typing import Iterable, List, Sequence, Tuple
 
 
 def percentile(samples: Sequence[float], pct: float) -> float:
@@ -123,13 +123,3 @@ def ops_per_sec(ops: int, elapsed_ns: float) -> float:
     if elapsed_ns <= 0:
         raise ValueError("elapsed time must be positive")
     return ops / (elapsed_ns / 1e9)
-
-
-def normalize(values: Dict[str, float], baseline: str) -> Dict[str, float]:
-    """Express each value relative to *baseline* (as the paper's figures do)."""
-    if baseline not in values:
-        raise KeyError(f"baseline {baseline!r} not in values")
-    base = values[baseline]
-    if base == 0:
-        raise ValueError("baseline value is zero")
-    return {k: v / base for k, v in values.items()}

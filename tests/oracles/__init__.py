@@ -15,7 +15,10 @@ against:
   touched page;
 * :class:`~tests.oracles.sparse_pages.ReferenceSparsePages`, the PM
   store whose pages were copies or read-only views of whole-page
-  ``bytes`` writes, beside an alias registry.
+  ``bytes`` writes, beside an alias registry;
+* :func:`~tests.oracles.inode_slot.pack_inode`, the one-shot encoder of
+  a WineFS inode slot that :class:`~repro.core.layout.InodeSlot`'s
+  field-wise packer replaced.
 
 :func:`reference_structures` swaps the structures in for a whole scenario
 by patching the module globals that construct free pools and page
@@ -39,12 +42,13 @@ import repro.fs.common.base
 import repro.mmu.mmap_region
 
 from .freepool import ReferenceFreePool
+from .inode_slot import pack_inode
 from .page_table import ReferencePageTable
 from .sparse_pages import ReferenceSparsePages
 from .walk import assert_reference_walk, reference_walk
 
 __all__ = ["ReferenceFreePool", "ReferencePageTable", "ReferenceSparsePages",
-           "assert_reference_built", "assert_reference_walk",
+           "assert_reference_built", "assert_reference_walk", "pack_inode",
            "reference_structures", "reference_walk"]
 
 #: every module global that constructs a free pool or a page table

@@ -103,13 +103,6 @@ class ReferenceFreePool(FreePool):
         key, _ = self._by_size.max_item()
         return key >> _START_BITS
 
-    def contains_block(self, block: int) -> bool:
-        item = self._tree.floor_item(block)
-        if item is None:
-            return False
-        start, length = item
-        return start <= block < start + length
-
     # -- mutation -----------------------------------------------------------------
 
     def insert(self, extent: Extent) -> None:

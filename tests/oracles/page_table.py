@@ -73,13 +73,3 @@ class ReferencePageTable(PageTable):
         idx = first // _PAGES_PER_HUGE
         self._base_in_huge[idx] = self._base_in_huge.get(idx, 0) + count
         self.installed_4k += count
-
-    def translate(self, virt_addr: int) -> int:
-        virt_page = virt_addr // BASE_PAGE
-        m = self.lookup(virt_page)
-        if m is None:
-            raise SimulationError(f"address {virt_addr:#x} not mapped")
-        if m.huge:
-            base_virt = m.virt_page * BASE_PAGE
-            return m.phys_addr + (virt_addr - base_virt)
-        return m.phys_addr + (virt_addr % BASE_PAGE)

@@ -8,12 +8,6 @@ the named tests run there, and the copy is restored.  The run fails when
 an entry no longer applies (the code moved: re-anchor it) or survives (a
 named test still passes, or is gone: the net has a hole).
 
-Each mutated tree is also linted, and the table printed at the end says
-which ``repro lint`` rule, if any, reports the entry — the evidence for
-keeping or cutting an analyzer rule.  An entry's optional ``lint`` field
-pins that column (absent means no rule): a different rule set fails the
-run too.
-
     python tests/run_mutations.py [substring of an entry name ...]
 
 A selection that matches no entry exits 2 before copying anything.
@@ -30,13 +24,6 @@ import tempfile
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 CORPUS = os.path.join(REPO_ROOT, "tests", "mutations", "corpus.json")
-
-
-def lint_rules(tree: str, env: dict) -> list:
-    """Rule ids ``repro lint`` reports on the (mutated) scratch tree."""
-    proc = subprocess.run([sys.executable, "-m", "repro", "lint", "--json"],
-                          cwd=tree, env=env, capture_output=True, text=True)
-    return sorted({f["rule"] for f in json.loads(proc.stdout)["findings"]})
 
 
 def main(argv: list) -> int:
@@ -60,7 +47,7 @@ def main(argv: list) -> int:
             with open(path, encoding="utf-8") as fh:
                 original = fh.read()
             if original.count(entry["find"]) != 1:
-                verdict, rules = "UNAPPLIED: find matches != 1 time", []
+                verdict = "UNAPPLIED: find matches != 1 time"
             else:
                 with open(path, "w", encoding="utf-8") as fh:
                     fh.write(original.replace(entry["find"],
@@ -75,19 +62,15 @@ def main(argv: list) -> int:
                                 capture_output=True).returncode != 1]
                 verdict = "killed" if not survived else \
                     f"SURVIVED {' '.join(survived)}"
-                rules = lint_rules(tree, env)
-                if rules != entry.get("lint", []) and verdict == "killed":
-                    verdict = f"LINT {', '.join(rules) or '-'} != recorded"
                 with open(path, "w", encoding="utf-8") as fh:
                     fh.write(original)
             failed += verdict != "killed"
-            rows.append((entry["name"], verdict, ", ".join(rules) or "-"))
+            rows.append((entry["name"], verdict))
             print(f"{entry['name']}: {verdict}", flush=True)
-    width = max(len(name) for name, _v, _r in rows)
-    print(f"\n{'mutation':<{width}}  {'tests':<9}  lint rule(s)")
-    for name, verdict, rules in rows:
-        word = verdict.split()[0].rstrip(":").lower()
-        print(f"{name:<{width}}  {word:<9}  {rules}")
+    width = max(len(name) for name, _v in rows)
+    print(f"\n{'mutation':<{width}}  tests")
+    for name, verdict in rows:
+        print(f"{name:<{width}}  {verdict.split()[0].rstrip(':').lower()}")
     print(f"\n{len(rows) - failed} of {len(rows)} mutation(s) killed")
     return 1 if failed else 0
 

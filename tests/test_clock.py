@@ -24,7 +24,7 @@ class TestSimClock:
         clock = SimClock(2)
         clock.charge(0, 10.0)
         clock.charge(1, 20.0)
-        assert clock.total_cpu_time == 30.0
+        assert sum(clock.snapshot()) == 30.0
 
     def test_negative_charge_rejected(self):
         clock = SimClock(1)
@@ -88,9 +88,8 @@ class TestLockManager:
         clock = SimClock(2)
         locks = LockManager(clock)
         locks.acquire("L", 1)
-        assert locks.holding("L") == 1
+        assert locks._holder.get("L") == 1
         locks.release("L", 1)
-        assert locks.holding("L") is None
         assert locks._holder == {}      # released locks leave no entry
 
     def test_forget_drops_only_the_freed_name(self):

@@ -17,6 +17,8 @@ from repro.errors import FSError, ReproError
 from repro.params import KIB, MIB
 from repro.pm.device import PMDevice
 
+from tests.oracles.store_log import in_flight_stores
+
 _OPS = st.lists(
     st.tuples(st.sampled_from(["create", "append", "overwrite", "unlink",
                                "mkdir", "rename", "truncate"]),
@@ -58,7 +60,7 @@ class TestCrashAnywhere:
         for op, slot, size in ops[:cut]:
             _apply(fs, ctx, op, slot, size)
         # crash now, with a pseudo-random subset of in-flight stores
-        flights = device.in_flight_stores()
+        flights = in_flight_stores(device)
         surviving = [rec.seq for i, rec in enumerate(flights)
                      if (crash_seed >> (i % 16)) & 1 == survivors_bias]
         image = device.crash_image(surviving)

@@ -6,8 +6,9 @@ import pytest
 
 from repro.clock import make_context
 from repro.core.filesystem import WineFS
-from repro.crashmon import (AceWorkload, CrashExplorer, SyscallOp,
-                            check_consistency, generate_workloads)
+from repro.crashmon import (AceWorkload, CrashExplorer, CrashTestResult,
+                            SyscallOp, check_consistency,
+                            generate_workloads)
 from repro.crashmon.checker import (ConsistencyError, capture_state,
                                     check_invariants, states_equal)
 from repro.faults import FaultPlan, FaultSpec
@@ -363,6 +364,62 @@ class TestSeq3:
                 op.apply(f, c)    # must not raise
 
 
+def build_corpus(explorer, workloads, per_op_limit=6):
+    """Deterministically sample crash states into corpus entries.
+
+    Strides through each op's subset enumeration (no randomness), so
+    the same code version always produces the same corpus.
+    """
+    entries = []
+    for workload in workloads:
+        for i, _op, _device, _pre, _post, epochs in \
+                explorer._run_ops(workload):
+            picked = 0
+            for epoch, seqs in epochs:
+                if picked >= per_op_limit:
+                    break
+                subsets = explorer._subsets(seqs)
+                remaining = per_op_limit - picked
+                stride = max(1, len(subsets) // remaining)
+                for s in subsets[::stride][:remaining]:
+                    entries.append({"workload": workload.name,
+                                    "op": i, "epoch": epoch,
+                                    "surviving": sorted(s)})
+                    picked += 1
+    return entries
+
+
+def replay_crash_states(explorer, workload, points):
+    """Re-check recorded crash states (regression-corpus replay).
+
+    Each point is ``{"op": <index into workload.ops>, "epoch": int,
+    "surviving": [store seqs]}`` as produced by :func:`build_corpus`.
+    A point whose epoch no longer exists is reported as a violation —
+    that means the on-PM store sequence changed and the corpus must
+    be regenerated, a drift worth failing loudly on.
+    """
+    result = CrashTestResult(workload=workload.name)
+    by_op = {}
+    for p in points:
+        by_op.setdefault(int(p["op"]), []).append(p)
+    for i, op, device, pre, post, epochs in explorer._run_ops(workload):
+        fenced = dict(epochs)
+        for p in by_op.get(i, ()):
+            epoch = p["epoch"]
+            surviving = tuple(p["surviving"])
+            result.crash_points += 1
+            if epoch not in fenced:
+                result.violations.append(
+                    f"{op}: stale corpus point epoch={epoch} — "
+                    f"regenerate tests/data/crash_corpus.json")
+                continue
+            result.states_checked += 1
+            image = device.capture_crash_image(epoch, surviving)
+            explorer._check_one(image, pre, post, op, epoch, surviving,
+                                result)
+    return result
+
+
 class TestCorpus:
     """Regression replay of the committed crash-state corpus."""
 
@@ -389,7 +446,7 @@ class TestCorpus:
         assert by_wl, "corpus is empty"
         checked = 0
         for name, points in by_wl.items():
-            result = explorer.replay_crash_states(workloads[name], points)
+            result = replay_crash_states(explorer, workloads[name], points)
             assert result.passed, (name, result.violations[:3])
             checked += result.states_checked
         assert checked == len(corpus["entries"])
@@ -407,6 +464,6 @@ class TestCorpus:
                                  device_size=64 * MIB, num_cpus=2)
         wl = [w for w in generate_workloads(seq2=False)
               if w.name in ("create", "append")]
-        a = explorer.build_corpus(wl, per_op_limit=3)
-        b = explorer.build_corpus(wl, per_op_limit=3)
+        a = build_corpus(explorer, wl, per_op_limit=3)
+        b = build_corpus(explorer, wl, per_op_limit=3)
         assert a == b and a

@@ -1,5 +1,4 @@
-"""Tests of the exact gate (``benchmarks/exact.py``) and of a lint that
-writes nothing.
+"""Tests of the exact gate (``benchmarks/exact.py``).
 
 The comparator tests doctor a copy of the committed expectation; the one
 slow test (about 8 s) runs the gate itself, so a silent drift of a
@@ -14,8 +13,6 @@ import os
 import sys
 
 import pytest
-
-from repro.cli import main
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path.insert(0, os.path.join(REPO_ROOT, "benchmarks"))
@@ -95,22 +92,3 @@ def test_other_python_minor_skips_exactly_the_call_count_rows(expected):
 def test_committed_expectation_matches_this_tree():
     """The gate itself: four workloads, one profiled repetition each."""
     assert exact.check() == []
-
-
-@pytest.mark.parametrize("flags", [[], ["--json"]])
-def test_lint_creates_no_file(tmp_path, monkeypatch, capsys, flags):
-    tree = tmp_path / "tree"
-    tree.mkdir()
-    (tree / "mod.py").write_text("import time\nT = time.time()\n")
-    monkeypatch.chdir(tmp_path)
-
-    def files():
-        return sorted(os.path.join(d, name)
-                      for d, _dirs, names in os.walk(tmp_path)
-                      for name in names)
-
-    before = files()
-    main(["lint", *flags, str(tree)])
-    assert ('"files": 1' if flags else "1 files checked") \
-        in capsys.readouterr().out
-    assert files() == before

@@ -33,41 +33,12 @@ class TestExtent:
     def test_basic_fields(self):
         e = Extent(10, 5)
         assert e.end == 15
-        assert e.contains(10) and e.contains(14) and not e.contains(15)
 
     def test_invalid_rejected(self):
         with pytest.raises(ValueError):
             Extent(-1, 5)
         with pytest.raises(ValueError):
             Extent(0, 0)
-
-    def test_hugepage_alignment(self):
-        assert Extent(0, HP).is_hugepage_aligned
-        assert not Extent(1, HP).is_hugepage_aligned
-        assert not Extent(0, HP - 1).is_hugepage_aligned
-
-    def test_hugepage_runs(self):
-        assert Extent(0, HP).hugepage_runs() == 1
-        assert Extent(0, 3 * HP).hugepage_runs() == 3
-        assert Extent(1, 2 * HP).hugepage_runs() == 1   # head misaligned
-        assert Extent(1, HP).hugepage_runs() == 0
-
-    def test_overlaps_and_adjacent(self):
-        a, b, c = Extent(0, 10), Extent(10, 10), Extent(5, 10)
-        assert not a.overlaps(b)
-        assert a.adjacent_to(b)
-        assert a.overlaps(c)
-
-    def test_split_at(self):
-        head, tail = Extent(10, 10).split_at(15)
-        assert head == Extent(10, 5)
-        assert tail == Extent(15, 5)
-
-    def test_split_outside_raises(self):
-        with pytest.raises(ValueError):
-            Extent(10, 10).split_at(10)
-        with pytest.raises(ValueError):
-            Extent(10, 10).split_at(20)
 
     def test_take_from_front_and_back(self):
         taken, rest = Extent(0, 10).take(3)
@@ -78,12 +49,6 @@ class TestExtent:
     def test_take_all(self):
         taken, rest = Extent(0, 10).take(10)
         assert taken == Extent(0, 10) and rest is None
-
-    def test_merge(self):
-        assert Extent(0, 5).merge(Extent(5, 5)) == Extent(0, 10)
-        assert Extent(5, 5).merge(Extent(0, 5)) == Extent(0, 10)
-        with pytest.raises(ValueError):
-            Extent(0, 5).merge(Extent(6, 5))
 
 
 class TestExtentList:

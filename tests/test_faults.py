@@ -29,6 +29,7 @@ from repro.faults import FAULT_KINDS, FaultPlan, FaultSpec, \
     MAX_WRITE_RETRIES
 from repro.fs.common.inode import INODE_BYTES
 from repro.harness.report import fault_table
+from repro.obs.trace import Tracer
 from repro.params import BLOCK_SIZE, MIB
 from repro.pm.device import PMDevice
 
@@ -145,7 +146,7 @@ class TestHostilePlanJson:
         plan = FaultPlan.from_json(HOSTILE_PLANS["poison-4tb"])
         with pytest.raises(InvalidArgumentError):
             device.set_fault_plan(plan)
-        assert device.faults is None and not plan.poisoned_lines
+        assert device.faults is None and not plan._poisoned
 
     @settings(max_examples=300, deadline=None)
     @given(doc=_JSON | st.fixed_dictionaries(
@@ -155,7 +156,7 @@ class TestHostilePlanJson:
             plan = _load_and_attach(json.dumps(doc))
         except InvalidArgumentError:
             return
-        assert len(plan.poisoned_lines) <= MIB // 64
+        assert len(plan._poisoned) <= MIB // 64
         assert FaultPlan.from_json(plan.to_json()).specs == plan.specs
 
     @settings(max_examples=100, deadline=None)
@@ -237,7 +238,7 @@ class TestPoison:
         f.pwrite(0, b"n" * BLOCK_SIZE, ctx)     # covers the poisoned line
         f.close()
         assert plan.count("poison", "masked") == 1
-        assert not plan.poisoned_lines
+        assert not plan._poisoned
         data = fs.read_file("/victim", ctx)
         assert data[:BLOCK_SIZE] == b"n" * BLOCK_SIZE
 
@@ -418,6 +419,30 @@ class TestWriteErrors:
 
 
 class TestObservability:
+    def test_every_kind_traces_as_fault_dot_kind(self):
+        """One plan fires each kind once with tracing on: every event
+        :meth:`FaultPlan.note` records is one ``fault.<kind>`` record,
+        so a trace reader finds all five kinds under one prefix."""
+        device = PMDevice(MIB)
+        plan = FaultPlan(specs=[
+            FaultSpec("poison", addr=0, length=64),
+            FaultSpec("torn_store", at_op=1),
+            FaultSpec("latency", at_op=2, count=1, latency_mult=4.0),
+            FaultSpec("enospc", at_op=0, count=1),
+            FaultSpec("write_error", blocks=(7,), count=1)])
+        device.set_fault_plan(plan)
+        ctx = make_context(1, trace=Tracer())
+        with pytest.raises(MediaError):
+            device.load(0, 64, ctx)                     # device op 0
+        device.store(BLOCK_SIZE, b"t" * 64, ctx)        # op 1: torn
+        device.store(2 * BLOCK_SIZE, b"l" * 64, ctx)    # op 2: slowed
+        assert plan.take_enospc(ctx)
+        assert plan.failing_block([6, 7], ctx) == 7
+        fired = {kind for kind, _outcome in plan.counts}
+        assert fired == set(FAULT_KINDS)
+        assert {span.name for span in ctx.trace.spans()} \
+            == {f"fault.{kind}" for kind in fired}
+
     def test_fault_report_text(self):
         plan = FaultPlan(specs=[FaultSpec("enospc", at_op=0)])
         plan.take_enospc()

@@ -46,14 +46,6 @@ class TestBasics:
         with pytest.raises(SimulationError):
             pool.insert(Extent(HP, 10))
 
-    def test_contains_block(self):
-        pool = FreePool(0, HP)
-        pool.alloc_exact(10, 5)
-        assert pool.contains_block(9)
-        assert not pool.contains_block(10)
-        assert not pool.contains_block(14)
-        assert pool.contains_block(15)
-
 
 class TestPolicies:
     def test_first_fit_goal_extension(self):

@@ -18,6 +18,8 @@ from repro.pm.device import PMDevice
 from repro.structures.extents import Extent
 from repro.vfs.interface import FileSystem
 
+from tests.oracles.store_log import in_flight_stores
+
 SIZE = 256 * MIB
 ALL = [spec.name for spec in ALL_SPECS]
 #: the models whose pools BaseFS carves (WineFS carves one pool per CPU,
@@ -38,7 +40,7 @@ def _unfenced_file_data(fs, ino):
     """In-flight store records that overlap a data block of *ino*."""
     extents = list(fs.file_extents(ino))
     out = []
-    for rec in fs.device.in_flight_stores():
+    for rec in in_flight_stores(fs.device):
         first = rec.addr // B
         last = (rec.addr + len(rec.data) - 1) // B
         if any(ext.start <= last and first < ext.start + ext.length
@@ -177,6 +179,21 @@ def test_allocating_fallocate_records_an_alloc_span(name):
     while parent is not None and parent is not syscall:
         parent = spans.get(parent.parent_id)
     assert parent is syscall
+
+
+@pytest.mark.parametrize("name", ALL)
+def test_failed_write_leaves_the_high_water_mark(name):
+    """A write that runs out of space raises the written high-water mark
+    no further: bytes below it count as written, so a later DAX fault
+    there would skip the zero-fill and map bytes that never were."""
+    size = 64 * MIB     # on two CPUs, the smallest Strata's metadata fits
+    fs, ctx = _fs(name, size=size, num_cpus=2)
+    f = fs.create("/f", ctx)
+    f.pwrite(0, b"w" * B, ctx)
+    before = fs._inode_for_data(f.ino).written_hwm
+    with pytest.raises(NoSpaceError):
+        f.pwrite(0, bytes(size + 8 * MIB), ctx)
+    assert fs._inode_for_data(f.ino).written_hwm == before
 
 
 #: every mutating verb of the VFS, as a call on a file system holding

@@ -169,7 +169,7 @@ def scenario(name: str, tracked: bool) -> dict:
     if tracked:
         out["stores"] = len(device.seen)
         out["stores_sha256"] = _sha(device.seen)
-        out["in_flight"] = len(device.in_flight_stores())
+        out["in_flight"] = len(device._log_seqs)     # stores no fence covers
         out["crash_image_sha256"] = _image_digest(device)
     fs.unmount(ctx)
     fs.mount(ctx)

@@ -5,7 +5,6 @@ import pytest
 from repro.harness import (ALL_SPECS, DATA_GROUP, METADATA_GROUP,
                            SPECS_BY_NAME, Table, aged_fs, format_cdf,
                            format_series, fresh_fs)
-from repro.harness.report import speedup
 from repro.params import MIB
 
 
@@ -99,7 +98,3 @@ class TestReport:
         cdf = [(float(i), i / 100.0) for i in range(101)]
         out = format_cdf("C", {"fs": cdf})
         assert "p50" in out and "p90" in out
-
-    def test_speedup(self):
-        out = speedup({"a": 10.0, "b": 20.0}, over="a")
-        assert out["b"] == 2.0

@@ -29,6 +29,8 @@ def test_find_occurs_exactly_once_in_its_file(entry):
     assert text.count(entry["find"]) == 1
     assert entry["replace"] != entry["find"]
     assert entry["must_fail"]
+    for test in entry["must_fail"]:
+        assert os.path.isfile(os.path.join(REPO_ROOT, test.split("::")[0]))
 
 
 def test_runner_rejects_a_selection_that_matches_no_entry(capsys,

@@ -18,8 +18,8 @@ class TestNullTracer:
     def test_disabled_and_noop(self):
         assert NULL_TRACER.enabled is False
         ctx = make_context(1)
-        with NULL_TRACER.span(ctx, "anything", k=1) as s:
-            s.set_attr("x", 2)
+        with NULL_TRACER.span(ctx, "anything", k=1):
+            pass
         NULL_TRACER.record("r", 0, 0.0, 1.0)
         assert NULL_TRACER.spans() == []
 
@@ -87,13 +87,6 @@ class TestNesting:
         assert spans["lock.wait"].duration_ns == 3.0
         assert spans["lock.wait"].attrs == {"lock": "L"}
 
-    def test_set_attr_during_span(self):
-        tracer = Tracer()
-        ctx = _ctx(tracer)
-        with tracer.span(ctx, "op") as s:
-            s.set_attr("bytes", 4096)
-        assert tracer.spans()[0].attrs["bytes"] == 4096
-
     def test_mismatched_exit_tolerated(self):
         tracer = Tracer()
         ctx = _ctx(tracer)
@@ -104,7 +97,7 @@ class TestNesting:
         outer.__exit__(None, None, None)     # out of order: dropped
         inner.__exit__(None, None, None)
         assert [s.name for s in tracer.spans()] == ["inner"]
-        assert tracer.open_depth(ctx.cpu) == 0
+        assert not tracer._stacks.get(ctx.cpu)
 
 
 class TestRingBuffer:
@@ -138,7 +131,7 @@ class TestTracingNeverChargesTime:
         with tracer.span(ctx, "expensive-looking", size=1 << 20):
             pass
         assert ctx.now == 0.0
-        assert ctx.clock.total_cpu_time == 0.0
+        assert sum(ctx.clock.snapshot()) == 0.0
 
 
 class TestChromeExport:

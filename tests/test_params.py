@@ -3,14 +3,14 @@
 import pytest
 
 from repro.params import (BASE_PAGE, BLOCKS_PER_HUGEPAGE, DEFAULT_MACHINE,
-                          HUGE_PAGE, PAGES_PER_HUGEPAGE, MachineParams,
+                          HUGE_PAGE, MachineParams,
                           GIB, KIB, MIB)
 
 
 class TestConstants:
     def test_page_geometry(self):
         assert HUGE_PAGE == 512 * BASE_PAGE
-        assert PAGES_PER_HUGEPAGE == 512        # §1: "512x more page faults"
+        assert HUGE_PAGE // BASE_PAGE == 512    # §1: "512x more page faults"
         assert BLOCKS_PER_HUGEPAGE == 512
 
     def test_unit_helpers(self):

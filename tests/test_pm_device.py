@@ -14,6 +14,7 @@ from repro.snapshot.codec import encode
 from repro.workloads.microbench import mmap_rw_benchmark
 
 from .oracles import ReferenceSparsePages
+from .oracles.store_log import in_flight_stores
 
 
 class TestDataPath:
@@ -67,25 +68,25 @@ class TestPersistence:
     def test_unfenced_store_is_in_flight(self):
         dev = PMDevice(1 * MIB, track_stores=True)
         dev.store(0, b"abc")
-        assert len(dev.in_flight_stores()) == 1
+        assert len(in_flight_stores(dev)) == 1
 
     def test_fence_without_flush_leaves_in_flight(self):
         dev = PMDevice(1 * MIB, track_stores=True)
         dev.store(0, b"abc")
         dev.sfence()
-        assert len(dev.in_flight_stores()) == 1
+        assert len(in_flight_stores(dev)) == 1
 
     def test_flush_plus_fence_makes_durable(self):
         dev = PMDevice(1 * MIB, track_stores=True)
         dev.store(0, b"abc")
         dev.clwb(0, 3)
         dev.sfence()
-        assert dev.in_flight_stores() == []
+        assert in_flight_stores(dev) == []
 
     def test_persist_shorthand(self):
         dev = PMDevice(1 * MIB, track_stores=True)
         dev.persist(64, b"durable")
-        assert dev.in_flight_stores() == []
+        assert in_flight_stores(dev) == []
 
     def test_crash_image_drops_unfenced(self):
         dev = PMDevice(1 * MIB, track_stores=True)
@@ -99,7 +100,7 @@ class TestPersistence:
         dev.persist(0, b"AAAA")
         dev.store(0, b"B")       # seq n
         dev.store(2, b"C")       # seq n+1
-        flights = dev.in_flight_stores()
+        flights = in_flight_stores(dev)
         img = dev.crash_image([flights[1].seq])
         assert img.load(0, 4) == b"AACA"
 
@@ -117,7 +118,7 @@ class TestPersistence:
         dev = PMDevice(1 * MIB, track_stores=True)
         dev.store(0, b"x" * 200)
         dev.drain()
-        assert dev.in_flight_stores() == []
+        assert in_flight_stores(dev) == []
         assert dev.crash_image().load(0, 200) == b"x" * 200
 
     def test_crash_image_after_drain_equals_the_volatile_image(self):
@@ -131,15 +132,15 @@ class TestPersistence:
         dev.store(12288, b"w" * 70)                 # flushed, never fenced
         dev.clwb(12288, 70)
         dev.store(4096 + 64, b"o" * 64)             # overlaps an older store
-        assert len(dev.in_flight_stores()) == 4
+        assert len(in_flight_stores(dev)) == 4
         assert dev.crash_image().load(4096, 300) == bytes(300)
         dev.drain()
-        assert dev.in_flight_stores() == []
+        assert in_flight_stores(dev) == []
         assert dev.crash_image().load(0, 16384) == dev.load(0, 16384)
         assert dev.load(4096, 300) == b"u" * 64 + b"o" * 64 + b"u" * 172
         # and a later store starts from a clean log
         dev.store(0, b"z")
-        assert [r.addr for r in dev.in_flight_stores()] == [0]
+        assert [r.addr for r in in_flight_stores(dev)] == [0]
 
     def test_fence_moves_an_unflushed_record_down_the_log_whole(self):
         """sfence folds the flushed records and compacts the columns: a
@@ -149,7 +150,7 @@ class TestPersistence:
         dev.store(4096, b"u" * 64)                  # seq 1: stays in flight
         dev.clwb(0, 64)
         dev.sfence()
-        (rec,) = dev.in_flight_stores()
+        (rec,) = in_flight_stores(dev)
         assert (rec.seq, rec.addr, rec.data) == (1, 4096, b"u" * 64)
         assert dev.crash_image([1]).load(4096, 64) == b"u" * 64
         dev.clwb(4096, 64)
@@ -259,7 +260,7 @@ class TestPayloadAliasing:
         assert image.load(self.ADDR, len(durable)) == durable
         assert image.load(self.ADDR + 4 * BASE_PAGE, len(pending)) \
             == bytes(len(pending))
-        (seq,) = [r.seq for r in dev.in_flight_stores()
+        (seq,) = [r.seq for r in in_flight_stores(dev)
                   if r.data is pending]
         image = dev.crash_image([seq])
         assert image.load(self.ADDR + 4 * BASE_PAGE, len(pending)) \

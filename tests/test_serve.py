@@ -818,6 +818,21 @@ def test_non_shard_names_are_ignored():
         ["00000000", "0000000x", "123", "README", "lost+found", "new"])
 
 
+def test_scan_restores_shards_in_name_order():
+    """A cold scan lists the shards in name order, whatever order the
+    directory hands them back in: the last shard is the one appends
+    go to, so an order that follows a hash would append to a sealed
+    shard under some ``PYTHONHASHSEED`` values and not others."""
+    live = make_fs_storage("WineFS")
+    _fill(live, "t", 16)
+    scan = _scan_storage(live)
+    scan.list_objects("t")
+    names = [shard.path.rpartition("/")[2]
+             for shard in scan._tenants["t"].shards]
+    assert len(names) >= 8
+    assert names == sorted(names)
+
+
 @pytest.mark.parametrize("dies_in", ["fallocate", "fsync", "rename"])
 def test_rotation_that_died_left_no_shard(dies_in):
     """A shard gets its name last, once its empty log is durable: a

@@ -13,7 +13,7 @@ device's byte totals, the fault ledger and degrade, op outcomes and
 statfs.
 
 Also here: the RunStore invariant property sweep and the inode-packer
-differential against :func:`repro.core.layout.pack_inode`.
+differential against :func:`tests.oracles.pack_inode`.
 """
 
 from __future__ import annotations
@@ -23,8 +23,7 @@ import zlib
 
 import pytest
 
-from repro.core.layout import (INODE_SLOT_BYTES, InodeRecord, InodeSlot,
-                               pack_inode)
+from repro.core.layout import INODE_SLOT_BYTES, InodeRecord, InodeSlot
 from repro.errors import FSError
 from repro.faults import FaultPlan, FaultSpec
 from repro.fs.common.freespace import FreePool
@@ -33,7 +32,7 @@ from repro.params import BLOCK_SIZE, BLOCKS_PER_HUGEPAGE, KIB, MIB
 from repro.structures.extents import Extent
 from repro.structures.runstore import RunStore, runs_in
 from tests.oracles import (ReferenceFreePool, assert_reference_built,
-                           reference_structures)
+                           pack_inode, reference_structures)
 
 ALL_MODELS = sorted(SPECS_BY_NAME)
 

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.errors import InvalidArgumentError
-from repro.structures.stats import (LatencyRecorder, Summary, normalize,
+from repro.structures.stats import (LatencyRecorder, Summary,
                                     ops_per_sec, percentile,
                                     percentile_sorted, throughput_mb_s)
 from repro.vfs.path import (basename_of, join, normalize_path, parent_of,
@@ -122,14 +122,6 @@ class TestThroughput:
             throughput_mb_s(1, 0)
         with pytest.raises(ValueError):
             ops_per_sec(1, -5)
-
-    def test_normalize(self):
-        out = normalize({"a": 2.0, "b": 4.0}, "a")
-        assert out == {"a": 1.0, "b": 2.0}
-        with pytest.raises(KeyError):
-            normalize({"a": 1.0}, "zz")
-        with pytest.raises(ValueError):
-            normalize({"a": 0.0}, "a")
 
 
 class TestPaths:

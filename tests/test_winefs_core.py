@@ -6,13 +6,15 @@ from repro.clock import make_context
 from repro.core.filesystem import WineFS, XATTR_ALIGNED
 from repro.core.layout import (EXTENTS_PER_INDIRECT, INLINE_EXTENTS,
                                InodeRecord, Layout, pack_indirect,
-                               pack_inode, unpack_inode)
+                               unpack_inode)
 from repro.errors import (CorruptionError, NoSpaceError, NotFoundError,
                           ReadOnlyError)
 from repro.obs.trace import Tracer
 from repro.params import BLOCK_SIZE, BLOCKS_PER_HUGEPAGE, KIB, MIB
 from repro.pm.device import PMDevice
-from repro.structures.extents import Extent
+from repro.structures.extents import Extent, is_aligned_extent
+
+from tests.oracles import pack_inode
 
 HP = BLOCKS_PER_HUGEPAGE
 
@@ -191,16 +193,16 @@ class TestXattrs:
         winefs.setxattr("/f", XATTR_ALIGNED, b"1", ctx)
         f = winefs.open("/f", ctx)
         f.append(b"x" * 64 * KIB, ctx)   # small write, but hint set
-        extents = winefs.file_extents(f.ino)
-        assert extents[0].is_hugepage_aligned
+        first = winefs.file_extents(f.ino)[0]
+        assert is_aligned_extent(first.start, first.length)
 
     def test_directory_inheritance(self, winefs, ctx):
         winefs.mkdir("/aligned_dir", ctx)
         winefs.setxattr("/aligned_dir", XATTR_ALIGNED, b"1", ctx)
         f = winefs.create("/aligned_dir/child", ctx)
         f.append(b"x" * 64 * KIB, ctx)
-        extents = winefs.file_extents(f.ino)
-        assert extents[0].is_hugepage_aligned
+        first = winefs.file_extents(f.ino)[0]
+        assert is_aligned_extent(first.start, first.length)
         # the child reports the hint through getxattr, as rsync would read
         assert winefs.getxattr("/aligned_dir/child", XATTR_ALIGNED,
                                ctx) == b"1"
@@ -208,7 +210,8 @@ class TestXattrs:
     def test_plain_file_has_no_hint(self, winefs, ctx):
         f = winefs.create("/plain", ctx)
         f.append(b"x" * 64 * KIB, ctx)
-        assert not winefs.file_extents(f.ino)[0].is_hugepage_aligned
+        first = winefs.file_extents(f.ino)[0]
+        assert not is_aligned_extent(first.start, first.length)
 
 
 class TestReactiveRewrite:

@@ -10,7 +10,8 @@ from repro.clock import make_context
 from repro.core.filesystem import WineFS
 from repro.core.journal import (ENTRY_BYTES, TYPE_COMMIT, TYPE_DATA,
                                  TYPE_START, JournalEntry, JournalManager)
-from repro.core.layout import _EXT, _INODE_HEAD, MAX_FILE_SIZE, Layout
+from repro.core.layout import (_EXT, _INODE_HEAD, MAX_FILE_SIZE, Layout,
+                                walk_chain)
 from repro.crashmon.checker import ConsistencyError, check_invariants
 from repro.errors import CorruptionError, InvalidArgumentError
 from repro.faults import FaultPlan, FaultSpec
@@ -251,6 +252,23 @@ class TestCrashRecovery:
             device.persist(indirect * BLOCK_SIZE, struct.pack("<Q", nxt))
         with _within_one_second(), pytest.raises(CorruptionError):
             _remount(device)
+
+    def test_walk_chain_stops_at_a_block_naming_itself(self):
+        """The chain walk's own bound, with no mount and no timer: a
+        block whose next pointer names itself fails closed before it is
+        loaded a second time."""
+        blob = struct.pack("<Q", 7).ljust(BLOCK_SIZE, b"\0")
+        loads = []
+
+        def load(block):
+            loads.append(block)
+            if len(loads) > 1:
+                raise AssertionError(f"a one-block chain loaded {loads}")
+            return blob
+
+        with pytest.raises(CorruptionError, match="revisits block 7"):
+            list(walk_chain(3, 7, range(1, 16), load))
+        assert loads == [7]
 
     def test_inode_size_past_the_maximum_rejected(self):
         """A live slot whose size was flipped past the largest file
